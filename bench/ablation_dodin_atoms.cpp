@@ -9,7 +9,9 @@
 #include <iostream>
 
 #include "core/failure_model.hpp"
+#include "exp/workspace.hpp"
 #include "gen/cholesky.hpp"
+#include "scenario/scenario.hpp"
 #include "spgraph/dodin.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -25,7 +27,8 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
 
   const auto g = gen::cholesky_dag(static_cast<int>(cli.get_int("k")));
-  const auto model = core::calibrate(g, cli.get_double("pfail"));
+  const auto sc = scenario::Scenario::compile(
+      g, core::calibrate(g, cli.get_double("pfail")));
 
   const std::vector<std::size_t> budgets = {8, 16, 32, 64, 128, 256, 512};
   std::vector<double> estimates;
@@ -33,9 +36,10 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> duplications;
   for (const std::size_t k_atoms : budgets) {
     const util::Timer t;
-    const auto r = sp::dodin_two_state(g, model, {.max_atoms = k_atoms});
+    exp::Workspace ws;
+    const auto r = sp::dodin_two_state_flat(sc, {.max_atoms = k_atoms}, ws);
     seconds.push_back(t.seconds());
-    estimates.push_back(r.expected_makespan());
+    estimates.push_back(r.mean);
     duplications.push_back(r.duplications);
   }
 

@@ -8,9 +8,11 @@
 
 #pragma once
 
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,11 +22,13 @@
 #include "core/failure_model.hpp"
 #include "core/first_order.hpp"
 #include "core/second_order.hpp"
+#include "exp/workspace.hpp"
 #include "graph/dag.hpp"
 #include "mc/engine.hpp"
 #include "normal/clark_full.hpp"
 #include "normal/corlca.hpp"
 #include "normal/sculli.hpp"
+#include "scenario/scenario.hpp"
 #include "spgraph/dodin.hpp"
 #include "util/json_writer.hpp"
 #include "util/timer.hpp"
@@ -35,6 +39,38 @@ namespace expmk::bench {
 /// sweep subsystem started emitting artifacts; the bench binaries keep
 /// using it under the historical name.
 using JsonWriter = util::JsonWriter;
+
+/// Strict positional arguments for the plain-main benches: the whole
+/// token must parse (no trailing junk), a count must be >= 1 and a pfail
+/// must lie in (0, 1). Anything else prints `usage` and exits 2 instead
+/// of running zero reps (or a nonsense rate) and writing a bogus JSON.
+[[noreturn]] inline void usage_exit(const char* usage, const char* bad) {
+  std::fprintf(stderr, "invalid argument '%s'\nusage: %s\n", bad, usage);
+  std::exit(2);
+}
+
+inline std::uint64_t count_arg(int argc, char** argv, int i,
+                               std::uint64_t fallback, const char* usage) {
+  if (i >= argc) return fallback;
+  const char* s = argv[i];
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (s[0] == '-' || end == s || *end != '\0' || errno == ERANGE || v == 0) {
+    usage_exit(usage, s);
+  }
+  return v;
+}
+
+inline double pfail_arg(int argc, char** argv, int i, double fallback,
+                        const char* usage) {
+  if (i >= argc) return fallback;
+  const char* s = argv[i];
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !(v > 0.0 && v < 1.0)) usage_exit(usage, s);
+  return v;
+}
 
 /// One estimator's outcome on one (DAG, pfail) cell.
 struct MethodOutcome {
@@ -104,9 +140,12 @@ inline CellResult evaluate_cell(const graph::Dag& g, double pfail,
   }
   {
     const util::Timer t;
-    const auto r = sp::dodin_two_state(g, model, {.max_atoms = opt.dodin_atoms});
+    const auto sc = scenario::Scenario::compile(g, model);
+    exp::Workspace ws;
+    const auto r =
+        sp::dodin_two_state_flat(sc, {.max_atoms = opt.dodin_atoms}, ws);
     cell.dodin.seconds = t.seconds();
-    cell.dodin.estimate = r.expected_makespan();
+    cell.dodin.estimate = r.mean;
   }
   {
     const util::Timer t;

@@ -1,22 +1,17 @@
 // bench/bench_dist.cpp
 //
 // Flat-distribution-engine microbenchmark: the cost of the distribution
-// arithmetic through the two paths the library now has,
+// arithmetic — prob::dist_kernels span kernels on warm
+// exp::Workspace-leased arenas (zero steady-state allocations). Two tiers
+// of rows:
+//   * convolve / max-of kernels over atom-count pairs;
+//   * end-to-end sp and dodin evaluations through the flat engine behind
+//     the registry, over generator DAGs.
 //
-//   (a) legacy — DiscreteDistribution object operations (one heap-backed
-//       vector per result, the pre-refactor cost structure, still the
-//       executable specification for the flat kernels);
-//   (b) flat   — prob::dist_kernels span kernels on warm
-//       exp::Workspace-leased arenas (zero steady-state allocations).
-//
-// Two tiers of rows:
-//   * convolve / max-of microbenches over atom-count pairs;
-//   * end-to-end sp and dodin evaluations (object ArcNetwork reduction vs
-//     the flat engine behind the registry) over generator DAGs.
-//
-// Emits BENCH_dist.json (speedup = legacy_us / flat_us) so the win is
-// tracked from this PR onward; CI runs a reduced-rep smoke and uploads
-// the artifact.
+// Emits BENCH_dist.json (flat_us per row; the sp/dodin rows also carry
+// the tasks/edges/atoms features bench/fit_cost_model.py fits the
+// planner's cost coefficients from). CI runs a reduced-rep smoke and
+// uploads the artifact.
 //
 //   ./bench_dist [reps]   (default: 2000)
 
@@ -33,7 +28,6 @@
 #include "prob/dist_kernels.hpp"
 #include "prob/rng.hpp"
 #include "scenario/scenario.hpp"
-#include "spgraph/arc_network.hpp"
 #include "spgraph/dodin.hpp"
 #include "spgraph/sp_reduce.hpp"
 #include "util/simd.hpp"
@@ -49,9 +43,7 @@ double checksum_guard = 0.0;  // keeps the loops from eliding
 struct Row {
   std::string op;
   std::string size;  // "64x64" atoms or "tasks=60"
-  double legacy_us = 0.0;
   double flat_us = 0.0;
-  double speedup = 0.0;
   // Structured features on the end-to-end sp/dodin rows (zero elsewhere):
   // bench/fit_cost_model.py fits the planner's per-method cost
   // coefficients from these.
@@ -80,35 +72,21 @@ Row bench_kernel_op(const char* op, std::size_t nx, std::size_t ny,
   Row row;
   row.op = op;
   row.size = std::to_string(nx) + "x" + std::to_string(ny);
-
-  {
-    const util::Timer t;
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      const auto z = is_convolve
-                         ? prob::DiscreteDistribution::convolve(x, y)
-                         : prob::DiscreteDistribution::max_of(x, y);
-      checksum_guard += z.mean();
+  exp::Workspace ws;
+  const util::Timer t;
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    const exp::Workspace::Frame frame(ws);
+    const auto out = ws.atoms(is_convolve ? nx * ny : nx + ny);
+    std::size_t m;
+    if (is_convolve) {
+      m = dk::convolve(x.atoms(), y.atoms(), out);
+    } else {
+      const auto support = ws.doubles(nx + ny);
+      m = dk::max_of(x.atoms(), y.atoms(), out, support);
     }
-    row.legacy_us = t.seconds() * 1e6 / static_cast<double>(reps);
+    checksum_guard += dk::mean(out.subspan(0, m));
   }
-  {
-    exp::Workspace ws;
-    const util::Timer t;
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      const exp::Workspace::Frame frame(ws);
-      const auto out = ws.atoms(is_convolve ? nx * ny : nx + ny);
-      std::size_t m;
-      if (is_convolve) {
-        m = dk::convolve(x.atoms(), y.atoms(), out);
-      } else {
-        const auto support = ws.doubles(nx + ny);
-        m = dk::max_of(x.atoms(), y.atoms(), out, support);
-      }
-      checksum_guard += dk::mean(out.subspan(0, m));
-    }
-    row.flat_us = t.seconds() * 1e6 / static_cast<double>(reps);
-  }
-  row.speedup = row.flat_us > 0.0 ? row.legacy_us / row.flat_us : 0.0;
+  row.flat_us = t.seconds() * 1e6 / static_cast<double>(reps);
   return row;
 }
 
@@ -121,34 +99,13 @@ Row bench_sp(const char* label, const graph::Dag& g, std::uint64_t reps) {
   row.tasks = g.task_count();
   row.edges = g.edge_count();
   row.atoms = max_atoms;
-  {
-    const util::Timer t;
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      std::vector<prob::DiscreteDistribution> dists;
-      dists.reserve(g.task_count());
-      for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-        const double a = g.weight(i);
-        // Zero-weight (virtual) tasks cannot fail, as in the evaluators.
-        dists.push_back(a <= 0.0 ? prob::DiscreteDistribution::point(0.0)
-                                 : prob::DiscreteDistribution::two_state(
-                                       a, sc.p_success()[i]));
-      }
-      const auto eval = sp::evaluate_sp(
-          sp::ArcNetwork::from_dag(g, std::move(dists)), max_atoms);
-      checksum_guard += eval.makespan.mean();
-    }
-    row.legacy_us = t.seconds() * 1e6 / static_cast<double>(reps);
+  exp::Workspace ws;
+  (void)sp::evaluate_sp_flat(sc, max_atoms, ws);  // warm the arenas
+  const util::Timer t;
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    checksum_guard += sp::evaluate_sp_flat(sc, max_atoms, ws).mean;
   }
-  {
-    exp::Workspace ws;
-    (void)sp::evaluate_sp_flat(sc, max_atoms, ws);  // warm the arenas
-    const util::Timer t;
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      checksum_guard += sp::evaluate_sp_flat(sc, max_atoms, ws).mean;
-    }
-    row.flat_us = t.seconds() * 1e6 / static_cast<double>(reps);
-  }
-  row.speedup = row.flat_us > 0.0 ? row.legacy_us / row.flat_us : 0.0;
+  row.flat_us = t.seconds() * 1e6 / static_cast<double>(reps);
   return row;
 }
 
@@ -161,24 +118,13 @@ Row bench_dodin(const char* label, const graph::Dag& g, std::uint64_t reps) {
   row.tasks = g.task_count();
   row.edges = g.edge_count();
   row.atoms = opts.max_atoms;
-  {
-    const util::Timer t;
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      checksum_guard +=
-          sp::dodin_two_state(g, sc.uniform_model(), opts).expected_makespan();
-    }
-    row.legacy_us = t.seconds() * 1e6 / static_cast<double>(reps);
+  exp::Workspace ws;
+  (void)sp::dodin_two_state_flat(sc, opts, ws);  // warm the arenas
+  const util::Timer t;
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    checksum_guard += sp::dodin_two_state_flat(sc, opts, ws).mean;
   }
-  {
-    exp::Workspace ws;
-    (void)sp::dodin_two_state_flat(sc, opts, ws);  // warm the arenas
-    const util::Timer t;
-    for (std::uint64_t r = 0; r < reps; ++r) {
-      checksum_guard += sp::dodin_two_state_flat(sc, opts, ws).mean;
-    }
-    row.flat_us = t.seconds() * 1e6 / static_cast<double>(reps);
-  }
-  row.speedup = row.flat_us > 0.0 ? row.legacy_us / row.flat_us : 0.0;
+  row.flat_us = t.seconds() * 1e6 / static_cast<double>(reps);
   return row;
 }
 
@@ -186,10 +132,9 @@ Row bench_dodin(const char* label, const graph::Dag& g, std::uint64_t reps) {
 
 int main(int argc, char** argv) {
   const std::uint64_t reps =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2000;
+      bench::count_arg(argc, argv, 1, 2000, "bench_dist [reps >= 1]");
 
-  std::printf("bench_dist: legacy DiscreteDistribution vs flat kernels, "
-              "%llu reps/row\n",
+  std::printf("bench_dist: flat distribution kernels, %llu reps/row\n",
               static_cast<unsigned long long>(reps));
 
   std::vector<Row> rows;
@@ -211,16 +156,10 @@ int main(int argc, char** argv) {
 
   std::vector<bench::JsonWriter> json_rows;
   for (const Row& row : rows) {
-    std::printf("  %-10s %-18s legacy %9.2f us   flat %9.2f us   "
-                "speedup %5.2fx\n",
-                row.op.c_str(), row.size.c_str(), row.legacy_us, row.flat_us,
-                row.speedup);
+    std::printf("  %-10s %-18s flat %9.2f us\n", row.op.c_str(),
+                row.size.c_str(), row.flat_us);
     bench::JsonWriter w;
-    w.field("op", row.op)
-        .field("size", row.size)
-        .field("legacy_us", row.legacy_us)
-        .field("flat_us", row.flat_us)
-        .field("speedup", row.speedup);
+    w.field("op", row.op).field("size", row.size).field("flat_us", row.flat_us);
     if (row.tasks > 0) {
       w.field("tasks", row.tasks)
           .field("edges", row.edges)

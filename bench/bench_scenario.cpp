@@ -48,10 +48,10 @@ struct MethodRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t reps =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200;
-  const int k = argc > 2 ? std::atoi(argv[2]) : 10;
-  const double pfail = argc > 3 ? std::atof(argv[3]) : 0.001;
+  const char* usage = "bench_scenario [reps >= 1] [k >= 1] [pfail in (0,1)]";
+  const std::uint64_t reps = bench::count_arg(argc, argv, 1, 200, usage);
+  const int k = static_cast<int>(bench::count_arg(argc, argv, 2, 10, usage));
+  const double pfail = bench::pfail_arg(argc, argv, 3, 0.001, usage);
 
   const auto g = gen::lu_dag(k);
   const auto model = core::calibrate(g, pfail);

@@ -57,9 +57,9 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t reps =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2000;
-  const double pfail = argc > 2 ? std::atof(argv[2]) : 0.001;
+  const char* usage = "bench_workspace [reps >= 1] [pfail in (0,1)]";
+  const std::uint64_t reps = bench::count_arg(argc, argv, 1, 2000, usage);
+  const double pfail = bench::pfail_arg(argc, argv, 2, 0.001, usage);
 
   // Erdos task counts give direct control of "<= 100-task DAGs", the
   // serving regime the acceptance bar names.

@@ -12,6 +12,7 @@
 #include "core/failure_model.hpp"
 #include "core/first_order.hpp"
 #include "core/second_order.hpp"
+#include "exp/workspace.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/lu.hpp"
 #include "graph/levels.hpp"
@@ -24,6 +25,7 @@
 #include "normal/corlca.hpp"
 #include "normal/sculli.hpp"
 #include "prob/discrete_distribution.hpp"
+#include "scenario/scenario.hpp"
 #include "spgraph/dodin.hpp"
 
 namespace {
@@ -149,11 +151,11 @@ BENCHMARK(BM_ClarkFull)->Arg(6)->Arg(10);
 
 void BM_Dodin(benchmark::State& state) {
   const auto g = gen::cholesky_dag(static_cast<int>(state.range(0)));
-  const auto model = core::calibrate(g, 0.001);
+  const auto sc = scenario::Scenario::compile(g, core::calibrate(g, 0.001));
+  exp::Workspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sp::dodin_two_state(g, model, {.max_atoms = 64})
-            .expected_makespan());
+        sp::dodin_two_state_flat(sc, {.max_atoms = 64}, ws).mean);
   }
   state.SetLabel(std::to_string(g.task_count()) + " tasks");
 }

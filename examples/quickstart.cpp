@@ -20,6 +20,7 @@
 #include "core/failure_model.hpp"
 #include "core/first_order.hpp"
 #include "core/second_order.hpp"
+#include "exp/workspace.hpp"
 #include "graph/dag.hpp"
 #include "mc/engine.hpp"
 #include "normal/clark_full.hpp"
@@ -67,9 +68,10 @@ int main() {
   std::printf("%-28s %.6f s\n", "second order (extension):",
               so.expected_makespan);
 
-  const auto dodin = sp::dodin_two_state(sc, {.max_atoms = 0});
+  exp::Workspace ws;
+  const auto dodin = sp::dodin_two_state_flat(sc, {.max_atoms = 0}, ws);
   std::printf("%-28s %.6f s  (%zu duplications)\n", "Dodin (competitor):",
-              dodin.expected_makespan(), dodin.duplications);
+              dodin.mean, dodin.duplications);
 
   std::printf("%-28s %.6f s\n", "Normal / Sculli:",
               normal::sculli(sc).expected_makespan());

@@ -11,8 +11,10 @@
 
 #include "core/exact.hpp"
 #include "core/failure_model.hpp"
+#include "exp/workspace.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
+#include "scenario/scenario.hpp"
 #include "spgraph/dodin.hpp"
 #include "spgraph/sp_reduce.hpp"
 
@@ -20,34 +22,25 @@ namespace {
 
 using namespace expmk;
 
-std::vector<prob::DiscreteDistribution> two_state(const graph::Dag& g,
-                                                  const core::FailureModel& m) {
-  std::vector<prob::DiscreteDistribution> out;
-  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-    const double a = g.weight(i);
-    out.push_back(a > 0.0
-                      ? prob::DiscreteDistribution::two_state(a, m.p_success(a))
-                      : prob::DiscreteDistribution::point(0.0));
-  }
-  return out;
-}
-
 void inspect(const char* name, const graph::Dag& g,
              const core::FailureModel& m) {
-  auto eval = sp::evaluate_sp(sp::ArcNetwork::from_dag(g, two_state(g, m)));
+  const auto sc = scenario::Scenario::compile(g, m);
+  exp::Workspace ws;
+  const auto eval = sp::evaluate_sp_flat(sc, 0, ws);
   std::printf("%-28s %4zu tasks: %s (%zu series, %zu parallel merges)\n",
               name, g.task_count(),
               eval.is_series_parallel ? "series-parallel" : "NOT SP",
               eval.stats.series, eval.stats.parallel);
-  const auto dodin = sp::dodin_two_state(g, m, {.max_atoms = 128});
+  prob::DiscreteDistribution law;
+  const auto dodin =
+      sp::dodin_two_state_flat(sc, {.max_atoms = 128}, ws, &law);
   std::printf("%-28s dodin: E=%.6f, %zu duplications, final support %zu "
               "atoms\n",
-              "", dodin.expected_makespan(), dodin.duplications,
-              dodin.makespan.size());
+              "", dodin.mean, dodin.duplications, law.size());
   if (g.task_count() <= 16) {
     std::printf("%-28s exact: E=%.6f  (dodin bias %+.3e)\n", "",
-                core::exact_two_state(g, m),
-                dodin.expected_makespan() - core::exact_two_state(g, m));
+                core::exact_two_state(sc),
+                dodin.mean - core::exact_two_state(sc));
   }
   std::printf("\n");
 }

@@ -64,17 +64,6 @@ EXPMK_NOALLOC [[nodiscard]] FirstOrderResult first_order(const scenario::Scenari
 /// repeatedly.
 [[nodiscard]] FirstOrderResult first_order(const scenario::Scenario& sc);
 
-/// Level-parallel variant: the two level sweeps run over the scenario's
-/// cached graph::LevelSets schedule on `workers` threads (the caller plus
-/// pool helpers — see exp/level_parallel.hpp), and the correction folds a
-/// parallel-filled per-vertex contribution array serially. Bit-identical
-/// to the serial kernel for any worker count; `workers <= 1` simply
-/// delegates to it (and stays allocation-free — the parallel path is not
-/// EXPMK_NOALLOC, task futures allocate).
-[[nodiscard]] FirstOrderResult first_order(const scenario::Scenario& sc,
-                                           exp::Workspace& ws,
-                                           std::size_t workers);
-
 /// Closed-form first-order approximation, O(|V| + |E|).
 /// `topo` must be a topological order of `g` (see graph::topological_order).
 [[nodiscard]] FirstOrderResult first_order(const graph::Dag& g,

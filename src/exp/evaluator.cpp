@@ -200,10 +200,9 @@ EvaluatorRegistry make_builtin() {
        .geometric = true,
        .heterogeneous = true,
        .rel_tolerance = 5e-3},
-      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace& ws,
+      [](const scenario::Scenario& sc, const EvalOptions&, Workspace& ws,
          EvalResult& r) {
-        r.mean = core::first_order(sc, ws, analytic_workers(sc, opt))
-                     .expected_makespan();
+        r.mean = core::first_order(sc, ws).expected_makespan();
       }));
 
   reg.add(Evaluator(
@@ -308,10 +307,9 @@ EvaluatorRegistry make_builtin() {
        .heterogeneous = true,
        .max_tasks = normal::kClarkFullMaxTasks,
        .rel_tolerance = 0.05},
-      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace& ws,
+      [](const scenario::Scenario& sc, const EvalOptions&, Workspace& ws,
          EvalResult& r) {
-        r.mean = normal::clark_full(sc, ws, analytic_workers(sc, opt))
-                     .expected_makespan();
+        r.mean = normal::clark_full(sc, ws).expected_makespan();
       }));
 
   // -------------------------------------------------- analytic bounds
@@ -397,17 +395,19 @@ EvaluatorRegistry make_builtin() {
        .geometric = false,
        .heterogeneous = true,
        .rel_tolerance = 1e-9},
-      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace&,
+      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace& ws,
          EvalResult& r) {
-        auto ev = hier::evaluate_sp_hier(sc, opt.sp_max_atoms);
+        prob::DiscreteDistribution* cap =
+            opt.capture_distribution ? &r.distribution.emplace() : nullptr;
+        const auto ev = hier::evaluate_sp_hier(sc, opt.sp_max_atoms, ws, cap);
         if (!ev.is_series_parallel) {
+          r.distribution.reset();
           r.supported = false;
           r.note = "quotient graph is not series-parallel";
           return;
         }
         r.mean = ev.mean;
         set_certified(r, ev.truncation);
-        if (opt.capture_distribution) r.distribution = std::move(ev.makespan);
       }));
 
   reg.add(Evaluator(
@@ -418,12 +418,13 @@ EvaluatorRegistry make_builtin() {
        .geometric = false,
        .heterogeneous = true,
        .rel_tolerance = 0.05},
-      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace&,
+      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace& ws,
          EvalResult& r) {
-        auto ev = hier::evaluate_dodin_hier(sc, opt.dodin_atoms);
+        prob::DiscreteDistribution* cap =
+            opt.capture_distribution ? &r.distribution.emplace() : nullptr;
+        const auto ev = hier::evaluate_dodin_hier(sc, opt.dodin_atoms, ws, cap);
         r.mean = ev.mean;
         set_certified(r, ev.truncation);
-        if (opt.capture_distribution) r.distribution = std::move(ev.makespan);
       }));
 
   reg.add(Evaluator(

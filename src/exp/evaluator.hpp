@@ -64,7 +64,7 @@ struct EvalOptions {
   /// bit-identical across thread counts, so this is a pure wall-clock
   /// knob.
   std::size_t threads = 0;
-  /// Analytic methods (fo/so/bounds/sculli/corlca/clark) switch to their
+  /// Analytic methods (so/bounds/sculli/corlca) switch to their
   /// level-parallel paths only at or above this task count — below it the
   /// fan-out overhead dominates and the serial (allocation-free) kernels
   /// run even when threads != 1. Set to 0 to force the parallel paths

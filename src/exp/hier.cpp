@@ -15,7 +15,6 @@
 #include "graph/sp_tree.hpp"
 #include "util/contracts.hpp"
 #include "prob/rng.hpp"
-#include "spgraph/arc_network.hpp"
 #include "spgraph/dodin.hpp"
 #include "spgraph/sp_reduce.hpp"
 
@@ -229,37 +228,35 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
 }
 
 HierSpResult evaluate_sp_hier(const scenario::Scenario& sc,
-                              std::size_t max_atoms) {
-  ModuleDists md = build_module_distributions(sc, max_atoms);
-  const SpDecomposition& d = sc.sp_decomposition();
+                              std::size_t max_atoms, Workspace& ws,
+                              prob::DiscreteDistribution* capture) {
+  const ModuleDists md = build_module_distributions(sc, max_atoms);
   HierSpResult out;
   out.stats = md.stats;
   out.truncation = md.truncation;
-  auto ev = sp::evaluate_sp(
-      sp::ArcNetwork::from_dag(d.quotient, std::move(md.by_quotient_node)),
-      max_atoms);
+  const sp::SpFlatEvaluation ev = sp::evaluate_sp_laws(
+      sc.sp_decomposition().quotient, md.by_quotient_node, max_atoms, ws,
+      capture);
   out.is_series_parallel = ev.is_series_parallel;
   if (!ev.is_series_parallel) return out;
   out.truncation.accumulate(ev.stats.truncation);
-  out.mean = ev.makespan.mean();
-  out.makespan = std::move(ev.makespan);
+  out.mean = ev.mean;
   return out;
 }
 
-HierDodinResult evaluate_dodin_hier(const scenario::Scenario& sc,
-                                    std::size_t max_atoms) {
-  ModuleDists md = build_module_distributions(sc, max_atoms);
-  const SpDecomposition& d = sc.sp_decomposition();
-  HierDodinResult out;
+HierDodinBound evaluate_dodin_hier(const scenario::Scenario& sc,
+                                   std::size_t max_atoms, Workspace& ws,
+                                   prob::DiscreteDistribution* capture) {
+  const ModuleDists md = build_module_distributions(sc, max_atoms);
+  HierDodinBound out;
   out.stats = md.stats;
   out.truncation = md.truncation;
-  auto dr = sp::dodin(
-      sp::ArcNetwork::from_dag(d.quotient, std::move(md.by_quotient_node)),
-      {.max_atoms = max_atoms});
+  const sp::DodinFlatResult dr =
+      sp::dodin_laws(sc.sp_decomposition().quotient, md.by_quotient_node,
+                     {.max_atoms = max_atoms}, ws, capture);
   out.truncation.accumulate(dr.truncation);
   out.duplications = dr.duplications;
-  out.mean = dr.makespan.mean();
-  out.makespan = std::move(dr.makespan);
+  out.mean = dr.mean;
   return out;
 }
 

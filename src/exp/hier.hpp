@@ -25,7 +25,9 @@
 // share it (Scenario::patch clones reuse the same decomposition and hit
 // the same cache for every module outside the patched cone).
 //
-// Three evaluators consume the quotient:
+// Three evaluators consume the quotient. The first two hand it to the
+// flat SP/Dodin engine (spgraph/) as an AoA network whose task arcs carry
+// the module laws, reduced in the caller's Workspace:
 //
 //   * evaluate_sp_hier    exact SP reduction of the quotient ("sp.hier").
 //     Exact (up to the atom budget) whenever the quotient's AoA network
@@ -55,6 +57,7 @@
 #include <limits>
 #include <vector>
 
+#include "exp/workspace.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "prob/dist_kernels.hpp"
 #include "scenario/scenario.hpp"
@@ -93,25 +96,31 @@ struct HierSpResult {
   /// evaluator reports supported == false then.
   bool is_series_parallel = false;
   double mean = std::numeric_limits<double>::quiet_NaN();
-  prob::DiscreteDistribution makespan;  ///< meaningful when SP
   prob::dist_kernels::TruncationCert truncation;
   HierStats stats;
 };
 
-[[nodiscard]] HierSpResult evaluate_sp_hier(const scenario::Scenario& sc,
-                                            std::size_t max_atoms = 0);
+/// The quotient's AoA network — one arc per quotient node carrying its
+/// module law — is reduced on the flat engine (spgraph/sp_reduce.hpp) in
+/// `ws`. When `capture` is non-null and the quotient is SP, the makespan
+/// law is materialized into it.
+[[nodiscard]] HierSpResult evaluate_sp_hier(
+    const scenario::Scenario& sc, std::size_t max_atoms, Workspace& ws,
+    prob::DiscreteDistribution* capture = nullptr);
 
 /// Result of Dodin's bound on the quotient ("dodin.hier").
-struct HierDodinResult {
+struct HierDodinBound {
   double mean = std::numeric_limits<double>::quiet_NaN();
-  prob::DiscreteDistribution makespan;
   std::size_t duplications = 0;  ///< quotient nodes cloned by Dodin
   prob::dist_kernels::TruncationCert truncation;
   HierStats stats;
 };
 
-[[nodiscard]] HierDodinResult evaluate_dodin_hier(
-    const scenario::Scenario& sc, std::size_t max_atoms = 256);
+/// Dodin's transformation of the quotient on the flat engine
+/// (spgraph/dodin.hpp) in `ws`; `capture` as for evaluate_sp_hier.
+[[nodiscard]] HierDodinBound evaluate_dodin_hier(
+    const scenario::Scenario& sc, std::size_t max_atoms, Workspace& ws,
+    prob::DiscreteDistribution* capture = nullptr);
 
 /// Result of quotient Monte-Carlo ("mc.hier").
 struct HierMcResult {

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "exp/level_parallel.hpp"
 #include "graph/topological.hpp"
 
 namespace expmk::normal {
@@ -47,8 +46,7 @@ EXPMK_NOALLOC NormalEstimate clark_full_impl(const graph::Dag& g,
                                core::RetryModel kind,
                                std::span<prob::NormalMoments> completion,
                                std::span<double> cov, std::span<double> row,
-                               std::span<const graph::TaskId> exits,
-                               bool cov_zeroed = false) {
+                               std::span<const graph::TaskId> exits) {
   const std::size_t n = g.task_count();
   if (n == 0) throw std::invalid_argument("clark_full: empty graph");
   if (n > kClarkFullMaxTasks) {
@@ -58,9 +56,8 @@ EXPMK_NOALLOC NormalEstimate clark_full_impl(const graph::Dag& g,
 
   // Dense symmetric covariance of completion times, row-major; the
   // algorithm reads unwritten entries of ancestors' rows, so the whole
-  // matrix starts at zero whatever storage backs it. `cov_zeroed` lets
-  // the level-parallel entry point pre-fill it across workers.
-  if (!cov_zeroed) std::fill(cov.begin(), cov.end(), 0.0);
+  // matrix starts at zero whatever storage backs it.
+  std::fill(cov.begin(), cov.end(), 0.0);
   const auto cov_at = [&](graph::TaskId a, graph::TaskId b) -> double& {
     return cov[static_cast<std::size_t>(a) * n + b];
   };
@@ -152,38 +149,6 @@ EXPMK_NOALLOC NormalEstimate clark_full(const scenario::Scenario& sc, exp::Works
 NormalEstimate clark_full(const scenario::Scenario& sc) {
   exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
   return clark_full(sc, ws);
-}
-
-NormalEstimate clark_full(const scenario::Scenario& sc, exp::Workspace& ws,
-                          std::size_t workers) {
-  // The propagation itself cannot fan out by vertex: folding vertex v
-  // writes cov column v across EVERY row, and a same-level sibling
-  // processed later in topo order reads exactly those entries through its
-  // predecessors' rows — per-vertex parallelism would change (not just
-  // race) the serial values. What does parallelize is the O(V^2) matrix
-  // zero-fill the impl would otherwise do serially; the traversal then
-  // runs unchanged, so results stay bit-identical.
-  if (workers <= 1) return clark_full(sc, ws);
-  const std::size_t n = sc.task_count();
-  if (n > kClarkFullMaxTasks) {
-    throw std::invalid_argument(
-        "clark_full: task count exceeds the dense covariance limit");
-  }
-  const exp::Workspace::Frame frame(ws);
-  const std::span<prob::NormalMoments> completion = ws.moments(n);
-  const std::span<double> cov = ws.doubles(n * n);
-  const std::span<double> row = ws.doubles(n);
-  constexpr std::size_t kFillChunk = 1u << 16;  // 512 KiB of doubles
-  const std::size_t nchunks = (n * n + kFillChunk - 1) / kFillChunk;
-  exp::lp::run_chunks(workers, nchunks, [&](std::size_t c) {
-    const std::size_t b = c * kFillChunk;
-    const std::size_t e = std::min(n * n, b + kFillChunk);
-    std::fill(cov.begin() + static_cast<std::ptrdiff_t>(b),
-              cov.begin() + static_cast<std::ptrdiff_t>(e), 0.0);
-  });
-  return clark_full_impl(sc.dag(), sc.topo(), sc.p_success(), sc.retry(),
-                         completion, cov, row, sc.exits(),
-                         /*cov_zeroed=*/true);
 }
 
 }  // namespace expmk::normal

@@ -51,14 +51,4 @@ EXPMK_NOALLOC [[nodiscard]] NormalEstimate clark_full(const scenario::Scenario& 
 /// Lease-a-temporary adapter over the workspace kernel.
 [[nodiscard]] NormalEstimate clark_full(const scenario::Scenario& sc);
 
-/// Parallel-assisted variant: the propagation is inherently serial per
-/// vertex (folding v writes cov column v, which same-level siblings then
-/// read), so only the O(V^2) covariance zero-fill fans out across
-/// `workers`; the traversal runs unchanged. Bit-identical to the serial
-/// kernel; `workers <= 1` delegates to it (the parallel path is not
-/// EXPMK_NOALLOC — task futures allocate).
-[[nodiscard]] NormalEstimate clark_full(const scenario::Scenario& sc,
-                                        exp::Workspace& ws,
-                                        std::size_t workers);
-
 }  // namespace expmk::normal

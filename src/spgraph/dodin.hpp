@@ -32,14 +32,13 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
-#include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
 #include "graph/dag.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "prob/dist_kernels.hpp"
 #include "scenario/scenario.hpp"
-#include "spgraph/arc_network.hpp"
 #include "util/contracts.hpp"
 
 namespace expmk::sp {
@@ -55,9 +54,9 @@ struct DodinOptions {
 };
 
 /// Result of the transformation.
-struct DodinResult {
-  prob::DiscreteDistribution makespan;  ///< approximate makespan law
-  std::size_t duplications = 0;         ///< nodes cloned
+struct DodinFlatResult {
+  double mean = 0.0;  ///< E[makespan] of the final single-arc law
+  std::size_t duplications = 0;  ///< nodes cloned
   std::size_t series_reductions = 0;
   std::size_t parallel_reductions = 0;
   /// Atom-cap truncation accounting across the first reduction pass AND
@@ -66,56 +65,29 @@ struct DodinResult {
   /// [mean - truncation.up, mean + truncation.down] (see
   /// prob/dist_kernels.hpp for the math).
   prob::dist_kernels::TruncationCert truncation;
-
-  [[nodiscard]] double expected_makespan() const { return makespan.mean(); }
 };
 
-/// Runs Dodin's algorithm on an arbitrary AoA network (consumed).
-[[nodiscard]] DodinResult dodin(ArcNetwork net, const DodinOptions& options = {});
+/// Both entry points run the full transformation on the flat engine
+/// (flat_network.cpp) over `ws`-leased arenas — ZERO heap allocations at
+/// steady state on a warm workspace, bit-identical to the
+/// DiscreteDistribution-object reference in tests/sp_reference.cpp,
+/// pinned by tests/test_flat_spgraph.cpp. When `capture` is non-null the
+/// final makespan law is materialized into it (allocates).
 
-/// Paper pipeline: task durations are the 2-state laws of `model`
-/// (a_i w.p. e^{-lambda a_i}, else 2 a_i); returns the Dodin estimate of
-/// the expected makespan of `g`.
-[[nodiscard]] DodinResult dodin_two_state(const graph::Dag& g,
-                                          const core::FailureModel& model,
-                                          const DodinOptions& options = {});
-
-/// Scenario-based entry point (lease-a-temporary adapter over the flat
-/// engine). Heterogeneous per-task rates are supported: each task's
-/// 2-state law carries its own cached p_i. The scenario's retry model
-/// must be TwoState.
-[[nodiscard]] DodinResult dodin_two_state(const scenario::Scenario& sc,
-                                          const DodinOptions& options = {});
-
-/// Workspace overload: runs the FLAT transformation engine
-/// (flat_network.cpp) on `ws`-leased arenas and materializes the
-/// DodinResult (allocating only for the returned distribution object).
-/// Prefer dodin_two_state_flat on the serving hot path.
-[[nodiscard]] DodinResult dodin_two_state(const scenario::Scenario& sc,
-                                          const DodinOptions& options,
-                                          exp::Workspace& ws);
-
-/// Flat result: everything DodinResult carries except the distribution
-/// object, so the hot path stays allocation-free.
-struct DodinFlatResult {
-  double mean = 0.0;  ///< E[makespan] of the final single-arc law
-  std::size_t duplications = 0;
-  std::size_t series_reductions = 0;
-  std::size_t parallel_reductions = 0;
-  prob::dist_kernels::TruncationCert truncation;
-};
-
-/// The flat engine's entry point (the registry's `dodin` hot path):
-/// builds the AoA network from the scenario's cached per-task success
-/// probabilities (heterogeneous rates supported), runs the full Dodin
-/// transformation on `ws`-leased flat atom arenas — ZERO heap allocations
-/// at steady state on a warm workspace, bit-identical to the
-/// DiscreteDistribution-object path dodin(ArcNetwork), pinned by
-/// tests/test_flat_spgraph.cpp. When `capture` is non-null the final
-/// makespan law is materialized into it (allocates). The scenario's retry
-/// model must be TwoState.
+/// Scenario entry (the registry's `dodin`, the paper pipeline): task i's
+/// arc carries its 2-state law (a_i w.p. p_i, else 2 a_i) from the
+/// scenario's cached success probabilities — heterogeneous rates
+/// supported. The scenario's retry model must be TwoState.
 EXPMK_NOALLOC [[nodiscard]] DodinFlatResult dodin_two_state_flat(
     const scenario::Scenario& sc, const DodinOptions& options,
     exp::Workspace& ws, prob::DiscreteDistribution* capture = nullptr);
+
+/// Laws entry (`dodin.hier` on the SP-tree quotient): task i's arc
+/// carries `laws[i]` verbatim. Throws std::invalid_argument unless there
+/// is exactly one law per task of `g`.
+EXPMK_NOALLOC [[nodiscard]] DodinFlatResult dodin_laws(
+    const graph::Dag& g, std::span<const prob::DiscreteDistribution> laws,
+    const DodinOptions& options, exp::Workspace& ws,
+    prob::DiscreteDistribution* capture = nullptr);
 
 }  // namespace expmk::sp

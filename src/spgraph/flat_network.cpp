@@ -1,22 +1,26 @@
 // spgraph/flat_network.cpp
 //
-// The flat series-parallel / Dodin engine: the whole AoA network — arc
-// table, adjacency lists, every intermediate duration distribution — lives
-// in exp::Workspace-leased arenas, and all distribution arithmetic runs
+// The series-parallel / Dodin engine: the whole AoA network — arc table,
+// adjacency lists, every intermediate duration distribution — lives in
+// exp::Workspace-leased arenas, and all distribution arithmetic runs
 // through the span kernels of prob/dist_kernels.hpp. At steady state on a
 // warm workspace an evaluation performs ZERO heap allocations (pinned by
-// tests/test_flat_spgraph.cpp's counting operator new), which removes the
-// PR-4 "sp/dodin are exempt" carve-out from the workspace contract.
+// tests/test_workspace.cpp's counting operator new).
+//
+// One network builder serves every caller: the Scenario entry points
+// (the registry's `sp` / `dodin`) write each task's two-state law into
+// the arena; the laws entry points (`sp.hier` / `dodin.hier` on the SP-tree
+// quotient) copy the caller's per-node laws verbatim.
 //
 // Fidelity contract. This engine replicates the DiscreteDistribution-
-// object implementation in arc_network.cpp / sp_reduce.cpp / dodin.cpp
-// OPERATION FOR OPERATION: arc insertion order (from_dag's layout),
-// worklist discipline (LIFO, touched-node reseeding), parallel-merge
-// grouping (ascending head node, per-head insertion order), series-merge
-// arc selection (first alive in/out arc), Kahn topological order and the
-// join-before-fork duplication-site rule. The object path is the
-// executable specification; tests/test_flat_spgraph.cpp pins means,
-// reduction counts and truncation certificates bitwise against it.
+// object reference in tests/sp_reference.cpp OPERATION FOR OPERATION:
+// arc insertion order (from_dag's layout), worklist discipline (LIFO,
+// touched-node reseeding), parallel-merge grouping (ascending head node,
+// per-head insertion order), series-merge arc selection (first alive
+// in/out arc), Kahn topological order and the join-before-fork
+// duplication-site rule. The reference is the executable specification;
+// tests/test_flat_spgraph.cpp pins means, reduction counts and truncation
+// certificates bitwise against it.
 //
 // Memory discipline:
 //  * The caller-facing entry points open ONE Workspace::Frame for the
@@ -24,10 +28,11 @@
 //    atom arena, worklists) leases inside that frame and is returned
 //    wholesale when the evaluation ends. A repeated evaluation re-leases
 //    the same (already grown) slots — the steady-state zero-alloc regime.
-//  * The atom arena is append-only with ping-pong compaction: when the
-//    tail cannot fit an operation's result, live arc slices are copied
-//    tightly into the spare buffer and the buffers swap (growing the
-//    spare via a fresh lease only while cold).
+//  * The atom arena starts at twice the task laws' total atom count (plus
+//    one atom per zero-duration arc) and is append-only with ping-pong
+//    compaction: when the tail cannot fit an operation's result, live arc
+//    slices are copied tightly into the spare buffer and the buffers swap
+//    (growing the spare via a fresh lease only while cold).
 //  * Sub-frames are opened ONLY around purely transient scratch (kernel
 //    truncation scratch, the topological-order arrays); never across an
 //    arena or grow-vector mutation, whose leases must live at the
@@ -107,10 +112,12 @@ class GrowVec {
 };
 
 /// The engine. Construct inside an open Workspace::Frame; everything it
-/// leases dies with that frame.
+/// leases dies with that frame. `law_atoms` is the total atom count of
+/// the task laws build() will copy in (it sizes the initial arena).
 class FlatNetwork {
  public:
-  explicit FlatNetwork(exp::Workspace& ws, size_t tasks, size_t edges)
+  FlatNetwork(exp::Workspace& ws, size_t tasks, size_t edges,
+              size_t law_atoms)
       : ws_(ws),
         from_(ws, tasks * 3 + edges + 8),
         to_(ws, tasks * 3 + edges + 8),
@@ -127,15 +134,17 @@ class FlatNetwork {
         touched_(ws, 16),
         keys_(ws, 16),
         gids_(ws, 16),
-        arena_(ws.atoms(std::max<size_t>(4 * tasks + edges + 64, 256))) {}
+        arena_(ws.atoms(std::max<size_t>(2 * law_atoms + edges + 64, 256))) {}
 
   // ---------------------------------------------------------- building
 
-  /// Mirrors ArcNetwork::from_dag with per-task 2-state laws (the
-  /// evaluate_sp(Scenario) construction): node layout u_i = 2i,
-  /// v_i = 2i+1, source = 2n, sink = 2n+1; task arcs first, then per
-  /// task its precedence / source / sink arcs.
-  void build_two_state(const graph::Dag& g, std::span<const double> p) {
+  /// The reference from_dag layout: node u_i = 2i, v_i = 2i+1,
+  /// source = 2n, sink = 2n+1; task arcs first, then per task its
+  /// precedence / source / sink zero-duration arcs. `law_of(i, scratch)`
+  /// returns task i's law — a caller-owned span, or one it wrote into
+  /// the two-atom `scratch` — which is copied verbatim into the arena.
+  template <class LawOf>
+  void build(const graph::Dag& g, LawOf&& law_of) {
     const size_t n = g.task_count();
     for (size_t v = 0; v < 2 * n + 2; ++v) add_node();
     source_ = static_cast<u32>(2 * n);
@@ -145,16 +154,14 @@ class FlatNetwork {
       return static_cast<u32>(2 * i + 1);
     };
     for (graph::TaskId i = 0; i < n; ++i) {
-      const double a = g.weight(i);
-      ensure_arena(2);
+      Atom scratch[2];
+      const std::span<const Atom> law = law_of(i, std::span<Atom, 2>(scratch));
+      ensure_arena(law.size());
       const size_t off = used_;
-      // Zero-weight (virtual) tasks cannot fail — point mass at 0, the
-      // same special case as the object builders.
-      const size_t len = a <= 0.0
-                             ? dk::point(0.0, arena_.subspan(used_, 2))
-                             : dk::two_state(a, p[i], arena_.subspan(used_, 2));
-      used_ += len;
-      add_arc(u_of(i), v_of(i), off, len);
+      std::copy(law.begin(), law.end(),
+                arena_.begin() + static_cast<std::ptrdiff_t>(used_));
+      used_ += law.size();
+      add_arc(u_of(i), v_of(i), off, law.size());
     }
     for (graph::TaskId i = 0; i < n; ++i) {
       for (const graph::TaskId j : g.successors(i)) {
@@ -167,8 +174,8 @@ class FlatNetwork {
 
   // --------------------------------------------------------- reduction
 
-  /// Mirrors sp::reduce_exhaustively: seed every node in id order, drain
-  /// the LIFO worklist, then record the single-arc verdict.
+  /// Mirrors the reference reduce_exhaustively: seed every node in id
+  /// order, drain the LIFO worklist, then record the single-arc verdict.
   void reduce_exhaustively(size_t max_atoms) {
     work_.clear();
     for (u32 v = 0; v < node_count(); ++v) work_.push(v);
@@ -178,9 +185,10 @@ class FlatNetwork {
         in_degree(sink_) == 1 && to_[first_out(source_)] == sink_;
   }
 
-  /// Mirrors sp::dodin's duplication loop (after a reduce_exhaustively
-  /// first pass). Returns the duplication count; throws std::runtime_error
-  /// past `max_duplications` and std::logic_error if no site exists.
+  /// Mirrors the reference dodin's duplication loop (after a
+  /// reduce_exhaustively first pass). Returns the duplication count;
+  /// throws std::runtime_error past `max_duplications` and
+  /// std::logic_error if no site exists.
   size_t run_dodin(size_t max_atoms, size_t max_duplications) {
     reduce_exhaustively(max_atoms);
     size_t duplications = 0;
@@ -204,7 +212,7 @@ class FlatNetwork {
         add_arc(clone, to_[out], off, len);
       } else {
         // Fork: move one out-arc (v,w) to (clone,w) by remove+add (the
-        // object network only moves heads); copy the single in-arc (u,v)
+        // reference network only moves heads); copy the single in-arc (u,v)
         // as (u,clone).
         const u32 moved_out = first_out(v);
         const u32 in = first_in(v);
@@ -311,7 +319,7 @@ class FlatNetwork {
 
   /// Moves an arc's head (the Dodin join surgery): physical removal from
   /// the old head's in-list, append to the new head's — the order the
-  /// object network's retarget_arc produces.
+  /// reference network's retarget_arc produces.
   void retarget(u32 id, u32 new_to) {
     const u32 old_to = to_[id];
     u32 prev = kNil;
@@ -412,8 +420,8 @@ class FlatNetwork {
     const exp::Workspace::Frame frame(ws_);
     const std::span<double> gaps = ws_.doubles(2 * (m - 1));
     // Per-op local certificate folded into the pass certificate — the
-    // exact accumulation grouping of the object path (truncated() sums
-    // its merges locally, reduce_from sums ops per pass), so the
+    // exact accumulation grouping of the reference (truncated() sums
+    // its merges locally, each worklist pass sums its ops), so the
     // envelope totals match it bit for bit.
     dk::TruncationCert local;
     const size_t out =
@@ -424,9 +432,9 @@ class FlatNetwork {
 
   // -------------------------------------------------------- rewriting
 
-  /// Mirrors sp_reduce.cpp's parallel_merge_at: group the alive out-arcs
+  /// Mirrors the reference parallel_merge_at: group the alive out-arcs
   /// of `u` by head node (ascending head, insertion order within a head —
-  /// the std::map iteration the object path performs), fold each group's
+  /// the std::map iteration the reference performs), fold each group's
   /// distributions with max_of into the group's first arc, and soft-
   /// delete the rest.
   size_t parallel_merge_at(u32 u, size_t max_atoms) {
@@ -486,7 +494,7 @@ class FlatNetwork {
     remove_arc(y);
   }
 
-  /// Mirrors sp_reduce.cpp's series_merge_at.
+  /// Mirrors the reference series_merge_at.
   bool series_merge_at(u32 v, size_t max_atoms) {
     if (v == source_ || v == sink_) return false;
     if (in_degree(v) != 1 || out_degree(v) != 1) return false;
@@ -514,8 +522,8 @@ class FlatNetwork {
     return true;
   }
 
-  /// Mirrors sp::reduce_from's worklist loop on `work_` (one "pass" in
-  /// the truncation-certificate accounting).
+  /// Mirrors the reference's worklist pass on `work_` (one "pass" in the
+  /// truncation-certificate accounting).
   void reduce_worklist(size_t max_atoms) {
     pass_cert_ = dk::TruncationCert{};
     while (!work_.empty()) {
@@ -539,7 +547,7 @@ class FlatNetwork {
            to_[first_out(source_)] == sink_;
   }
 
-  /// Mirrors dodin.cpp's pick_duplication: first join in topological
+  /// Mirrors the reference pick_duplication: first join in topological
   /// order wins; otherwise the first fork.
   [[nodiscard]] Site pick_duplication() const {
     const exp::Workspace::Frame frame(ws_);
@@ -582,7 +590,7 @@ class FlatNetwork {
   // Arc table (parallel grow-vectors, indexed by arc id).
   GrowVec<u32> from_, to_, alive_, doff_, dlen_, onext_, inext_;
   // Per-node adjacency list heads/tails (append-ordered linked lists;
-  // dead arcs stay linked and are skipped, reproducing the object
+  // dead arcs stay linked and are skipped, reproducing the reference
   // network's lazily-compacted insertion order).
   GrowVec<u32> out_head_, out_tail_, in_head_, in_tail_;
   // Worklists / scratch.
@@ -610,15 +618,52 @@ EXPMK_NOALLOC void check_two_state(const scenario::Scenario& sc, const char* who
   }
 }
 
-}  // namespace
+/// Builds the scenario's network: task i's law is its two-state law
+/// (a_i w.p. p_i, else 2 a_i), written into the builder's scratch; a
+/// zero-weight (virtual) task cannot fail and gets a point mass at 0.
+EXPMK_NOALLOC void build_two_state(FlatNetwork& net,
+                                   const scenario::Scenario& sc) {
+  const graph::Dag& g = sc.dag();
+  const std::span<const double> p = sc.p_success();
+  net.build(g, [&](graph::TaskId i, std::span<Atom, 2> scratch) {
+    const double a = g.weight(i);
+    const size_t len = a <= 0.0 ? dk::point(0.0, scratch)
+                                : dk::two_state(a, p[i], scratch);
+    return std::span<const Atom>(scratch.data(), len);
+  });
+}
 
-EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_flat(const scenario::Scenario& sc,
-                                  std::size_t max_atoms, exp::Workspace& ws,
-                                  prob::DiscreteDistribution* capture) {
-  check_two_state(sc, "evaluate_sp");
-  const exp::Workspace::Frame frame(ws);
-  FlatNetwork net(ws, sc.task_count(), sc.dag().edge_count());
-  net.build_two_state(sc.dag(), sc.p_success());
+EXPMK_NOALLOC void build_laws(FlatNetwork& net, const graph::Dag& g,
+                              std::span<const prob::DiscreteDistribution> laws) {
+  net.build(g, [&](graph::TaskId i, std::span<Atom, 2>) {
+    return std::span<const Atom>(laws[i].atoms());
+  });
+}
+
+/// Validates one law per task; returns the laws' total atom count.
+EXPMK_NOALLOC size_t check_laws(const graph::Dag& g,
+                                std::span<const prob::DiscreteDistribution> laws,
+                                const char* who) {
+  if (laws.size() != g.task_count()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": one law per task required");
+  }
+  size_t atoms = 0;
+  for (const auto& law : laws) atoms += law.size();
+  return atoms;
+}
+
+/// Materializes the final law into `capture` when the caller asked.
+EXPMK_NOALLOC void capture_law(std::span<const Atom> atoms,
+                               prob::DiscreteDistribution* capture) {
+  if (capture == nullptr) return;
+  // NOLINTNEXTLINE(expmk-no-alloc-kernel): capture path — the caller passed a distribution sink and opted into this allocation
+  *capture = prob::DiscreteDistribution::from_canonical(  // NOLINT(expmk-no-alloc-kernel): capture path — caller opted in
+      std::vector<Atom>(atoms.begin(), atoms.end()));  // NOLINT(expmk-no-alloc-kernel): capture path — caller opted in
+}
+
+EXPMK_NOALLOC SpFlatEvaluation finish_sp(FlatNetwork& net, size_t max_atoms,
+                                         prob::DiscreteDistribution* capture) {
   net.reduce_exhaustively(max_atoms);
   SpFlatEvaluation out;
   out.stats = net.stats();
@@ -626,23 +671,14 @@ EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_flat(const scenario::Scenario& sc,
   if (out.is_series_parallel) {
     const std::span<const Atom> atoms = net.final_atoms();
     out.mean = dk::mean(atoms);
-    if (capture != nullptr) {
-      // NOLINTNEXTLINE(expmk-no-alloc-kernel): capture path — the caller passed a distribution sink and opted into this allocation
-      *capture = prob::DiscreteDistribution::from_canonical(  // NOLINT(expmk-no-alloc-kernel): capture path — caller opted in
-          std::vector<Atom>(atoms.begin(), atoms.end()));  // NOLINT(expmk-no-alloc-kernel): capture path — caller opted in
-    }
+    capture_law(atoms, capture);
   }
   return out;
 }
 
-EXPMK_NOALLOC DodinFlatResult dodin_two_state_flat(const scenario::Scenario& sc,
-                                     const DodinOptions& options,
-                                     exp::Workspace& ws,
-                                     prob::DiscreteDistribution* capture) {
-  check_two_state(sc, "dodin_two_state");
-  const exp::Workspace::Frame frame(ws);
-  FlatNetwork net(ws, sc.task_count(), sc.dag().edge_count());
-  net.build_two_state(sc.dag(), sc.p_success());
+EXPMK_NOALLOC DodinFlatResult finish_dodin(FlatNetwork& net,
+                                           const DodinOptions& options,
+                                           prob::DiscreteDistribution* capture) {
   DodinFlatResult out;
   out.duplications =
       net.run_dodin(options.max_atoms, options.max_duplications);
@@ -652,12 +688,55 @@ EXPMK_NOALLOC DodinFlatResult dodin_two_state_flat(const scenario::Scenario& sc,
   out.truncation = stats.truncation;
   const std::span<const Atom> atoms = net.final_atoms();
   out.mean = dk::mean(atoms);
-  if (capture != nullptr) {
-    // NOLINTNEXTLINE(expmk-no-alloc-kernel): capture path — the caller passed a distribution sink and opted into this allocation
-    *capture = prob::DiscreteDistribution::from_canonical(  // NOLINT(expmk-no-alloc-kernel): capture path — caller opted in
-        std::vector<Atom>(atoms.begin(), atoms.end()));  // NOLINT(expmk-no-alloc-kernel): capture path — caller opted in
-  }
+  capture_law(atoms, capture);
   return out;
+}
+
+}  // namespace
+
+EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_flat(const scenario::Scenario& sc,
+                                  std::size_t max_atoms, exp::Workspace& ws,
+                                  prob::DiscreteDistribution* capture) {
+  check_two_state(sc, "evaluate_sp");
+  const exp::Workspace::Frame frame(ws);
+  FlatNetwork net(ws, sc.task_count(), sc.dag().edge_count(),
+                  2 * sc.task_count());
+  build_two_state(net, sc);
+  return finish_sp(net, max_atoms, capture);
+}
+
+EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_laws(
+    const graph::Dag& g, std::span<const prob::DiscreteDistribution> laws,
+    std::size_t max_atoms, exp::Workspace& ws,
+    prob::DiscreteDistribution* capture) {
+  const size_t law_atoms = check_laws(g, laws, "evaluate_sp_laws");
+  const exp::Workspace::Frame frame(ws);
+  FlatNetwork net(ws, g.task_count(), g.edge_count(), law_atoms);
+  build_laws(net, g, laws);
+  return finish_sp(net, max_atoms, capture);
+}
+
+EXPMK_NOALLOC DodinFlatResult dodin_two_state_flat(const scenario::Scenario& sc,
+                                     const DodinOptions& options,
+                                     exp::Workspace& ws,
+                                     prob::DiscreteDistribution* capture) {
+  check_two_state(sc, "dodin_two_state");
+  const exp::Workspace::Frame frame(ws);
+  FlatNetwork net(ws, sc.task_count(), sc.dag().edge_count(),
+                  2 * sc.task_count());
+  build_two_state(net, sc);
+  return finish_dodin(net, options, capture);
+}
+
+EXPMK_NOALLOC DodinFlatResult dodin_laws(
+    const graph::Dag& g, std::span<const prob::DiscreteDistribution> laws,
+    const DodinOptions& options, exp::Workspace& ws,
+    prob::DiscreteDistribution* capture) {
+  const size_t law_atoms = check_laws(g, laws, "dodin_laws");
+  const exp::Workspace::Frame frame(ws);
+  FlatNetwork net(ws, g.task_count(), g.edge_count(), law_atoms);
+  build_laws(net, g, laws);
+  return finish_dodin(net, options, capture);
 }
 
 }  // namespace expmk::sp

@@ -11,20 +11,37 @@
 //   parallel: two arcs with identical endpoints (u,w) merge into one arc
 //             with the distribution of the *maximum* (independent).
 //
+// A task DAG (activity-on-node) converts to a two-terminal AoA network as
+// follows: every task i becomes an arc (u_i -> v_i) carrying the task's
+// duration distribution; every precedence edge (i, j) becomes a
+// zero-duration arc (v_i -> u_j); a virtual source s feeds every entry's
+// u-node and every exit's v-node feeds a virtual sink t. The network's
+// s-to-t "project duration" then equals the DAG's makespan.
+//
 // On an SP network the resulting single arc carries the exact makespan
 // distribution (exact modulo the atom budget). On a non-SP network the
 // reductions stall; Dodin's algorithm (dodin.hpp) then duplicates a node
 // and resumes.
+//
+// Both entry points run the flat engine (flat_network.cpp) on
+// `ws`-leased arenas: ZERO heap allocations at steady state on a warm
+// workspace, and bit-identical (operation order and all) to the
+// DiscreteDistribution-object reference reduction in
+// tests/sp_reference.cpp, which tests/test_flat_spgraph.cpp pins. When
+// `capture` is non-null and the network is SP, the makespan law is
+// materialized into it (allocates).
 
 #pragma once
 
 #include <cstddef>
 #include <limits>
+#include <span>
 
 #include "exp/workspace.hpp"
+#include "graph/dag.hpp"
+#include "prob/discrete_distribution.hpp"
 #include "prob/dist_kernels.hpp"
 #include "scenario/scenario.hpp"
-#include "spgraph/arc_network.hpp"
 #include "util/contracts.hpp"
 
 namespace expmk::sp {
@@ -42,46 +59,7 @@ struct ReduceStats {
   bool reduced_to_single_arc = false;
 };
 
-/// Applies series/parallel reductions until none applies. `max_atoms`
-/// bounds every intermediate distribution (0 = exact/unbounded).
-/// Worklist-driven: O((#merges) * degree) plus distribution costs.
-ReduceStats reduce_exhaustively(ArcNetwork& net, std::size_t max_atoms);
-
-/// Incremental variant: only re-examines `seeds` and whatever their merges
-/// touch. Used by Dodin's loop so a duplication triggers local rewriting
-/// instead of a full network pass. Accumulates counts into `stats`.
-void reduce_from(ArcNetwork& net, std::vector<NodeId> seeds,
-                 std::size_t max_atoms, ReduceStats& stats);
-
-/// Result of evaluating a network that is (or reduces to) series-parallel.
-struct SpEvaluation {
-  bool is_series_parallel = false;
-  /// Makespan distribution; meaningful only when is_series_parallel.
-  prob::DiscreteDistribution makespan;
-  ReduceStats stats;
-};
-
-/// Convenience: reduce a copy of the network built from `g` and report
-/// whether it was SP, together with the exact makespan distribution
-/// (task durations = 2-state laws for the given failure model's lambda).
-SpEvaluation evaluate_sp(ArcNetwork net, std::size_t max_atoms = 0);
-
-/// Scenario-based entry point: builds the AoA network with each task's
-/// own 2-state law (a_i w.p. p_i, else 2 a_i) from the scenario's cached
-/// success probabilities — heterogeneous per-task rates supported — and
-/// reduces it. The scenario's retry model must be TwoState.
-SpEvaluation evaluate_sp(const scenario::Scenario& sc,
-                         std::size_t max_atoms = 0);
-
-/// Workspace overload: runs the FLAT reduction engine (flat_network.cpp)
-/// on `ws`-leased arenas and materializes the SpEvaluation (allocating
-/// only for the returned distribution object). Prefer evaluate_sp_flat
-/// on the serving hot path.
-SpEvaluation evaluate_sp(const scenario::Scenario& sc, std::size_t max_atoms,
-                         exp::Workspace& ws);
-
-/// Flat evaluation result: everything SpEvaluation carries except the
-/// distribution object, so the hot path stays allocation-free.
+/// Result of reducing a network that is (or is not) series-parallel.
 struct SpFlatEvaluation {
   bool is_series_parallel = false;
   /// E[makespan]; NaN unless is_series_parallel.
@@ -89,18 +67,21 @@ struct SpFlatEvaluation {
   ReduceStats stats;
 };
 
-/// The flat engine's entry point (the registry's `sp` hot path): builds
-/// the AoA network with per-task 2-state laws from the scenario's cached
-/// success probabilities (heterogeneous rates supported), reduces it on
-/// `ws`-leased flat atom arenas, and returns the mean plus stats — ZERO
-/// heap allocations at steady state on a warm workspace, and bit-identical
-/// (operation order and all) to the DiscreteDistribution-object reduction
-/// of evaluate_sp(ArcNetwork), which tests/test_flat_spgraph.cpp pins.
-/// When `capture` is non-null and the network is SP, the makespan law is
-/// materialized into it (allocates). The scenario's retry model must be
-/// TwoState.
+/// Scenario entry (the registry's `sp`): task i's arc carries its 2-state
+/// law (a_i w.p. p_i, else 2 a_i; a point mass at 0 for a zero-weight
+/// task) from the scenario's cached success probabilities —
+/// heterogeneous rates supported. `max_atoms` bounds every intermediate
+/// distribution (0 = exact). The scenario's retry model must be TwoState.
 EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_flat(const scenario::Scenario& sc,
                                   std::size_t max_atoms, exp::Workspace& ws,
                                   prob::DiscreteDistribution* capture = nullptr);
+
+/// Laws entry (`sp.hier` on the SP-tree quotient): task i's arc carries
+/// `laws[i]` verbatim. Throws std::invalid_argument unless there is
+/// exactly one law per task of `g`.
+EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_laws(
+    const graph::Dag& g, std::span<const prob::DiscreteDistribution> laws,
+    std::size_t max_atoms, exp::Workspace& ws,
+    prob::DiscreteDistribution* capture = nullptr);
 
 }  // namespace expmk::sp

@@ -17,15 +17,15 @@ namespace {
 
 using expmk::core::exact_two_state;
 using expmk::core::FailureModel;
-using expmk::sp::dodin_two_state;
 using expmk::sp::DodinOptions;
+using expmk::test::dodin_two_state;
 
 TEST(Dodin, ExactOnChain) {
   const auto g = expmk::gen::uniform_chain(5, 0.4);
   const FailureModel m{0.2};
   const auto r = dodin_two_state(g, m, {.max_atoms = 0});
   EXPECT_EQ(r.duplications, 0u);
-  EXPECT_NEAR(r.expected_makespan(), exact_two_state(g, m), 1e-12);
+  EXPECT_NEAR(r.mean, exact_two_state(g, m), 1e-12);
 }
 
 TEST(Dodin, ExactOnDiamond) {
@@ -33,7 +33,7 @@ TEST(Dodin, ExactOnDiamond) {
   const FailureModel m{0.25};
   const auto r = dodin_two_state(g, m, {.max_atoms = 0});
   EXPECT_EQ(r.duplications, 0u);
-  EXPECT_NEAR(r.expected_makespan(), exact_two_state(g, m), 1e-12);
+  EXPECT_NEAR(r.mean, exact_two_state(g, m), 1e-12);
 }
 
 // Property: on random SP graphs Dodin needs no duplication and is exact.
@@ -44,7 +44,7 @@ TEST_P(DodinSpSweep, NoDuplicationAndExactOnSpGraphs) {
   const FailureModel m{0.1};
   const auto r = dodin_two_state(g, m, {.max_atoms = 0});
   EXPECT_EQ(r.duplications, 0u);
-  EXPECT_NEAR(r.expected_makespan(), exact_two_state(g, m), 1e-10);
+  EXPECT_NEAR(r.mean, exact_two_state(g, m), 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DodinSpSweep,
@@ -61,14 +61,14 @@ TEST(Dodin, NGraphNeedsDuplicationAndOverestimates) {
   const FailureModel m{0.4};  // large rate to make the bias visible
   const auto r = dodin_two_state(g, m, {.max_atoms = 0});
   EXPECT_GE(r.duplications, 1u);
-  EXPECT_GE(r.expected_makespan(), exact_two_state(g, m) - 1e-12);
+  EXPECT_GE(r.mean, exact_two_state(g, m) - 1e-12);
 }
 
 TEST(Dodin, WheatstoneBridgeTerminates) {
   const auto g = expmk::gen::wheatstone_bridge();
   const auto r = dodin_two_state(g, FailureModel{0.2}, {.max_atoms = 0});
   EXPECT_GE(r.duplications, 1u);
-  EXPECT_GT(r.expected_makespan(), 0.0);
+  EXPECT_GT(r.mean, 0.0);
 }
 
 // Random non-SP graphs: Dodin terminates and stays at or above the exact
@@ -80,8 +80,8 @@ TEST_P(DodinRandomSweep, TerminatesAndUpperBounds) {
   const FailureModel m{0.3};
   const auto r = dodin_two_state(g, m, {.max_atoms = 128});
   const double exact = exact_two_state(g, m);
-  EXPECT_GE(r.expected_makespan(), exact * (1.0 - 1e-3));
-  EXPECT_GT(r.expected_makespan(), 0.0);
+  EXPECT_GE(r.mean, exact * (1.0 - 1e-3));
+  EXPECT_GT(r.mean, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DodinRandomSweep,
@@ -91,9 +91,9 @@ TEST(Dodin, AtomBudgetKeepsMeanStable) {
   const auto g = expmk::gen::cholesky_dag(4);
   const FailureModel m = expmk::core::calibrate(g, 0.01);
   const double loose =
-      dodin_two_state(g, m, {.max_atoms = 512}).expected_makespan();
+      dodin_two_state(g, m, {.max_atoms = 512}).mean;
   const double tight =
-      dodin_two_state(g, m, {.max_atoms = 32}).expected_makespan();
+      dodin_two_state(g, m, {.max_atoms = 32}).mean;
   // Truncation is mean-preserving per merge; downstream max() operations
   // re-introduce small deviations only.
   EXPECT_NEAR(loose, tight, 0.01 * loose);
@@ -107,8 +107,8 @@ TEST(Dodin, RunsOnPaperScaleCholesky) {
   // Sanity: the estimate lands in the same ballpark as the failure-free
   // critical path (silent errors at pfail = 1e-3 add well under 10%).
   const double d = expmk::graph::critical_path_length(g);
-  EXPECT_GT(r.expected_makespan(), 0.5 * d);
-  EXPECT_LT(r.expected_makespan(), 2.0 * d);
+  EXPECT_GT(r.mean, 0.5 * d);
+  EXPECT_LT(r.mean, 2.0 * d);
 }
 
 TEST(Dodin, DuplicationBudgetEnforced) {

@@ -4,8 +4,11 @@
 //  * the FIDELITY property: evaluate_sp_flat / dodin_two_state_flat are
 //    bit-identical — means, reduction counts, truncation certificates and
 //    captured distributions — to the DiscreteDistribution-object
-//    reduction, across DAG families, pfail values, heterogeneous rates
-//    and atom budgets (the object path is the executable specification);
+//    reference reduction (tests/sp_reference.hpp, the executable
+//    specification), across DAG families, pfail values, heterogeneous
+//    rates and atom budgets; the laws entries (evaluate_sp_laws /
+//    dodin_laws) and sp.hier / dodin.hier on non-SP quotients are pinned
+//    the same way;
 //  * the CERTIFIED INTERVAL property: whenever the atom cap fires, the
 //    untruncated computation's mean lies inside [mean_lo, mean_hi] (for
 //    sp on SP graphs that is the exact oracle itself);
@@ -15,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/exact.hpp"
@@ -26,7 +31,10 @@
 #include "gen/random_dags.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "scenario/scenario.hpp"
-#include "spgraph/arc_network.hpp"
+#include "exp/hier.hpp"
+#include "gen/lu.hpp"
+#include "graph/sp_tree.hpp"
+#include "sp_reference.hpp"
 #include "spgraph/dodin.hpp"
 #include "spgraph/sp_reduce.hpp"
 #include "test_helpers.hpp"
@@ -41,6 +49,7 @@ using expmk::exp::Workspace;
 using expmk::graph::Dag;
 using expmk::graph::TaskId;
 using expmk::prob::DiscreteDistribution;
+using expmk::prob::dist_kernels::TruncationCert;
 using expmk::scenario::FailureSpec;
 using expmk::scenario::Scenario;
 
@@ -57,7 +66,7 @@ std::vector<std::pair<std::string, Dag>> fixture_dags() {
 }
 
 /// The task-duration laws the scenario paths use, built object-side for
-/// the reference ArcNetwork reduction.
+/// the reference reduction.
 std::vector<DiscreteDistribution> scenario_dists(const Scenario& sc) {
   const Dag& g = sc.dag();
   std::vector<DiscreteDistribution> out;
@@ -91,6 +100,15 @@ void expect_dist_bit_identical(const DiscreteDistribution& a,
   }
 }
 
+void expect_cert_bit_identical(const TruncationCert& a,
+                               const TruncationCert& b,
+                               const std::string& where) {
+  EXPECT_EQ(a.events, b.events) << where;
+  EXPECT_EQ(a.merges, b.merges) << where;
+  EXPECT_EQ(a.up, b.up) << where;
+  EXPECT_EQ(a.down, b.down) << where;
+}
+
 // ------------------------------------------------------ fidelity: sp
 
 // The flat engine claims to replicate the object reduction operation for
@@ -112,8 +130,8 @@ TEST(FlatSpFidelity, BitIdenticalToObjectReduction) {
                                     std::to_string(pfail) +
                                     (het ? " / het" : " / uniform") +
                                     " / atoms " + std::to_string(max_atoms);
-          const auto object = evaluate_sp(
-              expmk::sp::ArcNetwork::from_dag(g, scenario_dists(sc)),
+          const auto object = expmk::sp_ref::evaluate_sp(
+              expmk::sp_ref::ArcNetwork::from_dag(g, scenario_dists(sc)),
               max_atoms);
           DiscreteDistribution captured;
           const auto flat = expmk::sp::evaluate_sp_flat(
@@ -122,16 +140,8 @@ TEST(FlatSpFidelity, BitIdenticalToObjectReduction) {
               << where;
           EXPECT_EQ(flat.stats.series, object.stats.series) << where;
           EXPECT_EQ(flat.stats.parallel, object.stats.parallel) << where;
-          EXPECT_EQ(flat.stats.truncation.events,
-                    object.stats.truncation.events)
-              << where;
-          EXPECT_EQ(flat.stats.truncation.merges,
-                    object.stats.truncation.merges)
-              << where;
-          EXPECT_EQ(flat.stats.truncation.up, object.stats.truncation.up)
-              << where;
-          EXPECT_EQ(flat.stats.truncation.down, object.stats.truncation.down)
-              << where;
+          expect_cert_bit_identical(flat.stats.truncation,
+                                    object.stats.truncation, where);
           if (object.is_series_parallel) {
             EXPECT_EQ(flat.mean, object.makespan.mean()) << where;
             expect_dist_bit_identical(captured, object.makespan, where);
@@ -160,23 +170,19 @@ TEST(FlatDodinFidelity, BitIdenticalToObjectTransformation) {
                                     (het ? " / het" : " / uniform") +
                                     " / atoms " + std::to_string(max_atoms);
           const expmk::sp::DodinOptions opts{.max_atoms = max_atoms};
-          const auto object = expmk::sp::dodin(
-              expmk::sp::ArcNetwork::from_dag(g, scenario_dists(sc)), opts);
+          const auto object = expmk::sp_ref::dodin(
+              expmk::sp_ref::ArcNetwork::from_dag(g, scenario_dists(sc)),
+              opts);
           DiscreteDistribution captured;
           const auto flat = expmk::sp::dodin_two_state_flat(
               sc, opts, warm, &captured);
           EXPECT_EQ(flat.duplications, object.duplications) << where;
-          EXPECT_EQ(flat.series_reductions, object.series_reductions)
+          EXPECT_EQ(flat.series_reductions, object.stats.series) << where;
+          EXPECT_EQ(flat.parallel_reductions, object.stats.parallel)
               << where;
-          EXPECT_EQ(flat.parallel_reductions, object.parallel_reductions)
-              << where;
-          EXPECT_EQ(flat.truncation.events, object.truncation.events)
-              << where;
-          EXPECT_EQ(flat.truncation.merges, object.truncation.merges)
-              << where;
-          EXPECT_EQ(flat.truncation.up, object.truncation.up) << where;
-          EXPECT_EQ(flat.truncation.down, object.truncation.down) << where;
-          EXPECT_EQ(flat.mean, object.expected_makespan()) << where;
+          expect_cert_bit_identical(flat.truncation, object.stats.truncation,
+                                    where);
+          EXPECT_EQ(flat.mean, object.makespan.mean()) << where;
           expect_dist_bit_identical(captured, object.makespan, where);
         }
       }
@@ -184,19 +190,162 @@ TEST(FlatDodinFidelity, BitIdenticalToObjectTransformation) {
   }
 }
 
-// The legacy uniform Dag entry point (dodin_two_state(g, model)) computes
-// its p_success table independently; the scenario cache must reproduce it
-// bitwise end to end.
+// The benches and examples build their Scenario from a uniform
+// FailureModel; the scenario's cached p_success table must reproduce the
+// model's own p_success(a) bitwise end to end — checked here by feeding
+// the model-built laws through the laws entry.
 TEST(FlatDodinFidelity, UniformScenarioMatchesLegacyDagEntryPoint) {
   const Dag g = expmk::gen::erdos_dag(12, 0.25, 11);
   const auto model = calibrate(g, 0.02);
   const Scenario sc = Scenario::compile(g, FailureSpec(model));
   const expmk::sp::DodinOptions opts{.max_atoms = 32};
-  const auto legacy = expmk::sp::dodin_two_state(g, model, opts);
-  const auto scenario_based = expmk::sp::dodin_two_state(sc, opts);
-  EXPECT_EQ(scenario_based.expected_makespan(), legacy.expected_makespan());
+  std::vector<DiscreteDistribution> laws;
+  for (TaskId i = 0; i < g.task_count(); ++i) {
+    const double a = g.weight(i);
+    laws.push_back(
+        a <= 0.0 ? DiscreteDistribution::point(0.0)
+                 : DiscreteDistribution::two_state(a, model.p_success(a)));
+  }
+  Workspace ws;
+  const auto legacy = expmk::sp::dodin_laws(g, laws, opts, ws);
+  const auto scenario_based = expmk::sp::dodin_two_state_flat(sc, opts, ws);
+  EXPECT_EQ(scenario_based.mean, legacy.mean);
   EXPECT_EQ(scenario_based.duplications, legacy.duplications);
   EXPECT_EQ(scenario_based.truncation.events, legacy.truncation.events);
+}
+
+// The laws entries take any per-task law, not just two-state ones: pin
+// them against the reference on wide multi-atom laws (mixtures of a few
+// two-state laws), SP and non-SP, capped and exact.
+TEST(FlatLawsFidelity, BitIdenticalToReferenceOnMultiAtomLaws) {
+  Workspace warm;
+  for (const auto& [label, g] : fixture_dags()) {
+    std::vector<DiscreteDistribution> laws;
+    for (TaskId i = 0; i < g.task_count(); ++i) {
+      const double a = 0.1 + g.weight(i);
+      laws.push_back(DiscreteDistribution::mixture(
+          DiscreteDistribution::two_state(a, 0.7), 0.4,
+          DiscreteDistribution::two_state(1.5 * a, 0.9)));
+    }
+    for (const std::size_t max_atoms : {std::size_t{0}, std::size_t{5}}) {
+      const std::string where = label + " / atoms " + std::to_string(max_atoms);
+      const auto ref_sp = expmk::sp_ref::evaluate_sp(
+          expmk::sp_ref::ArcNetwork::from_dag(g, laws), max_atoms);
+      DiscreteDistribution sp_law;
+      const auto sp =
+          expmk::sp::evaluate_sp_laws(g, laws, max_atoms, warm, &sp_law);
+      ASSERT_EQ(sp.is_series_parallel, ref_sp.is_series_parallel) << where;
+      EXPECT_EQ(sp.stats.series, ref_sp.stats.series) << where;
+      EXPECT_EQ(sp.stats.parallel, ref_sp.stats.parallel) << where;
+      expect_cert_bit_identical(sp.stats.truncation, ref_sp.stats.truncation,
+                                where);
+      if (sp.is_series_parallel) {
+        EXPECT_EQ(sp.mean, ref_sp.makespan.mean()) << where;
+        expect_dist_bit_identical(sp_law, ref_sp.makespan, where);
+      }
+      // Exact Dodin on a non-SP graph duplicates with unbounded supports.
+      if (max_atoms == 0 && !sp.is_series_parallel) continue;
+      const expmk::sp::DodinOptions opts{.max_atoms = max_atoms};
+      const auto ref_dodin = expmk::sp_ref::dodin(
+          expmk::sp_ref::ArcNetwork::from_dag(g, laws), opts);
+      DiscreteDistribution dodin_law;
+      const auto dodin =
+          expmk::sp::dodin_laws(g, laws, opts, warm, &dodin_law);
+      EXPECT_EQ(dodin.duplications, ref_dodin.duplications) << where;
+      EXPECT_EQ(dodin.series_reductions, ref_dodin.stats.series) << where;
+      EXPECT_EQ(dodin.parallel_reductions, ref_dodin.stats.parallel) << where;
+      expect_cert_bit_identical(dodin.truncation, ref_dodin.stats.truncation,
+                                where);
+      EXPECT_EQ(dodin.mean, ref_dodin.makespan.mean()) << where;
+      expect_dist_bit_identical(dodin_law, ref_dodin.makespan, where);
+    }
+  }
+}
+
+TEST(FlatLawsFidelity, LawCountMismatchThrows) {
+  const Dag g = expmk::test::diamond();
+  Workspace ws;
+  EXPECT_THROW((void)expmk::sp::evaluate_sp_laws(g, {}, 0, ws),
+               std::invalid_argument);
+  EXPECT_THROW((void)expmk::sp::dodin_laws(g, {}, {}, ws),
+               std::invalid_argument);
+}
+
+// sp.hier / dodin.hier reduce the SP-tree quotient on the flat engine.
+// Pin both, through the registry AND the hier entry points, bitwise
+// against the reference run on the very same module laws
+// (build_module_distributions) — on quotients that are NOT series-
+// parallel, where the reduction and Dodin's duplications do real work.
+TEST(HierFidelity, QuotientReductionBitIdenticalToReference) {
+  std::vector<std::pair<std::string, Scenario>> cells;
+  cells.emplace_back("lu6", Scenario::calibrated(expmk::gen::lu_dag(6), 0.01));
+  cells.emplace_back("layered",
+                     Scenario::calibrated(
+                         expmk::gen::layered_random(6, 5, 0.35, 17), 0.05));
+  {
+    const Dag g = expmk::gen::erdos_dag(24, 0.15, 9);
+    cells.emplace_back(
+        "erdos_het",
+        Scenario::compile(g, FailureSpec::per_task(spread_rates(g, 0.05))));
+  }
+  // Certified envelope exactly as the registry derives it.
+  const auto envelope = [](double mean, const TruncationCert& cert) {
+    if (cert.events == 0) return std::pair{mean, mean};
+    const double slack = 1e-9 * std::max(1.0, std::fabs(mean));
+    return std::pair{mean - cert.up - slack, mean + cert.down + slack};
+  };
+  const auto& reg = EvaluatorRegistry::builtin();
+  Workspace ws;
+  for (const auto& [label, sc] : cells) {
+    const Dag& quotient = sc.sp_decomposition().quotient;
+    for (const std::size_t atoms : {std::size_t{16}, std::size_t{64}}) {
+      const std::string where = label + " / atoms " + std::to_string(atoms);
+      const auto md = expmk::exp::hier::build_module_distributions(sc, atoms);
+
+      // sp.hier: the quotient is not SP, so both sides must say so.
+      const auto ref_sp = expmk::sp_ref::evaluate_sp(
+          expmk::sp_ref::ArcNetwork::from_dag(quotient, md.by_quotient_node),
+          atoms);
+      ASSERT_FALSE(ref_sp.is_series_parallel) << where;
+      const auto sp =
+          expmk::exp::hier::evaluate_sp_hier(sc, atoms, ws, nullptr);
+      EXPECT_FALSE(sp.is_series_parallel) << where;
+      expect_cert_bit_identical(sp.truncation, md.truncation, where);
+      EvalOptions sp_opt;
+      sp_opt.sp_max_atoms = atoms;
+      EXPECT_FALSE(reg.find("sp.hier")->evaluate(sc, sp_opt, ws).supported)
+          << where;
+
+      // dodin.hier.
+      const auto ref = expmk::sp_ref::dodin(
+          expmk::sp_ref::ArcNetwork::from_dag(quotient, md.by_quotient_node),
+          {.max_atoms = atoms});
+      auto cert = md.truncation;
+      cert.accumulate(ref.stats.truncation);
+      const double ref_mean = ref.makespan.mean();
+      ASSERT_GT(ref.duplications, 0u) << where;
+
+      DiscreteDistribution law;
+      const auto hd =
+          expmk::exp::hier::evaluate_dodin_hier(sc, atoms, ws, &law);
+      EXPECT_EQ(hd.mean, ref_mean) << where;
+      EXPECT_EQ(hd.duplications, ref.duplications) << where;
+      expect_cert_bit_identical(hd.truncation, cert, where);
+      expect_dist_bit_identical(law, ref.makespan, where);
+
+      EvalOptions opt;
+      opt.dodin_atoms = atoms;
+      opt.capture_distribution = true;
+      const auto r = reg.find("dodin.hier")->evaluate(sc, opt, ws);
+      ASSERT_TRUE(r.supported) << where << ": " << r.note;
+      EXPECT_EQ(r.mean, ref_mean) << where;
+      const auto [lo, hi] = envelope(ref_mean, cert);
+      EXPECT_EQ(r.mean_lo, lo) << where;
+      EXPECT_EQ(r.mean_hi, hi) << where;
+      ASSERT_TRUE(r.distribution.has_value()) << where;
+      expect_dist_bit_identical(*r.distribution, ref.makespan, where);
+    }
+  }
 }
 
 // ------------------------------------------------- certified intervals
@@ -295,11 +444,10 @@ TEST(HeterogeneousDodin, ExactOnSpGraphsUnderPerTaskRates) {
     const Dag g = expmk::gen::random_series_parallel(10, seed);
     const Scenario sc = Scenario::compile(
         g, FailureSpec::per_task(spread_rates(g, 0.05)));
-    const auto r = expmk::sp::dodin_two_state(sc, {.max_atoms = 0});
+    Workspace ws;
+    const auto r = expmk::sp::dodin_two_state_flat(sc, {.max_atoms = 0}, ws);
     EXPECT_EQ(r.duplications, 0u) << seed;
-    EXPECT_NEAR(r.expected_makespan(), expmk::core::exact_two_state(sc),
-                1e-10)
-        << seed;
+    EXPECT_NEAR(r.mean, expmk::core::exact_two_state(sc), 1e-10) << seed;
   }
 }
 

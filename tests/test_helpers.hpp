@@ -10,9 +10,13 @@
 #include <functional>
 #include <vector>
 
+#include "core/failure_model.hpp"
+#include "exp/workspace.hpp"
 #include "graph/dag.hpp"
 #include "graph/longest_path.hpp"
 #include "graph/topological.hpp"
+#include "scenario/scenario.hpp"
+#include "spgraph/dodin.hpp"
 
 namespace expmk::test {
 
@@ -60,6 +64,16 @@ inline double brute_force_longest_path(const graph::Dag& g,
       };
   for (const graph::TaskId e : g.entry_tasks()) dfs(e, 0.0);
   return best;
+}
+
+/// The paper's Dodin pipeline on `g` under the uniform model `m`: a
+/// compiled Scenario through the flat engine.
+inline sp::DodinFlatResult dodin_two_state(const graph::Dag& g,
+                                           const core::FailureModel& m,
+                                           const sp::DodinOptions& opts) {
+  const auto sc = scenario::Scenario::compile(g, m);
+  exp::Workspace ws;
+  return sp::dodin_two_state_flat(sc, opts, ws);
 }
 
 /// |x - y| <= tol * max(1, |x|, |y|).

@@ -15,7 +15,7 @@
 #include "graph/longest_path.hpp"
 #include "mc/engine.hpp"
 #include "normal/sculli.hpp"
-#include "spgraph/dodin.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -43,7 +43,7 @@ MethodErrors run_pipeline(const expmk::graph::Dag& g, double pfail,
 
   const double fo = first_order(g, m).expected_makespan();
   const double dod =
-      expmk::sp::dodin_two_state(g, m, {.max_atoms = 128}).expected_makespan();
+      expmk::test::dodin_two_state(g, m, {.max_atoms = 128}).mean;
   const double sc = expmk::normal::sculli(g, m).expected_makespan();
   const auto rel = [&](double est) {
     return std::fabs(est - mc.mean) / mc.mean;
@@ -115,8 +115,7 @@ TEST(Integration, AllEstimatesAboveFailureFreeMakespan) {
   const double d = expmk::graph::critical_path_length(g);
   EXPECT_GE(first_order(g, m).expected_makespan(), d);
   EXPECT_GE(expmk::normal::sculli(g, m).expected_makespan(), d * 0.999);
-  EXPECT_GE(expmk::sp::dodin_two_state(g, m, {.max_atoms = 128})
-                .expected_makespan(),
+  EXPECT_GE(expmk::test::dodin_two_state(g, m, {.max_atoms = 128}).mean,
             d * 0.999);
 }
 

@@ -2,7 +2,7 @@
 //
 // Bit-identity of the level-parallel analytic paths (exp/level_parallel.*):
 // every analytic evaluator that fans one level across the shared pool —
-// fo, so, bounds.lower, bounds.upper, sculli, corlca, clark — must return
+// so, bounds.lower, bounds.upper, sculli, corlca — must return
 // the EXACT same bits at threads = 1, 2 and 7 as the serial kernel.
 // level_parallel_min_tasks = 0 forces the parallel paths even on small
 // fixtures, so this suite exercises them regardless of the production
@@ -24,7 +24,7 @@ namespace {
 using namespace expmk;
 
 const std::vector<std::string> kLevelParallelMethods = {
-    "fo", "so", "bounds.lower", "bounds.upper", "sculli", "corlca", "clark"};
+    "so", "bounds.lower", "bounds.upper", "sculli", "corlca"};
 
 void expect_thread_count_identity(const scenario::Scenario& sc) {
   const auto& reg = exp::EvaluatorRegistry::builtin();

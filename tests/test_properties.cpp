@@ -210,9 +210,8 @@ TEST_P(EstimatorInvariants, AllEstimatorsAgreeAtLambdaZero) {
               1e-9);
   EXPECT_NEAR(expmk::normal::sculli(g, zero).expected_makespan(), d, 1e-9);
   EXPECT_NEAR(
-      expmk::sp::dodin_two_state(g, zero, {.max_atoms = 64})
-          .expected_makespan(),
-      d, 1e-9);
+      expmk::test::dodin_two_state(g, zero, {.max_atoms = 64}).mean, d,
+      1e-9);
 }
 
 TEST_P(EstimatorInvariants, McAgreesWithFirstOrderAtLowLambda) {
@@ -269,17 +268,13 @@ TEST(Properties, DodinExactEqualsSpEvaluationOnSpGraphs) {
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
     const auto g = expmk::gen::random_series_parallel(18, seed);
     const FailureModel m{0.1};
-    std::vector<D> dists;
-    for (expmk::graph::TaskId i = 0; i < g.task_count(); ++i) {
-      const double a = g.weight(i);
-      dists.push_back(a > 0.0 ? D::two_state(a, m.p_success(a))
-                              : D::point(0.0));
-    }
-    const auto sp_eval = expmk::sp::evaluate_sp(
-        expmk::sp::ArcNetwork::from_dag(g, std::move(dists)));
+    const auto sc = expmk::scenario::Scenario::compile(g, m);
+    expmk::exp::Workspace ws;
+    const auto sp_eval = expmk::sp::evaluate_sp_flat(sc, 0, ws);
     ASSERT_TRUE(sp_eval.is_series_parallel);
-    const auto dodin = expmk::sp::dodin_two_state(g, m, {.max_atoms = 0});
-    EXPECT_NEAR(dodin.expected_makespan(), sp_eval.makespan.mean(), 1e-10);
+    const auto dodin =
+        expmk::sp::dodin_two_state_flat(sc, {.max_atoms = 0}, ws);
+    EXPECT_NEAR(dodin.mean, sp_eval.mean, 1e-10);
   }
 }
 

@@ -222,9 +222,10 @@ TEST(SpTree, CappedBuildBracketsTheExactMean) {
     prev = t;
   }
   const auto sc = compile(g, 0.3);
-  const auto exactr = exp::hier::evaluate_sp_hier(sc, 0);
+  exp::Workspace ws;
+  const auto exactr = exp::hier::evaluate_sp_hier(sc, 0, ws);
   ASSERT_TRUE(exactr.is_series_parallel);
-  const auto capped = exp::hier::evaluate_sp_hier(sc, 8);
+  const auto capped = exp::hier::evaluate_sp_hier(sc, 8, ws);
   ASSERT_TRUE(capped.is_series_parallel);
   EXPECT_GT(capped.truncation.events, 0u);
   EXPECT_LE(capped.mean - capped.truncation.down, exactr.mean + 1e-12);
@@ -265,8 +266,9 @@ TEST(SpTree, IdenticalModulesAreBuiltOnce) {
 TEST(SpTree, MemoKeySeparatesRatesWeightsAndBudget) {
   exp::hier::memo_clear();
   const auto g = fork_join(2, 3);
-  const auto a = exp::hier::evaluate_sp_hier(compile(g, 0.05), 0);
-  const auto b = exp::hier::evaluate_sp_hier(compile(g, 0.20), 0);
+  exp::Workspace ws;
+  const auto a = exp::hier::evaluate_sp_hier(compile(g, 0.05), 0, ws);
+  const auto b = exp::hier::evaluate_sp_hier(compile(g, 0.20), 0, ws);
   ASSERT_TRUE(a.is_series_parallel);
   ASSERT_TRUE(b.is_series_parallel);
   // Different rates -> different modules -> different answers; a collision
@@ -274,7 +276,7 @@ TEST(SpTree, MemoKeySeparatesRatesWeightsAndBudget) {
   EXPECT_NE(a.mean, b.mean);
   graph::Dag g2 = fork_join(2, 3);
   g2.set_weight(2, 9.0);
-  const auto c = exp::hier::evaluate_sp_hier(compile(g2, 0.05), 0);
+  const auto c = exp::hier::evaluate_sp_hier(compile(g2, 0.05), 0, ws);
   EXPECT_NE(a.mean, c.mean);
   exp::hier::memo_clear();
 }

@@ -1,6 +1,7 @@
-// Tests for spgraph/arc_network and spgraph/sp_reduce: AoA conversion,
-// series/parallel rewriting, SP recognition, and exactness of the SP
-// evaluation against the enumeration oracle.
+// Tests for spgraph/sp_reduce (the flat engine's Scenario entry): series/
+// parallel rewriting, SP recognition, and exactness of the SP evaluation
+// against the enumeration oracle — plus the AoA layout of the test-only
+// reference network (tests/sp_reference.hpp) the flat engine is pinned to.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +9,12 @@
 
 #include "core/exact.hpp"
 #include "core/failure_model.hpp"
+#include "exp/workspace.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
 #include "graph/validate.hpp"
-#include "spgraph/arc_network.hpp"
+#include "scenario/scenario.hpp"
+#include "sp_reference.hpp"
 #include "spgraph/sp_reduce.hpp"
 #include "test_helpers.hpp"
 
@@ -19,9 +22,9 @@ namespace {
 
 using expmk::core::FailureModel;
 using expmk::prob::DiscreteDistribution;
-using expmk::sp::ArcNetwork;
-using expmk::sp::evaluate_sp;
-using expmk::sp::reduce_exhaustively;
+using expmk::scenario::FailureSpec;
+using expmk::scenario::Scenario;
+using expmk::sp_ref::ArcNetwork;
 
 std::vector<DiscreteDistribution> two_state_dists(const expmk::graph::Dag& g,
                                                   double lambda) {
@@ -37,9 +40,19 @@ std::vector<DiscreteDistribution> two_state_dists(const expmk::graph::Dag& g,
   return out;
 }
 
+/// The flat SP reduction of `g` under uniform rate `lambda`; the makespan
+/// law lands in `law` when the graph is SP.
+expmk::sp::SpFlatEvaluation reduce(const expmk::graph::Dag& g, double lambda,
+                                   DiscreteDistribution* law = nullptr,
+                                   std::size_t max_atoms = 0) {
+  const Scenario sc = Scenario::compile(g, FailureSpec::uniform(lambda));
+  expmk::exp::Workspace ws;
+  return expmk::sp::evaluate_sp_flat(sc, max_atoms, ws, law);
+}
+
 TEST(ArcNetwork, FromDagLayout) {
   const auto g = expmk::test::diamond();
-  const auto net = ArcNetwork::from_dag(g, two_state_dists(g, 0.1));
+  auto net = ArcNetwork::from_dag(g, two_state_dists(g, 0.1));
   // 4 task arcs + 4 precedence arcs + 1 source feed + 1 sink feed.
   EXPECT_EQ(net.arc_count(), 10u);
   EXPECT_EQ(net.node_count(), 2 * 4 + 2);
@@ -70,55 +83,44 @@ TEST(ArcNetwork, AddRemoveRetarget) {
 TEST(SpReduce, SingleTaskReducesToItsDistribution) {
   expmk::graph::Dag g;
   g.add_task(1.0);
-  const auto eval =
-      evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, 0.2)));
+  const auto eval = reduce(g, 0.2);
   EXPECT_TRUE(eval.is_series_parallel);
   const double p = std::exp(-0.2);
-  EXPECT_NEAR(eval.makespan.mean(), 1.0 * p + 2.0 * (1.0 - p), 1e-12);
+  EXPECT_NEAR(eval.mean, 1.0 * p + 2.0 * (1.0 - p), 1e-12);
 }
 
 TEST(SpReduce, ChainConvolves) {
   const auto g = expmk::gen::uniform_chain(4, 0.5);
-  const auto eval =
-      evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, 0.3)));
+  DiscreteDistribution law;
+  const auto eval = reduce(g, 0.3, &law);
   EXPECT_TRUE(eval.is_series_parallel);
-  EXPECT_NEAR(eval.makespan.mean(),
-              expmk::core::exact_two_state(g, FailureModel{0.3}), 1e-12);
+  EXPECT_NEAR(eval.mean, expmk::core::exact_two_state(g, FailureModel{0.3}),
+              1e-12);
   // Chain of 4 two-state tasks: support has 5 distinct sums.
-  EXPECT_EQ(eval.makespan.size(), 5u);
+  EXPECT_EQ(law.size(), 5u);
 }
 
 TEST(SpReduce, DiamondIsSeriesParallel) {
   const auto g = expmk::test::diamond(0.4, 0.3, 0.5, 0.2);
   const FailureModel m{0.25};
-  const auto eval =
-      evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, m.lambda)));
+  const auto eval = reduce(g, m.lambda);
   EXPECT_TRUE(eval.is_series_parallel);
-  EXPECT_NEAR(eval.makespan.mean(), expmk::core::exact_two_state(g, m),
-              1e-12);
+  EXPECT_NEAR(eval.mean, expmk::core::exact_two_state(g, m), 1e-12);
 }
 
 TEST(SpReduce, NGraphIsNotSeriesParallel) {
-  const auto g = expmk::test::n_graph();
-  const auto eval =
-      evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, 0.1)));
-  EXPECT_FALSE(eval.is_series_parallel);
+  EXPECT_FALSE(reduce(expmk::test::n_graph(), 0.1).is_series_parallel);
 }
 
 TEST(SpReduce, WheatstoneBridgeIsNotSeriesParallel) {
-  const auto g = expmk::gen::wheatstone_bridge();
-  const auto eval =
-      evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, 0.1)));
-  EXPECT_FALSE(eval.is_series_parallel);
+  EXPECT_FALSE(
+      reduce(expmk::gen::wheatstone_bridge(), 0.1).is_series_parallel);
 }
 
 TEST(SpReduce, CholeskyLikeGraphsAreNotSp) {
   // The paper attributes Dodin's poor accuracy to these DAGs being far
   // from series-parallel; verify they indeed are not SP.
-  const auto g = expmk::gen::cholesky_dag(4);
-  const auto eval =
-      evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, 0.1)));
-  EXPECT_FALSE(eval.is_series_parallel);
+  EXPECT_FALSE(reduce(expmk::gen::cholesky_dag(4), 0.1).is_series_parallel);
 }
 
 // Property: every random_series_parallel graph is recognized as SP and
@@ -129,11 +131,9 @@ TEST_P(SpRandomSweep, RecognizedAndExact) {
   const auto seed = GetParam();
   const auto g = expmk::gen::random_series_parallel(12, seed);
   const FailureModel m{0.15};
-  const auto eval =
-      evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, m.lambda)));
+  const auto eval = reduce(g, m.lambda);
   ASSERT_TRUE(eval.is_series_parallel) << "seed " << seed;
-  EXPECT_NEAR(eval.makespan.mean(), expmk::core::exact_two_state(g, m),
-              1e-10)
+  EXPECT_NEAR(eval.mean, expmk::core::exact_two_state(g, m), 1e-10)
       << "seed " << seed;
 }
 
@@ -143,17 +143,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpRandomSweep,
 
 TEST(SpReduce, LargeSpGraphReducesWithBudget) {
   const auto g = expmk::gen::random_series_parallel(300, 77);
-  const auto eval = evaluate_sp(
-      ArcNetwork::from_dag(g, two_state_dists(g, 0.05)), /*max_atoms=*/64);
+  DiscreteDistribution law;
+  const auto eval = reduce(g, 0.05, &law, /*max_atoms=*/64);
   EXPECT_TRUE(eval.is_series_parallel);
-  EXPECT_LE(eval.makespan.size(), 64u);
-  EXPECT_GT(eval.makespan.mean(), 0.0);
+  EXPECT_LE(law.size(), 64u);
+  EXPECT_GT(eval.mean, 0.0);
 }
 
 TEST(SpReduce, StatsCountReductions) {
   const auto g = expmk::gen::uniform_chain(4, 0.5);
-  auto net = ArcNetwork::from_dag(g, two_state_dists(g, 0.3));
-  const auto stats = reduce_exhaustively(net, 0);
+  const auto stats = reduce(g, 0.3).stats;
   EXPECT_TRUE(stats.reduced_to_single_arc);
   EXPECT_GT(stats.series, 0u);
   EXPECT_EQ(stats.parallel, 0u);  // a chain needs no parallel merges

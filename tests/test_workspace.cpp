@@ -34,12 +34,17 @@
 #include "core/bounds.hpp"
 #include "core/failure_model.hpp"
 #include "exp/evaluator.hpp"
+#include "exp/hier.hpp"
 #include "exp/sweep.hpp"
 #include "exp/workspace.hpp"
+#include "gen/lu.hpp"
 #include "gen/random_dags.hpp"
+#include "graph/sp_tree.hpp"
 #include "mc/trial.hpp"
 #include "prob/rng.hpp"
 #include "scenario/scenario.hpp"
+#include "spgraph/dodin.hpp"
+#include "spgraph/sp_reduce.hpp"
 #include "test_helpers.hpp"
 
 // ---------------------------------------------------------------------
@@ -296,6 +301,34 @@ TEST(AllocationRegression, FlatDistributionEngineIsAllocationFreeWhenWarm) {
           << label << " / exact.geo" << (het ? " / het" : "");
     }
   }
+}
+
+// The laws entries (sp.hier / dodin.hier's quotient reduction) share the
+// flat engine's arenas: with the laws already built — here the SP-tree
+// module laws of an LU quotient — a warm reduction allocates nothing.
+TEST(AllocationRegression, LawsEntriesAreAllocationFreeWhenWarm) {
+  const Dag g = expmk::gen::lu_dag(5);
+  const Scenario sc = Scenario::calibrated(g, 0.01, RetryModel::TwoState);
+  const auto md = expmk::exp::hier::build_module_distributions(sc, 32);
+  const Dag& quotient = sc.sp_decomposition().quotient;
+  ASSERT_GT(quotient.task_count(), 1u);
+  Workspace ws;
+  const auto run = [&] {
+    const auto sp = expmk::sp::evaluate_sp_laws(quotient, md.by_quotient_node,
+                                                32, ws);
+    const auto dodin = expmk::sp::dodin_laws(quotient, md.by_quotient_node,
+                                             {.max_atoms = 32}, ws);
+    return sp.stats.series + dodin.duplications;
+  };
+  const std::size_t cold = run();
+  (void)run();
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::size_t warm = run();
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(warm, cold);
+  EXPECT_GT(cold, 0u);
 }
 
 // --------------------------------------------- adapter property (x13)

@@ -209,6 +209,19 @@ int cmd_estimate(int argc, const char* const* argv) {
     return 2;
   }
 
+  // Planned-mode budgets: 0 means "unconstrained". A NaN, infinite or
+  // negative budget is a malformed request — it must not fall back to
+  // running every method.
+  const double target = cli.get_double("target-rel-err");
+  const double deadline = cli.get_double("deadline-us");
+  if (!(std::isfinite(target) && target >= 0.0) ||
+      !(std::isfinite(deadline) && deadline >= 0.0)) {
+    std::fprintf(stderr,
+                 "--target-rel-err and --deadline-us must be finite and "
+                 ">= 0\n");
+    return usage();
+  }
+
   const auto file = graph::load_taskgraph_file(cli.get_string("graph"));
   scenario::Scenario sc = scenario_from_file(
       file, cli.get_flag("use-rates"), cli.get_double("pfail"), retry);
@@ -302,8 +315,6 @@ int cmd_estimate(int argc, const char* const* argv) {
   if (max_atoms > 0) opt.dodin_atoms = max_atoms;
 
   // ---- planned mode: the query planner picks, sizes, runs, verifies ---
-  const double target = cli.get_double("target-rel-err");
-  const double deadline = cli.get_double("deadline-us");
   if (target > 0.0 || deadline > 0.0) {
     exp::PlanBudget budget;
     budget.target_rel_err = target;

@@ -359,6 +359,12 @@ double delivered_rel_err(PlanMethod m, const Capabilities& caps,
 PlannedResult Planner::run(const scenario::Scenario& sc,
                            const PlanBudget& budget, const EvalOptions& base,
                            Workspace& ws) const {
+  if (!std::isfinite(budget.target_rel_err) ||
+      !std::isfinite(budget.deadline_us) || budget.target_rel_err < 0.0 ||
+      budget.deadline_us < 0.0) {
+    throw std::invalid_argument(
+        "exp::Planner::run: PlanBudget fields must be finite and >= 0");
+  }
   if (budget.target_rel_err <= 0.0 && budget.deadline_us <= 0.0) {
     throw std::invalid_argument(
         "exp::Planner::run: PlanBudget needs target_rel_err or deadline_us");

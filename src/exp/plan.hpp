@@ -97,8 +97,8 @@ EXPMK_NOALLOC [[nodiscard]] PlanMethod plan_method_from_name(
     std::string_view name) noexcept;
 
 /// What the caller is willing to spend / tolerate. At least one field
-/// must be positive (Planner::run throws std::invalid_argument
-/// otherwise). target_rel_err bounds the delivered relative error vs the
+/// must be positive, and neither may be NaN, infinite or negative
+/// (Planner::run throws std::invalid_argument otherwise). target_rel_err bounds the delivered relative error vs the
 /// true expected makespan (verified against the certified envelope where
 /// the method produces one); deadline_us bounds the PREDICTED evaluation
 /// cost — a budget for the model, not a hard real-time cutoff.
@@ -268,7 +268,7 @@ class Planner {
   /// supplies the request-level knobs the planner does not own (seed,
   /// threads, control variate, requested atom/trial counts used as cost
   /// hints). Throws std::invalid_argument when both budget fields are
-  /// unset. The result's `seconds` covers the returned evaluation only;
+  /// unset, or when either is NaN, infinite or negative. The result's `seconds` covers the returned evaluation only;
   /// PlanReport::steps records the cost of everything else that ran.
   [[nodiscard]] PlannedResult run(const scenario::Scenario& sc,
                                   const PlanBudget& budget,

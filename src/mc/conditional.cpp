@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -71,17 +70,13 @@ ConditionalMcResult run_conditional_monte_carlo(
     return result;
   }
 
-  std::size_t threads = config.threads;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  const std::size_t workers = util::resolve_threads(config.threads);
   const std::uint64_t trials = config.trials;
   const std::size_t chunks = std::min<std::uint64_t>(kEngineChunks, trials);
 
   const std::span<const double> w = csr.weights();
   std::vector<Accum> accums(chunks);
-  util::ThreadPool pool(threads);
-  pool.parallel_for_chunks(chunks, [&](std::size_t c) {
+  util::for_each_chunk(workers, chunks, [&](std::size_t c) {
     Accum& acc = accums[c];
     const std::uint64_t begin = trials * c / chunks;
     const std::uint64_t end = trials * (c + 1) / chunks;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "prob/statistics.hpp"
 #include "util/thread_pool.hpp"
@@ -14,8 +13,8 @@ namespace expmk::mc {
 
 namespace {
 
-/// Accumulators one worker fills for its slice of trials.
-struct WorkerAccum {
+/// Accumulators of one chunk's trials.
+struct ChunkAccum {
   prob::RunningStats makespan;
   // Sums for the control-variate regression: Z, Z^2, L*Z.
   double sum_z = 0.0;
@@ -23,6 +22,22 @@ struct WorkerAccum {
   double sum_lz = 0.0;
   std::vector<double> samples;
 };
+
+/// Fewest trials a work unit is given when there are several: eight lane
+/// batches, so the lanes a unit's last batch discards stay a small share.
+constexpr std::uint64_t kMinUnitTrials = 8 * kTrialLanes;
+
+/// Work units: contiguous runs of chunks, one per task handed to the
+/// pool. One unit (run inline) for one worker; otherwise up to four per
+/// worker for load balance, never fewer than kMinUnitTrials trials each.
+std::size_t work_units(std::size_t workers, std::size_t chunks,
+                       std::uint64_t trials) {
+  if (workers <= 1) return 1;
+  const std::uint64_t by_trials =
+      std::max<std::uint64_t>(1, trials / kMinUnitTrials);
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>({chunks, 4 * workers, by_trials}));
+}
 
 /// The engine body, over a prebuilt context (scenario-backed or legacy).
 McResult run_monte_carlo_impl(const TrialContext& ctx,
@@ -35,39 +50,53 @@ McResult run_monte_carlo_impl(const TrialContext& ctx,
   const util::Timer timer;
   const std::size_t n = ctx.csr().task_count();
 
-  std::size_t threads = config.threads;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  const std::size_t workers = util::resolve_threads(config.threads);
   const std::uint64_t trials = config.trials;
   const std::size_t chunks = std::min<std::uint64_t>(kEngineChunks, trials);
+  const auto chunk_begin = [&](std::size_t c) { return trials * c / chunks; };
+  const std::size_t units = work_units(workers, chunks, trials);
 
-  std::vector<WorkerAccum> accums(chunks);
-  util::ThreadPool pool(threads);
-  pool.parallel_for_chunks(chunks, [&](std::size_t c) {
-    WorkerAccum& acc = accums[c];
-    const std::uint64_t begin = trials * c / chunks;
-    const std::uint64_t end = trials * (c + 1) / chunks;
-    if (config.capture_samples) acc.samples.reserve(end - begin);
-    // Per-worker scratch, sized once per chunk: the CSR kernel allocates
-    // nothing per trial.
-    std::vector<double> finish(n);
-    for (std::uint64_t t = begin; t < end; ++t) {
-      prob::McRng rng(config.seed, t);
-      const TrialObservation obs =
-          run_trial_with_control_csr(ctx, rng, finish);
-      acc.makespan.push(obs.makespan);
-      acc.sum_z += obs.control;
-      acc.sum_zz += obs.control * obs.control;
-      acc.sum_lz += obs.makespan * obs.control;
-      if (config.capture_samples) acc.samples.push_back(obs.makespan);
+  std::vector<ChunkAccum> accums(chunks);
+  util::for_each_chunk(workers, units, [&](std::size_t u) {
+    std::size_t c = chunks * u / units;
+    const std::size_t c_stop = chunks * (u + 1) / units;
+    const std::uint64_t begin = chunk_begin(c);
+    const std::uint64_t end = chunk_begin(c_stop);
+    if (config.capture_samples) {
+      for (std::size_t k = c; k < c_stop; ++k) {
+        accums[k].samples.reserve(chunk_begin(k + 1) - chunk_begin(k));
+      }
+    }
+    // Per-unit scratch, sized once: the lane kernel allocates nothing
+    // per batch.
+    std::vector<double> finish(n * kTrialLanes);
+    std::uint64_t chunk_end = chunk_begin(c + 1);
+    for (std::uint64_t t0 = begin; t0 < end; t0 += kTrialLanes) {
+      const LaneObservations obs =
+          run_trial_lanes(ctx, config.seed, t0, finish);
+      // A batch may straddle chunk boundaries: each trial goes to its own
+      // chunk's accumulator, in trial order. Lanes past `end` belong to
+      // the next unit and are discarded.
+      const std::uint64_t lanes =
+          std::min<std::uint64_t>(kTrialLanes, end - t0);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        while (t0 + l >= chunk_end) chunk_end = chunk_begin(++c + 1);
+        ChunkAccum& acc = accums[c];
+        const double makespan = obs.makespan[l];
+        const double control = obs.control[l];
+        acc.makespan.push(makespan);
+        acc.sum_z += control;
+        acc.sum_zz += control * control;
+        acc.sum_lz += makespan * control;
+        if (config.capture_samples) acc.samples.push_back(makespan);
+      }
     }
   });
 
   prob::RunningStats stats;
   double sum_z = 0.0, sum_zz = 0.0, sum_lz = 0.0;
   std::vector<double> samples;
-  for (const WorkerAccum& acc : accums) {
+  for (const ChunkAccum& acc : accums) {
     stats.merge(acc.makespan);
     sum_z += acc.sum_z;
     sum_zz += acc.sum_zz;

@@ -3,12 +3,23 @@
 // Parallel Monte-Carlo estimation of the expected makespan — the paper's
 // ground truth (300,000 trials in Section V; configurable here).
 //
+// Trial path: the trial-lane kernel (mc/trial.hpp run_trial_lanes) sweeps
+// eight consecutive trials per CSR pass over a vertex-major lane matrix
+// (task_count() x 8 doubles per work unit; nothing is allocated per
+// trial).
+//
 // Reproducibility: every trial draws from its own counter-based Philox
 // stream (prob::McRng) — a pure function of (seed, trial_index) with no
-// per-trial state expansion — and trials are partitioned into a FIXED number of
-// chunks (independent of the thread count) whose Welford accumulators are
-// merged in chunk order — so the estimate is bit-identical for any thread
-// count. tests/test_csr.cpp pins this contract down to the last bit.
+// per-trial state expansion — and trials are partitioned into a FIXED
+// number of chunks (independent of the thread count) whose Welford
+// accumulators are merged in chunk order — so the estimate is
+// bit-identical for any thread count. Work units are contiguous runs of
+// chunks; a lane batch may straddle a chunk boundary, and each trial's
+// observation is pushed into its own chunk's accumulator in trial order,
+// so every accumulator sees exactly the sequence a one-trial loop would
+// give it. With one resolved worker there is one unit, run inline (no
+// thread pool). tests/test_csr.cpp pins this contract down to the last
+// bit.
 //
 // Variance reduction: an optional control variate
 //   Z = sum_i a_i * (executions_i - 1)       (E[Z] known in closed form)

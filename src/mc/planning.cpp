@@ -8,17 +8,22 @@ namespace expmk::mc {
 
 namespace {
 
+// Every check is written so that NaN fails it: a NaN target would
+// otherwise flow into ceil_to_u64's float-to-int cast (undefined).
 void check_targets(double epsilon, double confidence) {
-  if (epsilon <= 0.0) {
-    throw std::invalid_argument("trial planning: epsilon must be > 0");
+  if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
+    throw std::invalid_argument("trial planning: epsilon must be finite and > 0");
   }
-  if (confidence <= 0.0 || confidence >= 1.0) {
+  if (!(confidence > 0.0 && confidence < 1.0)) {
     throw std::invalid_argument(
         "trial planning: confidence must be in (0,1)");
   }
 }
 
 std::uint64_t ceil_to_u64(double x) {
+  if (std::isnan(x)) {
+    throw std::invalid_argument("trial planning: required trials is NaN");
+  }
   if (x < 1.0) return 1;
   if (x > 9e18) {
     throw std::overflow_error("trial planning: required trials overflow");
@@ -31,8 +36,8 @@ std::uint64_t ceil_to_u64(double x) {
 std::uint64_t hoeffding_trials(double lo, double hi, double epsilon,
                                double confidence) {
   check_targets(epsilon, confidence);
-  if (!(hi > lo)) {
-    throw std::invalid_argument("hoeffding_trials: need lo < hi");
+  if (!(hi > lo) || !std::isfinite(lo) || !std::isfinite(hi)) {
+    throw std::invalid_argument("hoeffding_trials: need finite lo < hi");
   }
   const double alpha = 1.0 - confidence;
   const double range = hi - lo;
@@ -43,8 +48,8 @@ std::uint64_t hoeffding_trials(double lo, double hi, double epsilon,
 std::uint64_t clt_trials(double sample_stddev, double epsilon,
                          double confidence) {
   check_targets(epsilon, confidence);
-  if (sample_stddev < 0.0) {
-    throw std::invalid_argument("clt_trials: negative stddev");
+  if (!(sample_stddev >= 0.0) || !std::isfinite(sample_stddev)) {
+    throw std::invalid_argument("clt_trials: stddev must be finite and >= 0");
   }
   if (sample_stddev == 0.0) return 1;
   const double z = prob::inverse_normal_cdf(0.5 + confidence / 2.0);

@@ -18,6 +18,14 @@
 // of the naive two logs per task. The CSR kernels fuse sampling with the
 // longest-path sweep — one forward pass, no allocation, caller scratch.
 //
+// Two kernel shapes share that sweep. The MC engine runs the trial-lane
+// kernel (run_trial_lanes): eight consecutive trials per pass, their
+// draws produced trial-major by prob::Philox4x32::fill_lanes, sampled by
+// integer threshold compares, and swept over a vertex-major lane matrix
+// so the per-lane max/add loops vectorize. The one-trial kernels
+// (run_trial_csr and its scatter/durations forms) serve the consumers
+// that need per-task durations: core::criticality, sched::fault_sim.
+//
 // Since the Scenario redesign, TrialContext is a VIEW: built from a
 // compiled scenario::Scenario it borrows the CSR and the constant arrays
 // and performs no per-construction preprocessing at all. The legacy
@@ -26,6 +34,8 @@
 
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -101,18 +111,37 @@ EXPMK_NOALLOC [[nodiscard]] double run_trial_csr(const TrialContext& ctx,
                                    prob::McRng& rng,
                                    std::span<double> finish);
 
-/// Per-trial observation: the makespan and the control-variate statistic
+/// Trial-lane kernel width: the engine sweeps this many consecutive
+/// trials through one CSR pass (a compile-time constant, not a knob).
+inline constexpr std::size_t kTrialLanes = prob::McRng::kLanes;
+
+/// Per-lane observations of one lane batch: lane l is trial t0 + l.
+/// `control` is the control-variate statistic
 /// Z = sum_i a_i * (executions_i - 1), whose exact mean is known (see
-/// mc/engine.cpp). Used for variance-reduced estimation.
-struct TrialObservation {
-  double makespan = 0.0;
-  double control = 0.0;
+/// control_variate_mean); the engine uses it for variance reduction.
+struct LaneObservations {
+  std::array<double, kTrialLanes> makespan{};
+  std::array<double, kTrialLanes> control{};
 };
 
-/// As run_trial_csr, additionally accumulating the control variate. Draws
-/// the identical RNG stream as run_trial_csr (same makespans).
-EXPMK_NOALLOC [[nodiscard]] TrialObservation run_trial_with_control_csr(
-    const TrialContext& ctx, prob::McRng& rng,
+/// Allocation-free trial-lane kernel, the Monte-Carlo engine's one trial
+/// path: runs trials t0 .. t0 + kTrialLanes - 1 of `seed` in a single
+/// forward CSR sweep. Lane l samples task v with draw v of the stream
+/// prob::McRng(seed, t0 + l) and returns that trial's makespan and
+/// control statistic — BIT-identical to a scalar run_trial_csr with that
+/// stream (tests/test_csr.cpp pins it lane by lane).
+///
+/// `finish` is caller scratch, overwritten: the vertex-major lane matrix
+/// finish[v * kTrialLanes + l], of size task_count() * kTrialLanes. The
+/// draws come 32 tasks at a time from prob::Philox4x32::fill_lanes into
+/// a 2 KiB tile on the stack, so they stay in L1 at any task count.
+/// Sampling compares integers: with m = draw >> 11,
+///   TwoState:  u = m 2^-53 < p_success      <=>  m < ceil(p_success 2^53)
+///   Geometric: u = (m+1) 2^-53 <= q_fail    <=>  m < floor(q_fail 2^53)
+/// (exact for every double in [0,1]; proof in DESIGN.md "The trial
+/// kernel"); only a failing geometric lane converts m to a double.
+EXPMK_NOALLOC [[nodiscard]] LaneObservations run_trial_lanes(
+    const TrialContext& ctx, std::uint64_t seed, std::uint64_t t0,
     std::span<double> finish);
 
 /// As run_trial_csr, additionally scattering the sampled per-task
@@ -142,11 +171,6 @@ EXPMK_NOALLOC double run_trial_durations_csr(const TrialContext& ctx,
 /// instead of resizing per call.
 double run_trial(const TrialContext& ctx, prob::McRng& rng,
                  std::vector<double>& durations);
-
-/// As run_trial, additionally accumulating the control variate.
-TrialObservation run_trial_with_control(const TrialContext& ctx,
-                                        prob::McRng& rng,
-                                        std::vector<double>& durations);
 
 /// Exact E[Z] of the control variate under the context's retry model.
 [[nodiscard]] double control_variate_mean(const TrialContext& ctx);

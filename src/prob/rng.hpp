@@ -11,9 +11,11 @@
 //     bit-identical regardless of how trials are distributed over
 //     threads. Counter blocks are independent, which is what lets the
 //     buffered backend compute four blocks at once with AVX2 integer
-//     lanes (util::simd dispatch); integer arithmetic is exact, so the
-//     vector and scalar backends agree bit for bit by construction.
-//     McRng below is the alias the MC call graph uses.
+//     lanes (util::simd dispatch), and the trial-major fill_lanes — the
+//     MC engine's source — compute four TRIALS of one block at once;
+//     integer arithmetic is exact, so the vector and scalar backends
+//     agree bit for bit by construction. McRng below is the alias the MC
+//     call graph uses.
 //
 //   * Xoshiro256pp (Blackman & Vigna) seeded through splitmix64 — kept
 //     for everything that is not the MC hot path (DAG generation,
@@ -27,7 +29,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+
+#include "util/contracts.hpp"
 
 namespace expmk::prob {
 
@@ -175,6 +180,26 @@ class Philox4x32 {
   [[nodiscard]] static std::array<std::uint32_t, 4> block(
       std::array<std::uint32_t, 4> counter,
       std::array<std::uint32_t, 2> key) noexcept;
+
+  /// Trials per lane fill: the trial-lane MC kernel's width.
+  static constexpr std::size_t kLanes = 8;
+
+  /// Trial-major bulk fill: the draws of the kLanes streams
+  /// Philox4x32(seed, t0) .. Philox4x32(seed, t0 + 7) over counter blocks
+  /// [block0, block0 + blocks), laid out draw-major with the trial
+  /// innermost:
+  ///
+  ///     out[j * kLanes + l] = draw 2 * block0 + j of stream (seed, t0 + l)
+  ///
+  /// for j in [0, 2 * blocks) — exactly the words operator() returns, so
+  /// `out` needs 2 * blocks * kLanes entries. Trial indices are 64-bit
+  /// (a lane group may cross t = 2^32). Dispatched through util::simd: the
+  /// AVX2 fill holds four trials of one block per vector and keeps several
+  /// blocks in flight, so it is throughput- rather than latency-bound;
+  /// being integer arithmetic only, it is bit-identical to the scalar one.
+  EXPMK_NOALLOC static void fill_lanes(std::uint64_t seed, std::uint64_t t0,
+                         std::uint64_t block0, std::size_t blocks,
+                         std::uint64_t* out) noexcept;
 
  private:
   // Eight blocks of two uint64 per fill. The width matters: one Philox

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <exception>
 
 namespace expmk::util {
@@ -56,6 +57,21 @@ void ThreadPool::parallel_for_chunks(
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+std::size_t resolve_threads(std::size_t threads) noexcept {
+  if (threads != 0) return threads;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+void for_each_chunk(std::size_t workers, std::size_t chunks,
+                    const std::function<void(std::size_t)>& body) {
+  if (workers <= 1 || chunks <= 1) {
+    for (std::size_t c = 0; c < chunks; ++c) body(c);
+    return;
+  }
+  ThreadPool pool(std::min(workers, chunks));
+  pool.parallel_for_chunks(chunks, body);
 }
 
 }  // namespace expmk::util

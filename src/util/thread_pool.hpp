@@ -73,4 +73,16 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Resolves a configured thread count: 0 means hardware concurrency
+/// (at least 1).
+[[nodiscard]] std::size_t resolve_threads(std::size_t threads) noexcept;
+
+/// Runs `body(c)` for every c in [0, chunks): inline on the calling
+/// thread, in order, when `workers` <= 1 or there is at most one chunk —
+/// no pool, no thread spawn, no per-chunk submission — else across a
+/// fresh ThreadPool of min(workers, chunks) threads (parallel_for_chunks).
+/// Bodies must write only chunk-private state. Exceptions propagate.
+void for_each_chunk(std::size_t workers, std::size_t chunks,
+                    const std::function<void(std::size_t)>& body);
+
 }  // namespace expmk::util

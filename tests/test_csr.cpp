@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/failure_model.hpp"
@@ -18,6 +20,7 @@
 #include "mc/engine.hpp"
 #include "mc/trial.hpp"
 #include "prob/rng.hpp"
+#include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -28,6 +31,9 @@ using expmk::graph::CsrDag;
 using expmk::graph::Dag;
 using expmk::graph::TaskId;
 using expmk::mc::TrialContext;
+using expmk::scenario::FailureSpec;
+using expmk::scenario::Scenario;
+using expmk::mc::kTrialLanes;
 
 std::vector<Dag> fixture_dags() {
   std::vector<Dag> out;
@@ -140,11 +146,15 @@ TEST(CsrKernels, DagScratchOverloadsMatchAllocatingOnes) {
 /// law), scatter durations into Dag id order, then evaluate the makespan
 /// with the allocating vector-of-vectors Dag longest path. The fused CSR
 /// kernel must reproduce it bit for bit.
+/// When `control` is non-null it receives the control-variate statistic
+/// sum_v a_v * (executions_v - 1), accumulated in position order.
 double reference_trial(const TrialContext& ctx, expmk::prob::McRng& rng,
-                       std::vector<double>& durations) {
+                       std::vector<double>& durations,
+                       double* control = nullptr) {
   const Dag& g = ctx.dag();
   const std::size_t n = g.task_count();
   durations.resize(n);
+  if (control != nullptr) *control = 0.0;
   for (std::uint32_t v = 0; v < n; ++v) {
     int executions = 1;
     if (ctx.retry() == RetryModel::TwoState) {
@@ -163,6 +173,9 @@ double reference_trial(const TrialContext& ctx, expmk::prob::McRng& rng,
     }
     const double duration =
         ctx.csr().weights()[v] * static_cast<double>(executions);
+    if (control != nullptr) {
+      *control += ctx.csr().weights()[v] * static_cast<double>(executions - 1);
+    }
     durations[ctx.csr().original_id(v)] = duration;
   }
   return expmk::graph::critical_path_length(g, durations, ctx.topo());
@@ -218,19 +231,68 @@ TEST(CsrTrialKernel, AdapterRejectsUndersizedBuffer) {
   EXPECT_NO_THROW((void)expmk::mc::run_trial(ctx, rng, sized));
 }
 
+// The lane kernel (which also accumulates the control variate) draws the
+// identical per-trial stream as the one-trial kernel: lane l of the batch
+// at t0 has trial t0 + l's makespan.
 TEST(CsrTrialKernel, ControlVariantDrawsIdenticalStream) {
   const Dag g = expmk::gen::lu_dag(4);
   const auto model = expmk::core::calibrate(g, 0.05);
   const TrialContext ctx(g, model, RetryModel::Geometric);
   std::vector<double> finish(g.task_count());
-  for (std::uint64_t t = 0; t < 200; ++t) {
-    expmk::prob::McRng rng_a(13, t);
-    expmk::prob::McRng rng_b(13, t);
-    const double plain = expmk::mc::run_trial_csr(ctx, rng_a, finish);
-    const auto obs = expmk::mc::run_trial_with_control_csr(ctx, rng_b, finish);
-    ASSERT_EQ(plain, obs.makespan);
-    ASSERT_GE(obs.control, 0.0);
+  std::vector<double> lanes(g.task_count() * kTrialLanes);
+  for (std::uint64_t t0 = 0; t0 < 200; t0 += kTrialLanes) {
+    const auto obs = expmk::mc::run_trial_lanes(ctx, 13, t0, lanes);
+    for (std::size_t l = 0; l < kTrialLanes; ++l) {
+      expmk::prob::McRng rng(13, t0 + l);
+      ASSERT_EQ(expmk::mc::run_trial_csr(ctx, rng, finish), obs.makespan[l])
+          << "trial " << t0 + l;
+      ASSERT_GE(obs.control[l], 0.0);
+    }
   }
+}
+
+// The trial-lane kernel, lane by lane: lane l of the batch at t0 is trial
+// t0 + l of the reference loop — makespan AND control statistic, bit for
+// bit — for both retry models, task counts that end a random tile
+// mid-block (55, 140), a pfail high enough to exercise the geometric slow
+// path in most batches, and a lane group crossing t = 2^32.
+TEST(CsrTrialKernel, LanesMatchReferenceLoopPerLane) {
+  std::vector<Dag> dags = fixture_dags();
+  dags.push_back(expmk::gen::lu_dag(5));
+  dags.push_back(expmk::gen::lu_dag(7));
+  for (const RetryModel retry :
+       {RetryModel::Geometric, RetryModel::TwoState}) {
+    for (const Dag& g : dags) {
+      const auto model = expmk::core::calibrate(g, 0.3);
+      const TrialContext ctx(g, model, retry);
+      std::vector<double> finish(g.task_count() * kTrialLanes);
+      std::vector<double> durations;
+      for (const std::uint64_t t0 :
+           {std::uint64_t{0}, std::uint64_t{8}, std::uint64_t{77},
+            (std::uint64_t{1} << 32) - 3}) {
+        const auto obs = expmk::mc::run_trial_lanes(ctx, 99, t0, finish);
+        for (std::size_t l = 0; l < kTrialLanes; ++l) {
+          expmk::prob::McRng rng(99, t0 + l);
+          double control = 0.0;
+          const double makespan =
+              reference_trial(ctx, rng, durations, &control);
+          ASSERT_EQ(obs.makespan[l], makespan) << "trial " << t0 + l;
+          ASSERT_EQ(obs.control[l], control) << "trial " << t0 + l;
+        }
+      }
+    }
+  }
+}
+
+TEST(CsrTrialKernel, LanesRejectMissizedScratch) {
+  const Dag g = expmk::gen::lu_dag(3);
+  const TrialContext ctx(g, expmk::core::calibrate(g, 0.01),
+                         RetryModel::TwoState);
+  std::vector<double> one_trial(g.task_count());
+  EXPECT_THROW((void)expmk::mc::run_trial_lanes(ctx, 1, 0, one_trial),
+               std::invalid_argument);
+  std::vector<double> lanes(g.task_count() * kTrialLanes);
+  EXPECT_NO_THROW((void)expmk::mc::run_trial_lanes(ctx, 1, 0, lanes));
 }
 
 // The determinism regression the CSR rewrite must not break: on a 50-task
@@ -278,6 +340,63 @@ TEST(CsrEngineDeterminism, EngineSamplesMatchReferenceLoop) {
     expmk::prob::McRng rng(cfg.seed, t);
     ASSERT_EQ(r.samples[t], reference_trial(ctx, rng, durations))
         << "trial " << t;
+  }
+}
+
+// The trial-lane engine end to end: captured samples equal the reference
+// loop trial for trial for trial counts around the lane width (1, 7, 8,
+// 9), the unit size (63, 64, 65) and beyond (lane batches straddle chunk
+// and unit boundaries), under both retry models, uniform and
+// heterogeneous per-task rates at pfail 0.5, and 1/2/7 threads — and the
+// control-variate estimate (mean, variance, plain mean) is bit-identical
+// across those thread counts.
+TEST(CsrEngineDeterminism, LaneEngineMatchesReferenceLoopEverywhere) {
+  const Dag g = expmk::gen::lu_dag(5);  // 55 tasks: not a multiple of 16
+  const double lambda = expmk::core::calibrate(g, 0.5).lambda;
+  std::vector<double> rates(g.task_count());
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    rates[i] = lambda * (0.1 + 0.19 * static_cast<double>((i * 7) % 11));
+  }
+  const std::vector<FailureSpec> failures = {
+      FailureSpec::uniform(lambda), FailureSpec::per_task(rates)};
+  for (const RetryModel retry :
+       {RetryModel::Geometric, RetryModel::TwoState}) {
+    for (const FailureSpec& failure : failures) {
+      const Scenario sc = Scenario::compile(g, failure, retry);
+      const TrialContext ctx(sc);
+      std::vector<double> durations;
+      for (const std::uint64_t trials :
+           {1u, 7u, 8u, 9u, 63u, 64u, 65u, 200u, 1001u}) {
+        expmk::mc::McConfig cfg;
+        cfg.trials = trials;
+        cfg.seed = 4242 + trials;
+        cfg.capture_samples = true;
+        cfg.control_variate = true;
+        std::vector<double> reference(trials);
+        for (std::uint64_t t = 0; t < trials; ++t) {
+          expmk::prob::McRng rng(cfg.seed, t);
+          reference[t] = reference_trial(ctx, rng, durations);
+        }
+        expmk::mc::McResult first;
+        for (const std::size_t threads : {1u, 2u, 7u}) {
+          cfg.threads = threads;
+          const auto r = run_monte_carlo(sc, cfg);
+          ASSERT_EQ(r.samples.size(), trials);
+          for (std::uint64_t t = 0; t < trials; ++t) {
+            ASSERT_EQ(r.samples[t], reference[t])
+                << "trials " << trials << " threads " << threads
+                << " trial " << t;
+          }
+          if (threads == 1) {
+            first = r;
+            continue;
+          }
+          EXPECT_EQ(r.mean, first.mean) << "trials " << trials;
+          EXPECT_EQ(r.variance, first.variance) << "trials " << trials;
+          EXPECT_EQ(r.plain_mean, first.plain_mean) << "trials " << trials;
+        }
+      }
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,24 @@ TEST(PlanRun, RejectsEmptyBudget) {
   const Scenario sc = compile(expmk::test::diamond(), 0.01);
   const Planner planner = pure_planner();
   EXPECT_THROW((void)planner.run(sc, PlanBudget{}), std::invalid_argument);
+}
+
+// A NaN budget used to slip past the "both unset" check (NaN <= 0 is
+// false) and reach the planner; infinite and negative budgets are just as
+// meaningless. All are rejected, whichever field carries them.
+TEST(PlanRun, RejectsNonFiniteOrNegativeBudget) {
+  const Scenario sc = compile(expmk::test::diamond(), 0.01);
+  const Planner planner = pure_planner();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, -1.0}) {
+    EXPECT_THROW((void)planner.run(sc, PlanBudget{bad, 0.0}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)planner.run(sc, PlanBudget{0.01, bad}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)planner.run(sc, PlanBudget{0.0, bad}),
+                 std::invalid_argument);
+  }
 }
 
 TEST(PlanRun, DeliveredAccuracyMeetsTargetOnOracleGrid) {

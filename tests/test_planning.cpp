@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/failure_model.hpp"
 #include "gen/cholesky.hpp"
@@ -42,6 +43,33 @@ TEST(Planning, HoeffdingRejectsBadInputs) {
                std::invalid_argument);
   EXPECT_THROW((void)hoeffding_trials(0.0, 1.0, 0.1, 1.0),
                std::invalid_argument);
+}
+
+// NaN and infinite inputs are rejected up front: a NaN used to pass
+// every "<= 0" check and reach the float-to-integer cast of the required
+// trial count (undefined behaviour).
+TEST(Planning, HelpersRejectNanAndInfinity) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW((void)hoeffding_trials(0.0, 1.0, bad, 0.95),
+                 std::invalid_argument);
+    EXPECT_THROW((void)hoeffding_trials(0.0, 1.0, 0.1, bad),
+                 std::invalid_argument);
+    EXPECT_THROW((void)hoeffding_trials(0.0, bad, 0.1, 0.95),
+                 std::invalid_argument);
+    EXPECT_THROW((void)hoeffding_trials(-bad, 1.0, 0.1, 0.95),
+                 std::invalid_argument);
+    EXPECT_THROW((void)clt_trials(bad, 0.1, 0.95), std::invalid_argument);
+    EXPECT_THROW((void)clt_trials(1.0, bad, 0.95), std::invalid_argument);
+    EXPECT_THROW((void)clt_trials(1.0, 0.1, bad), std::invalid_argument);
+  }
+  expmk::prob::RunningStats pilot;
+  pilot.push(1.0);
+  pilot.push(1.1);
+  EXPECT_THROW((void)plan_trials(pilot, nan, 0.95), std::invalid_argument);
+  EXPECT_THROW((void)plan_trials(pilot, inf, 0.95), std::invalid_argument);
+  EXPECT_THROW((void)plan_trials(pilot, 0.01, nan), std::invalid_argument);
 }
 
 TEST(Planning, CltClosedForm) {

@@ -107,12 +107,14 @@ TEST(SamplerVsDistribution, ControlStatisticMatchesDefinition) {
   // implies Z = duration - a, exactly.
   expmk::graph::Dag g;
   g.add_task(0.5);
+  // Checked lane by lane on the engine's trial-lane kernel.
   const TrialContext ctx(g, FailureModel{1.0}, RetryModel::Geometric);
-  std::vector<double> durations(g.task_count());
-  for (int t = 0; t < 1'000; ++t) {
-    expmk::prob::McRng rng(3, static_cast<std::uint64_t>(t));
-    const auto obs = expmk::mc::run_trial_with_control(ctx, rng, durations);
-    EXPECT_NEAR(obs.control, obs.makespan - 0.5, 1e-12);
+  std::vector<double> finish(g.task_count() * expmk::mc::kTrialLanes);
+  for (std::uint64_t t0 = 0; t0 < 1'000; t0 += expmk::mc::kTrialLanes) {
+    const auto obs = expmk::mc::run_trial_lanes(ctx, 3, t0, finish);
+    for (std::size_t l = 0; l < expmk::mc::kTrialLanes; ++l) {
+      EXPECT_NEAR(obs.control[l], obs.makespan[l] - 0.5, 1e-12);
+    }
   }
 }
 

@@ -23,6 +23,7 @@
 #include "core/failure_model.hpp"
 #include "gen/lu.hpp"
 #include "mc/engine.hpp"
+#include "mc/trial.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "prob/dist_kernels.hpp"
 #include "prob/rng.hpp"
@@ -239,6 +240,97 @@ TEST(SimdKernels, PhiloxReferenceStreamVectors) {
       0x5e6cc1cc022ccd35ull, 0x419da9f87613cec8ull, 0x10139883e116ed7bull};
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(rng(), expected[i]) << "draw " << i;
+  }
+}
+
+// The trial-major lane fill is the per-stream draws, transposed:
+// tile[j * 8 + l] is draw 2 * block0 + j of Philox4x32(seed, t0 + l) —
+// checked against raw blocks and, from block 0, against the stream's
+// operator() — under BOTH backends, for lane groups inside, below and
+// across t = 2^32, block offsets and counts that are not multiples of the
+// AVX2 fill's in-flight group, and with the entries past the tile
+// untouched.
+TEST(SimdKernels, PhiloxLaneFillMatchesStreamsOnBothBackends) {
+  using expmk::prob::Philox4x32;
+  constexpr std::size_t kL = Philox4x32::kLanes;
+  constexpr std::uint64_t kGuard = 0x5EED5EED5EED5EEDull;
+  BackendGuard guard;
+  const std::uint64_t seed = 0xC0FFEE;
+  struct Range {
+    std::uint64_t block0;
+    std::size_t blocks;
+  };
+  for (const sd::Backend backend :
+       {sd::Backend::Scalar, sd::Backend::Avx2}) {
+    if (!sd::force(backend)) continue;  // no AVX2 on this CPU
+    for (const std::uint64_t t0 :
+         {std::uint64_t{0}, std::uint64_t{1000},
+          (std::uint64_t{1} << 32) - 3, (std::uint64_t{1} << 40) + 5}) {
+      for (const Range r : {Range{0, 1}, Range{0, 7}, Range{3, 16},
+                            Range{8, 5}, Range{(std::uint64_t{1} << 32) - 2, 4}}) {
+        std::vector<std::uint64_t> tile(2 * r.blocks * kL + kL, kGuard);
+        Philox4x32::fill_lanes(seed, t0, r.block0, r.blocks, tile.data());
+        for (std::size_t l = 0; l < kL; ++l) {
+          // Block indices near 2^32 are only reachable as raw blocks.
+          const std::uint64_t t = t0 + l;
+          expmk::prob::SplitMix64 sm(seed);
+          const std::uint64_t k = sm.next();
+          const std::array<std::uint32_t, 2> key = {
+              static_cast<std::uint32_t>(k), static_cast<std::uint32_t>(k >> 32)};
+          for (std::size_t j = 0; j < 2 * r.blocks; ++j) {
+            const std::uint64_t b = r.block0 + j / 2;
+            const auto words = Philox4x32::block(
+                {static_cast<std::uint32_t>(t), static_cast<std::uint32_t>(t >> 32),
+                 static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(b >> 32)},
+                key);
+            const std::uint64_t want =
+                j % 2 == 0
+                    ? ((static_cast<std::uint64_t>(words[1]) << 32) | words[0])
+                    : ((static_cast<std::uint64_t>(words[3]) << 32) | words[2]);
+            ASSERT_EQ(tile[j * kL + l], want)
+                << sd::name(backend) << " t0 " << t0 << " block0 " << r.block0
+                << " lane " << l << " draw " << j;
+          }
+          if (r.block0 == 0) {  // and the stream operator() returns
+            Philox4x32 rng(seed, t);
+            for (std::size_t j = 0; j < 2 * r.blocks; ++j) {
+              ASSERT_EQ(tile[j * kL + l], rng()) << "lane " << l << " draw " << j;
+            }
+          }
+        }
+        for (std::size_t i = 2 * r.blocks * kL; i < tile.size(); ++i) {
+          ASSERT_EQ(tile[i], kGuard) << "fill wrote past its tile";
+        }
+      }
+    }
+  }
+}
+
+// The MC engine's trial-lane kernel under each forced backend: every lane
+// equals the one-trial kernel on that trial's stream (the fill is the
+// only dispatched part of the lane path).
+TEST(SimdKernels, TrialLanesMatchOneTrialKernelOnBothBackends) {
+  BackendGuard guard;
+  const auto g = expmk::gen::lu_dag(7);  // 140 tasks
+  const auto model = expmk::core::calibrate(g, 0.2);
+  for (const auto retry : {expmk::core::RetryModel::Geometric,
+                           expmk::core::RetryModel::TwoState}) {
+    const expmk::mc::TrialContext ctx(g, model, retry);
+    std::vector<double> lanes(g.task_count() * expmk::mc::kTrialLanes);
+    std::vector<double> finish(g.task_count());
+    for (const sd::Backend backend :
+         {sd::Backend::Scalar, sd::Backend::Avx2}) {
+      if (!sd::force(backend)) continue;
+      for (std::uint64_t t0 = 0; t0 < 64; t0 += expmk::mc::kTrialLanes) {
+        const auto obs = expmk::mc::run_trial_lanes(ctx, 5, t0, lanes);
+        for (std::size_t l = 0; l < expmk::mc::kTrialLanes; ++l) {
+          expmk::prob::McRng rng(5, t0 + l);
+          ASSERT_EQ(obs.makespan[l],
+                    expmk::mc::run_trial_csr(ctx, rng, finish))
+              << sd::name(backend) << " trial " << t0 + l;
+        }
+      }
+    }
   }
 }
 

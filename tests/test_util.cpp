@@ -5,6 +5,8 @@
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -64,6 +66,28 @@ TEST(ThreadPool, DestructorDrainsQueue) {
     }
   }  // destructor must finish all 32
   EXPECT_EQ(done.load(), 32);
+}
+
+// One worker: every chunk runs on the calling thread, in order (the MC
+// engines' threads == 1 path spawns no pool). Several: each chunk once.
+TEST(ThreadPool, ForEachChunkRunsInlineForOneWorker) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  expmk::util::for_each_chunk(1, 5, [&](std::size_t c) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(c);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+  std::vector<std::atomic<int>> hits(37);
+  expmk::util::for_each_chunk(3, hits.size(),
+                              [&](std::size_t c) { ++hits[c]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_THROW(expmk::util::for_each_chunk(
+                   1, 2, [](std::size_t) { throw std::runtime_error("x"); }),
+               std::runtime_error);
+  EXPECT_EQ(expmk::util::resolve_threads(3), 3u);
+  EXPECT_GE(expmk::util::resolve_threads(0), 1u);
 }
 
 TEST(Timer, MeasuresNonNegativeDurations) {

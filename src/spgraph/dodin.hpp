@@ -20,7 +20,11 @@
 // non-increasing and the total number of duplications is O(|V| + |E|) —
 // unlike the classical copy-all-out-arcs rule, whose duplication count
 // explodes combinatorially on the dense factorization DAGs (measured:
-// 14,700 duplications for Cholesky k=8 vs a few hundred here). In an
+// 14,700 duplications for Cholesky k=8 vs a few hundred here). Measured
+// at 256 atoms and pfail 0.01: LU k=8 979, QR k=8 654, Cholesky k=10
+// 1,164, LU k=20 33,465 duplications. Each one costs O(live nodes + live
+// arcs) of graph bookkeeping (flat_network.cpp), on top of the
+// distribution arithmetic of the merges it enables. In an
 // exhaustively reduced network the topologically-first internal node is
 // always a fork, so a site always exists; joins are preferred when
 // present, matching Dodin's original join-duplication rule.

@@ -16,11 +16,32 @@
 // object reference in tests/sp_reference.cpp OPERATION FOR OPERATION:
 // arc insertion order (from_dag's layout), worklist discipline (LIFO,
 // touched-node reseeding), parallel-merge grouping (ascending head node,
-// per-head insertion order), series-merge arc selection (first alive
+// per-head insertion order), series-merge arc selection (first live
 // in/out arc), Kahn topological order and the join-before-fork
 // duplication-site rule. The reference is the executable specification;
 // tests/test_flat_spgraph.cpp pins means, reduction counts and truncation
 // certificates bitwise against it.
+//
+// Graph bookkeeping scales with the LIVE network only:
+//  * Adjacency lists are doubly linked and hold live arcs only. Removing
+//    or retargeting an arc unlinks it in O(1) and keeps the relative
+//    order of the others, which is exactly the reference's lazily
+//    compacted vectors (append on add/retarget, dead ids erased): the
+//    list heads are its first in/out arcs, and parallel_merge_at sees
+//    its per-head order.
+//  * Every link/unlink maintains per-node live in/out degrees and the
+//    live node count (nodes with at least one live arc), so degree
+//    queries are O(1).
+//  * pick_duplication runs FIFO Kahn from the source over live arcs
+//    only. That is the reference's all-node Kahn order restricted to
+//    live nodes: a dead node has no arcs, so it neither releases nor
+//    waits on anyone, and the source is the only live node of in-degree
+//    0 (each reduction or duplication leaves every other live node at
+//    least one in-arc). The same site is therefore picked every time,
+//    and a duplication costs O(live nodes + live arcs) instead of
+//    O(everything ever allocated).
+//  * Debug builds recount degrees, live counts and list membership from
+//    the arc table after every worklist pass (check_invariants).
 //
 // Memory discipline:
 //  * The caller-facing entry points open ONE Workspace::Frame for the
@@ -34,11 +55,12 @@
 //    slices are copied tightly into the spare buffer and the buffers swap
 //    (growing the spare via a fresh lease only while cold).
 //  * Sub-frames are opened ONLY around purely transient scratch (kernel
-//    truncation scratch, the topological-order arrays); never across an
+//    truncation scratch, the Kahn order, the Debug recount); never across an
 //    arena or grow-vector mutation, whose leases must live at the
 //    evaluation frame level.
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -125,11 +147,16 @@ class FlatNetwork {
         doff_(ws, tasks * 3 + edges + 8),
         dlen_(ws, tasks * 3 + edges + 8),
         onext_(ws, tasks * 3 + edges + 8),
+        oprev_(ws, tasks * 3 + edges + 8),
         inext_(ws, tasks * 3 + edges + 8),
+        iprev_(ws, tasks * 3 + edges + 8),
         out_head_(ws, 2 * tasks + 2),
         out_tail_(ws, 2 * tasks + 2),
         in_head_(ws, 2 * tasks + 2),
         in_tail_(ws, 2 * tasks + 2),
+        out_deg_(ws, 2 * tasks + 2),
+        in_deg_(ws, 2 * tasks + 2),
+        kahn_hits_(ws, 2 * tasks + 2),
         work_(ws, 4 * tasks + 8),
         touched_(ws, 16),
         keys_(ws, 16),
@@ -233,10 +260,10 @@ class FlatNetwork {
       work_.push(v);
       work_.push(clone);
       for (u32 id = in_head_[clone]; id != kNil; id = inext_[id]) {
-        if (alive_[id]) work_.push(from_[id]);
+        work_.push(from_[id]);
       }
       for (u32 id = out_head_[clone]; id != kNil; id = onext_[id]) {
-        if (alive_[id]) work_.push(to_[id]);
+        work_.push(to_[id]);
       }
       reduce_worklist(max_atoms);
 
@@ -277,6 +304,9 @@ class FlatNetwork {
     out_tail_.push(kNil);
     in_head_.push(kNil);
     in_tail_.push(kNil);
+    out_deg_.push(0);
+    in_deg_.push(0);
+    kahn_hits_.push(0);
     return node_count() - 1;
   }
 
@@ -288,19 +318,11 @@ class FlatNetwork {
     doff_.push(static_cast<u32>(off));
     dlen_.push(static_cast<u32>(len));
     onext_.push(kNil);
+    oprev_.push(kNil);
     inext_.push(kNil);
-    if (out_head_[from] == kNil) {
-      out_head_[from] = id;
-    } else {
-      onext_[out_tail_[from]] = id;
-    }
-    out_tail_[from] = id;
-    if (in_head_[to] == kNil) {
-      in_head_[to] = id;
-    } else {
-      inext_[in_tail_[to]] = id;
-    }
-    in_tail_[to] = id;
+    iprev_.push(kNil);
+    link_out(id);
+    link_in(id);
     ++alive_arcs_;
   }
 
@@ -312,61 +334,93 @@ class FlatNetwork {
   }
 
   void remove_arc(u32 id) {
-    if (alive_[id] == 0) return;
+    assert(alive_[id] != 0);
     alive_[id] = 0;
+    unlink_out(id);
+    unlink_in(id);
     --alive_arcs_;
   }
 
-  /// Moves an arc's head (the Dodin join surgery): physical removal from
-  /// the old head's in-list, append to the new head's — the order the
+  /// Moves an arc's head (the Dodin join surgery): unlinked from the old
+  /// head's in-list, appended to the new head's — the order the
   /// reference network's retarget_arc produces.
   void retarget(u32 id, u32 new_to) {
-    const u32 old_to = to_[id];
-    u32 prev = kNil;
-    for (u32 cur = in_head_[old_to]; cur != kNil; cur = inext_[cur]) {
-      if (cur == id) {
-        if (prev == kNil) {
-          in_head_[old_to] = inext_[cur];
-        } else {
-          inext_[prev] = inext_[cur];
-        }
-        if (in_tail_[old_to] == id) in_tail_[old_to] = prev;
-        break;
-      }
-      prev = cur;
-    }
+    unlink_in(id);
     to_[id] = new_to;
-    inext_[id] = kNil;
-    if (in_head_[new_to] == kNil) {
-      in_head_[new_to] = id;
-    } else {
-      inext_[in_tail_[new_to]] = id;
-    }
-    in_tail_[new_to] = id;
+    link_in(id);
   }
 
-  [[nodiscard]] u32 first_out(u32 n) const {
-    for (u32 id = out_head_[n]; id != kNil; id = onext_[id]) {
-      if (alive_[id]) return id;
+  // Doubly linked adjacency: append at the tail, unlink in place. Each
+  // keeps the endpoint's live degree and the live node count current.
+  void link_out(u32 id) {
+    const u32 n = from_[id];
+    gain_degree(n, out_deg_);
+    oprev_[id] = out_tail_[n];
+    onext_[id] = kNil;
+    if (out_tail_[n] == kNil) {
+      out_head_[n] = id;
+    } else {
+      onext_[out_tail_[n]] = id;
     }
-    return kNil;
+    out_tail_[n] = id;
   }
-  [[nodiscard]] u32 first_in(u32 n) const {
-    for (u32 id = in_head_[n]; id != kNil; id = inext_[id]) {
-      if (alive_[id]) return id;
+  void link_in(u32 id) {
+    const u32 n = to_[id];
+    gain_degree(n, in_deg_);
+    iprev_[id] = in_tail_[n];
+    inext_[id] = kNil;
+    if (in_tail_[n] == kNil) {
+      in_head_[n] = id;
+    } else {
+      inext_[in_tail_[n]] = id;
     }
-    return kNil;
+    in_tail_[n] = id;
   }
-  [[nodiscard]] size_t out_degree(u32 n) const {
-    size_t c = 0;
-    for (u32 id = out_head_[n]; id != kNil; id = onext_[id]) c += alive_[id];
-    return c;
+  void unlink_out(u32 id) {
+    const u32 n = from_[id];
+    const u32 prev = oprev_[id];
+    const u32 next = onext_[id];
+    if (prev == kNil) {
+      out_head_[n] = next;
+    } else {
+      onext_[prev] = next;
+    }
+    if (next == kNil) {
+      out_tail_[n] = prev;
+    } else {
+      oprev_[next] = prev;
+    }
+    lose_degree(n, out_deg_);
   }
-  [[nodiscard]] size_t in_degree(u32 n) const {
-    size_t c = 0;
-    for (u32 id = in_head_[n]; id != kNil; id = inext_[id]) c += alive_[id];
-    return c;
+  void unlink_in(u32 id) {
+    const u32 n = to_[id];
+    const u32 prev = iprev_[id];
+    const u32 next = inext_[id];
+    if (prev == kNil) {
+      in_head_[n] = next;
+    } else {
+      inext_[prev] = next;
+    }
+    if (next == kNil) {
+      in_tail_[n] = prev;
+    } else {
+      iprev_[next] = prev;
+    }
+    lose_degree(n, in_deg_);
   }
+  void gain_degree(u32 n, GrowVec<u32>& deg) {
+    if (in_deg_[n] + out_deg_[n] == 0) ++live_nodes_;
+    ++deg[n];
+  }
+  void lose_degree(u32 n, GrowVec<u32>& deg) {
+    --deg[n];
+    if (in_deg_[n] + out_deg_[n] == 0) --live_nodes_;
+  }
+
+  [[nodiscard]] u32 first_out(u32 n) const { return out_head_[n]; }
+  [[nodiscard]] u32 first_in(u32 n) const { return in_head_[n]; }
+  [[nodiscard]] size_t out_degree(u32 n) const { return out_deg_[n]; }
+  [[nodiscard]] size_t in_degree(u32 n) const { return in_deg_[n]; }
 
   // ------------------------------------------------------- atom arena
 
@@ -432,17 +486,16 @@ class FlatNetwork {
 
   // -------------------------------------------------------- rewriting
 
-  /// Mirrors the reference parallel_merge_at: group the alive out-arcs
-  /// of `u` by head node (ascending head, insertion order within a head —
-  /// the std::map iteration the reference performs), fold each group's
-  /// distributions with max_of into the group's first arc, and soft-
-  /// delete the rest.
+  /// Mirrors the reference parallel_merge_at: group the out-arcs of `u`
+  /// by head node (ascending head, insertion order within a head — the
+  /// std::map iteration the reference performs), fold each group's
+  /// distributions with max_of into the group's first arc, and remove
+  /// the rest.
   size_t parallel_merge_at(u32 u, size_t max_atoms) {
     keys_.clear();
     gids_.clear();
     u32 seq = 0;
     for (u32 id = out_head_[u]; id != kNil; id = onext_[id]) {
-      if (!alive_[id]) continue;
       keys_.push((static_cast<u64>(to_[id]) << 32) | seq);
       gids_.push(id);
       ++seq;
@@ -471,7 +524,7 @@ class FlatNetwork {
     return merges;
   }
 
-  /// acc.dist = max(acc.dist, y.dist) with the atom cap; y soft-deleted.
+  /// acc.dist = max(acc.dist, y.dist) with the atom cap; y removed.
   void fold_max_into(u32 acc, u32 y, size_t max_atoms) {
     const size_t nx = dlen_[acc];
     const size_t ny = dlen_[y];
@@ -538,7 +591,58 @@ class FlatNetwork {
       if (p > 0) work_.push(v);
     }
     cert_.accumulate(pass_cert_);
+#ifndef NDEBUG
+    check_invariants();
+#endif
   }
+
+#ifndef NDEBUG
+  /// Recounts the maintained bookkeeping from the arc table and asserts
+  /// it matches: live in/out degrees, the live arc and node counts, and
+  /// list membership (every linked arc is live and sits in its own
+  /// endpoint's list; each list walk terminates within the recounted
+  /// degree, so no arc is linked twice, and reaches that degree, so no
+  /// live arc is missing).
+  void check_invariants() {
+    const exp::Workspace::Frame frame(ws_);
+    const u32 n = node_count();
+    const std::span<u32> outs = ws_.u32(n);
+    const std::span<u32> ins = ws_.u32(n);
+    std::fill(outs.begin(), outs.end(), 0u);
+    std::fill(ins.begin(), ins.end(), 0u);
+    size_t live_arcs = 0;
+    for (size_t id = 0; id < from_.size(); ++id) {
+      if (alive_[id] == 0) continue;
+      ++outs[from_[id]];
+      ++ins[to_[id]];
+      ++live_arcs;
+    }
+    assert(live_arcs == alive_arcs_);
+    size_t live_nodes = 0;
+    for (u32 v = 0; v < n; ++v) {
+      assert(outs[v] == out_deg_[v] && ins[v] == in_deg_[v]);
+      assert(kahn_hits_[v] == 0);
+      if (outs[v] + ins[v] > 0) ++live_nodes;
+      u32 k = 0;
+      u32 prev = kNil;
+      for (u32 id = out_head_[v]; id != kNil; id = onext_[id], ++k) {
+        assert(k < outs[v]);
+        assert(alive_[id] != 0 && from_[id] == v && oprev_[id] == prev);
+        prev = id;
+      }
+      assert(k == outs[v] && out_tail_[v] == prev);
+      k = 0;
+      prev = kNil;
+      for (u32 id = in_head_[v]; id != kNil; id = inext_[id], ++k) {
+        assert(k < ins[v]);
+        assert(alive_[id] != 0 && to_[id] == v && iprev_[id] == prev);
+        prev = id;
+      }
+      assert(k == ins[v] && in_tail_[v] == prev);
+    }
+    assert(live_nodes == live_nodes_);
+  }
+#endif
 
   // ------------------------------------------------------ Dodin pieces
 
@@ -548,29 +652,31 @@ class FlatNetwork {
   }
 
   /// Mirrors the reference pick_duplication: first join in topological
-  /// order wins; otherwise the first fork.
-  [[nodiscard]] Site pick_duplication() const {
+  /// order wins; otherwise the first fork. The order is FIFO Kahn from
+  /// the source over live arcs (see the file comment for why it equals
+  /// the reference's all-node order); kahn_hits_ counts each node's
+  /// released in-arcs and is zero again on return.
+  [[nodiscard]] Site pick_duplication() {
     const exp::Workspace::Frame frame(ws_);
-    const u32 n = node_count();
-    const std::span<u32> indeg = ws_.u32(n);
-    std::fill(indeg.begin(), indeg.end(), 0u);
-    for (size_t id = 0; id < from_.size(); ++id) {
-      if (alive_[id]) ++indeg[to_[id]];
-    }
-    const std::span<u32> order = ws_.u32(n);
+    // Sized for a source that wrongly has an in-arc and is enqueued twice;
+    // the check below rejects that case.
+    const std::span<u32> order = ws_.u32(live_nodes_ + 1);
     size_t cnt = 0;
-    for (u32 v = 0; v < n; ++v) {
-      if (indeg[v] == 0) order[cnt++] = v;
-    }
+    order[cnt++] = source_;
     for (size_t head = 0; head < cnt; ++head) {
-      const u32 u = order[head];
-      for (u32 id = out_head_[u]; id != kNil; id = onext_[id]) {
-        if (!alive_[id]) continue;
-        if (--indeg[to_[id]] == 0) order[cnt++] = to_[id];
+      for (u32 id = out_head_[order[head]]; id != kNil; id = onext_[id]) {
+        const u32 w = to_[id];
+        if (++kahn_hits_[w] == in_deg_[w]) order[cnt++] = w;
       }
     }
-    if (cnt != n) {
-      throw std::logic_error("FlatNetwork: cycle detected (internal error)");
+    for (size_t i = 0; i < cnt; ++i) kahn_hits_[order[i]] = 0;
+    // With no in-arc at the source, every node is enqueued at most once.
+    // Then visiting every live node rules out a cycle and an unreachable
+    // node, and every node hit was visited, so kahn_hits_ is zero again.
+    if (in_deg_[source_] != 0 || cnt != live_nodes_) {
+      throw std::logic_error(
+          "FlatNetwork: live network has a cycle or a node unreachable from "
+          "the source (internal error)");
     }
     Site fork_site;
     for (size_t i = 0; i < cnt; ++i) {
@@ -588,11 +694,12 @@ class FlatNetwork {
 
   exp::Workspace& ws_;
   // Arc table (parallel grow-vectors, indexed by arc id).
-  GrowVec<u32> from_, to_, alive_, doff_, dlen_, onext_, inext_;
-  // Per-node adjacency list heads/tails (append-ordered linked lists;
-  // dead arcs stay linked and are skipped, reproducing the reference
-  // network's lazily-compacted insertion order).
+  GrowVec<u32> from_, to_, alive_, doff_, dlen_;
+  // Doubly linked adjacency links (live arcs only, insertion order).
+  GrowVec<u32> onext_, oprev_, inext_, iprev_;
+  // Per node: list heads/tails, live degrees, Kahn scratch (kept zero).
   GrowVec<u32> out_head_, out_tail_, in_head_, in_tail_;
+  GrowVec<u32> out_deg_, in_deg_, kahn_hits_;
   // Worklists / scratch.
   GrowVec<u32> work_, touched_;
   GrowVec<u64> keys_;
@@ -605,6 +712,7 @@ class FlatNetwork {
   u32 source_ = 0;
   u32 sink_ = 0;
   size_t alive_arcs_ = 0;
+  size_t live_nodes_ = 0;  // nodes with at least one live arc
   ReduceStats stats_;
   dk::TruncationCert cert_;       // evaluation total (sum of passes)
   dk::TruncationCert pass_cert_;  // current reduce_worklist pass

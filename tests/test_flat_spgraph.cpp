@@ -32,7 +32,9 @@
 #include "prob/discrete_distribution.hpp"
 #include "scenario/scenario.hpp"
 #include "exp/hier.hpp"
+#include "gen/cholesky.hpp"
 #include "gen/lu.hpp"
+#include "gen/qr.hpp"
 #include "graph/sp_tree.hpp"
 #include "sp_reference.hpp"
 #include "spgraph/dodin.hpp"
@@ -152,7 +154,48 @@ TEST(FlatSpFidelity, BitIdenticalToObjectReduction) {
   }
 }
 
+// The factorization DAGs are not series-parallel: at LU k=6 the
+// exhaustive first pass stops short of a single arc, and the verdict and
+// the reductions it did perform must still match the reference.
+TEST(FlatSpFidelity, NonSpVerdictAndCountsOnLu6) {
+  const Dag g = expmk::gen::lu_dag(6);
+  const Scenario sc = Scenario::compile(g, FailureSpec(calibrate(g, 0.01)));
+  const auto object = expmk::sp_ref::evaluate_sp(
+      expmk::sp_ref::ArcNetwork::from_dag(g, scenario_dists(sc)), 64);
+  Workspace ws;
+  const auto flat = expmk::sp::evaluate_sp_flat(sc, 64, ws);
+  ASSERT_FALSE(object.is_series_parallel);
+  EXPECT_FALSE(flat.is_series_parallel);
+  EXPECT_FALSE(flat.stats.reduced_to_single_arc);
+  EXPECT_GT(object.stats.series, 0u);
+  EXPECT_EQ(flat.stats.series, object.stats.series);
+  EXPECT_EQ(flat.stats.parallel, object.stats.parallel);
+  expect_cert_bit_identical(flat.stats.truncation, object.stats.truncation,
+                            "lu6");
+}
+
 // --------------------------------------------------- fidelity: dodin
+
+/// Runs dodin on `sc` through the flat engine (on the warm `ws`) and
+/// through the reference; pins counts, certificate, mean and law bitwise.
+/// Returns the reference's duplication count.
+std::size_t expect_dodin_matches_reference(const Scenario& sc,
+                                           const expmk::sp::DodinOptions& opts,
+                                           Workspace& ws,
+                                           const std::string& where) {
+  const auto object = expmk::sp_ref::dodin(
+      expmk::sp_ref::ArcNetwork::from_dag(sc.dag(), scenario_dists(sc)),
+      opts);
+  DiscreteDistribution captured;
+  const auto flat = expmk::sp::dodin_two_state_flat(sc, opts, ws, &captured);
+  EXPECT_EQ(flat.duplications, object.duplications) << where;
+  EXPECT_EQ(flat.series_reductions, object.stats.series) << where;
+  EXPECT_EQ(flat.parallel_reductions, object.stats.parallel) << where;
+  expect_cert_bit_identical(flat.truncation, object.stats.truncation, where);
+  EXPECT_EQ(flat.mean, object.makespan.mean()) << where;
+  expect_dist_bit_identical(captured, object.makespan, where);
+  return object.duplications;
+}
 
 TEST(FlatDodinFidelity, BitIdenticalToObjectTransformation) {
   Workspace warm;
@@ -169,23 +212,45 @@ TEST(FlatDodinFidelity, BitIdenticalToObjectTransformation) {
                                     std::to_string(pfail) +
                                     (het ? " / het" : " / uniform") +
                                     " / atoms " + std::to_string(max_atoms);
-          const expmk::sp::DodinOptions opts{.max_atoms = max_atoms};
-          const auto object = expmk::sp_ref::dodin(
-              expmk::sp_ref::ArcNetwork::from_dag(g, scenario_dists(sc)),
-              opts);
-          DiscreteDistribution captured;
-          const auto flat = expmk::sp::dodin_two_state_flat(
-              sc, opts, warm, &captured);
-          EXPECT_EQ(flat.duplications, object.duplications) << where;
-          EXPECT_EQ(flat.series_reductions, object.stats.series) << where;
-          EXPECT_EQ(flat.parallel_reductions, object.stats.parallel)
-              << where;
-          expect_cert_bit_identical(flat.truncation, object.stats.truncation,
-                                    where);
-          EXPECT_EQ(flat.mean, object.makespan.mean()) << where;
-          expect_dist_bit_identical(captured, object.makespan, where);
+          (void)expect_dodin_matches_reference(
+              sc, {.max_atoms = max_atoms}, warm, where);
         }
       }
+    }
+  }
+}
+
+// The fixtures above stop at 12 tasks and a handful of duplications. The
+// factorization DAGs take hundreds to over a thousand (the paper_grid
+// trio at 256 atoms: LU 8 979, QR 8 654, Cholesky 10 1,164), which is
+// where the duplication-site search and the adjacency bookkeeping are
+// exercised in earnest. Pin them bitwise, uniform and per-task rates.
+TEST(FlatDodinFidelity, BitIdenticalAtPaperSizes) {
+  struct Case {
+    std::string label;
+    Dag g;
+    std::size_t atoms;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"lu6", expmk::gen::lu_dag(6), 64});
+  cases.push_back({"qr6", expmk::gen::qr_dag(6), 64});
+  cases.push_back({"cholesky6", expmk::gen::cholesky_dag(6), 64});
+  cases.push_back({"lu8", expmk::gen::lu_dag(8), 256});
+  cases.push_back({"qr8", expmk::gen::qr_dag(8), 256});
+  cases.push_back({"cholesky10", expmk::gen::cholesky_dag(10), 256});
+  Workspace warm;
+  for (const auto& [label, g, atoms] : cases) {
+    for (const bool het : {false, true}) {
+      const Scenario sc =
+          het ? Scenario::compile(g, FailureSpec::per_task(
+                                         spread_rates(g, 0.01)))
+              : Scenario::compile(g, FailureSpec(calibrate(g, 0.01)));
+      const std::string where = label + (het ? " / het" : " / uniform") +
+                                " / atoms " + std::to_string(atoms);
+      EXPECT_GT(expect_dodin_matches_reference(sc, {.max_atoms = atoms},
+                                               warm, where),
+                100u)
+          << where;
     }
   }
 }

@@ -331,6 +331,31 @@ TEST(AllocationRegression, LawsEntriesAreAllocationFreeWhenWarm) {
   EXPECT_GT(cold, 0u);
 }
 
+// The pins above run small untruncated networks, which never outgrow the
+// engine's initial per-node / per-arc vectors nor compact its atom arena.
+// Dodin on LU k=6 at 64 atoms does both (306 duplications, one node and
+// one to two arcs each, and capped supports that fill the arena): a warm
+// run must still allocate nothing. The direct entry is called because
+// the registry path allocates the truncation note it reports by design.
+TEST(AllocationRegression, DodinPastGrowthPointsIsAllocationFreeWhenWarm) {
+  const Scenario sc =
+      Scenario::calibrated(expmk::gen::lu_dag(6), 0.01, RetryModel::TwoState);
+  Workspace ws;
+  const auto run = [&] {
+    return expmk::sp::dodin_two_state_flat(sc, {.max_atoms = 64}, ws);
+  };
+  const auto cold = run();
+  (void)run();
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const auto warm = run();
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(warm.mean, cold.mean);
+  EXPECT_EQ(warm.duplications, cold.duplications);
+  EXPECT_GT(cold.truncation.events, 0u);
+}
+
 // --------------------------------------------- adapter property (x13)
 
 std::vector<std::pair<std::string, Dag>> property_dags() {

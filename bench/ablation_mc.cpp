@@ -10,6 +10,7 @@
 #include "gen/cholesky.hpp"
 #include "mc/conditional.hpp"
 #include "mc/engine.hpp"
+#include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -25,7 +26,12 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
 
   const auto g = gen::cholesky_dag(static_cast<int>(cli.get_int("k")));
-  const auto model = core::calibrate(g, cli.get_double("pfail"));
+  const double pfail = cli.get_double("pfail");
+  // Plain and control-variate MC sample the paper's geometric simulator;
+  // the conditional estimator is defined on the 2-state model.
+  const auto geometric =
+      scenario::Scenario::calibrated(g, pfail, core::RetryModel::Geometric);
+  const auto two_state = scenario::Scenario::calibrated(g, pfail);
 
   const std::vector<std::uint64_t> trial_counts = {1'000,  3'000,   10'000,
                                                    30'000, 100'000, 300'000};
@@ -36,16 +42,16 @@ int main(int argc, char** argv) {
     mc::McConfig plain;
     plain.trials = trials;
     plain.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto rp = mc::run_monte_carlo(g, model, plain);
+    const auto rp = mc::run_monte_carlo(geometric, plain);
 
     mc::McConfig cv = plain;
     cv.control_variate = true;
-    const auto rc = mc::run_monte_carlo(g, model, cv);
+    const auto rc = mc::run_monte_carlo(geometric, cv);
 
     mc::ConditionalMcConfig cond;
     cond.trials = trials;
     cond.seed = plain.seed;
-    const auto rq = mc::run_conditional_monte_carlo(g, model, cond);
+    const auto rq = mc::run_conditional_monte_carlo(two_state, cond);
 
     table.begin_row();
     table.add_int(static_cast<std::int64_t>(trials));

@@ -16,6 +16,7 @@
 #include "normal/clark_full.hpp"
 #include "normal/corlca.hpp"
 #include "normal/sculli.hpp"
+#include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -45,20 +46,25 @@ int main(int argc, char** argv) {
                      "ClarkFull_diff", "t_Sculli", "t_CorLCA",
                      "t_ClarkFull"});
   for (const auto& c : classes) {
-    const auto model = core::calibrate(c.dag, cli.get_double("pfail"));
+    const double pfail = cli.get_double("pfail");
     mc::McConfig cfg;
     cfg.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto mc = mc::run_monte_carlo(c.dag, model, cfg);
+    const auto mc = mc::run_monte_carlo(
+        scenario::Scenario::calibrated(c.dag, pfail,
+                                       core::RetryModel::Geometric),
+        cfg);
 
+    const auto sc = scenario::Scenario::calibrated(c.dag, pfail);
+    exp::Workspace ws;
     const util::Timer ts;
-    const double s = normal::sculli(c.dag, model).expected_makespan();
+    const double s = normal::sculli(sc, ws).expected_makespan();
     const double t_s = ts.seconds();
     const util::Timer tc;
-    const double co = normal::corlca(c.dag, model).expected_makespan();
+    const double co = normal::corlca(sc, ws).expected_makespan();
     const double t_c = tc.seconds();
     const util::Timer tf;
-    const double f = normal::clark_full(c.dag, model).expected_makespan();
+    const double f = normal::clark_full(sc, ws).expected_makespan();
     const double t_f = tf.seconds();
 
     table.begin_row();

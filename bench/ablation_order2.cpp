@@ -17,6 +17,7 @@
 #include "core/second_order.hpp"
 #include "gen/cholesky.hpp"
 #include "mc/engine.hpp"
+#include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -38,27 +39,26 @@ int main(int argc, char** argv) {
   util::Table table({"pfail", "lambda", "mc_mean", "FO_diff", "SO_diff",
                      "abs(FO)/abs(SO)", "t_FO", "t_SO"});
   for (const double pfail : pfails) {
-    const auto model = core::calibrate(g, pfail);
+    const auto sc =
+        scenario::Scenario::calibrated(g, pfail, core::RetryModel::Geometric);
     mc::McConfig cfg;
     cfg.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    cfg.retry = core::RetryModel::Geometric;
-    const auto mc = mc::run_monte_carlo(g, model, cfg);
+    const auto mc = mc::run_monte_carlo(sc, cfg);
 
+    exp::Workspace ws;
     const util::Timer t_fo;
-    const double fo = core::first_order(g, model).expected_makespan();
+    const double fo = core::first_order(sc, ws).expected_makespan();
     const double fo_seconds = t_fo.seconds();
     const util::Timer t_so;
-    const double so =
-        core::second_order(g, model, core::RetryModel::Geometric)
-            .expected_makespan;
+    const double so = core::second_order(sc, ws).expected_makespan;
     const double so_seconds = t_so.seconds();
 
     const double fo_diff = (fo - mc.mean) / mc.mean;
     const double so_diff = (so - mc.mean) / mc.mean;
     table.begin_row();
     table.add_double(pfail);
-    table.add_double(model.lambda);
+    table.add_double(sc.uniform_model().lambda);
     table.add_double(mc.mean);
     table.add_signed_sci(fo_diff);
     table.add_signed_sci(so_diff);

@@ -14,6 +14,7 @@
 #include "core/failure_model.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/lu.hpp"
+#include "scenario/scenario.hpp"
 #include "sched/fault_sim.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -41,11 +42,14 @@ int main(int argc, char** argv) {
   util::Table table({"class", "P", "mean_CP", "mean_aware", "improvement",
                      "ff_CP", "ci95_CP"});
   for (const auto& c : classes) {
-    const auto model = core::calibrate(c.dag, cli.get_double("pfail"));
+    // Fault injection samples the geometric retry model.
+    const auto sc = scenario::Scenario::calibrated(
+        c.dag, cli.get_double("pfail"), core::RetryModel::Geometric);
     const auto classic =
-        sched::priorities(c.dag, sched::PriorityKind::BottomLevel, model);
-    const auto aware = sched::priorities(
-        c.dag, sched::PriorityKind::FailureAwareBottomLevel, model);
+        sched::priorities(sc, sched::PriorityKind::BottomLevel);
+    const auto aware =
+        sched::priorities(sc, sched::PriorityKind::FailureAwareBottomLevel);
+    exp::Workspace ws;
 
     for (const std::size_t p : {2u, 4u, 8u, 16u}) {
       const sched::Machine machine(p);
@@ -53,9 +57,9 @@ int main(int argc, char** argv) {
       cfg.runs = static_cast<std::uint64_t>(cli.get_int("runs"));
       cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
       const auto r_classic =
-          sched::simulate_with_faults(c.dag, classic, machine, model, cfg);
+          sched::simulate_with_faults(sc, classic, machine, cfg, ws);
       const auto r_aware =
-          sched::simulate_with_faults(c.dag, aware, machine, model, cfg);
+          sched::simulate_with_faults(sc, aware, machine, cfg, ws);
 
       table.begin_row();
       table.add(c.name);

@@ -26,6 +26,7 @@
 #include "mc/engine.hpp"
 #include "mc/trial.hpp"
 #include "prob/rng.hpp"
+#include "scenario/scenario.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -46,10 +47,10 @@ double time_legacy(const graph::Dag& g, const core::FailureModel& model,
   return timer.seconds();
 }
 
-double time_csr(const graph::Dag& g, const core::FailureModel& model,
-                std::uint64_t trials, std::uint64_t seed) {
-  const mc::TrialContext ctx(g, model, core::RetryModel::Geometric);
-  std::vector<double> finish(g.task_count());
+double time_csr(const scenario::Scenario& sc, std::uint64_t trials,
+                std::uint64_t seed) {
+  const mc::TrialContext ctx(sc);
+  std::vector<double> finish(sc.task_count());
   const util::Timer timer;
   for (std::uint64_t t = 0; t < trials; ++t) {
     prob::McRng rng(seed, t);
@@ -87,7 +88,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(trials));
 
   const double legacy_s = time_legacy(g, model, trials, seed);
-  const double csr_s = time_csr(g, model, trials, seed);
+  const auto sc = scenario::Scenario::compile(g, model,
+                                              core::RetryModel::Geometric);
+  const double csr_s = time_csr(sc, trials, seed);
   const double legacy_ns = legacy_s * 1e9 / static_cast<double>(trials);
   const double csr_ns = csr_s * 1e9 / static_cast<double>(trials);
   const double speedup = legacy_s / csr_s;
@@ -103,11 +106,11 @@ int main(int argc, char** argv) {
   cfg.trials = std::min<std::uint64_t>(trials, 20'000);
   cfg.seed = seed;
   cfg.threads = 1;
-  const auto r1 = mc::run_monte_carlo(g, model, cfg);
+  const auto r1 = mc::run_monte_carlo(sc, cfg);
   cfg.threads = 2;
-  const auto r2 = mc::run_monte_carlo(g, model, cfg);
+  const auto r2 = mc::run_monte_carlo(sc, cfg);
   cfg.threads = 7;
-  const auto r7 = mc::run_monte_carlo(g, model, cfg);
+  const auto r7 = mc::run_monte_carlo(sc, cfg);
   const bool bit_identical = r1.mean == r2.mean && r2.mean == r7.mean &&
                              r1.variance == r2.variance &&
                              r2.variance == r7.variance;

@@ -9,7 +9,8 @@
 //                   acceptance pin: hierarchical evaluation must hold a
 //                   million-task scenario without memory blow-up.
 //   level_parallel  so serial (threads=1) vs 8 workers at 2*10^4 tasks —
-//                   the level-parallel sweep speedup.
+//                   the pair-sweep fan-out speedup (the JSON op keeps its
+//                   baseline name).
 //   memo            cold vs warm build_module_distributions on a DAG of
 //                   structurally identical modules — the memoization win.
 //   patch           one-task Scenario::patch vs a fresh compile at 10^5
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
 
   // ---- level_parallel: so serial vs 8 workers -------------------------
   // so's pair sweep is O(V^2), so its row runs at 2*10^4 — far above the
-  // 4096-task activation threshold, small enough for a CI lane. (fo has
+  // evaluator's 4096-task fan-out gate, small enough for a CI lane. (fo has
   // no parallel path: its linear sweep ran 0.3-0.5x serial when fanned
   // out.)
   {
@@ -154,7 +155,6 @@ int main(int argc, char** argv) {
 
       exp::EvalOptions par;
       par.threads = 8;
-      par.level_parallel_min_tasks = 0;
       checksum_guard += e->evaluate(sc, par).mean;  // warm pool
       const util::Timer pt;
       checksum_guard += e->evaluate(sc, par).mean;
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
 
       const double speedup =
           parallel_us > 0.0 ? serial_us / parallel_us : 0.0;
-      std::printf("  level-parallel %-3s n=%zu  serial %9.0f us  "
+      std::printf("  fan-out %-3s n=%zu  serial %9.0f us  "
                   "8-workers %9.0f us  speedup %.2fx\n",
                   method, g.task_count(), serial_us, parallel_us, speedup);
       bench::JsonWriter w;

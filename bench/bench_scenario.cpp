@@ -3,9 +3,9 @@
 // Compiled-vs-per-call microbenchmark for the Scenario redesign: the cost
 // of evaluating one (DAG, pfail) cell with every method through
 //
-//   (a) the legacy per-call path — evaluate(dag, model, retry, opt),
-//       which compiles a fresh Scenario (CSR build, topo sort, one
-//       exp/log1p pair per task) inside EVERY call, and
+//   (a) the compile-per-call path — Scenario::compile then
+//       evaluate(scenario, opt) for EVERY call (CSR build, topo sort, one
+//       exp/log1p pair per task each time), and
 //   (b) the compile-once path — one Scenario::compile, then
 //       evaluate(scenario, opt) repeatedly,
 //
@@ -75,13 +75,14 @@ int main(int argc, char** argv) {
     MethodRow row;
     row.name = name;
 
-    // (a) per-call: the legacy adapter compiles a scenario inside every
-    // evaluate() — the pre-redesign library did the equivalent rebuild.
+    // (a) per-call: compile a scenario for every evaluate().
     {
       const std::uint64_t before = scenario::Scenario::compiled_count();
       const util::Timer timer;
       for (std::uint64_t i = 0; i < reps; ++i) {
-        checksum_guard += e->evaluate(g, model, retry, opt).mean;
+        checksum_guard +=
+            e->evaluate(scenario::Scenario::compile(g, model, retry), opt)
+                .mean;
       }
       row.per_call_us = timer.seconds() * 1e6 / static_cast<double>(reps);
       row.per_call_compiles = scenario::Scenario::compiled_count() - before;
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
     {
       const std::uint64_t before = scenario::Scenario::compiled_count();
       const scenario::Scenario sc =
-          scenario::Scenario::compile(g, scenario::FailureSpec(model), retry);
+          scenario::Scenario::compile(g, model, retry);
       const util::Timer timer;
       for (std::uint64_t i = 0; i < reps; ++i) {
         checksum_guard += e->evaluate(sc, opt).mean;

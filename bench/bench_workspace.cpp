@@ -4,13 +4,11 @@
 // engine: the cost of one analytic evaluation of a compiled scenario
 // through three paths, over {fo, so, corlca, clark} x DAG sizes:
 //
-//   (a) legacy   — evaluate(dag, model, retry, opt): compiles a fresh
-//                  Scenario inside EVERY call (the pre-PR-3 cost
-//                  structure, kept for scale);
+//   (a) legacy   — Scenario::compile then evaluate(sc, opt) for EVERY
+//                  call: the compile-per-call cost structure, kept for
+//                  scale (reported under the `legacy_*` JSON keys);
 //   (b) per_call — evaluate(sc, opt, fresh Workspace): the compiled
-//                  scenario is shared but every call pays cold arenas,
-//                  i.e. the PR-3 cost structure where each kernel heap-
-//                  allocated its scratch vectors per call;
+//                  scenario is shared but every call pays cold arenas;
 //   (c) pooled   — evaluate(sc, opt, warm Workspace): the steady-state
 //                  serving path, zero allocations per call.
 //
@@ -78,8 +76,7 @@ int main(int argc, char** argv) {
   for (const int n : sizes) {
     const auto g = gen::erdos_dag(n, 0.2, 1234 + n);
     const auto model = core::calibrate(g, pfail);
-    const auto sc =
-        scenario::Scenario::compile(g, scenario::FailureSpec(model), retry);
+    const auto sc = scenario::Scenario::compile(g, model, retry);
 
     for (const std::string& name : methods) {
       const exp::Evaluator* e = reg.find(name);
@@ -88,14 +85,16 @@ int main(int argc, char** argv) {
       row.tasks = g.task_count();
       row.edges = g.edge_count();
 
-      // (a) legacy per-call compile. The second-order pair sweep makes
+      // (a) compile per call. The second-order pair sweep makes
       // full reps expensive at n=100; scale the rep count down — timings
       // are per-call averages either way.
       const std::uint64_t legacy_reps = std::max<std::uint64_t>(reps / 10, 1);
       {
         const util::Timer timer;
         for (std::uint64_t i = 0; i < legacy_reps; ++i) {
-          checksum_guard += e->evaluate(g, model, retry, opt).mean;
+          checksum_guard +=
+              e->evaluate(scenario::Scenario::compile(g, model, retry), opt)
+                  .mean;
         }
         row.legacy_us =
             timer.seconds() * 1e6 / static_cast<double>(legacy_reps);

@@ -32,8 +32,12 @@ struct LegacyTrialContext {
                      core::RetryModel retry_model)
       : dag(&g),
         topo(graph::topological_order(g)),
-        p_success(core::success_probabilities(g, model)),
-        retry(retry_model) {}
+        p_success(g.task_count()),
+        retry(retry_model) {
+    for (graph::TaskId i = 0; i < g.task_count(); ++i) {
+      p_success[i] = model.p_success(g.weight(i));
+    }
+  }
 };
 
 inline int legacy_sample_executions(const LegacyTrialContext& ctx,

@@ -54,11 +54,10 @@ BENCHMARK(BM_CriticalPath)->Arg(8)->Arg(12)->Arg(20);
 
 void BM_FirstOrder(benchmark::State& state) {
   const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
-  const auto topo = graph::topological_order(g);
-  const auto model = core::calibrate(g, 0.0001);
+  const auto sc = scenario::Scenario::calibrated(g, 0.0001);
+  exp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::first_order(g, model, topo).expected_makespan());
+    benchmark::DoNotOptimize(core::first_order(sc, ws).expected_makespan());
   }
   state.SetLabel(std::to_string(g.task_count()) + " tasks");
 }
@@ -66,10 +65,10 @@ BENCHMARK(BM_FirstOrder)->Arg(8)->Arg(12)->Arg(20);
 
 void BM_SecondOrder(benchmark::State& state) {
   const auto g = gen::cholesky_dag(static_cast<int>(state.range(0)));
-  const auto model = core::calibrate(g, 0.001);
+  const auto sc = scenario::Scenario::calibrated(g, 0.001);
+  exp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::second_order(g, model).expected_makespan);
+    benchmark::DoNotOptimize(core::second_order(sc, ws).expected_makespan);
   }
   state.SetLabel(std::to_string(g.task_count()) + " tasks");
 }
@@ -77,8 +76,9 @@ BENCHMARK(BM_SecondOrder)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_McTrial(benchmark::State& state) {
   const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
-  const auto model = core::calibrate(g, 0.001);
-  const mc::TrialContext ctx(g, model, core::RetryModel::Geometric);
+  const auto sc =
+      scenario::Scenario::calibrated(g, 0.001, core::RetryModel::Geometric);
+  const mc::TrialContext ctx(sc);
   prob::McRng rng(1);
   std::vector<double> durations(g.task_count());
   for (auto _ : state) {
@@ -91,8 +91,9 @@ BENCHMARK(BM_McTrial)->Arg(8)->Arg(12)->Arg(20);
 // The engine's hot path: fused allocation-free CSR trial kernel.
 void BM_McTrial_Csr(benchmark::State& state) {
   const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
-  const auto model = core::calibrate(g, 0.001);
-  const mc::TrialContext ctx(g, model, core::RetryModel::Geometric);
+  const auto sc =
+      scenario::Scenario::calibrated(g, 0.001, core::RetryModel::Geometric);
+  const mc::TrialContext ctx(sc);
   prob::McRng rng(1);
   std::vector<double> finish(g.task_count());
   for (auto _ : state) {
@@ -120,9 +121,10 @@ BENCHMARK(BM_McTrial_Legacy)->Arg(8)->Arg(12)->Arg(20);
 
 void BM_Sculli(benchmark::State& state) {
   const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
-  const auto model = core::calibrate(g, 0.001);
+  const auto sc = scenario::Scenario::calibrated(g, 0.001);
+  exp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(normal::sculli(g, model).expected_makespan());
+    benchmark::DoNotOptimize(normal::sculli(sc, ws).expected_makespan());
   }
   state.SetLabel(std::to_string(g.task_count()) + " tasks");
 }
@@ -130,9 +132,10 @@ BENCHMARK(BM_Sculli)->Arg(8)->Arg(12)->Arg(20);
 
 void BM_CorLca(benchmark::State& state) {
   const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
-  const auto model = core::calibrate(g, 0.001);
+  const auto sc = scenario::Scenario::calibrated(g, 0.001);
+  exp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(normal::corlca(g, model).expected_makespan());
+    benchmark::DoNotOptimize(normal::corlca(sc, ws).expected_makespan());
   }
   state.SetLabel(std::to_string(g.task_count()) + " tasks");
 }
@@ -140,10 +143,10 @@ BENCHMARK(BM_CorLca)->Arg(8)->Arg(12)->Arg(20);
 
 void BM_ClarkFull(benchmark::State& state) {
   const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
-  const auto model = core::calibrate(g, 0.001);
+  const auto sc = scenario::Scenario::calibrated(g, 0.001);
+  exp::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        normal::clark_full(g, model).expected_makespan());
+    benchmark::DoNotOptimize(normal::clark_full(sc, ws).expected_makespan());
   }
   state.SetLabel(std::to_string(g.task_count()) + " tasks");
 }
@@ -163,9 +166,9 @@ BENCHMARK(BM_Dodin)->Arg(4)->Arg(6);
 
 void BM_FailureAwareBottomLevels(benchmark::State& state) {
   const auto g = gen::cholesky_dag(static_cast<int>(state.range(0)));
-  const auto model = core::calibrate(g, 0.001);
+  const auto sc = scenario::Scenario::calibrated(g, 0.001);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::failure_aware_bottom_levels(g, model));
+    benchmark::DoNotOptimize(core::failure_aware_bottom_levels(sc));
   }
   state.SetLabel(std::to_string(g.task_count()) + " tasks");
 }

@@ -493,22 +493,17 @@ int cmd_schedule(int argc, const char* const* argv) {
   const scenario::Scenario sc = scenario_from_file(
       file, cli.get_flag("use-rates"), cli.get_double("pfail"),
       core::RetryModel::Geometric);
-  const graph::Dag& g = sc.dag();
-  // Priority computation needs a uniform model; heterogeneous scenarios
-  // use the mean rate for the failure-aware priorities (the simulation
-  // itself samples each task's own rate).
-  double mean_rate = 0.0;
-  for (const double r : sc.rates()) mean_rate += r;
-  mean_rate /= static_cast<double>(sc.task_count());
-  const core::FailureModel prio_model{mean_rate};
+  // Both the failure-aware priorities and the simulation read each
+  // task's own rate.
   const sched::Machine machine(static_cast<std::size_t>(cli.get_int("p")));
   sched::FaultSimConfig cfg;
   cfg.runs = static_cast<std::uint64_t>(cli.get_int("runs"));
+  exp::Workspace ws;
 
   for (const auto kind : {sched::PriorityKind::BottomLevel,
                           sched::PriorityKind::FailureAwareBottomLevel}) {
-    const auto prio = sched::priorities(g, kind, prio_model);
-    const auto r = sched::simulate_with_faults(sc, prio, machine, cfg);
+    const auto prio = sched::priorities(sc, kind);
+    const auto r = sched::simulate_with_faults(sc, prio, machine, cfg, ws);
     std::printf("%-24s failure-free %.5f, under faults mean %.5f (max "
                 "%.5f)\n",
                 kind == sched::PriorityKind::BottomLevel
@@ -551,7 +546,8 @@ int cmd_critical(int argc, const char* const* argv) {
   const graph::Dag& g = sc.dag();
   core::CriticalityConfig cfg;
   cfg.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  const auto prob = core::criticality_probabilities(sc, cfg);
+  exp::Workspace ws;
+  const auto prob = core::criticality_probabilities(sc, cfg, ws);
   const auto slack = core::slacks(g);
 
   std::vector<graph::TaskId> order(g.task_count());

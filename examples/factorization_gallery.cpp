@@ -22,7 +22,7 @@
 #include "gen/qr.hpp"
 #include "graph/dot.hpp"
 #include "graph/longest_path.hpp"
-#include "mc/engine.hpp"
+#include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -53,13 +53,14 @@ void describe(const expmk::graph::Dag& g, const std::string& name,
   std::printf("\n  mean task weight %.4f s, critical path %.4f s\n",
               g.mean_weight(), graph::critical_path_length(g));
 
+  exp::Workspace ws;
   for (const double pfail : {0.01, 0.001, 0.0001}) {
-    const auto model = core::calibrate(g, pfail);
-    const auto fo = core::first_order(g, model);
+    const auto sc = scenario::Scenario::calibrated(g, pfail);
+    const auto fo = core::first_order(sc, ws);
     std::printf(
         "  pfail=%-7g lambda=%.6f  E[makespan] ~ %.6f s (first order, "
         "+%.4f%% over failure-free)\n",
-        pfail, model.lambda, fo.expected_makespan(),
+        pfail, sc.uniform_model().lambda, fo.expected_makespan(),
         100.0 * fo.correction / fo.critical_path);
   }
   std::printf("\n");

@@ -16,6 +16,7 @@
 #include "gen/cholesky.hpp"
 #include "mc/engine.hpp"
 #include "mc/histogram.hpp"
+#include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -27,13 +28,17 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
 
   const auto g = gen::cholesky_dag(static_cast<int>(cli.get_int("k")));
-  const auto model = core::calibrate(g, cli.get_double("pfail"));
+  // Monte-Carlo samples the paper's geometric retry model; the
+  // first-order estimate is model-independent to O(lambda^2).
+  const auto sc = scenario::Scenario::calibrated(
+      g, cli.get_double("pfail"), core::RetryModel::Geometric);
+  exp::Workspace ws;
 
   std::printf("Cholesky k=%lld: %zu tasks, lambda=%.5f\n",
               static_cast<long long>(cli.get_int("k")), g.task_count(),
-              model.lambda);
+              sc.uniform_model().lambda);
   std::printf("first-order estimate: %.6f s\n\n",
-              core::first_order(g, model).expected_makespan());
+              core::first_order(sc, ws).expected_makespan());
 
   std::printf("%-10s %-12s %-12s %-14s %-12s\n", "trials", "mean",
               "ci95", "cv_ci95", "var_redux");
@@ -42,9 +47,9 @@ int main(int argc, char** argv) {
     mc::McConfig cfg;
     cfg.trials = trials;
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto plain = mc::run_monte_carlo(g, model, cfg);
+    const auto plain = mc::run_monte_carlo(sc, cfg);
     cfg.control_variate = true;
-    const auto cv = mc::run_monte_carlo(g, model, cfg);
+    const auto cv = mc::run_monte_carlo(sc, cfg);
     std::printf("%-10llu %-12.6f %-12.6f %-14.6f %-12.2f\n",
                 static_cast<unsigned long long>(trials), plain.mean,
                 plain.ci95_half_width, cv.ci95_half_width,
@@ -56,7 +61,7 @@ int main(int argc, char** argv) {
   cfg.trials = 100'000;
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   cfg.capture_samples = true;
-  const auto r = mc::run_monte_carlo(g, model, cfg);
+  const auto r = mc::run_monte_carlo(sc, cfg);
   std::printf("\nmakespan distribution (100k samples): min=%.4f max=%.4f\n",
               r.min, r.max);
   std::printf("quantiles: p50=%.4f p90=%.4f p99=%.4f\n",

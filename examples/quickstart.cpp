@@ -57,32 +57,33 @@ int main() {
               "task)\n\n",
               sc.uniform_model().lambda);
 
-  // 3. Hand the SAME scenario to every estimator. No estimator re-derives
-  //    the CSR view, the topological order or the e^{-lambda a_i} table.
-  const auto fo = core::first_order(sc);
+  // 3. Hand the SAME scenario to every estimator, each with one scratch
+  //    Workspace reused across calls. No estimator re-derives the CSR
+  //    view, the topological order or the e^{-lambda a_i} table.
+  exp::Workspace ws;
+  const auto fo = core::first_order(sc, ws);
   std::printf("%-28s %.6f s  (= %.6f + correction %.6f)\n",
               "first order (the paper):", fo.expected_makespan(),
               fo.critical_path, fo.correction);
 
-  const auto so = core::second_order(sc);
+  const auto so = core::second_order(sc, ws);
   std::printf("%-28s %.6f s\n", "second order (extension):",
               so.expected_makespan);
 
-  exp::Workspace ws;
   const auto dodin = sp::dodin_two_state_flat(sc, {.max_atoms = 0}, ws);
   std::printf("%-28s %.6f s  (%zu duplications)\n", "Dodin (competitor):",
               dodin.mean, dodin.duplications);
 
   std::printf("%-28s %.6f s\n", "Normal / Sculli:",
-              normal::sculli(sc).expected_makespan());
+              normal::sculli(sc, ws).expected_makespan());
   std::printf("%-28s %.6f s\n", "CorLCA:",
-              normal::corlca(sc).expected_makespan());
+              normal::corlca(sc, ws).expected_makespan());
   std::printf("%-28s %.6f s\n", "Clark full covariance:",
-              normal::clark_full(sc).expected_makespan());
+              normal::clark_full(sc, ws).expected_makespan());
 
   // 4. Tiny graph, so the exact #P computation is feasible too.
   std::printf("%-28s %.6f s\n", "exact (enumeration):",
-              core::exact_two_state(sc));
+              core::exact_two_state(sc, ws));
 
   // 5. Monte-Carlo ground truth with the true (geometric) retry model —
   //    a different retry model is a different scenario, so compile one.
@@ -106,10 +107,10 @@ int main() {
       g, scenario::FailureSpec::per_task(rates), core::RetryModel::TwoState);
   std::printf("\nheterogeneous rates (prepare protected, solve_big 10x):\n");
   std::printf("%-28s %.6f s\n", "first order:",
-              core::first_order(sc_het).expected_makespan());
+              core::first_order(sc_het, ws).expected_makespan());
   std::printf("%-28s %.6f s\n", "second order:",
-              core::second_order(sc_het).expected_makespan);
+              core::second_order(sc_het, ws).expected_makespan);
   std::printf("%-28s %.6f s\n", "exact (enumeration):",
-              core::exact_two_state(sc_het));
+              core::exact_two_state(sc_het, ws));
   return 0;
 }

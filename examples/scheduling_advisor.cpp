@@ -15,7 +15,7 @@
 #include "gen/cholesky.hpp"
 #include "gen/lu.hpp"
 #include "gen/qr.hpp"
-#include "graph/longest_path.hpp"
+#include "scenario/scenario.hpp"
 #include "sched/fault_sim.hpp"
 #include "util/cli.hpp"
 
@@ -36,26 +36,29 @@ int main(int argc, char** argv) {
                  : cls == "qr"     ? gen::qr_dag(k)
                                    : gen::lu_dag(k);
 
-  const auto model = core::calibrate(g, cli.get_double("pfail"));
+  // Fault injection samples the geometric retry model.
+  const auto sc = scenario::Scenario::calibrated(
+      g, cli.get_double("pfail"), core::RetryModel::Geometric);
   const sched::Machine machine(static_cast<std::size_t>(cli.get_int("p")));
 
   std::printf("%s k=%d: %zu tasks, critical path %.3f s, lambda %.5f, "
               "P=%zu\n\n",
               cls.c_str(), k, g.task_count(),
-              graph::critical_path_length(g), model.lambda,
+              sc.critical_path(), sc.uniform_model().lambda,
               machine.processors());
 
   const auto classic =
-      sched::priorities(g, sched::PriorityKind::BottomLevel, model);
-  const auto aware = sched::priorities(
-      g, sched::PriorityKind::FailureAwareBottomLevel, model);
+      sched::priorities(sc, sched::PriorityKind::BottomLevel);
+  const auto aware =
+      sched::priorities(sc, sched::PriorityKind::FailureAwareBottomLevel);
 
   sched::FaultSimConfig cfg;
   cfg.runs = static_cast<std::uint64_t>(cli.get_int("runs"));
+  exp::Workspace ws;
   const auto r_classic =
-      sched::simulate_with_faults(g, classic, machine, model, cfg);
+      sched::simulate_with_faults(sc, classic, machine, cfg, ws);
   const auto r_aware =
-      sched::simulate_with_faults(g, aware, machine, model, cfg);
+      sched::simulate_with_faults(sc, aware, machine, cfg, ws);
 
   std::printf("%-26s %-12s %-12s %-12s %-12s\n", "priority scheme",
               "failure-free", "mean", "p95-ish(max)", "ci95");

@@ -39,8 +39,8 @@ void inspect(const char* name, const graph::Dag& g,
               "", dodin.mean, dodin.duplications, law.size());
   if (g.task_count() <= 16) {
     std::printf("%-28s exact: E=%.6f  (dodin bias %+.3e)\n", "",
-                core::exact_two_state(sc),
-                dodin.mean - core::exact_two_state(sc));
+                core::exact_two_state(sc, ws),
+                dodin.mean - core::exact_two_state(sc, ws));
   }
   std::printf("\n");
 }

@@ -5,51 +5,46 @@
 
 #include "graph/levels.hpp"
 #include "graph/longest_path.hpp"
-#include "graph/topological.hpp"
 
 namespace expmk::core {
 
 namespace {
 
-double level_for(const graph::Dag& g, const FailureModel& model,
-                 graph::TaskId task, std::span<const graph::TaskId> topo,
+double level_for(const scenario::Scenario& sc, graph::TaskId task,
                  const std::vector<double>& bottom) {
+  const graph::Dag& g = sc.dag();
   const auto& w = g.weights();
-  const auto lp = graph::longest_from(g, task, w, topo);
+  const auto lp = graph::longest_from(g, task, w, sc.topo());
+  const bool het = sc.heterogeneous();
+  const std::span<const double> rates = sc.rates();
   const double base = bottom[task];
   double correction = 0.0;
   for (graph::TaskId j = 0; j < g.task_count(); ++j) {
     if (lp[j] == -std::numeric_limits<double>::infinity()) continue;
-    correction += w[j] * std::max(0.0, lp[j] + bottom[j] - base);
+    const double term = w[j] * std::max(0.0, lp[j] + bottom[j] - base);
+    correction += het ? rates[j] * term : term;
   }
-  return base + model.lambda * correction;
+  // Uniform: scale the sum by lambda once.
+  return base + (het ? correction : sc.uniform_model().lambda * correction);
 }
 
 }  // namespace
 
-std::vector<double> failure_aware_bottom_levels(
-    const graph::Dag& g, const FailureModel& model,
-    std::span<const graph::TaskId> topo) {
-  const auto bottom = graph::bottom_levels(g, g.weights(), topo);
+std::vector<double> failure_aware_bottom_levels(const scenario::Scenario& sc) {
+  const graph::Dag& g = sc.dag();
+  const auto bottom = graph::bottom_levels(g, g.weights(), sc.topo());
   std::vector<double> out(g.task_count());
   for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-    out[i] = level_for(g, model, i, topo, bottom);
+    out[i] = level_for(sc, i, bottom);
   }
   return out;
 }
 
-std::vector<double> failure_aware_bottom_levels(const graph::Dag& g,
-                                                const FailureModel& model) {
-  const auto topo = graph::topological_order(g);
-  return failure_aware_bottom_levels(g, model, topo);
-}
-
-double failure_aware_bottom_level(const graph::Dag& g,
-                                  const FailureModel& model,
-                                  graph::TaskId task,
-                                  std::span<const graph::TaskId> topo) {
-  const auto bottom = graph::bottom_levels(g, g.weights(), topo);
-  return level_for(g, model, task, topo, bottom);
+double failure_aware_bottom_level(const scenario::Scenario& sc,
+                                  graph::TaskId task) {
+  const graph::Dag& g = sc.dag();
+  const auto bottom = graph::bottom_levels(g, g.weights(), sc.topo());
+  return level_for(sc, task, bottom);
 }
 
 }  // namespace expmk::core

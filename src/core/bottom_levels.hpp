@@ -21,26 +21,21 @@
 
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "core/failure_model.hpp"
 #include "graph/dag.hpp"
+#include "scenario/scenario.hpp"
 
 namespace expmk::core {
 
-/// Failure-aware (first-order expected) bottom level of every task.
+/// Failure-aware (first-order expected) bottom level of every task, in Dag
+/// id order. Under heterogeneous per-task rates the correction generalizes
+/// term-by-term (lambda_j a_j in place of lambda a_j), as in first_order.
 [[nodiscard]] std::vector<double> failure_aware_bottom_levels(
-    const graph::Dag& g, const FailureModel& model);
-
-/// As above with a caller-provided topological order.
-[[nodiscard]] std::vector<double> failure_aware_bottom_levels(
-    const graph::Dag& g, const FailureModel& model,
-    std::span<const graph::TaskId> topo);
+    const scenario::Scenario& sc);
 
 /// Single-task variant (useful when only a few priorities are needed).
-[[nodiscard]] double failure_aware_bottom_level(
-    const graph::Dag& g, const FailureModel& model, graph::TaskId task,
-    std::span<const graph::TaskId> topo);
+[[nodiscard]] double failure_aware_bottom_level(const scenario::Scenario& sc,
+                                                graph::TaskId task);
 
 }  // namespace expmk::core

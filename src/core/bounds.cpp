@@ -1,67 +1,22 @@
 #include "core/bounds.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
-#include <vector>
 
-#include "exp/level_parallel.hpp"
 #include "graph/longest_path.hpp"
-#include "graph/metrics.hpp"
-#include "graph/topological.hpp"
-#include "prob/discrete_distribution.hpp"
 #include "prob/dist_kernels.hpp"
+#include "util/thread_pool.hpp"
 
 namespace expmk::core {
 
 namespace {
 
-/// Shared body over per-task success probabilities. With the uniform
-/// p_i = e^{-lambda a_i} this performs the exact arithmetic of the
-/// pre-Scenario implementation (a_i (2 - p_i) is FailureModel's 2-state
-/// expected duration), so the two entry points agree bitwise.
-/// `expected_two_state` is an optional cache of exactly those values
-/// (Scenario::expected_durations() of a TwoState scenario); empty means
-/// compute them here.
-MakespanBounds bounds_impl(const graph::Dag& g,
-                           std::span<const graph::TaskId> topo,
-                           std::span<const double> p,
-                           std::span<const double> expected_two_state) {
-  MakespanBounds out;
-  out.failure_free = graph::critical_path_length(g, g.weights(), topo);
-
-  // Jensen: longest path on expected durations (always the 2-state law —
-  // the bounds are statements about the 2-state model).
-  std::vector<double> expected_storage;
-  if (expected_two_state.empty()) {
-    expected_storage.resize(g.task_count());
-    for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-      expected_storage[i] = g.weight(i) * (2.0 - p[i]);
-    }
-    expected_two_state = expected_storage;
-  }
-  out.jensen_lower =
-      graph::critical_path_length(g, expected_two_state, topo);
-
-  // Level decomposition: E[ sum_l max_{i in L_l} X_i ].
-  const auto levels = graph::level_partition(g);
-  double upper = 0.0;
-  for (const auto& level : levels) {
-    prob::DiscreteDistribution level_max = prob::DiscreteDistribution::point(0.0);
-    for (const graph::TaskId i : level) {
-      const double a = g.weight(i);
-      if (a <= 0.0) continue;
-      level_max = prob::DiscreteDistribution::max_of(
-          level_max, prob::DiscreteDistribution::two_state(a, p[i]));
-    }
-    upper += level_max.mean();
-  }
-  out.level_upper = upper;
-  return out;
-}
+/// Pool tasks per worker in the fan-out variant: enough for load balance,
+/// few enough that per-task submission stays negligible.
+constexpr std::size_t kChunksPerWorker = 4;
 
 /// Jensen lower bound over the compiled scenario, into leased scratch —
-/// shared verbatim by the serial and level-parallel workspace kernels.
+/// shared verbatim by the serial kernel and its fan-out variant.
 EXPMK_NOALLOC double jensen_bound(const scenario::Scenario& sc,
                                   exp::Workspace& ws) {
   const graph::Dag& g = sc.dag();
@@ -70,8 +25,7 @@ EXPMK_NOALLOC double jensen_bound(const scenario::Scenario& sc,
   const std::span<const double> p = sc.p_success();
   // A TwoState scenario caches exactly a_i (2 - p_i); under Geometric
   // retry the cache holds the geometric ones, so compute the 2-state
-  // values into a leased span with the same expression the per-call path
-  // used.
+  // values into a leased span.
   std::span<const double> expected;
   if (sc.retry() == RetryModel::TwoState) {
     expected = sc.expected_durations();
@@ -89,7 +43,7 @@ EXPMK_NOALLOC double jensen_bound(const scenario::Scenario& sc,
 /// Flat level partition into leased scratch: level index per task (pure
 /// dataflow, so any topological order yields graph::level_partition's
 /// values), then a counting sort that reproduces its ascending-id order
-/// per level. Shared by both workspace kernels.
+/// per level. Shared by the serial kernel and its fan-out variant.
 struct LevelPartition {
   std::size_t depth = 0;                 ///< max_level + 1
   std::span<std::uint32_t> offsets;      ///< size depth + 1
@@ -130,13 +84,13 @@ EXPMK_NOALLOC LevelPartition build_level_partition(
 }
 
 /// E[ max_{i in tasks} X_i ] of one level via the shared flat kernels
-/// (prob/dist_kernels.hpp) — the same max_of arithmetic the
-/// DiscreteDistribution object fold of the Dag entry point runs, on
-/// leased Atom arenas instead of freshly allocated vectors, so the two
-/// paths agree bitwise (pinned by tests/test_workspace.cpp). The result
+/// (prob/dist_kernels.hpp) — the same max_of arithmetic a
+/// DiscreteDistribution object fold runs, on leased Atom arenas instead
+/// of freshly allocated vectors, so the two agree bitwise (pinned against
+/// tests/reference_estimators by tests/test_workspace.cpp). The result
 /// does not depend on the arenas' capacity, only that it suffices
 /// (2 * tasks.size() + 2), so per-level and whole-graph arenas give the
-/// same bits — which is what lets the parallel kernel lease per level.
+/// same bits — which is what lets the fan-out variant lease per level.
 EXPMK_NOALLOC double level_fold_mean(const graph::Dag& g,
                                      std::span<const double> p,
                                      std::span<const std::uint32_t> tasks,
@@ -159,13 +113,6 @@ EXPMK_NOALLOC double level_fold_mean(const graph::Dag& g,
 
 }  // namespace
 
-MakespanBounds makespan_bounds(const graph::Dag& g,
-                               const FailureModel& model) {
-  const auto topo = graph::topological_order(g);
-  const auto p = success_probabilities(g, model);
-  return bounds_impl(g, topo, p, {});
-}
-
 EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                exp::Workspace& ws) {
   const exp::Workspace::Frame frame(ws);
@@ -174,9 +121,7 @@ EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
   const std::span<const double> p = sc.p_success();
 
   MakespanBounds out;
-  // d(G) is cached at compile; finish[v] is uniquely determined by the
-  // graph, so the cached CSR sweep and the Dag sweep the per-call path
-  // ran produce the identical double.
+  // d(G) is cached at compile.
   out.failure_free = sc.critical_path();
   out.jensen_lower = jensen_bound(sc, ws);
 
@@ -200,11 +145,6 @@ EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
   return out;
 }
 
-MakespanBounds makespan_bounds(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return makespan_bounds(sc, ws);
-}
-
 MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                exp::Workspace& ws, std::size_t workers) {
   if (workers <= 1) return makespan_bounds(sc, ws);
@@ -219,19 +159,24 @@ MakespanBounds makespan_bounds(const scenario::Scenario& sc,
   const LevelPartition lp = build_level_partition(g, sc.topo(), ws);
 
   // Levels are mutually independent, so the folds — the dominant cost —
-  // fan out one level per chunk; each worker leases right-sized arenas
-  // from its thread-local pooled workspace. The means land in per-level
+  // fan out: levels are dealt round-robin to a few chunks per worker (one
+  // pool task per chunk, not per level; strided so wide and narrow levels
+  // spread evenly), and each fold leases right-sized arenas from the
+  // worker's thread-local pooled workspace. The means land in per-level
   // slots and fold serially in level order: the serial kernel's exact
   // addition sequence.
   const std::span<double> level_mean = ws.doubles(lp.depth);
-  exp::lp::run_chunks(workers, lp.depth, [&](std::size_t l) {
+  const std::size_t chunks = std::min(lp.depth, kChunksPerWorker * workers);
+  util::for_each_chunk(workers, chunks, [&](std::size_t c) {
     exp::Workspace& tws = exp::Workspace::local();
-    const exp::Workspace::Frame tframe(tws);
-    const std::size_t len = lp.offsets[l + 1] - lp.offsets[l];
-    const std::size_t cap = 2 * len + 2;
-    level_mean[l] = level_fold_mean(
-        g, p, lp.by_level.subspan(lp.offsets[l], len), tws.atoms(cap),
-        tws.atoms(cap), tws.doubles(cap));
+    for (std::size_t l = c; l < lp.depth; l += chunks) {
+      const exp::Workspace::Frame tframe(tws);
+      const std::size_t len = lp.offsets[l + 1] - lp.offsets[l];
+      const std::size_t cap = 2 * len + 2;
+      level_mean[l] = level_fold_mean(
+          g, p, lp.by_level.subspan(lp.offsets[l], len), tws.atoms(cap),
+          tws.atoms(cap), tws.doubles(cap));
+    }
   });
   double upper = 0.0;
   for (std::size_t l = 0; l < lp.depth; ++l) upper += level_mean[l];

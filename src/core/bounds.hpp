@@ -21,7 +21,6 @@
 
 #include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
-#include "graph/dag.hpp"
 #include "scenario/scenario.hpp"
 #include "util/contracts.hpp"
 
@@ -34,34 +33,27 @@ struct MakespanBounds {
   double level_upper = 0.0;    ///< sum of per-level expected maxima
 };
 
-/// Computes all bounds under the 2-state model. O(V + E) plus the
-/// per-level max distributions (atom count bounded by level width + 1).
-[[nodiscard]] MakespanBounds makespan_bounds(const graph::Dag& g,
-                                             const FailureModel& model);
-
-/// Workspace kernel — the implementation the Scenario entry point
-/// forwards to. Everything the per-call path allocated moves into leased
-/// arenas: the Jensen longest-path scratch, the level partition (flat
-/// counting sort instead of vector-of-vectors), and the per-level max
-/// distributions (flat atom arrays mirroring DiscreteDistribution::max_of
-/// operation-for-operation, so the values match the distribution-object
-/// fold bitwise). ZERO heap allocations on a warm workspace.
+/// Computes all bounds under the 2-state model, O(V + E) plus the
+/// per-level max distributions (atom count bounded by level width + 1) —
+/// the serial kernel. Both bounds are built from per-task success
+/// probabilities, so heterogeneous rates are supported: Jensen uses
+/// E[X_i] = a_i (2 - p_i), the level bound each task's own 2-state law.
+/// All scratch is leased: the Jensen longest-path buffer, the level
+/// partition (flat counting sort), and the per-level max distributions
+/// (flat atom arrays mirroring DiscreteDistribution::max_of
+/// operation-for-operation, so the values match a distribution-object
+/// fold bitwise — tests/reference_estimators keeps that fold as the
+/// oracle). ZERO heap allocations on a warm workspace.
 EXPMK_NOALLOC [[nodiscard]] MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                              exp::Workspace& ws);
 
-/// Scenario-based entry point. Both bounds are built from per-task
-/// success probabilities, so heterogeneous rates are supported: Jensen
-/// uses E[X_i] = a_i (2 - p_i), the level bound each task's own 2-state
-/// law. Lease-a-temporary adapter over the workspace kernel.
-[[nodiscard]] MakespanBounds makespan_bounds(const scenario::Scenario& sc);
-
-/// Level-parallel variant: the per-level expected-maximum folds — the
-/// dominant cost — fan out across `workers` threads (levels are mutually
-/// independent; each worker leases its arenas from the thread-local
-/// pooled workspace), and the per-level means fold serially in level
-/// order. Bit-identical to the serial kernel for any worker count;
-/// `workers <= 1` delegates to it (the parallel path is not
-/// EXPMK_NOALLOC — task futures allocate).
+/// Fan-out variant: the per-level expected-maximum folds — the dominant
+/// cost — fan out across `workers` threads through util::for_each_chunk
+/// (levels are mutually independent; each worker leases its arenas from
+/// the thread-local pooled workspace), and the per-level means fold
+/// serially in level order. Bit-identical to the serial kernel for any
+/// worker count; `workers <= 1` delegates to it (the fan-out is not
+/// EXPMK_NOALLOC — the pool and its futures allocate).
 [[nodiscard]] MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                              exp::Workspace& ws,
                                              std::size_t workers);

@@ -30,11 +30,10 @@ std::vector<graph::TaskId> critical_tasks(const graph::Dag& g,
   return out;
 }
 
-namespace {
-
-std::vector<double> criticality_impl(const mc::TrialContext& ctx,
-                                     const CriticalityConfig& config,
-                                     exp::Workspace& ws) {
+std::vector<double> criticality_probabilities(
+    const scenario::Scenario& sc, const CriticalityConfig& config,
+    exp::Workspace& ws) {
+  const mc::TrialContext ctx(sc);
   const exp::Workspace::Frame frame(ws);
   const graph::CsrDag& csr = ctx.csr();
   const std::size_t n = csr.task_count();
@@ -50,9 +49,7 @@ std::vector<double> criticality_impl(const mc::TrialContext& ctx,
     prob::McRng rng(config.seed, t);
     // Sample durations straight in position order (ignore the returned
     // makespan; we recompute levels to identify all tasks with zero
-    // slack this trial). Level values are graph-determined, so the CSR
-    // sweep matches the Dag-order sweep the pre-workspace implementation
-    // ran, bit for bit.
+    // slack this trial).
     (void)mc::run_trial_durations_csr(ctx, rng, finish, dur_pos);
     const double d = graph::compute_levels(csr, dur_pos, top, bottom);
     for (std::uint32_t pos = 0; pos < n; ++pos) {
@@ -67,28 +64,6 @@ std::vector<double> criticality_impl(const mc::TrialContext& ctx,
     out[i] = static_cast<double>(hits[i]) / total;
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<double> criticality_probabilities(
-    const graph::Dag& g, const FailureModel& model,
-    const CriticalityConfig& config) {
-  const mc::TrialContext ctx(g, model, config.retry);
-  exp::Workspace ws;
-  return criticality_impl(ctx, config, ws);
-}
-
-std::vector<double> criticality_probabilities(
-    const scenario::Scenario& sc, const CriticalityConfig& config,
-    exp::Workspace& ws) {
-  return criticality_impl(mc::TrialContext(sc), config, ws);
-}
-
-std::vector<double> criticality_probabilities(
-    const scenario::Scenario& sc, const CriticalityConfig& config) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return criticality_probabilities(sc, config, ws);
 }
 
 }  // namespace expmk::core

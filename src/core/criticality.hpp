@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
 #include "graph/dag.hpp"
 #include "scenario/scenario.hpp"
@@ -36,27 +35,17 @@ namespace expmk::core {
 struct CriticalityConfig {
   std::uint64_t trials = 10'000;
   std::uint64_t seed = 0xCA11;
-  RetryModel retry = RetryModel::Geometric;
 };
 
 /// out[i] = estimated probability that task i lies on a longest path when
-/// durations are sampled from the silent-error model. O(trials * (V+E)).
-[[nodiscard]] std::vector<double> criticality_probabilities(
-    const graph::Dag& g, const FailureModel& model,
-    const CriticalityConfig& config = {});
-
-/// Workspace kernel: every per-trial buffer (sampled durations, the CSR
-/// level arrays, the hit counters) is leased from `ws`, so the only heap
-/// allocation per call is the returned probability vector itself.
+/// durations are sampled from the scenario's silent-error model (its
+/// retry model governs sampling; heterogeneous per-task rates
+/// supported). O(trials * (V+E)). Every per-trial buffer (sampled
+/// durations, the CSR level arrays, the hit counters) is leased from
+/// `ws`, so the only heap allocation per call is the returned probability
+/// vector itself.
 [[nodiscard]] std::vector<double> criticality_probabilities(
     const scenario::Scenario& sc, const CriticalityConfig& config,
     exp::Workspace& ws);
-
-/// Scenario-based entry point (no CSR rebuild; heterogeneous per-task
-/// rates supported). `config.retry` is ignored — the scenario's retry
-/// model governs sampling. Lease-a-temporary adapter over the workspace
-/// kernel.
-[[nodiscard]] std::vector<double> criticality_probabilities(
-    const scenario::Scenario& sc, const CriticalityConfig& config = {});
 
 }  // namespace expmk::core

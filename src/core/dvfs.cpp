@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "core/first_order.hpp"
-#include "graph/topological.hpp"
+#include "scenario/scenario.hpp"
 
 namespace expmk::core {
 
@@ -26,10 +26,6 @@ double DvfsModel::lambda(double s) const {
   return lambda0 * std::pow(10.0, sensitivity * (smax - s) / (smax - smin));
 }
 
-FailureModel DvfsModel::failure_model(double s) const {
-  return FailureModel{lambda(s)};
-}
-
 std::vector<DvfsPoint> dvfs_sweep(const graph::Dag& g, const DvfsModel& model,
                                   const std::vector<double>& speeds) {
   if (speeds.empty()) {
@@ -40,14 +36,17 @@ std::vector<DvfsPoint> dvfs_sweep(const graph::Dag& g, const DvfsModel& model,
 
   // Scaled copy reused across speeds.
   graph::Dag scaled = g;
-  const auto topo = graph::topological_order(g);
+  exp::Workspace ws;
 
   for (const double s : speeds) {
     const double lam = model.lambda(s);
     for (graph::TaskId i = 0; i < g.task_count(); ++i) {
       scaled.set_weight(i, g.weight(i) / s);
     }
-    const auto fo = first_order(scaled, FailureModel{lam}, topo);
+    const auto fo = first_order(
+        scenario::Scenario::compile(scaled,
+                                    scenario::FailureSpec::uniform(lam)),
+        ws);
 
     DvfsPoint p;
     p.speed = s;

@@ -37,10 +37,6 @@ struct DvfsModel {
   /// lambda(s); throws std::invalid_argument outside [smin, smax] or for
   /// a degenerate speed range.
   [[nodiscard]] double lambda(double s) const;
-
-  /// FailureModel at speed s (for weights expressed at unit speed; pair
-  /// with scaled_weights()).
-  [[nodiscard]] FailureModel failure_model(double s) const;
 };
 
 /// Per-point result of a speed sweep.
@@ -57,7 +53,8 @@ struct DvfsPoint {
 
 /// Evaluates the makespan/energy trade-off of running the whole DAG at
 /// each speed in `speeds` (weights are divided by s; lambda follows the
-/// DVFS law). Uses the first-order estimator.
+/// DVFS law): one compiled uniform-rate Scenario per speed, evaluated by
+/// the first-order kernel.
 [[nodiscard]] std::vector<DvfsPoint> dvfs_sweep(
     const graph::Dag& g, const DvfsModel& model,
     const std::vector<double>& speeds);

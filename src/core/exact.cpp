@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/longest_path.hpp"
-#include "graph/topological.hpp"
 
 namespace expmk::core {
 
@@ -24,19 +23,22 @@ EXPMK_NOALLOC void check_size(const graph::Dag& g, std::size_t limit) {
   }
 }
 
-// The enumeration bodies are parameterized on the per-task success
-// probabilities (and an arbitrary valid topological order), so the uniform
-// and heterogeneous entry points share one implementation. The critical-
-// path values are order-invariant across topological orders (each
-// finish[v] is uniquely determined by the graph), so Dag-order and
-// CSR-order callers produce bit-identical expectations.
+}  // namespace
 
-EXPMK_NOALLOC double two_state_expectation(const graph::Dag& g,
-                             std::span<const graph::TaskId> topo,
-                             std::span<const double> p,
-                             std::span<double> weights,
-                             std::span<double> finish) {
+// The enumerations read the per-task success probabilities (and the
+// scenario's topological order), so uniform and heterogeneous scenarios
+// share one implementation.
+
+EXPMK_NOALLOC double exact_two_state(const scenario::Scenario& sc,
+                                     exp::Workspace& ws) {
+  const graph::Dag& g = sc.dag();
+  check_size(g, kMaxExactTasks);
+  const exp::Workspace::Frame frame(ws);
   const std::size_t n = g.task_count();
+  const std::span<const graph::TaskId> topo = sc.topo();
+  const std::span<const double> p = sc.p_success();
+  const std::span<double> weights = ws.doubles(n);
+  const std::span<double> finish = ws.doubles(n);
   double expectation = 0.0;
   for (std::uint64_t mask = 0; mask < (1ULL << n); ++mask) {
     double prob = 1.0;
@@ -52,18 +54,13 @@ EXPMK_NOALLOC double two_state_expectation(const graph::Dag& g,
   return expectation;
 }
 
-double two_state_expectation(const graph::Dag& g,
-                             std::span<const graph::TaskId> topo,
-                             std::span<const double> p) {
-  std::vector<double> weights(g.task_count());
-  std::vector<double> finish(g.task_count());
-  return two_state_expectation(g, topo, p, weights, finish);
-}
-
-prob::DiscreteDistribution two_state_distribution(
-    const graph::Dag& g, std::span<const graph::TaskId> topo,
-    std::span<const double> p) {
+prob::DiscreteDistribution exact_two_state_distribution(
+    const scenario::Scenario& sc) {
+  const graph::Dag& g = sc.dag();
+  check_size(g, kMaxExactTasks);
   const std::size_t n = g.task_count();
+  const std::span<const graph::TaskId> topo = sc.topo();
+  const std::span<const double> p = sc.p_success();
   std::vector<double> weights = g.weights();
   std::vector<prob::Atom> atoms;
   atoms.reserve(std::size_t{1} << n);
@@ -80,14 +77,14 @@ prob::DiscreteDistribution two_state_distribution(
   return prob::DiscreteDistribution::from_atoms(std::move(atoms));
 }
 
-EXPMK_NOALLOC double geometric_expectation(const graph::Dag& g,
-                             std::span<const graph::TaskId> topo,
-                             std::span<const double> p, int max_executions,
-                             exp::Workspace& ws) {
+EXPMK_NOALLOC double exact_geometric(const scenario::Scenario& sc,
+                                     int max_executions,
+                                     exp::Workspace& ws) {
   if (max_executions < 1) {
     throw std::invalid_argument("exact_geometric: max_executions >= 1");
   }
   const exp::Workspace::Frame frame(ws);
+  const graph::Dag& g = sc.dag();
   const std::size_t n = g.task_count();
   // states^n enumerations: keep the total under ~2^24.
   double combos = 1.0;
@@ -99,6 +96,8 @@ EXPMK_NOALLOC double geometric_expectation(const graph::Dag& g,
     }
   }
   check_size(g, 64);
+  const std::span<const graph::TaskId> topo = sc.topo();
+  const std::span<const double> p = sc.p_success();
 
   // Per-task state probabilities, flattened row-major [task][state]:
   // P(executions = e) = p (1-p)^{e-1} for e < max, remaining tail mass on
@@ -140,64 +139,6 @@ EXPMK_NOALLOC double geometric_expectation(const graph::Dag& g,
     if (pos == n) break;
   }
   return expectation;
-}
-
-}  // namespace
-
-double exact_two_state(const graph::Dag& g, const FailureModel& model) {
-  check_size(g, kMaxExactTasks);
-  const auto topo = graph::topological_order(g);
-  const auto p = success_probabilities(g, model);
-  return two_state_expectation(g, topo, p);
-}
-
-EXPMK_NOALLOC double exact_two_state(const scenario::Scenario& sc, exp::Workspace& ws) {
-  check_size(sc.dag(), kMaxExactTasks);
-  const exp::Workspace::Frame frame(ws);
-  const std::size_t n = sc.task_count();
-  return two_state_expectation(sc.dag(), sc.topo(), sc.p_success(),
-                               ws.doubles(n), ws.doubles(n));
-}
-
-double exact_two_state(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return exact_two_state(sc, ws);
-}
-
-prob::DiscreteDistribution exact_two_state_distribution(
-    const graph::Dag& g, const FailureModel& model) {
-  check_size(g, kMaxExactTasks);
-  const auto topo = graph::topological_order(g);
-  const auto p = success_probabilities(g, model);
-  return two_state_distribution(g, topo, p);
-}
-
-prob::DiscreteDistribution exact_two_state_distribution(
-    const scenario::Scenario& sc) {
-  check_size(sc.dag(), kMaxExactTasks);
-  return two_state_distribution(sc.dag(), sc.topo(), sc.p_success());
-}
-
-double exact_geometric(const graph::Dag& g, const FailureModel& model,
-                       int max_executions) {
-  const auto topo = graph::topological_order(g);
-  const auto p = success_probabilities(g, model);
-  exp::Workspace ws;
-  return geometric_expectation(g, topo, p, max_executions, ws);
-}
-
-EXPMK_NOALLOC double exact_geometric(const scenario::Scenario& sc, int max_executions,
-                       exp::Workspace& ws) {
-  // The enumeration is per-task throughout (each task's truncated
-  // geometric state table is built from its own cached p_i), so
-  // heterogeneous per-task rates are exact too.
-  return geometric_expectation(sc.dag(), sc.topo(), sc.p_success(),
-                               max_executions, ws);
-}
-
-double exact_geometric(const scenario::Scenario& sc, int max_executions) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return exact_geometric(sc, max_executions, ws);
 }
 
 }  // namespace expmk::core

@@ -12,7 +12,6 @@
 
 #include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
-#include "graph/dag.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "scenario/scenario.hpp"
 #include "util/contracts.hpp"
@@ -23,28 +22,17 @@ namespace expmk::core {
 inline constexpr std::size_t kMaxExactTasks = 24;
 
 /// Exact E[makespan] of the probabilistic 2-state DAG: task i takes a_i
-/// w.p. e^{-lambda a_i} and 2 a_i otherwise. O(2^V (V + E)); throws
-/// std::invalid_argument if V > kMaxExactTasks.
-[[nodiscard]] double exact_two_state(const graph::Dag& g,
-                                     const FailureModel& model);
-
-/// Workspace kernel: the perturbed-weight and longest-path scratch of the
-/// enumeration (previously one vector per call, one more per mask through
-/// the allocating critical_path_length overload) is leased from `ws` —
-/// zero heap allocations on a warm workspace, even for the oracle.
+/// w.p. p_i = e^{-lambda_i a_i} and 2 a_i otherwise. O(2^V (V + E));
+/// throws std::invalid_argument if V > kMaxExactTasks. The oracle is
+/// per-task throughout, so heterogeneous per-task rates are exact too.
+/// The perturbed-weight and longest-path scratch of the enumeration is
+/// leased from `ws` — zero heap allocations on a warm workspace, even for
+/// the oracle.
 EXPMK_NOALLOC [[nodiscard]] double exact_two_state(const scenario::Scenario& sc,
                                      exp::Workspace& ws);
 
-/// Scenario-based entry point (no per-call preprocessing). The oracle is
-/// per-task throughout, so heterogeneous per-task rates are exact too.
-/// Lease-a-temporary adapter over the workspace kernel.
-[[nodiscard]] double exact_two_state(const scenario::Scenario& sc);
-
-/// Exact full makespan distribution of the 2-state DAG (same complexity).
-[[nodiscard]] prob::DiscreteDistribution exact_two_state_distribution(
-    const graph::Dag& g, const FailureModel& model);
-
-/// Scenario-based entry point (heterogeneous rates supported).
+/// Exact full makespan distribution of the 2-state DAG (same complexity;
+/// heterogeneous rates supported).
 [[nodiscard]] prob::DiscreteDistribution exact_two_state_distribution(
     const scenario::Scenario& sc);
 
@@ -52,22 +40,12 @@ EXPMK_NOALLOC [[nodiscard]] double exact_two_state(const scenario::Scenario& sc,
 /// `max_executions` executions per task (the tail probability mass is
 /// assigned to the largest state, so the result is exact for the truncated
 /// model and a lower bound converging exponentially fast for the true
-/// one). O(max_executions^V (V + E)).
-[[nodiscard]] double exact_geometric(const graph::Dag& g,
-                                     const FailureModel& model,
-                                     int max_executions);
-
-/// Workspace kernel (flattened truncated-geometric state table + odometer
-/// + weight/finish scratch all leased from `ws`). The enumeration is
-/// per-task throughout, so heterogeneous per-task rates are exact too
-/// (validated against a hand-built DiscreteDistribution oracle in
-/// tests/test_flat_spgraph.cpp).
+/// one). O(max_executions^V (V + E)). The flattened truncated-geometric
+/// state table, the odometer and the weight/finish scratch are all leased
+/// from `ws`. The enumeration is per-task throughout, so heterogeneous
+/// per-task rates are exact too (validated against a hand-built
+/// DiscreteDistribution oracle in tests/test_flat_spgraph.cpp).
 EXPMK_NOALLOC [[nodiscard]] double exact_geometric(const scenario::Scenario& sc,
                                      int max_executions, exp::Workspace& ws);
-
-/// Scenario-based entry point (heterogeneous rates supported).
-/// Lease-a-temporary adapter over the workspace kernel.
-[[nodiscard]] double exact_geometric(const scenario::Scenario& sc,
-                                     int max_executions);
 
 }  // namespace expmk::core

@@ -65,13 +65,4 @@ double per_processor_mtbf_days(double lambda, double processors) {
   return platform_mtbf_seconds * processors / 86400.0;
 }
 
-std::vector<double> success_probabilities(const graph::Dag& g,
-                                          const FailureModel& model) {
-  std::vector<double> p(g.task_count());
-  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-    p[i] = model.p_success(g.weight(i));
-  }
-  return p;
-}
-
 }  // namespace expmk::core

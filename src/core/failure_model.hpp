@@ -10,8 +10,6 @@
 
 #pragma once
 
-#include <span>
-
 #include "graph/dag.hpp"
 
 namespace expmk::core {
@@ -73,10 +71,5 @@ struct FailureModel {
 /// (pfail = 0.01 with a-bar = 0.15 s gives ~17 days on 100k processors.)
 [[nodiscard]] double per_processor_mtbf_days(double lambda,
                                              double processors);
-
-/// Per-task success probabilities for a whole DAG: out[i] =
-/// exp(-lambda * a_i). The common precomputation of every estimator.
-[[nodiscard]] std::vector<double> success_probabilities(
-    const graph::Dag& g, const FailureModel& model);
 
 }  // namespace expmk::core

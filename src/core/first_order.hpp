@@ -13,18 +13,14 @@
 // where top(i) + bottom(i) is the longest path through i — so the full
 // approximation costs one forward pass + one backward pass: O(|V| + |E|).
 // The paper states the naive O(|V|^2 + |V||E|) bound and notes that lower
-// complexity is achievable; first_order_naive() implements the naive
-// recompute-everything variant and the test suite checks the two agree to
-// machine precision.
+// complexity is achievable; the test suite keeps the naive
+// recompute-everything variant as an oracle (tests/reference_estimators)
+// and checks the two agree to machine precision.
 
 #pragma once
 
-#include <span>
-
 #include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
-#include "graph/csr.hpp"
-#include "graph/dag.hpp"
 #include "scenario/scenario.hpp"
 #include "util/contracts.hpp"
 
@@ -42,41 +38,13 @@ struct FirstOrderResult {
   }
 };
 
-/// Closed-form first-order approximation over a prebuilt CSR view,
-/// O(|V| + |E|) — the implementation the Dag overloads adapt to. Callers
-/// that already hold a CsrDag (e.g. via mc::TrialContext) should use this
-/// directly and skip the rebuild.
-[[nodiscard]] FirstOrderResult first_order(const graph::CsrDag& csr,
-                                           const FailureModel& model);
-
-/// Workspace kernel — the implementation every Scenario entry point
-/// forwards to. Leases the two level buffers from `ws` (one frame, two
-/// O(V) spans): ZERO heap allocations on a warm workspace. Under
+/// Closed-form first-order approximation, O(|V| + |E|) — the one entry
+/// point. Leases the two level buffers from `ws` (one frame, two O(V)
+/// spans): ZERO heap allocations on a warm workspace. Under
 /// heterogeneous per-task rates the correction generalizes term-by-term —
 /// P(task i fails) ~ lambda_i a_i, so
 ///   E(G) ~ d(G) + sum_i lambda_i a_i (d(G_i) - d(G)) + O(max lambda^2).
 EXPMK_NOALLOC [[nodiscard]] FirstOrderResult first_order(const scenario::Scenario& sc,
                                            exp::Workspace& ws);
-
-/// Scenario-based entry point: reuses the compiled CSR view (no per-call
-/// preprocessing). Lease-a-temporary adapter over the workspace kernel
-/// (bit-identical); prefer passing a pooled Workspace when evaluating
-/// repeatedly.
-[[nodiscard]] FirstOrderResult first_order(const scenario::Scenario& sc);
-
-/// Closed-form first-order approximation, O(|V| + |E|).
-/// `topo` must be a topological order of `g` (see graph::topological_order).
-[[nodiscard]] FirstOrderResult first_order(const graph::Dag& g,
-                                           const FailureModel& model,
-                                           std::span<const graph::TaskId> topo);
-
-/// Convenience overload computing the order internally.
-[[nodiscard]] FirstOrderResult first_order(const graph::Dag& g,
-                                           const FailureModel& model);
-
-/// Reference implementation that recomputes d(G_i) from scratch for every
-/// task: O(|V| (|V| + |E|)). Used as a cross-check oracle in tests.
-[[nodiscard]] double first_order_naive(const graph::Dag& g,
-                                       const FailureModel& model);
 
 }  // namespace expmk::core

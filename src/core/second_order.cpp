@@ -1,15 +1,10 @@
 #include "core/second_order.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
 #include <type_traits>
-#include <vector>
 
-#include "exp/level_parallel.hpp"
 #include "graph/csr.hpp"
-#include "graph/level_sets.hpp"
+#include "util/thread_pool.hpp"
 
 namespace expmk::core {
 
@@ -21,9 +16,13 @@ namespace {
 /// vectorize the inner pair loop.
 constexpr std::uint32_t kSecondOrderBlock = 8;
 
-/// O(V) serial prefix shared verbatim by the serial and level-parallel
-/// drivers: per-task failure mass l_i (het), its sum L / the uniform sum
-/// A, the single-failure makespans d(G_i), and the first-order correction.
+/// Pool tasks per worker in the fan-out variant: enough for load balance,
+/// few enough that per-task submission stays negligible.
+constexpr std::size_t kChunksPerWorker = 4;
+
+/// O(V) prefix sums shared by the serial and fan-out drivers: the sum L of
+/// the per-task failure masses (het) or the uniform sum A, and the
+/// first-order correction.
 struct SoPrefix {
   double A = 0.0;              // uniform: sum a_i
   double L = 0.0;              // heterogeneous: sum l_i
@@ -58,6 +57,41 @@ EXPMK_NOALLOC SoPrefix so_prefix(const graph::CsrDag& csr, bool het, double d,
   return out;
 }
 
+/// The O(V) state both drivers share, leased from the caller's workspace
+/// frame: levels over the renumbered positions, the single-failure
+/// makespans d(G_i), the per-task failure masses l_i = lambda_i a_i (het
+/// only) and the prefix sums. The uniform path keeps the uniform
+/// factoring (sum a_i, scale by lambda once).
+struct SoLevels {
+  bool het = false;
+  double lambda = 0.0;  ///< uniform rate; unused when het
+  double d = 0.0;       ///< d(G)
+  std::span<double> top;
+  std::span<double> bottom;
+  std::span<double> d_single;
+  std::span<double> l;  ///< empty when uniform
+  SoPrefix pre;
+};
+
+EXPMK_NOALLOC SoLevels so_levels(const scenario::Scenario& sc,
+                                 exp::Workspace& ws) {
+  const graph::CsrDag& csr = sc.csr();
+  const std::size_t n = csr.task_count();
+  SoLevels lv;
+  lv.het = sc.heterogeneous();
+  lv.lambda = lv.het ? 0.0 : sc.uniform_model().lambda;
+  lv.top = ws.doubles(n);
+  lv.bottom = ws.doubles(n);
+  lv.d_single = ws.doubles(n);
+  if (lv.het) lv.l = ws.doubles(n);
+  // One forward, one backward pass.
+  lv.d = graph::compute_levels(csr, csr.weights(), lv.top, lv.bottom);
+  lv.pre = so_prefix(csr, lv.het, lv.d,
+                     lv.het ? sc.rates_csr() : std::span<const double>{},
+                     lv.top, lv.bottom, lv.d_single, lv.l);
+  return lv;
+}
+
 /// One pair-sweep block: sum_{j>i} m_i m_j d(G_ij) for the
 /// kSecondOrderBlock (or fewer, at the end) consecutive sources starting
 /// at i0, each lane's partial into acc[lane]. One graph::longest_from_block
@@ -79,16 +113,17 @@ EXPMK_NOALLOC SoPrefix so_prefix(const graph::CsrDag& csr, bool het, double d,
 /// scalar `!= -inf` branch for the finite levels/weights at hand.
 ///
 /// Blocks touch only (read-only inputs, their own dist scratch, their own
-/// acc) — which is what lets the level-parallel driver run them on any
-/// worker in any order with bit-identical results.
-EXPMK_NOALLOC void so_block(const graph::CsrDag& csr, bool het,
-                            std::span<const double> l,
-                            std::span<const double> top,
-                            std::span<const double> bottom,
-                            std::span<const double> d_single,
+/// acc) — which is what lets the fan-out driver run them on any worker in
+/// any order with bit-identical results.
+EXPMK_NOALLOC void so_block(const graph::CsrDag& csr, const SoLevels& lv,
                             std::uint32_t i0, std::uint32_t nb,
                             std::span<double> dist,
                             double acc[kSecondOrderBlock]) {
+  const bool het = lv.het;
+  const std::span<const double> l = lv.l;
+  const std::span<const double> top = lv.top;
+  const std::span<const double> bottom = lv.bottom;
+  const std::span<const double> d_single = lv.d_single;
   const std::size_t n = csr.task_count();
   const std::span<const double> w = csr.weights();
   longest_from_block(csr, i0, nb, w, dist);
@@ -148,11 +183,18 @@ EXPMK_NOALLOC void so_block(const graph::CsrDag& csr, bool het,
 
 /// Assembles the expansion in the header comment from the sweep products —
 /// serial O(V), shared verbatim by both drivers.
-EXPMK_NOALLOC SecondOrderResult so_assemble(
-    const graph::CsrDag& csr, RetryModel model_kind, double lambda, bool het,
-    std::span<const double> l, std::span<const double> top,
-    std::span<const double> bottom, std::span<const double> d_single,
-    double d, const SoPrefix& pre, double pair_sum) {
+EXPMK_NOALLOC SecondOrderResult so_assemble(const graph::CsrDag& csr,
+                                            RetryModel model_kind,
+                                            const SoLevels& lv,
+                                            double pair_sum) {
+  const bool het = lv.het;
+  const double lambda = lv.lambda;
+  const double d = lv.d;
+  const SoPrefix& pre = lv.pre;
+  const std::span<const double> l = lv.l;
+  const std::span<const double> top = lv.top;
+  const std::span<const double> bottom = lv.bottom;
+  const std::span<const double> d_single = lv.d_single;
   const std::size_t n = csr.task_count();
   const std::span<const double> w = csr.weights();
   const double A = pre.A;
@@ -210,28 +252,15 @@ EXPMK_NOALLOC SecondOrderResult so_assemble(
   return out;
 }
 
-/// The single serial copy of the second-order expansion, over caller
-/// scratch. `rates_csr` empty selects the uniform path, which keeps the
-/// exact pre-Scenario factoring (sum a_i, scale by lambda where the
-/// original scaled) so uniform results stay bit-identical to the
-/// historical second_order(CsrDag, FailureModel, RetryModel); non-empty
-/// rates run the generalized expansion with l_i = lambda_i a_i written
-/// into `l` (same size as the graph, unused when uniform). All spans have
-/// task_count() entries — except `dist`, the blocked sweep's lane matrix,
-/// which needs task_count() * kSecondOrderBlock — and are fully
-/// overwritten.
-EXPMK_NOALLOC SecondOrderResult second_order_impl(
-    const graph::CsrDag& csr, RetryModel model_kind, double lambda,
-    std::span<const double> rates_csr, std::span<double> top,
-    std::span<double> bottom, std::span<double> d_single,
-    std::span<double> dist, std::span<double> l) {
-  const std::size_t n = csr.task_count();
-  const bool het = !rates_csr.empty();
+}  // namespace
 
-  // Levels over the renumbered positions (one forward, one backward pass).
-  const double d = graph::compute_levels(csr, csr.weights(), top, bottom);
-  const SoPrefix pre =
-      so_prefix(csr, het, d, rates_csr, top, bottom, d_single, l);
+EXPMK_NOALLOC SecondOrderResult second_order(const scenario::Scenario& sc,
+                                             exp::Workspace& ws) {
+  const exp::Workspace::Frame frame(ws);
+  const graph::CsrDag& csr = sc.csr();
+  const std::size_t n = csr.task_count();
+  const SoLevels lv = so_levels(sc, ws);
+  const std::span<double> dist = ws.doubles(n * kSecondOrderBlock);
 
   // Pair terms sum_{i<j} m_i m_j d(G_ij) (m = a uniform, l het), swept in
   // blocks of kSecondOrderBlock consecutive sources (see so_block); the
@@ -241,42 +270,10 @@ EXPMK_NOALLOC SecondOrderResult second_order_impl(
     const std::uint32_t nb = std::min<std::uint32_t>(
         kSecondOrderBlock, static_cast<std::uint32_t>(n) - i0);
     double acc[kSecondOrderBlock] = {};
-    so_block(csr, het, l, top, bottom, d_single, i0, nb, dist, acc);
+    so_block(csr, lv, i0, nb, dist, acc);
     for (std::uint32_t ln = 0; ln < nb; ++ln) pair_sum += acc[ln];
   }
-
-  return so_assemble(csr, model_kind, lambda, het, l, top, bottom, d_single,
-                     d, pre, pair_sum);
-}
-
-}  // namespace
-
-SecondOrderResult second_order(const graph::CsrDag& csr,
-                               const FailureModel& model,
-                               RetryModel model_kind) {
-  const std::size_t n = csr.task_count();
-  std::vector<double> top(n), bottom(n), d_single(n);
-  std::vector<double> dist(n * kSecondOrderBlock);
-  return second_order_impl(csr, model_kind, model.lambda, {}, top, bottom,
-                           d_single, dist, {});
-}
-
-EXPMK_NOALLOC SecondOrderResult second_order(const scenario::Scenario& sc,
-                               exp::Workspace& ws) {
-  const exp::Workspace::Frame frame(ws);
-  const graph::CsrDag& csr = sc.csr();
-  const std::size_t n = csr.task_count();
-  const bool het = sc.heterogeneous();
-  return second_order_impl(
-      csr, sc.retry(), het ? 0.0 : sc.uniform_model().lambda,
-      het ? sc.rates_csr() : std::span<const double>{}, ws.doubles(n),
-      ws.doubles(n), ws.doubles(n), ws.doubles(n * kSecondOrderBlock),
-      het ? ws.doubles(n) : std::span<double>{});
-}
-
-SecondOrderResult second_order(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return second_order(sc, ws);
+  return so_assemble(csr, sc.retry(), lv, pair_sum);
 }
 
 SecondOrderResult second_order(const scenario::Scenario& sc,
@@ -285,44 +282,32 @@ SecondOrderResult second_order(const scenario::Scenario& sc,
   const exp::Workspace::Frame frame(ws);
   const graph::CsrDag& csr = sc.csr();
   const std::size_t n = csr.task_count();
-  const bool het = sc.heterogeneous();
-  const double lambda = het ? 0.0 : sc.uniform_model().lambda;
-  const std::span<const double> rates_csr =
-      het ? sc.rates_csr() : std::span<const double>{};
-  const std::span<double> top = ws.doubles(n);
-  const std::span<double> bottom = ws.doubles(n);
-  const std::span<double> d_single = ws.doubles(n);
-  const std::span<double> l =
-      het ? ws.doubles(n) : std::span<double>{};
-  const std::span<double> chunk_scratch =
-      ws.doubles(exp::lp::fixed_chunk_count(n));
+  const SoLevels lv = so_levels(sc, ws);
 
-  const double d = exp::lp::compute_levels_parallel(
-      csr, csr.weights(), sc.level_sets(), top, bottom, chunk_scratch,
-      workers);
-  const SoPrefix pre =
-      so_prefix(csr, het, d, rates_csr, top, bottom, d_single, l);
-
-  // Pair sweep: blocks fan out across workers — each is a full
-  // longest_from_block edge pass, so one block is already a coarse work
-  // unit. Every worker leases its own lane matrix from its thread-local
-  // pooled workspace; the per-lane partials land in acc_all slots indexed
-  // by (block, lane) and fold here in exactly the serial driver's
-  // source order, so the sum is bit-identical for any worker count.
+  // Pair sweep: blocks fan out across workers, dealt round-robin to a few
+  // chunks per worker — one pool task and one lane-matrix lease (from the
+  // worker's thread-local pooled workspace) per chunk, and the strided
+  // deal evens out the early blocks' longer suffix sweeps. The per-lane
+  // partials land in acc_all slots indexed by (block, lane) and fold here
+  // in exactly the serial kernel's source order, so the sum is
+  // bit-identical for any worker count.
   const std::size_t nblocks =
       (n + kSecondOrderBlock - 1) / kSecondOrderBlock;
   const std::span<double> acc_all = ws.doubles(nblocks * kSecondOrderBlock);
-  exp::lp::run_chunks(workers, nblocks, [&](std::size_t b) {
+  const std::size_t chunks = std::min(nblocks, kChunksPerWorker * workers);
+  util::for_each_chunk(workers, chunks, [&](std::size_t c) {
     exp::Workspace& tws = exp::Workspace::local();
     const exp::Workspace::Frame tframe(tws);
     const std::span<double> dist = tws.doubles(n * kSecondOrderBlock);
-    const auto i0 = static_cast<std::uint32_t>(b * kSecondOrderBlock);
-    const std::uint32_t nb = std::min<std::uint32_t>(
-        kSecondOrderBlock, static_cast<std::uint32_t>(n) - i0);
-    double acc[kSecondOrderBlock] = {};
-    so_block(csr, het, l, top, bottom, d_single, i0, nb, dist, acc);
-    for (std::uint32_t ln = 0; ln < nb; ++ln) {
-      acc_all[b * kSecondOrderBlock + ln] = acc[ln];
+    for (std::size_t b = c; b < nblocks; b += chunks) {
+      const auto i0 = static_cast<std::uint32_t>(b * kSecondOrderBlock);
+      const std::uint32_t nb = std::min<std::uint32_t>(
+          kSecondOrderBlock, static_cast<std::uint32_t>(n) - i0);
+      double acc[kSecondOrderBlock] = {};
+      so_block(csr, lv, i0, nb, dist, acc);
+      for (std::uint32_t ln = 0; ln < nb; ++ln) {
+        acc_all[b * kSecondOrderBlock + ln] = acc[ln];
+      }
     }
   });
   double pair_sum = 0.0;
@@ -334,26 +319,7 @@ SecondOrderResult second_order(const scenario::Scenario& sc,
       pair_sum += acc_all[b * kSecondOrderBlock + ln];
     }
   }
-
-  return so_assemble(csr, sc.retry(), lambda, het, l, top, bottom, d_single,
-                     d, pre, pair_sum);
-}
-
-SecondOrderResult second_order(const graph::Dag& g, const FailureModel& model,
-                               RetryModel model_kind,
-                               std::span<const graph::TaskId> topo) {
-  // The CSR build derives its own order; still validate the argument so a
-  // caller passing an order from a different graph keeps its error signal.
-  if (topo.size() != g.task_count()) {
-    throw std::invalid_argument(
-        "second_order: topo size mismatch with task count");
-  }
-  return second_order(graph::CsrDag(g), model, model_kind);
-}
-
-SecondOrderResult second_order(const graph::Dag& g, const FailureModel& model,
-                               RetryModel model_kind) {
-  return second_order(graph::CsrDag(g), model, model_kind);
+  return so_assemble(csr, sc.retry(), lv, pair_sum);
 }
 
 }  // namespace expmk::core

@@ -28,12 +28,8 @@
 
 #pragma once
 
-#include <span>
-
 #include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
-#include "graph/csr.hpp"
-#include "graph/dag.hpp"
 #include "scenario/scenario.hpp"
 #include "util/contracts.hpp"
 
@@ -46,61 +42,33 @@ struct SecondOrderResult {
   double expected_makespan = 0.0;  ///< the O(lambda^2)-exact estimate
 };
 
-/// Second-order approximation over a prebuilt CSR view — the
-/// implementation the Dag overloads adapt to. The topological
-/// renumbering lets the pair sweep run forward-only (a position can never
-/// reach an earlier one), and the per-source longest-path buffer is
-/// reused across sources: zero allocation inside the O(|V|^2) loop.
-[[nodiscard]] SecondOrderResult second_order(
-    const graph::CsrDag& csr, const FailureModel& model,
-    RetryModel model_kind = RetryModel::TwoState);
-
-/// Workspace kernel — the implementation the Scenario entry point
-/// forwards to. All O(V) scratch (levels, d(G_i), the streaming longest-
-/// path buffer, the heterogeneous l_i vector) is leased from `ws`: ZERO
-/// heap allocations on a warm workspace, including inside the O(|V|^2)
-/// pair sweep. Under heterogeneous per-task rates the expansion
-/// generalizes with l_i = lambda_i a_i and L = sum l_i (see the Scenario
-/// overload below).
-EXPMK_NOALLOC [[nodiscard]] SecondOrderResult second_order(const scenario::Scenario& sc,
-                                             exp::Workspace& ws);
-
-/// Scenario-based entry point: reuses the compiled CSR view and takes the
-/// retry model from the scenario. Lease-a-temporary adapter over the
-/// workspace kernel (bit-identical). Under heterogeneous per-task rates
-/// the expansion generalizes with l_i = lambda_i a_i and L = sum l_i:
+/// Second-order approximation, O(|V| (|V| + |E|)) — the serial kernel.
+/// The retry model comes from the scenario and selects the 2-state or
+/// geometric coefficient set (see file comment). All O(V) scratch
+/// (levels, d(G_i), the streaming longest-path buffer, the heterogeneous
+/// l_i vector) is leased from `ws`: ZERO heap allocations on a warm
+/// workspace, including inside the O(|V|^2) pair sweep. Under
+/// heterogeneous per-task rates the expansion generalizes with
+/// l_i = lambda_i a_i and L = sum l_i:
 ///   E2 = d(G) (1 - L + L^2/2)
 ///      + sum_i [ l_i + l_i (l_i/2 - L) ] d(G_i)        (2-state)
 ///      + sum_{i<j} l_i l_j d(G_ij),
 /// with the geometric single-failure coefficient -l_i (L + l_i/2) and
 /// triple term + sum_i l_i^2 d(G_i+) — setting lambda_i = lambda recovers
 /// the uniform formulas in the file comment verbatim.
-[[nodiscard]] SecondOrderResult second_order(const scenario::Scenario& sc);
+EXPMK_NOALLOC [[nodiscard]] SecondOrderResult second_order(const scenario::Scenario& sc,
+                                             exp::Workspace& ws);
 
-/// Level-parallel variant: the level sweeps run over the scenario's cached
-/// graph::LevelSets schedule and the O(V^2) pair sweep fans its
-/// 8-source blocks out across `workers` threads (each worker leases its
-/// own lane matrix from the thread-local pooled workspace); per-block
-/// lane partials fold into the pair sum in the serial driver's source
-/// order. Bit-identical to the serial kernel for any worker count;
-/// `workers <= 1` delegates to it (the parallel path is not
-/// EXPMK_NOALLOC — task futures allocate).
+/// Fan-out variant: the O(V) level sweeps stay serial and the O(V^2) pair
+/// sweep fans its 8-source blocks out across `workers` threads through
+/// util::for_each_chunk (each worker leases its own lane matrix from the
+/// thread-local pooled workspace); per-block lane partials fold into the
+/// pair sum in the serial kernel's source order. Bit-identical to the
+/// serial kernel for any worker count; `workers <= 1` delegates to it
+/// (the fan-out is not EXPMK_NOALLOC — the pool and its futures
+/// allocate).
 [[nodiscard]] SecondOrderResult second_order(const scenario::Scenario& sc,
                                              exp::Workspace& ws,
                                              std::size_t workers);
-
-/// Second-order approximation. `model_kind` selects the 2-state or
-/// geometric coefficient set (see file comment). O(|V| (|V| + |E|)).
-[[nodiscard]] SecondOrderResult second_order(
-    const graph::Dag& g, const FailureModel& model,
-    RetryModel model_kind = RetryModel::TwoState);
-
-/// Source-compatibility overload: the caller-provided order is no longer
-/// consumed (the CSR build derives its own renumbering, which is what
-/// makes the forward-only pair sweep valid); its cost is O(V + E) noise
-/// next to the O(V^2) body.
-[[nodiscard]] SecondOrderResult second_order(
-    const graph::Dag& g, const FailureModel& model, RetryModel model_kind,
-    std::span<const graph::TaskId> topo);
 
 }  // namespace expmk::core

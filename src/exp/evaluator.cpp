@@ -9,7 +9,6 @@
 #include "core/first_order.hpp"
 #include "core/second_order.hpp"
 #include "exp/hier.hpp"
-#include "exp/level_parallel.hpp"
 #include "mc/conditional.hpp"
 #include "mc/engine.hpp"
 #include "normal/clark_full.hpp"
@@ -17,6 +16,7 @@
 #include "normal/sculli.hpp"
 #include "spgraph/dodin.hpp"
 #include "spgraph/sp_reduce.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace expmk::exp {
@@ -75,26 +75,6 @@ EvalResult Evaluator::evaluate(const scenario::Scenario& sc,
   return evaluate(sc, options, Workspace::local());
 }
 
-EvalResult Evaluator::evaluate(const graph::Dag& g,
-                               const core::FailureModel& model,
-                               core::RetryModel retry,
-                               const EvalOptions& options) const {
-  // Compile outside evaluate()'s own try/catch so its wall-clock stays
-  // the time spent inside the method, as before — but still convert
-  // compile failures (cycle, bad lambda) into supported == false: a
-  // sweep cell must never crash the grid.
-  try {
-    const scenario::Scenario sc =
-        scenario::Scenario::compile(g, scenario::FailureSpec(model), retry);
-    return evaluate(sc, options);
-  } catch (const std::exception& e) {
-    EvalResult result;
-    result.supported = false;
-    result.note = e.what();
-    return result;
-  }
-}
-
 void EvaluatorRegistry::add(Evaluator evaluator) {
   if (find(evaluator.name()) != nullptr) {
     throw std::invalid_argument("EvaluatorRegistry: duplicate name '" +
@@ -143,12 +123,17 @@ void set_certified(EvalResult& r,
            std::to_string(cert.merges) + " merges";
 }
 
-/// Worker count for the analytic level-parallel paths: EvalOptions::
-/// threads resolved against the scenario size. 1 means "serial kernel".
+/// Smallest graph on which so and bounds fan out: below it the pool's
+/// start-up dominates the sweep. (On a 4-vCPU AVX2 host the fan-out read
+/// 3.3x for so and 2.5x for bounds at 20,100 tasks; DESIGN.md, "Threads".)
+constexpr std::size_t kFanOutMinTasks = 4096;
+
+/// Worker count for the so / bounds fan-out variants: EvalOptions::threads
+/// resolved against the scenario size. 1 means "serial kernel".
 std::size_t analytic_workers(const scenario::Scenario& sc,
                              const EvalOptions& opt) {
-  return lp::resolve_workers(opt.threads, sc.task_count(),
-                             opt.level_parallel_min_tasks);
+  if (opt.threads == 1 || sc.task_count() < kFanOutMinTasks) return 1;
+  return util::resolve_threads(opt.threads);
 }
 
 EvaluatorRegistry make_builtin() {
@@ -278,10 +263,9 @@ EvaluatorRegistry make_builtin() {
        .geometric = true,
        .heterogeneous = true,
        .rel_tolerance = 0.05},
-      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace& ws,
+      [](const scenario::Scenario& sc, const EvalOptions&, Workspace& ws,
          EvalResult& r) {
-        r.mean = normal::sculli(sc, ws, analytic_workers(sc, opt))
-                     .expected_makespan();
+        r.mean = normal::sculli(sc, ws).expected_makespan();
       }));
 
   reg.add(Evaluator(
@@ -292,10 +276,9 @@ EvaluatorRegistry make_builtin() {
        .geometric = true,
        .heterogeneous = true,
        .rel_tolerance = 0.05},
-      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace& ws,
+      [](const scenario::Scenario& sc, const EvalOptions&, Workspace& ws,
          EvalResult& r) {
-        r.mean = normal::corlca(sc, ws, analytic_workers(sc, opt))
-                     .expected_makespan();
+        r.mean = normal::corlca(sc, ws).expected_makespan();
       }));
 
   reg.add(Evaluator(

@@ -23,9 +23,11 @@
 // includes sp and dodin, whose networks and atom arithmetic run entirely
 // on leased arenas (MC trial buffers were already pooled). The
 // workspace-less evaluate(scenario, options) overload leases from the
-// calling thread's pooled Workspace::local(); the legacy
-// (Dag, FailureModel, RetryModel) overload remains as a thin
-// compile-and-forward adapter. Both return bit-identical results.
+// calling thread's pooled Workspace::local(); both return bit-identical
+// results. There is no graph-level entry: a caller holding a Dag
+// compiles it once with scenario::Scenario::compile, and every library
+// estimator has exactly one entry point, its (Scenario, Workspace)
+// kernel (plus a `workers` fan-out variant for so and bounds).
 //
 // A Capabilities record states what the method can do (which retry
 // models, how large a graph, uniform-only vs per-task rates, whether it
@@ -45,9 +47,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
-#include "graph/dag.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "scenario/scenario.hpp"
 
@@ -60,16 +60,12 @@ struct EvalOptions {
   std::uint64_t mc_trials = 100'000;  ///< mc / cmc trial count (>= 1)
   std::uint64_t seed = 0xE57;         ///< mc / cmc stream seed
   /// Worker threads *inside* one evaluation (0 = hardware concurrency).
-  /// The MC engines AND the analytic level-parallel paths are
-  /// bit-identical across thread counts, so this is a pure wall-clock
-  /// knob.
+  /// Honoured by mc, cmc and mc.hier (fixed chunk partitions), and by so
+  /// and bounds.lower/bounds.upper on graphs of at least 4096 tasks (their
+  /// fan-out variants; smaller graphs run the serial allocation-free
+  /// kernels). Every one of them is bit-identical across thread counts,
+  /// so this is a pure wall-clock knob; every other method ignores it.
   std::size_t threads = 0;
-  /// Analytic methods (so/bounds/sculli/corlca) switch to their
-  /// level-parallel paths only at or above this task count — below it the
-  /// fan-out overhead dominates and the serial (allocation-free) kernels
-  /// run even when threads != 1. Set to 0 to force the parallel paths
-  /// (the bit-identity tests do).
-  std::size_t level_parallel_min_tasks = 4096;
   bool mc_control_variate = false;    ///< mc: control-variate estimator
   std::size_t dodin_atoms = 256;      ///< dodin: atom budget per dist
   std::size_t sp_max_atoms = 0;       ///< sp: atom budget (0 = exact)
@@ -177,15 +173,6 @@ class Evaluator {
   [[nodiscard]] EvalResult evaluate(const scenario::Scenario& sc,
                                     const EvalOptions& options = {}) const;
 
-  /// Legacy adapter: compiles a uniform-rate scenario for (g, model,
-  /// retry) and forwards — bit-identical to the Scenario overload.
-  /// Compilation failures (e.g. a cyclic graph) also surface as
-  /// supported == false. Prefer compiling once when evaluating several
-  /// methods on the same cell.
-  [[nodiscard]] EvalResult evaluate(const graph::Dag& g,
-                                    const core::FailureModel& model,
-                                    core::RetryModel retry,
-                                    const EvalOptions& options = {}) const;
 
  private:
   std::string name_;

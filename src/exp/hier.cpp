@@ -7,16 +7,15 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "exp/level_parallel.hpp"
 #include "graph/csr.hpp"
 #include "graph/sp_tree.hpp"
 #include "util/contracts.hpp"
 #include "prob/rng.hpp"
 #include "spgraph/dodin.hpp"
 #include "spgraph/sp_reduce.hpp"
+#include "util/thread_pool.hpp"
 
 namespace expmk::exp::hier {
 
@@ -285,11 +284,8 @@ HierMcResult evaluate_mc_hier(const scenario::Scenario& sc,
     double sum_sq = 0.0;
   };
   std::vector<Acc> accs(chunks);
-  std::size_t workers = threads != 0
-                            ? threads
-                            : std::max<std::size_t>(
-                                  1, std::thread::hardware_concurrency());
-  lp::run_chunks(workers, chunks, [&](std::size_t c) {
+  util::for_each_chunk(util::resolve_threads(threads), chunks,
+                       [&](std::size_t c) {
     Acc& acc = accs[c];
     const std::uint64_t begin = trials * c / chunks;
     const std::uint64_t end = trials * (c + 1) / chunks;

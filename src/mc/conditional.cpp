@@ -24,15 +24,6 @@ struct Accum {
 }  // namespace
 
 ConditionalMcResult run_conditional_monte_carlo(
-    const graph::Dag& g, const core::FailureModel& model,
-    const ConditionalMcConfig& config) {
-  return run_conditional_monte_carlo(
-      scenario::Scenario::compile(g, scenario::FailureSpec(model),
-                                  core::RetryModel::TwoState),
-      config);
-}
-
-ConditionalMcResult run_conditional_monte_carlo(
     const scenario::Scenario& sc, const ConditionalMcConfig& config) {
   if (sc.retry() != core::RetryModel::TwoState) {
     throw std::invalid_argument(

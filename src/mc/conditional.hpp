@@ -20,8 +20,6 @@
 
 #pragma once
 
-#include "core/failure_model.hpp"
-#include "graph/dag.hpp"
 #include "mc/engine.hpp"
 
 namespace expmk::mc {
@@ -58,13 +56,7 @@ struct ConditionalMcResult {
   double seconds = 0.0;
 };
 
-/// Runs the conditional estimator (TwoState model; compiles a scenario
-/// internally — prefer the Scenario overload for repeated evaluation).
-[[nodiscard]] ConditionalMcResult run_conditional_monte_carlo(
-    const graph::Dag& g, const core::FailureModel& model,
-    const ConditionalMcConfig& config = {});
-
-/// Scenario-based entry point: reuses the compiled CSR view and success
+/// Runs the conditional estimator on the compiled CSR view and success
 /// probabilities (zero per-call preprocessing); heterogeneous per-task
 /// rates are supported transparently — p0 and the rejection sampler are
 /// per-task either way. The scenario's retry model must be TwoState

@@ -39,15 +39,17 @@ std::size_t work_units(std::size_t workers, std::size_t chunks,
       std::min<std::uint64_t>({chunks, 4 * workers, by_trials}));
 }
 
-/// The engine body, over a prebuilt context (scenario-backed or legacy).
-McResult run_monte_carlo_impl(const TrialContext& ctx,
-                              const McConfig& config) {
+}  // namespace
+
+McResult run_monte_carlo(const scenario::Scenario& sc,
+                         const McConfig& config) {
   // A zero trial count is a misconfiguration (an estimate from nothing),
   // not a request to round up: fail loudly instead of silently clamping.
   if (config.trials == 0) {
     throw std::invalid_argument("run_monte_carlo: trials must be >= 1");
   }
   const util::Timer timer;
+  const TrialContext ctx(sc);
   const std::size_t n = ctx.csr().task_count();
 
   const std::size_t workers = util::resolve_threads(config.threads);
@@ -144,18 +146,6 @@ McResult run_monte_carlo_impl(const TrialContext& ctx,
   result.samples = std::move(samples);
   result.seconds = timer.seconds();
   return result;
-}
-
-}  // namespace
-
-McResult run_monte_carlo(const graph::Dag& g, const core::FailureModel& model,
-                         const McConfig& config) {
-  return run_monte_carlo_impl(TrialContext(g, model, config.retry), config);
-}
-
-McResult run_monte_carlo(const scenario::Scenario& sc,
-                         const McConfig& config) {
-  return run_monte_carlo_impl(TrialContext(sc), config);
 }
 
 }  // namespace expmk::mc

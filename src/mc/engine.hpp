@@ -32,8 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/failure_model.hpp"
-#include "graph/dag.hpp"
 #include "mc/trial.hpp"
 
 namespace expmk::mc {
@@ -57,7 +55,6 @@ struct McConfig {
   std::uint64_t seed = 0xC0FFEE;
   /// Worker threads; 0 = hardware concurrency.
   std::size_t threads = 0;
-  core::RetryModel retry = core::RetryModel::Geometric;
   /// Use the control-variate estimator (see file comment).
   bool control_variate = false;
   /// Keep all sampled makespans (histogram/quantile post-processing).
@@ -84,16 +81,10 @@ struct McResult {
   std::vector<double> samples;
 };
 
-/// Runs the Monte-Carlo estimation (compiles a scenario internally; for
-/// repeated evaluation of one cell, prefer the Scenario overload).
-[[nodiscard]] McResult run_monte_carlo(const graph::Dag& g,
-                                       const core::FailureModel& model,
-                                       const McConfig& config = {});
-
-/// Scenario-based entry point: zero per-call preprocessing (the trial
-/// context is a view of the compiled scenario; heterogeneous per-task
-/// rates are supported transparently). `config.retry` is IGNORED — the
-/// retry model the scenario was compiled with governs sampling.
+/// Runs the Monte-Carlo estimation with zero per-call preprocessing (the
+/// trial context is a view of the compiled scenario; heterogeneous
+/// per-task rates are supported transparently). The retry model the
+/// scenario was compiled with governs sampling.
 [[nodiscard]] McResult run_monte_carlo(const scenario::Scenario& sc,
                                        const McConfig& config = {});
 

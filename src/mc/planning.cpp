@@ -69,12 +69,12 @@ std::uint64_t plan_trials(const prob::RunningStats& pilot,
                     confidence);
 }
 
-namespace {
-
-PilotPlan plan_from_pilot_result(McResult pilot, double relative_error,
-                                 double confidence) {
+PilotPlan plan_with_pilot(const scenario::Scenario& sc,
+                          double relative_error, double confidence,
+                          const McConfig& pilot_config) {
+  check_targets(relative_error, confidence);
   PilotPlan out;
-  out.pilot = std::move(pilot);
+  out.pilot = run_monte_carlo(sc, pilot_config);
   if (out.pilot.mean <= 0.0) {
     throw std::invalid_argument("plan_with_pilot: non-positive pilot mean");
   }
@@ -82,25 +82,6 @@ PilotPlan plan_from_pilot_result(McResult pilot, double relative_error,
                                   relative_error * out.pilot.mean,
                                   confidence);
   return out;
-}
-
-}  // namespace
-
-PilotPlan plan_with_pilot(const graph::Dag& g,
-                          const core::FailureModel& model,
-                          double relative_error, double confidence,
-                          const McConfig& pilot_config) {
-  check_targets(relative_error, confidence);
-  return plan_from_pilot_result(run_monte_carlo(g, model, pilot_config),
-                                relative_error, confidence);
-}
-
-PilotPlan plan_with_pilot(const scenario::Scenario& sc,
-                          double relative_error, double confidence,
-                          const McConfig& pilot_config) {
-  check_targets(relative_error, confidence);
-  return plan_from_pilot_result(run_monte_carlo(sc, pilot_config),
-                                relative_error, confidence);
 }
 
 }  // namespace expmk::mc

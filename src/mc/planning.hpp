@@ -46,20 +46,11 @@ struct PilotPlan {
 };
 
 /// End-to-end a-posteriori planning: runs `pilot_config` trials through
-/// the (CSR-kernel) Monte-Carlo engine, then sizes the production run for
-/// a relative CI half-width <= relative_error at the given confidence.
-/// The pilot's own trials count toward the plan, so a plan smaller than
-/// the pilot means "the pilot already suffices".
-[[nodiscard]] PilotPlan plan_with_pilot(const graph::Dag& g,
-                                        const core::FailureModel& model,
-                                        double relative_error,
-                                        double confidence,
-                                        const McConfig& pilot_config = {
-                                            .trials = 2000});
-
-/// Scenario-based entry point: the pilot runs on the compiled scenario
-/// (no CSR rebuild; heterogeneous rates supported; pilot_config.retry is
-/// ignored in favor of the scenario's retry model).
+/// the Monte-Carlo engine on the compiled scenario (heterogeneous rates
+/// supported; the scenario's retry model governs sampling), then sizes the
+/// production run for a relative CI half-width <= relative_error at the
+/// given confidence. The pilot's own trials count toward the plan, so a
+/// plan smaller than the pilot means "the pilot already suffices".
 [[nodiscard]] PilotPlan plan_with_pilot(const scenario::Scenario& sc,
                                         double relative_error,
                                         double confidence,

@@ -9,21 +9,6 @@
 
 namespace expmk::mc {
 
-TrialContext::TrialContext(const graph::Dag& g,
-                           const core::FailureModel& model,
-                           core::RetryModel retry_model)
-    : owned_(std::make_shared<const scenario::Scenario>(
-          scenario::Scenario::compile(g, scenario::FailureSpec(model),
-                                      retry_model))) {
-  dag_ = &owned_->dag();
-  csr_ = &owned_->csr();
-  p_success_ = owned_->p_success();
-  p_success_csr_ = owned_->p_success_csr();
-  q_fail_csr_ = owned_->q_fail_csr();
-  inv_log_q_csr_ = owned_->inv_log_q_csr();
-  retry_ = retry_model;
-}
-
 TrialContext::TrialContext(const scenario::Scenario& sc)
     : dag_(&sc.dag()),
       csr_(&sc.csr()),

@@ -26,17 +26,14 @@
 // (run_trial_csr and its scatter/durations forms) serve the consumers
 // that need per-task durations: core::criticality, sched::fault_sim.
 //
-// Since the Scenario redesign, TrialContext is a VIEW: built from a
-// compiled scenario::Scenario it borrows the CSR and the constant arrays
-// and performs no per-construction preprocessing at all. The legacy
-// (Dag, FailureModel, RetryModel) constructor compiles and owns a private
-// scenario, so old call sites keep working (and stay bit-identical).
+// TrialContext is a VIEW: built from a compiled scenario::Scenario it
+// borrows the CSR and the constant arrays and performs no
+// per-construction preprocessing at all.
 
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,14 +47,9 @@
 namespace expmk::mc {
 
 /// Per-task sampling constants plus the CSR view, shared across trials.
-/// Copyable and cheap to copy: all heavy state is borrowed from (or
-/// shared with) a scenario::Scenario, which the context must not outlive.
+/// Copyable and cheap to copy: all heavy state is borrowed from a
+/// scenario::Scenario, which the context must not outlive.
 struct TrialContext {
-  /// Legacy path: compiles (and owns) a scenario for (g, model, retry).
-  /// Prefer the Scenario constructor when evaluating one cell repeatedly.
-  TrialContext(const graph::Dag& g, const core::FailureModel& model,
-               core::RetryModel retry_model);
-
   /// Zero-preprocessing view of a compiled scenario. The context (and
   /// every kernel call made with it) must not outlive `sc`.
   explicit TrialContext(const scenario::Scenario& sc);
@@ -97,8 +89,6 @@ struct TrialContext {
   std::span<const double> q_fail_csr_;
   std::span<const double> inv_log_q_csr_;
   core::RetryModel retry_ = core::RetryModel::Geometric;
-  /// Set only by the legacy constructor; shared so copies stay valid.
-  std::shared_ptr<const scenario::Scenario> owned_;
 };
 
 /// Allocation-free CSR trial kernel: samples every task (one RNG draw per

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
-#include "graph/topological.hpp"
 
 namespace expmk::normal {
 
@@ -114,24 +112,6 @@ EXPMK_NOALLOC NormalEstimate clark_full_impl(const graph::Dag& g,
 
 }  // namespace
 
-NormalEstimate clark_full(const graph::Dag& g, const core::FailureModel& model,
-                          core::RetryModel kind,
-                          std::span<const graph::TaskId> topo) {
-  const auto p = core::success_probabilities(g, model);
-  const std::size_t n = g.task_count();
-  std::vector<prob::NormalMoments> completion(n);
-  std::vector<double> cov(n * n);
-  std::vector<double> row(n);
-  return clark_full_impl(g, topo, p, kind, completion, cov, row,
-                         g.exit_tasks());
-}
-
-NormalEstimate clark_full(const graph::Dag& g, const core::FailureModel& model,
-                          core::RetryModel kind) {
-  const auto topo = graph::topological_order(g);
-  return clark_full(g, model, kind, topo);
-}
-
 EXPMK_NOALLOC NormalEstimate clark_full(const scenario::Scenario& sc, exp::Workspace& ws) {
   const std::size_t n = sc.task_count();
   if (n > kClarkFullMaxTasks) {
@@ -144,11 +124,6 @@ EXPMK_NOALLOC NormalEstimate clark_full(const scenario::Scenario& sc, exp::Works
   return clark_full_impl(sc.dag(), sc.topo(), sc.p_success(), sc.retry(),
                          ws.moments(n), ws.doubles(n * n), ws.doubles(n),
                          sc.exits());
-}
-
-NormalEstimate clark_full(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return clark_full(sc, ws);
 }
 
 }  // namespace expmk::normal

@@ -17,8 +17,6 @@
 
 #pragma once
 
-#include <span>
-
 #include "normal/sculli.hpp"
 #include "util/contracts.hpp"
 
@@ -27,28 +25,13 @@ namespace expmk::normal {
 /// Safety limit on |V| for the dense covariance matrix (~8 bytes * V^2).
 inline constexpr std::size_t kClarkFullMaxTasks = 8192;
 
-/// Clark propagation with the full covariance matrix.
-/// Throws std::invalid_argument when |V| exceeds kClarkFullMaxTasks.
-[[nodiscard]] NormalEstimate clark_full(
-    const graph::Dag& g, const core::FailureModel& model,
-    core::RetryModel kind = core::RetryModel::TwoState);
-
-/// As above with a caller-provided topological order.
-[[nodiscard]] NormalEstimate clark_full(const graph::Dag& g,
-                                        const core::FailureModel& model,
-                                        core::RetryModel kind,
-                                        std::span<const graph::TaskId> topo);
-
-/// Workspace kernel — the dense V x V covariance matrix, the linkage row
-/// and the completion moments are leased from `ws` (the matrix is the
-/// single largest per-call allocation in the library): ZERO heap
+/// Clark propagation with the full covariance matrix, retry model from the
+/// scenario; heterogeneous rates supported. Throws std::invalid_argument
+/// when |V| exceeds kClarkFullMaxTasks. The dense V x V covariance matrix,
+/// the linkage row and the completion moments are leased from `ws` (the
+/// matrix is the single largest lease in the library): ZERO heap
 /// allocations on a warm workspace.
 EXPMK_NOALLOC [[nodiscard]] NormalEstimate clark_full(const scenario::Scenario& sc,
                                         exp::Workspace& ws);
-
-/// Scenario-based entry point: cached order and success probabilities,
-/// retry model from the scenario; heterogeneous rates supported.
-/// Lease-a-temporary adapter over the workspace kernel.
-[[nodiscard]] NormalEstimate clark_full(const scenario::Scenario& sc);
 
 }  // namespace expmk::normal

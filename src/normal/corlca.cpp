@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
-
-#include "exp/level_parallel.hpp"
-#include "graph/level_sets.hpp"
-#include "graph/topological.hpp"
 
 namespace expmk::normal {
 
@@ -16,9 +11,7 @@ namespace {
 constexpr graph::TaskId kRootless = graph::kNoTask;
 
 /// Correlation-tree state: parent pointers, depths, and the variance of
-/// each node's completion time. A view over caller-provided storage
-/// (fresh vectors or workspace leases); init() reproduces the fills the
-/// old owning constructor performed.
+/// each node's completion time — a view over workspace leases.
 struct CorrelationTree {
   std::span<graph::TaskId> parent;
   std::span<std::uint32_t> depth;
@@ -47,16 +40,11 @@ struct CorrelationTree {
   }
 };
 
-}  // namespace
-
-namespace {
-
 /// One vertex of the CorLCA fold: reads completion moments and
 /// correlation-tree state of ancestors only — the dominant lineage is a
-/// predecessor and every LCA walk climbs parent pointers of ancestors,
-/// all at strictly earlier levels — and writes only v's own slots. That
-/// containment is what makes the leveled-parallel sweep bit-identical to
-/// the serial topological one.
+/// predecessor and every LCA walk climbs parent pointers of ancestors —
+/// and writes only v's own slots, so any valid topological order yields
+/// identical values.
 EXPMK_NOALLOC void corlca_vertex(const graph::Dag& g,
                                  std::span<const double> p,
                                  core::RetryModel kind,
@@ -91,8 +79,8 @@ EXPMK_NOALLOC void corlca_vertex(const graph::Dag& g,
   tree.variance[v] = completion[v].var;
 }
 
-/// Folds the exit completions into the makespan estimate (serial — the
-/// fold order over `exits` is part of the pinned arithmetic).
+/// Folds the exit completions into the makespan estimate (the fold order
+/// over `exits` is part of the pinned arithmetic).
 EXPMK_NOALLOC NormalEstimate corlca_exits(
     std::span<const prob::NormalMoments> completion,
     const CorrelationTree& tree, std::span<const graph::TaskId> exits) {
@@ -117,88 +105,27 @@ EXPMK_NOALLOC NormalEstimate corlca_exits(
   return NormalEstimate{makespan};
 }
 
-/// Shared traversal over per-task success probabilities (see sculli.cpp:
-/// the fold is pure dataflow, so the topological order does not perturb
-/// the values).
-///
-/// Unlike clark_full's dense row linkage, CorLCA's rho-propagation is a
-/// depth-aligned parent-pointer walk (lca above) — data-dependent pointer
-/// chasing with no elementwise loop to block or vectorize, and its O(V)
-/// tree state is already cache-resident. It deliberately stays scalar
-/// per vertex while clark_full and second_order got blocked/vectorized
-/// sweeps; the level-parallel entry point spreads whole vertices instead.
-EXPMK_NOALLOC NormalEstimate corlca_impl(const graph::Dag& g,
-                           std::span<const graph::TaskId> topo,
-                           std::span<const double> p, core::RetryModel kind,
-                           std::span<prob::NormalMoments> completion,
-                           const CorrelationTree& tree,
-                           std::span<const graph::TaskId> exits) {
-  const std::size_t n = g.task_count();
-  if (n == 0) throw std::invalid_argument("corlca: empty graph");
-  tree.init();
-  for (const graph::TaskId v : topo) {
-    corlca_vertex(g, p, kind, completion, tree, v);
-  }
-  return corlca_exits(completion, tree, exits);
-}
-
 }  // namespace
 
-NormalEstimate corlca(const graph::Dag& g, const core::FailureModel& model,
-                      core::RetryModel kind,
-                      std::span<const graph::TaskId> topo) {
-  const auto p = core::success_probabilities(g, model);
-  const std::size_t n = g.task_count();
-  std::vector<prob::NormalMoments> completion(n);
-  std::vector<graph::TaskId> parent(n);
-  std::vector<std::uint32_t> depth(n);
-  std::vector<double> variance(n);
-  return corlca_impl(g, topo, p, kind, completion,
-                     CorrelationTree{parent, depth, variance},
-                     g.exit_tasks());
-}
-
-NormalEstimate corlca(const graph::Dag& g, const core::FailureModel& model,
-                      core::RetryModel kind) {
-  const auto topo = graph::topological_order(g);
-  return corlca(g, model, kind, topo);
-}
-
-EXPMK_NOALLOC NormalEstimate corlca(const scenario::Scenario& sc, exp::Workspace& ws) {
-  const exp::Workspace::Frame frame(ws);
-  const std::size_t n = sc.task_count();
-  return corlca_impl(sc.dag(), sc.topo(), sc.p_success(), sc.retry(),
-                     ws.moments(n),
-                     CorrelationTree{ws.u32(n), ws.u32(n), ws.doubles(n)},
-                     sc.exits());
-}
-
-NormalEstimate corlca(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return corlca(sc, ws);
-}
-
-NormalEstimate corlca(const scenario::Scenario& sc, exp::Workspace& ws,
-                      std::size_t workers) {
-  if (workers <= 1) return corlca(sc, ws);
-  const exp::Workspace::Frame frame(ws);
-  const graph::Dag& g = sc.dag();
+// Unlike clark_full's dense row linkage, CorLCA's rho-propagation is a
+// depth-aligned parent-pointer walk (lca above) — data-dependent pointer
+// chasing with no elementwise loop to block or vectorize, and its O(V)
+// tree state is already cache-resident. It deliberately stays scalar per
+// vertex while clark_full and second_order got blocked/vectorized sweeps.
+EXPMK_NOALLOC NormalEstimate corlca(const scenario::Scenario& sc,
+                                    exp::Workspace& ws) {
   const std::size_t n = sc.task_count();
   if (n == 0) throw std::invalid_argument("corlca: empty graph");
+  const exp::Workspace::Frame frame(ws);
+  const graph::Dag& g = sc.dag();
   const std::span<const double> p = sc.p_success();
   const core::RetryModel kind = sc.retry();
   const std::span<prob::NormalMoments> completion = ws.moments(n);
   const CorrelationTree tree{ws.u32(n), ws.u32(n), ws.doubles(n)};
   tree.init();
-  const graph::CsrDag& csr = sc.csr();
-  const std::span<const graph::TaskId> order = csr.order();
-  const graph::LevelChunks& fwd = sc.level_sets().fwd;
-  exp::lp::run_leveled(workers, fwd,
-                       [&](std::uint32_t b, std::uint32_t e) {
-    for (std::uint32_t i = b; i < e; ++i) {
-      corlca_vertex(g, p, kind, completion, tree, order[fwd.order[i]]);
-    }
-  });
+  for (const graph::TaskId v : sc.topo()) {
+    corlca_vertex(g, p, kind, completion, tree, v);
+  }
   return corlca_exits(completion, tree, sc.exits());
 }
 

@@ -16,42 +16,16 @@
 
 #pragma once
 
-#include <span>
-
 #include "normal/sculli.hpp"
 #include "util/contracts.hpp"
 
 namespace expmk::normal {
 
-/// CorLCA estimate.
-[[nodiscard]] NormalEstimate corlca(
-    const graph::Dag& g, const core::FailureModel& model,
-    core::RetryModel kind = core::RetryModel::TwoState);
-
-/// As above with a caller-provided topological order.
-[[nodiscard]] NormalEstimate corlca(const graph::Dag& g,
-                                    const core::FailureModel& model,
-                                    core::RetryModel kind,
-                                    std::span<const graph::TaskId> topo);
-
-/// Workspace kernel — the correlation tree (parent/depth/variance) and
-/// the completion-moment array are leased from `ws`: ZERO heap
-/// allocations on a warm workspace.
+/// CorLCA estimate, retry model from the scenario; heterogeneous rates
+/// supported. The correlation tree (parent/depth/variance) and the
+/// completion-moment array are leased from `ws`: ZERO heap allocations on
+/// a warm workspace.
 EXPMK_NOALLOC [[nodiscard]] NormalEstimate corlca(const scenario::Scenario& sc,
                                     exp::Workspace& ws);
-
-/// Scenario-based entry point: cached order and success probabilities,
-/// retry model from the scenario; heterogeneous rates supported.
-/// Lease-a-temporary adapter over the workspace kernel.
-[[nodiscard]] NormalEstimate corlca(const scenario::Scenario& sc);
-
-/// Level-parallel variant: a vertex's fold — including its LCA walks —
-/// reads only correlation-tree state of its ancestors, all at strictly
-/// earlier levels, so vertices fan out over the scenario's cached
-/// graph::LevelSets schedule; the exit fold stays serial. Bit-identical
-/// to the serial kernel for any worker count; `workers <= 1` delegates to
-/// it (the parallel path is not EXPMK_NOALLOC — task futures allocate).
-[[nodiscard]] NormalEstimate corlca(const scenario::Scenario& sc,
-                                    exp::Workspace& ws, std::size_t workers);
 
 }  // namespace expmk::normal

@@ -1,11 +1,6 @@
 #include "normal/sculli.hpp"
 
 #include <stdexcept>
-#include <vector>
-
-#include "exp/level_parallel.hpp"
-#include "graph/level_sets.hpp"
-#include "graph/topological.hpp"
 
 namespace expmk::normal {
 
@@ -22,49 +17,39 @@ EXPMK_NOALLOC prob::NormalMoments duration_moments_p(double a, double p,
   return {a, 0.0};
 }
 
-prob::NormalMoments duration_moments(double a,
-                                     const core::FailureModel& model,
-                                     core::RetryModel kind) {
-  if (a < 0.0) throw std::invalid_argument("duration_moments: a >= 0");
-  if (a == 0.0) return {0.0, 0.0};
-  return duration_moments_p(a, model.p_success(a), kind);
-}
-
-namespace {
-
-/// One vertex of the Sculli fold: reads only predecessors' completion
-/// moments (strictly earlier levels), writes completion[v]. The values
-/// depend on the predecessor iteration order of `g` alone — never on
-/// which thread or in which order-within-a-level the vertex runs — which
-/// is what makes the leveled-parallel sweep bit-identical to the serial
-/// topological one.
-EXPMK_NOALLOC void sculli_vertex(const graph::Dag& g,
-                                 std::span<const double> p,
-                                 core::RetryModel kind,
-                                 std::span<prob::NormalMoments> completion,
-                                 graph::TaskId v) {
-  prob::NormalMoments ready{0.0, 0.0};
-  bool first = true;
-  for (const graph::TaskId u : g.predecessors(v)) {
-    if (first) {
-      ready = completion[u];
-      first = false;
-    } else {
-      ready = prob::clark_max(ready, completion[u], 0.0).moments;
-    }
+EXPMK_NOALLOC NormalEstimate sculli(const scenario::Scenario& sc,
+                                    exp::Workspace& ws) {
+  const graph::Dag& g = sc.dag();
+  if (g.task_count() == 0) {
+    throw std::invalid_argument("sculli: empty graph");
   }
-  completion[v] = prob::sum_independent(
-      ready, duration_moments_p(g.weight(v), p[v], kind));
-}
-
-/// Folds the exit completions into the makespan estimate (serial — the
-/// fold order over `exits` is part of the pinned arithmetic).
-EXPMK_NOALLOC NormalEstimate sculli_exits(
-    std::span<const prob::NormalMoments> completion,
-    std::span<const graph::TaskId> exits) {
+  const exp::Workspace::Frame frame(ws);
+  const std::span<const double> p = sc.p_success();
+  const core::RetryModel kind = sc.retry();
+  // The completion moments are pure dataflow over the graph (each fold
+  // reads only ancestors, in the predecessor order of `g`), so any valid
+  // topological order yields identical values; every entry is written
+  // before it is read.
+  const std::span<prob::NormalMoments> completion =
+      ws.moments(sc.task_count());
+  for (const graph::TaskId v : sc.topo()) {
+    prob::NormalMoments ready{0.0, 0.0};
+    bool first = true;
+    for (const graph::TaskId u : g.predecessors(v)) {
+      if (first) {
+        ready = completion[u];
+        first = false;
+      } else {
+        ready = prob::clark_max(ready, completion[u], 0.0).moments;
+      }
+    }
+    completion[v] = prob::sum_independent(
+        ready, duration_moments_p(g.weight(v), p[v], kind));
+  }
+  // Exit fold, in the scenario's cached (ascending-id) exit order.
   prob::NormalMoments makespan{0.0, 0.0};
   bool first = true;
-  for (const graph::TaskId v : exits) {
+  for (const graph::TaskId v : sc.exits()) {
     if (first) {
       makespan = completion[v];
       first = false;
@@ -73,77 +58,6 @@ EXPMK_NOALLOC NormalEstimate sculli_exits(
     }
   }
   return NormalEstimate{makespan};
-}
-
-/// Shared traversal over per-task success probabilities, writing into
-/// caller scratch. The completion moments are pure dataflow over the
-/// graph (each fold reads only ancestors), so any valid topological order
-/// yields identical values — and so does any source of the `completion`
-/// buffer (fresh vector or workspace lease; every entry is written before
-/// it is read).
-EXPMK_NOALLOC NormalEstimate sculli_impl(const graph::Dag& g,
-                           std::span<const graph::TaskId> topo,
-                           std::span<const double> p, core::RetryModel kind,
-                           std::span<prob::NormalMoments> completion,
-                           std::span<const graph::TaskId> exits) {
-  if (g.task_count() == 0) {
-    throw std::invalid_argument("sculli: empty graph");
-  }
-  for (const graph::TaskId v : topo) {
-    sculli_vertex(g, p, kind, completion, v);
-  }
-  return sculli_exits(completion, exits);
-}
-
-}  // namespace
-
-NormalEstimate sculli(const graph::Dag& g, const core::FailureModel& model,
-                      core::RetryModel kind,
-                      std::span<const graph::TaskId> topo) {
-  const auto p = core::success_probabilities(g, model);
-  std::vector<prob::NormalMoments> completion(g.task_count());
-  return sculli_impl(g, topo, p, kind, completion, g.exit_tasks());
-}
-
-NormalEstimate sculli(const graph::Dag& g, const core::FailureModel& model,
-                      core::RetryModel kind) {
-  const auto topo = graph::topological_order(g);
-  return sculli(g, model, kind, topo);
-}
-
-EXPMK_NOALLOC NormalEstimate sculli(const scenario::Scenario& sc, exp::Workspace& ws) {
-  const exp::Workspace::Frame frame(ws);
-  return sculli_impl(sc.dag(), sc.topo(), sc.p_success(), sc.retry(),
-                     ws.moments(sc.task_count()), sc.exits());
-}
-
-NormalEstimate sculli(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return sculli(sc, ws);
-}
-
-NormalEstimate sculli(const scenario::Scenario& sc, exp::Workspace& ws,
-                      std::size_t workers) {
-  if (workers <= 1) return sculli(sc, ws);
-  const exp::Workspace::Frame frame(ws);
-  const graph::Dag& g = sc.dag();
-  if (g.task_count() == 0) {
-    throw std::invalid_argument("sculli: empty graph");
-  }
-  const std::span<const double> p = sc.p_success();
-  const core::RetryModel kind = sc.retry();
-  const std::span<prob::NormalMoments> completion =
-      ws.moments(sc.task_count());
-  const graph::CsrDag& csr = sc.csr();
-  const std::span<const graph::TaskId> order = csr.order();
-  const graph::LevelChunks& fwd = sc.level_sets().fwd;
-  exp::lp::run_leveled(workers, fwd,
-                       [&](std::uint32_t b, std::uint32_t e) {
-    for (std::uint32_t i = b; i < e; ++i) {
-      sculli_vertex(g, p, kind, completion, order[fwd.order[i]]);
-    }
-  });
-  return sculli_exits(completion, sc.exits());
 }
 
 }  // namespace expmk::normal

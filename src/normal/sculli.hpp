@@ -14,27 +14,20 @@
 
 #pragma once
 
-#include <span>
-
 #include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
-#include "graph/dag.hpp"
 #include "prob/normal.hpp"
 #include "scenario/scenario.hpp"
 #include "util/contracts.hpp"
 
 namespace expmk::normal {
 
-/// Mean/variance of a single task's duration under the failure model.
+/// Mean/variance of a single task's duration from its own success
+/// probability p = e^{-lambda_i a}:
 ///   TwoState:  mean a(2-p), var a^2 p(1-p)
 ///   Geometric: mean a/p,    var a^2 (1-p)/p^2
-[[nodiscard]] prob::NormalMoments duration_moments(
-    double a, const core::FailureModel& model,
-    core::RetryModel kind = core::RetryModel::TwoState);
-
-/// Same moments from the task's own success probability p = e^{-lambda_i
-/// a} — the per-task form every Scenario-based Normal estimator uses
-/// (heterogeneous rates differ only in where p comes from).
+/// The per-task form every Normal estimator uses (heterogeneous rates
+/// differ only in where p comes from).
 EXPMK_NOALLOC [[nodiscard]] prob::NormalMoments duration_moments_p(double a, double p,
                                                      core::RetryModel kind);
 
@@ -44,35 +37,12 @@ struct NormalEstimate {
   [[nodiscard]] double expected_makespan() const { return makespan.mean; }
 };
 
-/// Sculli's method (correlations ignored).
-[[nodiscard]] NormalEstimate sculli(
-    const graph::Dag& g, const core::FailureModel& model,
-    core::RetryModel kind = core::RetryModel::TwoState);
-
-/// As above with a caller-provided topological order.
-[[nodiscard]] NormalEstimate sculli(const graph::Dag& g,
-                                    const core::FailureModel& model,
-                                    core::RetryModel kind,
-                                    std::span<const graph::TaskId> topo);
-
-/// Workspace kernel — the completion-moment array (the method's only
-/// O(V) scratch) is leased from `ws`, and the exit fold reads the
-/// scenario's cached exits(): ZERO heap allocations on a warm workspace.
+/// Sculli's method (correlations ignored), retry model from the scenario;
+/// heterogeneous rates supported. The completion-moment array (the
+/// method's only O(V) scratch) is leased from `ws`, and the exit fold
+/// reads the scenario's cached exits(): ZERO heap allocations on a warm
+/// workspace.
 EXPMK_NOALLOC [[nodiscard]] NormalEstimate sculli(const scenario::Scenario& sc,
                                     exp::Workspace& ws);
-
-/// Scenario-based entry point: cached order and success probabilities,
-/// retry model from the scenario; heterogeneous rates supported.
-/// Lease-a-temporary adapter over the workspace kernel.
-[[nodiscard]] NormalEstimate sculli(const scenario::Scenario& sc);
-
-/// Level-parallel variant: the completion fold is pure per-vertex
-/// dataflow over strictly earlier levels, so vertices fan out over the
-/// scenario's cached graph::LevelSets schedule; the exit fold stays
-/// serial. Bit-identical to the serial kernel for any worker count;
-/// `workers <= 1` delegates to it (the parallel path is not
-/// EXPMK_NOALLOC — task futures allocate).
-[[nodiscard]] NormalEstimate sculli(const scenario::Scenario& sc,
-                                    exp::Workspace& ws, std::size_t workers);
 
 }  // namespace expmk::normal

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "graph/level_sets.hpp"
 #include "graph/sp_tree.hpp"
 
 namespace expmk::scenario {
@@ -24,8 +23,6 @@ std::atomic<std::uint64_t> g_patched{0};
 /// clones. Heap-held because std::once_flag is neither movable nor
 /// copyable but Scenario must stay movable.
 struct Scenario::DerivedCaches {
-  std::once_flag levels_once;
-  std::unique_ptr<const graph::LevelSets> levels;
   std::once_flag sp_once;
   std::unique_ptr<const graph::SpDecomposition> sp;
 };
@@ -369,14 +366,6 @@ Scenario Scenario::patch(std::span<const graph::TaskId> tasks,
 }
 
 // ------------------------------------------- lazy structural caches
-
-const graph::LevelSets& Scenario::level_sets() const {
-  std::call_once(derived_->levels_once, [&] {
-    derived_->levels =
-        std::make_unique<const graph::LevelSets>(graph::build_level_sets(*csr_));
-  });
-  return *derived_->levels;
-}
 
 const graph::SpDecomposition& Scenario::sp_decomposition() const {
   std::call_once(derived_->sp_once, [&] {

@@ -45,7 +45,6 @@
 #include "graph/dag.hpp"
 
 namespace expmk::graph {
-struct LevelSets;
 struct SpDecomposition;
 }  // namespace expmk::graph
 
@@ -60,8 +59,8 @@ class FailureSpec {
   /// Uniform, failure-free (lambda == 0).
   FailureSpec() = default;
 
-  /// Uniform rate taken from the classic model (implicit on purpose:
-  /// every legacy `(Dag&, FailureModel)` call site forwards through this).
+  /// Uniform rate taken from the classic model (implicit on purpose, so
+  /// `Scenario::compile(g, core::calibrate(g, pfail))` reads naturally).
   FailureSpec(const core::FailureModel& model) : lambda_(model.lambda) {}
 
   /// Uniform rate `lambda` (errors per second of execution).
@@ -140,7 +139,7 @@ class Scenario {
   /// weight `new_weights[j]` (either span may be empty to leave that
   /// dimension untouched; a non-empty span must match tasks.size()).
   /// The clone SHARES the immutable graph structure (Dag, CSR adjacency,
-  /// level/SP-decomposition caches) with this scenario and re-derives only
+  /// SP-decomposition cache) with this scenario and re-derives only
   /// what the patch invalidates: the per-task exp/log constants of the
   /// patched tasks, and — for weight patches — the failure-free finish
   /// times of the patched tasks' descendant cone (value-based dirty
@@ -184,15 +183,11 @@ class Scenario {
     return csr_->order();
   }
 
-  // -------------------------------------- lazily built structural caches
-  // Both depend only on the adjacency structure, are built on first use
-  // (thread-safe), and are SHARED by every patch()/with_failure() clone —
-  // a patched scenario never re-derives them.
-
-  /// Chunked level-partition schedule for the level-parallel sweeps.
-  [[nodiscard]] const graph::LevelSets& level_sets() const;
-
+  // -------------------------------------- lazily built structural cache
   /// Series-parallel modular decomposition for hierarchical evaluation.
+  /// Depends only on the adjacency structure, is built on first use
+  /// (thread-safe), and is SHARED by every patch()/with_failure() clone —
+  /// a patched scenario never re-derives it.
   [[nodiscard]] const graph::SpDecomposition& sp_decomposition() const;
 
   /// Tasks with no successor, ascending Dag id — a cached copy of
@@ -301,7 +296,7 @@ class Scenario {
   double mean_weight_ = 0.0;
   double total_weight_ = 0.0;
 
-  // Lazy structure-derived caches, shared across patch clones. The holder
+  // Lazy structure-derived cache, shared across patch clones. The holder
   // is heap-allocated so Scenario stays movable (std::once_flag is not).
   std::shared_ptr<DerivedCaches> derived_;
 };

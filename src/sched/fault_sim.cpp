@@ -1,17 +1,14 @@
 #include "sched/fault_sim.hpp"
 
-#include <vector>
-
 namespace expmk::sched {
 
-namespace {
-
-FaultSimResult fault_sim_impl(const graph::Dag& g,
-                              std::span<const double> priority,
-                              const Machine& machine,
-                              const mc::TrialContext& ctx,
-                              const FaultSimConfig& config,
-                              exp::Workspace& ws) {
+FaultSimResult simulate_with_faults(const scenario::Scenario& sc,
+                                    std::span<const double> priority,
+                                    const Machine& machine,
+                                    const FaultSimConfig& config,
+                                    exp::Workspace& ws) {
+  const graph::Dag& g = sc.dag();
+  const mc::TrialContext ctx(sc);
   const exp::Workspace::Frame frame(ws);
   FaultSimResult result;
   result.failure_free_makespan =
@@ -30,35 +27,6 @@ FaultSimResult fault_sim_impl(const graph::Dag& g,
     result.makespan.push(s.makespan);
   }
   return result;
-}
-
-}  // namespace
-
-FaultSimResult simulate_with_faults(const graph::Dag& g,
-                                    std::span<const double> priority,
-                                    const Machine& machine,
-                                    const core::FailureModel& model,
-                                    const FaultSimConfig& config) {
-  const mc::TrialContext ctx(g, model, config.retry);
-  exp::Workspace ws;
-  return fault_sim_impl(g, priority, machine, ctx, config, ws);
-}
-
-FaultSimResult simulate_with_faults(const scenario::Scenario& sc,
-                                    std::span<const double> priority,
-                                    const Machine& machine,
-                                    const FaultSimConfig& config,
-                                    exp::Workspace& ws) {
-  return fault_sim_impl(sc.dag(), priority, machine, mc::TrialContext(sc),
-                        config, ws);
-}
-
-FaultSimResult simulate_with_faults(const scenario::Scenario& sc,
-                                    std::span<const double> priority,
-                                    const Machine& machine,
-                                    const FaultSimConfig& config) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return simulate_with_faults(sc, priority, machine, config, ws);
 }
 
 }  // namespace expmk::sched

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 
-#include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
 #include "mc/trial.hpp"
 #include "prob/statistics.hpp"
@@ -23,7 +22,6 @@ namespace expmk::sched {
 struct FaultSimConfig {
   std::uint64_t runs = 1000;
   std::uint64_t seed = 0xFEED;
-  core::RetryModel retry = core::RetryModel::Geometric;
 };
 
 /// Aggregate outcome over the campaign.
@@ -32,28 +30,16 @@ struct FaultSimResult {
   double failure_free_makespan = 0.0;  ///< same priorities, no faults
 };
 
-/// Runs `config.runs` fault-injected executions of the list schedule with
-/// the given priority vector on `machine`.
-[[nodiscard]] FaultSimResult simulate_with_faults(
-    const graph::Dag& g, std::span<const double> priority,
-    const Machine& machine, const core::FailureModel& model,
-    const FaultSimConfig& config = {});
-
-/// Workspace kernel: the per-run duration and trial-sweep buffers are
-/// leased from `ws`. (The list scheduler itself still builds its Schedule
-/// per run — the simulation is a Monte-Carlo campaign, not one of the
+/// Runs `config.runs` fault-injected executions of the list schedule of
+/// the scenario's DAG with the given priority vector on `machine`; the
+/// scenario's retry model governs sampling (heterogeneous per-task rates
+/// supported). The per-run duration and trial-sweep buffers are leased
+/// from `ws`. (The list scheduler itself still builds its Schedule per
+/// run — the simulation is a Monte-Carlo campaign, not one of the
 /// allocation-pinned analytic paths.)
 [[nodiscard]] FaultSimResult simulate_with_faults(
     const scenario::Scenario& sc, std::span<const double> priority,
     const Machine& machine, const FaultSimConfig& config,
     exp::Workspace& ws);
-
-/// Scenario-based entry point (no CSR rebuild; heterogeneous per-task
-/// rates supported). `config.retry` is ignored — the scenario's retry
-/// model governs sampling. Lease-a-temporary adapter over the workspace
-/// kernel.
-[[nodiscard]] FaultSimResult simulate_with_faults(
-    const scenario::Scenario& sc, std::span<const double> priority,
-    const Machine& machine, const FaultSimConfig& config = {});
 
 }  // namespace expmk::sched

@@ -2,21 +2,16 @@
 
 #include "core/bottom_levels.hpp"
 #include "graph/levels.hpp"
-#include "graph/topological.hpp"
 
 namespace expmk::sched {
 
-std::vector<double> priorities(const graph::Dag& g, PriorityKind kind,
-                               const core::FailureModel& model) {
-  const auto topo = graph::topological_order(g);
-  switch (kind) {
-    case PriorityKind::BottomLevel:
-    case PriorityKind::UpwardRank:
-      return graph::bottom_levels(g, g.weights(), topo);
-    case PriorityKind::FailureAwareBottomLevel:
-      return core::failure_aware_bottom_levels(g, model, topo);
+std::vector<double> priorities(const scenario::Scenario& sc,
+                               PriorityKind kind) {
+  if (kind == PriorityKind::FailureAwareBottomLevel) {
+    return core::failure_aware_bottom_levels(sc);
   }
-  return graph::bottom_levels(g, g.weights(), topo);
+  const graph::Dag& g = sc.dag();
+  return graph::bottom_levels(g, g.weights(), sc.topo());
 }
 
 }  // namespace expmk::sched

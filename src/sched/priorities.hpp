@@ -9,8 +9,7 @@
 
 #include <vector>
 
-#include "core/failure_model.hpp"
-#include "graph/dag.hpp"
+#include "scenario/scenario.hpp"
 
 namespace expmk::sched {
 
@@ -21,14 +20,12 @@ enum class PriorityKind {
   /// Failure-aware CP: first-order expected bottom level (the paper's
   /// proposed use of its approximation).
   FailureAwareBottomLevel,
-  /// Upward rank alias used by HEFT on homogeneous platforms — identical
-  /// to BottomLevel here because task costs do not vary per processor.
-  UpwardRank,
 };
 
-/// Computes the priority of every task (higher = schedule earlier).
-[[nodiscard]] std::vector<double> priorities(const graph::Dag& g,
-                                             PriorityKind kind,
-                                             const core::FailureModel& model);
+/// Computes the priority of every task of the scenario's DAG (higher =
+/// schedule earlier). BottomLevel reads only the weights; the
+/// failure-aware kind reads the scenario's rates too.
+[[nodiscard]] std::vector<double> priorities(const scenario::Scenario& sc,
+                                             PriorityKind kind);
 
 }  // namespace expmk::sched

@@ -1,0 +1,58 @@
+#include "reference_estimators.hpp"
+
+#include <vector>
+
+#include "graph/longest_path.hpp"
+#include "graph/metrics.hpp"
+#include "graph/topological.hpp"
+#include "prob/discrete_distribution.hpp"
+
+namespace expmk::ref {
+
+double first_order_naive(const graph::Dag& g,
+                         const core::FailureModel& model) {
+  const auto topo = graph::topological_order(g);
+  std::vector<double> finish(g.task_count());
+  const double d = graph::critical_path_length(g, g.weights(), topo, finish);
+  std::vector<double> weights = g.weights();
+  double correction = 0.0;
+  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
+    const double a = weights[i];
+    weights[i] = 2.0 * a;
+    const double d_i = graph::critical_path_length(g, weights, topo, finish);
+    weights[i] = a;
+    correction += a * (d_i - d);
+  }
+  return d + model.lambda * correction;
+}
+
+core::MakespanBounds makespan_bounds_object_fold(
+    const graph::Dag& g, const core::FailureModel& model) {
+  const auto topo = graph::topological_order(g);
+  std::vector<double> p(g.task_count());
+  std::vector<double> expected(g.task_count());
+  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
+    p[i] = model.p_success(g.weight(i));
+    expected[i] = g.weight(i) * (2.0 - p[i]);
+  }
+  core::MakespanBounds out;
+  out.failure_free = graph::critical_path_length(g, g.weights(), topo);
+  out.jensen_lower = graph::critical_path_length(g, expected, topo);
+
+  // E[ sum_l max_{i in L_l} X_i ].
+  double upper = 0.0;
+  for (const auto& level : graph::level_partition(g)) {
+    auto level_max = prob::DiscreteDistribution::point(0.0);
+    for (const graph::TaskId i : level) {
+      const double a = g.weight(i);
+      if (a <= 0.0) continue;
+      level_max = prob::DiscreteDistribution::max_of(
+          level_max, prob::DiscreteDistribution::two_state(a, p[i]));
+    }
+    upper += level_max.mean();
+  }
+  out.level_upper = upper;
+  return out;
+}
+
+}  // namespace expmk::ref

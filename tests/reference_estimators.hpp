@@ -1,0 +1,34 @@
+// tests/reference_estimators.hpp
+//
+// Separate algorithms the library's estimator kernels are checked
+// against. Each recomputes its quantity on the plain Dag by a different
+// route than the kernel:
+//  * first_order_naive recomputes d(G_i) from scratch for every task,
+//    O(|V| (|V| + |E|)) — the paper's naive bound — against the O(V + E)
+//    core::first_order kernel;
+//  * makespan_bounds_object_fold folds the per-level maxima through heap
+//    prob::DiscreteDistribution objects, the arithmetic the flat atom
+//    fold of core::makespan_bounds mirrors operation for operation.
+// Test-only: built into expmk_tests and nothing else (the same pattern as
+// tests/sp_reference).
+
+#pragma once
+
+#include "core/bounds.hpp"
+#include "core/failure_model.hpp"
+#include "graph/dag.hpp"
+
+namespace expmk::ref {
+
+/// First-order expected makespan d(G) + lambda sum_i a_i (d(G_i) - d(G)),
+/// with every d(G_i) recomputed by a full longest-path pass.
+[[nodiscard]] double first_order_naive(const graph::Dag& g,
+                                       const core::FailureModel& model);
+
+/// d(G), the Jensen lower bound and the level-decomposition upper bound
+/// of the 2-state model, the level maxima folded as DiscreteDistribution
+/// objects over graph::level_partition.
+[[nodiscard]] core::MakespanBounds makespan_bounds_object_fold(
+    const graph::Dag& g, const core::FailureModel& model);
+
+}  // namespace expmk::ref

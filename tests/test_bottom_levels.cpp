@@ -17,13 +17,15 @@ namespace {
 using expmk::core::failure_aware_bottom_level;
 using expmk::core::failure_aware_bottom_levels;
 using expmk::core::FailureModel;
+using expmk::test::uniform_scenario;
 
 TEST(FailureAwareBottomLevels, ZeroLambdaEqualsClassicBottomLevels) {
   const auto g = expmk::gen::cholesky_dag(4);
   const auto topo = expmk::graph::topological_order(g);
   const auto classic =
       expmk::graph::bottom_levels(g, g.weights(), topo);
-  const auto aware = failure_aware_bottom_levels(g, FailureModel{0.0});
+  const auto aware =
+      failure_aware_bottom_levels(uniform_scenario(g, FailureModel{0.0}));
   ASSERT_EQ(classic.size(), aware.size());
   for (std::size_t i = 0; i < classic.size(); ++i) {
     EXPECT_DOUBLE_EQ(aware[i], classic[i]);
@@ -34,7 +36,8 @@ TEST(FailureAwareBottomLevels, AlwaysAtLeastClassic) {
   const auto g = expmk::gen::erdos_dag(30, 0.2, 5);
   const auto topo = expmk::graph::topological_order(g);
   const auto classic = expmk::graph::bottom_levels(g, g.weights(), topo);
-  const auto aware = failure_aware_bottom_levels(g, FailureModel{0.05});
+  const auto aware =
+      failure_aware_bottom_levels(uniform_scenario(g, FailureModel{0.05}));
   for (std::size_t i = 0; i < classic.size(); ++i) {
     EXPECT_GE(aware[i], classic[i] - 1e-12);
   }
@@ -44,7 +47,8 @@ TEST(FailureAwareBottomLevels, ExitTaskClosedForm) {
   // An exit task's level is a + lambda a^2 (only itself can fail).
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
   const double lambda = 0.01;
-  const auto aware = failure_aware_bottom_levels(g, FailureModel{lambda});
+  const auto aware =
+      failure_aware_bottom_levels(uniform_scenario(g, FailureModel{lambda}));
   const auto D = g.find_by_name("D");
   EXPECT_NEAR(aware[D], 4.0 + lambda * 16.0, 1e-12);
 }
@@ -56,20 +60,20 @@ TEST(FailureAwareBottomLevels, EntryEqualsFirstOrderOfWholeGraph) {
   const auto g = expmk::gen::cholesky_dag(5);
   ASSERT_EQ(g.entry_tasks().size(), 1u);
   const FailureModel m{0.02};
-  const auto aware = failure_aware_bottom_levels(g, m);
-  const auto fo = expmk::core::first_order(g, m);
+  const auto aware = failure_aware_bottom_levels(uniform_scenario(g, m));
+  expmk::exp::Workspace ws;
+  const auto fo = expmk::core::first_order(uniform_scenario(g, m), ws);
   EXPECT_NEAR(aware[g.entry_tasks()[0]], fo.expected_makespan(), 1e-9);
 }
 
 TEST(FailureAwareBottomLevels, SingleTaskVariantAgrees) {
   const auto g = expmk::gen::lu_dag(4);
-  const auto topo = expmk::graph::topological_order(g);
-  const FailureModel m{0.03};
-  const auto all = failure_aware_bottom_levels(g, m, topo);
+  const auto sc = uniform_scenario(g, FailureModel{0.03});
+  const auto all = failure_aware_bottom_levels(sc);
   for (const expmk::graph::TaskId t :
        {expmk::graph::TaskId{0}, expmk::graph::TaskId{5},
         static_cast<expmk::graph::TaskId>(g.task_count() - 1)}) {
-    EXPECT_NEAR(failure_aware_bottom_level(g, m, t, topo), all[t], 1e-12);
+    EXPECT_NEAR(failure_aware_bottom_level(sc, t), all[t], 1e-12);
   }
 }
 
@@ -77,7 +81,8 @@ TEST(FailureAwareBottomLevels, MonotoneAlongEdges) {
   // Like classic bottom levels, aware levels decrease along edges by at
   // least the task's own weight.
   const auto g = expmk::gen::erdos_dag(25, 0.2, 9);
-  const auto aware = failure_aware_bottom_levels(g, FailureModel{0.04});
+  const auto aware =
+      failure_aware_bottom_levels(uniform_scenario(g, FailureModel{0.04}));
   for (expmk::graph::TaskId u = 0; u < g.task_count(); ++u) {
     for (const auto v : g.successors(u)) {
       EXPECT_GE(aware[u], aware[v] + g.weight(u) - 1e-9);
@@ -96,7 +101,8 @@ TEST(FailureAwareBottomLevels, CanReorderPriorities) {
   const auto y2 = g.add_task("Y2", 1.0);
   g.add_edge(y1, y2);
   const double lambda = 0.01;
-  const auto aware = failure_aware_bottom_levels(g, FailureModel{lambda});
+  const auto aware =
+      failure_aware_bottom_levels(uniform_scenario(g, FailureModel{lambda}));
   EXPECT_NEAR(aware[x], 2.0 + lambda * 4.0, 1e-12);
   EXPECT_NEAR(aware[y1], 2.0 + lambda * 2.0, 1e-12);
   EXPECT_GT(aware[x], aware[y1]);  // failure-awareness broke the tie

@@ -22,6 +22,7 @@ using expmk::core::FailureModel;
 using expmk::normal::clark_full;
 using expmk::normal::corlca;
 using expmk::normal::sculli;
+using expmk::test::uniform_scenario;
 
 /// Prefix chain -> fork into two one-task branches -> join. The branch
 /// completion times share the prefix variance, i.e. are highly correlated.
@@ -45,30 +46,33 @@ expmk::graph::Dag shared_prefix_fork(int prefix_len) {
 
 TEST(ClarkFull, ChainMatchesSculliExactly) {
   const auto g = expmk::gen::uniform_chain(5, 0.4);
-  const FailureModel m{0.2};
-  EXPECT_NEAR(clark_full(g, m).expected_makespan(),
-              sculli(g, m).expected_makespan(), 1e-12);
+  const auto sc = uniform_scenario(g, FailureModel{0.2});
+  expmk::exp::Workspace ws;
+  EXPECT_NEAR(clark_full(sc, ws).expected_makespan(),
+              sculli(sc, ws).expected_makespan(), 1e-12);
 }
 
 TEST(ClarkFull, CorrectsSharedPrefixBias) {
   const auto g = shared_prefix_fork(8);
-  const FailureModel m{0.25};
-  const double exact = exact_two_state(g, m);
+  const auto sc = uniform_scenario(g, FailureModel{0.25});
+  expmk::exp::Workspace ws;
+  const double exact = exact_two_state(sc, ws);
   const double err_sculli =
-      std::fabs(sculli(g, m).expected_makespan() - exact);
+      std::fabs(sculli(sc, ws).expected_makespan() - exact);
   const double err_full =
-      std::fabs(clark_full(g, m).expected_makespan() - exact);
+      std::fabs(clark_full(sc, ws).expected_makespan() - exact);
   EXPECT_LT(err_full, err_sculli);
 }
 
 TEST(CorLca, CorrectsSharedPrefixBias) {
   const auto g = shared_prefix_fork(8);
-  const FailureModel m{0.25};
-  const double exact = exact_two_state(g, m);
+  const auto sc = uniform_scenario(g, FailureModel{0.25});
+  expmk::exp::Workspace ws;
+  const double exact = exact_two_state(sc, ws);
   const double err_sculli =
-      std::fabs(sculli(g, m).expected_makespan() - exact);
+      std::fabs(sculli(sc, ws).expected_makespan() - exact);
   const double err_corlca =
-      std::fabs(corlca(g, m).expected_makespan() - exact);
+      std::fabs(corlca(sc, ws).expected_makespan() - exact);
   EXPECT_LT(err_corlca, err_sculli);
 }
 
@@ -78,9 +82,10 @@ TEST(ClarkFull, TracksFullCorrelationOnSharedPrefix) {
   // one branch. clark_full must land within the normality error floor
   // (~0.5%), far below Sculli's correlation-blind bias on this shape.
   const auto g = shared_prefix_fork(12);
-  const FailureModel m{0.15};
-  const double exact = exact_two_state(g, m);
-  EXPECT_NEAR(clark_full(g, m).expected_makespan(), exact, 0.005 * exact);
+  const auto sc = uniform_scenario(g, FailureModel{0.15});
+  expmk::exp::Workspace ws;
+  const double exact = exact_two_state(sc, ws);
+  EXPECT_NEAR(clark_full(sc, ws).expected_makespan(), exact, 0.005 * exact);
 }
 
 TEST(ClarkCorlca, AgreeWithSculliWhenIndependent) {
@@ -92,10 +97,11 @@ TEST(ClarkCorlca, AgreeWithSculliWhenIndependent) {
   const auto b = g.add_task(0.6);
   g.add_edge(root, a);
   g.add_edge(root, b);
-  const FailureModel m{0.3};
-  const double s = sculli(g, m).expected_makespan();
-  EXPECT_NEAR(clark_full(g, m).expected_makespan(), s, 1e-10);
-  EXPECT_NEAR(corlca(g, m).expected_makespan(), s, 1e-10);
+  const auto sc = uniform_scenario(g, FailureModel{0.3});
+  expmk::exp::Workspace ws;
+  const double s = sculli(sc, ws).expected_makespan();
+  EXPECT_NEAR(clark_full(sc, ws).expected_makespan(), s, 1e-10);
+  EXPECT_NEAR(corlca(sc, ws).expected_makespan(), s, 1e-10);
 }
 
 class NormalVariantsSweep : public ::testing::TestWithParam<std::uint64_t> {
@@ -103,11 +109,13 @@ class NormalVariantsSweep : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(NormalVariantsSweep, AllVariantsLandNearExact) {
   const auto g = expmk::gen::erdos_dag(12, 0.3, GetParam());
-  const FailureModel m{0.05};
-  const double exact = exact_two_state(g, m);
+  const auto sc = uniform_scenario(g, FailureModel{0.05});
+  expmk::exp::Workspace ws;
+  const double exact = exact_two_state(sc, ws);
   for (const double est :
-       {sculli(g, m).expected_makespan(), clark_full(g, m).expected_makespan(),
-        corlca(g, m).expected_makespan()}) {
+       {sculli(sc, ws).expected_makespan(),
+        clark_full(sc, ws).expected_makespan(),
+        corlca(sc, ws).expected_makespan()}) {
     EXPECT_NEAR(est, exact, 0.06 * exact);
   }
 }
@@ -119,9 +127,10 @@ TEST(ClarkFull, CorrelationImprovesCholeskyEstimate) {
   // On a real factorization DAG the correlation-aware estimate should not
   // be worse than Sculli by more than noise; typically it is better.
   const auto g = expmk::gen::cholesky_dag(4);
-  const FailureModel m = expmk::core::calibrate(g, 0.01);
-  const double s = sculli(g, m).expected_makespan();
-  const double f = clark_full(g, m).expected_makespan();
+  const auto sc = uniform_scenario(g, 0.01);
+  expmk::exp::Workspace ws;
+  const double s = sculli(sc, ws).expected_makespan();
+  const double f = clark_full(sc, ws).expected_makespan();
   // Both close to each other; full must not blow up.
   EXPECT_NEAR(f, s, 0.05 * s);
   // And the fully-correlated estimate is below Sculli's independent-max
@@ -133,12 +142,15 @@ TEST(ClarkFull, SizeLimitEnforced) {
   // 8193 tasks exceeds the dense-covariance limit.
   const auto g = expmk::gen::independent_tasks(10, 1);
   (void)g;  // small graph fine:
-  EXPECT_NO_THROW((void)clark_full(g, FailureModel{0.1}));
+  expmk::exp::Workspace ws;
+  EXPECT_NO_THROW(
+      (void)clark_full(uniform_scenario(g, FailureModel{0.1}), ws));
 }
 
 TEST(CorLca, EmptyGraphThrows) {
-  EXPECT_THROW((void)corlca(expmk::graph::Dag{}, FailureModel{0.1}),
-               std::invalid_argument);
+  const auto sc = uniform_scenario(expmk::graph::Dag{}, FailureModel{0.1});
+  expmk::exp::Workspace ws;
+  EXPECT_THROW((void)corlca(sc, ws), std::invalid_argument);
 }
 
 }  // namespace

@@ -15,6 +15,9 @@ using expmk::core::criticality_probabilities;
 using expmk::core::CriticalityConfig;
 using expmk::core::FailureModel;
 using expmk::core::slacks;
+using expmk::test::uniform_scenario;
+
+constexpr auto kGeometric = expmk::core::RetryModel::Geometric;
 
 TEST(Slack, DiamondValues) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);  // d = 8 via A-C-D
@@ -39,7 +42,9 @@ TEST(Criticality, ZeroLambdaMatchesDeterministicSlack) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
   CriticalityConfig cfg;
   cfg.trials = 200;
-  const auto p = criticality_probabilities(g, FailureModel{0.0}, cfg);
+  expmk::exp::Workspace ws;
+  const auto p = criticality_probabilities(
+      uniform_scenario(g, FailureModel{0.0}, kGeometric), cfg, ws);
   EXPECT_DOUBLE_EQ(p[g.find_by_name("A")], 1.0);
   EXPECT_DOUBLE_EQ(p[g.find_by_name("C")], 1.0);
   EXPECT_DOUBLE_EQ(p[g.find_by_name("B")], 0.0);
@@ -48,10 +53,12 @@ TEST(Criticality, ZeroLambdaMatchesDeterministicSlack) {
 TEST(Criticality, FailuresMakeSlackTasksSometimesCritical) {
   // B (weight 2, slack 1) becomes critical when it fails (weight 4 > 3).
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
-  const FailureModel m{0.3};  // sizeable failure probability
+  // Sizeable failure probability.
+  const auto sc = uniform_scenario(g, FailureModel{0.3}, kGeometric);
   CriticalityConfig cfg;
   cfg.trials = 20'000;
-  const auto p = criticality_probabilities(g, m, cfg);
+  expmk::exp::Workspace ws;
+  const auto p = criticality_probabilities(sc, cfg, ws);
   const auto B = g.find_by_name("B");
   const auto C = g.find_by_name("C");
   EXPECT_GT(p[B], 0.05);
@@ -66,7 +73,9 @@ TEST(Criticality, ProbabilitiesAreProbabilities) {
   const auto g = expmk::gen::erdos_dag(25, 0.2, 7);
   CriticalityConfig cfg;
   cfg.trials = 2'000;
-  const auto p = criticality_probabilities(g, FailureModel{0.1}, cfg);
+  expmk::exp::Workspace ws;
+  const auto p = criticality_probabilities(
+      uniform_scenario(g, FailureModel{0.1}, kGeometric), cfg, ws);
   for (const double x : p) {
     EXPECT_GE(x, 0.0);
     EXPECT_LE(x, 1.0);
@@ -77,8 +86,10 @@ TEST(Criticality, Deterministic) {
   const auto g = expmk::gen::cholesky_dag(3);
   CriticalityConfig cfg;
   cfg.trials = 500;
-  const auto a = criticality_probabilities(g, FailureModel{0.1}, cfg);
-  const auto b = criticality_probabilities(g, FailureModel{0.1}, cfg);
+  const auto sc = uniform_scenario(g, FailureModel{0.1}, kGeometric);
+  expmk::exp::Workspace ws;
+  const auto a = criticality_probabilities(sc, cfg, ws);
+  const auto b = criticality_probabilities(sc, cfg, ws);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
@@ -94,8 +105,8 @@ TEST(Criticality, BernoulliMatchesHandComputedProbability) {
   const double expected = (1.0 - p1) * p2;  // t2 critical cases
   CriticalityConfig cfg;
   cfg.trials = 100'000;
-  cfg.retry = expmk::core::RetryModel::TwoState;
-  const auto p = criticality_probabilities(g, m, cfg);
+  expmk::exp::Workspace ws;
+  const auto p = criticality_probabilities(uniform_scenario(g, m), cfg, ws);
   EXPECT_NEAR(p[1], expected, 0.01);
   EXPECT_NEAR(p[0], 1.0 - expected, 0.01);
 }

@@ -34,6 +34,7 @@ using expmk::mc::TrialContext;
 using expmk::scenario::FailureSpec;
 using expmk::scenario::Scenario;
 using expmk::mc::kTrialLanes;
+using expmk::test::uniform_scenario;
 
 std::vector<Dag> fixture_dags() {
   std::vector<Dag> out;
@@ -185,8 +186,8 @@ TEST(CsrTrialKernel, BitIdenticalToReferenceScalarLoop) {
   for (const RetryModel retry :
        {RetryModel::Geometric, RetryModel::TwoState}) {
     for (const Dag& g : fixture_dags()) {
-      const auto model = expmk::core::calibrate(g, 0.05);
-      const TrialContext ctx(g, model, retry);
+      const auto sc = uniform_scenario(g, 0.05, retry);
+      const TrialContext ctx(sc);
       std::vector<double> finish(g.task_count());
       std::vector<double> durations;
       for (std::uint64_t t = 0; t < 500; ++t) {
@@ -203,8 +204,8 @@ TEST(CsrTrialKernel, BitIdenticalToReferenceScalarLoop) {
 
 TEST(CsrTrialKernel, AdapterScattersDurationsInDagOrder) {
   const Dag g = expmk::gen::lu_dag(4);
-  const auto model = expmk::core::calibrate(g, 0.1);
-  const TrialContext ctx(g, model, RetryModel::Geometric);
+  const auto sc = uniform_scenario(g, 0.1, RetryModel::Geometric);
+  const TrialContext ctx(sc);
   std::vector<double> durations(g.task_count());
   std::vector<double> ref_durations;
   for (std::uint64_t t = 0; t < 100; ++t) {
@@ -221,8 +222,8 @@ TEST(CsrTrialKernel, AdapterScattersDurationsInDagOrder) {
 
 TEST(CsrTrialKernel, AdapterRejectsUndersizedBuffer) {
   const Dag g = expmk::gen::lu_dag(3);
-  const auto model = expmk::core::calibrate(g, 0.01);
-  const TrialContext ctx(g, model, RetryModel::Geometric);
+  const auto sc = uniform_scenario(g, 0.01, RetryModel::Geometric);
+  const TrialContext ctx(sc);
   expmk::prob::McRng rng(1);
   std::vector<double> too_small;  // the pre-CSR adapter would resize this
   EXPECT_THROW((void)expmk::mc::run_trial(ctx, rng, too_small),
@@ -236,8 +237,8 @@ TEST(CsrTrialKernel, AdapterRejectsUndersizedBuffer) {
 // at t0 has trial t0 + l's makespan.
 TEST(CsrTrialKernel, ControlVariantDrawsIdenticalStream) {
   const Dag g = expmk::gen::lu_dag(4);
-  const auto model = expmk::core::calibrate(g, 0.05);
-  const TrialContext ctx(g, model, RetryModel::Geometric);
+  const auto sc = uniform_scenario(g, 0.05, RetryModel::Geometric);
+  const TrialContext ctx(sc);
   std::vector<double> finish(g.task_count());
   std::vector<double> lanes(g.task_count() * kTrialLanes);
   for (std::uint64_t t0 = 0; t0 < 200; t0 += kTrialLanes) {
@@ -263,8 +264,8 @@ TEST(CsrTrialKernel, LanesMatchReferenceLoopPerLane) {
   for (const RetryModel retry :
        {RetryModel::Geometric, RetryModel::TwoState}) {
     for (const Dag& g : dags) {
-      const auto model = expmk::core::calibrate(g, 0.3);
-      const TrialContext ctx(g, model, retry);
+      const auto sc = uniform_scenario(g, 0.3, retry);
+      const TrialContext ctx(sc);
       std::vector<double> finish(g.task_count() * kTrialLanes);
       std::vector<double> durations;
       for (const std::uint64_t t0 :
@@ -286,8 +287,8 @@ TEST(CsrTrialKernel, LanesMatchReferenceLoopPerLane) {
 
 TEST(CsrTrialKernel, LanesRejectMissizedScratch) {
   const Dag g = expmk::gen::lu_dag(3);
-  const TrialContext ctx(g, expmk::core::calibrate(g, 0.01),
-                         RetryModel::TwoState);
+  const auto sc = uniform_scenario(g, 0.01);
+  const TrialContext ctx(sc);
   std::vector<double> one_trial(g.task_count());
   EXPECT_THROW((void)expmk::mc::run_trial_lanes(ctx, 1, 0, one_trial),
                std::invalid_argument);
@@ -302,18 +303,18 @@ TEST(CsrTrialKernel, LanesRejectMissizedScratch) {
 TEST(CsrEngineDeterminism, BitIdenticalAcrossThreadCounts) {
   const Dag g = expmk::gen::lu_dag(5);
   ASSERT_GE(g.task_count(), 50u);
-  const auto model = expmk::core::calibrate(g, 0.01);
+  const auto sc = uniform_scenario(g, 0.01, RetryModel::Geometric);
   for (const bool cv : {false, true}) {
     expmk::mc::McConfig cfg;
     cfg.trials = 3000;
     cfg.seed = 77;
     cfg.control_variate = cv;
     cfg.threads = 1;
-    const auto r1 = run_monte_carlo(g, model, cfg);
+    const auto r1 = run_monte_carlo(sc, cfg);
     cfg.threads = 2;
-    const auto r2 = run_monte_carlo(g, model, cfg);
+    const auto r2 = run_monte_carlo(sc, cfg);
     cfg.threads = 7;
-    const auto r7 = run_monte_carlo(g, model, cfg);
+    const auto r7 = run_monte_carlo(sc, cfg);
     EXPECT_EQ(r1.mean, r2.mean) << "cv=" << cv;
     EXPECT_EQ(r2.mean, r7.mean) << "cv=" << cv;
     EXPECT_EQ(r1.variance, r2.variance) << "cv=" << cv;
@@ -327,14 +328,14 @@ TEST(CsrEngineDeterminism, BitIdenticalAcrossThreadCounts) {
 // order because chunk accumulators merge in chunk order).
 TEST(CsrEngineDeterminism, EngineSamplesMatchReferenceLoop) {
   const Dag g = expmk::gen::lu_dag(5);
-  const auto model = expmk::core::calibrate(g, 0.02);
+  const auto sc = uniform_scenario(g, 0.02, RetryModel::Geometric);
   expmk::mc::McConfig cfg;
   cfg.trials = 600;
   cfg.seed = 31337;
   cfg.capture_samples = true;
-  const auto r = run_monte_carlo(g, model, cfg);
+  const auto r = run_monte_carlo(sc, cfg);
   ASSERT_EQ(r.samples.size(), cfg.trials);
-  const TrialContext ctx(g, model, cfg.retry);
+  const TrialContext ctx(sc);
   std::vector<double> durations;
   for (std::uint64_t t = 0; t < cfg.trials; ++t) {
     expmk::prob::McRng rng(cfg.seed, t);

@@ -19,21 +19,26 @@ using expmk::core::exact_two_state;
 using expmk::core::FailureModel;
 using expmk::sp::DodinOptions;
 using expmk::test::dodin_two_state;
+using expmk::test::uniform_scenario;
 
 TEST(Dodin, ExactOnChain) {
   const auto g = expmk::gen::uniform_chain(5, 0.4);
   const FailureModel m{0.2};
+  const auto sc = uniform_scenario(g, m);
+  expmk::exp::Workspace ws;
   const auto r = dodin_two_state(g, m, {.max_atoms = 0});
   EXPECT_EQ(r.duplications, 0u);
-  EXPECT_NEAR(r.mean, exact_two_state(g, m), 1e-12);
+  EXPECT_NEAR(r.mean, exact_two_state(sc, ws), 1e-12);
 }
 
 TEST(Dodin, ExactOnDiamond) {
   const auto g = expmk::test::diamond(0.4, 0.3, 0.5, 0.2);
   const FailureModel m{0.25};
+  const auto sc = uniform_scenario(g, m);
+  expmk::exp::Workspace ws;
   const auto r = dodin_two_state(g, m, {.max_atoms = 0});
   EXPECT_EQ(r.duplications, 0u);
-  EXPECT_NEAR(r.mean, exact_two_state(g, m), 1e-12);
+  EXPECT_NEAR(r.mean, exact_two_state(sc, ws), 1e-12);
 }
 
 // Property: on random SP graphs Dodin needs no duplication and is exact.
@@ -42,9 +47,11 @@ class DodinSpSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DodinSpSweep, NoDuplicationAndExactOnSpGraphs) {
   const auto g = expmk::gen::random_series_parallel(12, GetParam());
   const FailureModel m{0.1};
+  const auto sc = uniform_scenario(g, m);
+  expmk::exp::Workspace ws;
   const auto r = dodin_two_state(g, m, {.max_atoms = 0});
   EXPECT_EQ(r.duplications, 0u);
-  EXPECT_NEAR(r.mean, exact_two_state(g, m), 1e-10);
+  EXPECT_NEAR(r.mean, exact_two_state(sc, ws), 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DodinSpSweep,
@@ -61,7 +68,8 @@ TEST(Dodin, NGraphNeedsDuplicationAndOverestimates) {
   const FailureModel m{0.4};  // large rate to make the bias visible
   const auto r = dodin_two_state(g, m, {.max_atoms = 0});
   EXPECT_GE(r.duplications, 1u);
-  EXPECT_GE(r.mean, exact_two_state(g, m) - 1e-12);
+  expmk::exp::Workspace ws;
+  EXPECT_GE(r.mean, exact_two_state(uniform_scenario(g, m), ws) - 1e-12);
 }
 
 TEST(Dodin, WheatstoneBridgeTerminates) {
@@ -78,8 +86,10 @@ class DodinRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DodinRandomSweep, TerminatesAndUpperBounds) {
   const auto g = expmk::gen::erdos_dag(12, 0.25, GetParam());
   const FailureModel m{0.3};
+  const auto sc = uniform_scenario(g, m);
+  expmk::exp::Workspace ws;
   const auto r = dodin_two_state(g, m, {.max_atoms = 128});
-  const double exact = exact_two_state(g, m);
+  const double exact = exact_two_state(sc, ws);
   EXPECT_GE(r.mean, exact * (1.0 - 1e-3));
   EXPECT_GT(r.mean, 0.0);
 }

@@ -78,8 +78,11 @@ TEST(DvfsSweep, SweepAgreesWithDirectFirstOrder) {
   for (expmk::graph::TaskId i = 0; i < g.task_count(); ++i) {
     scaled.set_weight(i, g.weight(i) / s);
   }
+  expmk::exp::Workspace ws;
   const auto fo = expmk::core::first_order(
-      scaled, expmk::core::FailureModel{m.lambda(s)});
+      expmk::test::uniform_scenario(scaled,
+                                    expmk::core::FailureModel{m.lambda(s)}),
+      ws);
   EXPECT_NEAR(sweep[0].expected_makespan, fo.expected_makespan(), 1e-12);
   EXPECT_NEAR(sweep[0].lambda, m.lambda(s), 1e-15);
 }

@@ -47,7 +47,8 @@ TEST(FailureModel, ZeroPfailCalibratesToExplicitZeroFailureModel) {
   const auto m = calibrate(g, 0.0);
   EXPECT_DOUBLE_EQ(m.lambda, 0.0);
   EXPECT_TRUE(m.failure_free());
-  for (const double p : expmk::core::success_probabilities(g, m)) {
+  const auto sc = expmk::test::uniform_scenario(g, m);
+  for (const double p : sc.p_success()) {
     EXPECT_DOUBLE_EQ(p, 1.0);
   }
 }
@@ -107,7 +108,8 @@ TEST(FailureModel, ExpectedDurationGeometricExceedsTwoState) {
 TEST(FailureModel, SuccessProbabilitiesVector) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
   const FailureModel m{0.1};
-  const auto p = expmk::core::success_probabilities(g, m);
+  const auto sc = expmk::test::uniform_scenario(g, m);
+  const auto p = sc.p_success();
   ASSERT_EQ(p.size(), 4u);
   for (expmk::graph::TaskId i = 0; i < 4; ++i) {
     EXPECT_NEAR(p[i], std::exp(-0.1 * g.weight(i)), 1e-15);

@@ -429,7 +429,8 @@ TEST(CertifiedTruncation, SpEnvelopeContainsExactMean) {
             het ? Scenario::compile(g, FailureSpec::per_task(
                                            spread_rates(g, pfail)))
                 : Scenario::compile(g, FailureSpec(calibrate(g, pfail)));
-        const double exact = expmk::core::exact_two_state(sc);
+        Workspace ws;
+        const double exact = expmk::core::exact_two_state(sc, ws);
         for (const std::size_t budget : {std::size_t{2}, std::size_t{4},
                                          std::size_t{8}}) {
           EvalOptions opt;
@@ -512,7 +513,7 @@ TEST(HeterogeneousDodin, ExactOnSpGraphsUnderPerTaskRates) {
     Workspace ws;
     const auto r = expmk::sp::dodin_two_state_flat(sc, {.max_atoms = 0}, ws);
     EXPECT_EQ(r.duplications, 0u) << seed;
-    EXPECT_NEAR(r.mean, expmk::core::exact_two_state(sc), 1e-10) << seed;
+    EXPECT_NEAR(r.mean, expmk::core::exact_two_state(sc, ws), 1e-10) << seed;
   }
 }
 

@@ -66,12 +66,27 @@ inline double brute_force_longest_path(const graph::Dag& g,
   return best;
 }
 
+/// A compiled uniform-rate scenario of `g`, its rate calibrated from
+/// `pfail` on the mean task weight (Section V-C).
+inline scenario::Scenario uniform_scenario(
+    const graph::Dag& g, double pfail,
+    core::RetryModel retry = core::RetryModel::TwoState) {
+  return scenario::Scenario::calibrated(g, pfail, retry);
+}
+
+/// A compiled uniform-rate scenario of `g` under the explicit model `m`.
+inline scenario::Scenario uniform_scenario(
+    const graph::Dag& g, const core::FailureModel& m,
+    core::RetryModel retry = core::RetryModel::TwoState) {
+  return scenario::Scenario::compile(g, m, retry);
+}
+
 /// The paper's Dodin pipeline on `g` under the uniform model `m`: a
 /// compiled Scenario through the flat engine.
 inline sp::DodinFlatResult dodin_two_state(const graph::Dag& g,
                                            const core::FailureModel& m,
                                            const sp::DodinOptions& opts) {
-  const auto sc = scenario::Scenario::compile(g, m);
+  const auto sc = uniform_scenario(g, m);
   exp::Workspace ws;
   return sp::dodin_two_state_flat(sc, opts, ws);
 }

@@ -24,6 +24,7 @@ using expmk::core::FailureModel;
 using expmk::core::first_order;
 using expmk::mc::McConfig;
 using expmk::mc::run_monte_carlo;
+using expmk::test::uniform_scenario;
 
 struct MethodErrors {
   double first_order;
@@ -39,12 +40,15 @@ MethodErrors run_pipeline(const expmk::graph::Dag& g, double pfail,
   cfg.trials = trials;
   cfg.seed = 2016;
   cfg.control_variate = true;  // tighter ground truth per trial
-  const auto mc = run_monte_carlo(g, m, cfg);
+  const auto mc = run_monte_carlo(
+      uniform_scenario(g, m, expmk::core::RetryModel::Geometric), cfg);
 
-  const double fo = first_order(g, m).expected_makespan();
+  const auto two_state = uniform_scenario(g, m);
+  expmk::exp::Workspace ws;
+  const double fo = first_order(two_state, ws).expected_makespan();
   const double dod =
       expmk::test::dodin_two_state(g, m, {.max_atoms = 128}).mean;
-  const double sc = expmk::normal::sculli(g, m).expected_makespan();
+  const double sc = expmk::normal::sculli(two_state, ws).expected_makespan();
   const auto rel = [&](double est) {
     return std::fabs(est - mc.mean) / mc.mean;
   };
@@ -96,25 +100,25 @@ TEST(Integration, ErrorsShrinkWithPfail) {
 
 TEST(Integration, SecondOrderRefinesFirstOrderAtHighPfail) {
   const auto g = expmk::gen::cholesky_dag(4);
-  const FailureModel m = calibrate(g, 0.05);  // harsh failure regime
+  const auto sc = uniform_scenario(g, 0.05);  // harsh failure regime
   McConfig cfg;
   cfg.trials = 400'000;
   cfg.seed = 99;
-  cfg.retry = expmk::core::RetryModel::TwoState;
-  const auto mc = run_monte_carlo(g, m, cfg);
-  const double fo = first_order(g, m).expected_makespan();
-  const double so =
-      expmk::core::second_order(g, m, expmk::core::RetryModel::TwoState)
-          .expected_makespan;
+  const auto mc = run_monte_carlo(sc, cfg);
+  expmk::exp::Workspace ws;
+  const double fo = first_order(sc, ws).expected_makespan();
+  const double so = expmk::core::second_order(sc, ws).expected_makespan;
   EXPECT_LT(std::fabs(so - mc.mean), std::fabs(fo - mc.mean));
 }
 
 TEST(Integration, AllEstimatesAboveFailureFreeMakespan) {
   const auto g = expmk::gen::lu_dag(4);
   const FailureModel m = calibrate(g, 0.01);
+  const auto sc = uniform_scenario(g, m);
+  expmk::exp::Workspace ws;
   const double d = expmk::graph::critical_path_length(g);
-  EXPECT_GE(first_order(g, m).expected_makespan(), d);
-  EXPECT_GE(expmk::normal::sculli(g, m).expected_makespan(), d * 0.999);
+  EXPECT_GE(first_order(sc, ws).expected_makespan(), d);
+  EXPECT_GE(expmk::normal::sculli(sc, ws).expected_makespan(), d * 0.999);
   EXPECT_GE(expmk::test::dodin_two_state(g, m, {.max_atoms = 128}).mean,
             d * 0.999);
 }

@@ -12,12 +12,15 @@
 #include "graph/longest_path.hpp"
 #include "mc/engine.hpp"
 #include "mc/planning.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
+using expmk::core::RetryModel;
 using expmk::mc::clt_trials;
 using expmk::mc::hoeffding_trials;
 using expmk::mc::plan_trials;
+using expmk::test::uniform_scenario;
 
 TEST(Planning, HoeffdingClosedForm) {
   // n >= ln(2/alpha) * range^2 / (2 eps^2); range=1, eps=0.01, alpha=0.05:
@@ -97,13 +100,13 @@ TEST(Planning, PlanTrialsValidatesPilot) {
 
 TEST(Planning, PlannedTrialsAchieveTargetOnRealDag) {
   const auto g = expmk::gen::cholesky_dag(4);
-  const auto model = expmk::core::calibrate(g, 0.01);
+  const auto sc = uniform_scenario(g, 0.01, RetryModel::Geometric);
 
   // Pilot run.
   expmk::mc::McConfig pilot_cfg;
   pilot_cfg.trials = 2000;
   pilot_cfg.seed = 1;
-  const auto pilot = expmk::mc::run_monte_carlo(g, model, pilot_cfg);
+  const auto pilot = expmk::mc::run_monte_carlo(sc, pilot_cfg);
   expmk::prob::RunningStats pilot_stats;
   // Reconstruct a stats object from the result (mean/stddev is all the
   // planner needs; feed two synthetic points with the right stddev).
@@ -117,21 +120,19 @@ TEST(Planning, PlannedTrialsAchieveTargetOnRealDag) {
   expmk::mc::McConfig main_cfg;
   main_cfg.trials = planned;
   main_cfg.seed = 99;
-  const auto run = expmk::mc::run_monte_carlo(g, model, main_cfg);
+  const auto run = expmk::mc::run_monte_carlo(sc, main_cfg);
   // The achieved CI half-width should be near (within 2x of) the target.
   EXPECT_LT(run.ci95_half_width, 2.0 * rel * run.mean);
 }
 
 TEST(Planning, PilotPlanIsDeterministicAndConsistent) {
   const auto g = expmk::gen::cholesky_dag(3);
-  const auto model = expmk::core::calibrate(g, 0.01);
+  const auto sc = uniform_scenario(g, 0.01, RetryModel::Geometric);
   expmk::mc::McConfig pilot_cfg;
   pilot_cfg.trials = 1500;
   pilot_cfg.seed = 5;
-  const auto plan_a =
-      expmk::mc::plan_with_pilot(g, model, 0.001, 0.95, pilot_cfg);
-  const auto plan_b =
-      expmk::mc::plan_with_pilot(g, model, 0.001, 0.95, pilot_cfg);
+  const auto plan_a = expmk::mc::plan_with_pilot(sc, 0.001, 0.95, pilot_cfg);
+  const auto plan_b = expmk::mc::plan_with_pilot(sc, 0.001, 0.95, pilot_cfg);
   // Pilot rides the deterministic CSR engine: identical plans.
   EXPECT_EQ(plan_a.pilot.mean, plan_b.pilot.mean);
   EXPECT_EQ(plan_a.planned_trials, plan_b.planned_trials);
@@ -141,7 +142,7 @@ TEST(Planning, PilotPlanIsDeterministicAndConsistent) {
                        0.001 * plan_a.pilot.mean, 0.95));
   // Tighter targets require more trials.
   const auto tighter =
-      expmk::mc::plan_with_pilot(g, model, 0.0005, 0.95, pilot_cfg);
+      expmk::mc::plan_with_pilot(sc, 0.0005, 0.95, pilot_cfg);
   EXPECT_GT(tighter.planned_trials, plan_a.planned_trials);
 }
 

@@ -25,6 +25,7 @@
 #include "prob/discrete_distribution.hpp"
 #include "prob/rng.hpp"
 #include "spgraph/dodin.hpp"
+#include "reference_estimators.hpp"
 #include "spgraph/sp_reduce.hpp"
 #include "test_helpers.hpp"
 
@@ -33,6 +34,14 @@ namespace {
 using D = expmk::prob::DiscreteDistribution;
 using expmk::core::FailureModel;
 using expmk::prob::Xoshiro256pp;
+using expmk::test::uniform_scenario;
+
+/// First-order expected makespan of `g` under the uniform model `m`.
+double fo(const expmk::graph::Dag& g, const FailureModel& m) {
+  expmk::exp::Workspace ws;
+  return expmk::core::first_order(uniform_scenario(g, m), ws)
+      .expected_makespan();
+}
 
 D random_distribution(Xoshiro256pp& rng, std::size_t max_atoms = 5) {
   std::vector<expmk::prob::Atom> atoms;
@@ -150,9 +159,10 @@ class EstimatorInvariants
 
 TEST_P(EstimatorInvariants, FirstOrderSandwichedByBounds) {
   const auto g = make();
-  const FailureModel m = expmk::core::calibrate(g, 0.001);
-  const auto b = expmk::core::makespan_bounds(g, m);
-  const double fo = expmk::core::first_order(g, m).expected_makespan();
+  const auto sc = uniform_scenario(g, 0.001);
+  expmk::exp::Workspace ws;
+  const auto b = expmk::core::makespan_bounds(sc, ws);
+  const double fo = expmk::core::first_order(sc, ws).expected_makespan();
   EXPECT_GE(fo, b.failure_free - 1e-12);
   EXPECT_LE(fo, b.level_upper * (1.0 + 1e-6));
 }
@@ -160,20 +170,22 @@ TEST_P(EstimatorInvariants, FirstOrderSandwichedByBounds) {
 TEST_P(EstimatorInvariants, ClosedFormEqualsNaiveEverywhere) {
   const auto g = make();
   const FailureModel m{0.03};
-  EXPECT_NEAR(expmk::core::first_order(g, m).expected_makespan(),
-              expmk::core::first_order_naive(g, m), 1e-9);
+  EXPECT_NEAR(fo(g, m), expmk::ref::first_order_naive(g, m), 1e-9);
 }
 
 TEST_P(EstimatorInvariants, SecondOrderReducesToFirstOrderAsLambdaShrinks) {
   const auto g = make();
   // (SO - FO) is O(lambda^2): quartering lambda shrinks it ~16x.
   const FailureModel m1{0.04}, m2{0.01};
-  const double gap1 =
-      std::fabs(expmk::core::second_order(g, m1).expected_makespan -
-                expmk::core::first_order(g, m1).expected_makespan());
-  const double gap2 =
-      std::fabs(expmk::core::second_order(g, m2).expected_makespan -
-                expmk::core::first_order(g, m2).expected_makespan());
+  expmk::exp::Workspace ws;
+  const double gap1 = std::fabs(
+      expmk::core::second_order(uniform_scenario(g, m1), ws)
+          .expected_makespan -
+      fo(g, m1));
+  const double gap2 = std::fabs(
+      expmk::core::second_order(uniform_scenario(g, m2), ws)
+          .expected_makespan -
+      fo(g, m2));
   if (gap1 > 1e-12 && gap2 > 1e-13) {
     EXPECT_GT(gap1 / gap2, 8.0);
   }
@@ -185,30 +197,31 @@ TEST_P(EstimatorInvariants, SerializationDoesNotChangeEstimates) {
       expmk::graph::taskgraph_from_string(expmk::graph::to_taskgraph(g));
   const FailureModel m{0.02};
   // First order is order-independent: bit-exact across the round trip.
-  EXPECT_DOUBLE_EQ(
-      expmk::core::first_order(g, m).expected_makespan(),
-      expmk::core::first_order(round_tripped, m).expected_makespan());
+  EXPECT_DOUBLE_EQ(fo(g, m), fo(round_tripped, m));
   // Sculli folds predecessors pairwise with Clark's formulas, which are
   // NOT associative; serialization canonicalizes edge order (grouped by
   // source), so the fold order may differ and the estimate moves at the
   // 1e-7..1e-4 level (a documented property of Sculli's method — Canon &
   // Jeannot discuss the same sensitivity). Assert closeness, not
   // identity.
-  const double s1 = expmk::normal::sculli(g, m).expected_makespan();
+  expmk::exp::Workspace ws;
+  const double s1 =
+      expmk::normal::sculli(uniform_scenario(g, m), ws).expected_makespan();
   const double s2 =
-      expmk::normal::sculli(round_tripped, m).expected_makespan();
+      expmk::normal::sculli(uniform_scenario(round_tripped, m), ws)
+          .expected_makespan();
   EXPECT_NEAR(s1, s2, 1e-4 * s1);
 }
 
 TEST_P(EstimatorInvariants, AllEstimatorsAgreeAtLambdaZero) {
   const auto g = make();
   const FailureModel zero{0.0};
+  const auto sc = uniform_scenario(g, zero);
+  expmk::exp::Workspace ws;
   const double d = expmk::graph::critical_path_length(g);
-  EXPECT_NEAR(expmk::core::first_order(g, zero).expected_makespan(), d,
-              1e-9);
-  EXPECT_NEAR(expmk::core::second_order(g, zero).expected_makespan, d,
-              1e-9);
-  EXPECT_NEAR(expmk::normal::sculli(g, zero).expected_makespan(), d, 1e-9);
+  EXPECT_NEAR(expmk::core::first_order(sc, ws).expected_makespan(), d, 1e-9);
+  EXPECT_NEAR(expmk::core::second_order(sc, ws).expected_makespan, d, 1e-9);
+  EXPECT_NEAR(expmk::normal::sculli(sc, ws).expected_makespan(), d, 1e-9);
   EXPECT_NEAR(
       expmk::test::dodin_two_state(g, zero, {.max_atoms = 64}).mean, d,
       1e-9);
@@ -216,12 +229,12 @@ TEST_P(EstimatorInvariants, AllEstimatorsAgreeAtLambdaZero) {
 
 TEST_P(EstimatorInvariants, McAgreesWithFirstOrderAtLowLambda) {
   const auto g = make();
-  const FailureModel m = expmk::core::calibrate(g, 0.0005);
+  const auto sc = uniform_scenario(g, 0.0005);
   expmk::mc::McConfig cfg;
   cfg.trials = 40'000;
-  cfg.retry = expmk::core::RetryModel::TwoState;
-  const auto mc = expmk::mc::run_monte_carlo(g, m, cfg);
-  const double fo = expmk::core::first_order(g, m).expected_makespan();
+  const auto mc = expmk::mc::run_monte_carlo(sc, cfg);
+  expmk::exp::Workspace ws;
+  const double fo = expmk::core::first_order(sc, ws).expected_makespan();
   // FO error is O(lambda^2) ~ 1e-6 relative here; the MC CI dominates.
   EXPECT_NEAR(fo, mc.mean, 5.0 * mc.ci95_half_width + 1e-6 * mc.mean);
 }
@@ -238,11 +251,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Properties, FirstOrderIsLinearInLambda) {
   // FO(lambda) = d + lambda * C exactly (the correction is linear).
   const auto g = expmk::gen::qr_dag(4);
-  const auto f1 = expmk::core::first_order(g, FailureModel{0.01});
-  const auto f2 = expmk::core::first_order(g, FailureModel{0.02});
-  const auto f3 = expmk::core::first_order(g, FailureModel{0.03});
-  const double d1 = f2.expected_makespan() - f1.expected_makespan();
-  const double d2 = f3.expected_makespan() - f2.expected_makespan();
+  const double f1 = fo(g, FailureModel{0.01});
+  const double f2 = fo(g, FailureModel{0.02});
+  const double f3 = fo(g, FailureModel{0.03});
+  const double d1 = f2 - f1;
+  const double d2 = f3 - f2;
   EXPECT_NEAR(d1, d2, 1e-12);
 }
 
@@ -256,19 +269,16 @@ TEST(Properties, ScalingWeightsScalesEstimatesWithRescaledLambda) {
     scaled.set_weight(i, c * g.weight(i));
   }
   const double lambda = 0.05;
-  const double fo = expmk::core::first_order(g, FailureModel{lambda})
-                        .expected_makespan();
-  const double fo_scaled =
-      expmk::core::first_order(scaled, FailureModel{lambda / c})
-          .expected_makespan();
-  EXPECT_NEAR(fo_scaled, c * fo, 1e-9);
+  const double fo_base = fo(g, FailureModel{lambda});
+  const double fo_scaled = fo(scaled, FailureModel{lambda / c});
+  EXPECT_NEAR(fo_scaled, c * fo_base, 1e-9);
 }
 
 TEST(Properties, DodinExactEqualsSpEvaluationOnSpGraphs) {
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
     const auto g = expmk::gen::random_series_parallel(18, seed);
     const FailureModel m{0.1};
-    const auto sc = expmk::scenario::Scenario::compile(g, m);
+    const auto sc = uniform_scenario(g, m);
     expmk::exp::Workspace ws;
     const auto sp_eval = expmk::sp::evaluate_sp_flat(sc, 0, ws);
     ASSERT_TRUE(sp_eval.is_series_parallel);
@@ -292,22 +302,25 @@ TEST(Properties, AddingAnEdgeNeverShrinksTheExpectedMakespan) {
     if (u == v || rank[u] >= rank[v]) continue;
     const auto succ = g.successors(u);
     if (std::find(succ.begin(), succ.end(), v) != succ.end()) continue;
-    const double before_exact = expmk::core::exact_two_state(g, m);
-    const double before_fo =
-        expmk::core::first_order(g, m).expected_makespan();
+    expmk::exp::Workspace ws;
+    const double before_exact =
+        expmk::core::exact_two_state(uniform_scenario(g, m), ws);
+    const double before_fo = fo(g, m);
     g.add_edge(u, v);
     ++added;
-    EXPECT_GE(expmk::core::exact_two_state(g, m), before_exact - 1e-12);
-    EXPECT_GE(expmk::core::first_order(g, m).expected_makespan(),
-              before_fo - 1e-12);
+    EXPECT_GE(expmk::core::exact_two_state(uniform_scenario(g, m), ws),
+              before_exact - 1e-12);
+    EXPECT_GE(fo(g, m), before_fo - 1e-12);
   }
 }
 
 TEST(Properties, TwoStateExactIsMonotoneInLambda) {
   const auto g = expmk::test::diamond(0.4, 0.3, 0.5, 0.2);
   double prev = 0.0;
+  expmk::exp::Workspace ws;
   for (const double lambda : {0.0, 0.05, 0.1, 0.2, 0.4, 0.8}) {
-    const double e = expmk::core::exact_two_state(g, FailureModel{lambda});
+    const double e = expmk::core::exact_two_state(
+        uniform_scenario(g, FailureModel{lambda}), ws);
     EXPECT_GE(e, prev - 1e-12) << lambda;
     prev = e;
   }
@@ -319,10 +332,8 @@ TEST(Properties, QrAlwaysCostsMoreThanLuSameSize) {
   for (const int k : {4, 6, 8}) {
     const auto lu = expmk::gen::lu_dag(k);
     const auto qr = expmk::gen::qr_dag(k);
-    const FailureModel mlu = expmk::core::calibrate(lu, 0.01);
-    const FailureModel mqr = expmk::core::calibrate(qr, 0.01);
-    EXPECT_GT(expmk::core::first_order(qr, mqr).expected_makespan(),
-              expmk::core::first_order(lu, mlu).expected_makespan());
+    EXPECT_GT(fo(qr, expmk::core::calibrate(qr, 0.01)),
+              fo(lu, expmk::core::calibrate(lu, 0.01)));
   }
 }
 

@@ -14,6 +14,7 @@
 #include "mc/trial.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "prob/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -21,6 +22,7 @@ using D = expmk::prob::DiscreteDistribution;
 using expmk::core::FailureModel;
 using expmk::core::RetryModel;
 using expmk::mc::TrialContext;
+using expmk::test::uniform_scenario;
 
 /// Samples one task's duration `n` times via the trial machinery and
 /// returns value -> frequency.
@@ -28,7 +30,8 @@ std::map<double, double> empirical_law(double weight, double lambda,
                                        RetryModel retry, int n) {
   expmk::graph::Dag g;
   g.add_task(weight);
-  const TrialContext ctx(g, FailureModel{lambda}, retry);
+  const auto sc = uniform_scenario(g, FailureModel{lambda}, retry);
+  const TrialContext ctx(sc);
   std::map<double, int> counts;
   std::vector<double> durations(g.task_count());
   for (int t = 0; t < n; ++t) {
@@ -90,7 +93,9 @@ TEST(SamplerVsDistribution, CapBoundsGeometricExecutions) {
   // With an absurd rate every attempt fails; the cap must bound durations.
   expmk::graph::Dag g;
   g.add_task(1.0);
-  TrialContext ctx(g, FailureModel{50.0}, RetryModel::Geometric);
+  const auto sc =
+      uniform_scenario(g, FailureModel{50.0}, RetryModel::Geometric);
+  TrialContext ctx(sc);
   ctx.max_executions = 8;
   std::vector<double> durations(g.task_count());
   double max_seen = 0.0;
@@ -108,7 +113,9 @@ TEST(SamplerVsDistribution, ControlStatisticMatchesDefinition) {
   expmk::graph::Dag g;
   g.add_task(0.5);
   // Checked lane by lane on the engine's trial-lane kernel.
-  const TrialContext ctx(g, FailureModel{1.0}, RetryModel::Geometric);
+  const auto sc =
+      uniform_scenario(g, FailureModel{1.0}, RetryModel::Geometric);
+  const TrialContext ctx(sc);
   std::vector<double> finish(g.task_count() * expmk::mc::kTrialLanes);
   for (std::uint64_t t0 = 0; t0 < 1'000; t0 += expmk::mc::kTrialLanes) {
     const auto obs = expmk::mc::run_trial_lanes(ctx, 3, t0, finish);

@@ -1,9 +1,6 @@
 // Tests for src/scenario and the Scenario-based evaluation API:
 //
 //  * FailureSpec / Scenario::compile validation and cached-state checks;
-//  * the adapter property: every legacy (Dag&, FailureModel) evaluator
-//    call is BIT-identical to its Scenario-based overload, across all 13
-//    registered evaluators, both retry models and a spread of DAGs;
 //  * heterogeneous per-task rates end-to-end: validated against the exact
 //    oracle on <= 10-task DAGs (fo/so/mc/cmc and the rest of the
 //    heterogeneous-capable catalogue), uniform-equivalence when the rate
@@ -165,10 +162,9 @@ TEST(ScenarioCompile, CachedStateMatchesTheLibraryPrimitives) {
   EXPECT_EQ(sc.total_weight(), g.total_weight());
 
   // Per-task constants, bit-identical to the primitives they cache.
-  const auto p_ref = expmk::core::success_probabilities(g, model);
   ASSERT_EQ(sc.p_success().size(), g.task_count());
   for (TaskId i = 0; i < g.task_count(); ++i) {
-    EXPECT_EQ(sc.p_success()[i], p_ref[i]) << i;
+    EXPECT_EQ(sc.p_success()[i], model.p_success(g.weight(i))) << i;
     EXPECT_EQ(sc.rates()[i], model.lambda) << i;
     EXPECT_EQ(sc.expected_durations()[i],
               model.expected_duration(g.weight(i), RetryModel::TwoState))
@@ -177,8 +173,8 @@ TEST(ScenarioCompile, CachedStateMatchesTheLibraryPrimitives) {
   // Position-order views are the Dag-order views permuted by the CSR.
   for (std::uint32_t pos = 0; pos < g.task_count(); ++pos) {
     const TaskId id = sc.csr().original_id(pos);
-    EXPECT_EQ(sc.p_success_csr()[pos], p_ref[id]) << pos;
-    EXPECT_EQ(sc.q_fail_csr()[pos], 1.0 - p_ref[id]) << pos;
+    EXPECT_EQ(sc.p_success_csr()[pos], sc.p_success()[id]) << pos;
+    EXPECT_EQ(sc.q_fail_csr()[pos], 1.0 - sc.p_success()[id]) << pos;
     EXPECT_EQ(sc.weights_csr()[pos], g.weight(id)) << pos;
   }
   // topo() is a valid topological order of the Dag.
@@ -216,58 +212,12 @@ TEST(ScenarioCompile, TrialContextIsAZeroCopyView) {
   EXPECT_EQ(ctx.retry(), RetryModel::Geometric);
 }
 
-// ---------------------------------------------------- adapter property
-
-/// Bitwise result equality (NaN == NaN for the unsupported case).
-void expect_bit_identical(const EvalResult& a, const EvalResult& b,
-                          const std::string& where) {
-  EXPECT_EQ(a.supported, b.supported) << where;
-  EXPECT_EQ(a.note, b.note) << where;
-  EXPECT_EQ(a.censored_trials, b.censored_trials) << where;
-  if (std::isnan(a.mean) || std::isnan(b.mean)) {
-    EXPECT_TRUE(std::isnan(a.mean) && std::isnan(b.mean)) << where;
-  } else {
-    EXPECT_EQ(a.mean, b.mean) << where;
-  }
-  EXPECT_EQ(a.std_error, b.std_error) << where;
-}
-
-// Every legacy (Dag&, FailureModel, RetryModel) adapter must return
-// BIT-identical results to its Scenario-based overload — the adapters are
-// compile-and-forward, and the Scenario caches reproduce the pre-Scenario
-// arithmetic exactly. All 13 evaluators, both retry models, uniform rates.
-TEST(AdapterProperty, LegacyCallsBitIdenticalToScenarioCalls) {
-  EvalOptions opt;
-  opt.mc_trials = 2'000;
-  opt.seed = 77;
-  opt.threads = 1;
-  opt.capture_distribution = false;
-
-  const auto& reg = EvaluatorRegistry::builtin();
-  ASSERT_EQ(reg.size(), 16u);
-  for (const auto& [label, g] : fixture_dags()) {
-    const FailureModel model = calibrate(g, 0.01);
-    for (const RetryModel retry :
-         {RetryModel::TwoState, RetryModel::Geometric}) {
-      const Scenario sc =
-          Scenario::compile(g, FailureSpec(model), retry);
-      for (const Evaluator& e : reg.evaluators()) {
-        const std::string where =
-            label + " / " + std::string(e.name()) + " / " +
-            (retry == RetryModel::TwoState ? "two_state" : "geometric");
-        const EvalResult legacy = e.evaluate(g, model, retry, opt);
-        const EvalResult scen = e.evaluate(sc, opt);
-        expect_bit_identical(legacy, scen, where);
-      }
-    }
-  }
-}
-
 // ------------------------------------------------- heterogeneous rates
 
 // Constant per-task rates must agree with the uniform spec (different
 // code path, same model) to float-noise precision.
 TEST(Heterogeneous, ConstantRateVectorMatchesUniform) {
+  expmk::exp::Workspace ws;
   const Dag g = expmk::gen::erdos_dag(10, 0.3, 5);
   const FailureModel model = calibrate(g, 0.01);
   const std::vector<double> rates(g.task_count(), model.lambda);
@@ -278,17 +228,17 @@ TEST(Heterogeneous, ConstantRateVectorMatchesUniform) {
                                          RetryModel::TwoState);
   ASSERT_TRUE(het.heterogeneous());
 
-  const double exact_u = expmk::core::exact_two_state(uni);
-  const double exact_h = expmk::core::exact_two_state(het);
+  const double exact_u = expmk::core::exact_two_state(uni, ws);
+  const double exact_h = expmk::core::exact_two_state(het, ws);
   // Same p_success vector => identical enumeration.
   EXPECT_EQ(exact_u, exact_h);
 
-  const double fo_u = expmk::core::first_order(uni).expected_makespan();
-  const double fo_h = expmk::core::first_order(het).expected_makespan();
+  const double fo_u = expmk::core::first_order(uni, ws).expected_makespan();
+  const double fo_h = expmk::core::first_order(het, ws).expected_makespan();
   EXPECT_NEAR(fo_h, fo_u, 1e-12 * fo_u);
 
-  const double so_u = expmk::core::second_order(uni).expected_makespan;
-  const double so_h = expmk::core::second_order(het).expected_makespan;
+  const double so_u = expmk::core::second_order(uni, ws).expected_makespan;
+  const double so_h = expmk::core::second_order(het, ws).expected_makespan;
   EXPECT_NEAR(so_h, so_u, 1e-12 * so_u);
 
   // The MC kernel consumes per-task constant arrays either way: with an
@@ -306,6 +256,7 @@ TEST(Heterogeneous, ConstantRateVectorMatchesUniform) {
 // accuracy contract (with margin: the spread pushes some per-task rates
 // to 2x the calibrated lambda, scaling the closed-form error terms).
 TEST(Heterogeneous, CatalogueValidatedAgainstExactOracle) {
+  expmk::exp::Workspace ws;
   EvalOptions opt;
   opt.mc_trials = 60'000;
   opt.seed = 913;
@@ -317,7 +268,7 @@ TEST(Heterogeneous, CatalogueValidatedAgainstExactOracle) {
     const Scenario sc = Scenario::compile(
         g, FailureSpec::per_task(spread_rates(g, 0.01)),
         RetryModel::TwoState);
-    const double exact = expmk::core::exact_two_state(sc);
+    const double exact = expmk::core::exact_two_state(sc, ws);
     ASSERT_GT(exact, 0.0) << label;
 
     for (const Evaluator& e : reg.evaluators()) {
@@ -357,6 +308,7 @@ TEST(Heterogeneous, CatalogueValidatedAgainstExactOracle) {
 // p_i), which pins the heterogeneous plumbing end to end with zero
 // statistical slack.
 TEST(Heterogeneous, SpEvaluatorExactOnSpGraphs) {
+  expmk::exp::Workspace ws;
   const Dag g = expmk::gen::random_series_parallel(8, 21);
   ASSERT_LE(g.task_count(), 10u);
   const Scenario sc = Scenario::compile(
@@ -365,12 +317,13 @@ TEST(Heterogeneous, SpEvaluatorExactOnSpGraphs) {
   const auto r =
       EvaluatorRegistry::builtin().find("sp")->evaluate(sc, {});
   ASSERT_TRUE(r.supported) << r.note;
-  EXPECT_NEAR(r.mean, expmk::core::exact_two_state(sc), 1e-9);
+  EXPECT_NEAR(r.mean, expmk::core::exact_two_state(sc, ws), 1e-9);
 }
 
 // Heterogeneous rates actually matter: doubling one task's rate moves the
 // first-order estimate by that task's own sensitivity term.
 TEST(Heterogeneous, RatesAreNotCollapsedToTheirMean) {
+  expmk::exp::Workspace ws;
   const Dag g = expmk::test::diamond(0.4, 0.3, 0.5, 0.2);
   const FailureModel model = calibrate(g, 0.01);
   std::vector<double> rates(g.task_count(), model.lambda);
@@ -380,10 +333,10 @@ TEST(Heterogeneous, RatesAreNotCollapsedToTheirMean) {
                                          RetryModel::TwoState);
   const Scenario uni =
       Scenario::compile(g, FailureSpec(model), RetryModel::TwoState);
-  EXPECT_GT(expmk::core::first_order(het).expected_makespan(),
-            expmk::core::first_order(uni).expected_makespan());
-  EXPECT_GT(expmk::core::exact_two_state(het),
-            expmk::core::exact_two_state(uni));
+  EXPECT_GT(expmk::core::first_order(het, ws).expected_makespan(),
+            expmk::core::first_order(uni, ws).expected_makespan());
+  EXPECT_GT(expmk::core::exact_two_state(het, ws),
+            expmk::core::exact_two_state(uni, ws));
 }
 
 // The flat-distribution-engine refactor lifted the last two heterogeneous
@@ -392,6 +345,7 @@ TEST(Heterogeneous, RatesAreNotCollapsedToTheirMean) {
 // cached p_i. The whole builtin catalogue now accepts per-task rates; the
 // retry-model gates are still enforced.
 TEST(Heterogeneous, FormerlyGatedMethodsNowSupportPerTaskRates) {
+  expmk::exp::Workspace ws;
   const Dag g = expmk::test::diamond();
   const std::vector<double> rates = {0.1, 0.2, 0.3, 0.1};
   const auto& reg = EvaluatorRegistry::builtin();
@@ -411,7 +365,7 @@ TEST(Heterogeneous, FormerlyGatedMethodsNowSupportPerTaskRates) {
   ASSERT_TRUE(dodin.supported) << dodin.note;
   // The diamond is series-parallel, so untruncated Dodin is exact — also
   // under heterogeneous rates (the per-task plumbing end to end).
-  EXPECT_NEAR(dodin.mean, expmk::core::exact_two_state(het_ts), 1e-12);
+  EXPECT_NEAR(dodin.mean, expmk::core::exact_two_state(het_ts, ws), 1e-12);
 
   // Retry-model gating is unchanged: dodin is a two-state method.
   const auto gated = reg.find("dodin")->evaluate(het_geo, {});

@@ -12,6 +12,7 @@
 #include "sched/fault_sim.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/priorities.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -21,6 +22,13 @@ using expmk::sched::Machine;
 using expmk::sched::priorities;
 using expmk::sched::PriorityKind;
 using expmk::sched::validate_schedule;
+using expmk::test::uniform_scenario;
+
+/// Classic (failure-free) bottom-level priorities of `g`.
+std::vector<double> bottom_level(const expmk::graph::Dag& g) {
+  return priorities(uniform_scenario(g, FailureModel{}),
+                    PriorityKind::BottomLevel);
+}
 
 TEST(Machine, ConstructionAndSpeeds) {
   const Machine m(3);
@@ -38,7 +46,7 @@ TEST(ListScheduler, RespectsConstraintsOnRandomGraphs) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const auto g = expmk::gen::erdos_dag(40, 0.15, seed);
     const Machine m(3);
-    const auto prio = priorities(g, PriorityKind::BottomLevel, {});
+    const auto prio = bottom_level(g);
     const auto s = list_schedule(g, prio, m);
     EXPECT_EQ(validate_schedule(g, g.weights(), m, s), "");
     EXPECT_GT(s.makespan, 0.0);
@@ -48,7 +56,7 @@ TEST(ListScheduler, RespectsConstraintsOnRandomGraphs) {
 TEST(ListScheduler, UnlimitedProcessorsReachCriticalPath) {
   const auto g = expmk::gen::cholesky_dag(4);
   const Machine m(g.task_count());  // more processors than tasks
-  const auto prio = priorities(g, PriorityKind::BottomLevel, {});
+  const auto prio = bottom_level(g);
   const auto s = list_schedule(g, prio, m);
   EXPECT_NEAR(s.makespan, expmk::graph::critical_path_length(g), 1e-9);
 }
@@ -56,7 +64,7 @@ TEST(ListScheduler, UnlimitedProcessorsReachCriticalPath) {
 TEST(ListScheduler, SingleProcessorSerializesEverything) {
   const auto g = expmk::gen::cholesky_dag(3);
   const Machine m(1);
-  const auto prio = priorities(g, PriorityKind::BottomLevel, {});
+  const auto prio = bottom_level(g);
   const auto s = list_schedule(g, prio, m);
   EXPECT_NEAR(s.makespan, g.total_weight(), 1e-9);
   EXPECT_EQ(validate_schedule(g, g.weights(), m, s), "");
@@ -67,7 +75,7 @@ TEST(ListScheduler, MakespanBetweenBounds) {
   // optimal, we just check the trivial envelope).
   const auto g = expmk::gen::lu_dag(4);
   const Machine m(2);
-  const auto prio = priorities(g, PriorityKind::BottomLevel, {});
+  const auto prio = bottom_level(g);
   const auto s = list_schedule(g, prio, m);
   EXPECT_GE(s.makespan, expmk::graph::critical_path_length(g) - 1e-9);
   EXPECT_LE(s.makespan, g.total_weight() + 1e-9);
@@ -83,7 +91,7 @@ TEST(ListScheduler, PriorityOrderMattersOnTightExample) {
   const auto s2 = g.add_task("S2", 1.0);
   g.add_edge(h, t2);
   const Machine m(2);
-  const auto bl = priorities(g, PriorityKind::BottomLevel, {});
+  const auto bl = bottom_level(g);
   EXPECT_GT(bl[h], bl[s1]);
   const auto s = list_schedule(g, bl, m);
   EXPECT_NEAR(s.makespan, 3.0, 1e-9);  // H then T2 on one proc, S1+S2 on other
@@ -107,7 +115,7 @@ TEST(ListScheduler, CustomDurationsOverrideWeights) {
   const auto g = expmk::gen::uniform_chain(3, 1.0);
   const Machine m(1);
   const std::vector<double> durations = {2.0, 2.0, 2.0};
-  const auto prio = priorities(g, PriorityKind::BottomLevel, {});
+  const auto prio = bottom_level(g);
   const auto s = list_schedule(g, durations, prio, m);
   EXPECT_NEAR(s.makespan, 6.0, 1e-12);
   EXPECT_EQ(validate_schedule(g, durations, m, s), "");
@@ -122,9 +130,9 @@ TEST(ListScheduler, SizeMismatchThrows) {
 
 TEST(Priorities, FailureAwareKindUsesLambda) {
   const auto g = expmk::gen::cholesky_dag(4);
-  const FailureModel m{0.05};
-  const auto classic = priorities(g, PriorityKind::BottomLevel, m);
-  const auto aware = priorities(g, PriorityKind::FailureAwareBottomLevel, m);
+  const auto sc = uniform_scenario(g, FailureModel{0.05});
+  const auto classic = priorities(sc, PriorityKind::BottomLevel);
+  const auto aware = priorities(sc, PriorityKind::FailureAwareBottomLevel);
   bool any_increase = false;
   for (std::size_t i = 0; i < classic.size(); ++i) {
     EXPECT_GE(aware[i], classic[i] - 1e-12);
@@ -135,13 +143,16 @@ TEST(Priorities, FailureAwareKindUsesLambda) {
 
 TEST(FaultSim, DegradesGracefullyAndReproducibly) {
   const auto g = expmk::gen::cholesky_dag(4);
-  const FailureModel m = expmk::core::calibrate(g, 0.01);
+  const auto sc = uniform_scenario(g, 0.01, expmk::core::RetryModel::Geometric);
   const Machine machine(4);
-  const auto prio = priorities(g, PriorityKind::BottomLevel, m);
+  const auto prio = priorities(sc, PriorityKind::BottomLevel);
   expmk::sched::FaultSimConfig cfg;
   cfg.runs = 200;
-  const auto r1 = expmk::sched::simulate_with_faults(g, prio, machine, m, cfg);
-  const auto r2 = expmk::sched::simulate_with_faults(g, prio, machine, m, cfg);
+  expmk::exp::Workspace ws;
+  const auto r1 =
+      expmk::sched::simulate_with_faults(sc, prio, machine, cfg, ws);
+  const auto r2 =
+      expmk::sched::simulate_with_faults(sc, prio, machine, cfg, ws);
   EXPECT_DOUBLE_EQ(r1.makespan.mean(), r2.makespan.mean());
   // Faults lengthen execution on average. (Individual runs may in theory
   // benefit from Graham-style list-scheduling anomalies, so we only bound
@@ -153,12 +164,13 @@ TEST(FaultSim, DegradesGracefullyAndReproducibly) {
 TEST(FaultSim, ZeroLambdaMatchesFailureFree) {
   const auto g = expmk::gen::cholesky_dag(3);
   const Machine machine(2);
-  const auto prio = priorities(g, PriorityKind::BottomLevel, {});
+  const auto sc = uniform_scenario(g, FailureModel{0.0},
+                                   expmk::core::RetryModel::Geometric);
+  const auto prio = priorities(sc, PriorityKind::BottomLevel);
   expmk::sched::FaultSimConfig cfg;
   cfg.runs = 10;
-  const auto r =
-      expmk::sched::simulate_with_faults(g, prio, machine, FailureModel{0.0},
-                                         cfg);
+  expmk::exp::Workspace ws;
+  const auto r = expmk::sched::simulate_with_faults(sc, prio, machine, cfg, ws);
   EXPECT_DOUBLE_EQ(r.makespan.min(), r.failure_free_makespan);
   EXPECT_DOUBLE_EQ(r.makespan.max(), r.failure_free_makespan);
 }

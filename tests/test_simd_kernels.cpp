@@ -27,6 +27,7 @@
 #include "prob/discrete_distribution.hpp"
 #include "prob/dist_kernels.hpp"
 #include "prob/rng.hpp"
+#include "test_helpers.hpp"
 #include "util/simd.hpp"
 
 namespace {
@@ -312,10 +313,10 @@ TEST(SimdKernels, PhiloxLaneFillMatchesStreamsOnBothBackends) {
 TEST(SimdKernels, TrialLanesMatchOneTrialKernelOnBothBackends) {
   BackendGuard guard;
   const auto g = expmk::gen::lu_dag(7);  // 140 tasks
-  const auto model = expmk::core::calibrate(g, 0.2);
   for (const auto retry : {expmk::core::RetryModel::Geometric,
                            expmk::core::RetryModel::TwoState}) {
-    const expmk::mc::TrialContext ctx(g, model, retry);
+    const auto sc = expmk::test::uniform_scenario(g, 0.2, retry);
+    const expmk::mc::TrialContext ctx(sc);
     std::vector<double> lanes(g.task_count() * expmk::mc::kTrialLanes);
     std::vector<double> finish(g.task_count());
     for (const sd::Backend backend :
@@ -340,16 +341,17 @@ TEST(SimdKernels, TrialLanesMatchOneTrialKernelOnBothBackends) {
 // the SIMD suite is self-contained when run against either backend.
 TEST(SimdKernels, McEngineBitIdenticalAcrossThreadCountsWithPhilox) {
   const auto g = expmk::gen::lu_dag(5);
-  const auto model = expmk::core::calibrate(g, 0.01);
+  const auto sc = expmk::test::uniform_scenario(
+      g, 0.01, expmk::core::RetryModel::Geometric);
   expmk::mc::McConfig cfg;
   cfg.trials = 3000;
   cfg.seed = 0xC0FFEE;
   cfg.threads = 1;
-  const auto r1 = expmk::mc::run_monte_carlo(g, model, cfg);
+  const auto r1 = expmk::mc::run_monte_carlo(sc, cfg);
   cfg.threads = 2;
-  const auto r2 = expmk::mc::run_monte_carlo(g, model, cfg);
+  const auto r2 = expmk::mc::run_monte_carlo(sc, cfg);
   cfg.threads = 7;
-  const auto r7 = expmk::mc::run_monte_carlo(g, model, cfg);
+  const auto r7 = expmk::mc::run_monte_carlo(sc, cfg);
   EXPECT_EQ(r1.mean, r2.mean);
   EXPECT_EQ(r2.mean, r7.mean);
   EXPECT_EQ(r1.variance, r2.variance);

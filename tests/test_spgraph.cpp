@@ -25,6 +25,7 @@ using expmk::prob::DiscreteDistribution;
 using expmk::scenario::FailureSpec;
 using expmk::scenario::Scenario;
 using expmk::sp_ref::ArcNetwork;
+using expmk::test::uniform_scenario;
 
 std::vector<DiscreteDistribution> two_state_dists(const expmk::graph::Dag& g,
                                                   double lambda) {
@@ -94,7 +95,10 @@ TEST(SpReduce, ChainConvolves) {
   DiscreteDistribution law;
   const auto eval = reduce(g, 0.3, &law);
   EXPECT_TRUE(eval.is_series_parallel);
-  EXPECT_NEAR(eval.mean, expmk::core::exact_two_state(g, FailureModel{0.3}),
+  expmk::exp::Workspace ws;
+  EXPECT_NEAR(eval.mean,
+              expmk::core::exact_two_state(
+                  uniform_scenario(g, FailureModel{0.3}), ws),
               1e-12);
   // Chain of 4 two-state tasks: support has 5 distinct sums.
   EXPECT_EQ(law.size(), 5u);
@@ -105,7 +109,9 @@ TEST(SpReduce, DiamondIsSeriesParallel) {
   const FailureModel m{0.25};
   const auto eval = reduce(g, m.lambda);
   EXPECT_TRUE(eval.is_series_parallel);
-  EXPECT_NEAR(eval.mean, expmk::core::exact_two_state(g, m), 1e-12);
+  expmk::exp::Workspace ws;
+  EXPECT_NEAR(eval.mean,
+              expmk::core::exact_two_state(uniform_scenario(g, m), ws), 1e-12);
 }
 
 TEST(SpReduce, NGraphIsNotSeriesParallel) {
@@ -133,7 +139,9 @@ TEST_P(SpRandomSweep, RecognizedAndExact) {
   const FailureModel m{0.15};
   const auto eval = reduce(g, m.lambda);
   ASSERT_TRUE(eval.is_series_parallel) << "seed " << seed;
-  EXPECT_NEAR(eval.mean, expmk::core::exact_two_state(g, m), 1e-10)
+  expmk::exp::Workspace ws;
+  EXPECT_NEAR(eval.mean,
+              expmk::core::exact_two_state(uniform_scenario(g, m), ws), 1e-10)
       << "seed " << seed;
 }
 

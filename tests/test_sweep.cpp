@@ -37,6 +37,7 @@ using expmk::exp::EvaluatorRegistry;
 using expmk::exp::SweepGrid;
 using expmk::exp::SweepResult;
 using expmk::exp::SweepRunner;
+using expmk::test::uniform_scenario;
 
 TEST(Registry, CatalogueIsComplete) {
   const auto& reg = EvaluatorRegistry::builtin();
@@ -65,32 +66,32 @@ TEST(Registry, CapabilityGatingReportsUnsupported) {
 
   // Enumeration limit: 30 tasks > kMaxExactTasks.
   const auto big = expmk::gen::erdos_dag(30, 0.2, 1);
-  const auto r1 = reg.find("exact")->evaluate(big, m, RetryModel::TwoState);
+  const auto r1 = reg.find("exact")->evaluate(uniform_scenario(big, m));
   EXPECT_FALSE(r1.supported);
   EXPECT_TRUE(std::isnan(r1.mean));
   EXPECT_FALSE(r1.note.empty());
 
   // Retry model: Dodin is two-state only.
   const auto g = expmk::test::diamond();
-  const auto r2 = reg.find("dodin")->evaluate(g, m, RetryModel::Geometric);
+  const auto r2 = reg.find("dodin")->evaluate(
+      uniform_scenario(g, m, RetryModel::Geometric));
   EXPECT_FALSE(r2.supported);
 
   // Method-specific failure: the SP evaluator on a non-SP graph must
   // report unsupported (with a note), not crash the sweep.
   const auto r3 =
-      reg.find("sp")->evaluate(expmk::test::n_graph(), m,
-                               RetryModel::TwoState);
+      reg.find("sp")->evaluate(uniform_scenario(expmk::test::n_graph(), m));
   EXPECT_FALSE(r3.supported);
   EXPECT_NE(r3.note.find("series-parallel"), std::string::npos);
 }
 
 TEST(Registry, SpEvaluatorIsExactOnSpGraphs) {
   const auto g = expmk::gen::random_series_parallel(6, 11);
-  const FailureModel m = calibrate(g, 0.01);
-  const auto r = EvaluatorRegistry::builtin().find("sp")->evaluate(
-      g, m, RetryModel::TwoState);
+  const auto sc = uniform_scenario(g, 0.01);
+  const auto r = EvaluatorRegistry::builtin().find("sp")->evaluate(sc);
   ASSERT_TRUE(r.supported);
-  EXPECT_NEAR(r.mean, exact_two_state(g, m), 1e-9);
+  expmk::exp::Workspace ws;
+  EXPECT_NEAR(r.mean, exact_two_state(sc, ws), 1e-9);
 }
 
 // The cross-method consistency contract: on every small generator DAG,
@@ -115,14 +116,15 @@ TEST(Consistency, EveryEvaluatorWithinDocumentedToleranceOfExact) {
   const auto& reg = EvaluatorRegistry::builtin();
   for (const auto& [label, g] : dags) {
     ASSERT_LE(g.task_count(), expmk::core::kMaxExactTasks) << label;
-    const FailureModel model = calibrate(g, 0.01);
-    const double exact = exact_two_state(g, model);
+    const auto sc = uniform_scenario(g, 0.01);
+    expmk::exp::Workspace ws;
+    const double exact = exact_two_state(sc, ws);
 
     for (const Evaluator& e : reg.evaluators()) {
       const auto& caps = e.capabilities();
       if (!caps.two_state) continue;
       if (g.task_count() > caps.max_tasks) continue;
-      const auto r = e.evaluate(g, model, RetryModel::TwoState, opt);
+      const auto r = e.evaluate(sc, opt);
       const std::string where = label + " / " + std::string(e.name());
       if (!r.supported) {
         // The only legal in-capability bailouts are the SP evaluators on
@@ -156,6 +158,7 @@ TEST(Consistency, ZeroPfailYieldsFailureFreeMakespanAcrossEvaluators) {
   const auto g = expmk::gen::cholesky_dag(3);
   const FailureModel model = calibrate(g, 0.0);
   ASSERT_TRUE(model.failure_free());
+  const auto sc = uniform_scenario(g, model);
   const double d = expmk::graph::critical_path_length(g);
 
   EvalOptions opt;
@@ -164,15 +167,15 @@ TEST(Consistency, ZeroPfailYieldsFailureFreeMakespanAcrossEvaluators) {
        {"exact", "fo", "so", "dodin", "sp", "bounds.lower", "mc", "cmc"}) {
     const auto* e = EvaluatorRegistry::builtin().find(name);
     ASSERT_NE(e, nullptr) << name;
-    const auto r = e->evaluate(g, model, RetryModel::TwoState, opt);
+    const auto r = e->evaluate(sc, opt);
     if (!r.supported) continue;  // sp: cholesky is not series-parallel
     EXPECT_NEAR(r.mean, d, 1e-12) << name;
     EXPECT_DOUBLE_EQ(r.std_error, 0.0) << name;
   }
   // The level-decomposition bound stays a (possibly loose) upper bound
   // even deterministically — it must still sit at or above d(G).
-  const auto upper = EvaluatorRegistry::builtin().find("bounds.upper")->
-      evaluate(g, model, RetryModel::TwoState, opt);
+  const auto upper =
+      EvaluatorRegistry::builtin().find("bounds.upper")->evaluate(sc, opt);
   ASSERT_TRUE(upper.supported);
   EXPECT_GE(upper.mean, d - 1e-12);
 }
@@ -228,8 +231,8 @@ TEST(Sweep, RelativeErrorsAgainstDesignatedReference) {
   EXPECT_DOUBLE_EQ(ref.relative_error, 0.0);
 
   const auto g = expmk::gen::cholesky_dag(3);
-  const FailureModel model = calibrate(g, 0.01);
-  const double exact = exact_two_state(g, model);
+  expmk::exp::Workspace ws;
+  const double exact = exact_two_state(uniform_scenario(g, 0.01), ws);
   EXPECT_NEAR(ref.result.mean, exact, 1e-12);
   for (std::size_t i = 1; i < result.cells.size(); ++i) {
     const auto& cell = result.cells[i];

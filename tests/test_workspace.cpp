@@ -7,11 +7,11 @@
 //    (fo, so, bounds.lower/upper, sculli, corlca, clark, the exact
 //    oracles, and — since the flat distribution engine — sp and dodin)
 //    when evaluated on a warm workspace;
-//  * the adapter bit-identity property: for all 13 evaluators x both
-//    retry models x a spread of DAGs, the explicit-workspace path (cold
-//    AND warm) returns results bitwise identical to the workspace-less
-//    PR-3 Scenario path — a warm arena must never leak state between
-//    evaluations;
+//  * the workspace bit-identity property: for all 16 evaluators x both
+//    retry models x a spread of DAGs, an explicit cold or warm workspace
+//    returns results bitwise identical to the registry's workspace-less
+//    evaluate(sc, opts), which leases Workspace::local() — a warm arena
+//    must never leak state between evaluations;
 //  * the sweep pooling contract: one workspace per worker thread, not
 //    one per cell;
 //  * run_trial_scatter_csr (the all-spans trial form the workspace
@@ -42,6 +42,7 @@
 #include "graph/sp_tree.hpp"
 #include "mc/trial.hpp"
 #include "prob/rng.hpp"
+#include "reference_estimators.hpp"
 #include "scenario/scenario.hpp"
 #include "spgraph/dodin.hpp"
 #include "spgraph/sp_reduce.hpp"
@@ -381,9 +382,10 @@ void expect_bit_identical(const EvalResult& a, const EvalResult& b,
   EXPECT_EQ(a.std_error, b.std_error) << where;
 }
 
-// Workspace path vs the PR-3 Scenario path: all 13 evaluators, both retry
-// models, cold workspace AND warm (second call on a reused workspace) —
-// the warm arm is the one that catches kernels reading stale arena state.
+// Explicit workspace vs the registry's Workspace::local() lease: all 16
+// evaluators, both retry models, cold workspace AND warm (second call on
+// a reused workspace) — the warm arm is the one that catches kernels
+// reading stale arena state.
 TEST(WorkspaceAdapterProperty, ColdAndWarmWorkspaceBitIdenticalToDefault) {
   EvalOptions opt;
   opt.mc_trials = 2'000;
@@ -439,16 +441,17 @@ TEST(WorkspaceAdapterProperty, HeterogeneousWarmBitIdenticalToDefault) {
   }
 }
 
-// The flat atom fold in the bounds workspace kernel claims to mirror the
-// DiscreteDistribution object fold bit for bit; the Dag-path entry point
-// still RUNS the object fold, so comparing the two pins the claim (and
-// any future drift in prob::kValueMergeEps / consolidate /
-// renormalization arithmetic) exactly.
+// The flat atom fold in the bounds kernel claims to mirror the
+// DiscreteDistribution object fold bit for bit; the test-only reference
+// (tests/reference_estimators) RUNS the object fold, so comparing the two
+// pins the claim (and any future drift in prob::kValueMergeEps /
+// consolidate / renormalization arithmetic) exactly.
 TEST(WorkspaceAdapterProperty, BoundsFlatFoldBitIdenticalToObjectFold) {
   for (const auto& [label, g] : property_dags()) {
     for (const double pfail : {0.0, 0.001, 0.05, 0.4}) {
       const FailureModel model = calibrate(g, pfail);
-      const auto via_objects = expmk::core::makespan_bounds(g, model);
+      const auto via_objects =
+          expmk::ref::makespan_bounds_object_fold(g, model);
       const Scenario sc =
           Scenario::compile(g, FailureSpec(model), RetryModel::TwoState);
       Workspace ws;

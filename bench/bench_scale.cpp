@@ -183,13 +183,14 @@ int main(int argc, char** argv) {
     const auto sc = scenario::Scenario::calibrated(
         g, 0.01, core::RetryModel::TwoState);
     exp::hier::memo_clear();
+    exp::Workspace ws;
     const util::Timer cold_t;
-    const auto cold = exp::hier::build_module_distributions(sc, 128);
+    const auto cold = exp::hier::build_module_distributions(sc, 128, ws);
     const double cold_us = cold_t.seconds() * 1e6;
     const util::Timer warm_t;
-    const auto warm = exp::hier::build_module_distributions(sc, 128);
+    const auto warm = exp::hier::build_module_distributions(sc, 128, ws);
     const double warm_us = warm_t.seconds() * 1e6;
-    checksum_guard += cold.by_quotient_node.size() +
+    checksum_guard += static_cast<double>(cold.laws.size()) +
                       static_cast<double>(warm.stats.memo_hits);
     const double speedup = warm_us > 0.0 ? cold_us / warm_us : 0.0;
     std::printf("  memo n=%zu  cold %9.0f us (%llu hits/%llu misses)  "

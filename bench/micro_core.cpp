@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <vector>
+
 #include "core/bottom_levels.hpp"
 #include "core/failure_model.hpp"
 #include "core/first_order.hpp"
@@ -24,7 +27,7 @@
 #include "normal/clark_full.hpp"
 #include "normal/corlca.hpp"
 #include "normal/sculli.hpp"
-#include "prob/discrete_distribution.hpp"
+#include "prob/dist_kernels.hpp"
 #include "scenario/scenario.hpp"
 #include "spgraph/dodin.hpp"
 
@@ -184,32 +187,69 @@ void BM_Reachability(benchmark::State& state) {
 }
 BENCHMARK(BM_Reachability)->Arg(8)->Arg(12);
 
-void BM_Convolve(benchmark::State& state) {
-  const auto atoms = static_cast<std::size_t>(state.range(0));
-  auto d = prob::DiscreteDistribution::two_state(1.0, 0.99);
+/// `d` truncated in place to at most `atoms` atoms.
+void cap(std::vector<prob::Atom>& d, std::size_t atoms) {
+  if (d.size() <= atoms) return;
+  std::vector<double> gaps(2 * (d.size() - 1));
+  prob::dist_kernels::TruncationCert cert;
+  d.resize(prob::dist_kernels::truncate(d, atoms, cert, gaps));
+}
+
+/// The law of a 13-task series chain, capped at `atoms` after every
+/// convolution.
+std::vector<prob::Atom> capped_chain(std::size_t atoms) {
+  namespace dk = prob::dist_kernels;
+  std::vector<prob::Atom> d(2);
+  d.resize(dk::two_state(1.0, 0.99, d));
   for (int i = 0; i < 12; ++i) {
-    d = prob::DiscreteDistribution::convolve(
-        d, prob::DiscreteDistribution::two_state(1.0 + 0.01 * i, 0.99),
-        atoms);
+    prob::Atom t[2];
+    const std::size_t nt = dk::two_state(1.0 + 0.01 * i, 0.99, t);
+    std::vector<prob::Atom> out(d.size() * nt);
+    out.resize(dk::convolve(d, std::span<const prob::Atom>(t, nt), out));
+    cap(out, atoms);
+    d = std::move(out);
   }
-  const auto other = prob::DiscreteDistribution::two_state(0.5, 0.99);
+  return d;
+}
+
+void BM_Convolve(benchmark::State& state) {
+  namespace dk = prob::dist_kernels;
+  const auto atoms = static_cast<std::size_t>(state.range(0));
+  const std::vector<prob::Atom> d = capped_chain(atoms);
+  prob::Atom other[2];
+  const std::size_t no = dk::two_state(0.5, 0.99, other);
+  std::vector<prob::Atom> out(d.size() * no);
+  std::vector<double> gaps(2 * out.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        prob::DiscreteDistribution::convolve(d, other, atoms));
+    std::size_t m =
+        dk::convolve(d, std::span<const prob::Atom>(other, no), out);
+    if (m > atoms) {
+      dk::TruncationCert cert;
+      m = dk::truncate(std::span(out).first(m), atoms, cert, gaps);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(m);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Convolve)->Arg(64)->Arg(256);
 
 void BM_MaxOf(benchmark::State& state) {
+  namespace dk = prob::dist_kernels;
   const auto atoms = static_cast<std::size_t>(state.range(0));
-  auto d = prob::DiscreteDistribution::two_state(1.0, 0.99);
-  for (int i = 0; i < 12; ++i) {
-    d = prob::DiscreteDistribution::convolve(
-        d, prob::DiscreteDistribution::two_state(1.0 + 0.01 * i, 0.99),
-        atoms);
-  }
+  const std::vector<prob::Atom> d = capped_chain(atoms);
+  std::vector<prob::Atom> out(2 * d.size());
+  std::vector<double> support(2 * d.size());
+  std::vector<double> gaps(2 * out.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prob::DiscreteDistribution::max_of(d, d, atoms));
+    std::size_t m = dk::max_of(d, d, out, support);
+    if (m > atoms) {
+      dk::TruncationCert cert;
+      m = dk::truncate(std::span(out).first(m), atoms, cert, gaps);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(m);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MaxOf)->Arg(64)->Arg(256);

@@ -83,10 +83,8 @@ EXPMK_NOALLOC LevelPartition build_level_partition(
   return out;
 }
 
-/// E[ max_{i in tasks} X_i ] of one level via the shared flat kernels
-/// (prob/dist_kernels.hpp) — the same max_of arithmetic a
-/// DiscreteDistribution object fold runs, on leased Atom arenas instead
-/// of freshly allocated vectors, so the two agree bitwise (pinned against
+/// E[ max_{i in tasks} X_i ] of one level via dist_kernels::max_of on
+/// leased Atom arenas (pinned bitwise against the value-level fold in
 /// tests/reference_estimators by tests/test_workspace.cpp). The result
 /// does not depend on the arenas' capacity, only that it suffices
 /// (2 * tasks.size() + 2), so per-level and whole-graph arenas give the

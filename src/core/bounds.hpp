@@ -40,10 +40,9 @@ struct MakespanBounds {
 /// E[X_i] = a_i (2 - p_i), the level bound each task's own 2-state law.
 /// All scratch is leased: the Jensen longest-path buffer, the level
 /// partition (flat counting sort), and the per-level max distributions
-/// (flat atom arrays mirroring DiscreteDistribution::max_of
-/// operation-for-operation, so the values match a distribution-object
-/// fold bitwise — tests/reference_estimators keeps that fold as the
-/// oracle). ZERO heap allocations on a warm workspace.
+/// (dist_kernels::max_of on leased atom arrays; tests/reference_estimators
+/// keeps a value-level fold of the same kernels as the bitwise oracle).
+/// ZERO heap allocations on a warm workspace.
 EXPMK_NOALLOC [[nodiscard]] MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                              exp::Workspace& ws);
 

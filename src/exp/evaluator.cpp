@@ -420,10 +420,11 @@ EvaluatorRegistry make_builtin() {
        .heterogeneous = true,
        .stochastic = true,
        .rel_tolerance = 0.02},
-      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace&,
+      [](const scenario::Scenario& sc, const EvalOptions& opt, Workspace& ws,
          EvalResult& r) {
-        const auto ev = hier::evaluate_mc_hier(
-            sc, opt.mc_trials, opt.seed, opt.threads, opt.dodin_atoms);
+        const auto ev = hier::evaluate_mc_hier(sc, opt.dodin_atoms, ws,
+                                               opt.mc_trials, opt.seed,
+                                               opt.threads);
         r.mean = ev.mean;
         r.std_error = ev.std_error;
         set_certified(r, ev.truncation);

@@ -5,9 +5,10 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "graph/csr.hpp"
 #include "graph/sp_tree.hpp"
@@ -21,6 +22,7 @@ namespace expmk::exp::hier {
 
 namespace {
 
+namespace dk = prob::dist_kernels;
 using graph::SpDecomposition;
 
 /// Two independent 64-bit accumulators over the same word stream: lane
@@ -58,12 +60,13 @@ struct MemoKey {
   auto operator<=>(const MemoKey&) const = default;
 };
 
-/// A cached module: its makespan law plus the cumulative certified
-/// truncation of building its WHOLE subtree, so a cache hit charges the
-/// caller the same envelope the from-scratch build would have.
-struct BuiltModule {
-  prob::DiscreteDistribution dist;
-  prob::dist_kernels::TruncationCert cert;
+/// A cached module: its makespan law as an exact-size atom vector, plus
+/// the cumulative certified truncation of building its WHOLE subtree, so
+/// a cache hit charges the caller the same envelope the from-scratch
+/// build would have.
+struct MemoEntry {
+  std::vector<prob::Atom> atoms;
+  dk::TruncationCert cert;
 };
 
 /// Bounds on the process-wide cache: entry count (insertions stop, the
@@ -76,7 +79,7 @@ constexpr std::size_t kMemoMaxAtomsPerEntry = std::size_t{1} << 16;
 
 struct Memo {
   std::mutex mu;
-  std::map<MemoKey, BuiltModule> map;
+  std::map<MemoKey, MemoEntry> map;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
@@ -86,10 +89,69 @@ Memo& memo() {
   return m;
 }
 
+/// The stack every law of one build lives on, in a workspace lease that
+/// grows by checking out a larger slot and copying the live prefix
+/// [0, top). A repeated build on a warm workspace takes the same growth
+/// steps and so re-leases slots that are already big enough. Growth must
+/// happen at the build's frame level, never under a transient sub-frame.
+class AtomStack {
+ public:
+  AtomStack(Workspace& ws, std::size_t initial)
+      : ws_(ws), buf_(ws.atoms(initial)) {}
+
+  /// Guarantees room up to offset `end`. Invalidates earlier spans.
+  void reserve(std::size_t end) {
+    if (end <= buf_.size()) return;
+    const std::span<prob::Atom> bigger =
+        ws_.atoms(std::max(end, 2 * buf_.size()));
+    std::copy_n(buf_.begin(), top_, bigger.begin());
+    // NOLINTNEXTLINE(expmk-lease-escape): the stack lives on the build's stack frame and never outlives the caller's Workspace::Frame it leases in; reserve() is never called under the transient sub-frames of the fold
+    buf_ = bigger;
+  }
+  [[nodiscard]] std::span<prob::Atom> at(std::size_t off, std::size_t n) {
+    return buf_.subspan(off, n);
+  }
+  [[nodiscard]] std::size_t top() const noexcept { return top_; }
+  void set_top(std::size_t t) noexcept { top_ = t; }
+
+ private:
+  Workspace& ws_;
+  std::span<prob::Atom> buf_;
+  std::size_t top_ = 0;
+};
+
+/// Per-module build slots over workspace leases: where a built module's
+/// law sits on the atom stack (offset, length), and the certified
+/// truncation of its subtree (events, merges; up, down).
+class BuiltSlots {
+ public:
+  BuiltSlots(Workspace& ws, std::size_t modules)
+      : u_(ws.u64(4 * modules)), d_(ws.doubles(2 * modules)) {}
+
+  void set(std::size_t m, std::size_t off, std::size_t len,
+           const dk::TruncationCert& c) noexcept {
+    u_[4 * m] = off;
+    u_[4 * m + 1] = len;
+    u_[4 * m + 2] = c.events;
+    u_[4 * m + 3] = c.merges;
+    d_[2 * m] = c.up;
+    d_[2 * m + 1] = c.down;
+  }
+  [[nodiscard]] std::size_t off(std::size_t m) const { return u_[4 * m]; }
+  [[nodiscard]] std::size_t len(std::size_t m) const { return u_[4 * m + 1]; }
+  [[nodiscard]] dk::TruncationCert cert(std::size_t m) const {
+    return {d_[2 * m], d_[2 * m + 1], u_[4 * m + 2], u_[4 * m + 3]};
+  }
+
+ private:
+  std::span<std::uint64_t> u_;
+  std::span<double> d_;
+};
+
 }  // namespace
 
 ModuleDists build_module_distributions(const scenario::Scenario& sc,
-                                       std::size_t max_atoms) {
+                                       std::size_t max_atoms, Workspace& ws) {
   if (sc.retry() != core::RetryModel::TwoState) {
     throw std::invalid_argument(
         "hier: only the two-state retry model is supported");
@@ -99,13 +161,14 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
   const std::span<const double> p = sc.p_success();
   const auto& mods = d.modules;
   const std::size_t nm = mods.size();
+  const std::size_t qn = d.quotient.task_count();
 
-  // Pass 1: content hash per module. The modules vector is ordered
-  // children-before-parents, so one ascending pass folds child hashes
-  // into parents without recursion. The atom budget is mixed into the
-  // LOOKUP key, not here: the same structure under two budgets yields
-  // two distinct (both correct) cache rows.
-  std::vector<H128> mh(nm);
+  // Pass 1: content hash per module (two lanes per module). The modules
+  // vector is ordered children-before-parents, so one ascending pass
+  // folds child hashes into parents without recursion. The atom budget
+  // is mixed into the LOOKUP key, not here: the same structure under two
+  // budgets yields two distinct (both correct) cache rows.
+  const std::span<std::uint64_t> mh = ws.u64(2 * nm);
   for (std::size_t m = 0; m < nm; ++m) {
     const SpDecomposition::Module& mod = mods[m];
     H128 h;
@@ -118,56 +181,58 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
       h.mix(mod.child_count);
       for (std::uint32_t i = 0; i < mod.child_count; ++i) {
         const std::uint32_t c = d.children[mod.first_child + i];
-        h.mix(mh[c].a);
-        h.mix(mh[c].b);
+        h.mix(mh[2 * c]);
+        h.mix(mh[2 * c + 1]);
       }
     }
-    mh[m] = h;
+    mh[2 * m] = h.a;
+    mh[2 * m + 1] = h.b;
   }
   const auto key_of = [&](std::size_t m) {
-    H128 h = mh[m];
+    H128 h{mh[2 * m], mh[2 * m + 1]};
     h.mix(static_cast<std::uint64_t>(max_atoms));
     return MemoKey{h.a, h.b};
   };
 
   ModuleDists out;
   out.stats.module_count = nm;
-  out.stats.quotient_tasks = d.quotient.task_count();
+  out.stats.quotient_tasks = qn;
   out.stats.collapsed_tasks = d.collapsed_tasks;
 
   // Pass 2: evaluate each quotient root by explicit-stack post-order —
   // series chains nest modules as deep as the chain is long, so
   // recursion would overflow at the million-task scale this exists for.
-  // A cache hit on a composite skips its whole subtree. Child slots are
-  // released as soon as the parent consumes them, so live memory tracks
-  // the evaluation frontier rather than the module count.
+  // A cache hit on a composite skips its whole subtree. The modules form
+  // a forest, so when a composite's children are all built their laws
+  // are the top segment of the atom stack; the fold writes the parent's
+  // law over that segment. What stays on the stack is one law per
+  // quotient root, in quotient order: the law table.
   Memo& mm = memo();
-  std::vector<std::optional<BuiltModule>> built(nm);
-  std::vector<std::pair<std::uint32_t, bool>> stack;
-  const std::size_t qn = d.quotient.task_count();
-  out.by_quotient_node.reserve(qn);
+  BuiltSlots built(ws, nm);
+  const std::span<std::uint64_t> walk = ws.u64(nm);  // (module << 1) | expanded
+  const std::span<std::uint64_t> offsets = ws.u64(qn + 1);
+  AtomStack stack(ws, std::max<std::size_t>(4 * qn, 256));
   for (std::size_t q = 0; q < qn; ++q) {
-    const std::uint32_t root = d.quotient_module[q];
-    stack.clear();
-    stack.push_back({root, false});
-    while (!stack.empty()) {
-      const std::uint32_t m = stack.back().first;
-      const bool expanded = stack.back().second;
-      if (built[m]) {
-        stack.pop_back();
-        continue;
-      }
+    offsets[q] = stack.top();
+    std::size_t depth = 0;
+    walk[depth++] = std::uint64_t{d.quotient_module[q]} << 1;
+    while (depth > 0) {
+      const auto m = static_cast<std::uint32_t>(walk[depth - 1] >> 1);
+      const bool expanded = (walk[depth - 1] & 1) != 0;
       const SpDecomposition::Module& mod = mods[m];
+      const std::size_t top = stack.top();
       if (mod.kind == SpDecomposition::Kind::Leaf) {
         // Zero-weight (virtual) tasks cannot fail — point mass at 0, the
         // same special case as the flat engine's builders.
         const double a = g.weight(mod.task);
-        built[m] = BuiltModule{
-            a <= 0.0
-                ? prob::DiscreteDistribution::point(0.0)
-                : prob::DiscreteDistribution::two_state(a, p[mod.task]),
-            {}};
-        stack.pop_back();
+        stack.reserve(top + 2);
+        const std::size_t len = a <= 0.0
+                                    ? dk::point(0.0, stack.at(top, 2))
+                                    : dk::two_state(a, p[mod.task],
+                                                    stack.at(top, 2));
+        built.set(m, top, len, {});
+        stack.set_top(top + len);
+        --depth;
         continue;
       }
       if (!expanded) {
@@ -176,66 +241,105 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
           const std::lock_guard<std::mutex> lock(mm.mu);
           const auto it = mm.map.find(key);
           if (it != mm.map.end()) {
-            built[m] = it->second;  // copied under the lock
+            // Copied into the arena under the lock.
+            const std::vector<prob::Atom>& law = it->second.atoms;
+            stack.reserve(top + law.size());
+            std::copy(law.begin(), law.end(),
+                      stack.at(top, law.size()).begin());
+            built.set(m, top, law.size(), it->second.cert);
+            stack.set_top(top + law.size());
             ++out.stats.memo_hits;
             ++mm.hits;
-            stack.pop_back();
+            --depth;
             continue;
           }
           ++out.stats.memo_misses;
           ++mm.misses;
         }
-        stack.back().second = true;
+        walk[depth - 1] |= 1;
         for (std::uint32_t i = 0; i < mod.child_count; ++i) {
-          // `stack.back()` is dead from the first push on.
-          stack.push_back({d.children[mod.first_child + i], false});
+          walk[depth++] = std::uint64_t{d.children[mod.first_child + i]} << 1;
         }
         continue;
       }
-      // Children built: fold them in child order.
-      prob::dist_kernels::TruncationCert ops{};
-      const std::uint32_t c0 = d.children[mod.first_child];
-      BuiltModule acc = std::move(*built[c0]);
-      built[c0].reset();
-      for (std::uint32_t i = 1; i < mod.child_count; ++i) {
-        const std::uint32_t c = d.children[mod.first_child + i];
-        BuiltModule& child = *built[c];
-        acc.dist = mod.kind == SpDecomposition::Kind::Series
-                       ? prob::DiscreteDistribution::convolve(
-                             acc.dist, child.dist, max_atoms, &ops)
-                       : prob::DiscreteDistribution::max_of(
-                             acc.dist, child.dist, max_atoms, &ops);
-        acc.cert.accumulate(child.cert);
-        built[c].reset();
+      // Children built: fold them in child order. The accumulator starts
+      // as child 0's law in place; each step computes into transient
+      // scratch, truncates there, and copies the result to `base`, just
+      // above the children. Room for it is reserved first, at this frame
+      // level, with the stack top covering the live accumulator.
+      const std::uint32_t* kids = &d.children[mod.first_child];
+      const bool series = mod.kind == SpDecomposition::Kind::Series;
+      const std::size_t base = top;
+      std::size_t seg = base;
+      for (std::uint32_t i = 0; i < mod.child_count; ++i) {
+        seg = std::min<std::size_t>(seg, built.off(kids[i]));
       }
-      acc.cert.accumulate(ops);
+      std::size_t acc_off = built.off(kids[0]);
+      std::size_t acc_len = built.len(kids[0]);
+      dk::TruncationCert acc_cert = built.cert(kids[0]);
+      dk::TruncationCert ops{};
+      for (std::uint32_t i = 1; i < mod.child_count; ++i) {
+        const std::uint32_t c = kids[i];
+        const std::size_t c_len = built.len(c);
+        const std::size_t cap = series ? acc_len * c_len : acc_len + c_len;
+        stack.set_top(acc_off == base ? base + acc_len : base);
+        const std::size_t most =
+            max_atoms != 0 ? std::min(cap, max_atoms) : cap;
+        stack.reserve(base + most);
+        const std::span<const prob::Atom> x = stack.at(acc_off, acc_len);
+        const std::span<const prob::Atom> y = stack.at(built.off(c), c_len);
+        const Workspace::Frame frame(ws);
+        const std::span<prob::Atom> res = ws.atoms(cap);
+        std::size_t n = series ? dk::convolve(x, y, res)
+                               : dk::max_of(x, y, res, ws.doubles(cap));
+        if (max_atoms != 0 && n > max_atoms) {
+          // Truncate into a per-op certificate, then fold it into the
+          // step total: the grouping every pinned envelope was built on.
+          dk::TruncationCert local;
+          n = dk::truncate(res.first(n), max_atoms, local,
+                           ws.doubles(2 * (n - 1)));
+          ops.accumulate(local);
+        }
+        std::copy_n(res.begin(), n, stack.at(base, n).begin());
+        acc_off = base;
+        acc_len = n;
+        acc_cert.accumulate(built.cert(c));
+      }
+      acc_cert.accumulate(ops);
+      if (acc_off != seg) {
+        const std::span<const prob::Atom> acc = stack.at(acc_off, acc_len);
+        std::copy(acc.begin(), acc.end(), stack.at(seg, acc_len).begin());
+      }
+      const std::span<const prob::Atom> law = stack.at(seg, acc_len);
       {
         const std::lock_guard<std::mutex> lock(mm.mu);
         if (mm.map.size() < kMemoMaxEntries &&
-            acc.dist.size() <= kMemoMaxAtomsPerEntry) {
-          mm.map.emplace(key_of(m), acc);
+            acc_len <= kMemoMaxAtomsPerEntry) {
+          mm.map.emplace(key_of(m),
+                         MemoEntry{{law.begin(), law.end()}, acc_cert});
         }
       }
-      built[m] = std::move(acc);
-      stack.pop_back();
+      built.set(m, seg, acc_len, acc_cert);
+      stack.set_top(seg + acc_len);
+      --depth;
     }
-    out.truncation.accumulate(built[root]->cert);
-    out.by_quotient_node.push_back(std::move(built[root]->dist));
-    built[root].reset();
+    out.truncation.accumulate(built.cert(d.quotient_module[q]));
   }
+  offsets[qn] = stack.top();
+  out.laws = {stack.at(0, stack.top()), offsets};
   return out;
 }
 
 HierSpResult evaluate_sp_hier(const scenario::Scenario& sc,
                               std::size_t max_atoms, Workspace& ws,
                               prob::DiscreteDistribution* capture) {
-  const ModuleDists md = build_module_distributions(sc, max_atoms);
+  const Workspace::Frame frame(ws);
+  const ModuleDists md = build_module_distributions(sc, max_atoms, ws);
   HierSpResult out;
   out.stats = md.stats;
   out.truncation = md.truncation;
   const sp::SpFlatEvaluation ev = sp::evaluate_sp_laws(
-      sc.sp_decomposition().quotient, md.by_quotient_node, max_atoms, ws,
-      capture);
+      sc.sp_decomposition().quotient, md.laws, max_atoms, ws, capture);
   out.is_series_parallel = ev.is_series_parallel;
   if (!ev.is_series_parallel) return out;
   out.truncation.accumulate(ev.stats.truncation);
@@ -246,12 +350,13 @@ HierSpResult evaluate_sp_hier(const scenario::Scenario& sc,
 HierDodinBound evaluate_dodin_hier(const scenario::Scenario& sc,
                                    std::size_t max_atoms, Workspace& ws,
                                    prob::DiscreteDistribution* capture) {
-  const ModuleDists md = build_module_distributions(sc, max_atoms);
+  const Workspace::Frame frame(ws);
+  const ModuleDists md = build_module_distributions(sc, max_atoms, ws);
   HierDodinBound out;
   out.stats = md.stats;
   out.truncation = md.truncation;
   const sp::DodinFlatResult dr =
-      sp::dodin_laws(sc.sp_decomposition().quotient, md.by_quotient_node,
+      sp::dodin_laws(sc.sp_decomposition().quotient, md.laws,
                      {.max_atoms = max_atoms}, ws, capture);
   out.truncation.accumulate(dr.truncation);
   out.duplications = dr.duplications;
@@ -260,22 +365,25 @@ HierDodinBound evaluate_dodin_hier(const scenario::Scenario& sc,
 }
 
 HierMcResult evaluate_mc_hier(const scenario::Scenario& sc,
+                              std::size_t max_atoms, Workspace& ws,
                               std::uint64_t trials, std::uint64_t seed,
-                              std::size_t threads, std::size_t max_atoms) {
+                              std::size_t threads) {
   if (trials == 0) throw std::invalid_argument("mc.hier: trials must be >= 1");
-  const ModuleDists md = build_module_distributions(sc, max_atoms);
+  const Workspace::Frame frame(ws);
+  const ModuleDists md = build_module_distributions(sc, max_atoms, ws);
   const SpDecomposition& d = sc.sp_decomposition();
   const graph::CsrDag qcsr(d.quotient);
   const std::size_t qn = d.quotient.task_count();
-  std::vector<const prob::DiscreteDistribution*> by_pos(qn);
+  std::vector<std::span<const prob::Atom>> by_pos(qn);
   for (std::uint32_t pos = 0; pos < qn; ++pos) {
-    by_pos[pos] = &md.by_quotient_node[qcsr.original_id(pos)];
+    by_pos[pos] = md.laws.law(qcsr.original_id(pos));
   }
 
   // Same determinism discipline as mc/engine.cpp: a fixed 128-way chunk
   // partition of the trial range, one counter-based RNG stream per
   // trial, and a serial chunk-order fold of the accumulators — the
-  // worker count never touches the arithmetic.
+  // worker count never touches the arithmetic. Workers only read the
+  // law table; the workspace itself stays on the calling thread.
   constexpr std::uint64_t kEngineChunks = 128;
   const std::size_t chunks =
       static_cast<std::size_t>(std::min<std::uint64_t>(kEngineChunks, trials));
@@ -296,7 +404,7 @@ HierMcResult evaluate_mc_hier(const scenario::Scenario& sc,
       // Draw in position order — one quantile per quotient node — then
       // the finish-time DP over the quotient CSR.
       for (std::uint32_t pos = 0; pos < qn; ++pos) {
-        const double dur = by_pos[pos]->quantile(rng.uniform_positive());
+        const double dur = dk::quantile(by_pos[pos], rng.uniform_positive());
         double start = 0.0;
         for (const std::uint32_t u : qcsr.preds(pos)) {
           if (finish[u] > start) start = finish[u];

@@ -15,7 +15,8 @@
 //   * Parallel module  -> max of its children's laws
 //
 // build_module_distributions() materializes those laws bottom-up with an
-// atom budget (0 = exact) and certified truncation accounting, and
+// atom budget (0 = exact) and certified truncation accounting, on the
+// prob::dist_kernels span kernels in the caller's exp::Workspace, and
 // MEMOIZES every composite module in a process-wide cache keyed by a
 // 128-bit content hash of (module structure, task weights, success
 // probabilities, atom budget). Repetitive kernels — LU/QR/Cholesky tiles,
@@ -38,12 +39,13 @@
 //     works on any quotient, duplications now scale with the QUOTIENT
 //     size, not the task count.
 //   * evaluate_mc_hier    Monte-Carlo over the quotient ("mc.hier"):
-//     each trial inverse-CDF samples one duration per quotient node from
-//     its module law and runs the finish-time DP — an unbiased estimator
-//     of the (truncation-capped) makespan whose per-trial cost is
-//     O(quotient), not O(V). Bit-identical across thread counts (fixed
-//     chunk partition, chunk-order reduction, counter-based per-trial
-//     RNG — the same discipline as mc/engine.cpp).
+//     each trial inverse-CDF samples (dist_kernels::quantile) one
+//     duration per quotient node from its module law and runs the
+//     finish-time DP — an unbiased estimator of the (truncation-capped)
+//     makespan whose per-trial cost is O(quotient), not O(V).
+//     Bit-identical across thread counts (fixed chunk partition,
+//     chunk-order reduction, counter-based per-trial RNG — the same
+//     discipline as mc/engine.cpp).
 //
 // Two-state retry only (like sp / dodin): the module laws are built from
 // two-state leaves. All entry points throw std::invalid_argument on a
@@ -55,7 +57,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "exp/workspace.hpp"
 #include "prob/discrete_distribution.hpp"
@@ -75,20 +76,28 @@ struct HierStats {
 
 /// Output of the bottom-up module build.
 struct ModuleDists {
-  /// Makespan law per quotient node, indexed by quotient TaskId.
-  std::vector<prob::DiscreteDistribution> by_quotient_node;
+  /// Makespan law per quotient node, indexed by quotient TaskId; views
+  /// into the workspace the build leased from.
+  prob::dist_kernels::LawTable laws;
   /// Certified truncation accumulated across every convolve/max the build
   /// performed (including the stored subtree accounting of memo hits).
   prob::dist_kernels::TruncationCert truncation;
   HierStats stats;
 };
 
-/// Builds the per-quotient-node distributions bottom-up over the
-/// scenario's cached SpDecomposition. `max_atoms` caps every intermediate
-/// law (0 = exact). Throws std::invalid_argument unless the retry model
-/// is TwoState.
+/// Builds the per-quotient-node laws bottom-up over the scenario's cached
+/// SpDecomposition. `max_atoms` caps every intermediate law (0 = exact).
+/// Each composite folds its children left to right, one
+/// dist_kernels::convolve (series) or max_of (parallel) per step, each
+/// step truncated to the budget when over it. Every lease — the table
+/// included — stays checked out in the caller's current Workspace frame,
+/// so the table is valid until that frame closes; open a
+/// Workspace::Frame around the call and the table's use. On a warm
+/// workspace with every composite already memoized the build performs
+/// no heap allocation. Throws std::invalid_argument unless the retry
+/// model is TwoState.
 [[nodiscard]] ModuleDists build_module_distributions(
-    const scenario::Scenario& sc, std::size_t max_atoms);
+    const scenario::Scenario& sc, std::size_t max_atoms, Workspace& ws);
 
 /// Result of the exact-SP quotient evaluation ("sp.hier").
 struct HierSpResult {
@@ -133,14 +142,16 @@ struct HierMcResult {
   HierStats stats;
 };
 
-/// `threads` = 0 means hardware concurrency; results are bit-identical
-/// for every thread count. `max_atoms` caps the module laws sampled from
-/// (0 = exact — beware exponential supports on deep series chains).
+/// The module laws are built in `ws` and sampled from there. `threads`
+/// = 0 means hardware concurrency; results are bit-identical for every
+/// thread count. `max_atoms` caps the module laws sampled from (0 =
+/// exact — beware exponential supports on deep series chains).
 [[nodiscard]] HierMcResult evaluate_mc_hier(const scenario::Scenario& sc,
+                                            std::size_t max_atoms,
+                                            Workspace& ws,
                                             std::uint64_t trials,
                                             std::uint64_t seed,
-                                            std::size_t threads = 0,
-                                            std::size_t max_atoms = 256);
+                                            std::size_t threads = 0);
 
 /// Lifetime counters of the process-wide module-distribution cache.
 struct MemoStats {

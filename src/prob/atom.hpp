@@ -1,11 +1,11 @@
 // prob/atom.hpp
 //
 // The one probability atom shared by the whole distribution layer: the
-// flat kernels (dist_kernels.hpp) operate on spans of Atom, the
-// DiscreteDistribution object wraps a vector of them, and exp::Workspace
-// leases Atom arenas for the allocation-free evaluators. Split out of
+// kernels (dist_kernels.hpp) operate on spans of Atom, exp::Workspace
+// leases Atom arenas for the allocation-free evaluators, and the boundary
+// value type DiscreteDistribution holds a vector of them. Kept apart from
 // discrete_distribution.hpp so the kernels and the workspace do not pull
-// in the object API.
+// in the value type.
 
 #pragma once
 
@@ -18,9 +18,8 @@ struct Atom {
 };
 
 /// Relative value gap below which two atoms are merged during
-/// consolidation (from_atoms and every operation built on it). One
-/// constant for the whole library: the flat kernels and the
-/// DiscreteDistribution object share the merge semantics bit for bit.
+/// consolidation (dist_kernels::consolidate, and so every operation that
+/// canonicalizes its result). One constant for the whole library.
 inline constexpr double kValueMergeEps = 1e-12;
 
 }  // namespace expmk::prob

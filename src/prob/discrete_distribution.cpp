@@ -1,42 +1,14 @@
 #include "prob/discrete_distribution.hpp"
 
-#include <cmath>
-#include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "prob/dist_kernels.hpp"
 
 namespace expmk::prob {
 
 namespace dk = dist_kernels;
-
-namespace {
-
-/// Uninitialized kernel scratch: the span kernels fully overwrite what
-/// they read, so worst-case-sized buffers must not pay a zeroing pass
-/// (vector's value-initialization) the pre-kernel code never performed.
-template <typename T>
-struct Scratch {
-  std::unique_ptr<T[]> data;
-  std::size_t size;
-
-  explicit Scratch(std::size_t n)
-      : data(std::make_unique_for_overwrite<T[]>(n)), size(n) {}
-  [[nodiscard]] std::span<T> span() { return {data.get(), size}; }
-  /// The final (consolidated, usually far smaller) result as a vector.
-  [[nodiscard]] std::vector<T> take(std::size_t n) const {
-    return std::vector<T>(data.get(), data.get() + n);
-  }
-};
-
-}  // namespace
-
-// All arithmetic lives in prob/dist_kernels.cpp; the methods here lease
-// vectors, call the span kernels and wrap the canonical result. The
-// kernels mirror the pre-refactor object code operation for operation, so
-// this file's behavior is byte-identical to what it replaced (pinned by
-// tests/test_dist_kernels.cpp).
 
 DiscreteDistribution::DiscreteDistribution() : atoms_{{0.0, 1.0}} {}
 
@@ -58,36 +30,8 @@ DiscreteDistribution DiscreteDistribution::two_state(double a,
   return DiscreteDistribution(std::move(atoms));
 }
 
-DiscreteDistribution DiscreteDistribution::geometric_reexec(double a,
-                                                            double p_success,
-                                                            int max_attempts) {
-  if (a <= 0.0) {
-    throw std::invalid_argument("geometric_reexec: weight must be > 0");
-  }
-  if (p_success <= 0.0 || p_success > 1.0) {
-    throw std::invalid_argument("geometric_reexec: p in (0,1] required");
-  }
-  if (max_attempts < 1) {
-    throw std::invalid_argument("geometric_reexec: max_attempts >= 1");
-  }
-  std::vector<Atom> atoms;
-  atoms.reserve(static_cast<std::size_t>(max_attempts));
-  double tail = 1.0;  // P(attempts >= k)
-  for (int k = 1; k < max_attempts; ++k) {
-    const double pk = tail * p_success;
-    atoms.push_back({a * k, pk});
-    tail -= pk;
-  }
-  atoms.push_back({a * max_attempts, tail});
-  return from_atoms(std::move(atoms));
-}
-
-void DiscreteDistribution::consolidate(std::vector<Atom>& atoms) {
-  atoms.resize(dk::consolidate(atoms));
-}
-
 DiscreteDistribution DiscreteDistribution::from_atoms(std::vector<Atom> atoms) {
-  consolidate(atoms);
+  atoms.resize(dk::consolidate(atoms));
   dk::normalize(atoms);  // throws on empty / non-positive total mass
   return DiscreteDistribution(std::move(atoms));
 }
@@ -125,66 +69,6 @@ double DiscreteDistribution::cdf(double x) const noexcept {
 
 double DiscreteDistribution::quantile(double q) const {
   return dk::quantile(atoms_, q);
-}
-
-DiscreteDistribution DiscreteDistribution::shifted(double c) const {
-  std::vector<Atom> atoms = atoms_;
-  dk::shift(atoms, c);
-  return DiscreteDistribution(std::move(atoms));
-}
-
-DiscreteDistribution DiscreteDistribution::convolve(
-    const DiscreteDistribution& x, const DiscreteDistribution& y,
-    std::size_t max_atoms, dk::TruncationCert* cert) {
-  Scratch<Atom> out(x.size() * y.size());
-  const std::size_t m = dk::convolve(x.atoms_, y.atoms_, out.span());
-  auto result = DiscreteDistribution(out.take(m));
-  if (max_atoms != 0 && result.size() > max_atoms) {
-    result = result.truncated(max_atoms, cert);
-  }
-  return result;
-}
-
-DiscreteDistribution DiscreteDistribution::max_of(
-    const DiscreteDistribution& x, const DiscreteDistribution& y,
-    std::size_t max_atoms, dk::TruncationCert* cert) {
-  Scratch<Atom> out(x.size() + y.size());
-  Scratch<double> support(x.size() + y.size());
-  const std::size_t m =
-      dk::max_of(x.atoms_, y.atoms_, out.span(), support.span());
-  auto result = DiscreteDistribution(out.take(m));
-  if (max_atoms != 0 && result.size() > max_atoms) {
-    result = result.truncated(max_atoms, cert);
-  }
-  return result;
-}
-
-DiscreteDistribution DiscreteDistribution::mixture(
-    const DiscreteDistribution& x, double w, const DiscreteDistribution& y) {
-  Scratch<Atom> out(x.size() + y.size());
-  const std::size_t m = dk::mixture(x.atoms_, w, y.atoms_, out.span());
-  return DiscreteDistribution(out.take(m));
-}
-
-DiscreteDistribution DiscreteDistribution::truncated(
-    std::size_t max_atoms, dk::TruncationCert* cert) const {
-  if (max_atoms == 0 || size() <= max_atoms) return *this;
-  std::vector<Atom> atoms = atoms_;
-  Scratch<double> gap_scratch(2 * (atoms.size() - 1));
-  dk::TruncationCert local;
-  atoms.resize(dk::truncate(atoms, max_atoms, local, gap_scratch.span()));
-  if (cert != nullptr) cert->accumulate(local);
-  return DiscreteDistribution(std::move(atoms));
-}
-
-bool DiscreteDistribution::approx_equals(const DiscreteDistribution& other,
-                                         double tol) const noexcept {
-  if (size() != other.size()) return false;
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (std::fabs(atoms_[i].value - other.atoms_[i].value) > tol) return false;
-    if (std::fabs(atoms_[i].prob - other.atoms_[i].prob) > tol) return false;
-  }
-  return true;
 }
 
 std::ostream& operator<<(std::ostream& os, const DiscreteDistribution& d) {

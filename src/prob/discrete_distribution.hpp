@@ -1,20 +1,15 @@
 // prob/discrete_distribution.hpp
 //
-// Finite discrete probability distributions over the reals, the arithmetic
-// Dodin's bound is built on: series reductions convolve durations, parallel
-// reductions take the maximum of independent durations.
+// A finite discrete probability distribution over the reals, as a VALUE:
+// the type a finished makespan law crosses an API boundary in
+// (EvalResult::distribution, the SP/Dodin capture sinks, the exact
+// oracle's output). It holds one canonical atom vector plus its factories
+// and read-only queries, following DynaPlex's DiscreteDist.
 //
-// With 2-state task durations the exact support can grow exponentially
-// (the underlying problem is #P-complete), so the type supports a bounded
-// "atom budget": when a result exceeds `max_atoms`, adjacent atoms are
-// merged pairwise with a mean-preserving rule. The budget is a knob of the
-// Dodin implementation and is swept by bench/ablation_dodin_atoms.
-//
-// Since the flat-distribution-engine refactor, every operation here is a
-// thin allocating wrapper over the span kernels in prob/dist_kernels.hpp —
-// the library has exactly ONE copy of the consolidation / convolve /
-// max-of / truncation arithmetic, shared bit-for-bit with the
-// workspace-backed flat evaluators (sp/dodin/bounds).
+// It carries no arithmetic of its own. Convolution, max-of, truncation
+// and the rest live once, as span kernels in prob/dist_kernels.hpp, and
+// the evaluators run them on exp::Workspace arenas; a law becomes a
+// DiscreteDistribution only when it leaves the library.
 
 #pragma once
 
@@ -26,16 +21,12 @@
 
 namespace expmk::prob {
 
-namespace dist_kernels {
-struct TruncationCert;
-}  // namespace dist_kernels
-
 /// An immutable-after-construction finite distribution. Invariants:
 /// atoms sorted strictly increasing by value, probabilities positive,
 /// total mass 1 within ~1e-9 (renormalized on construction).
 class DiscreteDistribution {
  public:
-  /// The degenerate distribution at 0 (identity for convolution).
+  /// The degenerate distribution at 0.
   DiscreteDistribution();
 
   /// Point mass at `value`.
@@ -45,22 +36,17 @@ class DiscreteDistribution {
   /// This is the paper's silent-error model for one task.
   static DiscreteDistribution two_state(double a, double p_success);
 
-  /// Geometric re-execution law truncated at `max_attempts` executions:
-  /// k*a with probability p(1-p)^{k-1} for k < max_attempts and the
-  /// remaining tail mass on max_attempts*a. Models unbounded retries.
-  static DiscreteDistribution geometric_reexec(double a, double p_success,
-                                               int max_attempts);
-
   /// From raw atoms (any order, duplicates allowed); consolidates, drops
-  /// non-positive masses, renormalizes. Throws if total mass is not
-  /// positive.
+  /// non-positive masses, renormalizes (dist_kernels::consolidate then
+  /// normalize). Throws if total mass is not positive.
   static DiscreteDistribution from_atoms(std::vector<Atom> atoms);
 
-  /// Trusted constructor for the flat engine's exports: `atoms` must
-  /// already be canonical (dist_kernels::canonicalize output — strictly
-  /// ascending, positive, normalized). Skips the re-consolidation and
-  /// re-normalization of from_atoms so an exported distribution is
-  /// byte-identical to the arena slice it came from.
+  /// Trusted constructor for kernel results: `atoms` must already be
+  /// canonical (dist_kernels::canonicalize output — strictly ascending,
+  /// positive, normalized). Skips the re-consolidation and
+  /// re-normalization of from_atoms, so an exported distribution is
+  /// byte-identical to the arena slice it came from. Throws on an empty
+  /// list.
   static DiscreteDistribution from_canonical(std::vector<Atom> atoms);
 
   [[nodiscard]] const std::vector<Atom>& atoms() const noexcept {
@@ -78,45 +64,8 @@ class DiscreteDistribution {
   /// Smallest support value v with P(X <= v) >= q, q in (0,1].
   [[nodiscard]] double quantile(double q) const;
 
-  /// Distribution of X + c.
-  [[nodiscard]] DiscreteDistribution shifted(double c) const;
-
-  /// Distribution of X + Y for independent X, Y; result capped at
-  /// `max_atoms` (0 = unlimited). When a cap fires and `cert` is given,
-  /// the certified expectation-shift envelope accumulates into it.
-  [[nodiscard]] static DiscreteDistribution convolve(
-      const DiscreteDistribution& x, const DiscreteDistribution& y,
-      std::size_t max_atoms = 0,
-      dist_kernels::TruncationCert* cert = nullptr);
-
-  /// Distribution of max(X, Y) for independent X, Y; capped at `max_atoms`
-  /// (same certification hook as convolve).
-  [[nodiscard]] static DiscreteDistribution max_of(
-      const DiscreteDistribution& x, const DiscreteDistribution& y,
-      std::size_t max_atoms = 0,
-      dist_kernels::TruncationCert* cert = nullptr);
-
-  /// Mixture: with probability w take X, else Y. Used by tests.
-  [[nodiscard]] static DiscreteDistribution mixture(
-      const DiscreteDistribution& x, double w, const DiscreteDistribution& y);
-
-  /// Returns a copy reduced to at most `max_atoms` atoms by repeatedly
-  /// merging the pair of adjacent atoms with the smallest value gap into a
-  /// single atom at their probability-weighted mean (preserves the overall
-  /// mean exactly; variance shrinks by at most gap² per merge). With
-  /// `cert`, the per-merge displacement envelope accumulates into it (see
-  /// dist_kernels.hpp for the certified-truncation math).
-  [[nodiscard]] DiscreteDistribution truncated(
-      std::size_t max_atoms,
-      dist_kernels::TruncationCert* cert = nullptr) const;
-
-  /// Structural equality within `tol` on values and probabilities.
-  [[nodiscard]] bool approx_equals(const DiscreteDistribution& other,
-                                   double tol = 1e-9) const noexcept;
-
  private:
   explicit DiscreteDistribution(std::vector<Atom> sorted_atoms);
-  static void consolidate(std::vector<Atom>& atoms);
 
   std::vector<Atom> atoms_;
 };

@@ -19,10 +19,10 @@
 
 namespace expmk::prob::dist_kernels {
 
-// Every kernel here is the executable definition of one
-// DiscreteDistribution operation: the object methods forward to these, so
-// any change below changes both paths together (and the bit-identity
-// property in tests/test_dist_kernels.cpp holds by construction).
+// Every kernel here is the one definition of its operation: the
+// evaluators call these directly, and the test-side reference arithmetic
+// (tests/dist_ops.cpp) wraps the same kernels, so any change below moves
+// the library and its references together.
 //
 // convolve and max_of run with a runtime-dispatched backend (util::simd):
 // the scalar loops are the executable spec and the AVX2 loops must
@@ -611,8 +611,8 @@ EXPMK_NOALLOC std::size_t consolidate(std::span<Atom> atoms) {
   }
   std::sort(atoms.begin(), atoms.begin() + static_cast<std::ptrdiff_t>(n),
             [](const Atom& x, const Atom& y) { return x.value < y.value; });
-  // Adjacent eps-merge into the first atom's value (mirrors the object
-  // consolidate's merged-vector loop; w <= t always, so in place is safe).
+  // Adjacent eps-merge into the first atom's value (w <= t always, so in
+  // place is safe).
   std::size_t w = 0;
   for (std::size_t t = 0; t < n; ++t) {
     if (w > 0) {
@@ -643,11 +643,10 @@ EXPMK_NOALLOC std::size_t canonicalize(std::span<Atom> atoms) {
   return n;
 }
 
-// Fixed 4-accumulator association like atom_prob_sum (and the same
-// one-time golden re-baseline event): four independent multiply-add
-// chains instead of one 4-cycle-latency serial sum. Shared by the object
-// path (DiscreteDistribution::mean is a thin wrapper), so object and
-// flat means stay bit-identical by construction.
+// Fixed 4-accumulator association like atom_prob_sum: four independent
+// multiply-add chains instead of one 4-cycle-latency serial sum.
+// DiscreteDistribution::mean forwards here, so a boundary value and the
+// arena slice it was exported from report the same mean bit for bit.
 EXPMK_NOALLOC double mean(std::span<const Atom> atoms) noexcept {
   const Atom* a = atoms.data();
   const std::size_t n = atoms.size();
@@ -734,8 +733,8 @@ EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom
 EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> y,
                    std::span<Atom> out, std::span<double> support_scratch) {
   // Support union. Both inputs are canonical (strictly ascending), so a
-  // two-way merge with an exact-equality skip reproduces the object
-  // path's sort(concat) + unique.
+  // two-way merge with an exact-equality skip equals sort(concat) +
+  // unique.
   std::size_t ns = 0;
   {
     std::size_t i = 0, j = 0;
@@ -862,8 +861,8 @@ EXPMK_NOALLOC std::size_t truncate(std::span<Atom> atoms, std::size_t max_atoms,
 
   std::size_t local_merges = 0;
   // Greedy pass merging nearest-by-value adjacent atoms; each round
-  // removes roughly half the overshoot (the object truncated()'s exact
-  // scheme, with the merge displacements additionally accounted).
+  // removes roughly half the overshoot, and every merge's displacement
+  // is accounted in the certificate.
   while (n > max_atoms) {
     const std::size_t excess = n - max_atoms;
     // Collect gaps, pick a threshold so we merge ~excess pairs this pass.
@@ -926,15 +925,15 @@ EXPMK_NOALLOC std::size_t truncate(std::span<Atom> atoms, std::size_t max_atoms,
         ++i;
       }
     }
-    if (m == n) break;  // no progress (defensive, as in the object path)
+    if (m == n) break;  // no progress (defensive)
     n = m;
   }
   if (local_merges > 0) {
     ++cert.events;
     cert.merges += local_merges;
   }
-  // The object path ends with from_atoms: re-consolidate (merged values
-  // may have landed within the eps window) and renormalize.
+  // Re-canonicalize: merged values may have landed within the eps
+  // window, and the merged masses are renormalized.
   return canonicalize(atoms.subspan(0, n));
 }
 

@@ -1,24 +1,23 @@
 // prob/dist_kernels.hpp
 //
-// The flat distribution engine: every discrete-distribution operation the
-// analytic pipeline is built on (consolidate / shift / convolve / max-of /
-// mixture / truncate), expressed as kernels over caller-provided spans of
-// prob::Atom instead of freshly allocated vectors. `DiscreteDistribution`'s
-// own operations are thin allocating wrappers over these kernels, so there
-// is exactly ONE copy of the arithmetic in the library and the flat and
-// object paths are bit-identical by construction (pinned by
-// tests/test_dist_kernels.cpp). The workspace-backed evaluators (the
-// series-parallel reduction, Dodin's transformation, the level-
-// decomposition bound) call the kernels directly on exp::Workspace-leased
-// arenas and therefore run allocation-free at steady state.
+// The distribution arithmetic of the library: every discrete-distribution
+// operation the analytic pipeline is built on (consolidate / shift /
+// convolve / max-of / mixture / truncate), expressed as kernels over
+// caller-provided spans of prob::Atom. These kernels ARE the definition:
+// there is no second implementation. The workspace-backed evaluators (the
+// series-parallel reduction, Dodin's transformation, the hierarchical
+// module build, the level-decomposition bound) call them on
+// exp::Workspace-leased arenas and therefore run allocation-free at
+// steady state. prob::DiscreteDistribution is only the value type that
+// carries a finished law across an API boundary.
 //
-// Contract shared with DiscreteDistribution:
+// Contract:
 //  * a *canonical* atom list is sorted strictly increasing by value
 //    (beyond the prob::kValueMergeEps relative merge window), has positive
 //    probabilities, and total mass 1 (renormalized);
-//  * `consolidate` + `normalize` reproduce from_atoms() operation for
-//    operation (drop non-positive masses order-preservingly, std::sort by
-//    value, eps-merge, divide by the total) — bit for bit;
+//  * `consolidate` + `normalize` (= `canonicalize`) turn any raw atom list
+//    into its canonical form — DiscreteDistribution::from_atoms runs
+//    exactly this pipeline;
 //  * every kernel writes its result left-aligned into the output span and
 //    returns the atom count; inputs and outputs must not overlap unless a
 //    kernel is documented as in-place.
@@ -29,15 +28,12 @@
 // construction, not by tolerance: only elementwise stages are vectorized
 // (per-lane identical to the scalar loop under IEEE754), reductions keep
 // one fixed association shared by both backends, and the ordering stage —
-// a STABLE bottom-up merge of pre-sorted runs that replaces
-// canonicalize's std::sort — is a single branchless engine compiled once
-// and called by both, so its output (including the order of exact value
-// ties, resolved earlier-run-first) cannot differ between them. Two
-// spec-visible, ulp-level differences from the object from_atoms path
-// were re-baselined once when this layer landed: exact value ties combine
-// in the stable run order instead of std::sort's unspecified tie order,
-// and the final renormalize multiplies by one shared reciprocal
-// (r = 1/total) instead of dividing each probability.
+// a STABLE bottom-up merge of pre-sorted runs — is a single branchless
+// engine compiled once and called by both, so its output (including the
+// order of exact value ties, resolved earlier-run-first) cannot differ
+// between them. convolve therefore combines exact value ties in the
+// stable run order (not consolidate's std::sort order), and its final
+// renormalize multiplies by one shared reciprocal (r = 1/total).
 //
 // Certified truncation. `truncate` reduces an atom list to a budget by
 // repeatedly merging the adjacent pair with the smallest value gap into
@@ -61,6 +57,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "prob/atom.hpp"
@@ -84,72 +81,86 @@ struct TruncationCert {
   }
 };
 
-/// Mirrors DiscreteDistribution's private consolidate(): drops
-/// non-positive masses (order-preserving), sorts ascending by value, and
-/// merges atoms within the kValueMergeEps relative window into the first
-/// atom's value. In place; returns the new count.
+/// Drops non-positive masses (order-preserving), sorts ascending by
+/// value, and merges atoms within the kValueMergeEps relative window into
+/// the first atom's value. In place; returns the new count.
 EXPMK_NOALLOC std::size_t consolidate(std::span<Atom> atoms);
 
-/// Mirrors from_atoms' renormalization: divides every probability by the
-/// total. Throws std::invalid_argument when the span is empty or the
-/// total mass is not positive (from_atoms' exact failure condition).
+/// Divides every probability by the total. Throws std::invalid_argument
+/// when the span is empty or the total mass is not positive.
 EXPMK_NOALLOC void normalize(std::span<Atom> atoms);
 
 /// The from_atoms pipeline on a span: consolidate then normalize the
 /// surviving prefix. In place; returns the canonical count.
 EXPMK_NOALLOC std::size_t canonicalize(std::span<Atom> atoms);
 
-/// E[X] of a canonical atom list (ascending accumulation, the exact loop
-/// DiscreteDistribution::mean runs).
+/// E[X] of a canonical atom list (fixed four-accumulator association).
 EXPMK_NOALLOC [[nodiscard]] double mean(std::span<const Atom> atoms) noexcept;
 
-/// Smallest support value v with P(X <= v) >= q, q in (0,1] — mirrors
-/// DiscreteDistribution::quantile (including its 1e-15 slack).
+/// Smallest support value v with P(X <= v) >= q, q in (0,1], with a
+/// 1e-15 slack on the running CDF.
 EXPMK_NOALLOC [[nodiscard]] double quantile(std::span<const Atom> atoms, double q);
 
 /// Point mass at `value`; writes 1 atom.
 EXPMK_NOALLOC std::size_t point(double value, std::span<Atom> out);
 
-/// The paper's 2-state task law: a w.p. p_success, else 2a — with the
-/// same boundary degeneracies as DiscreteDistribution::two_state
-/// (p >= 1 or p <= 0 collapse to a point mass). Writes <= 2 atoms;
-/// returns the count. Requires a > 0 and p in [0, 1] (unchecked: callers
-/// feed Scenario-validated inputs).
+/// The paper's 2-state task law: a w.p. p_success, else 2a (p >= 1 or
+/// p <= 0 collapse to a point mass). Writes <= 2 atoms; returns the
+/// count. Requires a > 0 and p in [0, 1] (unchecked: callers feed
+/// Scenario-validated inputs).
 EXPMK_NOALLOC std::size_t two_state(double a, double p_success, std::span<Atom> out);
+
+/// `n` canonical laws stored back to back in one atom span: law i is
+/// atoms[offsets[i], offsets[i + 1]), so `offsets` holds n + 1 entries.
+/// The hierarchical module build produces one (exp/hier.hpp) and the
+/// SP/Dodin laws entries consume it (spgraph/); both views point into
+/// storage the caller owns, typically exp::Workspace leases.
+struct LawTable {
+  std::span<const Atom> atoms;
+  std::span<const std::uint64_t> offsets;
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  [[nodiscard]] std::span<const Atom> law(std::size_t i) const noexcept {
+    return atoms.subspan(offsets[i], offsets[i + 1] - offsets[i]);
+  }
+};
 
 /// X + c in place.
 EXPMK_NOALLOC void shift(std::span<Atom> atoms, double c) noexcept;
 
 /// X + Y for independent canonical X, Y: cross product laid out as one
 /// pre-sorted run per atom of the smaller input, then the canonical
-/// reduction (stable bottom-up run merge, eps-merge, renormalize) —
-/// DiscreteDistribution::convolve before its atom cap. Exact value ties
-/// combine in the stable merge order (see the file comment); dispatched
-/// scalar/AVX2, bit-identical across backends. `out` must hold
-/// x.size() * y.size() atoms and not overlap the inputs.
+/// reduction (stable bottom-up run merge, eps-merge, renormalize). No
+/// atom cap: callers truncate() the result. Exact value ties combine in
+/// the stable merge order (see the file comment); dispatched scalar/AVX2,
+/// bit-identical across backends. `out` must hold x.size() * y.size()
+/// atoms and not overlap the inputs.
 EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom> y,
                      std::span<Atom> out);
 
 /// max(X, Y) for independent canonical X, Y via support union and
-/// product-CDF differencing, then canonicalize — mirrors
-/// DiscreteDistribution::max_of before its atom cap. Dispatched
-/// scalar/AVX2, bit-identical across backends. `out` must hold
-/// x.size() + y.size() atoms; `support_scratch` the same; neither may
-/// overlap the inputs.
+/// product-CDF differencing, then canonicalize. No atom cap: callers
+/// truncate() the result. Dispatched scalar/AVX2, bit-identical across
+/// backends. `out` must hold x.size() + y.size() atoms;
+/// `support_scratch` the same; neither may overlap the inputs.
 EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> y,
                    std::span<Atom> out, std::span<double> support_scratch);
 
-/// Mixture: with probability w take X, else Y; mirrors
-/// DiscreteDistribution::mixture (throws on w outside [0,1]). `out` must
-/// hold x.size() + y.size() atoms.
+/// Mixture: with probability w take X, else Y (throws
+/// std::invalid_argument on w outside [0,1]). `out` must hold
+/// x.size() + y.size() atoms.
 EXPMK_NOALLOC std::size_t mixture(std::span<const Atom> x, double w,
                     std::span<const Atom> y, std::span<Atom> out);
 
 /// Reduces a canonical list of n = atoms.size() atoms to at most
-/// `max_atoms` by the nearest-adjacent-pair merge passes of
-/// DiscreteDistribution::truncated (nth_element threshold, per-pass merge
-/// budget, final canonicalize), accumulating the expectation-shift
-/// envelope into `cert`. In place; returns the new count. No-op (and no
+/// `max_atoms` by nearest-adjacent-pair merge passes (nth_element
+/// threshold, per-pass merge budget, final canonicalize), accumulating
+/// the expectation-shift envelope into `cert`. Callers that keep one
+/// certificate per operation truncate into a fresh local certificate and
+/// then accumulate() it into their running total; that grouping is part
+/// of every pinned envelope. In place; returns the new count. No-op (and no
 /// cert event) when max_atoms == 0 or n <= max_atoms. Scratch:
 /// `gap_scratch` >= 2*(n-1) doubles. The merge walk compacts in place
 /// (the write index never passes the read index), so no atom scratch is

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "exp/workspace.hpp"
 #include "graph/dag.hpp"
@@ -73,8 +72,8 @@ struct DodinFlatResult {
 
 /// Both entry points run the full transformation on the flat engine
 /// (flat_network.cpp) over `ws`-leased arenas — ZERO heap allocations at
-/// steady state on a warm workspace, bit-identical to the
-/// DiscreteDistribution-object reference in tests/sp_reference.cpp,
+/// steady state on a warm workspace, bit-identical to the object-model
+/// reference in tests/sp_reference.cpp,
 /// pinned by tests/test_flat_spgraph.cpp. When `capture` is non-null the
 /// final makespan law is materialized into it (allocates).
 
@@ -87,10 +86,11 @@ EXPMK_NOALLOC [[nodiscard]] DodinFlatResult dodin_two_state_flat(
     exp::Workspace& ws, prob::DiscreteDistribution* capture = nullptr);
 
 /// Laws entry (`dodin.hier` on the SP-tree quotient): task i's arc
-/// carries `laws[i]` verbatim. Throws std::invalid_argument unless there
-/// is exactly one law per task of `g`.
+/// carries `laws.law(i)` verbatim. Throws std::invalid_argument unless
+/// the table holds exactly one non-empty law per task of `g` (as for
+/// evaluate_sp_laws).
 EXPMK_NOALLOC [[nodiscard]] DodinFlatResult dodin_laws(
-    const graph::Dag& g, std::span<const prob::DiscreteDistribution> laws,
+    const graph::Dag& g, const prob::dist_kernels::LawTable& laws,
     const DodinOptions& options, exp::Workspace& ws,
     prob::DiscreteDistribution* capture = nullptr);
 

@@ -10,10 +10,10 @@
 // One network builder serves every caller: the Scenario entry points
 // (the registry's `sp` / `dodin`) write each task's two-state law into
 // the arena; the laws entry points (`sp.hier` / `dodin.hier` on the SP-tree
-// quotient) copy the caller's per-node laws verbatim.
+// quotient) copy each law of the caller's dist_kernels::LawTable verbatim.
 //
-// Fidelity contract. This engine replicates the DiscreteDistribution-
-// object reference in tests/sp_reference.cpp OPERATION FOR OPERATION:
+// Fidelity contract. This engine replicates the object-model reference
+// in tests/sp_reference.cpp OPERATION FOR OPERATION:
 // arc insertion order (from_dag's layout), worklist discipline (LIFO,
 // touched-node reseeding), parallel-merge grouping (ascending head node,
 // per-head insertion order), series-merge arc selection (first live
@@ -742,23 +742,34 @@ EXPMK_NOALLOC void build_two_state(FlatNetwork& net,
 }
 
 EXPMK_NOALLOC void build_laws(FlatNetwork& net, const graph::Dag& g,
-                              std::span<const prob::DiscreteDistribution> laws) {
+                              const dk::LawTable& laws) {
   net.build(g, [&](graph::TaskId i, std::span<Atom, 2>) {
-    return std::span<const Atom>(laws[i].atoms());
+    return laws.law(i);
   });
 }
 
-/// Validates one law per task; returns the laws' total atom count.
-EXPMK_NOALLOC size_t check_laws(const graph::Dag& g,
-                                std::span<const prob::DiscreteDistribution> laws,
+/// Validates the law table — one non-empty law per task, offsets
+/// monotone and inside the atom span; returns its total atom count.
+EXPMK_NOALLOC size_t check_laws(const graph::Dag& g, const dk::LawTable& laws,
                                 const char* who) {
-  if (laws.size() != g.task_count()) {
-    throw std::invalid_argument(std::string(who) +
-                                ": one law per task required");
+  const auto fail = [&](const char* why) {
+    throw std::invalid_argument(std::string(who) + ": " + why);
+  };
+  if (laws.offsets.size() != g.task_count() + 1) {
+    fail("law table needs task_count + 1 offsets (one law per task)");
   }
-  size_t atoms = 0;
-  for (const auto& law : laws) atoms += law.size();
-  return atoms;
+  for (size_t i = 0; i < g.task_count(); ++i) {
+    if (laws.offsets[i + 1] < laws.offsets[i]) {
+      fail("law table offsets are not monotone");
+    }
+    if (laws.offsets[i + 1] == laws.offsets[i]) {
+      fail("law table has an empty law");
+    }
+  }
+  if (laws.offsets.back() > laws.atoms.size()) {
+    fail("law table offsets run past its atom span");
+  }
+  return laws.offsets.back() - laws.offsets.front();
 }
 
 /// Materializes the final law into `capture` when the caller asked.
@@ -814,7 +825,7 @@ EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_flat(const scenario::Scenario& sc,
 }
 
 EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_laws(
-    const graph::Dag& g, std::span<const prob::DiscreteDistribution> laws,
+    const graph::Dag& g, const prob::dist_kernels::LawTable& laws,
     std::size_t max_atoms, exp::Workspace& ws,
     prob::DiscreteDistribution* capture) {
   const size_t law_atoms = check_laws(g, laws, "evaluate_sp_laws");
@@ -837,7 +848,7 @@ EXPMK_NOALLOC DodinFlatResult dodin_two_state_flat(const scenario::Scenario& sc,
 }
 
 EXPMK_NOALLOC DodinFlatResult dodin_laws(
-    const graph::Dag& g, std::span<const prob::DiscreteDistribution> laws,
+    const graph::Dag& g, const prob::dist_kernels::LawTable& laws,
     const DodinOptions& options, exp::Workspace& ws,
     prob::DiscreteDistribution* capture) {
   const size_t law_atoms = check_laws(g, laws, "dodin_laws");

@@ -26,8 +26,8 @@
 // Both entry points run the flat engine (flat_network.cpp) on
 // `ws`-leased arenas: ZERO heap allocations at steady state on a warm
 // workspace, and bit-identical (operation order and all) to the
-// DiscreteDistribution-object reference reduction in
-// tests/sp_reference.cpp, which tests/test_flat_spgraph.cpp pins. When
+// object-model reference reduction in tests/sp_reference.cpp, which
+// tests/test_flat_spgraph.cpp pins. When
 // `capture` is non-null and the network is SP, the makespan law is
 // materialized into it (allocates).
 
@@ -35,7 +35,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <span>
 
 #include "exp/workspace.hpp"
 #include "graph/dag.hpp"
@@ -77,10 +76,11 @@ EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_flat(const scenario::Scenario& sc,
                                   prob::DiscreteDistribution* capture = nullptr);
 
 /// Laws entry (`sp.hier` on the SP-tree quotient): task i's arc carries
-/// `laws[i]` verbatim. Throws std::invalid_argument unless there is
-/// exactly one law per task of `g`.
+/// `laws.law(i)` verbatim. Throws std::invalid_argument unless the table
+/// holds exactly one non-empty law per task of `g` (task_count + 1
+/// monotone offsets, the last one inside the atom span).
 EXPMK_NOALLOC SpFlatEvaluation evaluate_sp_laws(
-    const graph::Dag& g, std::span<const prob::DiscreteDistribution> laws,
+    const graph::Dag& g, const prob::dist_kernels::LawTable& laws,
     std::size_t max_atoms, exp::Workspace& ws,
     prob::DiscreteDistribution* capture = nullptr);
 

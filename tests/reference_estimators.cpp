@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "dist_ops.hpp"
 #include "graph/longest_path.hpp"
 #include "graph/metrics.hpp"
 #include "graph/topological.hpp"
@@ -46,7 +47,7 @@ core::MakespanBounds makespan_bounds_object_fold(
     for (const graph::TaskId i : level) {
       const double a = g.weight(i);
       if (a <= 0.0) continue;
-      level_max = prob::DiscreteDistribution::max_of(
+      level_max = dist_ops::max_of(
           level_max, prob::DiscreteDistribution::two_state(a, p[i]));
     }
     upper += level_max.mean();

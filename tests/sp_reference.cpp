@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "dist_ops.hpp"
 #include "prob/dist_kernels.hpp"
 
 namespace expmk::sp_ref {
@@ -96,8 +97,7 @@ std::size_t parallel_merge_at(ArcNetwork& net, NodeId u, std::size_t max_atoms,
     if (ids.size() < 2) continue;
     prob::DiscreteDistribution acc = net.arc(ids[0]).dist;
     for (std::size_t i = 1; i < ids.size(); ++i) {
-      acc = prob::DiscreteDistribution::max_of(acc, net.arc(ids[i]).dist,
-                                               max_atoms, &cert);
+      acc = dist_ops::max_of(acc, net.arc(ids[i]).dist, max_atoms, &cert);
       net.remove_arc(ids[i]);
       ++merges;
     }
@@ -117,8 +117,8 @@ bool series_merge_at(ArcNetwork& net, NodeId v, std::size_t max_atoms,
   const ArcId out_id = net.out_arcs(v)[0];
   const NodeId u = net.arc(in_id).from;
   const NodeId w = net.arc(out_id).to;
-  auto merged = prob::DiscreteDistribution::convolve(
-      net.arc(in_id).dist, net.arc(out_id).dist, max_atoms, &cert);
+  auto merged = dist_ops::convolve(net.arc(in_id).dist, net.arc(out_id).dist,
+                                   max_atoms, &cert);
   net.remove_arc(in_id);
   net.remove_arc(out_id);
   net.add_arc(u, w, std::move(merged));

@@ -1,18 +1,21 @@
-// Unit tests for prob/discrete_distribution: construction invariants, the
-// convolution/max algebra Dodin relies on, truncation guarantees, and
-// moment identities.
+// Unit tests for prob/discrete_distribution (construction invariants and
+// moment identities of the boundary value type) and for the test-side
+// reference arithmetic in tests/dist_ops: the convolution/max algebra
+// Dodin relies on and the truncation guarantees.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
+#include "dist_ops.hpp"
 #include "prob/discrete_distribution.hpp"
 
 namespace {
 
 using D = expmk::prob::DiscreteDistribution;
 using expmk::prob::Atom;
+namespace ops = expmk::dist_ops;
 
 TEST(DiscreteDistribution, DefaultIsPointMassAtZero) {
   const D d;
@@ -40,13 +43,13 @@ TEST(DiscreteDistribution, TwoStateDegenerateEnds) {
 }
 
 TEST(DiscreteDistribution, GeometricReexecMatchesTwoStateWhenCapped) {
-  const D g2 = D::geometric_reexec(0.2, 0.9, 2);
+  const D g2 = ops::geometric_reexec(0.2, 0.9, 2);
   const D ts = D::two_state(0.2, 0.9);
-  EXPECT_TRUE(g2.approx_equals(ts, 1e-12)) << g2 << " vs " << ts;
+  EXPECT_TRUE(ops::approx_equals(g2, ts, 1e-12)) << g2 << " vs " << ts;
 }
 
 TEST(DiscreteDistribution, GeometricReexecTailMassSums) {
-  const D g = D::geometric_reexec(1.0, 0.5, 5);
+  const D g = ops::geometric_reexec(1.0, 0.5, 5);
   EXPECT_EQ(g.size(), 5u);
   double total = 0.0;
   for (const Atom& at : g.atoms()) total += at.prob;
@@ -82,14 +85,14 @@ TEST(DiscreteDistribution, CdfAndQuantile) {
 }
 
 TEST(DiscreteDistribution, ShiftMovesSupportOnly) {
-  const D d = D::two_state(1.0, 0.7).shifted(10.0);
+  const D d = ops::shifted(D::two_state(1.0, 0.7), 10.0);
   EXPECT_DOUBLE_EQ(d.min(), 11.0);
   EXPECT_DOUBLE_EQ(d.max(), 12.0);
   EXPECT_NEAR(d.mean(), 10.0 + 1.3, 1e-12);
 }
 
 TEST(DiscreteDistribution, ConvolutionOfPointsIsPoint) {
-  const D d = D::convolve(D::point(1.5), D::point(2.5));
+  const D d = ops::convolve(D::point(1.5), D::point(2.5));
   EXPECT_EQ(d.size(), 1u);
   EXPECT_DOUBLE_EQ(d.mean(), 4.0);
 }
@@ -97,7 +100,7 @@ TEST(DiscreteDistribution, ConvolutionOfPointsIsPoint) {
 TEST(DiscreteDistribution, ConvolutionMeansAndVariancesAdd) {
   const D x = D::two_state(1.0, 0.8);
   const D y = D::two_state(0.5, 0.6);
-  const D s = D::convolve(x, y);
+  const D s = ops::convolve(x, y);
   EXPECT_NEAR(s.mean(), x.mean() + y.mean(), 1e-12);
   EXPECT_NEAR(s.variance(), x.variance() + y.variance(), 1e-12);
   EXPECT_EQ(s.size(), 4u);
@@ -106,7 +109,7 @@ TEST(DiscreteDistribution, ConvolutionMeansAndVariancesAdd) {
 TEST(DiscreteDistribution, ConvolutionBruteForceCrossCheck) {
   const D x = D::from_atoms({{0.0, 0.5}, {1.0, 0.3}, {3.0, 0.2}});
   const D y = D::from_atoms({{1.0, 0.4}, {2.0, 0.6}});
-  const D s = D::convolve(x, y);
+  const D s = ops::convolve(x, y);
   // P(s = 3) = P(x=1)P(y=2) + P(x=... ) -> pairs summing to 3:
   // (1,2): 0.3*0.6 = 0.18; (x=3,y=0) absent. Plus none else.
   EXPECT_NEAR(s.cdf(3.0) - s.cdf(2.99), 0.18, 1e-12);
@@ -116,7 +119,7 @@ TEST(DiscreteDistribution, ConvolutionBruteForceCrossCheck) {
 TEST(DiscreteDistribution, MaxOfIndependentMatchesCdfProduct) {
   const D x = D::from_atoms({{1.0, 0.5}, {3.0, 0.5}});
   const D y = D::from_atoms({{2.0, 0.5}, {4.0, 0.5}});
-  const D m = D::max_of(x, y);
+  const D m = ops::max_of(x, y);
   // P(max <= 2) = P(x<=2) P(y<=2) = 0.5 * 0.5.
   EXPECT_NEAR(m.cdf(2.0), 0.25, 1e-12);
   // P(max <= 3) = P(x<=3) P(y<=3) = 1.0 * 0.5.
@@ -128,15 +131,15 @@ TEST(DiscreteDistribution, MaxOfIndependentMatchesCdfProduct) {
 
 TEST(DiscreteDistribution, MaxWithDominatingPointIsThatPoint) {
   const D x = D::two_state(1.0, 0.5);  // support {1, 2}
-  const D m = D::max_of(x, D::point(5.0));
+  const D m = ops::max_of(x, D::point(5.0));
   EXPECT_EQ(m.size(), 1u);
   EXPECT_DOUBLE_EQ(m.mean(), 5.0);
 }
 
 TEST(DiscreteDistribution, MixtureWeightsAtoms) {
-  const D m = D::mixture(D::point(0.0), 0.25, D::point(1.0));
+  const D m = ops::mixture(D::point(0.0), 0.25, D::point(1.0));
   EXPECT_NEAR(m.mean(), 0.75, 1e-12);
-  EXPECT_THROW(D::mixture(D::point(0.0), 1.5, D::point(1.0)),
+  EXPECT_THROW(ops::mixture(D::point(0.0), 1.5, D::point(1.0)),
                std::invalid_argument);
 }
 
@@ -144,10 +147,10 @@ TEST(DiscreteDistribution, TruncationPreservesMeanAndMass) {
   // Build a 64-atom distribution by convolving 6 two-state laws.
   D d = D::two_state(1.0, 0.9);
   for (int i = 0; i < 5; ++i) {
-    d = D::convolve(d, D::two_state(1.0 + 0.1 * i, 0.8));
+    d = ops::convolve(d, D::two_state(1.0 + 0.1 * i, 0.8));
   }
   ASSERT_GT(d.size(), 16u);
-  const D t = d.truncated(16);
+  const D t = ops::truncated(d, 16);
   EXPECT_LE(t.size(), 16u);
   EXPECT_NEAR(t.mean(), d.mean(), 1e-9);
   double total = 0.0;
@@ -159,18 +162,18 @@ TEST(DiscreteDistribution, TruncationPreservesMeanAndMass) {
 
 TEST(DiscreteDistribution, TruncationNoOpWhenWithinBudget) {
   const D d = D::two_state(1.0, 0.5);
-  EXPECT_TRUE(d.truncated(10).approx_equals(d));
-  EXPECT_TRUE(d.truncated(0).approx_equals(d));  // 0 = unlimited
+  EXPECT_TRUE(ops::approx_equals(ops::truncated(d, 10), d));
+  EXPECT_TRUE(ops::approx_equals(ops::truncated(d, 0), d));  // 0 = unlimited
 }
 
 TEST(DiscreteDistribution, CappedOpsRespectBudget) {
   D d = D::two_state(1.0, 0.9);
   for (int i = 0; i < 10; ++i) {
-    d = D::convolve(d, D::two_state(0.3 + 0.01 * i, 0.95), 32);
+    d = ops::convolve(d, D::two_state(0.3 + 0.01 * i, 0.95), 32);
     ASSERT_LE(d.size(), 32u);
   }
   for (int i = 0; i < 10; ++i) {
-    d = D::max_of(d, D::two_state(2.0 + 0.2 * i, 0.9), 32);
+    d = ops::max_of(d, D::two_state(2.0 + 0.2 * i, 0.9), 32);
     ASSERT_LE(d.size(), 32u);
   }
 }

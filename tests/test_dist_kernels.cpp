@@ -1,8 +1,10 @@
-// Tests for prob/dist_kernels: the flat span kernels must match the
-// DiscreteDistribution object operations BIT FOR BIT on arbitrary inputs —
-// including the degenerate corners (single atoms, values inside the
-// kValueMergeEps merge window, near-underflow probabilities) — and the
-// truncation kernel must account every merge in its certificate.
+// Tests for prob/dist_kernels: the span kernels must match the
+// value-level reference arithmetic the object-model tests are written
+// against (DiscreteDistribution::from_atoms and tests/dist_ops) BIT FOR
+// BIT on arbitrary inputs — including the degenerate corners (single
+// atoms, values inside the kValueMergeEps merge window, near-underflow
+// probabilities) — and the truncation kernel must account every merge in
+// its certificate.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "dist_ops.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "prob/dist_kernels.hpp"
 #include "prob/rng.hpp"
@@ -20,6 +23,7 @@ namespace {
 namespace dk = expmk::prob::dist_kernels;
 using expmk::prob::Atom;
 using expmk::prob::DiscreteDistribution;
+namespace ops = expmk::dist_ops;
 
 /// Random raw atom soup: duplicate values, eps-close values, a sprinkle of
 /// non-positive and near-underflow probabilities.
@@ -99,19 +103,19 @@ TEST(DistKernels, ConvolveAndMaxOfMatchObjectOpsBitwise) {
 
     std::vector<Atom> conv(x.size() * y.size());
     conv.resize(dk::convolve(x.atoms(), y.atoms(), conv));
-    expect_bit_identical(conv, DiscreteDistribution::convolve(x, y).atoms(),
+    expect_bit_identical(conv, ops::convolve(x, y).atoms(),
                          where + " convolve");
 
     std::vector<Atom> mx(x.size() + y.size());
     std::vector<double> support(x.size() + y.size());
     mx.resize(dk::max_of(x.atoms(), y.atoms(), mx, support));
-    expect_bit_identical(mx, DiscreteDistribution::max_of(x, y).atoms(),
+    expect_bit_identical(mx, ops::max_of(x, y).atoms(),
                          where + " max_of");
 
     std::vector<Atom> mixed(x.size() + y.size());
     mixed.resize(dk::mixture(x.atoms(), 0.25, y.atoms(), mixed));
     expect_bit_identical(mixed,
-                         DiscreteDistribution::mixture(x, 0.25, y).atoms(),
+                         ops::mixture(x, 0.25, y).atoms(),
                          where + " mixture");
   }
 }
@@ -123,7 +127,7 @@ TEST(DistKernels, TruncateMatchesObjectTruncatedBitwise) {
     for (const std::size_t budget : {std::size_t{1}, std::size_t{3},
                                      std::size_t{5}, std::size_t{100}}) {
       dk::TruncationCert object_cert;
-      const auto object = x.truncated(budget, &object_cert);
+      const auto object = ops::truncated(x, budget, &object_cert);
 
       std::vector<Atom> flat(x.atoms());
       std::vector<double> gaps(2 * (flat.size() - 1));
@@ -189,11 +193,11 @@ TEST(DistKernels, DegenerateCases) {
   EXPECT_EQ(dk::canonicalize(tiny), 2u);
   EXPECT_NEAR(tiny[0].prob, 0.5, 1e-12);
 
-  // shift is the object shifted().
+  // shift is the reference shifted().
   std::vector<Atom> sh = {{1.0, 0.5}, {2.0, 0.5}};
   dk::shift(sh, 1.5);
-  const auto shifted =
-      DiscreteDistribution::from_atoms({{1.0, 0.5}, {2.0, 0.5}}).shifted(1.5);
+  const auto shifted = ops::shifted(
+      DiscreteDistribution::from_atoms({{1.0, 0.5}, {2.0, 0.5}}), 1.5);
   expect_bit_identical(sh, shifted.atoms(), "shift");
 }
 

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "dist_ops.hpp"
 #include "core/exact.hpp"
 #include "core/failure_model.hpp"
 #include "exp/evaluator.hpp"
@@ -54,6 +55,7 @@ using expmk::prob::DiscreteDistribution;
 using expmk::prob::dist_kernels::TruncationCert;
 using expmk::scenario::FailureSpec;
 using expmk::scenario::Scenario;
+namespace ops = expmk::dist_ops;
 
 std::vector<std::pair<std::string, Dag>> fixture_dags() {
   std::vector<std::pair<std::string, Dag>> dags;
@@ -272,7 +274,8 @@ TEST(FlatDodinFidelity, UniformScenarioMatchesLegacyDagEntryPoint) {
                  : DiscreteDistribution::two_state(a, model.p_success(a)));
   }
   Workspace ws;
-  const auto legacy = expmk::sp::dodin_laws(g, laws, opts, ws);
+  const auto table = ops::law_table(laws);
+  const auto legacy = expmk::sp::dodin_laws(g, table.view(), opts, ws);
   const auto scenario_based = expmk::sp::dodin_two_state_flat(sc, opts, ws);
   EXPECT_EQ(scenario_based.mean, legacy.mean);
   EXPECT_EQ(scenario_based.duplications, legacy.duplications);
@@ -288,17 +291,19 @@ TEST(FlatLawsFidelity, BitIdenticalToReferenceOnMultiAtomLaws) {
     std::vector<DiscreteDistribution> laws;
     for (TaskId i = 0; i < g.task_count(); ++i) {
       const double a = 0.1 + g.weight(i);
-      laws.push_back(DiscreteDistribution::mixture(
-          DiscreteDistribution::two_state(a, 0.7), 0.4,
-          DiscreteDistribution::two_state(1.5 * a, 0.9)));
+      laws.push_back(ops::mixture(DiscreteDistribution::two_state(a, 0.7),
+                                  0.4,
+                                  DiscreteDistribution::two_state(1.5 * a, 0.9)));
     }
+    const auto table = ops::law_table(laws);
     for (const std::size_t max_atoms : {std::size_t{0}, std::size_t{5}}) {
       const std::string where = label + " / atoms " + std::to_string(max_atoms);
       const auto ref_sp = expmk::sp_ref::evaluate_sp(
           expmk::sp_ref::ArcNetwork::from_dag(g, laws), max_atoms);
       DiscreteDistribution sp_law;
       const auto sp =
-          expmk::sp::evaluate_sp_laws(g, laws, max_atoms, warm, &sp_law);
+          expmk::sp::evaluate_sp_laws(g, table.view(), max_atoms, warm,
+                                      &sp_law);
       ASSERT_EQ(sp.is_series_parallel, ref_sp.is_series_parallel) << where;
       EXPECT_EQ(sp.stats.series, ref_sp.stats.series) << where;
       EXPECT_EQ(sp.stats.parallel, ref_sp.stats.parallel) << where;
@@ -315,7 +320,7 @@ TEST(FlatLawsFidelity, BitIdenticalToReferenceOnMultiAtomLaws) {
           expmk::sp_ref::ArcNetwork::from_dag(g, laws), opts);
       DiscreteDistribution dodin_law;
       const auto dodin =
-          expmk::sp::dodin_laws(g, laws, opts, warm, &dodin_law);
+          expmk::sp::dodin_laws(g, table.view(), opts, warm, &dodin_law);
       EXPECT_EQ(dodin.duplications, ref_dodin.duplications) << where;
       EXPECT_EQ(dodin.series_reductions, ref_dodin.stats.series) << where;
       EXPECT_EQ(dodin.parallel_reductions, ref_dodin.stats.parallel) << where;
@@ -327,13 +332,43 @@ TEST(FlatLawsFidelity, BitIdenticalToReferenceOnMultiAtomLaws) {
   }
 }
 
+// A malformed law table is rejected before the network is built, with
+// the entry's name in the message: wrong offset count (no table at all,
+// one law short), non-monotone offsets, an empty law, and offsets that
+// run past the atom span.
 TEST(FlatLawsFidelity, LawCountMismatchThrows) {
-  const Dag g = expmk::test::diamond();
+  const Dag g = expmk::test::diamond();  // 4 tasks
+  const std::vector<expmk::prob::Atom> atoms(8, {1.0, 1.0});
+  const std::vector<std::vector<std::uint64_t>> bad = {
+      {},                  // no offsets at all
+      {0, 2, 4, 6},        // one law short
+      {0, 2, 4, 6, 8, 8},  // one offset too many
+      {0, 3, 2, 6, 8},     // non-monotone
+      {0, 2, 2, 6, 8},     // empty law
+      {0, 2, 4, 6, 9},     // past the atom span
+  };
   Workspace ws;
-  EXPECT_THROW((void)expmk::sp::evaluate_sp_laws(g, {}, 0, ws),
-               std::invalid_argument);
-  EXPECT_THROW((void)expmk::sp::dodin_laws(g, {}, {}, ws),
-               std::invalid_argument);
+  for (const auto& offsets : bad) {
+    const expmk::prob::dist_kernels::LawTable table{atoms, offsets};
+    const auto expect_named_throw = [&](const char* who, auto&& call) {
+      try {
+        call();
+        ADD_FAILURE() << who << ": no throw for " << offsets.size()
+                      << " offsets";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(who), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_named_throw("evaluate_sp_laws", [&] {
+      (void)expmk::sp::evaluate_sp_laws(g, table, 0, ws);
+    });
+    expect_named_throw("dodin_laws",
+                       [&] { (void)expmk::sp::dodin_laws(g, table, {}, ws); });
+  }
+  // The well-formed table over the same atoms is accepted.
+  const std::vector<std::uint64_t> good = {0, 2, 4, 6, 8};
+  EXPECT_NO_THROW((void)expmk::sp::evaluate_sp_laws(g, {atoms, good}, 0, ws));
 }
 
 // sp.hier / dodin.hier reduce the SP-tree quotient on the flat engine.
@@ -365,12 +400,14 @@ TEST(HierFidelity, QuotientReductionBitIdenticalToReference) {
     const Dag& quotient = sc.sp_decomposition().quotient;
     for (const std::size_t atoms : {std::size_t{16}, std::size_t{64}}) {
       const std::string where = label + " / atoms " + std::to_string(atoms);
-      const auto md = expmk::exp::hier::build_module_distributions(sc, atoms);
+      const Workspace::Frame frame(ws);
+      const auto md =
+          expmk::exp::hier::build_module_distributions(sc, atoms, ws);
+      const auto laws = ops::distributions(md.laws);
 
       // sp.hier: the quotient is not SP, so both sides must say so.
       const auto ref_sp = expmk::sp_ref::evaluate_sp(
-          expmk::sp_ref::ArcNetwork::from_dag(quotient, md.by_quotient_node),
-          atoms);
+          expmk::sp_ref::ArcNetwork::from_dag(quotient, laws), atoms);
       ASSERT_FALSE(ref_sp.is_series_parallel) << where;
       const auto sp =
           expmk::exp::hier::evaluate_sp_hier(sc, atoms, ws, nullptr);
@@ -383,7 +420,7 @@ TEST(HierFidelity, QuotientReductionBitIdenticalToReference) {
 
       // dodin.hier.
       const auto ref = expmk::sp_ref::dodin(
-          expmk::sp_ref::ArcNetwork::from_dag(quotient, md.by_quotient_node),
+          expmk::sp_ref::ArcNetwork::from_dag(quotient, laws),
           {.max_atoms = atoms});
       auto cert = md.truncation;
       cert.accumulate(ref.stats.truncation);
@@ -531,9 +568,8 @@ TEST(HeterogeneousExactGeo, MatchesDistributionOracles) {
         RetryModel::Geometric);
     DiscreteDistribution sum = DiscreteDistribution::point(0.0);
     for (TaskId i = 0; i < g.task_count(); ++i) {
-      sum = DiscreteDistribution::convolve(
-          sum, DiscreteDistribution::geometric_reexec(
-                   g.weight(i), sc.p_success()[i], max_exec));
+      sum = ops::convolve(sum, ops::geometric_reexec(
+                                   g.weight(i), sc.p_success()[i], max_exec));
     }
     EXPECT_NEAR(expmk::core::exact_geometric(sc, max_exec, ws), sum.mean(),
                 1e-12 * sum.mean());
@@ -545,14 +581,10 @@ TEST(HeterogeneousExactGeo, MatchesDistributionOracles) {
         g, FailureSpec::per_task({0.2, 0.6, 0.1, 0.45}),
         RetryModel::Geometric);
     const auto law = [&](TaskId i) {
-      return DiscreteDistribution::geometric_reexec(
-          g.weight(i), sc.p_success()[i], max_exec);
+      return ops::geometric_reexec(g.weight(i), sc.p_success()[i], max_exec);
     };
-    const auto oracle =
-        DiscreteDistribution::convolve(
-            DiscreteDistribution::convolve(
-                law(0), DiscreteDistribution::max_of(law(1), law(2))),
-            law(3));
+    const auto oracle = ops::convolve(
+        ops::convolve(law(0), ops::max_of(law(1), law(2))), law(3));
     EXPECT_NEAR(expmk::core::exact_geometric(sc, max_exec, ws),
                 oracle.mean(), 1e-12 * oracle.mean());
   }

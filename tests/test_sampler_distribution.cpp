@@ -10,6 +10,7 @@
 #include <cmath>
 #include <map>
 
+#include "dist_ops.hpp"
 #include "core/failure_model.hpp"
 #include "mc/trial.hpp"
 #include "prob/discrete_distribution.hpp"
@@ -63,7 +64,7 @@ TEST(SamplerVsDistribution, GeometricFrequenciesMatchTruncatedLaw) {
   const double p = std::exp(-lambda * a);
   const auto freq =
       empirical_law(a, lambda, RetryModel::Geometric, 200'000);
-  const D analytic = D::geometric_reexec(a, p, 64);
+  const D analytic = expmk::dist_ops::geometric_reexec(a, p, 64);
   // Compare the first few atoms (k = 1..4 executions).
   for (int k = 1; k <= 4; ++k) {
     const double expect = analytic.atoms()[static_cast<std::size_t>(k - 1)].prob;

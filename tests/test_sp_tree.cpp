@@ -198,13 +198,14 @@ TEST(SpTree, McHierAgreesWithExactWithinSigma) {
   const auto sc = compile(test::diamond(), 0.1);
   const auto re =
       exp::EvaluatorRegistry::builtin().find("exact")->evaluate(sc, {});
-  const auto r = exp::hier::evaluate_mc_hier(sc, 200'000, 7);
+  exp::Workspace ws;
+  const auto r = exp::hier::evaluate_mc_hier(sc, 256, ws, 200'000, 7);
   ASSERT_TRUE(re.supported);
   EXPECT_GT(r.std_error, 0.0);
   EXPECT_LT(std::fabs(r.mean - re.mean), 5.0 * r.std_error);
   // Bit-identity across thread counts (same chunk-order fold).
-  const auto r2 = exp::hier::evaluate_mc_hier(sc, 200'000, 7, 2);
-  const auto r7 = exp::hier::evaluate_mc_hier(sc, 200'000, 7, 7);
+  const auto r2 = exp::hier::evaluate_mc_hier(sc, 256, ws, 200'000, 7, 2);
+  const auto r7 = exp::hier::evaluate_mc_hier(sc, 256, ws, 200'000, 7, 7);
   EXPECT_EQ(r.mean, r2.mean);
   EXPECT_EQ(r.mean, r7.mean);
   EXPECT_EQ(r.std_error, r7.std_error);
@@ -238,13 +239,15 @@ TEST(SpTree, IdenticalModulesAreBuiltOnce) {
   exp::hier::memo_clear();
   const auto sc = compile(fork_join(8, 4), 0.05);
 
-  const auto first = exp::hier::build_module_distributions(sc, 0);
+  // Both tables stay checked out of `ws` until it dies.
+  exp::Workspace ws;
+  const auto first = exp::hier::build_module_distributions(sc, 0, ws);
   // 8 structurally identical chains: one is built, seven are served from
   // the cache (plus whatever outer composites repeat).
   EXPECT_GE(first.stats.memo_hits, 7u);
   EXPECT_GE(first.stats.memo_misses, 1u);
 
-  const auto again = exp::hier::build_module_distributions(sc, 0);
+  const auto again = exp::hier::build_module_distributions(sc, 0, ws);
   EXPECT_EQ(again.stats.memo_misses, 0u);
   EXPECT_GE(again.stats.memo_hits, 1u);
 
@@ -254,10 +257,15 @@ TEST(SpTree, IdenticalModulesAreBuiltOnce) {
   EXPECT_GT(ms.entries, 0u);
 
   // Served-from-cache must be byte-for-byte the same law.
-  ASSERT_EQ(first.by_quotient_node.size(), again.by_quotient_node.size());
-  for (std::size_t i = 0; i < first.by_quotient_node.size(); ++i) {
-    EXPECT_EQ(first.by_quotient_node[i].mean(),
-              again.by_quotient_node[i].mean());
+  ASSERT_EQ(first.laws.size(), again.laws.size());
+  for (std::size_t i = 0; i < first.laws.size(); ++i) {
+    const auto a = first.laws.law(i);
+    const auto b = again.laws.law(i);
+    ASSERT_EQ(a.size(), b.size()) << i;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].value, b[k].value) << i << ":" << k;
+      EXPECT_EQ(a[k].prob, b[k].prob) << i << ":" << k;
+    }
   }
   exp::hier::memo_clear();
   EXPECT_EQ(exp::hier::memo_stats().entries, 0u);

@@ -5,7 +5,8 @@
 //  * the ALLOCATION REGRESSION satellite: a counting global operator new
 //    pins ZERO steady-state heap allocations for the analytic methods
 //    (fo, so, bounds.lower/upper, sculli, corlca, clark, the exact
-//    oracles, and — since the flat distribution engine — sp and dodin)
+//    oracles, and — since the flat distribution engine — sp and dodin,
+//    and the hierarchical sp.hier / dodin.hier path on a warm memo)
 //    when evaluated on a warm workspace;
 //  * the workspace bit-identity property: for all 16 evaluators x both
 //    retry models x a spread of DAGs, an explicit cold or warm workspace
@@ -305,20 +306,23 @@ TEST(AllocationRegression, FlatDistributionEngineIsAllocationFreeWhenWarm) {
 }
 
 // The laws entries (sp.hier / dodin.hier's quotient reduction) share the
-// flat engine's arenas: with the laws already built — here the SP-tree
-// module laws of an LU quotient — a warm reduction allocates nothing.
+// flat engine's arenas: with the law table already built — here the
+// SP-tree module laws of an LU quotient, in a workspace of their own — a
+// warm reduction allocates nothing.
 TEST(AllocationRegression, LawsEntriesAreAllocationFreeWhenWarm) {
   const Dag g = expmk::gen::lu_dag(5);
   const Scenario sc = Scenario::calibrated(g, 0.01, RetryModel::TwoState);
-  const auto md = expmk::exp::hier::build_module_distributions(sc, 32);
+  Workspace laws_ws;
+  const auto md =
+      expmk::exp::hier::build_module_distributions(sc, 32, laws_ws);
   const Dag& quotient = sc.sp_decomposition().quotient;
   ASSERT_GT(quotient.task_count(), 1u);
+  ASSERT_EQ(md.laws.size(), quotient.task_count());
   Workspace ws;
   const auto run = [&] {
-    const auto sp = expmk::sp::evaluate_sp_laws(quotient, md.by_quotient_node,
-                                                32, ws);
-    const auto dodin = expmk::sp::dodin_laws(quotient, md.by_quotient_node,
-                                             {.max_atoms = 32}, ws);
+    const auto sp = expmk::sp::evaluate_sp_laws(quotient, md.laws, 32, ws);
+    const auto dodin =
+        expmk::sp::dodin_laws(quotient, md.laws, {.max_atoms = 32}, ws);
     return sp.stats.series + dodin.duplications;
   };
   const std::size_t cold = run();
@@ -330,6 +334,38 @@ TEST(AllocationRegression, LawsEntriesAreAllocationFreeWhenWarm) {
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(warm, cold);
   EXPECT_GT(cold, 0u);
+}
+
+// The whole hierarchical path: with every composite module already in the
+// memo and a warm workspace, building the module law table (memo hits
+// copied into the arena, leaves written in place) and reducing the
+// quotient allocates nothing. The direct entries are called because the
+// registry path allocates the note it reports by design.
+TEST(AllocationRegression, HierWarmMemoIsAllocationFreeWhenWarm) {
+  const Scenario sc =
+      Scenario::calibrated(expmk::gen::lu_dag(5), 0.01, RetryModel::TwoState);
+  Workspace ws;
+  struct Outcome {
+    std::uint64_t hits, misses;
+    double dodin_mean;
+  };
+  const auto run = [&] {
+    const auto sp = expmk::exp::hier::evaluate_sp_hier(sc, 32, ws);
+    const auto dodin = expmk::exp::hier::evaluate_dodin_hier(sc, 32, ws);
+    return Outcome{sp.stats.memo_hits + dodin.stats.memo_hits,
+                   sp.stats.memo_misses + dodin.stats.memo_misses,
+                   dodin.mean};
+  };
+  const Outcome cold = run();
+  (void)run();
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const Outcome warm = run();
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(warm.misses, 0u);
+  EXPECT_GT(warm.hits, 0u);
+  EXPECT_EQ(warm.dodin_mean, cold.dodin_mean);
 }
 
 // The pins above run small untruncated networks, which never outgrow the

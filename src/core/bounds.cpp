@@ -158,7 +158,7 @@ MakespanBounds makespan_bounds(const scenario::Scenario& sc,
 
   // Levels are mutually independent, so the folds — the dominant cost —
   // fan out: levels are dealt round-robin to a few chunks per worker (one
-  // pool task per chunk, not per level; strided so wide and narrow levels
+  // claim per chunk, not per level; strided so wide and narrow levels
   // spread evenly), and each fold leases right-sized arenas from the
   // worker's thread-local pooled workspace. The means land in per-level
   // slots and fold serially in level order: the serial kernel's exact

@@ -52,7 +52,8 @@ EXPMK_NOALLOC [[nodiscard]] MakespanBounds makespan_bounds(const scenario::Scena
 /// the thread-local pooled workspace), and the per-level means fold
 /// serially in level order. Bit-identical to the serial kernel for any
 /// worker count; `workers <= 1` delegates to it (the fan-out is not
-/// EXPMK_NOALLOC — the pool and its futures allocate).
+/// EXPMK_NOALLOC — the type-erased chunk body and a helper's first
+/// leases allocate).
 [[nodiscard]] MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                              exp::Workspace& ws,
                                              std::size_t workers);

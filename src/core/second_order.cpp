@@ -285,7 +285,7 @@ SecondOrderResult second_order(const scenario::Scenario& sc,
   const SoLevels lv = so_levels(sc, ws);
 
   // Pair sweep: blocks fan out across workers, dealt round-robin to a few
-  // chunks per worker — one pool task and one lane-matrix lease (from the
+  // chunks per worker — one claim and one lane-matrix lease (from the
   // worker's thread-local pooled workspace) per chunk, and the strided
   // deal evens out the early blocks' longer suffix sweeps. The per-lane
   // partials land in acc_all slots indexed by (block, lane) and fold here

@@ -65,8 +65,8 @@ EXPMK_NOALLOC [[nodiscard]] SecondOrderResult second_order(const scenario::Scena
 /// thread-local pooled workspace); per-block lane partials fold into the
 /// pair sum in the serial kernel's source order. Bit-identical to the
 /// serial kernel for any worker count; `workers <= 1` delegates to it
-/// (the fan-out is not EXPMK_NOALLOC — the pool and its futures
-/// allocate).
+/// (the fan-out is not EXPMK_NOALLOC — the type-erased chunk body and a
+/// helper's first leases allocate).
 [[nodiscard]] SecondOrderResult second_order(const scenario::Scenario& sc,
                                              exp::Workspace& ws,
                                              std::size_t workers);

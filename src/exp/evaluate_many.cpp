@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "exp/seeds.hpp"
 #include "exp/workspace.hpp"
@@ -11,16 +10,10 @@
 
 namespace expmk::exp {
 
-namespace {
-
-/// The shared fan-out: resolves methods upfront, then runs contiguous
-/// index ranges on `pool`. Factored out so the owning-pool overload and
-/// the caller-pool overload are the same code path (and therefore
-/// bitwise-identical).
-std::vector<EvalResult> run_batch(const scenario::Scenario& sc,
-                                  std::span<const EvalRequest> requests,
-                                  util::ThreadPool& pool,
-                                  const EvaluatorRegistry& registry) {
+std::vector<EvalResult> evaluate_many(const scenario::Scenario& sc,
+                                      std::span<const EvalRequest> requests,
+                                      std::size_t threads,
+                                      const EvaluatorRegistry& registry) {
   // Resolve every method upfront: a batch fails loudly on a typo before
   // any cell burns compute (same policy as SweepRunner::run). Planned
   // requests (budget set) resolve to the planner instead of a method.
@@ -60,19 +53,19 @@ std::vector<EvalResult> run_batch(const scenario::Scenario& sc,
   std::vector<EvalResult> results(requests.size());
   if (requests.empty()) return results;
 
-  // One queued task per CONTIGUOUS INDEX RANGE, not per request: a batch
-  // of cheap analytic requests (~1 us each pooled) must not pay a
-  // packaged_task + future + mutex round-trip per request. Several
-  // ranges per worker (4x) keep mixed-cost batches load-balanced — a run
-  // of expensive MC requests lands in a few ranges other workers steal
-  // around, instead of pinning one worker while the rest idle. Each
-  // result is a pure function of (scenario, request, index) written to
-  // its own slot, so the partition does not affect the output.
-  const std::size_t chunk_count =
-      std::min(requests.size(), pool.size() * 4);
+  // One chunk per CONTIGUOUS INDEX RANGE, not per request: a batch of
+  // cheap analytic requests (~1 us each pooled) must not pay a claim per
+  // request. Several ranges per worker (4x) keep mixed-cost batches
+  // load-balanced — a run of expensive MC requests lands in a few ranges
+  // the other workers claim around, instead of pinning one worker while
+  // the rest idle. Each result is a pure function of (scenario, request,
+  // index) written to its own slot, so the partition does not affect the
+  // output.
+  const std::size_t workers = util::resolve_threads(threads);
+  const std::size_t chunk_count = std::min(requests.size(), 4 * workers);
   const std::size_t per_chunk =
       (requests.size() + chunk_count - 1) / chunk_count;
-  pool.parallel_for_chunks(chunk_count, [&](std::size_t chunk) {
+  util::for_each_chunk(workers, chunk_count, [&](std::size_t chunk) {
     const std::size_t begin = chunk * per_chunk;
     const std::size_t end = std::min(begin + per_chunk, requests.size());
     // One pooled workspace per worker thread: every analytic request
@@ -110,28 +103,6 @@ std::vector<EvalResult> run_batch(const scenario::Scenario& sc,
     }
   });
   return results;
-}
-
-}  // namespace
-
-std::vector<EvalResult> evaluate_many(const scenario::Scenario& sc,
-                                      std::span<const EvalRequest> requests,
-                                      std::size_t threads,
-                                      const EvaluatorRegistry& registry) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  // No point spinning up workers that would never see a request.
-  threads = std::min(threads, std::max<std::size_t>(1, requests.size()));
-  util::ThreadPool pool(threads);
-  return run_batch(sc, requests, pool, registry);
-}
-
-std::vector<EvalResult> evaluate_many(const scenario::Scenario& sc,
-                                      std::span<const EvalRequest> requests,
-                                      util::ThreadPool& pool,
-                                      const EvaluatorRegistry& registry) {
-  return run_batch(sc, requests, pool, registry);
 }
 
 }  // namespace expmk::exp

@@ -2,7 +2,8 @@
 //
 // The batch front door for high-throughput serving: evaluate ONE compiled
 // scenario against a whole batch of estimate requests at once, fanned
-// across a thread pool with one pooled Workspace per worker thread.
+// out through util::for_each_chunk (the process-wide pool, the calling
+// thread included) with one pooled Workspace per participating thread.
 //
 // This is the first API in the library where "heavy traffic" is a
 // first-class input shape rather than a sweep grid: a serving deployment
@@ -31,7 +32,6 @@
 #include "exp/evaluator.hpp"
 #include "exp/plan.hpp"
 #include "scenario/scenario.hpp"
-#include "util/thread_pool.hpp"
 
 namespace expmk::exp {
 
@@ -71,16 +71,6 @@ struct EvalRequest {
 [[nodiscard]] std::vector<EvalResult> evaluate_many(
     const scenario::Scenario& sc, std::span<const EvalRequest> requests,
     std::size_t threads = 0,
-    const EvaluatorRegistry& registry = EvaluatorRegistry::builtin());
-
-/// Same contract, but fans the batch over a CALLER-OWNED pool instead of
-/// constructing one per call. A long-lived server flushing small batches
-/// at high rate (src/serve/batcher.hpp) cannot afford thread create +
-/// join per flush; results are still index-aligned and bitwise
-/// independent of the pool size.
-[[nodiscard]] std::vector<EvalResult> evaluate_many(
-    const scenario::Scenario& sc, std::span<const EvalRequest> requests,
-    util::ThreadPool& pool,
     const EvaluatorRegistry& registry = EvaluatorRegistry::builtin());
 
 }  // namespace expmk::exp

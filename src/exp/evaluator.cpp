@@ -123,9 +123,11 @@ void set_certified(EvalResult& r,
            std::to_string(cert.merges) + " merges";
 }
 
-/// Smallest graph on which so and bounds fan out: below it the pool's
-/// start-up dominates the sweep. (On a 4-vCPU AVX2 host the fan-out read
-/// 3.3x for so and 2.5x for bounds at 20,100 tasks; DESIGN.md, "Threads".)
+/// Smallest graph on which so and bounds fan out; smaller graphs keep the
+/// EXPMK_NOALLOC serial kernels. Set when every fan-out started threads;
+/// with the one pool a fan-out only wakes helpers and already wins at a
+/// few hundred tasks, so the gate is conservative until the planner's
+/// cost model can set it per method (DESIGN.md, "Threads").
 constexpr std::size_t kFanOutMinTasks = 4096;
 
 /// Worker count for the so / bounds fan-out variants: EvalOptions::threads

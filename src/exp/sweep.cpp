@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "exp/seeds.hpp"
@@ -132,13 +131,8 @@ SweepResult SweepRunner::run(const SweepGrid& grid,
   const std::size_t methods_per_scenario = methods->size();
   std::vector<SweepCell> cells(scenarios.size() * methods_per_scenario);
 
-  // Resolve 0 -> hardware concurrency here: ThreadPool's own fallback for
-  // 0 is a single worker, which would silently serialize the sweep.
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  util::ThreadPool pool(threads);
-  pool.parallel_for_chunks(scenarios.size(), [&](std::size_t si) {
+  util::for_each_chunk(util::resolve_threads(threads), scenarios.size(),
+                       [&](std::size_t si) {
     const Scenario& sc = scenarios[si];
     const std::string& generator = grid.generators[sc.gen_index];
     const int size = grid.sizes[sc.size_index];

@@ -4,7 +4,8 @@
 //
 //     generators x sizes x pfail values x retry model x methods
 //
-// into cells, executes them in parallel on util::ThreadPool, computes each
+// into cells, runs one chunk per scenario through util::for_each_chunk
+// (the process-wide pool, the calling thread included), computes each
 // method's relative error against a designated reference method, and emits
 // machine-readable JSON and CSV artifacts — the harness behind the paper's
 // accuracy/runtime tables (Section V) and the expmk_sweep CLI.

@@ -10,10 +10,6 @@ BatchExecutor::BatchExecutor(const BatchConfig& config,
                              const exp::EvaluatorRegistry& registry)
     : config_(config),
       registry_(registry),
-      pool_(config.eval_threads == 0
-                ? std::max<std::size_t>(
-                      1, std::thread::hardware_concurrency())
-                : config.eval_threads),
       flusher_([this] { flusher_loop(); }) {
   if (config_.max_batch == 0) config_.max_batch = 1;
 }
@@ -104,8 +100,8 @@ void BatchExecutor::flush(std::vector<Pending> batch) {
       requests.push_back(std::move(batch[i].request));
     }
     std::vector<exp::EvalResult> results = exp::evaluate_many(
-        *group_keys[g], std::span<const exp::EvalRequest>(requests), pool_,
-        registry_);
+        *group_keys[g], std::span<const exp::EvalRequest>(requests),
+        config_.eval_threads, registry_);
     for (std::size_t j = 0; j < groups[g].size(); ++j) {
       const std::size_t i = groups[g][j];
       batch[i].callback(std::move(results[j]));

@@ -1,9 +1,9 @@
 // serve/batcher.hpp
 //
 // The batching executor between the wire and `exp::evaluate_many`.
-// Requests accumulate in a queue and are flushed onto the evaluation
-// pool when EITHER the batch reaches `max_batch` requests OR the oldest
-// queued request has waited `deadline_us` — classic size-or-deadline
+// Requests accumulate in a queue and are flushed for evaluation when
+// EITHER the batch reaches `max_batch` requests OR the oldest queued
+// request has waited `deadline_us` — classic size-or-deadline
 // batching: full batches amortize the fan-out under load, the deadline
 // bounds added latency when traffic is light.
 //
@@ -17,9 +17,10 @@
 //
 // One flush may contain requests against different scenarios: the flush
 // groups them by scenario handle in first-appearance order (stable, no
-// pointer ordering) and runs one evaluate_many per group on the shared
-// persistent thread pool — the exp-layer hookup that avoids thread
-// create/join per flush.
+// pointer ordering) and runs one evaluate_many per group on
+// `eval_threads` workers: the flusher thread itself plus helpers from the
+// process-wide pool behind util::for_each_chunk, so no flush creates or
+// joins a thread.
 //
 // Completion is callback-based (the server writes the response frame
 // from the callback); callbacks run on the flusher thread, in batch
@@ -42,7 +43,6 @@
 #include "exp/evaluate_many.hpp"
 #include "exp/evaluator.hpp"
 #include "scenario/scenario.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace expmk::serve {
@@ -50,7 +50,7 @@ namespace expmk::serve {
 struct BatchConfig {
   std::size_t max_batch = 64;     ///< flush at this many queued requests
   double deadline_us = 250.0;     ///< ... or when the oldest waited this long
-  std::size_t eval_threads = 0;   ///< evaluation pool size (0 = hardware)
+  std::size_t eval_threads = 0;   ///< workers per flush (0 = hardware)
 };
 
 /// Counters exposed through the STATS frame.
@@ -61,7 +61,8 @@ struct BatchStats {
   std::uint64_t max_batch_seen = 0; ///< largest single flush
 };
 
-/// Size-or-deadline batcher over a persistent evaluation thread pool.
+/// Size-or-deadline batcher; each flush evaluates on the flusher thread
+/// plus up to `eval_threads` - 1 helpers of the process-wide pool.
 /// submit() is thread-safe; the destructor drains every queued request
 /// (callbacks still fire) before joining.
 class BatchExecutor {
@@ -108,7 +109,6 @@ class BatchExecutor {
 
   BatchConfig config_;
   const exp::EvaluatorRegistry& registry_;
-  util::ThreadPool pool_;
 
   mutable std::mutex m_;
   std::condition_variable cv_;

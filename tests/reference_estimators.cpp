@@ -1,14 +1,32 @@
 #include "reference_estimators.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "dist_ops.hpp"
 #include "graph/longest_path.hpp"
-#include "graph/metrics.hpp"
 #include "graph/topological.hpp"
 #include "prob/discrete_distribution.hpp"
 
 namespace expmk::ref {
+
+std::vector<std::vector<graph::TaskId>> level_partition(const graph::Dag& g) {
+  const auto topo = graph::topological_order(g);
+  std::vector<std::size_t> level(g.task_count(), 0);
+  std::size_t max_level = 0;
+  for (const graph::TaskId v : topo) {
+    for (const graph::TaskId u : g.predecessors(v)) {
+      level[v] = std::max(level[v], level[u] + 1);
+    }
+    max_level = std::max(max_level, level[v]);
+  }
+  std::vector<std::vector<graph::TaskId>> out(
+      g.task_count() ? max_level + 1 : 0);
+  for (graph::TaskId v = 0; v < g.task_count(); ++v) {
+    out[level[v]].push_back(v);
+  }
+  return out;
+}
 
 double first_order_naive(const graph::Dag& g,
                          const core::FailureModel& model) {
@@ -42,7 +60,7 @@ core::MakespanBounds makespan_bounds_object_fold(
 
   // E[ sum_l max_{i in L_l} X_i ].
   double upper = 0.0;
-  for (const auto& level : graph::level_partition(g)) {
+  for (const auto& level : level_partition(g)) {
     auto level_max = prob::DiscreteDistribution::point(0.0);
     for (const graph::TaskId i : level) {
       const double a = g.weight(i);

@@ -7,12 +7,15 @@
 //    O(|V| (|V| + |E|)) — the paper's naive bound — against the O(V + E)
 //    core::first_order kernel;
 //  * makespan_bounds_object_fold folds the per-level maxima through heap
-//    prob::DiscreteDistribution objects, the arithmetic the flat atom
-//    fold of core::makespan_bounds mirrors operation for operation.
+//    prob::DiscreteDistribution objects over level_partition's nested
+//    vectors, the arithmetic the flat atom fold of core::makespan_bounds
+//    mirrors operation for operation.
 // Test-only: built into expmk_tests and nothing else (the same pattern as
 // tests/sp_reference).
 
 #pragma once
+
+#include <vector>
 
 #include "core/bounds.hpp"
 #include "core/failure_model.hpp"
@@ -25,9 +28,14 @@ namespace expmk::ref {
 [[nodiscard]] double first_order_naive(const graph::Dag& g,
                                        const core::FailureModel& model);
 
+/// Tasks per precedence level (level = longest hop distance from an
+/// entry); element 0 holds all entries.
+[[nodiscard]] std::vector<std::vector<graph::TaskId>> level_partition(
+    const graph::Dag& g);
+
 /// d(G), the Jensen lower bound and the level-decomposition upper bound
 /// of the 2-state model, the level maxima folded as DiscreteDistribution
-/// objects over graph::level_partition.
+/// objects over level_partition.
 [[nodiscard]] core::MakespanBounds makespan_bounds_object_fold(
     const graph::Dag& g, const core::FailureModel& model);
 

@@ -1,14 +1,19 @@
 // Unit tests for graph/levels: top/bottom level conventions and their
 // relationship to the critical path (the identities the first-order
-// estimator depends on).
+// estimator depends on), plus the hop-count level partition the reference
+// level bound folds over.
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <vector>
 
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
 #include "graph/levels.hpp"
 #include "graph/longest_path.hpp"
 #include "graph/topological.hpp"
+#include "reference_estimators.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -18,6 +23,27 @@ using expmk::graph::compute_levels;
 using expmk::graph::critical_path_length;
 using expmk::graph::top_levels;
 using expmk::graph::topological_order;
+
+// The reference level bound's partition (tests/reference_estimators).
+TEST(Metrics, LevelPartitionCoversAllTasks) {
+  const auto g = expmk::gen::cholesky_dag(5);
+  const auto levels = expmk::ref::level_partition(g);
+  std::size_t total = 0;
+  for (const auto& l : levels) total += l.size();
+  EXPECT_EQ(total, g.task_count());
+  // Entries exactly at level 0.
+  EXPECT_EQ(levels[0].size(), g.entry_tasks().size());
+  // Each task's level exceeds its predecessors'.
+  std::vector<std::size_t> level_of(g.task_count());
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    for (const auto v : levels[l]) level_of[v] = l;
+  }
+  for (expmk::graph::TaskId u = 0; u < g.task_count(); ++u) {
+    for (const auto v : g.successors(u)) {
+      EXPECT_LT(level_of[u], level_of[v]);
+    }
+  }
+}
 
 TEST(Levels, DiamondValues) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);

@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "exp/evaluator.hpp"
+#include "exp/workspace.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
 #include "scenario/scenario.hpp"
@@ -77,6 +80,34 @@ TEST(ThreadPin, BitIdenticalWithHeterogeneousRates) {
   }
   expect_thread_count_identity(scenario::Scenario::compile(
       g, scenario::FailureSpec::per_task(rates)));
+}
+
+// The so and bounds fan-outs run chunks on the calling thread too, and
+// there they lease from the very Workspace::local() whose frame holds the
+// kernel's per-block / per-level partials. Frames nest and a slot never
+// moves when another grows, so the partials, and a lease held further up
+// the caller's stack, come through intact.
+TEST(ThreadPin, CallerChunksShareTheCallersLocalWorkspace) {
+  const auto g = gen::layered_random(33, 128, 0.02, 99);
+  ASSERT_GE(g.task_count(), 4096u);
+  const auto sc = test::uniform_scenario(g, 0.005);
+  exp::Workspace& ws = exp::Workspace::local();
+  const exp::Workspace::Frame frame(ws);
+  const std::span<double> held = ws.doubles(64);
+  std::fill(held.begin(), held.end(), 42.0);
+  for (const std::string name : {"so", "bounds.upper"}) {
+    const exp::Evaluator* e = exp::EvaluatorRegistry::builtin().find(name);
+    ASSERT_NE(e, nullptr) << name;
+    const auto base = e->evaluate(sc, options(1));
+    ASSERT_TRUE(base.supported) << name << ": " << base.note;
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
+      const auto r = e->evaluate(sc, options(threads));
+      EXPECT_EQ(base.mean, r.mean) << name << " threads=" << threads;
+      EXPECT_EQ(base.mean_lo, r.mean_lo) << name << " threads=" << threads;
+      EXPECT_EQ(base.mean_hi, r.mean_hi) << name << " threads=" << threads;
+    }
+  }
+  for (const double v : held) EXPECT_EQ(v, 42.0);
 }
 
 TEST(ThreadPin, SmallGraphsMatchAtAnyThreadCount) {

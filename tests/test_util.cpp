@@ -1,13 +1,21 @@
-// Unit tests for util/: thread pool, timer formatting, CLI parser, tables.
+// Unit tests for util/: the chunk pool, timer formatting, CLI parser,
+// tables.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <functional>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "exp/workspace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -17,77 +25,122 @@ namespace {
 
 using expmk::util::Cli;
 using expmk::util::Table;
-using expmk::util::ThreadPool;
+using expmk::util::for_each_chunk;
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ZeroThreadsPromotedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
+// The ThreadPool suite covers the process-wide pool behind for_each_chunk.
 TEST(ThreadPool, ParallelForCoversAllChunks) {
-  ThreadPool pool(3);
   std::atomic<int> sum{0};
-  pool.parallel_for_chunks(100, [&](std::size_t c) {
-    sum += static_cast<int>(c);
-  });
+  for_each_chunk(3, 100, [&](std::size_t c) { sum += static_cast<int>(c); });
   EXPECT_EQ(sum.load(), 99 * 100 / 2);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+  EXPECT_THROW(for_each_chunk(2, 4,
+                              [](std::size_t c) {
+                                if (c == 1) throw std::runtime_error("boom");
+                              }),
+               std::runtime_error);
 }
 
+// Several chunks throw: every chunk still runs, and the exception of the
+// lowest-index failing chunk is the one rethrown, whichever thread ran it
+// and whenever it finished.
 TEST(ThreadPool, ParallelForPropagatesFirstError) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for_chunks(
-                   8,
-                   [](std::size_t c) {
-                     if (c == 3) throw std::logic_error("chunk 3");
-                   }),
-               std::logic_error);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 32; ++i) {
-      (void)pool.submit([&done] { ++done; });
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> ran(32);
+    try {
+      for_each_chunk(4, ran.size(), [&](std::size_t c) {
+        ++ran[c];
+        if (c == 3 || c == 5 || c == 11 || c == 30) {
+          throw std::logic_error("chunk " + std::to_string(c));
+        }
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 3");
     }
-  }  // destructor must finish all 32
-  EXPECT_EQ(done.load(), 32);
+    for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
+  }
 }
 
 // One worker: every chunk runs on the calling thread, in order (the MC
-// engines' threads == 1 path spawns no pool). Several: each chunk once.
+// engines' threads == 1 path never touches the pool). Several: each chunk
+// once.
 TEST(ThreadPool, ForEachChunkRunsInlineForOneWorker) {
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> order;
-  expmk::util::for_each_chunk(1, 5, [&](std::size_t c) {
+  for_each_chunk(1, 5, [&](std::size_t c) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(c);
   });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 
   std::vector<std::atomic<int>> hits(37);
-  expmk::util::for_each_chunk(3, hits.size(),
-                              [&](std::size_t c) { ++hits[c]; });
+  for_each_chunk(3, hits.size(), [&](std::size_t c) { ++hits[c]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_THROW(expmk::util::for_each_chunk(
-                   1, 2, [](std::size_t) { throw std::runtime_error("x"); }),
-               std::runtime_error);
+  EXPECT_THROW(
+      for_each_chunk(1, 2, [](std::size_t) { throw std::runtime_error("x"); }),
+      std::runtime_error);
   EXPECT_EQ(expmk::util::resolve_threads(3), 3u);
   EXPECT_GE(expmk::util::resolve_threads(0), 1u);
+}
+
+// A chunk body that fans out again (a sweep cell running mc with several
+// threads) must finish even when every helper is busy in the outer job:
+// the inner caller claims its own chunks.
+TEST(ThreadPool, NestedCallsCoverEveryPair) {
+  std::vector<std::atomic<int>> hits(8 * 8);
+  for_each_chunk(4, 8, [&](std::size_t outer) {
+    for_each_chunk(4, 8, [&](std::size_t inner) { ++hits[outer * 8 + inner]; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachGetFullResult) {
+  constexpr std::size_t kChunks = 64;
+  std::vector<std::size_t> a(kChunks, 0), b(kChunks, 0);
+  auto fill = [](std::vector<std::size_t>& out, std::size_t scale) {
+    for (int round = 0; round < 50; ++round) {
+      for_each_chunk(4, out.size(), [&](std::size_t c) { out[c] += c * scale; });
+    }
+  };
+  std::thread ta(fill, std::ref(a), 1);
+  std::thread tb(fill, std::ref(b), 3);
+  ta.join();
+  tb.join();
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    EXPECT_EQ(a[c], 50 * c);
+    EXPECT_EQ(b[c], 150 * c);
+  }
+}
+
+// Helpers left over from a wider call must not pile onto a narrower one.
+TEST(ThreadPool, JobNeverShowsMoreThanWorkersThreads) {
+  for_each_chunk(4, 16, [](std::size_t) {});  // start up to 3 helpers
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{3}}) {
+    std::mutex m;
+    std::set<std::thread::id> ids;
+    for_each_chunk(workers, 32, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      const std::lock_guard<std::mutex> lock(m);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), workers);
+  }
+}
+
+// The pool's helpers persist, and with them their thread-local
+// workspaces: repeated fan-outs create no workspace beyond one per
+// thread that ever takes part (the caller and the helpers).
+TEST(ThreadPool, HelpersAndTheirWorkspacesPersistAcrossCalls) {
+  const std::uint64_t before = expmk::exp::Workspace::created_count();
+  for (int call = 0; call < 50; ++call) {
+    for_each_chunk(4, 16,
+                   [](std::size_t) { (void)expmk::exp::Workspace::local(); });
+  }
+  EXPECT_LE(expmk::exp::Workspace::created_count() - before,
+            expmk::util::resolve_threads(0));
 }
 
 TEST(Timer, MeasuresNonNegativeDurations) {

@@ -505,7 +505,9 @@ TEST(WorkspaceAdapterProperty, BoundsFlatFoldBitIdenticalToObjectFold) {
 // The sweep contract the refactor exists for: workspaces are pooled per
 // WORKER THREAD — a grid of many cells x methods must not create more
 // workspaces than workers (pre-refactor equivalent state was rebuilt per
-// method call).
+// method call). The sweep runs from a fresh thread so its caller's
+// workspace is new whatever ran earlier in this process; the pool's
+// helpers (and their workspaces) persist across calls.
 TEST(SweepPooling, OneWorkspacePerWorkerThread) {
   expmk::exp::SweepGrid grid;
   grid.generators = {"lu", "chain"};
@@ -517,7 +519,10 @@ TEST(SweepPooling, OneWorkspacePerWorkerThread) {
 
   const std::size_t threads = 2;
   const std::uint64_t before = Workspace::created_count();
-  const auto result = expmk::exp::SweepRunner().run(grid, threads);
+  expmk::exp::SweepResult result;
+  std::thread([&] {
+    result = expmk::exp::SweepRunner().run(grid, threads);
+  }).join();
   const std::uint64_t created = Workspace::created_count() - before;
 
   ASSERT_EQ(result.cells.size(), 2u * 2u * 2u * 5u);

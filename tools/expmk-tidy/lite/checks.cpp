@@ -558,8 +558,11 @@ std::vector<Diagnostic> analyze(const std::vector<ParsedFile>& files,
 
   std::vector<Diagnostic> diags;
   for (const ParsedFile& f : files) {
-    const bool is_src = config.src_filter.empty() ||
-                        f.path.find(config.src_filter) != std::string::npos;
+    // A leading '/' lets a relative path that starts at the filtered
+    // component ("src/util/x.cpp", from `expmk-tidy src`) match "/src/".
+    const bool is_src =
+        config.src_filter.empty() ||
+        ("/" + f.path).find(config.src_filter) != std::string::npos;
     if (config.checks.count("expmk-no-alloc-kernel")) {
       check_noalloc(f, annotated, allow, diags);
     }

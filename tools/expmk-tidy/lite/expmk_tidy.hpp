@@ -103,8 +103,10 @@ struct Config {
                                   "expmk-determinism",
                                   "expmk-lease-escape"};
   /// expmk-determinism / expmk-lease-escape apply only to files whose
-  /// path contains this substring ("" = every input file). The no-alloc
-  /// check always applies: it is annotation-driven.
+  /// path, read with a leading '/', contains this substring ("" = every
+  /// input file); so the default matches both "/abs/repo/src/x.cpp" and
+  /// the relative "src/x.cpp". The no-alloc check always applies: it is
+  /// annotation-driven.
   std::string src_filter = "/src/";
   /// Extra allowlisted no-alloc callees (merged with the builtin set);
   /// loaded from tools/expmk-tidy/expmk-tidy.allow by the driver.

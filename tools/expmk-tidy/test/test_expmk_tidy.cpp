@@ -50,17 +50,23 @@ DiagMap parse_expectations(const std::string& source) {
   return expected;
 }
 
-DiagMap run_fixture(const fs::path& path) {
-  Config config;
-  config.src_filter = "";  // fixtures live outside src/
+/// Analyzes the fixture at `path` as if it lived at `as_path`, under the
+/// default configuration (the driver's `--src-filter "/src/"`).
+DiagMap run_fixture_as(const fs::path& path, const std::string& as_path,
+                       const Config& config = Config{}) {
   std::vector<ParsedFile> files;
-  files.push_back(
-      expmk_tidy::parse_file(path.generic_string(), read_file(path)));
+  files.push_back(expmk_tidy::parse_file(as_path, read_file(path)));
   DiagMap actual;
   for (const Diagnostic& d : expmk_tidy::analyze(files, config)) {
     ++actual[{d.line, d.check}];
   }
   return actual;
+}
+
+DiagMap run_fixture(const fs::path& path) {
+  Config config;
+  config.src_filter = "";  // fixtures live outside src/
+  return run_fixture_as(path, path.generic_string(), config);
 }
 
 std::string describe(const DiagMap& m) {
@@ -101,6 +107,27 @@ TEST(ExpmkTidyFixtures, LeaseEscapePositive) {
 }
 TEST(ExpmkTidyFixtures, LeaseEscapeNegative) {
   expect_fixture_matches("lease_escape_negative.cpp");
+}
+
+// The default src filter must see a relative path that starts at the
+// filtered component: CI runs `expmk-tidy ... src`, so the driver hands
+// the checks "src/util/x.cpp", with no leading '/'.
+TEST(ExpmkTidyFixtures, DefaultSrcFilterCoversRelativeSrcPaths) {
+  for (const char* name :
+       {"determinism_positive.cpp", "lease_escape_positive.cpp"}) {
+    const fs::path path = fs::path(EXPMK_TIDY_FIXTURE_DIR) / name;
+    const DiagMap expected = parse_expectations(read_file(path));
+    ASSERT_FALSE(expected.empty()) << name;
+    for (const std::string dir : {"src/util/", "./src/util/", "/repo/src/"}) {
+      const DiagMap actual = run_fixture_as(path, dir + name);
+      EXPECT_EQ(expected, actual) << dir << name << "\nactual:\n"
+                                  << describe(actual);
+    }
+    // A path with no `src` component stays out of scope.
+    EXPECT_TRUE(run_fixture_as(path, std::string("tools/mysrc/") + name)
+                    .empty())
+        << name;
+  }
 }
 
 // Every check has at least one firing (positive) fixture — the

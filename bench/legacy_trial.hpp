@@ -2,10 +2,11 @@
 //
 // Faithful replica of the PRE-CSR Monte-Carlo trial kernel, kept solely as
 // the baseline for BENCH_mc.json and the BM_McTrial_Legacy micro bench.
-// Costs it pays that the production kernel (mc::run_trial_csr) no longer
-// does: a heap-allocated finish[] per makespan evaluation, vector-of-vector
-// adjacency chasing through the Dag, topo-order indirection, and TWO
-// transcendental calls (log(u), log1p(-p)) per task per trial.
+// Costs it pays that the production path (mc::run_monte_carlo over the
+// trial-lane kernel mc::run_trial_lanes) no longer does: a heap-allocated
+// finish[] per makespan evaluation, vector-of-vector adjacency chasing
+// through the Dag, topo-order indirection, TWO transcendental calls
+// (log(u), log1p(-p)) per task per trial, and one trial per sweep.
 
 #pragma once
 

@@ -1,8 +1,8 @@
 // bench/micro_core.cpp
 //
 // google-benchmark micro suite: per-operation costs of the library's hot
-// paths — longest path, levels, the first/second-order estimators, one MC
-// trial, distribution algebra, Dodin, and the Normal family. These back
+// paths — longest path, levels, the first/second-order estimators, MC
+// trials, distribution algebra, Dodin, and the Normal family. These back
 // the complexity claims in DESIGN.md (e.g. first order is O(V + E) and
 // takes well under a millisecond even at k = 20).
 
@@ -23,7 +23,7 @@
 #include "graph/reachability.hpp"
 #include "graph/topological.hpp"
 #include "legacy_trial.hpp"
-#include "mc/trial.hpp"
+#include "mc/engine.hpp"
 #include "normal/clark_full.hpp"
 #include "normal/corlca.hpp"
 #include "normal/sculli.hpp"
@@ -77,38 +77,31 @@ void BM_SecondOrder(benchmark::State& state) {
 }
 BENCHMARK(BM_SecondOrder)->Arg(4)->Arg(8)->Arg(12);
 
+// What the `mc` estimator runs: run_monte_carlo at one thread (the
+// trial-lane kernel plus the chunk accumulators), reported per trial.
 void BM_McTrial(benchmark::State& state) {
   const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
   const auto sc =
       scenario::Scenario::calibrated(g, 0.001, core::RetryModel::Geometric);
-  const mc::TrialContext ctx(sc);
-  prob::McRng rng(1);
-  std::vector<double> durations(g.task_count());
+  mc::McConfig cfg;
+  cfg.trials = 1024;
+  cfg.seed = 1;
+  cfg.threads = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mc::run_trial(ctx, rng, durations));
+    benchmark::DoNotOptimize(mc::run_monte_carlo(sc, cfg).mean);
   }
+  // Seconds per trial, printed with an SI prefix (e.g. "976n").
+  state.counters["per_trial"] = benchmark::Counter(
+      static_cast<double>(cfg.trials),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
   state.SetLabel(std::to_string(g.task_count()) + " tasks");
 }
 BENCHMARK(BM_McTrial)->Arg(8)->Arg(12)->Arg(20);
 
-// The engine's hot path: fused allocation-free CSR trial kernel.
-void BM_McTrial_Csr(benchmark::State& state) {
-  const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
-  const auto sc =
-      scenario::Scenario::calibrated(g, 0.001, core::RetryModel::Geometric);
-  const mc::TrialContext ctx(sc);
-  prob::McRng rng(1);
-  std::vector<double> finish(g.task_count());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mc::run_trial_csr(ctx, rng, finish));
-  }
-  state.SetLabel(std::to_string(g.task_count()) + " tasks");
-}
-BENCHMARK(BM_McTrial_Csr)->Arg(8)->Arg(12)->Arg(20);
-
 // Pre-CSR baseline (bench/legacy_trial.hpp): per-trial allocation,
-// pointer-chasing adjacency, two logs per task. Kept so the BM_McTrial_Csr
-// speedup stays visible in every micro run.
+// pointer-chasing adjacency, two logs per task, one trial per call. Kept
+// so the BM_McTrial speedup stays visible in every micro run.
 void BM_McTrial_Legacy(benchmark::State& state) {
   const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
   const auto model = core::calibrate(g, 0.001);

@@ -33,24 +33,21 @@ std::vector<graph::TaskId> critical_tasks(const graph::Dag& g,
 std::vector<double> criticality_probabilities(
     const scenario::Scenario& sc, const CriticalityConfig& config,
     exp::Workspace& ws) {
-  const mc::TrialContext ctx(sc);
   const exp::Workspace::Frame frame(ws);
-  const graph::CsrDag& csr = ctx.csr();
+  const graph::CsrDag& csr = sc.csr();
   const std::size_t n = csr.task_count();
   const std::span<const graph::TaskId> order = csr.order();
   const std::span<std::uint64_t> hits = ws.u64(n);
   std::fill(hits.begin(), hits.end(), std::uint64_t{0});
   const std::span<double> dur_pos = ws.doubles(n);  // position order
-  const std::span<double> finish = ws.doubles(n);
   const std::span<double> top = ws.doubles(n);
   const std::span<double> bottom = ws.doubles(n);
 
   for (std::uint64_t t = 0; t < config.trials; ++t) {
     prob::McRng rng(config.seed, t);
-    // Sample durations straight in position order (ignore the returned
-    // makespan; we recompute levels to identify all tasks with zero
-    // slack this trial).
-    (void)mc::run_trial_durations_csr(ctx, rng, finish, dur_pos);
+    // Durations in position order; the levels give the makespan and
+    // every task with zero slack this trial.
+    mc::sample_durations(sc, rng, dur_pos);
     const double d = graph::compute_levels(csr, dur_pos, top, bottom);
     for (std::uint32_t pos = 0; pos < n; ++pos) {
       const double through = top[pos] + bottom[pos];

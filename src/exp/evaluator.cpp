@@ -336,9 +336,10 @@ EvaluatorRegistry make_builtin() {
        .rel_tolerance = 0.02},
       [](const scenario::Scenario& sc, const EvalOptions& opt,
          Workspace&, EvalResult& r) {
-        // The MC engine's per-thread trial buffers are already pooled
-        // internally (and the engine is multi-threaded, while a Workspace
-        // is single-thread affine), so the workspace goes unused here.
+        // The workspace goes unused: the engine runs its work units on
+        // several threads, while a Workspace is single-thread affine.
+        // Every call allocates its chunk accumulators, and every work unit
+        // its own task_count() x kTrialLanes finish matrix.
         mc::McConfig cfg;
         cfg.trials = opt.mc_trials;
         cfg.seed = opt.seed;

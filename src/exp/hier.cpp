@@ -12,6 +12,7 @@
 
 #include "graph/csr.hpp"
 #include "graph/sp_tree.hpp"
+#include "mc/engine.hpp"
 #include "util/contracts.hpp"
 #include "prob/rng.hpp"
 #include "spgraph/dodin.hpp"
@@ -379,14 +380,13 @@ HierMcResult evaluate_mc_hier(const scenario::Scenario& sc,
     by_pos[pos] = md.laws.law(qcsr.original_id(pos));
   }
 
-  // Same determinism discipline as mc/engine.cpp: a fixed 128-way chunk
-  // partition of the trial range, one counter-based RNG stream per
+  // Same determinism discipline as mc/engine.cpp: the engines' fixed
+  // chunk partition of the trial range, one counter-based RNG stream per
   // trial, and a serial chunk-order fold of the accumulators — the
   // worker count never touches the arithmetic. Workers only read the
   // law table; the workspace itself stays on the calling thread.
-  constexpr std::uint64_t kEngineChunks = 128;
-  const std::size_t chunks =
-      static_cast<std::size_t>(std::min<std::uint64_t>(kEngineChunks, trials));
+  const std::size_t chunks = static_cast<std::size_t>(
+      std::min<std::uint64_t>(mc::kEngineChunks, trials));
   struct Acc {
     double sum = 0.0;
     double sum_sq = 0.0;
@@ -397,22 +397,17 @@ HierMcResult evaluate_mc_hier(const scenario::Scenario& sc,
     Acc& acc = accs[c];
     const std::uint64_t begin = trials * c / chunks;
     const std::uint64_t end = trials * (c + 1) / chunks;
+    std::vector<double> durations(qn);
     std::vector<double> finish(qn);
     for (std::uint64_t t = begin; t < end; ++t) {
       prob::McRng rng(seed, t);
-      double makespan = 0.0;
       // Draw in position order — one quantile per quotient node — then
       // the finish-time DP over the quotient CSR.
       for (std::uint32_t pos = 0; pos < qn; ++pos) {
-        const double dur = dk::quantile(by_pos[pos], rng.uniform_positive());
-        double start = 0.0;
-        for (const std::uint32_t u : qcsr.preds(pos)) {
-          if (finish[u] > start) start = finish[u];
-        }
-        const double f = start + dur;
-        finish[pos] = f;
-        if (f > makespan) makespan = f;
+        durations[pos] = dk::quantile(by_pos[pos], rng.uniform_positive());
       }
+      const double makespan =
+          graph::critical_path_length(qcsr, durations, finish);
       acc.sum += makespan;
       acc.sum_sq += makespan * makespan;
     }

@@ -41,15 +41,13 @@ ConditionalMcResult run_conditional_monte_carlo(
   const util::Timer timer;
   const graph::CsrDag& csr = sc.csr();
   const std::size_t n = sc.task_count();
-  // Success probabilities in CSR position order: the sampling loop below
-  // walks positions, so every per-task array it touches is sequential.
-  const std::span<const double> p = sc.p_success_csr();
 
   ConditionalMcResult result;
   result.critical_path = sc.critical_path();
 
+  // Folded in CSR position order; the order fixes p0's rounding.
   double p0 = 1.0;
-  for (const double pi : p) p0 *= pi;
+  for (const double pi : sc.p_success_csr()) p0 *= pi;
   result.p_zero_failures = p0;
 
   if (p0 >= 1.0) {
@@ -65,7 +63,6 @@ ConditionalMcResult run_conditional_monte_carlo(
   const std::uint64_t trials = config.trials;
   const std::size_t chunks = std::min<std::uint64_t>(kEngineChunks, trials);
 
-  const std::span<const double> w = csr.weights();
   std::vector<Accum> accums(chunks);
   util::for_each_chunk(workers, chunks, [&](std::size_t c) {
     Accum& acc = accums[c];
@@ -86,11 +83,7 @@ ConditionalMcResult run_conditional_monte_carlo(
       std::uint64_t attempts = 0;
       while (!any && attempts < config.max_rejections_per_trial) {
         ++attempts;
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool failed = !rng.bernoulli(p[i]);
-          durations[i] = failed ? 2.0 * w[i] : w[i];
-          any = any || failed;
-        }
+        any = sample_durations(sc, rng, durations) > 0;
       }
       if (any) {
         acc.rejections += attempts - 1;

@@ -49,8 +49,7 @@ McResult run_monte_carlo(const scenario::Scenario& sc,
     throw std::invalid_argument("run_monte_carlo: trials must be >= 1");
   }
   const util::Timer timer;
-  const TrialContext ctx(sc);
-  const std::size_t n = ctx.csr().task_count();
+  const std::size_t n = sc.task_count();
 
   const std::size_t workers = util::resolve_threads(config.threads);
   const std::uint64_t trials = config.trials;
@@ -75,7 +74,7 @@ McResult run_monte_carlo(const scenario::Scenario& sc,
     std::uint64_t chunk_end = chunk_begin(c + 1);
     for (std::uint64_t t0 = begin; t0 < end; t0 += kTrialLanes) {
       const LaneObservations obs =
-          run_trial_lanes(ctx, config.seed, t0, finish);
+          run_trial_lanes(sc, config.seed, t0, finish);
       // A batch may straddle chunk boundaries: each trial goes to its own
       // chunk's accumulator, in trial order. Lanes past `end` belong to
       // the next unit and are discarded.
@@ -125,7 +124,7 @@ McResult run_monte_carlo(const scenario::Scenario& sc,
     const double var_z = std::max(0.0, sum_zz / n - mean_z * mean_z);
     const double cov_lz = sum_lz / n - stats.mean() * mean_z;
     const double beta = var_z > 0.0 ? cov_lz / var_z : 0.0;
-    const double ez = control_variate_mean(ctx);
+    const double ez = control_variate_mean(sc);
     result.mean = stats.mean() - beta * (mean_z - ez);
     // Var of the adjusted estimator: Var(L) - Cov^2/Var(Z) (asymptotic).
     const double var_plain = stats.variance();

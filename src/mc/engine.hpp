@@ -82,8 +82,8 @@ struct McResult {
 };
 
 /// Runs the Monte-Carlo estimation with zero per-call preprocessing (the
-/// trial context is a view of the compiled scenario; heterogeneous
-/// per-task rates are supported transparently). The retry model the
+/// lane kernel reads the compiled scenario's arrays directly;
+/// heterogeneous per-task rates are supported transparently). The retry model the
 /// scenario was compiled with governs sampling.
 [[nodiscard]] McResult run_monte_carlo(const scenario::Scenario& sc,
                                        const McConfig& config = {});

@@ -2,21 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 namespace expmk::mc {
-
-TrialContext::TrialContext(const scenario::Scenario& sc)
-    : dag_(&sc.dag()),
-      csr_(&sc.csr()),
-      p_success_(sc.p_success()),
-      p_success_csr_(sc.p_success_csr()),
-      q_fail_csr_(sc.q_fail_csr()),
-      inv_log_q_csr_(sc.inv_log_q_csr()),
-      retry_(sc.retry()) {}
 
 namespace {
 
@@ -25,69 +15,15 @@ namespace {
 /// = floor(ln U * inv_log_q), capped. Clamp BEFORE the int cast: at extreme
 /// lambda the inversion yields doubles far beyond int range and the cast
 /// would be undefined behaviour.
-EXPMK_NOALLOC inline int geometric_executions_slow(double u, double inv_log_q,
-                                     int max_executions) {
+EXPMK_NOALLOC inline int geometric_executions_slow(double u,
+                                                   double inv_log_q) {
   const double f = std::floor(std::log(u) * inv_log_q);
-  if (!(f < static_cast<double>(max_executions))) {
-    return max_executions;
+  if (!(f < static_cast<double>(kMaxExecutions))) {
+    return kMaxExecutions;
   }
   const int failures = f < 0.0 ? 0 : static_cast<int>(f);
   const int executions = failures + 1;
-  return executions < max_executions ? executions : max_executions;
-}
-
-/// Fused sample-and-longest-path sweep over the CSR view. One RNG draw per
-/// task in position order; finish[] written strictly left to right. When
-/// `durations_out` is non-null, per-task durations are written either
-/// scattered into Dag id order through csr.order() (kDagOrderOut, the
-/// adapter-facing form) or directly in position order (the form the CSR
-/// level kernels consume). The duration is computed as a separate
-/// statement from the finish update so the plain and scattering variants
-/// perform bit-identical arithmetic.
-template <bool kDagOrderOut = true>
-EXPMK_NOALLOC inline double trial_sweep(const TrialContext& ctx,
-                                    prob::McRng& rng,
-                                    std::span<double> finish,
-                                    double* durations_out) {
-  const graph::CsrDag& csr = ctx.csr();
-  const std::size_t n = csr.task_count();
-  assert(finish.size() == n);
-  const std::span<const std::uint32_t> off = csr.pred_offsets();
-  const std::span<const std::uint32_t> pred = csr.pred_index();
-  const std::span<const graph::TaskId> order = csr.order();
-  const double* const w = csr.weights().data();
-  const double* const p = ctx.p_success_csr().data();
-  const double* const qf = ctx.q_fail_csr().data();
-  const double* const inv_log_q = ctx.inv_log_q_csr().data();
-  const bool two_state = ctx.retry() == core::RetryModel::TwoState;
-
-  double best = 0.0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    int executions = 1;
-    if (two_state) {
-      executions = rng.uniform() < p[v] ? 1 : 2;
-    } else {
-      const double u = rng.uniform_positive();
-      if (u <= qf[v]) {
-        executions = geometric_executions_slow(u, inv_log_q[v],
-                                               ctx.max_executions);
-      }
-    }
-    const double duration = w[v] * static_cast<double>(executions);
-    if (durations_out != nullptr) {
-      durations_out[kDagOrderOut ? order[v] : v] = duration;
-    }
-
-    double start = 0.0;
-    for (std::uint32_t e = off[v]; e < off[v + 1]; ++e) {
-      const double f = finish[pred[e]];
-      if (f > start) start = f;
-    }
-    const double fv = start + duration;
-    finish[v] = fv;
-    if (fv > best) best = fv;
-  }
-  return best;
+  return executions < kMaxExecutions ? executions : kMaxExecutions;
 }
 
 constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
@@ -116,8 +52,9 @@ EXPMK_NOALLOC inline std::uint64_t count_at_most(double q) noexcept {
 // Two trial lanes as GCC/Clang generic vectors: the lane loops below
 // lower to packed SSE2 at the baseline ISA (four vectors per lane row)
 // and remain element-wise IEEE arithmetic, so every lane computes exactly
-// what the one-trial kernel computes. Rows are read and written through
-// memcpy, so the caller's spans need no vector alignment.
+// what sample_durations and graph::critical_path_length compute. Rows
+// are read and written through memcpy, so the caller's spans need no
+// vector alignment.
 using Lane2 = double __attribute__((vector_size(16)));
 using Bits2 = std::uint64_t __attribute__((vector_size(16)));
 constexpr std::size_t kPairs = kTrialLanes / 2;
@@ -146,80 +83,43 @@ EXPMK_NOALLOC inline Bits2 lanes_below(const std::uint64_t* draws,
   return ((x >> 11) - count) >> 63;
 }
 
-/// Per-thread finish scratch backing the Dag-facing adapters, so the old
-/// signatures stay allocation-free per call after warm-up.
-std::span<double> adapter_scratch(std::size_t n) {
-  thread_local std::vector<double> scratch;
-  if (scratch.size() < n) scratch.resize(n);
-  return {scratch.data(), n};
-}
-
-/// The adapters used to resize `durations` every call; now the buffer must
-/// be sized once outside the trial loop. Enforced in Release too — an
-/// undersized buffer would otherwise be an out-of-bounds scatter.
-void check_durations(const TrialContext& ctx,
-                     const std::vector<double>& durations) {
-  if (durations.size() != ctx.dag().task_count()) {
-    throw std::invalid_argument(
-        "run_trial: durations must be pre-sized to task_count(); size the "
-        "buffer once, outside the trial loop");
-  }
-}
-
-/// Same Release-mode enforcement for the public CSR kernels (one branch
-/// per trial, consistent with the graph:: CSR kernels' check_scratch).
-EXPMK_NOALLOC void check_finish(const TrialContext& ctx, std::span<const double> finish) {
-  if (finish.size() != ctx.csr().task_count()) {
-    throw std::invalid_argument(
-        "run_trial_csr: finish scratch must have size task_count()");
-  }
-}
-
 }  // namespace
 
-EXPMK_NOALLOC double run_trial_csr(const TrialContext& ctx, prob::McRng& rng,
-                     std::span<double> finish) {
-  check_finish(ctx, finish);
-  return trial_sweep(ctx, rng, finish, nullptr);
-}
-
-EXPMK_NOALLOC double run_trial_scatter_csr(const TrialContext& ctx, prob::McRng& rng,
-                             std::span<double> finish,
-                             std::span<double> durations) {
-  check_finish(ctx, finish);
-  if (durations.size() != ctx.dag().task_count()) {
+EXPMK_NOALLOC std::size_t sample_durations(const scenario::Scenario& sc,
+                                           prob::McRng& rng,
+                                           std::span<double> durations_pos) {
+  const std::size_t n = sc.task_count();
+  if (durations_pos.size() != n) {
     throw std::invalid_argument(
-        "run_trial_scatter_csr: durations must have size task_count()");
+        "sample_durations: durations_pos must have size task_count()");
   }
-  return trial_sweep(ctx, rng, finish, durations.data());
-}
+  const double* const w = sc.csr().weights().data();
+  const double* const p = sc.p_success_csr().data();
+  const double* const qf = sc.q_fail_csr().data();
+  const double* const inv_log_q = sc.inv_log_q_csr().data();
+  const bool two_state = sc.retry() == core::RetryModel::TwoState;
 
-EXPMK_NOALLOC double run_trial_durations_csr(const TrialContext& ctx,
-                               prob::McRng& rng,
-                               std::span<double> finish,
-                               std::span<double> durations_pos) {
-  check_finish(ctx, finish);
-  if (durations_pos.size() != ctx.csr().task_count()) {
-    throw std::invalid_argument(
-        "run_trial_durations_csr: durations must have size task_count()");
+  std::size_t failed = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    int executions = 1;
+    if (two_state) {
+      executions = rng.uniform() < p[v] ? 1 : 2;
+    } else {
+      const double u = rng.uniform_positive();
+      if (u <= qf[v]) executions = geometric_executions_slow(u, inv_log_q[v]);
+    }
+    if (executions > 1) ++failed;
+    durations_pos[v] = w[v] * static_cast<double>(executions);
   }
-  return trial_sweep</*kDagOrderOut=*/false>(ctx, rng, finish,
-                                             durations_pos.data());
+  return failed;
 }
 
-double run_trial(const TrialContext& ctx, prob::McRng& rng,
-                 std::vector<double>& durations) {
-  check_durations(ctx, durations);
-  return trial_sweep(ctx, rng, adapter_scratch(durations.size()),
-                     durations.data());
-}
-
-EXPMK_NOALLOC LaneObservations run_trial_lanes(const TrialContext& ctx,
+EXPMK_NOALLOC LaneObservations run_trial_lanes(const scenario::Scenario& sc,
                                                std::uint64_t seed,
                                                std::uint64_t t0,
                                                std::span<double> finish) {
   constexpr std::size_t W = kTrialLanes;
-  const graph::CsrDag& csr = ctx.csr();
+  const graph::CsrDag& csr = sc.csr();
   const std::size_t n = csr.task_count();
   if (finish.size() != n * W) {
     throw std::invalid_argument(
@@ -229,10 +129,10 @@ EXPMK_NOALLOC LaneObservations run_trial_lanes(const TrialContext& ctx,
   const std::span<const std::uint32_t> off = csr.pred_offsets();
   const std::span<const std::uint32_t> pred = csr.pred_index();
   const double* const w = csr.weights().data();
-  const double* const p = ctx.p_success_csr().data();
-  const double* const qf = ctx.q_fail_csr().data();
-  const double* const inv_log_q = ctx.inv_log_q_csr().data();
-  const bool two_state = ctx.retry() == core::RetryModel::TwoState;
+  const double* const p = sc.p_success_csr().data();
+  const double* const qf = sc.q_fail_csr().data();
+  const double* const inv_log_q = sc.inv_log_q_csr().data();
+  const bool two_state = sc.retry() == core::RetryModel::TwoState;
 
   Lane2 best[kPairs] = {};
   Lane2 control[kPairs] = {};
@@ -268,8 +168,8 @@ EXPMK_NOALLOC LaneObservations run_trial_lanes(const TrialContext& ctx,
             ex[l] = 1.0;
             if (m < slow) {
               const double u = (static_cast<double>(m) + 1.0) * 0x1.0p-53;
-              ex[l] = static_cast<double>(geometric_executions_slow(
-                  u, inv_log_q[v], ctx.max_executions));
+              ex[l] = static_cast<double>(
+                  geometric_executions_slow(u, inv_log_q[v]));
             }
           }
           for (std::size_t k = 0; k < kPairs; ++k) {
@@ -277,7 +177,7 @@ EXPMK_NOALLOC LaneObservations run_trial_lanes(const TrialContext& ctx,
           }
         }
       }
-      // Sweep, in the one-trial kernel's operation order per lane:
+      // Sweep, in graph::critical_path_length's operation order per lane:
       // start = max(0, preds), finish = start + w * executions.
       Lane2 start[kPairs] = {};
       for (std::uint32_t e = off[v]; e < off[v + 1]; ++e) {
@@ -306,15 +206,15 @@ EXPMK_NOALLOC LaneObservations run_trial_lanes(const TrialContext& ctx,
   return obs;
 }
 
-double control_variate_mean(const TrialContext& ctx) {
-  const graph::Dag& g = ctx.dag();
-  const std::span<const double> p_success = ctx.p_success();
+double control_variate_mean(const scenario::Scenario& sc) {
+  const graph::Dag& g = sc.dag();
+  const std::span<const double> p_success = sc.p_success();
   double mean = 0.0;
   for (std::size_t i = 0; i < g.task_count(); ++i) {
     const double a = g.weights()[i];
     const double p = p_success[i];
     if (p >= 1.0) continue;
-    if (ctx.retry() == core::RetryModel::TwoState) {
+    if (sc.retry() == core::RetryModel::TwoState) {
       mean += a * (1.0 - p);
     } else {
       // E[executions - 1] for the capped geometric: the cap's truncation
@@ -323,7 +223,7 @@ double control_variate_mean(const TrialContext& ctx) {
       const double q = 1.0 - p;
       double qk = q;
       double e = 0.0;
-      for (int k = 1; k < ctx.max_executions; ++k) {
+      for (int k = 1; k < kMaxExecutions; ++k) {
         e += qk;
         qk *= q;
       }

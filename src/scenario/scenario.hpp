@@ -26,9 +26,9 @@
 //    const and returns views into storage owned by the Scenario. It is
 //    safe to share one instance across any number of threads without
 //    synchronization (the MC engines do exactly that).
-//  * Lifetime. Views (spans, mc::TrialContext instances built from a
-//    scenario) must not outlive the Scenario. The Scenario owns a private
-//    COPY of the Dag, so the caller's graph may die after compile().
+//  * Lifetime. Views (the spans and references the accessors return)
+//    must not outlive the Scenario. The Scenario owns a private COPY of
+//    the Dag, so the caller's graph may die after compile().
 //  * Move-only. A Scenario is a handle, not a value: copying one would
 //    silently duplicate O(V + E) state, so copies are deleted. Wrap it in
 //    a shared_ptr<const Scenario> to share ownership.

@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "exp/workspace.hpp"
-#include "mc/trial.hpp"
 #include "prob/statistics.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/priorities.hpp"
@@ -33,10 +32,11 @@ struct FaultSimResult {
 /// Runs `config.runs` fault-injected executions of the list schedule of
 /// the scenario's DAG with the given priority vector on `machine`; the
 /// scenario's retry model governs sampling (heterogeneous per-task rates
-/// supported). The per-run duration and trial-sweep buffers are leased
-/// from `ws`. (The list scheduler itself still builds its Schedule per
-/// run — the simulation is a Monte-Carlo campaign, not one of the
-/// allocation-pinned analytic paths.)
+/// supported). The per-run duration buffers (CSR position order as
+/// sampled, Dag id order for the scheduler) are leased from `ws`. (The
+/// list scheduler itself still builds its Schedule per run — the
+/// simulation is a Monte-Carlo campaign, not one of the allocation-pinned
+/// analytic paths.)
 [[nodiscard]] FaultSimResult simulate_with_faults(
     const scenario::Scenario& sc, std::span<const double> priority,
     const Machine& machine, const FaultSimConfig& config,

@@ -1,11 +1,13 @@
 #include "reference_estimators.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "dist_ops.hpp"
 #include "graph/longest_path.hpp"
 #include "graph/topological.hpp"
+#include "mc/trial.hpp"
 #include "prob/discrete_distribution.hpp"
 
 namespace expmk::ref {
@@ -72,6 +74,37 @@ core::MakespanBounds makespan_bounds_object_fold(
   }
   out.level_upper = upper;
   return out;
+}
+
+double reference_trial(const scenario::Scenario& sc, prob::McRng& rng,
+                       std::vector<double>& durations, double* control) {
+  const std::size_t n = sc.task_count();
+  const std::span<const double> w = sc.csr().weights();
+  constexpr int kCap = mc::kMaxExecutions;
+  durations.resize(n);
+  if (control != nullptr) *control = 0.0;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    int executions = 1;
+    if (sc.retry() == core::RetryModel::TwoState) {
+      executions = rng.uniform() < sc.p_success_csr()[v] ? 1 : 2;
+    } else {
+      const double u = rng.uniform_positive();
+      if (u <= sc.q_fail_csr()[v]) {
+        const double f = std::floor(std::log(u) * sc.inv_log_q_csr()[v]);
+        if (!(f < static_cast<double>(kCap))) {
+          executions = kCap;
+        } else {
+          const int failures = f < 0.0 ? 0 : static_cast<int>(f);
+          executions = std::min(failures + 1, kCap);
+        }
+      }
+    }
+    if (control != nullptr) {
+      *control += w[v] * static_cast<double>(executions - 1);
+    }
+    durations[sc.csr().original_id(v)] = w[v] * static_cast<double>(executions);
+  }
+  return graph::critical_path_length(sc.dag(), durations, sc.topo());
 }
 
 }  // namespace expmk::ref

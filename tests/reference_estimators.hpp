@@ -9,7 +9,10 @@
 //  * makespan_bounds_object_fold folds the per-level maxima through heap
 //    prob::DiscreteDistribution objects over level_partition's nested
 //    vectors, the arithmetic the flat atom fold of core::makespan_bounds
-//    mirrors operation for operation.
+//    mirrors operation for operation;
+//  * reference_trial samples one Monte-Carlo trial task by task and
+//    takes the makespan with the allocating Dag longest path — the spec
+//    the trial-lane kernel and mc::sample_durations are pinned against.
 // Test-only: built into expmk_tests and nothing else (the same pattern as
 // tests/sp_reference).
 
@@ -20,6 +23,8 @@
 #include "core/bounds.hpp"
 #include "core/failure_model.hpp"
 #include "graph/dag.hpp"
+#include "prob/rng.hpp"
+#include "scenario/scenario.hpp"
 
 namespace expmk::ref {
 
@@ -38,5 +43,16 @@ namespace expmk::ref {
 /// objects over level_partition.
 [[nodiscard]] core::MakespanBounds makespan_bounds_object_fold(
     const graph::Dag& g, const core::FailureModel& model);
+
+/// One Monte-Carlo trial by the documented sampling law: per task in CSR
+/// position order, one draw of `rng` against the scenario's constants
+/// (executions capped at mc::kMaxExecutions), durations scattered into
+/// Dag id order (`durations` is resized to task_count()), then the
+/// makespan by graph::critical_path_length over the Dag. When `control`
+/// is non-null it receives the control-variate statistic
+/// sum_v a_v * (executions_v - 1), accumulated in position order.
+double reference_trial(const scenario::Scenario& sc, prob::McRng& rng,
+                       std::vector<double>& durations,
+                       double* control = nullptr);
 
 }  // namespace expmk::ref

@@ -1,7 +1,9 @@
 // Tests for the CSR hot-path substrate: structural equivalence of
 // graph::CsrDag with the source Dag, allocation-free kernel correctness,
-// bit-identity of the fused MC trial kernel against a reference scalar
-// trial loop, and the engine's thread-count determinism contract.
+// bit-identity of the MC trial paths (the trial-lane kernel, and
+// mc::sample_durations followed by the CSR longest path) against the
+// reference scalar trial loop, and the engine's thread-count determinism
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "mc/engine.hpp"
 #include "mc/trial.hpp"
 #include "prob/rng.hpp"
+#include "reference_estimators.hpp"
 #include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
 
@@ -30,10 +33,10 @@ using expmk::core::RetryModel;
 using expmk::graph::CsrDag;
 using expmk::graph::Dag;
 using expmk::graph::TaskId;
-using expmk::mc::TrialContext;
 using expmk::scenario::FailureSpec;
 using expmk::scenario::Scenario;
 using expmk::mc::kTrialLanes;
+using expmk::ref::reference_trial;
 using expmk::test::uniform_scenario;
 
 std::vector<Dag> fixture_dags() {
@@ -142,110 +145,90 @@ TEST(CsrKernels, DagScratchOverloadsMatchAllocatingOnes) {
   }
 }
 
-/// Reference scalar trial loop: sample per task (in CSR position order,
-/// using the context's precomputed constants — the documented sampling
-/// law), scatter durations into Dag id order, then evaluate the makespan
-/// with the allocating vector-of-vectors Dag longest path. The fused CSR
-/// kernel must reproduce it bit for bit.
-/// When `control` is non-null it receives the control-variate statistic
-/// sum_v a_v * (executions_v - 1), accumulated in position order.
-double reference_trial(const TrialContext& ctx, expmk::prob::McRng& rng,
-                       std::vector<double>& durations,
-                       double* control = nullptr) {
-  const Dag& g = ctx.dag();
-  const std::size_t n = g.task_count();
-  durations.resize(n);
-  if (control != nullptr) *control = 0.0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    int executions = 1;
-    if (ctx.retry() == RetryModel::TwoState) {
-      executions = rng.uniform() < ctx.p_success_csr()[v] ? 1 : 2;
-    } else {
-      const double u = rng.uniform_positive();
-      if (u <= ctx.q_fail_csr()[v]) {
-        const double f = std::floor(std::log(u) * ctx.inv_log_q_csr()[v]);
-        if (!(f < static_cast<double>(ctx.max_executions))) {
-          executions = ctx.max_executions;
-        } else {
-          const int failures = f < 0.0 ? 0 : static_cast<int>(f);
-          executions = std::min(failures + 1, ctx.max_executions);
-        }
-      }
-    }
-    const double duration =
-        ctx.csr().weights()[v] * static_cast<double>(executions);
-    if (control != nullptr) {
-      *control += ctx.csr().weights()[v] * static_cast<double>(executions - 1);
-    }
-    durations[ctx.csr().original_id(v)] = duration;
-  }
-  return expmk::graph::critical_path_length(g, durations, ctx.topo());
-}
-
+// The one-trial path — mc::sample_durations, then
+// graph::critical_path_length over the CSR — reproduces the reference
+// loop bit for bit.
 TEST(CsrTrialKernel, BitIdenticalToReferenceScalarLoop) {
   for (const RetryModel retry :
        {RetryModel::Geometric, RetryModel::TwoState}) {
     for (const Dag& g : fixture_dags()) {
       const auto sc = uniform_scenario(g, 0.05, retry);
-      const TrialContext ctx(sc);
+      std::vector<double> dur_pos(g.task_count());
       std::vector<double> finish(g.task_count());
       std::vector<double> durations;
       for (std::uint64_t t = 0; t < 500; ++t) {
         expmk::prob::McRng rng_csr(99, t);
         expmk::prob::McRng rng_ref(99, t);
+        expmk::mc::sample_durations(sc, rng_csr, dur_pos);
         const double csr_makespan =
-            expmk::mc::run_trial_csr(ctx, rng_csr, finish);
-        const double ref_makespan = reference_trial(ctx, rng_ref, durations);
+            expmk::graph::critical_path_length(sc.csr(), dur_pos, finish);
+        const double ref_makespan = reference_trial(sc, rng_ref, durations);
         ASSERT_EQ(csr_makespan, ref_makespan) << "trial " << t;
       }
     }
   }
 }
 
-TEST(CsrTrialKernel, AdapterScattersDurationsInDagOrder) {
+// sample_durations writes the reference loop's durations, position v
+// holding task csr().order()[v], and counts the tasks that failed.
+TEST(CsrTrialKernel, SampledDurationsMatchReferenceInDagOrder) {
   const Dag g = expmk::gen::lu_dag(4);
-  const auto sc = uniform_scenario(g, 0.1, RetryModel::Geometric);
-  const TrialContext ctx(sc);
-  std::vector<double> durations(g.task_count());
-  std::vector<double> ref_durations;
-  for (std::uint64_t t = 0; t < 100; ++t) {
-    expmk::prob::McRng rng_a(5, t);
-    expmk::prob::McRng rng_b(5, t);
-    const double makespan = expmk::mc::run_trial(ctx, rng_a, durations);
-    const double ref = reference_trial(ctx, rng_b, ref_durations);
-    ASSERT_EQ(makespan, ref);
-    for (std::size_t i = 0; i < durations.size(); ++i) {
-      ASSERT_EQ(durations[i], ref_durations[i]) << "task " << i;
+  for (const RetryModel retry :
+       {RetryModel::Geometric, RetryModel::TwoState}) {
+    const auto sc = uniform_scenario(g, 0.1, retry);
+    const auto order = sc.csr().order();
+    const auto w = sc.csr().weights();
+    std::vector<double> dur_pos(g.task_count());
+    std::vector<double> ref_durations;
+    std::size_t total_failed = 0;
+    for (std::uint64_t t = 0; t < 100; ++t) {
+      expmk::prob::McRng rng_a(5, t);
+      expmk::prob::McRng rng_b(5, t);
+      const std::size_t failed =
+          expmk::mc::sample_durations(sc, rng_a, dur_pos);
+      (void)reference_trial(sc, rng_b, ref_durations);
+      std::size_t longer = 0;
+      for (std::uint32_t v = 0; v < dur_pos.size(); ++v) {
+        ASSERT_EQ(dur_pos[v], ref_durations[order[v]]) << "position " << v;
+        if (dur_pos[v] > w[v]) ++longer;
+      }
+      ASSERT_EQ(failed, longer) << "trial " << t;
+      total_failed += failed;
     }
+    EXPECT_GT(total_failed, 0u);
   }
 }
 
-TEST(CsrTrialKernel, AdapterRejectsUndersizedBuffer) {
+TEST(CsrTrialKernel, SampleDurationsRejectsMissizedBuffer) {
   const Dag g = expmk::gen::lu_dag(3);
   const auto sc = uniform_scenario(g, 0.01, RetryModel::Geometric);
-  const TrialContext ctx(sc);
   expmk::prob::McRng rng(1);
-  std::vector<double> too_small;  // the pre-CSR adapter would resize this
-  EXPECT_THROW((void)expmk::mc::run_trial(ctx, rng, too_small),
+  std::vector<double> too_small(g.task_count() - 1);
+  std::vector<double> too_large(g.task_count() + 1);
+  EXPECT_THROW((void)expmk::mc::sample_durations(sc, rng, too_small),
+               std::invalid_argument);
+  EXPECT_THROW((void)expmk::mc::sample_durations(sc, rng, too_large),
                std::invalid_argument);
   std::vector<double> sized(g.task_count());
-  EXPECT_NO_THROW((void)expmk::mc::run_trial(ctx, rng, sized));
+  EXPECT_NO_THROW((void)expmk::mc::sample_durations(sc, rng, sized));
 }
 
 // The lane kernel (which also accumulates the control variate) draws the
-// identical per-trial stream as the one-trial kernel: lane l of the batch
+// identical per-trial stream as the one-trial path: lane l of the batch
 // at t0 has trial t0 + l's makespan.
 TEST(CsrTrialKernel, ControlVariantDrawsIdenticalStream) {
   const Dag g = expmk::gen::lu_dag(4);
   const auto sc = uniform_scenario(g, 0.05, RetryModel::Geometric);
-  const TrialContext ctx(sc);
+  std::vector<double> dur_pos(g.task_count());
   std::vector<double> finish(g.task_count());
   std::vector<double> lanes(g.task_count() * kTrialLanes);
   for (std::uint64_t t0 = 0; t0 < 200; t0 += kTrialLanes) {
-    const auto obs = expmk::mc::run_trial_lanes(ctx, 13, t0, lanes);
+    const auto obs = expmk::mc::run_trial_lanes(sc, 13, t0, lanes);
     for (std::size_t l = 0; l < kTrialLanes; ++l) {
       expmk::prob::McRng rng(13, t0 + l);
-      ASSERT_EQ(expmk::mc::run_trial_csr(ctx, rng, finish), obs.makespan[l])
+      expmk::mc::sample_durations(sc, rng, dur_pos);
+      ASSERT_EQ(expmk::graph::critical_path_length(sc.csr(), dur_pos, finish),
+                obs.makespan[l])
           << "trial " << t0 + l;
       ASSERT_GE(obs.control[l], 0.0);
     }
@@ -265,18 +248,17 @@ TEST(CsrTrialKernel, LanesMatchReferenceLoopPerLane) {
        {RetryModel::Geometric, RetryModel::TwoState}) {
     for (const Dag& g : dags) {
       const auto sc = uniform_scenario(g, 0.3, retry);
-      const TrialContext ctx(sc);
       std::vector<double> finish(g.task_count() * kTrialLanes);
       std::vector<double> durations;
       for (const std::uint64_t t0 :
            {std::uint64_t{0}, std::uint64_t{8}, std::uint64_t{77},
             (std::uint64_t{1} << 32) - 3}) {
-        const auto obs = expmk::mc::run_trial_lanes(ctx, 99, t0, finish);
+        const auto obs = expmk::mc::run_trial_lanes(sc, 99, t0, finish);
         for (std::size_t l = 0; l < kTrialLanes; ++l) {
           expmk::prob::McRng rng(99, t0 + l);
           double control = 0.0;
           const double makespan =
-              reference_trial(ctx, rng, durations, &control);
+              reference_trial(sc, rng, durations, &control);
           ASSERT_EQ(obs.makespan[l], makespan) << "trial " << t0 + l;
           ASSERT_EQ(obs.control[l], control) << "trial " << t0 + l;
         }
@@ -288,12 +270,11 @@ TEST(CsrTrialKernel, LanesMatchReferenceLoopPerLane) {
 TEST(CsrTrialKernel, LanesRejectMissizedScratch) {
   const Dag g = expmk::gen::lu_dag(3);
   const auto sc = uniform_scenario(g, 0.01);
-  const TrialContext ctx(sc);
   std::vector<double> one_trial(g.task_count());
-  EXPECT_THROW((void)expmk::mc::run_trial_lanes(ctx, 1, 0, one_trial),
+  EXPECT_THROW((void)expmk::mc::run_trial_lanes(sc, 1, 0, one_trial),
                std::invalid_argument);
   std::vector<double> lanes(g.task_count() * kTrialLanes);
-  EXPECT_NO_THROW((void)expmk::mc::run_trial_lanes(ctx, 1, 0, lanes));
+  EXPECT_NO_THROW((void)expmk::mc::run_trial_lanes(sc, 1, 0, lanes));
 }
 
 // The determinism regression the CSR rewrite must not break: on a 50-task
@@ -335,11 +316,10 @@ TEST(CsrEngineDeterminism, EngineSamplesMatchReferenceLoop) {
   cfg.capture_samples = true;
   const auto r = run_monte_carlo(sc, cfg);
   ASSERT_EQ(r.samples.size(), cfg.trials);
-  const TrialContext ctx(sc);
   std::vector<double> durations;
   for (std::uint64_t t = 0; t < cfg.trials; ++t) {
     expmk::prob::McRng rng(cfg.seed, t);
-    ASSERT_EQ(r.samples[t], reference_trial(ctx, rng, durations))
+    ASSERT_EQ(r.samples[t], reference_trial(sc, rng, durations))
         << "trial " << t;
   }
 }
@@ -364,7 +344,6 @@ TEST(CsrEngineDeterminism, LaneEngineMatchesReferenceLoopEverywhere) {
        {RetryModel::Geometric, RetryModel::TwoState}) {
     for (const FailureSpec& failure : failures) {
       const Scenario sc = Scenario::compile(g, failure, retry);
-      const TrialContext ctx(sc);
       std::vector<double> durations;
       for (const std::uint64_t trials :
            {1u, 7u, 8u, 9u, 63u, 64u, 65u, 200u, 1001u}) {
@@ -376,7 +355,7 @@ TEST(CsrEngineDeterminism, LaneEngineMatchesReferenceLoopEverywhere) {
         std::vector<double> reference(trials);
         for (std::uint64_t t = 0; t < trials; ++t) {
           expmk::prob::McRng rng(cfg.seed, t);
-          reference[t] = reference_trial(ctx, rng, durations);
+          reference[t] = reference_trial(sc, rng, durations);
         }
         expmk::mc::McResult first;
         for (const std::size_t threads : {1u, 2u, 7u}) {

@@ -22,23 +22,21 @@ namespace {
 using D = expmk::prob::DiscreteDistribution;
 using expmk::core::FailureModel;
 using expmk::core::RetryModel;
-using expmk::mc::TrialContext;
 using expmk::test::uniform_scenario;
 
-/// Samples one task's duration `n` times via the trial machinery and
+/// Samples one task's duration `n` times via the trial sampler and
 /// returns value -> frequency.
 std::map<double, double> empirical_law(double weight, double lambda,
                                        RetryModel retry, int n) {
   expmk::graph::Dag g;
   g.add_task(weight);
   const auto sc = uniform_scenario(g, FailureModel{lambda}, retry);
-  const TrialContext ctx(sc);
   std::map<double, int> counts;
   std::vector<double> durations(g.task_count());
   for (int t = 0; t < n; ++t) {
     expmk::prob::McRng rng(42, static_cast<std::uint64_t>(t));
-    const double makespan = expmk::mc::run_trial(ctx, rng, durations);
-    ++counts[makespan];
+    expmk::mc::sample_durations(sc, rng, durations);
+    ++counts[durations[0]];
   }
   std::map<double, double> freq;
   for (const auto& [v, c] : counts) {
@@ -96,16 +94,16 @@ TEST(SamplerVsDistribution, CapBoundsGeometricExecutions) {
   g.add_task(1.0);
   const auto sc =
       uniform_scenario(g, FailureModel{50.0}, RetryModel::Geometric);
-  TrialContext ctx(sc);
-  ctx.max_executions = 8;
+  constexpr double kCap = expmk::mc::kMaxExecutions;
   std::vector<double> durations(g.task_count());
   double max_seen = 0.0;
   for (int t = 0; t < 2'000; ++t) {
     expmk::prob::McRng rng(7, static_cast<std::uint64_t>(t));
-    max_seen = std::max(max_seen, expmk::mc::run_trial(ctx, rng, durations));
+    expmk::mc::sample_durations(sc, rng, durations);
+    max_seen = std::max(max_seen, durations[0]);
   }
-  EXPECT_LE(max_seen, 8.0 + 1e-12);
-  EXPECT_GT(max_seen, 7.0);  // the cap is actually reached at this rate
+  EXPECT_LE(max_seen, kCap);
+  EXPECT_GT(max_seen, kCap - 1.0);  // the cap is actually reached at this rate
 }
 
 TEST(SamplerVsDistribution, ControlStatisticMatchesDefinition) {
@@ -116,10 +114,9 @@ TEST(SamplerVsDistribution, ControlStatisticMatchesDefinition) {
   // Checked lane by lane on the engine's trial-lane kernel.
   const auto sc =
       uniform_scenario(g, FailureModel{1.0}, RetryModel::Geometric);
-  const TrialContext ctx(sc);
   std::vector<double> finish(g.task_count() * expmk::mc::kTrialLanes);
   for (std::uint64_t t0 = 0; t0 < 1'000; t0 += expmk::mc::kTrialLanes) {
-    const auto obs = expmk::mc::run_trial_lanes(ctx, 3, t0, finish);
+    const auto obs = expmk::mc::run_trial_lanes(sc, 3, t0, finish);
     for (std::size_t l = 0; l < expmk::mc::kTrialLanes; ++l) {
       EXPECT_NEAR(obs.control[l], obs.makespan[l] - 0.5, 1e-12);
     }

@@ -29,7 +29,6 @@
 #include "graph/longest_path.hpp"
 #include "graph/topological.hpp"
 #include "mc/engine.hpp"
-#include "mc/trial.hpp"
 #include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
 
@@ -196,20 +195,6 @@ TEST(ScenarioCompile, CachedStateMatchesTheLibraryPrimitives) {
               model.expected_duration(g.weight(i), RetryModel::Geometric))
         << i;
   }
-}
-
-TEST(ScenarioCompile, TrialContextIsAZeroCopyView) {
-  const Dag g = expmk::test::diamond();
-  const Scenario sc = Scenario::compile(g, FailureSpec::uniform(0.3),
-                                        RetryModel::Geometric);
-  const expmk::mc::TrialContext ctx(sc);
-  // The context borrows the scenario's CSR and constant arrays — no
-  // rebuild, no copies.
-  EXPECT_EQ(&ctx.csr(), &sc.csr());
-  EXPECT_EQ(ctx.p_success_csr().data(), sc.p_success_csr().data());
-  EXPECT_EQ(ctx.q_fail_csr().data(), sc.q_fail_csr().data());
-  EXPECT_EQ(ctx.inv_log_q_csr().data(), sc.inv_log_q_csr().data());
-  EXPECT_EQ(ctx.retry(), RetryModel::Geometric);
 }
 
 // ------------------------------------------------- heterogeneous rates

@@ -27,6 +27,7 @@
 #include "prob/discrete_distribution.hpp"
 #include "prob/dist_kernels.hpp"
 #include "prob/rng.hpp"
+#include "reference_estimators.hpp"
 #include "test_helpers.hpp"
 #include "util/simd.hpp"
 
@@ -308,26 +309,25 @@ TEST(SimdKernels, PhiloxLaneFillMatchesStreamsOnBothBackends) {
 }
 
 // The MC engine's trial-lane kernel under each forced backend: every lane
-// equals the one-trial kernel on that trial's stream (the fill is the
-// only dispatched part of the lane path).
+// equals the reference one-trial loop on that trial's stream (the fill is
+// the only dispatched part of the lane path).
 TEST(SimdKernels, TrialLanesMatchOneTrialKernelOnBothBackends) {
   BackendGuard guard;
   const auto g = expmk::gen::lu_dag(7);  // 140 tasks
   for (const auto retry : {expmk::core::RetryModel::Geometric,
                            expmk::core::RetryModel::TwoState}) {
     const auto sc = expmk::test::uniform_scenario(g, 0.2, retry);
-    const expmk::mc::TrialContext ctx(sc);
     std::vector<double> lanes(g.task_count() * expmk::mc::kTrialLanes);
-    std::vector<double> finish(g.task_count());
+    std::vector<double> durations;
     for (const sd::Backend backend :
          {sd::Backend::Scalar, sd::Backend::Avx2}) {
       if (!sd::force(backend)) continue;
       for (std::uint64_t t0 = 0; t0 < 64; t0 += expmk::mc::kTrialLanes) {
-        const auto obs = expmk::mc::run_trial_lanes(ctx, 5, t0, lanes);
+        const auto obs = expmk::mc::run_trial_lanes(sc, 5, t0, lanes);
         for (std::size_t l = 0; l < expmk::mc::kTrialLanes; ++l) {
           expmk::prob::McRng rng(5, t0 + l);
           ASSERT_EQ(obs.makespan[l],
-                    expmk::mc::run_trial_csr(ctx, rng, finish))
+                    expmk::ref::reference_trial(sc, rng, durations))
               << sd::name(backend) << " trial " << t0 + l;
         }
       }

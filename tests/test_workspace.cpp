@@ -15,9 +15,9 @@
 //    must never leak state between evaluations;
 //  * the sweep pooling contract: one workspace per worker thread, not
 //    one per cell;
-//  * run_trial_scatter_csr (the all-spans trial form the workspace
-//    kernels consume) draws the same stream as the vector-based
-//    run_trial.
+//  * mc::sample_durations writes into a workspace lease of exactly
+//    task_count() doubles without allocating, and rejects any other
+//    span size.
 
 #include <gtest/gtest.h>
 
@@ -530,31 +530,38 @@ TEST(SweepPooling, OneWorkspacePerWorkerThread) {
   EXPECT_LE(created, threads);
 }
 
-// ----------------------------------------- span trial form equivalence
+// ------------------------------------------- trial sampler span size
 
-TEST(TrialScatter, SpanFormDrawsTheSameStreamAsVectorForm) {
+// The Monte-Carlo consumers (cmc, core::criticality, sched::fault_sim)
+// lease the sampler's buffer once per campaign: a task_count() lease
+// takes every trial with no heap allocation, and a lease of any other
+// size is rejected rather than over- or under-run.
+TEST(TrialScatter, SampleDurationsTakesATaskCountLease) {
   const Dag g = expmk::gen::erdos_dag(12, 0.3, 9);
   const Scenario sc = Scenario::compile(
       g, FailureSpec(calibrate(g, 0.02)), RetryModel::Geometric);
-  const expmk::mc::TrialContext ctx(sc);
+  const std::size_t n = g.task_count();
+  Workspace ws;
+  const Workspace::Frame frame(ws);
+  const std::span<double> durations = ws.doubles(n);
+  const std::span<double> short_lease = ws.doubles(n - 1);
+  const std::span<double> long_lease = ws.doubles(n + 1);
 
-  std::vector<double> durations_vec(g.task_count());
-  std::vector<double> durations_span(g.task_count());
-  std::vector<double> finish(g.task_count());
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  std::size_t failed = 0;
   for (std::uint64_t t = 0; t < 50; ++t) {
-    expmk::prob::McRng rng_a(123, t);
-    expmk::prob::McRng rng_b(123, t);
-    const double m_vec = expmk::mc::run_trial(ctx, rng_a, durations_vec);
-    const double m_span = expmk::mc::run_trial_scatter_csr(
-        ctx, rng_b, finish, durations_span);
-    EXPECT_EQ(m_vec, m_span) << t;
-    EXPECT_EQ(durations_vec, durations_span) << t;
+    expmk::prob::McRng rng(123, t);
+    failed += expmk::mc::sample_durations(sc, rng, durations);
   }
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_LE(failed, 50 * n);
 
   expmk::prob::McRng rng(1, 1);
-  EXPECT_THROW((void)expmk::mc::run_trial_scatter_csr(
-                   ctx, rng, std::span<double>(finish.data(), 2),
-                   durations_span),
+  EXPECT_THROW((void)expmk::mc::sample_durations(sc, rng, short_lease),
+               std::invalid_argument);
+  EXPECT_THROW((void)expmk::mc::sample_durations(sc, rng, long_lease),
                std::invalid_argument);
 }
 

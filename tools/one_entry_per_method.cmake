@@ -2,12 +2,20 @@
 #
 # Guards the one-entry-per-estimator rule: every estimator in src/ is
 # called through its (Scenario, Workspace) kernel, so no graph-level
-# adapter taking a core::FailureModel may come back, and the retired
-# level-parallel layer stays retired. Fails (non-zero exit) when
+# adapter taking a core::FailureModel may come back, the retired
+# level-parallel layer stays retired, and Monte-Carlo trials have one
+# path (mc::run_trial_lanes in the engine, mc::sample_durations for the
+# consumers of sampled durations). Fails (non-zero exit) when
 #   * a header under src/ other than core/failure_model.hpp (the model
 #     itself) and scenario/scenario.hpp (FailureSpec's conversion) names
-#     `FailureModel&`, or
-#   * `level_parallel` appears in any file name or file under src/.
+#     `FailureModel&`,
+#   * `level_parallel` appears in any file name or file under src/,
+#   * any file under src/ names the retired one-trial kernels or their
+#     view type: the identifiers `TrialContext`, `run_trial`,
+#     `run_trial_csr`, `run_trial_scatter_csr`, `run_trial_durations_csr`
+#     or `adapter_scratch`, or
+#   * `kEngineChunks` is defined anywhere but mc/engine.hpp (every engine
+#     shares one chunk partition).
 #
 #   cmake -DSRC=<repo>/src -P tools/one_entry_per_method.cmake
 
@@ -33,6 +41,10 @@ foreach(header IN LISTS headers)
   endforeach()
 endforeach()
 
+# Whole identifiers only: run_trial_lanes is the engine's kernel.
+set(retired_trial_api "(^|[^A-Za-z0-9_])(TrialContext|run_trial|run_trial_csr|run_trial_scatter_csr|run_trial_durations_csr|adapter_scratch)([^A-Za-z0-9_]|$)")
+set(chunk_definition "kEngineChunks[ \t]*(=[^=]|=$|\{)")
+
 file(GLOB_RECURSE files "${SRC}/*")
 foreach(path IN LISTS files)
   file(RELATIVE_PATH rel "${SRC}" "${path}")
@@ -44,6 +56,18 @@ foreach(path IN LISTS files)
     string(STRIP "${hit}" hit)
     list(APPEND violations "${rel}: level_parallel: ${hit}")
   endforeach()
+  file(STRINGS "${path}" hits REGEX "${retired_trial_api}")
+  foreach(hit IN LISTS hits)
+    string(STRIP "${hit}" hit)
+    list(APPEND violations "${rel}: retired one-trial kernel API: ${hit}")
+  endforeach()
+  if(NOT rel STREQUAL "mc/engine.hpp")
+    file(STRINGS "${path}" hits REGEX "${chunk_definition}")
+    foreach(hit IN LISTS hits)
+      string(STRIP "${hit}" hit)
+      list(APPEND violations "${rel}: kEngineChunks defined outside mc/engine.hpp: ${hit}")
+    endforeach()
+  endif()
 endforeach()
 
 list(LENGTH headers header_count)

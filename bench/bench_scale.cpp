@@ -219,7 +219,8 @@ int main(int argc, char** argv) {
     const std::vector<graph::TaskId> ids = {
         static_cast<graph::TaskId>(sc.task_count() / 2)};
     const std::vector<double> nr = {2e-3};
-    std::vector<double> merged(sc.rates().begin(), sc.rates().end());
+    std::vector<double> merged(sc.task_count(),
+                               sc.failure().uniform_lambda());
     merged[ids[0]] = nr[0];
 
     // Best-of-5 with a warm-up rep on both arms: the patch clone is pure

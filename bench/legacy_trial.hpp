@@ -15,7 +15,6 @@
 
 #include "core/failure_model.hpp"
 #include "graph/dag.hpp"
-#include "graph/longest_path.hpp"
 #include "graph/topological.hpp"
 #include "prob/rng.hpp"
 
@@ -60,7 +59,8 @@ inline int legacy_sample_executions(const LegacyTrialContext& ctx,
 }
 
 /// One pre-CSR trial: sample durations (resize per call, as the old kernel
-/// did), then evaluate the allocating Dag longest path.
+/// did), then the longest path over the Dag's adjacency lists in topo
+/// order, into a finish[] allocated per evaluation.
 inline double legacy_run_trial(const LegacyTrialContext& ctx,
                                prob::McRng& rng,
                                std::vector<double>& durations) {
@@ -70,7 +70,17 @@ inline double legacy_run_trial(const LegacyTrialContext& ctx,
     durations[i] = g.weights()[i] *
                    static_cast<double>(legacy_sample_executions(ctx, i, rng));
   }
-  return graph::critical_path_length(g, durations, ctx.topo);
+  std::vector<double> finish(g.task_count(), 0.0);
+  double best = 0.0;
+  for (const graph::TaskId v : ctx.topo) {
+    double start = 0.0;
+    for (const graph::TaskId u : g.predecessors(v)) {
+      if (finish[u] > start) start = finish[u];
+    }
+    finish[v] = start + durations[v];
+    if (finish[v] > best) best = finish[v];
+  }
+  return best;
 }
 
 }  // namespace expmk::bench

@@ -18,8 +18,7 @@
 #include "exp/workspace.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/lu.hpp"
-#include "graph/levels.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "graph/reachability.hpp"
 #include "graph/topological.hpp"
 #include "legacy_trial.hpp"
@@ -46,10 +45,11 @@ BENCHMARK(BM_TopologicalOrder)->Arg(8)->Arg(12)->Arg(20);
 
 void BM_CriticalPath(benchmark::State& state) {
   const auto g = gen::lu_dag(static_cast<int>(state.range(0)));
-  const auto topo = graph::topological_order(g);
+  const graph::CsrDag csr(g);
+  std::vector<double> finish(csr.task_count());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        graph::critical_path_length(g, g.weights(), topo));
+        graph::critical_path_length(csr, csr.weights(), finish));
   }
   state.SetLabel(std::to_string(g.task_count()) + " tasks");
 }

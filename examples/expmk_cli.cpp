@@ -37,7 +37,6 @@
 #include "gen/qr.hpp"
 #include "gen/random_dags.hpp"
 #include "graph/dot.hpp"
-#include "graph/longest_path.hpp"
 #include "graph/serialize.hpp"
 #include "graph/validate.hpp"
 #include "prob/rng.hpp"
@@ -276,7 +275,11 @@ int cmd_estimate(int argc, const char* const* argv) {
     // Referee: a fresh compile of the merged rate vector. The patched
     // handle must be indistinguishable from it — same content hash,
     // bitwise-equal first-order mean.
-    std::vector<double> merged(sc.rates().begin(), sc.rates().end());
+    const scenario::FailureSpec& base = sc.failure();
+    std::vector<double> merged =
+        base.heterogeneous()
+            ? base.per_task_rates()
+            : std::vector<double>(sc.task_count(), base.uniform_lambda());
     for (std::size_t j = 0; j < patch_ids.size(); ++j) {
       merged[patch_ids[j]] = patch_rates[j];
     }

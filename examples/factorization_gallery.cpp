@@ -21,7 +21,7 @@
 #include "gen/lu.hpp"
 #include "gen/qr.hpp"
 #include "graph/dot.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <span>
 
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "prob/dist_kernels.hpp"
 #include "util/thread_pool.hpp"
 
@@ -16,49 +16,40 @@ namespace {
 constexpr std::size_t kChunksPerWorker = 4;
 
 /// Jensen lower bound over the compiled scenario, into leased scratch —
-/// shared verbatim by the serial kernel and its fan-out variant.
+/// shared verbatim by the serial kernel and its fan-out variant. The
+/// bound is the 2-state one whatever the retry model: d(G) with every
+/// duration at its 2-state mean a_i (2 - p_i).
 EXPMK_NOALLOC double jensen_bound(const scenario::Scenario& sc,
                                   exp::Workspace& ws) {
-  const graph::Dag& g = sc.dag();
-  const std::size_t n = g.task_count();
-  const std::span<const graph::TaskId> topo = sc.topo();
-  const std::span<const double> p = sc.p_success();
-  // A TwoState scenario caches exactly a_i (2 - p_i); under Geometric
-  // retry the cache holds the geometric ones, so compute the 2-state
-  // values into a leased span.
-  std::span<const double> expected;
-  if (sc.retry() == RetryModel::TwoState) {
-    expected = sc.expected_durations();
-  } else {
-    const std::span<double> expected_scratch = ws.doubles(n);
-    for (graph::TaskId i = 0; i < n; ++i) {
-      expected_scratch[i] = g.weight(i) * (2.0 - p[i]);
-    }
-    expected = expected_scratch;
-  }
+  const graph::CsrDag& csr = sc.csr();
+  const std::size_t n = csr.task_count();
+  const std::span<const double> a = csr.weights();
+  const std::span<const double> p = sc.p_success_csr();
+  const std::span<double> expected = ws.doubles(n);
+  for (std::uint32_t v = 0; v < n; ++v) expected[v] = a[v] * (2.0 - p[v]);
   const std::span<double> finish = ws.doubles(n);
-  return graph::critical_path_length(g, expected, topo, finish);
+  return graph::critical_path_length(csr, expected, finish);
 }
 
-/// Flat level partition into leased scratch: level index per task (pure
-/// dataflow, so any topological order yields graph::level_partition's
-/// values), then a counting sort that reproduces its ascending-id order
-/// per level. Shared by the serial kernel and its fan-out variant.
+/// Flat level partition into leased scratch: the level of every position
+/// (longest edge count from an entry) in one forward sweep, then a
+/// counting sort that lists each level's positions in ascending Dag id
+/// order — the order the level folds are pinned with. Shared by the
+/// serial kernel and its fan-out variant.
 struct LevelPartition {
   std::size_t depth = 0;                 ///< max_level + 1
   std::span<std::uint32_t> offsets;      ///< size depth + 1
-  std::span<std::uint32_t> by_level;     ///< tasks, level-major, id-ascending
+  std::span<std::uint32_t> by_level;     ///< positions, level-major
 };
 
-EXPMK_NOALLOC LevelPartition build_level_partition(
-    const graph::Dag& g, std::span<const graph::TaskId> topo,
-    exp::Workspace& ws) {
-  const std::size_t n = g.task_count();
+EXPMK_NOALLOC LevelPartition build_level_partition(const graph::CsrDag& csr,
+                                                   exp::Workspace& ws) {
+  const std::size_t n = csr.task_count();
   const std::span<std::uint32_t> level = ws.u32(n);
   LevelPartition out;
-  for (const graph::TaskId v : topo) {
+  for (std::uint32_t v = 0; v < n; ++v) {
     std::uint32_t lv = 0;
-    for (const graph::TaskId u : g.predecessors(v)) {
+    for (const std::uint32_t u : csr.preds(v)) {
       lv = std::max(lv, level[u] + 1);
     }
     level[v] = lv;
@@ -66,7 +57,7 @@ EXPMK_NOALLOC LevelPartition build_level_partition(
   }
   out.offsets = ws.u32(out.depth + 1);
   std::fill(out.offsets.begin(), out.offsets.end(), 0u);
-  for (graph::TaskId v = 0; v < n; ++v) ++out.offsets[level[v] + 1];
+  for (std::uint32_t v = 0; v < n; ++v) ++out.offsets[level[v] + 1];
   for (std::size_t l = 0; l < out.depth; ++l) {
     out.offsets[l + 1] += out.offsets[l];
   }
@@ -76,7 +67,7 @@ EXPMK_NOALLOC LevelPartition build_level_partition(
     std::copy(out.offsets.begin(),
               out.offsets.begin() + static_cast<long>(out.depth),
               cursor.begin());
-    for (graph::TaskId v = 0; v < n; ++v) {
+    for (const std::uint32_t v : csr.position()) {
       out.by_level[cursor[level[v]]++] = v;
     }
   }
@@ -87,22 +78,22 @@ EXPMK_NOALLOC LevelPartition build_level_partition(
 /// leased Atom arenas (pinned bitwise against the value-level fold in
 /// tests/reference_estimators by tests/test_workspace.cpp). The result
 /// does not depend on the arenas' capacity, only that it suffices
-/// (2 * tasks.size() + 2), so per-level and whole-graph arenas give the
+/// (2 * level.size() + 2), so per-level and whole-graph arenas give the
 /// same bits — which is what lets the fan-out variant lease per level.
-EXPMK_NOALLOC double level_fold_mean(const graph::Dag& g,
+EXPMK_NOALLOC double level_fold_mean(std::span<const double> weights,
                                      std::span<const double> p,
-                                     std::span<const std::uint32_t> tasks,
+                                     std::span<const std::uint32_t> level,
                                      std::span<prob::Atom> cur,
                                      std::span<prob::Atom> next,
                                      std::span<double> support) {
   namespace dk = prob::dist_kernels;
   // point(0.0), the fold's identity.
   std::size_t cur_n = dk::point(0.0, cur);
-  for (const std::uint32_t i : tasks) {
-    const double a = g.weight(i);
+  for (const std::uint32_t v : level) {
+    const double a = weights[v];
     if (a <= 0.0) continue;
     prob::Atom y[2];
-    const std::size_t yn = dk::two_state(a, p[i], y);
+    const std::size_t yn = dk::two_state(a, p[v], y);
     cur_n = dk::max_of(cur.subspan(0, cur_n), {y, yn}, next, support);
     std::swap(cur, next);
   }
@@ -114,16 +105,16 @@ EXPMK_NOALLOC double level_fold_mean(const graph::Dag& g,
 EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                exp::Workspace& ws) {
   const exp::Workspace::Frame frame(ws);
-  const graph::Dag& g = sc.dag();
-  const std::size_t n = g.task_count();
-  const std::span<const double> p = sc.p_success();
+  const std::size_t n = sc.task_count();
+  const std::span<const double> w = sc.weights_csr();
+  const std::span<const double> p = sc.p_success_csr();
 
   MakespanBounds out;
   // d(G) is cached at compile.
   out.failure_free = sc.critical_path();
   out.jensen_lower = jensen_bound(sc, ws);
 
-  const LevelPartition lp = build_level_partition(g, sc.topo(), ws);
+  const LevelPartition lp = build_level_partition(sc.csr(), ws);
 
   // E[ sum_l max_{i in L_l} X_i ]. Atom capacity: the support of a max of
   // k two-state laws is a subset of {a_i, 2 a_i} union {0}, i.e. at most
@@ -135,7 +126,7 @@ EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
   double upper = 0.0;
   for (std::size_t l = 0; l < lp.depth; ++l) {
     upper += level_fold_mean(
-        g, p,
+        w, p,
         lp.by_level.subspan(lp.offsets[l], lp.offsets[l + 1] - lp.offsets[l]),
         cur, next, support);
   }
@@ -147,14 +138,14 @@ MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                exp::Workspace& ws, std::size_t workers) {
   if (workers <= 1) return makespan_bounds(sc, ws);
   const exp::Workspace::Frame frame(ws);
-  const graph::Dag& g = sc.dag();
-  const std::span<const double> p = sc.p_success();
+  const std::span<const double> w = sc.weights_csr();
+  const std::span<const double> p = sc.p_success_csr();
 
   MakespanBounds out;
   out.failure_free = sc.critical_path();
   out.jensen_lower = jensen_bound(sc, ws);
 
-  const LevelPartition lp = build_level_partition(g, sc.topo(), ws);
+  const LevelPartition lp = build_level_partition(sc.csr(), ws);
 
   // Levels are mutually independent, so the folds — the dominant cost —
   // fan out: levels are dealt round-robin to a few chunks per worker (one
@@ -172,7 +163,7 @@ MakespanBounds makespan_bounds(const scenario::Scenario& sc,
       const std::size_t len = lp.offsets[l + 1] - lp.offsets[l];
       const std::size_t cap = 2 * len + 2;
       level_mean[l] = level_fold_mean(
-          g, p, lp.by_level.subspan(lp.offsets[l], len), tws.atoms(cap),
+          w, p, lp.by_level.subspan(lp.offsets[l], len), tws.atoms(cap),
           tws.atoms(cap), tws.doubles(cap));
     }
   });

@@ -3,19 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
-#include "graph/levels.hpp"
-#include "graph/topological.hpp"
+#include "graph/csr.hpp"
 #include "mc/trial.hpp"
 #include "prob/rng.hpp"
 
 namespace expmk::core {
 
 std::vector<double> slacks(const graph::Dag& g) {
-  const auto topo = graph::topological_order(g);
-  const auto levels = graph::compute_levels(g, g.weights(), topo);
-  std::vector<double> out(g.task_count());
-  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-    out[i] = levels.critical_path - (levels.top[i] + levels.bottom[i]);
+  const graph::CsrDag csr(g);
+  const std::size_t n = csr.task_count();
+  std::vector<double> top(n);
+  std::vector<double> bottom(n);
+  const double d = graph::compute_levels(csr, csr.weights(), top, bottom);
+  std::vector<double> out(n);
+  for (graph::TaskId i = 0; i < n; ++i) {
+    const std::uint32_t v = csr.position()[i];
+    out[i] = d - (top[v] + bottom[v]);
   }
   return out;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/csr.hpp"
-#include "graph/levels.hpp"
 
 namespace expmk::core {
 

@@ -336,10 +336,11 @@ EvaluatorRegistry make_builtin() {
        .rel_tolerance = 0.02},
       [](const scenario::Scenario& sc, const EvalOptions& opt,
          Workspace&, EvalResult& r) {
-        // The workspace goes unused: the engine runs its work units on
-        // several threads, while a Workspace is single-thread affine.
-        // Every call allocates its chunk accumulators, and every work unit
-        // its own task_count() x kTrialLanes finish matrix.
+        // The caller's workspace goes unused: the engine runs its work
+        // units on several threads, while a Workspace is single-thread
+        // affine. Each work unit leases its task_count() x kTrialLanes
+        // finish matrix from its own thread's Workspace::local(); every
+        // call still allocates its chunk accumulators.
         mc::McConfig cfg;
         cfg.trials = opt.mc_trials;
         cfg.seed = opt.seed;

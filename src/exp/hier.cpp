@@ -158,8 +158,10 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
         "hier: only the two-state retry model is supported");
   }
   const SpDecomposition& d = sc.sp_decomposition();
-  const graph::Dag& g = sc.dag();
-  const std::span<const double> p = sc.p_success();
+  // Leaves are Dag ids; their constants are read through the position map.
+  const std::span<const std::uint32_t> position = sc.csr().position();
+  const std::span<const double> w = sc.weights_csr();
+  const std::span<const double> p = sc.p_success_csr();
   const auto& mods = d.modules;
   const std::size_t nm = mods.size();
   const std::size_t qn = d.quotient.task_count();
@@ -175,8 +177,8 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
     H128 h;
     if (mod.kind == SpDecomposition::Kind::Leaf) {
       h.mix(0x4C);  // 'L'
-      h.mix(double_bits(g.weight(mod.task)));
-      h.mix(double_bits(p[mod.task]));
+      h.mix(double_bits(w[position[mod.task]]));
+      h.mix(double_bits(p[position[mod.task]]));
     } else {
       h.mix(mod.kind == SpDecomposition::Kind::Series ? 0x53 : 0x50);
       h.mix(mod.child_count);
@@ -225,11 +227,12 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
       if (mod.kind == SpDecomposition::Kind::Leaf) {
         // Zero-weight (virtual) tasks cannot fail — point mass at 0, the
         // same special case as the flat engine's builders.
-        const double a = g.weight(mod.task);
+        const std::uint32_t pos = position[mod.task];
+        const double a = w[pos];
         stack.reserve(top + 2);
         const std::size_t len = a <= 0.0
                                     ? dk::point(0.0, stack.at(top, 2))
-                                    : dk::two_state(a, p[mod.task],
+                                    : dk::two_state(a, p[pos],
                                                     stack.at(top, 2));
         built.set(m, top, len, {});
         stack.set_top(top + len);
@@ -372,19 +375,16 @@ HierMcResult evaluate_mc_hier(const scenario::Scenario& sc,
   if (trials == 0) throw std::invalid_argument("mc.hier: trials must be >= 1");
   const Workspace::Frame frame(ws);
   const ModuleDists md = build_module_distributions(sc, max_atoms, ws);
-  const SpDecomposition& d = sc.sp_decomposition();
-  const graph::CsrDag qcsr(d.quotient);
-  const std::size_t qn = d.quotient.task_count();
-  std::vector<std::span<const prob::Atom>> by_pos(qn);
-  for (std::uint32_t pos = 0; pos < qn; ++pos) {
-    by_pos[pos] = md.laws.law(qcsr.original_id(pos));
-  }
+  const graph::CsrDag& qcsr = sc.sp_decomposition().quotient_csr;
+  const std::size_t qn = qcsr.task_count();
+  const std::span<const graph::TaskId> order = qcsr.order();
 
   // Same determinism discipline as mc/engine.cpp: the engines' fixed
   // chunk partition of the trial range, one counter-based RNG stream per
   // trial, and a serial chunk-order fold of the accumulators — the
   // worker count never touches the arithmetic. Workers only read the
-  // law table; the workspace itself stays on the calling thread.
+  // law table; each chunk leases its scratch from its own thread's
+  // pooled workspace.
   const std::size_t chunks = static_cast<std::size_t>(
       std::min<std::uint64_t>(mc::kEngineChunks, trials));
   struct Acc {
@@ -397,14 +397,17 @@ HierMcResult evaluate_mc_hier(const scenario::Scenario& sc,
     Acc& acc = accs[c];
     const std::uint64_t begin = trials * c / chunks;
     const std::uint64_t end = trials * (c + 1) / chunks;
-    std::vector<double> durations(qn);
-    std::vector<double> finish(qn);
+    Workspace& tws = Workspace::local();
+    const Workspace::Frame tframe(tws);
+    const std::span<double> durations = tws.doubles(qn);
+    const std::span<double> finish = tws.doubles(qn);
     for (std::uint64_t t = begin; t < end; ++t) {
       prob::McRng rng(seed, t);
       // Draw in position order — one quantile per quotient node — then
       // the finish-time DP over the quotient CSR.
       for (std::uint32_t pos = 0; pos < qn; ++pos) {
-        durations[pos] = dk::quantile(by_pos[pos], rng.uniform_positive());
+        durations[pos] =
+            dk::quantile(md.laws.law(order[pos]), rng.uniform_positive());
       }
       const double makespan =
           graph::critical_path_length(qcsr, durations, finish);

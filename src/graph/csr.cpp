@@ -95,6 +95,12 @@ EXPMK_NOALLOC double critical_path_length(const CsrDag& g, std::span<const doubl
   return best;
 }
 
+double critical_path_length(const Dag& g) {
+  const CsrDag csr(g);
+  std::vector<double> finish(csr.task_count());
+  return critical_path_length(csr, csr.weights(), finish);
+}
+
 EXPMK_NOALLOC void longest_from(const CsrDag& g, std::uint32_t source,
                   std::span<const double> weights, std::span<double> dist) {
   check_scratch(g, weights, dist);

@@ -42,6 +42,9 @@ namespace expmk::graph {
 /// forward (topological) sweep and n-1..0 a backward one.
 class CsrDag {
  public:
+  /// The empty view (no tasks).
+  CsrDag() = default;
+
   /// Builds the view; O(V + E). Throws std::invalid_argument on a cycle.
   explicit CsrDag(const Dag& g);
 
@@ -107,21 +110,26 @@ class CsrDag {
   }
 
  private:
-  std::vector<double> weights_;          // position order
-  std::vector<TaskId> order_;            // position -> Dag id
-  std::vector<std::uint32_t> position_;  // Dag id -> position
-  std::vector<std::uint32_t> pred_offsets_;  // size n+1
-  std::vector<std::uint32_t> pred_index_;    // size E, positions
-  std::vector<std::uint32_t> succ_offsets_;  // size n+1
-  std::vector<std::uint32_t> succ_index_;    // size E, positions
+  std::vector<double> weights_;                 // position order
+  std::vector<TaskId> order_;                   // position -> Dag id
+  std::vector<std::uint32_t> position_;         // Dag id -> position
+  std::vector<std::uint32_t> pred_offsets_{0};  // size n+1
+  std::vector<std::uint32_t> pred_index_;       // size E, positions
+  std::vector<std::uint32_t> succ_offsets_{0};  // size n+1
+  std::vector<std::uint32_t> succ_index_;       // size E, positions
 };
 
 /// d(G) over the CSR view with caller scratch; zero allocation. `weights`
 /// and `finish` are in position order and must have size task_count();
-/// `finish` is overwritten (finish[v] = longest path ending at v).
+/// `finish` is overwritten (finish[v] = longest path ending at v). The
+/// length of a path is the sum of its tasks' weights.
 EXPMK_NOALLOC [[nodiscard]] double critical_path_length(const CsrDag& g,
                                           std::span<const double> weights,
                                           std::span<double> finish);
+
+/// Convenience: d(G) of a Dag with its own weights — builds the CSR view
+/// and runs the kernel above (allocates; not for hot paths).
+[[nodiscard]] double critical_path_length(const Dag& g);
 
 /// Single-source longest paths from the vertex at `source` position, into
 /// caller scratch; zero allocation. On return dist[v] = longest source->v
@@ -148,10 +156,14 @@ EXPMK_NOALLOC void longest_from_block(const CsrDag& g, std::uint32_t base,
                         std::uint32_t nlanes, std::span<const double> weights,
                         std::span<double> dist);
 
-/// Top and bottom levels (graph/levels.hpp conventions) over the CSR view
-/// into caller scratch, one forward and one backward sweep; returns
-/// d(G) = max_v top[v] + bottom[v]. Zero allocation. Shared by the
-/// first- and second-order estimators.
+/// Top and bottom levels over the CSR view into caller scratch, one
+/// forward and one backward sweep; returns d(G) = max_v top[v] + bottom[v].
+/// Zero allocation. The conventions are the scheduling-theory ones (the
+/// paper's Section III definitions contain well-known typos):
+///   top[v]    = longest path ending just BEFORE v (0 for entry tasks);
+///   bottom[v] = longest path starting AT v, inclusive of v's weight.
+/// Shared by the first- and second-order estimators, criticality, the
+/// bottom-level priorities and the slacks.
 EXPMK_NOALLOC double compute_levels(const CsrDag& g, std::span<const double> weights,
                       std::span<double> top, std::span<double> bottom);
 

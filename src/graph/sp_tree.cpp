@@ -171,6 +171,7 @@ SpDecomposition sp_collapse(const Dag& g) {
     }
   }
   d.collapsed_tasks = n - d.quotient.task_count();
+  d.quotient_csr = CsrDag(d.quotient);
   return d;
 }
 

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/csr.hpp"
 #include "graph/dag.hpp"
 
 namespace expmk::graph {
@@ -65,6 +66,9 @@ struct SpDecomposition {
   /// task weights (so the quotient is a valid Dag for structural code);
   /// evaluation injects full distributions instead.
   Dag quotient;
+  /// The quotient's CSR view, built once with the decomposition (and so
+  /// shared by every patch clone) for the sweeps over the quotient.
+  CsrDag quotient_csr;
   /// quotient node id -> module id.
   std::vector<std::uint32_t> quotient_module;
 

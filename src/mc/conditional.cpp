@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "exp/workspace.hpp"
 #include "graph/csr.hpp"
 #include "prob/rng.hpp"
 #include "prob/statistics.hpp"
@@ -68,9 +69,12 @@ ConditionalMcResult run_conditional_monte_carlo(
     Accum& acc = accums[c];
     const std::uint64_t begin = trials * c / chunks;
     const std::uint64_t end = trials * (c + 1) / chunks;
-    // Per-worker scratch (CSR position order), sized once per chunk.
-    std::vector<double> durations(n);
-    std::vector<double> finish(n);
+    // Per-chunk scratch (CSR position order), leased from this thread's
+    // pooled workspace.
+    exp::Workspace& ws = exp::Workspace::local();
+    const exp::Workspace::Frame frame(ws);
+    const std::span<double> durations = ws.doubles(n);
+    const std::span<double> finish = ws.doubles(n);
     for (std::uint64_t t = begin; t < end; ++t) {
       prob::McRng rng(config.seed, t);
       // Rejection: redraw the failure pattern until at least one failure.

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "exp/workspace.hpp"
 #include "prob/statistics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -68,9 +69,12 @@ McResult run_monte_carlo(const scenario::Scenario& sc,
         accums[k].samples.reserve(chunk_begin(k + 1) - chunk_begin(k));
       }
     }
-    // Per-unit scratch, sized once: the lane kernel allocates nothing
-    // per batch.
-    std::vector<double> finish(n * kTrialLanes);
+    // Per-unit scratch, leased from this thread's pooled workspace: the
+    // lane kernel allocates nothing per batch, and a warm pool nothing
+    // per call.
+    exp::Workspace& ws = exp::Workspace::local();
+    const exp::Workspace::Frame frame(ws);
+    const std::span<double> finish = ws.doubles(n * kTrialLanes);
     std::uint64_t chunk_end = chunk_begin(c + 1);
     for (std::uint64_t t0 = begin; t0 < end; t0 += kTrialLanes) {
       const LaneObservations obs =

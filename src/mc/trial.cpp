@@ -207,12 +207,14 @@ EXPMK_NOALLOC LaneObservations run_trial_lanes(const scenario::Scenario& sc,
 }
 
 double control_variate_mean(const scenario::Scenario& sc) {
-  const graph::Dag& g = sc.dag();
-  const std::span<const double> p_success = sc.p_success();
+  // Summed in Dag id order, the order that fixes its rounding.
+  const std::span<const std::uint32_t> position = sc.csr().position();
+  const std::span<const double> w = sc.weights_csr();
+  const std::span<const double> p_success = sc.p_success_csr();
   double mean = 0.0;
-  for (std::size_t i = 0; i < g.task_count(); ++i) {
-    const double a = g.weights()[i];
-    const double p = p_success[i];
+  for (const std::uint32_t pos : position) {
+    const double a = w[pos];
+    const double p = p_success[pos];
     if (p >= 1.0) continue;
     if (sc.retry() == core::RetryModel::TwoState) {
       mean += a * (1.0 - p);

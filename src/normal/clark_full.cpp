@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-
 namespace expmk::normal {
 
 namespace {
@@ -35,37 +34,33 @@ EXPMK_NOALLOC void linkage_row(std::span<double> row, const double* cov_row,
   }
 }
 
-/// Shared traversal over per-task success probabilities (the fold is pure
-/// dataflow over ancestors, so the topological order does not perturb the
-/// values).
-EXPMK_NOALLOC NormalEstimate clark_full_impl(const graph::Dag& g,
-                               std::span<const graph::TaskId> topo,
+/// The forward sweep over CSR positions; the covariance matrix, the
+/// moments and the row are all indexed by position.
+EXPMK_NOALLOC NormalEstimate clark_full_impl(const graph::CsrDag& csr,
                                std::span<const double> p,
                                core::RetryModel kind,
                                std::span<prob::NormalMoments> completion,
                                std::span<double> cov, std::span<double> row,
-                               std::span<const graph::TaskId> exits) {
-  const std::size_t n = g.task_count();
+                               std::span<const std::uint32_t> exits) {
+  const std::size_t n = csr.task_count();
   if (n == 0) throw std::invalid_argument("clark_full: empty graph");
   if (n > kClarkFullMaxTasks) {
     throw std::invalid_argument(
         "clark_full: task count exceeds the dense covariance limit");
   }
+  const std::span<const double> w = csr.weights();
 
   // Dense symmetric covariance of completion times, row-major; the
   // algorithm reads unwritten entries of ancestors' rows, so the whole
   // matrix starts at zero whatever storage backs it.
   std::fill(cov.begin(), cov.end(), 0.0);
-  const auto cov_at = [&](graph::TaskId a, graph::TaskId b) -> double& {
-    return cov[static_cast<std::size_t>(a) * n + b];
-  };
 
   // row = Cov(M, C_z) for the running max M
-  for (const graph::TaskId v : topo) {
+  for (std::uint32_t v = 0; v < n; ++v) {
     prob::NormalMoments m{0.0, 0.0};
     std::fill(row.begin(), row.end(), 0.0);
     bool first = true;
-    for (const graph::TaskId u : g.predecessors(v)) {
+    for (const std::uint32_t u : csr.preds(v)) {
       if (first) {
         m = completion[u];
         for (std::size_t z = 0; z < n; ++z) {
@@ -80,20 +75,20 @@ EXPMK_NOALLOC NormalEstimate clark_full_impl(const graph::Dag& g,
       m = fold.moments;
     }
     // C_v = M + X_v with X_v independent of everything before it.
-    completion[v] = prob::sum_independent(
-        m, duration_moments_p(g.weight(v), p[v], kind));
+    completion[v] =
+        prob::sum_independent(m, duration_moments_p(w[v], p[v], kind));
     for (std::size_t z = 0; z < n; ++z) {
-      cov_at(v, static_cast<graph::TaskId>(z)) = row[z];
-      cov_at(static_cast<graph::TaskId>(z), v) = row[z];
+      cov[static_cast<std::size_t>(v) * n + z] = row[z];
+      cov[z * n + v] = row[z];
     }
-    cov_at(v, v) = completion[v].var;
+    cov[static_cast<std::size_t>(v) * n + v] = completion[v].var;
   }
 
   // Fold the exits into the makespan, reusing the same linkage machinery.
   prob::NormalMoments makespan{0.0, 0.0};
   std::fill(row.begin(), row.end(), 0.0);
   bool first = true;
-  for (const graph::TaskId v : exits) {
+  for (const std::uint32_t v : exits) {
     if (first) {
       makespan = completion[v];
       for (std::size_t z = 0; z < n; ++z) {
@@ -121,7 +116,7 @@ EXPMK_NOALLOC NormalEstimate clark_full(const scenario::Scenario& sc, exp::Works
         "clark_full: task count exceeds the dense covariance limit");
   }
   const exp::Workspace::Frame frame(ws);
-  return clark_full_impl(sc.dag(), sc.topo(), sc.p_success(), sc.retry(),
+  return clark_full_impl(sc.csr(), sc.p_success_csr(), sc.retry(),
                          ws.moments(n), ws.doubles(n * n), ws.doubles(n),
                          sc.exits());
 }

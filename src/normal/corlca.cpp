@@ -8,12 +8,13 @@ namespace expmk::normal {
 
 namespace {
 
-constexpr graph::TaskId kRootless = graph::kNoTask;
+constexpr std::uint32_t kRootless = graph::kNoTask;
 
-/// Correlation-tree state: parent pointers, depths, and the variance of
-/// each node's completion time — a view over workspace leases.
+/// Correlation-tree state per CSR position: parent pointers, depths, and
+/// the variance of each node's completion time — a view over workspace
+/// leases.
 struct CorrelationTree {
-  std::span<graph::TaskId> parent;
+  std::span<std::uint32_t> parent;
   std::span<std::uint32_t> depth;
   std::span<double> variance;
 
@@ -25,7 +26,7 @@ struct CorrelationTree {
 
   /// Lowest common ancestor by depth-aligned walk; kRootless when the two
   /// lineages never meet (independent subtrees).
-  [[nodiscard]] graph::TaskId lca(graph::TaskId a, graph::TaskId b) const {
+  [[nodiscard]] std::uint32_t lca(std::uint32_t a, std::uint32_t b) const {
     if (a == kRootless || b == kRootless) return kRootless;
     while (a != b) {
       if (a == kRootless || b == kRootless) return kRootless;
@@ -43,18 +44,17 @@ struct CorrelationTree {
 /// One vertex of the CorLCA fold: reads completion moments and
 /// correlation-tree state of ancestors only — the dominant lineage is a
 /// predecessor and every LCA walk climbs parent pointers of ancestors —
-/// and writes only v's own slots, so any valid topological order yields
-/// identical values.
-EXPMK_NOALLOC void corlca_vertex(const graph::Dag& g,
+/// and writes only v's own slots.
+EXPMK_NOALLOC void corlca_vertex(const graph::CsrDag& csr,
                                  std::span<const double> p,
                                  core::RetryModel kind,
                                  std::span<prob::NormalMoments> completion,
                                  const CorrelationTree& tree,
-                                 graph::TaskId v) {
+                                 std::uint32_t v) {
   prob::NormalMoments ready{0.0, 0.0};
-  graph::TaskId dominant = kRootless;
+  std::uint32_t dominant = kRootless;
   bool first = true;
-  for (const graph::TaskId u : g.predecessors(v)) {
+  for (const std::uint32_t u : csr.preds(v)) {
     if (first) {
       ready = completion[u];
       dominant = u;
@@ -62,7 +62,7 @@ EXPMK_NOALLOC void corlca_vertex(const graph::Dag& g,
       continue;
     }
     // Correlation through the LCA of the current dominant lineage and u.
-    const graph::TaskId anc = tree.lca(dominant, u);
+    const std::uint32_t anc = tree.lca(dominant, u);
     const double cov = anc == kRootless ? 0.0 : tree.variance[anc];
     const double denom =
         std::sqrt(ready.var) * std::sqrt(completion[u].var);
@@ -73,7 +73,7 @@ EXPMK_NOALLOC void corlca_vertex(const graph::Dag& g,
     ready = fold.moments;
   }
   completion[v] = prob::sum_independent(
-      ready, duration_moments_p(g.weight(v), p[v], kind));
+      ready, duration_moments_p(csr.weights()[v], p[v], kind));
   tree.parent[v] = dominant;
   tree.depth[v] = dominant == kRootless ? 0 : tree.depth[dominant] + 1;
   tree.variance[v] = completion[v].var;
@@ -83,18 +83,18 @@ EXPMK_NOALLOC void corlca_vertex(const graph::Dag& g,
 /// over `exits` is part of the pinned arithmetic).
 EXPMK_NOALLOC NormalEstimate corlca_exits(
     std::span<const prob::NormalMoments> completion,
-    const CorrelationTree& tree, std::span<const graph::TaskId> exits) {
+    const CorrelationTree& tree, std::span<const std::uint32_t> exits) {
   prob::NormalMoments makespan{0.0, 0.0};
-  graph::TaskId dominant = kRootless;
+  std::uint32_t dominant = kRootless;
   bool first = true;
-  for (const graph::TaskId v : exits) {
+  for (const std::uint32_t v : exits) {
     if (first) {
       makespan = completion[v];
       dominant = v;
       first = false;
       continue;
     }
-    const graph::TaskId anc = tree.lca(dominant, v);
+    const std::uint32_t anc = tree.lca(dominant, v);
     const double cov = anc == kRootless ? 0.0 : tree.variance[anc];
     const double denom = std::sqrt(makespan.var) * std::sqrt(completion[v].var);
     const double rho = denom > 0.0 ? cov / denom : 0.0;
@@ -117,14 +117,14 @@ EXPMK_NOALLOC NormalEstimate corlca(const scenario::Scenario& sc,
   const std::size_t n = sc.task_count();
   if (n == 0) throw std::invalid_argument("corlca: empty graph");
   const exp::Workspace::Frame frame(ws);
-  const graph::Dag& g = sc.dag();
-  const std::span<const double> p = sc.p_success();
+  const graph::CsrDag& csr = sc.csr();
+  const std::span<const double> p = sc.p_success_csr();
   const core::RetryModel kind = sc.retry();
   const std::span<prob::NormalMoments> completion = ws.moments(n);
   const CorrelationTree tree{ws.u32(n), ws.u32(n), ws.doubles(n)};
   tree.init();
-  for (const graph::TaskId v : sc.topo()) {
-    corlca_vertex(g, p, kind, completion, tree, v);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    corlca_vertex(csr, p, kind, completion, tree, v);
   }
   return corlca_exits(completion, tree, sc.exits());
 }

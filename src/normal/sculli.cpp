@@ -19,23 +19,23 @@ EXPMK_NOALLOC prob::NormalMoments duration_moments_p(double a, double p,
 
 EXPMK_NOALLOC NormalEstimate sculli(const scenario::Scenario& sc,
                                     exp::Workspace& ws) {
-  const graph::Dag& g = sc.dag();
-  if (g.task_count() == 0) {
+  const graph::CsrDag& csr = sc.csr();
+  const std::size_t n = csr.task_count();
+  if (n == 0) {
     throw std::invalid_argument("sculli: empty graph");
   }
   const exp::Workspace::Frame frame(ws);
-  const std::span<const double> p = sc.p_success();
+  const std::span<const double> w = csr.weights();
+  const std::span<const double> p = sc.p_success_csr();
   const core::RetryModel kind = sc.retry();
-  // The completion moments are pure dataflow over the graph (each fold
-  // reads only ancestors, in the predecessor order of `g`), so any valid
-  // topological order yields identical values; every entry is written
-  // before it is read.
-  const std::span<prob::NormalMoments> completion =
-      ws.moments(sc.task_count());
-  for (const graph::TaskId v : sc.topo()) {
+  // Completion moments per position: a forward sweep folding each
+  // vertex's predecessors in the Dag's predecessor order (which the CSR
+  // view keeps); every entry is written before it is read.
+  const std::span<prob::NormalMoments> completion = ws.moments(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
     prob::NormalMoments ready{0.0, 0.0};
     bool first = true;
-    for (const graph::TaskId u : g.predecessors(v)) {
+    for (const std::uint32_t u : csr.preds(v)) {
       if (first) {
         ready = completion[u];
         first = false;
@@ -43,13 +43,13 @@ EXPMK_NOALLOC NormalEstimate sculli(const scenario::Scenario& sc,
         ready = prob::clark_max(ready, completion[u], 0.0).moments;
       }
     }
-    completion[v] = prob::sum_independent(
-        ready, duration_moments_p(g.weight(v), p[v], kind));
+    completion[v] =
+        prob::sum_independent(ready, duration_moments_p(w[v], p[v], kind));
   }
   // Exit fold, in the scenario's cached (ascending-id) exit order.
   prob::NormalMoments makespan{0.0, 0.0};
   bool first = true;
-  for (const graph::TaskId v : sc.exits()) {
+  for (const std::uint32_t v : sc.exits()) {
     if (first) {
       makespan = completion[v];
       first = false;

@@ -42,7 +42,7 @@ double FailureSpec::uniform_lambda() const {
   if (heterogeneous()) {
     throw std::logic_error(
         "FailureSpec: uniform_lambda() on a heterogeneous spec — check "
-        "heterogeneous() or use Scenario::rates()");
+        "heterogeneous() or use Scenario::rates_csr()");
   }
   return lambda_;
 }
@@ -110,48 +110,24 @@ Scenario::Scenario(graph::Dag dag, FailureSpec failure,
     throw std::invalid_argument("Scenario: lambda must be finite and >= 0");
   }
 
-  rates_.resize(n);
-  p_success_.resize(n);
-  expected_durations_.resize(n);
-  failure_free_ = true;
-  const bool geometric = retry_ == core::RetryModel::Geometric;
-  for (graph::TaskId i = 0; i < n; ++i) {
-    const double lambda = failure_.heterogeneous()
-                              ? failure_.per_task_rates()[i]
-                              : failure_.uniform_lambda();
-    const double a = dag_->weight(i);
-    // Same expressions as FailureModel::p_success / expected_duration so
-    // the uniform path stays bit-identical to the pre-Scenario code.
-    const double p = std::exp(-lambda * a);
-    rates_[i] = lambda;
-    p_success_[i] = p;
-    expected_durations_[i] =
-        geometric ? a * std::exp(lambda * a) : a * (2.0 - p);
-    failure_free_ = failure_free_ && lambda <= 0.0;
-  }
-
-  // Sampler constants in CSR position order — the layout mc/trial.hpp's
-  // fused kernel consumes directly (see that header for the fast/slow
-  // path split the three arrays encode).
+  // Per-task constants, in CSR position order — the layout every sweep
+  // and mc/trial.hpp's fused kernel consume directly (see that header for
+  // the fast/slow path split the sampler arrays encode).
   rates_csr_.resize(n);
   p_success_csr_.resize(n);
   q_fail_csr_.resize(n);
   inv_log_q_csr_.resize(n);
-  for (std::uint32_t pos = 0; pos < n; ++pos) {
-    const graph::TaskId id = csr_->original_id(pos);
-    const double p = p_success_[id];
-    rates_csr_[pos] = rates_[id];
-    p_success_csr_[pos] = p;
-    // q_fail <= 0 (p >= 1) makes the sampler fast path unconditional.
-    q_fail_csr_[pos] = 1.0 - p;
-    // Only read on the slow path, where q_fail > 0 implies p < 1 and the
-    // log is finite and negative (p == 0 artifacts are absorbed by the
-    // sampler's execution cap).
-    inv_log_q_csr_[pos] = 1.0 / std::log1p(-p);
+  failure_free_ = true;
+  for (graph::TaskId i = 0; i < n; ++i) {
+    const double lambda = failure_.heterogeneous()
+                              ? failure_.per_task_rates()[i]
+                              : failure_.uniform_lambda();
+    rederive_task(i, lambda);
+    failure_free_ = failure_free_ && lambda <= 0.0;
   }
 
   for (graph::TaskId i = 0; i < n; ++i) {
-    if (dag_->successors(i).empty()) exits_.push_back(i);
+    if (dag_->successors(i).empty()) exits_.push_back(csr_->position_of(i));
   }
 
   finish_csr_.resize(n);
@@ -175,9 +151,6 @@ Scenario Scenario::clone_for_patch() const {
   out.retry_ = retry_;
   out.failure_free_ = failure_free_;
   out.exits_ = exits_;
-  out.rates_ = rates_;
-  out.p_success_ = p_success_;
-  out.expected_durations_ = expected_durations_;
   out.rates_csr_ = rates_csr_;
   out.p_success_csr_ = p_success_csr_;
   out.q_fail_csr_ = q_fail_csr_;
@@ -190,20 +163,20 @@ Scenario Scenario::clone_for_patch() const {
   return out;
 }
 
-void Scenario::rederive_task(graph::TaskId i, double lambda,
-                             bool geometric) {
-  // compile()'s exact expressions — recomputing from identical inputs
-  // yields identical bits, which is the patch == compile contract.
-  const double a = dag_->weight(i);
-  const double p = std::exp(-lambda * a);
-  rates_[i] = lambda;
-  p_success_[i] = p;
-  expected_durations_[i] =
-      geometric ? a * std::exp(lambda * a) : a * (2.0 - p);
+void Scenario::rederive_task(graph::TaskId i, double lambda) {
+  // The expressions of FailureModel::p_success, so the uniform path stays
+  // bit-identical to the pre-Scenario code; a patch recomputing them from
+  // identical inputs yields identical bits (the patch == compile
+  // contract).
   const std::uint32_t pos = csr_->position_of(i);
+  const double p = std::exp(-lambda * csr_->weights()[pos]);
   rates_csr_[pos] = lambda;
   p_success_csr_[pos] = p;
+  // q_fail <= 0 (p >= 1) makes the sampler fast path unconditional.
   q_fail_csr_[pos] = 1.0 - p;
+  // Only read on the slow path, where q_fail > 0 implies p < 1 and the
+  // log is finite and negative (p == 0 artifacts are absorbed by the
+  // sampler's execution cap).
   inv_log_q_csr_[pos] = 1.0 / std::log1p(-p);
 }
 
@@ -265,7 +238,7 @@ Scenario Scenario::with_failure(FailureSpec failure) const {
   Scenario out = clone_for_patch();
   out.failure_ = std::move(failure);
   out.failure_free_ = true;
-  const bool geometric = retry_ == core::RetryModel::Geometric;
+  const std::span<const std::uint32_t> position = csr_->position();
   for (graph::TaskId i = 0; i < n; ++i) {
     const double lambda = out.failure_.heterogeneous()
                               ? out.failure_.per_task_rates()[i]
@@ -273,7 +246,7 @@ Scenario Scenario::with_failure(FailureSpec failure) const {
     // An unchanged rate keeps its cached constants — recomputing them
     // from the same inputs would reproduce the same bits, so skipping
     // the exp/log1p pair is free.
-    if (lambda != out.rates_[i]) out.rederive_task(i, lambda, geometric);
+    if (lambda != out.rates_csr_[position[i]]) out.rederive_task(i, lambda);
     out.failure_free_ = out.failure_free_ && lambda <= 0.0;
   }
   g_patched.fetch_add(1, std::memory_order_relaxed);
@@ -330,7 +303,6 @@ Scenario Scenario::patch(std::span<const graph::TaskId> tasks,
     out.repair_finish_cone(tasks);
   }
 
-  const bool geometric = retry_ == core::RetryModel::Geometric;
   if (!new_rates.empty()) {
     // The clone's spec must match what a fresh compile of the patched
     // inputs would carry: still uniform if every patched rate equals the
@@ -342,22 +314,25 @@ Scenario Scenario::patch(std::span<const graph::TaskId> tasks,
       }
     }
     if (!still_uniform) {
-      std::vector<double> rates(out.rates_.begin(), out.rates_.end());
+      std::vector<double> rates(n);
+      for (graph::TaskId i = 0; i < n; ++i) {
+        rates[i] = out.rates_csr_[csr_->position()[i]];
+      }
       for (std::size_t j = 0; j < k; ++j) rates[tasks[j]] = new_rates[j];
       out.failure_ = FailureSpec::per_task(std::move(rates));
     }
     for (std::size_t j = 0; j < k; ++j) {
-      out.rederive_task(tasks[j], new_rates[j], geometric);
+      out.rederive_task(tasks[j], new_rates[j]);
     }
     out.failure_free_ = true;
-    for (const double r : out.rates_) {
+    for (const double r : out.rates_csr_) {
       out.failure_free_ = out.failure_free_ && r <= 0.0;
     }
   } else {
-    // Weight-only patch: rates unchanged, but p/durations depend on the
-    // weights, so the patched tasks' constants must be re-derived.
+    // Weight-only patch: rates unchanged, but p depends on the weights,
+    // so the patched tasks' constants must be re-derived.
     for (const graph::TaskId i : tasks) {
-      out.rederive_task(i, out.rates_[i], geometric);
+      out.rederive_task(i, out.rates_csr_[csr_->position_of(i)]);
     }
   }
 

@@ -4,13 +4,19 @@
 // serving workload built on this library — evaluates MANY methods on the
 // SAME (DAG, failure-rate, retry-model) cell. Before this layer existed,
 // each of the 13 evaluators re-derived the per-cell state on every call:
-// the CSR view, a topological order, the per-task e^{-lambda a_i}
-// constants, the geometric-sampler log1p inverses, the mean weight and the
-// failure-free critical path. `Scenario` hoists all of that into a single
-// immutable object built once by `Scenario::compile(dag, FailureSpec,
-// RetryModel)` and then shared — by const reference, across threads, for
-// the lifetime of the cell — by every estimator entry point in the
-// library (core::, mc::, normal::, sp::, sched::, exp::).
+// the CSR view, the per-task e^{-lambda a_i} constants, the
+// geometric-sampler log1p inverses, the mean weight and the failure-free
+// critical path. `Scenario` hoists all of that into a single immutable
+// object built once by `Scenario::compile(dag, FailureSpec, RetryModel)`
+// and then shared — by const reference, across threads, for the lifetime
+// of the cell — by every estimator entry point in the library (core::,
+// mc::, normal::, sp::, sched::, exp::).
+//
+// One graph order: every per-task constant is stored once, in CSR
+// position order (csr().order()[pos] is the Dag id at `pos`,
+// csr().position()[id] the way back). Every sweep runs on the CSR view;
+// a loop that must run in Dag id order reads the constants through
+// csr().position().
 //
 // `FailureSpec` is the second half of the redesign: the silent-error rate
 // is either the classic uniform lambda (core::FailureModel, Section III of
@@ -77,8 +83,8 @@ class FailureSpec {
   }
 
   /// The uniform rate; throws std::logic_error when heterogeneous —
-  /// callers must check heterogeneous() (or use Scenario::rates(), which
-  /// is always valid).
+  /// callers must check heterogeneous() (or use Scenario::rates_csr(),
+  /// which is always valid).
   [[nodiscard]] double uniform_lambda() const;
 
   /// The uniform rate as the classic model (same throwing contract).
@@ -178,11 +184,6 @@ class Scenario {
     return failure_.uniform_model();
   }
 
-  /// A topological order of the Dag (== csr().order()).
-  [[nodiscard]] std::span<const graph::TaskId> topo() const noexcept {
-    return csr_->order();
-  }
-
   // -------------------------------------- lazily built structural cache
   /// Series-parallel modular decomposition for hierarchical evaluation.
   /// Depends only on the adjacency structure, is built on first use
@@ -190,32 +191,16 @@ class Scenario {
   /// a patched scenario never re-derives it.
   [[nodiscard]] const graph::SpDecomposition& sp_decomposition() const;
 
-  /// Tasks with no successor, ascending Dag id — a cached copy of
-  /// Dag::exit_tasks(), which allocates per call. The Normal-family
-  /// folds read this on every evaluation; caching it here is what lets
-  /// those kernels run allocation-free.
-  [[nodiscard]] std::span<const graph::TaskId> exits() const noexcept {
+  /// CSR positions of the tasks with no successor, listed in ascending
+  /// Dag id order (the order the Normal-family exit folds are pinned
+  /// with). Cached so that those folds run allocation-free.
+  [[nodiscard]] std::span<const std::uint32_t> exits() const noexcept {
     return exits_;
   }
 
   // ------------------------------------------- cached per-task constants
-  // "Dag id order" = indexed by TaskId; "position order" = indexed by CSR
-  // position (csr().order() translates). All spans have task_count()
-  // entries.
-
-  /// lambda_i in Dag id order (filled with the uniform rate when uniform).
-  [[nodiscard]] std::span<const double> rates() const noexcept {
-    return rates_;
-  }
-  /// e^{-lambda_i a_i} in Dag id order.
-  [[nodiscard]] std::span<const double> p_success() const noexcept {
-    return p_success_;
-  }
-  /// Expected task duration under the scenario's retry model, Dag id
-  /// order: TwoState a_i (2 - p_i); Geometric a_i e^{lambda_i a_i}.
-  [[nodiscard]] std::span<const double> expected_durations() const noexcept {
-    return expected_durations_;
-  }
+  // All indexed by CSR position (csr().order() / csr().position()
+  // translate to and from Dag ids); every span has task_count() entries.
 
   /// Task weights in position order (== csr().weights()).
   [[nodiscard]] std::span<const double> weights_csr() const noexcept {
@@ -227,7 +212,8 @@ class Scenario {
   [[nodiscard]] std::span<const double> finish_csr() const noexcept {
     return finish_csr_;
   }
-  /// lambda_i in position order.
+  /// lambda_i in position order (the uniform rate everywhere when
+  /// uniform).
   [[nodiscard]] std::span<const double> rates_csr() const noexcept {
     return rates_csr_;
   }
@@ -266,9 +252,9 @@ class Scenario {
   /// Copies every member (structure members by shared_ptr) — the starting
   /// point of a patch clone.
   [[nodiscard]] Scenario clone_for_patch() const;
-  /// Recomputes the per-task constants of task `i` from the current
-  /// failure_/dag_ using compile's exact expressions.
-  void rederive_task(graph::TaskId i, double lambda, bool geometric);
+  /// Recomputes the per-task constants of task `i` from its weight and
+  /// `lambda` using compile's exact expressions.
+  void rederive_task(graph::TaskId i, double lambda);
   /// Value-based dirty propagation of finish_csr_ from the patched
   /// positions; updates critical_path_.
   void repair_finish_cone(std::span<const graph::TaskId> tasks);
@@ -282,15 +268,12 @@ class Scenario {
   core::RetryModel retry_ = core::RetryModel::TwoState;
   bool failure_free_ = true;
 
-  std::vector<graph::TaskId> exits_;        // ascending Dag id
-  std::vector<double> rates_;               // Dag id order
-  std::vector<double> p_success_;           // Dag id order
-  std::vector<double> expected_durations_;  // Dag id order
-  std::vector<double> rates_csr_;           // position order
-  std::vector<double> p_success_csr_;       // position order
-  std::vector<double> q_fail_csr_;          // position order
-  std::vector<double> inv_log_q_csr_;       // position order
-  std::vector<double> finish_csr_;          // position order
+  std::vector<std::uint32_t> exits_;  // positions, ascending Dag id
+  std::vector<double> rates_csr_;
+  std::vector<double> p_success_csr_;
+  std::vector<double> q_fail_csr_;
+  std::vector<double> inv_log_q_csr_;
+  std::vector<double> finish_csr_;
 
   double critical_path_ = 0.0;
   double mean_weight_ = 0.0;

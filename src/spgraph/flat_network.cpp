@@ -731,12 +731,14 @@ EXPMK_NOALLOC void check_two_state(const scenario::Scenario& sc, const char* who
 /// zero-weight (virtual) task cannot fail and gets a point mass at 0.
 EXPMK_NOALLOC void build_two_state(FlatNetwork& net,
                                    const scenario::Scenario& sc) {
-  const graph::Dag& g = sc.dag();
-  const std::span<const double> p = sc.p_success();
-  net.build(g, [&](graph::TaskId i, std::span<Atom, 2> scratch) {
-    const double a = g.weight(i);
+  const std::span<const std::uint32_t> position = sc.csr().position();
+  const std::span<const double> w = sc.weights_csr();
+  const std::span<const double> p = sc.p_success_csr();
+  net.build(sc.dag(), [&](graph::TaskId i, std::span<Atom, 2> scratch) {
+    const std::uint32_t pos = position[i];
+    const double a = w[pos];
     const size_t len = a <= 0.0 ? dk::point(0.0, scratch)
-                                : dk::two_state(a, p[i], scratch);
+                                : dk::two_state(a, p[pos], scratch);
     return std::span<const Atom>(scratch.data(), len);
   });
 }

@@ -2,15 +2,52 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "dist_ops.hpp"
-#include "graph/longest_path.hpp"
 #include "graph/topological.hpp"
 #include "mc/trial.hpp"
 #include "prob/discrete_distribution.hpp"
 
 namespace expmk::ref {
+
+double dag_critical_path(const graph::Dag& g,
+                         std::span<const double> weights) {
+  if (weights.size() != g.task_count()) {
+    throw std::invalid_argument("dag_critical_path: weights size mismatch");
+  }
+  std::vector<double> finish(g.task_count(), 0.0);
+  double best = 0.0;
+  for (const graph::TaskId v : graph::topological_order(g)) {
+    double start = 0.0;
+    for (const graph::TaskId u : g.predecessors(v)) {
+      if (finish[u] > start) start = finish[u];
+    }
+    finish[v] = start + weights[v];
+    if (finish[v] > best) best = finish[v];
+  }
+  return best;
+}
+
+std::vector<double> dag_longest_from(const graph::Dag& g,
+                                     graph::TaskId source,
+                                     std::span<const double> weights) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  std::vector<double> dist(g.task_count(), kNegInf);
+  dist[source] = weights[source];
+  bool seen_source = false;
+  for (const graph::TaskId v : graph::topological_order(g)) {
+    if (v == source) seen_source = true;
+    if (!seen_source || dist[v] == kNegInf) continue;
+    for (const graph::TaskId w : g.successors(v)) {
+      const double cand = dist[v] + weights[w];
+      if (cand > dist[w]) dist[w] = cand;
+    }
+  }
+  return dist;
+}
 
 std::vector<std::vector<graph::TaskId>> level_partition(const graph::Dag& g) {
   const auto topo = graph::topological_order(g);
@@ -32,15 +69,13 @@ std::vector<std::vector<graph::TaskId>> level_partition(const graph::Dag& g) {
 
 double first_order_naive(const graph::Dag& g,
                          const core::FailureModel& model) {
-  const auto topo = graph::topological_order(g);
-  std::vector<double> finish(g.task_count());
-  const double d = graph::critical_path_length(g, g.weights(), topo, finish);
+  const double d = dag_critical_path(g, g.weights());
   std::vector<double> weights = g.weights();
   double correction = 0.0;
   for (graph::TaskId i = 0; i < g.task_count(); ++i) {
     const double a = weights[i];
     weights[i] = 2.0 * a;
-    const double d_i = graph::critical_path_length(g, weights, topo, finish);
+    const double d_i = dag_critical_path(g, weights);
     weights[i] = a;
     correction += a * (d_i - d);
   }
@@ -49,7 +84,6 @@ double first_order_naive(const graph::Dag& g,
 
 core::MakespanBounds makespan_bounds_object_fold(
     const graph::Dag& g, const core::FailureModel& model) {
-  const auto topo = graph::topological_order(g);
   std::vector<double> p(g.task_count());
   std::vector<double> expected(g.task_count());
   for (graph::TaskId i = 0; i < g.task_count(); ++i) {
@@ -57,8 +91,8 @@ core::MakespanBounds makespan_bounds_object_fold(
     expected[i] = g.weight(i) * (2.0 - p[i]);
   }
   core::MakespanBounds out;
-  out.failure_free = graph::critical_path_length(g, g.weights(), topo);
-  out.jensen_lower = graph::critical_path_length(g, expected, topo);
+  out.failure_free = dag_critical_path(g, g.weights());
+  out.jensen_lower = dag_critical_path(g, expected);
 
   // E[ sum_l max_{i in L_l} X_i ].
   double upper = 0.0;
@@ -104,7 +138,7 @@ double reference_trial(const scenario::Scenario& sc, prob::McRng& rng,
     }
     durations[sc.csr().original_id(v)] = w[v] * static_cast<double>(executions);
   }
-  return graph::critical_path_length(sc.dag(), durations, sc.topo());
+  return dag_critical_path(sc.dag(), durations);
 }
 
 }  // namespace expmk::ref

@@ -11,13 +11,17 @@
 //    vectors, the arithmetic the flat atom fold of core::makespan_bounds
 //    mirrors operation for operation;
 //  * reference_trial samples one Monte-Carlo trial task by task and
-//    takes the makespan with the allocating Dag longest path — the spec
-//    the trial-lane kernel and mc::sample_durations are pinned against.
+//    takes the makespan with the Dag longest path — the spec the
+//    trial-lane kernel and mc::sample_durations are pinned against;
+//  * dag_critical_path and dag_longest_from walk the Dag's adjacency
+//    lists in a topological order — the spec the graph::CsrDag kernels
+//    are checked against (CsrKernels.*MatchesDag).
 // Test-only: built into expmk_tests and nothing else (the same pattern as
 // tests/sp_reference).
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/bounds.hpp"
@@ -27,6 +31,18 @@
 #include "scenario/scenario.hpp"
 
 namespace expmk::ref {
+
+/// d(G) by the Dag-walking DP: `weights` in Dag id order, finish times
+/// folded over each task's predecessor list in a topological order.
+[[nodiscard]] double dag_critical_path(const graph::Dag& g,
+                                       std::span<const double> weights);
+
+/// Single-source longest paths by forward relaxation over the Dag's
+/// successor lists: out[j] = longest `source` -> j path, inclusive of both
+/// endpoint weights, -infinity where j is unreachable (Dag id order).
+[[nodiscard]] std::vector<double> dag_longest_from(
+    const graph::Dag& g, graph::TaskId source,
+    std::span<const double> weights);
 
 /// First-order expected makespan d(G) + lambda sum_i a_i (d(G_i) - d(G)),
 /// with every d(G_i) recomputed by a full longest-path pass.
@@ -48,7 +64,7 @@ namespace expmk::ref {
 /// position order, one draw of `rng` against the scenario's constants
 /// (executions capped at mc::kMaxExecutions), durations scattered into
 /// Dag id order (`durations` is resized to task_count()), then the
-/// makespan by graph::critical_path_length over the Dag. When `control`
+/// makespan by dag_critical_path. When `control`
 /// is non-null it receives the control-variate statistic
 /// sum_v a_v * (executions_v - 1), accumulated in position order.
 double reference_trial(const scenario::Scenario& sc, prob::McRng& rng,

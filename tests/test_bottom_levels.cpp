@@ -8,8 +8,7 @@
 #include "gen/cholesky.hpp"
 #include "gen/lu.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/levels.hpp"
-#include "graph/topological.hpp"
+#include "sched/priorities.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -19,11 +18,15 @@ using expmk::core::failure_aware_bottom_levels;
 using expmk::core::FailureModel;
 using expmk::test::uniform_scenario;
 
+/// Failure-free bottom levels in Dag id order (the classic CP priority).
+std::vector<double> classic_bottom_levels(const expmk::graph::Dag& g) {
+  return expmk::sched::priorities(uniform_scenario(g, FailureModel{0.0}),
+                                  expmk::sched::PriorityKind::BottomLevel);
+}
+
 TEST(FailureAwareBottomLevels, ZeroLambdaEqualsClassicBottomLevels) {
   const auto g = expmk::gen::cholesky_dag(4);
-  const auto topo = expmk::graph::topological_order(g);
-  const auto classic =
-      expmk::graph::bottom_levels(g, g.weights(), topo);
+  const auto classic = classic_bottom_levels(g);
   const auto aware =
       failure_aware_bottom_levels(uniform_scenario(g, FailureModel{0.0}));
   ASSERT_EQ(classic.size(), aware.size());
@@ -34,8 +37,7 @@ TEST(FailureAwareBottomLevels, ZeroLambdaEqualsClassicBottomLevels) {
 
 TEST(FailureAwareBottomLevels, AlwaysAtLeastClassic) {
   const auto g = expmk::gen::erdos_dag(30, 0.2, 5);
-  const auto topo = expmk::graph::topological_order(g);
-  const auto classic = expmk::graph::bottom_levels(g, g.weights(), topo);
+  const auto classic = classic_bottom_levels(g);
   const auto aware =
       failure_aware_bottom_levels(uniform_scenario(g, FailureModel{0.05}));
   for (std::size_t i = 0; i < classic.size(); ++i) {

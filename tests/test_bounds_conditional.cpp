@@ -10,7 +10,6 @@
 #include "core/first_order.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/longest_path.hpp"
 #include "mc/conditional.hpp"
 #include "mc/engine.hpp"
 #include "test_helpers.hpp"

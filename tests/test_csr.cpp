@@ -17,7 +17,6 @@
 #include "gen/lu.hpp"
 #include "gen/random_dags.hpp"
 #include "graph/csr.hpp"
-#include "graph/longest_path.hpp"
 #include "graph/topological.hpp"
 #include "mc/engine.hpp"
 #include "mc/trial.hpp"
@@ -99,15 +98,14 @@ TEST(CsrDag, RejectsCycles) {
   EXPECT_THROW(CsrDag{g}, std::invalid_argument);
 }
 
+// The Dag-walking DP in tests/reference_estimators is the spec.
 TEST(CsrKernels, CriticalPathMatchesDag) {
   for (const Dag& g : fixture_dags()) {
     const CsrDag csr(g);
-    const auto topo = expmk::graph::topological_order(g);
     std::vector<double> finish(csr.task_count());
     const double via_csr =
         critical_path_length(csr, csr.weights(), finish);
-    const double via_dag =
-        expmk::graph::critical_path_length(g, g.weights(), topo);
+    const double via_dag = expmk::ref::dag_critical_path(g, g.weights());
     EXPECT_DOUBLE_EQ(via_csr, via_dag);
   }
 }
@@ -115,13 +113,12 @@ TEST(CsrKernels, CriticalPathMatchesDag) {
 TEST(CsrKernels, LongestFromMatchesDag) {
   for (const Dag& g : fixture_dags()) {
     const CsrDag csr(g);
-    const auto topo = expmk::graph::topological_order(g);
     const std::size_t n = g.task_count();
     std::vector<double> dist(n);
     for (std::uint32_t src = 0; src < n; ++src) {
       longest_from(csr, src, csr.weights(), dist);
-      const auto ref = expmk::graph::longest_from(
-          g, csr.original_id(src), g.weights(), topo);
+      const auto ref =
+          expmk::ref::dag_longest_from(g, csr.original_id(src), g.weights());
       for (std::uint32_t pos = src; pos < n; ++pos) {
         EXPECT_DOUBLE_EQ(dist[pos], ref[csr.original_id(pos)])
             << "src=" << src << " pos=" << pos;
@@ -130,19 +127,16 @@ TEST(CsrKernels, LongestFromMatchesDag) {
   }
 }
 
-TEST(CsrKernels, DagScratchOverloadsMatchAllocatingOnes) {
-  const Dag g = expmk::gen::lu_dag(4);
-  const auto topo = expmk::graph::topological_order(g);
-  std::vector<double> finish(g.task_count());
-  EXPECT_DOUBLE_EQ(
-      expmk::graph::critical_path_length(g, g.weights(), topo, finish),
-      expmk::graph::critical_path_length(g, g.weights(), topo));
-  std::vector<double> dist(g.task_count());
-  expmk::graph::longest_from(g, 0, g.weights(), topo, dist);
-  const auto ref = expmk::graph::longest_from(g, 0, g.weights(), topo);
-  for (std::size_t i = 0; i < dist.size(); ++i) {
-    EXPECT_DOUBLE_EQ(dist[i], ref[i]);
+// The one allocating convenience, critical_path_length(const Dag&), is the
+// scratch kernel on a freshly built view.
+TEST(CsrKernels, DagConvenienceMatchesScratchKernel) {
+  for (const Dag& g : fixture_dags()) {
+    const CsrDag csr(g);
+    std::vector<double> finish(g.task_count());
+    EXPECT_EQ(expmk::graph::critical_path_length(g),
+              critical_path_length(csr, csr.weights(), finish));
   }
+  EXPECT_EQ(expmk::graph::critical_path_length(Dag{}), 0.0);
 }
 
 // The one-trial path — mc::sample_durations, then

@@ -48,7 +48,7 @@ TEST(FailureModel, ZeroPfailCalibratesToExplicitZeroFailureModel) {
   EXPECT_DOUBLE_EQ(m.lambda, 0.0);
   EXPECT_TRUE(m.failure_free());
   const auto sc = expmk::test::uniform_scenario(g, m);
-  for (const double p : sc.p_success()) {
+  for (const double p : sc.p_success_csr()) {
     EXPECT_DOUBLE_EQ(p, 1.0);
   }
 }
@@ -109,10 +109,11 @@ TEST(FailureModel, SuccessProbabilitiesVector) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
   const FailureModel m{0.1};
   const auto sc = expmk::test::uniform_scenario(g, m);
-  const auto p = sc.p_success();
+  const auto p = sc.p_success_csr();
   ASSERT_EQ(p.size(), 4u);
   for (expmk::graph::TaskId i = 0; i < 4; ++i) {
-    EXPECT_NEAR(p[i], std::exp(-0.1 * g.weight(i)), 1e-15);
+    EXPECT_NEAR(p[sc.csr().position_of(i)], std::exp(-0.1 * g.weight(i)),
+                1e-15);
   }
 }
 

@@ -13,7 +13,7 @@
 #include "gen/lu.hpp"
 #include "gen/qr.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "reference_estimators.hpp"
 #include "test_helpers.hpp"
 

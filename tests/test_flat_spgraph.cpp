@@ -79,7 +79,8 @@ std::vector<DiscreteDistribution> scenario_dists(const Scenario& sc) {
     const double a = g.weight(i);
     out.push_back(a <= 0.0
                       ? DiscreteDistribution::point(0.0)
-                      : DiscreteDistribution::two_state(a, sc.p_success()[i]));
+                      : DiscreteDistribution::two_state(
+                            a, sc.p_success_csr()[sc.csr().position_of(i)]));
   }
   return out;
 }
@@ -568,8 +569,10 @@ TEST(HeterogeneousExactGeo, MatchesDistributionOracles) {
         RetryModel::Geometric);
     DiscreteDistribution sum = DiscreteDistribution::point(0.0);
     for (TaskId i = 0; i < g.task_count(); ++i) {
-      sum = ops::convolve(sum, ops::geometric_reexec(
-                                   g.weight(i), sc.p_success()[i], max_exec));
+      sum = ops::convolve(
+          sum, ops::geometric_reexec(
+                   g.weight(i), sc.p_success_csr()[sc.csr().position_of(i)],
+                   max_exec));
     }
     EXPECT_NEAR(expmk::core::exact_geometric(sc, max_exec, ws), sum.mean(),
                 1e-12 * sum.mean());
@@ -581,7 +584,8 @@ TEST(HeterogeneousExactGeo, MatchesDistributionOracles) {
         g, FailureSpec::per_task({0.2, 0.6, 0.1, 0.45}),
         RetryModel::Geometric);
     const auto law = [&](TaskId i) {
-      return ops::geometric_reexec(g.weight(i), sc.p_success()[i], max_exec);
+      return ops::geometric_reexec(
+          g.weight(i), sc.p_success_csr()[sc.csr().position_of(i)], max_exec);
     };
     const auto oracle = ops::convolve(
         ops::convolve(law(0), ops::max_of(law(1), law(2))), law(3));

@@ -8,7 +8,7 @@
 #include "gen/kernels.hpp"
 #include "gen/lu.hpp"
 #include "gen/qr.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "graph/reachability.hpp"
 #include "graph/validate.hpp"
 

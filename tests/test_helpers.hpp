@@ -13,7 +13,6 @@
 #include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
 #include "graph/dag.hpp"
-#include "graph/longest_path.hpp"
 #include "graph/topological.hpp"
 #include "scenario/scenario.hpp"
 #include "spgraph/dodin.hpp"

@@ -12,7 +12,7 @@
 #include "gen/cholesky.hpp"
 #include "gen/lu.hpp"
 #include "gen/qr.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "mc/engine.hpp"
 #include "normal/sculli.hpp"
 #include "test_helpers.hpp"

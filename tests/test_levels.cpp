@@ -1,7 +1,7 @@
-// Unit tests for graph/levels: top/bottom level conventions and their
-// relationship to the critical path (the identities the first-order
-// estimator depends on), plus the hop-count level partition the reference
-// level bound folds over.
+// Unit tests for graph::compute_levels over the CSR view: top/bottom level
+// conventions and their relationship to the critical path (the identities
+// the first-order estimator depends on), plus the hop-count level
+// partition the reference level bound folds over.
 
 #include <gtest/gtest.h>
 
@@ -10,19 +10,36 @@
 
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/levels.hpp"
-#include "graph/longest_path.hpp"
-#include "graph/topological.hpp"
+#include "graph/csr.hpp"
 #include "reference_estimators.hpp"
 #include "test_helpers.hpp"
 
 namespace {
 
-using expmk::graph::bottom_levels;
-using expmk::graph::compute_levels;
+using expmk::graph::CsrDag;
 using expmk::graph::critical_path_length;
-using expmk::graph::top_levels;
-using expmk::graph::topological_order;
+
+/// Top and bottom levels plus d(G), the level arrays in Dag id order.
+struct Levels {
+  std::vector<double> top;
+  std::vector<double> bottom;
+  double critical_path = 0.0;
+};
+
+Levels levels_of(const expmk::graph::Dag& g) {
+  const CsrDag csr(g);
+  const std::size_t n = csr.task_count();
+  std::vector<double> top(n), bottom(n);
+  Levels out;
+  out.critical_path = compute_levels(csr, csr.weights(), top, bottom);
+  out.top.resize(n);
+  out.bottom.resize(n);
+  for (expmk::graph::TaskId i = 0; i < n; ++i) {
+    out.top[i] = top[csr.position_of(i)];
+    out.bottom[i] = bottom[csr.position_of(i)];
+  }
+  return out;
+}
 
 // The reference level bound's partition (tests/reference_estimators).
 TEST(Metrics, LevelPartitionCoversAllTasks) {
@@ -47,9 +64,8 @@ TEST(Metrics, LevelPartitionCoversAllTasks) {
 
 TEST(Levels, DiamondValues) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
-  const auto topo = topological_order(g);
-  const auto top = top_levels(g, g.weights(), topo);
-  const auto bottom = bottom_levels(g, g.weights(), topo);
+  const auto [top, bottom, d] = levels_of(g);
+  EXPECT_DOUBLE_EQ(d, 8.0);
 
   const auto A = g.find_by_name("A"), B = g.find_by_name("B"),
              C = g.find_by_name("C"), D = g.find_by_name("D");
@@ -65,9 +81,7 @@ TEST(Levels, DiamondValues) {
 
 TEST(Levels, EntryTopIsZeroExitBottomIsWeight) {
   const auto g = expmk::gen::layered_random(4, 3, 0.5, 11);
-  const auto topo = topological_order(g);
-  const auto top = top_levels(g, g.weights(), topo);
-  const auto bottom = bottom_levels(g, g.weights(), topo);
+  const auto [top, bottom, d] = levels_of(g);
   for (const auto e : g.entry_tasks()) EXPECT_DOUBLE_EQ(top[e], 0.0);
   for (const auto x : g.exit_tasks()) {
     EXPECT_DOUBLE_EQ(bottom[x], g.weight(x));
@@ -76,10 +90,7 @@ TEST(Levels, EntryTopIsZeroExitBottomIsWeight) {
 
 TEST(Levels, BundleCriticalPathMatchesLongestPath) {
   const auto g = expmk::gen::cholesky_dag(5);
-  const auto topo = topological_order(g);
-  const auto levels = compute_levels(g, g.weights(), topo);
-  EXPECT_NEAR(levels.critical_path,
-              critical_path_length(g, g.weights(), topo), 1e-12);
+  EXPECT_NEAR(levels_of(g).critical_path, critical_path_length(g), 1e-12);
 }
 
 // Key identity behind the closed-form first order: for every task,
@@ -89,8 +100,7 @@ class LevelsInvariantSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LevelsInvariantSweep, ThroughPathNeverExceedsCriticalPath) {
   const auto g = expmk::gen::erdos_dag(30, 0.15, GetParam());
-  const auto topo = topological_order(g);
-  const auto levels = compute_levels(g, g.weights(), topo);
+  const auto levels = levels_of(g);
   bool some_tight = false;
   for (expmk::graph::TaskId v = 0; v < g.task_count(); ++v) {
     const double through = levels.top[v] + levels.bottom[v];
@@ -102,8 +112,7 @@ TEST_P(LevelsInvariantSweep, ThroughPathNeverExceedsCriticalPath) {
 
 TEST_P(LevelsInvariantSweep, BottomLevelIsMonotoneAlongEdges) {
   const auto g = expmk::gen::erdos_dag(30, 0.15, GetParam() + 100);
-  const auto topo = topological_order(g);
-  const auto bottom = bottom_levels(g, g.weights(), topo);
+  const auto bottom = levels_of(g).bottom;
   for (expmk::graph::TaskId u = 0; u < g.task_count(); ++u) {
     for (const auto v : g.successors(u)) {
       // bottom(u) >= a_u + bottom(v) > bottom(v).

@@ -1,21 +1,49 @@
-// Unit tests for graph/longest_path: the d(G) computation every estimator
-// builds on, cross-checked against a brute-force path enumeration.
+// Unit tests for the CSR longest-path kernels: the d(G) computation every
+// estimator builds on, cross-checked against a brute-force path
+// enumeration.
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "gen/random_dags.hpp"
-#include "graph/longest_path.hpp"
-#include "graph/topological.hpp"
+#include "graph/csr.hpp"
 #include "test_helpers.hpp"
 
 namespace {
 
-using expmk::graph::critical_path;
+using expmk::graph::CsrDag;
 using expmk::graph::critical_path_length;
 using expmk::graph::longest_from;
-using expmk::graph::topological_order;
+
+/// Weights given in Dag id order, permuted into position order.
+std::vector<double> by_position(const CsrDag& csr,
+                                const std::vector<double>& by_id) {
+  std::vector<double> out(by_id.size());
+  for (std::uint32_t pos = 0; pos < out.size(); ++pos) {
+    out[pos] = by_id[csr.original_id(pos)];
+  }
+  return out;
+}
+
+/// Longest paths from Dag task `source`, in Dag id order.
+std::vector<double> longest_from_task(const expmk::graph::Dag& g,
+                                      expmk::graph::TaskId source) {
+  const CsrDag csr(g);
+  const std::uint32_t src = csr.position_of(source);
+  std::vector<double> dist(csr.task_count());
+  longest_from(csr, src, csr.weights(), dist);
+  std::vector<double> out(csr.task_count());
+  for (std::uint32_t pos = 0; pos < out.size(); ++pos) {
+    // Positions below the source are untouched by the kernel: none of
+    // them is reachable.
+    out[csr.original_id(pos)] =
+        pos < src ? -std::numeric_limits<double>::infinity() : dist[pos];
+  }
+  return out;
+}
 
 TEST(LongestPath, DiamondTakesHeavierBranch) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 1.0);
@@ -37,40 +65,29 @@ TEST(LongestPath, IndependentTasksTakeMaximum) {
 
 TEST(LongestPath, CustomWeightsOverrideDagWeights) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 1.0);
-  const auto topo = topological_order(g);
+  const CsrDag csr(g);
   const std::vector<double> w = {1.0, 10.0, 3.0, 1.0};  // B now heavier
-  EXPECT_DOUBLE_EQ(critical_path_length(g, w, topo), 12.0);
+  std::vector<double> finish(csr.task_count());
+  EXPECT_DOUBLE_EQ(critical_path_length(csr, by_position(csr, w), finish),
+                   12.0);
 }
 
 TEST(LongestPath, MismatchedSizesThrow) {
   const auto g = expmk::test::diamond();
-  const auto topo = topological_order(g);
+  const CsrDag csr(g);
   const std::vector<double> wrong = {1.0, 2.0};
-  EXPECT_THROW((void)critical_path_length(g, wrong, topo),
+  std::vector<double> finish(csr.task_count());
+  EXPECT_THROW((void)critical_path_length(csr, wrong, finish),
                std::invalid_argument);
-}
-
-TEST(LongestPath, PathExtractionMatchesLength) {
-  const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 1.0);
-  const auto topo = topological_order(g);
-  const auto cp = critical_path(g, g.weights(), topo);
-  EXPECT_DOUBLE_EQ(cp.length, 5.0);
-  ASSERT_EQ(cp.tasks.size(), 3u);
-  EXPECT_EQ(g.name(cp.tasks[0]), "A");
-  EXPECT_EQ(g.name(cp.tasks[1]), "C");
-  EXPECT_EQ(g.name(cp.tasks[2]), "D");
-  // The extracted path must be a real path.
-  for (std::size_t i = 0; i + 1 < cp.tasks.size(); ++i) {
-    const auto succ = g.successors(cp.tasks[i]);
-    EXPECT_NE(std::find(succ.begin(), succ.end(), cp.tasks[i + 1]),
-              succ.end());
-  }
+  std::vector<double> short_finish(2);
+  EXPECT_THROW(
+      (void)critical_path_length(csr, csr.weights(), short_finish),
+      std::invalid_argument);
 }
 
 TEST(LongestPath, LongestFromComputesInclusiveLengths) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
-  const auto topo = topological_order(g);
-  const auto lp = longest_from(g, g.find_by_name("A"), g.weights(), topo);
+  const auto lp = longest_from_task(g, g.find_by_name("A"));
   EXPECT_DOUBLE_EQ(lp[g.find_by_name("A")], 1.0);
   EXPECT_DOUBLE_EQ(lp[g.find_by_name("B")], 3.0);
   EXPECT_DOUBLE_EQ(lp[g.find_by_name("C")], 4.0);
@@ -79,8 +96,7 @@ TEST(LongestPath, LongestFromComputesInclusiveLengths) {
 
 TEST(LongestPath, LongestFromUnreachableIsMinusInfinity) {
   const auto g = expmk::test::n_graph();
-  const auto topo = topological_order(g);
-  const auto lp = longest_from(g, g.find_by_name("B"), g.weights(), topo);
+  const auto lp = longest_from_task(g, g.find_by_name("B"));
   EXPECT_EQ(lp[g.find_by_name("C")], -std::numeric_limits<double>::infinity());
   EXPECT_GT(lp[g.find_by_name("D")], 0.0);
 }
@@ -91,8 +107,7 @@ class LongestPathSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(LongestPathSweep, MatchesBruteForce) {
   const auto seed = GetParam();
   const auto g = expmk::gen::erdos_dag(12, 0.25, seed);
-  const auto topo = topological_order(g);
-  const double dp = critical_path_length(g, g.weights(), topo);
+  const double dp = critical_path_length(g);
   const double brute = expmk::test::brute_force_longest_path(g, g.weights());
   EXPECT_NEAR(dp, brute, 1e-12);
 }

@@ -11,7 +11,7 @@
 #include "gen/cholesky.hpp"
 #include "gen/lu.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "mc/engine.hpp"
 #include "test_helpers.hpp"
 

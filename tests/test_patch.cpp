@@ -39,13 +39,23 @@ void expect_bit_identical(const scenario::Scenario& a,
                           const scenario::Scenario& b) {
   ASSERT_EQ(a.task_count(), b.task_count());
   for (std::size_t i = 0; i < a.task_count(); ++i) {
-    EXPECT_EQ(a.rates()[i], b.rates()[i]) << "rates[" << i << "]";
-    EXPECT_EQ(a.p_success()[i], b.p_success()[i]) << "p_success[" << i << "]";
-    EXPECT_EQ(a.expected_durations()[i], b.expected_durations()[i])
-        << "expected_durations[" << i << "]";
+    EXPECT_EQ(a.rates_csr()[i], b.rates_csr()[i]) << "rates_csr[" << i << "]";
+    EXPECT_EQ(a.p_success_csr()[i], b.p_success_csr()[i])
+        << "p_success_csr[" << i << "]";
+    EXPECT_EQ(a.q_fail_csr()[i], b.q_fail_csr()[i])
+        << "q_fail_csr[" << i << "]";
+    EXPECT_EQ(a.inv_log_q_csr()[i], b.inv_log_q_csr()[i])
+        << "inv_log_q_csr[" << i << "]";
     EXPECT_EQ(a.finish_csr()[i], b.finish_csr()[i]) << "finish_csr[" << i << "]";
     EXPECT_EQ(a.weights_csr()[i], b.weights_csr()[i]) << "weights_csr[" << i << "]";
   }
+  ASSERT_EQ(a.exits().size(), b.exits().size());
+  for (std::size_t i = 0; i < a.exits().size(); ++i) {
+    EXPECT_EQ(a.exits()[i], b.exits()[i]) << "exits[" << i << "]";
+  }
+  EXPECT_EQ(a.failure_free(), b.failure_free());
+  EXPECT_EQ(a.mean_weight(), b.mean_weight());
+  EXPECT_EQ(a.total_weight(), b.total_weight());
   EXPECT_EQ(a.critical_path(), b.critical_path());
   EXPECT_EQ(scenario::content_hash(a.dag(), a.failure(), a.retry()),
             scenario::content_hash(b.dag(), b.failure(), b.retry()));
@@ -121,7 +131,8 @@ TEST(Patch, UniformBasePatchGoesHeterogeneous) {
   const std::vector<double> nr = {4e-3};
   const auto patched = sc.patch(ids, nr);
 
-  std::vector<double> merged(sc.rates().begin(), sc.rates().end());
+  std::vector<double> merged(sc.task_count(),
+                             sc.failure().uniform_lambda());
   merged[7] = 4e-3;
   const auto fresh = scenario::Scenario::compile(
       g, scenario::FailureSpec::per_task(merged),

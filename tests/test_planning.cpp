@@ -9,7 +9,7 @@
 
 #include "core/failure_model.hpp"
 #include "gen/cholesky.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "mc/engine.hpp"
 #include "mc/planning.hpp"
 #include "test_helpers.hpp"

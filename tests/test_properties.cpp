@@ -18,7 +18,7 @@
 #include "gen/lu.hpp"
 #include "gen/qr.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "graph/serialize.hpp"
 #include "graph/topological.hpp"
 #include "mc/engine.hpp"

@@ -6,7 +6,7 @@
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
 #include "graph/reachability.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "graph/topological.hpp"
 #include "test_helpers.hpp"
 

@@ -26,7 +26,7 @@
 #include "exp/evaluator.hpp"
 #include "exp/sweep.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "graph/topological.hpp"
 #include "mc/engine.hpp"
 #include "scenario/scenario.hpp"
@@ -139,10 +139,11 @@ TEST(ScenarioCompile, RejectsNonFiniteTaskWeights) {
 TEST(ScenarioCompile, CachesExitTasks) {
   const Dag g = expmk::gen::erdos_dag(12, 0.3, 17);
   const Scenario sc = Scenario::compile(g, FailureSpec::uniform(0.05));
+  // Exit positions, listed in ascending exit id order.
   const auto exits = g.exit_tasks();
   ASSERT_EQ(sc.exits().size(), exits.size());
   for (std::size_t i = 0; i < exits.size(); ++i) {
-    EXPECT_EQ(sc.exits()[i], exits[i]) << i;
+    EXPECT_EQ(sc.exits()[i], sc.csr().position_of(exits[i])) << i;
   }
 }
 
@@ -160,40 +161,24 @@ TEST(ScenarioCompile, CachedStateMatchesTheLibraryPrimitives) {
   EXPECT_EQ(sc.mean_weight(), g.mean_weight());
   EXPECT_EQ(sc.total_weight(), g.total_weight());
 
-  // Per-task constants, bit-identical to the primitives they cache.
-  ASSERT_EQ(sc.p_success().size(), g.task_count());
-  for (TaskId i = 0; i < g.task_count(); ++i) {
-    EXPECT_EQ(sc.p_success()[i], model.p_success(g.weight(i))) << i;
-    EXPECT_EQ(sc.rates()[i], model.lambda) << i;
-    EXPECT_EQ(sc.expected_durations()[i],
-              model.expected_duration(g.weight(i), RetryModel::TwoState))
-        << i;
-  }
-  // Position-order views are the Dag-order views permuted by the CSR.
+  // Per-task constants in position order, bit-identical to the
+  // primitives they cache.
+  ASSERT_EQ(sc.p_success_csr().size(), g.task_count());
+  ASSERT_EQ(sc.rates_csr().size(), g.task_count());
   for (std::uint32_t pos = 0; pos < g.task_count(); ++pos) {
     const TaskId id = sc.csr().original_id(pos);
-    EXPECT_EQ(sc.p_success_csr()[pos], sc.p_success()[id]) << pos;
-    EXPECT_EQ(sc.q_fail_csr()[pos], 1.0 - sc.p_success()[id]) << pos;
+    const double p = model.p_success(g.weight(id));
+    EXPECT_EQ(sc.p_success_csr()[pos], p) << pos;
+    EXPECT_EQ(sc.rates_csr()[pos], model.lambda) << pos;
+    EXPECT_EQ(sc.q_fail_csr()[pos], 1.0 - p) << pos;
+    EXPECT_EQ(sc.inv_log_q_csr()[pos], 1.0 / std::log1p(-p)) << pos;
     EXPECT_EQ(sc.weights_csr()[pos], g.weight(id)) << pos;
   }
-  // topo() is a valid topological order of the Dag.
-  std::vector<std::uint32_t> position(g.task_count());
-  for (std::uint32_t pos = 0; pos < g.task_count(); ++pos) {
-    position[sc.topo()[pos]] = pos;
-  }
+  // The CSR order is a valid topological order of the Dag.
   for (TaskId u = 0; u < g.task_count(); ++u) {
     for (const TaskId v : g.successors(u)) {
-      EXPECT_LT(position[u], position[v]);
+      EXPECT_LT(sc.csr().position_of(u), sc.csr().position_of(v));
     }
-  }
-
-  // The geometric expected duration is cached per the scenario's retry.
-  const Scenario sc_geo =
-      Scenario::compile(g, FailureSpec(model), RetryModel::Geometric);
-  for (TaskId i = 0; i < g.task_count(); ++i) {
-    EXPECT_EQ(sc_geo.expected_durations()[i],
-              model.expected_duration(g.weight(i), RetryModel::Geometric))
-        << i;
   }
 }
 

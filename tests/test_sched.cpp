@@ -8,7 +8,7 @@
 #include "gen/cholesky.hpp"
 #include "gen/lu.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "sched/fault_sim.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/priorities.hpp"

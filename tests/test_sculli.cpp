@@ -9,7 +9,7 @@
 #include "core/exact.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "normal/sculli.hpp"
 #include "test_helpers.hpp"
 

@@ -21,7 +21,7 @@
 #include "exp/sweep.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
-#include "graph/longest_path.hpp"
+#include "graph/csr.hpp"
 #include "test_helpers.hpp"
 
 namespace {

@@ -41,6 +41,8 @@
 #include "gen/lu.hpp"
 #include "gen/random_dags.hpp"
 #include "graph/sp_tree.hpp"
+#include "mc/conditional.hpp"
+#include "mc/engine.hpp"
 #include "mc/trial.hpp"
 #include "prob/rng.hpp"
 #include "reference_estimators.hpp"
@@ -391,6 +393,58 @@ TEST(AllocationRegression, DodinPastGrowthPointsIsAllocationFreeWhenWarm) {
   EXPECT_EQ(warm.mean, cold.mean);
   EXPECT_EQ(warm.duplications, cold.duplications);
   EXPECT_GT(cold.truncation.events, 0u);
+}
+
+// The Monte-Carlo engines allocate their per-call accumulators, but no
+// per-task scratch: mc's lane finish matrix, cmc's duration and finish
+// vectors and mc.hier's per-chunk duration and finish vectors all lease
+// from the running thread's Workspace::local(). So a warm call makes as
+// many heap allocations on LU k=16 (1,496 tasks) as on LU k=6 (91), and
+// fewer than one per chunk.
+TEST(AllocationRegression, MonteCarloAllocationsDoNotScaleWithTaskCount) {
+  struct Counts {
+    std::uint64_t mc, cmc, hier;
+  };
+  const auto warm_counts = [](int k) {
+    const Scenario sc = Scenario::calibrated(expmk::gen::lu_dag(k), 0.01,
+                                             RetryModel::TwoState);
+    Workspace ws;
+    double guard = 0.0;
+    const auto count = [&](const auto& call) {
+      guard += call();
+      guard += call();
+      const std::uint64_t before = g_alloc_count.load();
+      guard += call();
+      return g_alloc_count.load() - before;
+    };
+    Counts out{};
+    out.mc = count([&] {
+      expmk::mc::McConfig cfg;
+      cfg.trials = 2'000;
+      cfg.threads = 1;
+      return expmk::mc::run_monte_carlo(sc, cfg).mean;
+    });
+    out.cmc = count([&] {
+      expmk::mc::ConditionalMcConfig cfg;
+      cfg.trials = 2'000;
+      cfg.threads = 1;
+      return expmk::mc::run_conditional_monte_carlo(sc, cfg).mean;
+    });
+    out.hier = count([&] {
+      return expmk::exp::hier::evaluate_mc_hier(sc, 32, ws, 2'000, 7, 1)
+          .mean;
+    });
+    EXPECT_FALSE(std::isnan(guard));
+    return out;
+  };
+  const Counts small = warm_counts(6);
+  const Counts large = warm_counts(16);
+  EXPECT_EQ(small.mc, large.mc);
+  EXPECT_EQ(small.cmc, large.cmc);
+  EXPECT_EQ(small.hier, large.hier);
+  for (const std::uint64_t n : {large.mc, large.cmc, large.hier}) {
+    EXPECT_LT(n, expmk::mc::kEngineChunks);
+  }
 }
 
 // --------------------------------------------- adapter property (x13)

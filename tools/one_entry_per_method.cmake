@@ -3,9 +3,10 @@
 # Guards the one-entry-per-estimator rule: every estimator in src/ is
 # called through its (Scenario, Workspace) kernel, so no graph-level
 # adapter taking a core::FailureModel may come back, the retired
-# level-parallel layer stays retired, and Monte-Carlo trials have one
-# path (mc::run_trial_lanes in the engine, mc::sample_durations for the
-# consumers of sampled durations). Fails (non-zero exit) when
+# level-parallel layer stays retired, Monte-Carlo trials have one path
+# (mc::run_trial_lanes in the engine, mc::sample_durations for the
+# consumers of sampled durations), and the graph has one walk (the CSR
+# view). Fails (non-zero exit) when
 #   * a header under src/ other than core/failure_model.hpp (the model
 #     itself) and scenario/scenario.hpp (FailureSpec's conversion) names
 #     `FailureModel&`,
@@ -15,7 +16,12 @@
 #     `run_trial_csr`, `run_trial_scatter_csr`, `run_trial_durations_csr`
 #     or `adapter_scratch`, or
 #   * `kEngineChunks` is defined anywhere but mc/engine.hpp (every engine
-#     shares one chunk partition).
+#     shares one chunk partition), or
+#   * the second graph walk comes back: an include of graph/levels.hpp or
+#     graph/longest_path.hpp, a `topo()` member, `expected_durations()`,
+#     or a zero-argument `p_success()` / `rates()` call (Scenario keeps
+#     every per-task constant once, in CSR position order, behind the
+#     `*_csr()` accessors; every DAG sweep runs on graph::CsrDag).
 #
 #   cmake -DSRC=<repo>/src -P tools/one_entry_per_method.cmake
 
@@ -44,6 +50,9 @@ endforeach()
 # Whole identifiers only: run_trial_lanes is the engine's kernel.
 set(retired_trial_api "(^|[^A-Za-z0-9_])(TrialContext|run_trial|run_trial_csr|run_trial_scatter_csr|run_trial_durations_csr|adapter_scratch)([^A-Za-z0-9_]|$)")
 set(chunk_definition "kEngineChunks[ \t]*(=[^=]|=$|\{)")
+# The Dag-order graph walk and Scenario's id-order caches.
+set(retired_graph_walk_include "#[ \t]*include[ \t]*\"graph/(levels|longest_path)\\.hpp\"")
+set(retired_graph_walk_api "(^|[^A-Za-z0-9_])(topo|expected_durations|p_success|rates)[ \t]*\\([ \t]*\\)")
 
 file(GLOB_RECURSE files "${SRC}/*")
 foreach(path IN LISTS files)
@@ -60,6 +69,13 @@ foreach(path IN LISTS files)
   foreach(hit IN LISTS hits)
     string(STRIP "${hit}" hit)
     list(APPEND violations "${rel}: retired one-trial kernel API: ${hit}")
+  endforeach()
+  foreach(pattern IN ITEMS retired_graph_walk_include retired_graph_walk_api)
+    file(STRINGS "${path}" hits REGEX "${${pattern}}")
+    foreach(hit IN LISTS hits)
+      string(STRIP "${hit}" hit)
+      list(APPEND violations "${rel}: retired Dag-order graph walk: ${hit}")
+    endforeach()
   endforeach()
   if(NOT rel STREQUAL "mc/engine.hpp")
     file(STRINGS "${path}" hits REGEX "${chunk_definition}")

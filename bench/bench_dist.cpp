@@ -79,9 +79,9 @@ Row bench_kernel_op(const char* op, std::size_t nx, std::size_t ny,
     const auto out = ws.atoms(is_convolve ? nx * ny : nx + ny);
     std::size_t m;
     if (is_convolve) {
-      m = dk::convolve(x.atoms(), y.atoms(), out);
+      m = dk::convolve(x.atoms(), y.atoms(), out, ws.atoms(nx * ny));
     } else {
-      const auto support = ws.doubles(nx + ny);
+      const auto support = ws.doubles(5 * (nx + ny));
       m = dk::max_of(x.atoms(), y.atoms(), out, support);
     }
     checksum_guard += dk::mean(out.subspan(0, m));

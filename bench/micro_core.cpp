@@ -198,7 +198,9 @@ std::vector<prob::Atom> capped_chain(std::size_t atoms) {
     prob::Atom t[2];
     const std::size_t nt = dk::two_state(1.0 + 0.01 * i, 0.99, t);
     std::vector<prob::Atom> out(d.size() * nt);
-    out.resize(dk::convolve(d, std::span<const prob::Atom>(t, nt), out));
+    std::vector<prob::Atom> scratch(out.size());
+    out.resize(
+        dk::convolve(d, std::span<const prob::Atom>(t, nt), out, scratch));
     cap(out, atoms);
     d = std::move(out);
   }
@@ -212,10 +214,11 @@ void BM_Convolve(benchmark::State& state) {
   prob::Atom other[2];
   const std::size_t no = dk::two_state(0.5, 0.99, other);
   std::vector<prob::Atom> out(d.size() * no);
+  std::vector<prob::Atom> scratch(out.size());
   std::vector<double> gaps(2 * out.size());
   for (auto _ : state) {
-    std::size_t m =
-        dk::convolve(d, std::span<const prob::Atom>(other, no), out);
+    std::size_t m = dk::convolve(d, std::span<const prob::Atom>(other, no),
+                                 out, scratch);
     if (m > atoms) {
       dk::TruncationCert cert;
       m = dk::truncate(std::span(out).first(m), atoms, cert, gaps);
@@ -232,7 +235,7 @@ void BM_MaxOf(benchmark::State& state) {
   const auto atoms = static_cast<std::size_t>(state.range(0));
   const std::vector<prob::Atom> d = capped_chain(atoms);
   std::vector<prob::Atom> out(2 * d.size());
-  std::vector<double> support(2 * d.size());
+  std::vector<double> support(5 * 2 * d.size());
   std::vector<double> gaps(2 * out.size());
   for (auto _ : state) {
     std::size_t m = dk::max_of(d, d, out, support);

@@ -78,8 +78,10 @@ EXPMK_NOALLOC LevelPartition build_level_partition(const graph::CsrDag& csr,
 /// leased Atom arenas (pinned bitwise against the value-level fold in
 /// tests/reference_estimators by tests/test_workspace.cpp). The result
 /// does not depend on the arenas' capacity, only that it suffices
-/// (2 * level.size() + 2), so per-level and whole-graph arenas give the
-/// same bits — which is what lets the fan-out variant lease per level.
+/// (2 * level.size() + 2 atoms each, and five times that many support
+/// doubles for max_of's support and CDF planes), so per-level and
+/// whole-graph arenas give the same bits — which is what lets the fan-out
+/// variant lease per level.
 EXPMK_NOALLOC double level_fold_mean(std::span<const double> weights,
                                      std::span<const double> p,
                                      std::span<const std::uint32_t> level,
@@ -122,7 +124,7 @@ EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
   const std::size_t cap = 2 * n + 2;
   const std::span<prob::Atom> cur = ws.atoms(cap);
   const std::span<prob::Atom> next = ws.atoms(cap);
-  const std::span<double> support = ws.doubles(cap);
+  const std::span<double> support = ws.doubles(5 * cap);
   double upper = 0.0;
   for (std::size_t l = 0; l < lp.depth; ++l) {
     upper += level_fold_mean(
@@ -164,7 +166,7 @@ MakespanBounds makespan_bounds(const scenario::Scenario& sc,
       const std::size_t cap = 2 * len + 2;
       level_mean[l] = level_fold_mean(
           w, p, lp.by_level.subspan(lp.offsets[l], len), tws.atoms(cap),
-          tws.atoms(cap), tws.doubles(cap));
+          tws.atoms(cap), tws.doubles(5 * cap));
     }
   });
   double upper = 0.0;

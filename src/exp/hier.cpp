@@ -90,24 +90,20 @@ Memo& memo() {
   return m;
 }
 
-/// The stack every law of one build lives on, in a workspace lease that
-/// grows by checking out a larger slot and copying the live prefix
-/// [0, top). A repeated build on a warm workspace takes the same growth
-/// steps and so re-leases slots that are already big enough. Growth must
-/// happen at the build's frame level, never under a transient sub-frame.
+/// The stack every law of one build lives on, in one workspace lease that
+/// grows in place (Workspace::grow keeps the live prefix [0, top)). A
+/// repeated build on a warm workspace re-leases a slot that is already
+/// big enough.
 class AtomStack {
  public:
   AtomStack(Workspace& ws, std::size_t initial)
       : ws_(ws), buf_(ws.atoms(initial)) {}
 
-  /// Guarantees room up to offset `end`. Invalidates earlier spans.
+  /// Guarantees room up to offset `end`, growing the stack's lease in
+  /// place. Invalidates earlier spans.
   void reserve(std::size_t end) {
     if (end <= buf_.size()) return;
-    const std::span<prob::Atom> bigger =
-        ws_.atoms(std::max(end, 2 * buf_.size()));
-    std::copy_n(buf_.begin(), top_, bigger.begin());
-    // NOLINTNEXTLINE(expmk-lease-escape): the stack lives on the build's stack frame and never outlives the caller's Workspace::Frame it leases in; reserve() is never called under the transient sub-frames of the fold
-    buf_ = bigger;
+    buf_ = ws_.grow(buf_, std::max(end, 2 * buf_.size()));
   }
   [[nodiscard]] std::span<prob::Atom> at(std::size_t off, std::size_t n) {
     return buf_.subspan(off, n);
@@ -294,8 +290,8 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
         const std::span<const prob::Atom> y = stack.at(built.off(c), c_len);
         const Workspace::Frame frame(ws);
         const std::span<prob::Atom> res = ws.atoms(cap);
-        std::size_t n = series ? dk::convolve(x, y, res)
-                               : dk::max_of(x, y, res, ws.doubles(cap));
+        std::size_t n = series ? dk::convolve(x, y, res, ws.atoms(cap))
+                               : dk::max_of(x, y, res, ws.doubles(5 * cap));
         if (max_atoms != 0 && n > max_atoms) {
           // Truncate into a per-op certificate, then fold it into the
           // step total: the grouping every pinned envelope was built on.

@@ -16,9 +16,17 @@ namespace {
 
 // 95% normal quantile: the delivered-accuracy check grants stochastic
 // methods this many standard errors (matches the sweep contract's
-// convention; Config::confidence drives the TRIAL planning, which uses
+// convention; kTrialConfidence drives the TRIAL planning, which uses
 // the exact probit via mc::plan_trials).
 constexpr double kZ95 = 1.96;
+
+// The escalation chain's fixed schedule: the MC pilot size and the
+// confidence its production run is planned at, and the sp/dodin atom
+// budget's start and cap (grown over at most a few rounds).
+constexpr double kTrialConfidence = 0.95;
+constexpr std::uint64_t kPilotTrials = 2000;
+constexpr std::size_t kAtomsStart = 64;
+constexpr std::size_t kAtomsCap = 4096;
 
 // Nominal knob values used for cost prediction when a request leaves the
 // knob unset: EvalOptions' own defaults.
@@ -160,7 +168,7 @@ void CostModel::observe(PlanMethod m, double predicted_us,
   std::atomic<double>& cell = ewma_log_[idx(m)];
   const double prev = cell.load(std::memory_order_relaxed);
   const double next =
-      (1.0 - ewma_alpha_) * prev + ewma_alpha_ * std::log(ratio);
+      (1.0 - kEwmaAlpha) * prev + kEwmaAlpha * std::log(ratio);
   // Last-writer-wins store: the EWMA is a smoothing filter, not a
   // ledger — a lost concurrent update is within its noise floor.
   cell.store(next, std::memory_order_relaxed);
@@ -185,7 +193,7 @@ Planner::Planner() : Planner(Config{}) {}
 
 Planner::Planner(Config config, const EvaluatorRegistry& registry)
     : config_(config), registry_(&registry) {
-  model_.set_ewma(config_.enable_ewma, config_.ewma_alpha);
+  model_.set_ewma(config_.enable_ewma);
   for (std::size_t i = 0; i < kPlanMethodCount; ++i) {
     const PlanMethod m = static_cast<PlanMethod>(i);
     const std::string_view name =
@@ -444,13 +452,13 @@ PlannedResult Planner::run(const scenario::Scenario& sc,
     // overshoot (capped at 8x per round, 3 rounds).
     if (r.supported && is_certified_method(choice.method) && t > 0.0) {
       std::size_t atoms =
-          choice.max_atoms > 0 ? choice.max_atoms : config_.atoms_start;
-      for (int round = 0; round < 3 && atoms < config_.atoms_cap; ++round) {
+          choice.max_atoms > 0 ? choice.max_atoms : kAtomsStart;
+      for (int round = 0; round < 3 && atoms < kAtomsCap; ++round) {
         const double width = envelope_rel_width(r);
         if (width <= 0.0) break;
         const double factor = std::clamp(width / t, 2.0, 8.0);
         atoms = std::min<std::size_t>(
-            config_.atoms_cap,
+            kAtomsCap,
             static_cast<std::size_t>(static_cast<double>(atoms) * factor));
         ++rep.escalations;
         r = attempt(choice.method, atoms, choice.mc_trials);
@@ -512,7 +520,7 @@ PlannedResult Planner::run(const scenario::Scenario& sc,
     const bool acc_ok =
         t <= 0.0 || m == PlanMethod::kSp || t >= caps.rel_tolerance;
     if (retry_ok && acc_ok) {
-      std::size_t atoms = config_.atoms_start;
+      std::size_t atoms = kAtomsStart;
       bool supported = true;
       for (int round = 0; round < 4; ++round) {
         EvalResult r = attempt(m, atoms, 0);
@@ -522,12 +530,12 @@ PlannedResult Planner::run(const scenario::Scenario& sc,
         }
         ++rep.escalations;
         supported = r.supported;
-        if (!supported || atoms >= config_.atoms_cap) break;
+        if (!supported || atoms >= kAtomsCap) break;
         const double width = envelope_rel_width(r);
         const double factor =
             t > 0.0 && width > 0.0 ? std::clamp(width / t, 2.0, 8.0) : 2.0;
         atoms = std::min<std::size_t>(
-            config_.atoms_cap,
+            kAtomsCap,
             static_cast<std::size_t>(static_cast<double>(atoms) * factor));
       }
       // Small SP graphs have an exact answer (uncapped reduction,
@@ -546,18 +554,18 @@ PlannedResult Planner::run(const scenario::Scenario& sc,
 
   // 3. Pilot-sized Monte-Carlo: the catalogue's universal fallback. The
   //    pilot measures the actual makespan variance and mc::plan_trials
-  //    sizes the production run for the target at Config::confidence;
+  //    sizes the production run for the target at kTrialConfidence;
   //    a deadline caps the trial count by the model's per-trial cost.
   {
     const double rel = t > 0.0 ? t : kMcContractErr;
     mc::McConfig pilot_cfg;
-    pilot_cfg.trials = config_.pilot_trials;
+    pilot_cfg.trials = kPilotTrials;
     pilot_cfg.seed = base.seed;
     pilot_cfg.threads = base.threads;
     const mc::PilotPlan plan =
-        mc::plan_with_pilot(sc, rel, config_.confidence, pilot_cfg);
+        mc::plan_with_pilot(sc, rel, kTrialConfidence, pilot_cfg);
     std::uint64_t trials = std::min<std::uint64_t>(
-        std::max<std::uint64_t>(plan.planned_trials, config_.pilot_trials),
+        std::max<std::uint64_t>(plan.planned_trials, kPilotTrials),
         50'000'000);
     if (budget.deadline_us > 0.0) {
       const double per_trial = model_.predict_us(PlanMethod::kMc, f, 0, 1);
@@ -570,7 +578,7 @@ PlannedResult Planner::run(const scenario::Scenario& sc,
     EvalResult r = attempt(PlanMethod::kMc, 0, trials);
     finish(PlanMethod::kMc, std::move(r));
     // The pilot's cost is part of the plan, not of the returned result.
-    rep.steps.back().note = "pilot " + std::to_string(config_.pilot_trials) +
+    rep.steps.back().note = "pilot " + std::to_string(kPilotTrials) +
                             " trials -> planned " + std::to_string(trials);
   }
   return out;

@@ -163,10 +163,10 @@ class CostModel {
   /// The current multiplicative correction for `m` (1 when untouched).
   [[nodiscard]] double correction(PlanMethod m) const noexcept;
 
-  void set_ewma(bool enabled, double alpha = 0.2) noexcept {
-    ewma_enabled_ = enabled;
-    ewma_alpha_ = alpha;
-  }
+  /// The EWMA smoothing weight of each observation (in log space).
+  static constexpr double kEwmaAlpha = 0.2;
+
+  void set_ewma(bool enabled) noexcept { ewma_enabled_ = enabled; }
   [[nodiscard]] bool ewma_enabled() const noexcept { return ewma_enabled_; }
 
  private:
@@ -175,7 +175,6 @@ class CostModel {
   /// tolerates lost updates (it is a smoothing filter, not a ledger).
   std::array<std::atomic<double>, kPlanMethodCount> ewma_log_{};
   bool ewma_enabled_ = true;
-  double ewma_alpha_ = 0.2;
 };
 
 /// The outcome of the pure selection step.
@@ -238,16 +237,10 @@ struct PlannedResult {
 class Planner {
  public:
   struct Config {
-    double confidence = 0.95;  ///< MC trial planning confidence
-    std::uint64_t pilot_trials = 2000;  ///< escalation-chain MC pilot
-    double ewma_alpha = 0.2;
     /// Disable for bitwise-reproducible planning (evaluate_many's planned
     /// mode): decisions become a pure function of features + committed
     /// coefficients.
     bool enable_ewma = true;
-    /// Escalation atom schedule start/cap for sp/dodin (doubling rounds).
-    std::size_t atoms_start = 64;
-    std::size_t atoms_cap = 4096;
   };
 
   Planner();  // default Config, builtin registry

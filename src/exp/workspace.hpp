@@ -25,8 +25,13 @@
 //    this with a counting operator new for the analytic evaluators).
 //  * Growth policy: arenas grow monotonically to the high-water mark of
 //    every kernel that ever leased a given slot, and are never shrunk.
-//    reset() returns all leases but keeps capacity; release() frees
-//    everything (for memory-pressure handling between batches).
+//    A live lease that outgrows itself grows in place (`grow`): its own
+//    slot is resized, its contents kept, and no other slot is touched or
+//    taken, so the slot sequence of a call does not depend on how much
+//    it grew. reset() returns all leases but keeps capacity; release()
+//    frees everything (for memory-pressure handling between batches) —
+//    every kernel takes its scratch from here, so nothing else holds
+//    evaluation memory between calls.
 //  * Thread affinity: a Workspace is NOT thread-safe — one thread at a
 //    time. The canonical deployment is one workspace per worker thread
 //    (Workspace::local() is the thread-local pool that exp::SweepRunner
@@ -96,6 +101,16 @@ class Workspace {
     return pool_a_.lease(cursors_.a++, n);
   }
 
+  /// Grows a live lease in place: `lease` must be a non-empty span this
+  /// workspace handed out (by a lease call or an earlier grow) and that is
+  /// still checked out. Its own slot is resized to at least `n` elements
+  /// and keeps its contents; the returned span replaces `lease`. No other
+  /// lease moves and no slot is checked out, so a repeated call sequence
+  /// re-leases the same slots. Throws std::invalid_argument when `lease`
+  /// is not such a span. Defined for the six lease element types.
+  template <typename T>
+  [[nodiscard]] std::span<T> grow(std::span<T> lease, std::size_t n);
+
   /// Returns every lease (cursors to zero) but keeps all capacity — the
   /// steady-state entry point between unrelated evaluations when no Frame
   /// is on the stack.
@@ -134,6 +149,7 @@ class Workspace {
       if (buf.size() < n) buf.resize(n);
       return {buf.data(), n};
     }
+    std::span<T> grow(std::size_t live, std::span<T> lease, std::size_t n);
     [[nodiscard]] std::size_t bytes() const noexcept {
       std::size_t total = 0;
       for (const auto& b : buffers) total += b.capacity() * sizeof(T);

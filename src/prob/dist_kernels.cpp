@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <tuple>
 #include <utility>
-#include <vector>
 
 #include "util/simd.hpp"
 
@@ -24,53 +23,16 @@ namespace expmk::prob::dist_kernels {
 // (tests/dist_ops.cpp) wraps the same kernels, so any change below moves
 // the library and its references together.
 //
-// convolve and max_of run with a runtime-dispatched backend (util::simd):
-// the scalar loops are the executable spec and the AVX2 loops must
-// reproduce them bit for bit. Two rules make that possible without
-// pinning the vector unit to scalar operation order:
-//   * only elementwise stages are vectorized (the outer-product add/mul,
-//     the product-CDF multiply/difference, the normalize reciprocal
-//     multiply, the eps-merge pass-through screen) — per-lane identical
-//     to the scalar loop by IEEE754;
-//   * the ordering stage (the run merge that replaces canonicalize's
-//     std::sort) is ONE branchless engine shared verbatim by both
-//     backends, so its output — including the order of exact value ties,
-//     which it resolves stably (earlier run first) — cannot differ
-//     between them.
-// Reduction order is never vectorized: probability sums (the eps-merge
-// accumulation, the CDF prefix sums) stay in the scalar spec's
-// sequential association on both backends, and the normalize total uses
-// one fixed 4-accumulator association (atom_prob_sum) on both.
+// Every stage has one implementation except convolve's outer-product
+// fill, which has an AVX2 twin selected per call by util::simd::active()
+// (the only stage where a second path measured an end-to-end gain). The
+// twin performs the scalar fill's per-element operations, so the two are
+// bit-identical by IEEE754. Kernel scratch comes from the caller (no
+// hidden per-thread arenas), so exp::Workspace accounts for and frees it.
 
 namespace {
 
 namespace simd = ::expmk::util::simd;
-
-// ---------------------------------------------------------------------------
-// Kernel scratch. convolve ping-pongs its merge passes between two
-// thread-local atom buffers and max_of builds its CDF planes in a
-// thread-local double buffer (the same pattern as mc/trial.cpp's adapter
-// scratch): call-site signatures keep taking Atom spans, and after the
-// arenas reach their high-water mark the kernels are allocation-free,
-// which preserves the steady-state zero-allocation pins in
-// test_workspace.cpp.
-
-thread_local std::vector<Atom> tl_atom_arena;
-thread_local std::vector<double> tl_plane_arena;
-
-EXPMK_NOALLOC Atom* atom_arena(std::size_t atoms) {
-  // NOLINTNEXTLINE(expmk-no-alloc-kernel): thread-local high-water arena — grows to the peak once, steady state reuses it (pinned by test_workspace.cpp)
-  if (tl_atom_arena.size() < atoms) tl_atom_arena.resize(atoms);
-  return tl_atom_arena.data();
-}
-
-EXPMK_NOALLOC double* plane_arena(std::size_t doubles) {
-  // NOLINTNEXTLINE(expmk-no-alloc-kernel): thread-local high-water arena — grows to the peak once, steady state reuses it (pinned by test_workspace.cpp)
-  if (tl_plane_arena.size() < doubles) tl_plane_arena.resize(doubles);
-  return tl_plane_arena.data();
-}
-
-EXPMK_NOALLOC bool use_avx2() { return simd::active() == simd::Backend::Avx2; }
 
 // ---------------------------------------------------------------------------
 // Outer product: one run per SMALL-side atom, each run streaming the
@@ -107,13 +69,10 @@ EXPMK_NOALLOC void outer_product_scalar(std::span<const Atom> small,
 // The merge is STABLE — on equal values the earlier (A-side) run wins —
 // and compares values only, so a step moves one 16-byte Atom with a
 // single paired load/store. Stability plus the fixed big-major run layout
-// makes the output deterministic, and both backends share this exact
-// engine, so cross-backend bit-identity needs no tie rule beyond it.
+// makes the output deterministic: jobs write disjoint destinations, so
+// the order the lanes take them in never changes a bit.
 
-#ifndef EXPMK_MERGE_LANES
-#define EXPMK_MERGE_LANES 4
-#endif
-constexpr int kMergeLanes = EXPMK_MERGE_LANES;
+constexpr int kMergeLanes = 4;
 
 // Passes with fewer pairs than lanes are only worth splitting when the
 // pass itself is big enough to amortize the binary searches. The
@@ -130,8 +89,6 @@ struct MergeJob {
   std::size_t nb;
   Atom* d;
 };
-
-thread_local std::vector<MergeJob> tl_merge_jobs;
 
 struct Lane {
   const Atom* a;
@@ -246,9 +203,10 @@ EXPMK_NOALLOC std::pair<std::size_t, std::size_t> merge_path_split(const Atom* a
 }
 
 // Splits one pair merge into nseg independent, contiguously-destined
-// segment merges. Segments with an empty side degenerate to copies.
-EXPMK_NOALLOC void split_job(const MergeJob& j, std::size_t nseg,
-               std::vector<MergeJob>& out) {
+// segment merges appended to segs[count..]; returns the new count.
+// Segments with an empty side degenerate to copies.
+EXPMK_NOALLOC std::size_t split_job(const MergeJob& j, std::size_t nseg,
+                                    MergeJob* segs, std::size_t count) {
   const std::size_t total = j.na + j.nb;
   std::size_t q0 = 0, ia0 = 0, ib0 = 0;
   for (std::size_t s = 1; s <= nseg; ++s) {
@@ -264,38 +222,68 @@ EXPMK_NOALLOC void split_job(const MergeJob& j, std::size_t nseg,
       const Atom* src = na == 0 ? j.b + ib0 : j.a + ia0;
       if (na + nb > 0) std::memcpy(d, src, (na + nb) * sizeof(Atom));
     } else {
-      // NOLINTNEXTLINE(expmk-no-alloc-kernel): thread-local job list keeps its high-water capacity across clear(); steady state does not grow
-      out.push_back({j.a + ia0, na, j.b + ib0, nb, d});
+      segs[count++] = {j.a + ia0, na, j.b + ib0, nb, d};
     }
     q0 = q1;
     ia0 = ia1;
     ib0 = ib1;
   }
+  return count;
 }
 
-// Runs a job list with kMergeLanes interleaved lanes. The batch loop
-// takes steps = min over lanes of min(A-left, B-left), so the hot loop
-// has no bounds checks at all; exhausted lanes copy their tail and refill
-// from the job list, and once jobs run out the stragglers drain one by
-// one. Tiny job lists skip the interleave (nothing to overlap with).
-EXPMK_NOALLOC void merge_jobs_interleaved(const MergeJob* jobs, std::size_t njobs) {
-  constexpr int K = kMergeLanes;
-  if (njobs < 2) {
-    for (std::size_t j = 0; j < njobs; ++j) {
-      Lane ln;
-      load_lane(ln, jobs[j]);
-      finish_merge(ln);
+// The run pairs of one bottom-up pass, enumerated as the engine asks for
+// them; a lone tail run is copied through on the way.
+struct PassPairs {
+  const Atom* src;
+  Atom* dst;
+  std::size_t n;
+  std::size_t run_len;
+  std::size_t pos = 0;
+
+  EXPMK_NOALLOC bool next(MergeJob& j) {
+    while (pos < n) {
+      const std::size_t at = pos;
+      const std::size_t mid = std::min(at + run_len, n);
+      const std::size_t end = std::min(at + 2 * run_len, n);
+      pos += 2 * run_len;
+      if (mid < end) {
+        j = {src + at, mid - at, src + mid, end - mid, dst + at};
+        return true;
+      }
+      std::memcpy(dst + at, src + at, (end - at) * sizeof(Atom));
     }
-    return;
+    return false;
   }
+};
+
+// A fixed job list (the merge-path segments of a split pass).
+struct JobList {
+  const MergeJob* it;
+  const MergeJob* end;
+
+  EXPMK_NOALLOC bool next(MergeJob& j) {
+    if (it == end) return false;
+    j = *it++;
+    return true;
+  }
+};
+
+// Runs the jobs `jobs.next()` yields with kMergeLanes interleaved lanes.
+// The batch loop takes steps = min over lanes of min(A-left, B-left), so
+// the hot loop has no bounds checks at all; exhausted lanes copy their
+// tail and refill from the source, and once jobs run out the stragglers
+// drain one by one (with fewer jobs than lanes that is all there is).
+template <class Jobs>
+EXPMK_NOALLOC void merge_interleaved(Jobs& jobs) {
+  constexpr int K = kMergeLanes;
   Lane lanes[K];
   bool live[K];
-  std::size_t next = 0;
   int nlive = 0;
+  MergeJob j{};
   for (int l = 0; l < K; ++l) {
-    live[l] = next < njobs;
+    live[l] = jobs.next(j);
     if (live[l]) {
-      load_lane(lanes[l], jobs[next++]);
+      load_lane(lanes[l], j);
       ++nlive;
     } else {
       lanes[l] = {nullptr, nullptr, nullptr, nullptr, nullptr};
@@ -313,8 +301,8 @@ EXPMK_NOALLOC void merge_jobs_interleaved(const MergeJob* jobs, std::size_t njob
       Lane& ln = lanes[l];
       if (ln.a < ln.ae && ln.b < ln.be) continue;
       copy_tail(ln);
-      if (next < njobs) {
-        load_lane(ln, jobs[next++]);
+      if (jobs.next(j)) {
+        load_lane(ln, j);
       } else {
         live[l] = false;
         --nlive;
@@ -326,35 +314,27 @@ EXPMK_NOALLOC void merge_jobs_interleaved(const MergeJob* jobs, std::size_t njob
   }
 }
 
-// One bottom-up pass: pair up runs of run_len, memcpy the lone tail run,
-// and feed the pairs — merge-path-segmented when there are fewer pairs
-// than lanes — to the interleaved engine.
+// One bottom-up pass: pair up runs of run_len and merge the pairs on the
+// interleaved engine — merge-path-segmented when there are fewer pairs
+// than lanes. npairs < K pairs of ceil(K / npairs) segments each make at
+// most K + npairs - 1 < 2K segments, so they fit a stack array.
 EXPMK_NOALLOC void merge_pass(const Atom* src, Atom* dst, std::size_t n,
-                std::size_t run_len) {
-  auto& jobs = tl_merge_jobs;
-  jobs.clear();
-  for (std::size_t pos = 0; pos < n; pos += 2 * run_len) {
-    const std::size_t mid = std::min(pos + run_len, n);
-    const std::size_t end = std::min(pos + 2 * run_len, n);
-    if (mid >= end) {
-      std::memcpy(dst + pos, src + pos, (end - pos) * sizeof(Atom));
-    } else {
-      // NOLINTNEXTLINE(expmk-no-alloc-kernel): thread-local job list keeps its high-water capacity across clear(); steady state does not grow
-      jobs.push_back({src + pos, mid - pos, src + mid, end - mid, dst + pos});
-    }
+                              std::size_t run_len) {
+  constexpr std::size_t K = kMergeLanes;
+  const std::size_t npairs =
+      n / (2 * run_len) + (n % (2 * run_len) > run_len ? 1 : 0);
+  PassPairs pairs{src, dst, n, run_len};
+  if (npairs == 0 || npairs >= K || n < kSplitMinTotal) {
+    merge_interleaved(pairs);
+    return;
   }
-  const std::size_t klanes = static_cast<std::size_t>(kMergeLanes);
-  if (!jobs.empty() && jobs.size() < klanes && n >= kSplitMinTotal) {
-    MergeJob pairs[kMergeLanes];
-    const std::size_t npairs = jobs.size();
-    std::copy(jobs.begin(), jobs.end(), pairs);
-    jobs.clear();
-    const std::size_t nseg = (klanes + npairs - 1) / npairs;
-    for (std::size_t p = 0; p < npairs; ++p) {
-      split_job(pairs[p], nseg, jobs);
-    }
-  }
-  merge_jobs_interleaved(jobs.data(), jobs.size());
+  MergeJob segs[2 * K];
+  std::size_t nsegs = 0;
+  const std::size_t nseg = (K + npairs - 1) / npairs;
+  MergeJob j{};
+  while (pairs.next(j)) nsegs = split_job(j, nseg, segs, nsegs);
+  JobList seg_jobs{segs, segs + nsegs};
+  merge_interleaved(seg_jobs);
 }
 
 // Bottom-up merge of sorted runs, ping-ponging between buf and alt.
@@ -372,9 +352,9 @@ EXPMK_NOALLOC Atom* merge_runs(Atom* buf, Atom* alt, std::size_t n, std::size_t 
 // The canonical reduction tail on a sorted atom list.
 
 // consolidate()'s post-sort pass: drop non-positive masses and eps-merge
-// adjacent values into the first atom's value. Sequential spec order on
-// both backends (the accumulation into o[w-1] is a reduction). o may
-// equal a (w <= t always) or be a distinct non-overlapping buffer.
+// adjacent values into the first atom's value, in sequential order (the
+// accumulation into o[w-1] is a reduction). o may equal a (w <= t
+// always) or be a distinct non-overlapping buffer.
 EXPMK_NOALLOC std::size_t eps_merge_atoms(const Atom* a, std::size_t n, Atom* o) {
   std::size_t w = 0;
   for (std::size_t t = 0; t < n; ++t) {
@@ -393,12 +373,9 @@ EXPMK_NOALLOC std::size_t eps_merge_atoms(const Atom* a, std::size_t n, Atom* o)
   return w;
 }
 
-// The normalize total in one fixed 4-accumulator association — plain C
-// compiled once and called by both backends, so cross-backend
-// bit-identity is automatic. Four independent chains run at ~1 add/cycle
-// instead of the sequential spec sum's 1 add per 4-cycle latency.
-// (One-time ulp-level golden re-baseline, same event as the stable-merge
-// tie order — see the file comment.)
+// The normalize total in one fixed 4-accumulator association. Four
+// independent chains run at ~1 add/cycle instead of a sequential sum's
+// 1 add per 4-cycle latency.
 EXPMK_NOALLOC double atom_prob_sum(const Atom* a, std::size_t n) {
   double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
   std::size_t i = 0;
@@ -413,18 +390,29 @@ EXPMK_NOALLOC double atom_prob_sum(const Atom* a, std::size_t n) {
   return total;
 }
 
-// ---------------------------------------------------------------------------
-// AVX2 stages. Guarded by the compile-time gate; selected per call via
-// util::simd::active(). No FMA anywhere: -ffp-contract=off is a
-// library-wide contract and explicit intrinsics never contract.
+// from_atoms' renormalization in place: atom_prob_sum total, throw on
+// non-positive mass (from_atoms' exact failure condition), then multiply
+// every prob by ONE reciprocal r = 1 / total. The reciprocal replaces
+// normalize()'s per-element divide (a ~4x throughput win: one divide
+// total instead of n); the difference is at most 1 ulp per probability.
+EXPMK_NOALLOC std::size_t finish_atoms(Atom* a, std::size_t n) {
+  const double total = atom_prob_sum(a, n);
+  if (n == 0 || total <= 0.0) {
+    throw std::invalid_argument("from_atoms: no positive probability mass");
+  }
+  const double r = 1.0 / total;
+  for (std::size_t i = 0; i < n; ++i) a[i].prob *= r;
+  return n;
+}
 
 #if EXPMK_X86_SIMD
 
-// The interleaved-pair outer product: a run of (v, p) pairs is
-// (pair + [sv, 0]) * [1, sp] lane-wise — value (v + sv) * 1.0 and prob
-// (p + 0.0) * sp are bit-identical to the scalar v + sv and p * sp
-// (multiplying by 1.0 is an exact identity, and adding 0.0 is exact for
-// the strictly positive probs of a canonical list).
+// convolve's outer-product fill on AVX2 (no FMA: -ffp-contract=off is a
+// library-wide contract and explicit intrinsics never contract). A run of
+// (v, p) pairs is (pair + [sv, 0]) * [1, sp] lane-wise — value
+// (v + sv) * 1.0 and prob (p + 0.0) * sp are bit-identical to the scalar
+// v + sv and p * sp (multiplying by 1.0 is an exact identity, and adding
+// 0.0 is exact for the strictly positive probs of a canonical list).
 EXPMK_NOALLOC __attribute__((target("avx2"))) void outer_product_avx2(
     std::span<const Atom> small, std::span<const Atom> big, Atom* out) {
   static_assert(sizeof(Atom) == 2 * sizeof(double));
@@ -448,158 +436,7 @@ EXPMK_NOALLOC __attribute__((target("avx2"))) void outer_product_avx2(
   }
 }
 
-// The renormalize multiply on interleaved pairs: value * 1.0 is an exact
-// identity, prob * r matches the scalar loop per lane (both backends
-// multiply by the same shared reciprocal — see finish_atoms).
-EXPMK_NOALLOC __attribute__((target("avx2"))) void scale_probs_avx2(Atom* atoms,
-                                                      std::size_t n, double r) {
-  static_assert(sizeof(Atom) == 2 * sizeof(double));
-  double* d = reinterpret_cast<double*>(atoms);
-  const std::size_t m = 2 * n;
-  const __m256d t = _mm256_setr_pd(1.0, r, 1.0, r);
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    _mm256_storeu_pd(d + i, _mm256_mul_pd(_mm256_loadu_pd(d + i), t));
-  }
-  for (; i < m; i += 2) d[i + 1] *= r;
-}
-
-// eps_merge_atoms with a vectorized pass-through screen: a 4-atom block
-// whose probs are all positive and whose adjacent gaps (including the
-// boundary gap against the last written atom) all clear the eps window is
-// exactly a block the scalar loop would copy verbatim — so copy it as two
-// ymm moves. The screen evaluates the SPEC's predicates elementwise
-// (same subtract / abs / max / multiply / compare per lane), so it can
-// never disagree with the scalar loop; any hit falls back to the scalar
-// spec code for one element. Bit-identity across backends is therefore
-// structural, not numerical luck. In-place (o == a) stays safe: a block's
-// loads complete before its stores, and w <= t always.
-EXPMK_NOALLOC __attribute__((target("avx2"))) std::size_t eps_merge_atoms_avx2(
-    const Atom* a, std::size_t n, Atom* o) {
-  static_assert(sizeof(Atom) == 2 * sizeof(double));
-  const __m256d eps = _mm256_set1_pd(kValueMergeEps);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d absmask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const double* src = reinterpret_cast<const double*>(a);
-  double* dst = reinterpret_cast<double*>(o);
-  std::size_t w = 0;
-  std::size_t t = 0;
-  while (t < n) {
-    // The vector boundary lane compares against a[t-1]; that equals the
-    // spec's o[w-1] only while the previous element passed through
-    // unmerged, which the bit-compare establishes. (w > 0 implies t >= 1,
-    // so the prev-shifted loads below stay in range.)
-    if (t + 4 <= n && w > 0 && dst[2 * w - 2] == src[2 * t - 2]) {
-      const __m256d c0 = _mm256_loadu_pd(src + 2 * t);
-      const __m256d c1 = _mm256_loadu_pd(src + 2 * t + 4);
-      const __m256d p0 = _mm256_loadu_pd(src + 2 * t - 2);
-      const __m256d p1 = _mm256_loadu_pd(src + 2 * t + 2);
-      // unpacklo/hi interleave lanes identically for cur/prev/probs, so
-      // the per-lane predicates line up (lane order itself is irrelevant:
-      // only the any-hit movemask is used).
-      const __m256d cv = _mm256_unpacklo_pd(c0, c1);
-      const __m256d cp = _mm256_unpackhi_pd(c0, c1);
-      const __m256d pv = _mm256_unpacklo_pd(p0, p1);
-      const __m256d scale = _mm256_max_pd(
-          _mm256_max_pd(_mm256_and_pd(pv, absmask), _mm256_and_pd(cv, absmask)),
-          one);
-      const __m256d merge = _mm256_cmp_pd(
-          _mm256_sub_pd(cv, pv), _mm256_mul_pd(eps, scale), _CMP_LE_OQ);
-      const __m256d drop = _mm256_cmp_pd(cp, zero, _CMP_LE_OQ);
-      if (_mm256_movemask_pd(_mm256_or_pd(merge, drop)) == 0) {
-        _mm256_storeu_pd(dst + 2 * w, c0);
-        _mm256_storeu_pd(dst + 2 * w + 4, c1);
-        w += 4;
-        t += 4;
-        continue;
-      }
-    }
-    // One element of the scalar spec (identical code to eps_merge_atoms).
-    const Atom at = a[t];
-    ++t;
-    if (at.prob <= 0.0) continue;
-    if (w > 0) {
-      const double scale =
-          std::max({std::fabs(o[w - 1].value), std::fabs(at.value), 1.0});
-      if (at.value - o[w - 1].value <= kValueMergeEps * scale) {
-        o[w - 1].prob += at.prob;
-        continue;
-      }
-    }
-    o[w] = at;
-    ++w;
-  }
-  return w;
-}
-
-EXPMK_NOALLOC __attribute__((target("avx2"))) void cdf_product_diff_avx2(
-    const double* fx, const double* fy, std::size_t n, double* f, double* d) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        f + i, _mm256_mul_pd(_mm256_loadu_pd(fx + i), _mm256_loadu_pd(fy + i)));
-  }
-  for (; i < n; ++i) f[i] = fx[i] * fy[i];
-  if (n == 0) return;
-  d[0] = f[0];
-  i = 1;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        d + i, _mm256_sub_pd(_mm256_loadu_pd(f + i), _mm256_loadu_pd(f + i - 1)));
-  }
-  for (; i < n; ++i) d[i] = f[i] - f[i - 1];
-}
-
 #endif  // EXPMK_X86_SIMD
-
-EXPMK_NOALLOC void cdf_product_diff_scalar(const double* fx, const double* fy, std::size_t n,
-                             double* f, double* d) {
-  for (std::size_t i = 0; i < n; ++i) f[i] = fx[i] * fy[i];
-  if (n == 0) return;
-  d[0] = f[0];
-  for (std::size_t i = 1; i < n; ++i) d[i] = f[i] - f[i - 1];
-}
-
-// from_atoms' renormalization in place: atom_prob_sum total (fixed
-// association, shared by both backends), throw on non-positive mass
-// (from_atoms' exact failure condition), then multiply every prob by ONE
-// shared reciprocal — both backends compute the same r = 1.0 / total and
-// the same per-element prob * r, so they stay bit-identical. The
-// reciprocal replaces normalize()'s per-element divide (a ~4x throughput
-// win: one divide total instead of n); the difference is at most 1 ulp
-// per probability and is part of the same one-time golden re-baseline as
-// the stable-merge tie order.
-EXPMK_NOALLOC std::size_t finish_atoms(Atom* a, std::size_t n, bool avx2) {
-  const double total = atom_prob_sum(a, n);
-  if (n == 0 || total <= 0.0) {
-    throw std::invalid_argument("from_atoms: no positive probability mass");
-  }
-  const double r = 1.0 / total;
-#if EXPMK_X86_SIMD
-  if (avx2) {
-    scale_probs_avx2(a, n, r);
-    return n;
-  }
-#else
-  (void)avx2;
-#endif
-  for (std::size_t i = 0; i < n; ++i) a[i].prob *= r;
-  return n;
-}
-
-// Dispatched consolidate tail: identical output either way (the AVX2
-// variant only fast-paths blocks the scalar spec would pass through).
-EXPMK_NOALLOC std::size_t eps_merge_dispatch(const Atom* a, std::size_t n, Atom* o,
-                               bool avx2) {
-#if EXPMK_X86_SIMD
-  if (avx2) return eps_merge_atoms_avx2(a, n, o);
-#else
-  (void)avx2;
-#endif
-  return eps_merge_atoms(a, n, o);
-}
 
 }  // namespace
 
@@ -693,7 +530,8 @@ EXPMK_NOALLOC void shift(std::span<Atom> atoms, double c) noexcept {
 }
 
 EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom> y,
-                     std::span<Atom> out) {
+                                   std::span<Atom> out,
+                                   std::span<Atom> atom_scratch) {
   const std::size_t n = x.size() * y.size();
   if (n == 0) return canonicalize(out.subspan(0, 0));  // from_atoms' throw
 
@@ -708,12 +546,11 @@ EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom
   if (big.size() < small.size()) std::swap(big, small);
   const std::size_t run_len = big.size();
 
-  const bool avx2 = use_avx2();
-  Atom* buf = atom_arena(2 * n);
-  Atom* alt = buf + n;
-
+  // The fill goes to `out` and the merge passes ping-pong between it and
+  // the scratch span.
+  Atom* buf = out.data();
 #if EXPMK_X86_SIMD
-  if (avx2) {
+  if (simd::active() == simd::Backend::Avx2) {
     outer_product_avx2(small, big, buf);
   } else {
     outer_product_scalar(small, big, buf);
@@ -723,18 +560,21 @@ EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom
 #endif
 
   // The runs are pre-sorted, so canonicalize's std::sort collapses into a
-  // stable bottom-up merge; then consolidate's drop + eps-merge and
-  // from_atoms' renormalize complete the canonical reduction.
-  const Atom* sorted = merge_runs(buf, alt, n, run_len);
-  const std::size_t w = eps_merge_dispatch(sorted, n, out.data(), avx2);
-  return finish_atoms(out.data(), w, avx2);
+  // stable bottom-up merge; then consolidate's drop + eps-merge (from
+  // whichever buffer holds the sorted list, into `out`) and from_atoms'
+  // renormalize complete the canonical reduction.
+  const Atom* sorted = merge_runs(buf, atom_scratch.data(), n, run_len);
+  const std::size_t w = eps_merge_atoms(sorted, n, out.data());
+  return finish_atoms(out.data(), w);
 }
 
 EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> y,
-                   std::span<Atom> out, std::span<double> support_scratch) {
+                                 std::span<Atom> out,
+                                 std::span<double> support_scratch) {
   // Support union. Both inputs are canonical (strictly ascending), so a
   // two-way merge with an exact-equality skip equals sort(concat) +
   // unique.
+  double* support = support_scratch.data();
   std::size_t ns = 0;
   {
     std::size_t i = 0, j = 0;
@@ -745,16 +585,15 @@ EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> 
       } else {
         v = y[j++].value;
       }
-      if (ns == 0 || support_scratch[ns - 1] != v) support_scratch[ns++] = v;
+      if (ns == 0 || support[ns - 1] != v) support[ns++] = v;
     }
   }
 
-  // Prefix CDFs in spec accumulation order (a sequential reduction, never
-  // vectorized), then the dispatched product-CDF differencing:
-  // F_max(v) = F_x(v) * F_y(v), an atom wherever F_max steps up.
-  const bool avx2 = use_avx2();
-  double* base = plane_arena(4 * ns);
-  double* fx = base;
+  // The four CDF planes follow the support in the same scratch span.
+  // Prefix CDFs in sequential accumulation order, then the product-CDF
+  // differencing: F_max(v) = F_x(v) * F_y(v), an atom wherever F_max
+  // steps up.
+  double* fx = support + ns;
   double* fy = fx + ns;
   double* f = fy + ns;
   double* d = f + ns;
@@ -762,22 +601,16 @@ EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> 
     std::size_t ix = 0, iy = 0;
     double fxa = 0.0, fya = 0.0;
     for (std::size_t s = 0; s < ns; ++s) {
-      const double v = support_scratch[s];
+      const double v = support[s];
       while (ix < x.size() && x[ix].value <= v) fxa += x[ix++].prob;
       while (iy < y.size() && y[iy].value <= v) fya += y[iy++].prob;
       fx[s] = fxa;
       fy[s] = fya;
     }
   }
-#if EXPMK_X86_SIMD
-  if (avx2) {
-    cdf_product_diff_avx2(fx, fy, ns, f, d);
-  } else {
-    cdf_product_diff_scalar(fx, fy, ns, f, d);
-  }
-#else
-  cdf_product_diff_scalar(fx, fy, ns, f, d);
-#endif
+  for (std::size_t s = 0; s < ns; ++s) f[s] = fx[s] * fy[s];
+  if (ns > 0) d[0] = f[0];
+  for (std::size_t s = 1; s < ns; ++s) d[s] = f[s] - f[s - 1];
 
   // Compact the positive steps straight into `out` (f is monotone:
   // rounding a monotone real product is monotone, so d >= 0 and "d > 0"
@@ -787,13 +620,13 @@ EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> 
   std::size_t m = 0;
   for (std::size_t s = 0; s < ns; ++s) {
     if (d[s] > 0.0) {
-      out[m].value = support_scratch[s];
+      out[m].value = support[s];
       out[m].prob = d[s];
       ++m;
     }
   }
-  const std::size_t w = eps_merge_dispatch(out.data(), m, out.data(), avx2);
-  return finish_atoms(out.data(), w, avx2);
+  const std::size_t w = eps_merge_atoms(out.data(), m, out.data());
+  return finish_atoms(out.data(), w);
 }
 
 EXPMK_NOALLOC std::size_t mixture(std::span<const Atom> x, double w,
@@ -807,53 +640,6 @@ EXPMK_NOALLOC std::size_t mixture(std::span<const Atom> x, double w,
   return canonicalize(out.subspan(0, k));
 }
 
-namespace {
-
-// Gap collection for one truncate pass: gaps[i] = value[i+1] - value[i],
-// written twice (the walk's decision array and the nth_element scratch
-// that the threshold pick is allowed to scramble). Elementwise
-// subtraction only, so the AVX2 lanes produce the scalar spec's bits
-// exactly and every downstream merge decision is backend-independent.
-EXPMK_NOALLOC void truncate_gaps_scalar(const Atom* atoms, std::size_t n,
-                                        double* gaps, double* sorted) {
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    const double g = atoms[i + 1].value - atoms[i].value;
-    gaps[i] = g;
-    sorted[i] = g;
-  }
-}
-
-#if EXPMK_X86_SIMD
-__attribute__((target("avx2")))
-EXPMK_NOALLOC void truncate_gaps_avx2(const Atom* atoms, std::size_t n,
-                                      double* gaps, double* sorted) {
-  const std::size_t count = n - 1;  // callers guarantee n >= 2
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    // Atoms are {value, prob} pairs: two 4-wide loads cover 4 atoms, and
-    // unpacklo + permute4x64 gather the 4 values in order.
-    const __m256d a0 = _mm256_loadu_pd(&atoms[i].value);
-    const __m256d a1 = _mm256_loadu_pd(&atoms[i + 2].value);
-    const __m256d b0 = _mm256_loadu_pd(&atoms[i + 1].value);
-    const __m256d b1 = _mm256_loadu_pd(&atoms[i + 3].value);
-    const __m256d va =
-        _mm256_permute4x64_pd(_mm256_unpacklo_pd(a0, a1), 0xD8);
-    const __m256d vb =
-        _mm256_permute4x64_pd(_mm256_unpacklo_pd(b0, b1), 0xD8);
-    const __m256d g = _mm256_sub_pd(vb, va);
-    _mm256_storeu_pd(gaps + i, g);
-    _mm256_storeu_pd(sorted + i, g);
-  }
-  for (; i < count; ++i) {
-    const double g = atoms[i + 1].value - atoms[i].value;
-    gaps[i] = g;
-    sorted[i] = g;
-  }
-}
-#endif
-
-}  // namespace
-
 EXPMK_NOALLOC std::size_t truncate(std::span<Atom> atoms, std::size_t max_atoms,
                      TruncationCert& cert, std::span<double> gap_scratch) {
   std::size_t n = atoms.size();
@@ -865,18 +651,16 @@ EXPMK_NOALLOC std::size_t truncate(std::span<Atom> atoms, std::size_t max_atoms,
   // is accounted in the certificate.
   while (n > max_atoms) {
     const std::size_t excess = n - max_atoms;
-    // Collect gaps, pick a threshold so we merge ~excess pairs this pass.
+    // Collect gaps twice (the walk's decision array and the nth_element
+    // scratch that the threshold pick scrambles), then pick a threshold
+    // so we merge ~excess pairs this pass.
     const std::span<double> gaps = gap_scratch.subspan(0, n - 1);
     const std::span<double> sorted = gap_scratch.subspan(n - 1, n - 1);
-#if EXPMK_X86_SIMD
-    if (use_avx2()) {
-      truncate_gaps_avx2(atoms.data(), n, gaps.data(), sorted.data());
-    } else {
-      truncate_gaps_scalar(atoms.data(), n, gaps.data(), sorted.data());
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      const double g = atoms[i + 1].value - atoms[i].value;
+      gaps[i] = g;
+      sorted[i] = g;
     }
-#else
-    truncate_gaps_scalar(atoms.data(), n, gaps.data(), sorted.data());
-#endif
     const std::size_t kth = std::min(excess, sorted.size()) - 1;
     std::nth_element(sorted.begin(),
                      sorted.begin() + static_cast<std::ptrdiff_t>(kth),
@@ -887,9 +671,7 @@ EXPMK_NOALLOC std::size_t truncate(std::span<Atom> atoms, std::size_t max_atoms,
     // read index i (a merge consumes two atoms for one write, a keep is a
     // self- or left-shift copy), so the pass needs no atom scratch and the
     // former scratch->atoms copy-back is gone. The displacement
-    // accumulation below runs in the same left-to-right order as the
-    // scalar spec always did — cert.up/down are bit-identical by
-    // construction.
+    // accumulation below runs left to right.
     std::size_t m = 0;
     std::size_t i = 0;
     std::size_t budget = excess;  // pairs we may merge this pass

@@ -22,18 +22,19 @@
 //    returns the atom count; inputs and outputs must not overlap unless a
 //    kernel is documented as in-place.
 //
-// SIMD backends. convolve and max_of run with a runtime-dispatched
-// backend (util::simd — AVX2 when the CPU has it, scalar otherwise,
-// EXPMK_FORCE_SCALAR=1 pins scalar). Both backends are bit-identical by
-// construction, not by tolerance: only elementwise stages are vectorized
-// (per-lane identical to the scalar loop under IEEE754), reductions keep
-// one fixed association shared by both backends, and the ordering stage —
-// a STABLE bottom-up merge of pre-sorted runs — is a single branchless
-// engine compiled once and called by both, so its output (including the
-// order of exact value ties, resolved earlier-run-first) cannot differ
-// between them. convolve therefore combines exact value ties in the
-// stable run order (not consolidate's std::sort order), and its final
-// renormalize multiplies by one shared reciprocal (r = 1/total).
+// One implementation per kernel. convolve's outer-product fill is the
+// only runtime-dispatched stage (util::simd — AVX2 when the CPU has it,
+// scalar otherwise, EXPMK_FORCE_SCALAR=1 pins scalar); its AVX2 arm does
+// the scalar fill's per-element operations, so both backends give the
+// same bits. convolve orders its cross product with a STABLE bottom-up
+// merge of pre-sorted runs, so it combines exact value ties in the
+// stable run order (earlier run first, not consolidate's std::sort
+// order), and its final renormalize multiplies by one reciprocal
+// (r = 1/total).
+//
+// Scratch. Kernels take every scratch buffer from the caller (the
+// evaluators lease them from exp::Workspace), so a kernel holds no state
+// between calls and Workspace::release() frees everything they used.
 //
 // Certified truncation. `truncate` reduces an atom list to a budget by
 // repeatedly merging the adjacent pair with the smallest value gap into
@@ -134,19 +135,22 @@ EXPMK_NOALLOC void shift(std::span<Atom> atoms, double c) noexcept;
 /// pre-sorted run per atom of the smaller input, then the canonical
 /// reduction (stable bottom-up run merge, eps-merge, renormalize). No
 /// atom cap: callers truncate() the result. Exact value ties combine in
-/// the stable merge order (see the file comment); dispatched scalar/AVX2,
-/// bit-identical across backends. `out` must hold x.size() * y.size()
-/// atoms and not overlap the inputs.
+/// the stable merge order (see the file comment). `out` and
+/// `atom_scratch` must each hold x.size() * y.size() atoms; the merge
+/// passes ping-pong between them. Neither may overlap the inputs or
+/// each other.
 EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom> y,
-                     std::span<Atom> out);
+                                   std::span<Atom> out,
+                                   std::span<Atom> atom_scratch);
 
 /// max(X, Y) for independent canonical X, Y via support union and
 /// product-CDF differencing, then canonicalize. No atom cap: callers
-/// truncate() the result. Dispatched scalar/AVX2, bit-identical across
-/// backends. `out` must hold x.size() + y.size() atoms;
-/// `support_scratch` the same; neither may overlap the inputs.
+/// truncate() the result. `out` must hold x.size() + y.size() atoms;
+/// `support_scratch` must hold 5 * (x.size() + y.size()) doubles (the
+/// support union and four CDF planes); neither may overlap the inputs.
 EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> y,
-                   std::span<Atom> out, std::span<double> support_scratch);
+                                 std::span<Atom> out,
+                                 std::span<double> support_scratch);
 
 /// Mixture: with probability w take X, else Y (throws
 /// std::invalid_argument on w outside [0,1]). `out` must hold

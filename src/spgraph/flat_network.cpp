@@ -53,11 +53,11 @@
 //    one atom per zero-duration arc) and is append-only with ping-pong
 //    compaction: when the tail cannot fit an operation's result, live arc
 //    slices are copied tightly into the spare buffer and the buffers swap
-//    (growing the spare via a fresh lease only while cold).
+//    (growing the spare in place, which allocates only while cold).
 //  * Sub-frames are opened ONLY around purely transient scratch (kernel
-//    truncation scratch, the Kahn order, the Debug recount); never across an
-//    arena or grow-vector mutation, whose leases must live at the
-//    evaluation frame level.
+//    convolve / max / truncation scratch, the Kahn order, the Debug
+//    recount); never across an arena or grow-vector mutation, whose
+//    leases must live at the evaluation frame level.
 
 #include <algorithm>
 #include <cassert>
@@ -96,9 +96,10 @@ std::span<u64> ws_lease<u64>(exp::Workspace& ws, size_t n) {
   return ws.u64(n);
 }
 
-/// A push-back vector over workspace leases: growth checks out a fresh
-/// (larger) slot and copies — deterministic slot sequence per evaluation,
-/// so a warm workspace serves every growth step from existing capacity.
+/// A push-back vector over one workspace lease that grows in place
+/// (Workspace::grow): the slot sequence of an evaluation does not depend
+/// on how far it grew, so a warm workspace serves every growth step from
+/// existing capacity.
 template <class T>
 class GrowVec {
  public:
@@ -121,11 +122,7 @@ class GrowVec {
 
  private:
   void grow(size_t need) {
-    const size_t cap = std::max(need, buf_.size() * 2);
-    const std::span<T> bigger = ws_lease<T>(ws_, cap);
-    std::copy(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(n_),
-              bigger.begin());
-    buf_ = bigger;
+    buf_ = ws_.grow(buf_, std::max(need, buf_.size() * 2));
   }
 
   exp::Workspace& ws_;
@@ -161,7 +158,8 @@ class FlatNetwork {
         touched_(ws, 16),
         keys_(ws, 16),
         gids_(ws, 16),
-        arena_(ws.atoms(std::max<size_t>(2 * law_atoms + edges + 64, 256))) {}
+        arena_(ws.atoms(std::max<size_t>(2 * law_atoms + edges + 64, 256))),
+        spare_(ws.atoms(1)) {}
 
   // ---------------------------------------------------------- building
 
@@ -425,7 +423,7 @@ class FlatNetwork {
   // ------------------------------------------------------- atom arena
 
   /// Guarantees `need` free atoms at the arena tail. On overflow, live
-  /// arc slices are compacted into the spare buffer (leased larger if
+  /// arc slices are compacted into the spare buffer (grown in place if
   /// necessary) and the buffers ping-pong.
   void ensure_arena(size_t need) {
     if (used_ + need <= arena_.size()) return;
@@ -441,8 +439,7 @@ class FlatNetwork {
           "FlatNetwork: atom arena exceeds the 2^32 offset range — set an "
           "atom budget (max_atoms)");
     }
-    // NOLINTNEXTLINE(expmk-lease-escape): the lease joins the entry-point frame that owns this engine — ensure_arena is never called under the transient sub-frames (apply_cap, max-merge, pick_duplication), so arena_/spare_ outlive every inner Frame by construction
-    if (spare_.size() < live + need) spare_ = ws_.atoms(want);
+    if (spare_.size() < live + need) spare_ = ws_.grow(spare_, want);
     size_t w = 0;
     for (size_t id = 0; id < from_.size(); ++id) {
       if (!alive_[id]) continue;
@@ -537,7 +534,7 @@ class FlatNetwork {
     size_t m;
     {
       const exp::Workspace::Frame frame(ws_);
-      const std::span<double> support = ws_.doubles(nx + ny);
+      const std::span<double> support = ws_.doubles(5 * (nx + ny));
       m = dk::max_of(xs, ys, out, support);
     }
     m = apply_cap(used_, m, max_atoms);
@@ -563,7 +560,11 @@ class FlatNetwork {
     const std::span<const Atom> ys =
         std::span<const Atom>(arena_).subspan(doff_[out_id], ny);
     const std::span<Atom> out = arena_.subspan(used_, nx * ny);
-    size_t m = dk::convolve(xs, ys, out);
+    size_t m;
+    {
+      const exp::Workspace::Frame frame(ws_);
+      m = dk::convolve(xs, ys, out, ws_.atoms(nx * ny));
+    }
     m = apply_cap(used_, m, max_atoms);
     const size_t off = used_;
     used_ += m;

@@ -1,8 +1,11 @@
 // util/simd.hpp
 //
-// Runtime SIMD backend selection for the vectorized kernel layer
-// (prob/dist_kernels, graph::longest_from_block, normal::clark_full, the
-// Philox bulk generator). One process-wide answer, resolved once:
+// Runtime SIMD backend selection. Three stages dispatch on it: the
+// outer-product fill of prob::dist_kernels::convolve and the Philox bulk
+// generator's two fills (the buffered stream and the trial-lane fill).
+// Every other kernel has one implementation; a second, vectorized path
+// is kept only where an end-to-end A/B shows it pays (DESIGN.md, "SIMD
+// kernel layer"). One process-wide answer, resolved once:
 //
 //   * compile-time gate: non-x86 builds compile the scalar path only and
 //     active() is constant Scalar;
@@ -13,13 +16,10 @@
 //     scalar path at startup — the CI scalar-fallback job runs the whole
 //     suite this way, and it is the knob for A/B-ing kernels in place.
 //
-// Contract: for every dispatched kernel the scalar implementation is the
-// executable specification. Kernels whose vector path performs the exact
-// per-element operation sequence of the scalar path (no reassociation)
-// are BIT-IDENTICAL across backends; kernels that reassociate a reduction
-// are pinned to a documented small-ulp envelope instead. Per-kernel
-// classification lives in DESIGN.md ("SIMD kernel layer") and is enforced
-// by tests/test_simd_kernels.cpp.
+// Contract: each dispatched stage's AVX2 arm performs the exact
+// per-element operation sequence of its scalar twin (no reassociation),
+// so the backends are BIT-IDENTICAL; tests/test_simd_kernels.cpp
+// enforces it.
 
 #pragma once
 

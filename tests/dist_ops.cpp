@@ -25,7 +25,8 @@ DiscreteDistribution convolve(const DiscreteDistribution& x,
                               const DiscreteDistribution& y,
                               std::size_t max_atoms, TruncationCert* cert) {
   std::vector<Atom> out(x.size() * y.size());
-  const std::size_t n = dk::convolve(x.atoms(), y.atoms(), out);
+  std::vector<Atom> scratch(out.size());
+  const std::size_t n = dk::convolve(x.atoms(), y.atoms(), out, scratch);
   return truncated(take(out, n), max_atoms, cert);
 }
 
@@ -33,7 +34,7 @@ DiscreteDistribution max_of(const DiscreteDistribution& x,
                             const DiscreteDistribution& y,
                             std::size_t max_atoms, TruncationCert* cert) {
   std::vector<Atom> out(x.size() + y.size());
-  std::vector<double> support(x.size() + y.size());
+  std::vector<double> support(5 * (x.size() + y.size()));
   const std::size_t n = dk::max_of(x.atoms(), y.atoms(), out, support);
   return truncated(take(out, n), max_atoms, cert);
 }

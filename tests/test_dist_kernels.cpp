@@ -102,12 +102,13 @@ TEST(DistKernels, ConvolveAndMaxOfMatchObjectOpsBitwise) {
     const std::string where = "round " + std::to_string(round);
 
     std::vector<Atom> conv(x.size() * y.size());
-    conv.resize(dk::convolve(x.atoms(), y.atoms(), conv));
+    std::vector<Atom> conv_scratch(conv.size());
+    conv.resize(dk::convolve(x.atoms(), y.atoms(), conv, conv_scratch));
     expect_bit_identical(conv, ops::convolve(x, y).atoms(),
                          where + " convolve");
 
     std::vector<Atom> mx(x.size() + y.size());
-    std::vector<double> support(x.size() + y.size());
+    std::vector<double> support(5 * (x.size() + y.size()));
     mx.resize(dk::max_of(x.atoms(), y.atoms(), mx, support));
     expect_bit_identical(mx, ops::max_of(x, y).atoms(),
                          where + " max_of");

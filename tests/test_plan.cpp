@@ -278,8 +278,8 @@ TEST(PlanEvaluateMany, PlannedBatchBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(PlanCostModel, EwmaMovesTowardObservationAndClamps) {
+  constexpr double kAlpha = CostModel::kEwmaAlpha;
   CostModel m;
-  m.set_ewma(true, 0.5);
   EXPECT_DOUBLE_EQ(m.correction(PlanMethod::kFo), 1.0);
 
   // Observed 2x the prediction: the correction moves up, but only
@@ -288,21 +288,38 @@ TEST(PlanCostModel, EwmaMovesTowardObservationAndClamps) {
   const double after_one = m.correction(PlanMethod::kFo);
   EXPECT_GT(after_one, 1.0);
   EXPECT_LT(after_one, 2.0);
-  EXPECT_NEAR(after_one, std::exp(0.5 * std::log(2.0)), 1e-12);
+  EXPECT_NEAR(after_one, std::exp(kAlpha * std::log(2.0)), 1e-12);
+  // A second identical observation: log c2 = (1 - a) log c1 + a log 2.
+  m.observe(PlanMethod::kFo, 10.0, 20.0);
+  EXPECT_NEAR(std::log(m.correction(PlanMethod::kFo)),
+              (1.0 - kAlpha) * std::log(after_one) + kAlpha * std::log(2.0),
+              1e-12);
 
-  // A wild outlier is clamped to a 4x ratio per update.
+  // A wild outlier is clamped to a 4x ratio per update: it moves the
+  // correction exactly as far as a 4x observation does.
   CostModel clamp;
-  clamp.set_ewma(true, 1.0);  // full-step: correction == clamped ratio
+  CostModel four;
   clamp.observe(PlanMethod::kSo, 1.0, 1e6);
-  EXPECT_NEAR(clamp.correction(PlanMethod::kSo), 4.0, 1e-12);
-  clamp.observe(PlanMethod::kSo, 1e6, 1.0);  // full step to the 1/4 clamp
-  EXPECT_NEAR(clamp.correction(PlanMethod::kSo), 0.25, 1e-12);
+  four.observe(PlanMethod::kSo, 1.0, 4.0);
+  EXPECT_EQ(clamp.correction(PlanMethod::kSo),
+            four.correction(PlanMethod::kSo));
+  EXPECT_NEAR(clamp.correction(PlanMethod::kSo),
+              std::exp(kAlpha * std::log(4.0)), 1e-12);
+  // ... and the other way, to the 1/4 clamp.
+  CostModel low;
+  CostModel quarter;
+  low.observe(PlanMethod::kSo, 1e6, 1.0);
+  quarter.observe(PlanMethod::kSo, 4.0, 1.0);
+  EXPECT_EQ(low.correction(PlanMethod::kSo),
+            quarter.correction(PlanMethod::kSo));
+  EXPECT_NEAR(low.correction(PlanMethod::kSo),
+              std::exp(kAlpha * std::log(0.25)), 1e-12);
 
   // Corrections scale predictions; other methods are untouched.
   const CostFeatures f{.tasks = 10, .edges = 20};
   const double base = CostModel().predict_us(PlanMethod::kFo, f, 0, 0);
-  EXPECT_NEAR(m.predict_us(PlanMethod::kFo, f, 0, 0), base * after_one,
-              base * 1e-9);
+  EXPECT_NEAR(m.predict_us(PlanMethod::kFo, f, 0, 0),
+              base * m.correction(PlanMethod::kFo), base * 1e-9);
   EXPECT_DOUBLE_EQ(m.correction(PlanMethod::kMc), 1.0);
 
   // Disabled EWMA ignores observations entirely.

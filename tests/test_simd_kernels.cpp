@@ -1,15 +1,18 @@
 // Cross-backend property suite for the SIMD kernel layer.
 //
-// The scalar implementations are the executable spec (util/simd.hpp); the
-// AVX2 paths must reproduce them BIT FOR BIT — convolve, max_of and
-// canonicalize share one stable merge engine and one fixed reduction
-// association across backends, and the Philox fill is exact integer
+// Three stages dispatch on util::simd (util/simd.hpp): convolve's
+// outer-product fill and Philox's two bulk fills. Their AVX2 arms must
+// reproduce the scalar twins BIT FOR BIT — the fill does one independent
+// add and multiply per atom, and the Philox fill is exact integer
 // arithmetic. This suite forces each backend in turn over randomized atom
 // soups (including the single-atom, eps-close and near-underflow corners
-// from test_dist_kernels) and compares outputs bitwise, pins the Philox
-// generator to the published Random123 known-answer vectors and to fixed
-// stream vectors, and re-pins the MC engine's threads-1/2/7 bit-identity
-// contract on top of the counter-based RNG.
+// from test_dist_kernels) and compares outputs bitwise; max_of and
+// canonicalize have one implementation, so their cross-backend checks
+// hold trivially and stay as a guard against a second path coming back.
+// It also pins the Philox generator to the published Random123
+// known-answer vectors and to fixed stream vectors, and re-pins the MC
+// engine's threads-1/2/7 bit-identity contract on top of the
+// counter-based RNG.
 
 #include <gtest/gtest.h>
 
@@ -97,16 +100,18 @@ struct KernelOutputs {
   std::vector<Atom> canonicalize;
 };
 
-/// Runs all three dispatched kernels on (x, y, soup) under the CURRENTLY
-/// forced backend.
+/// Runs convolve, max_of and canonicalize on (x, y, soup) under the
+/// CURRENTLY forced backend.
 KernelOutputs run_kernels(const DiscreteDistribution& x,
                           const DiscreteDistribution& y,
                           const std::vector<Atom>& soup) {
   KernelOutputs out;
   out.convolve.resize(x.size() * y.size());
-  out.convolve.resize(dk::convolve(x.atoms(), y.atoms(), out.convolve));
+  std::vector<Atom> scratch(out.convolve.size());
+  out.convolve.resize(
+      dk::convolve(x.atoms(), y.atoms(), out.convolve, scratch));
   out.max_of.resize(x.size() + y.size());
-  std::vector<double> support(x.size() + y.size());
+  std::vector<double> support(5 * (x.size() + y.size()));
   out.max_of.resize(dk::max_of(x.atoms(), y.atoms(), out.max_of, support));
   out.canonicalize = soup;
   out.canonicalize.resize(dk::canonicalize(out.canonicalize));
@@ -149,8 +154,8 @@ TEST(SimdKernels, CornerSoupsBitIdenticalAcrossBackends) {
   }
   const auto single = DiscreteDistribution::point(3.25);
   // Values inside the kValueMergeEps window and near-underflow masses in
-  // one soup: the eps-merge screen must take its per-element fallback on
-  // exactly the same atoms the scalar spec merges/drops.
+  // one soup: convolve's eps-merge must see the same filled atoms under
+  // either backend.
   const std::vector<Atom> corner_soup = {
       {1.0, 0.25},          {1.0 * (1.0 + 1e-13), 0.25},
       {1.0000001, 1e-300},  {2.0, 0.0},

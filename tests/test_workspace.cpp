@@ -167,6 +167,52 @@ TEST(Workspace, TypedPoolsAreIndependent) {
   EXPECT_EQ(u[7] + c[7] + static_cast<std::uint64_t>(i[7]), 11u);
 }
 
+// A growing lease resizes its own slot: the prefix survives, the other
+// leases stay where they are, and no slot is checked out for the growth,
+// so a repeated sequence re-leases the same two slots allocation-free.
+TEST(Workspace, GrowInPlaceKeepsPrefixAndSlot) {
+  Workspace ws;
+  const auto run = [&] {
+    const Workspace::Frame frame(ws);
+    auto a = ws.doubles(500);
+    const auto b = ws.doubles(8);
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<double>(i);
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = -1.0;
+    a = ws.grow(a, 1000);
+    EXPECT_EQ(a.size(), 1000u);
+    for (std::size_t i = 0; i < 500; ++i) {
+      EXPECT_EQ(a[i], static_cast<double>(i)) << i;
+    }
+    for (std::size_t i = 0; i < b.size(); ++i) EXPECT_EQ(b[i], -1.0) << i;
+    return std::pair{a.data(), b.data()};
+  };
+  const auto cold = run();
+  {
+    // The growth took no slot: in a later frame the first two leases are
+    // the grown buffer and b's.
+    const Workspace::Frame frame(ws);
+    EXPECT_EQ(ws.doubles(1).data(), cold.first);
+    EXPECT_EQ(ws.doubles(1).data(), cold.second);
+  }
+  // The outgrown 500-double buffer was not kept in a slot of its own.
+  const std::size_t reserved = ws.bytes_reserved();
+  EXPECT_LT(reserved, (1000 + 8 + 500) * sizeof(double));
+
+  const std::uint64_t before = g_alloc_count.load();
+  const auto warm = run();
+  EXPECT_EQ(g_alloc_count.load() - before, 0u);
+  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(ws.bytes_reserved(), reserved);
+
+  {
+    // Only live leases of this workspace grow.
+    const Workspace::Frame frame(ws);
+    std::vector<double> foreign(4);
+    EXPECT_THROW((void)ws.grow(std::span<double>(foreign), 8),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Workspace, LocalIsOnePoolPerThread) {
   Workspace& a = Workspace::local();
   EXPECT_EQ(&a, &Workspace::local());
@@ -368,6 +414,47 @@ TEST(AllocationRegression, HierWarmMemoIsAllocationFreeWhenWarm) {
   EXPECT_EQ(warm.misses, 0u);
   EXPECT_GT(warm.hits, 0u);
   EXPECT_EQ(warm.dodin_mean, cold.dodin_mean);
+}
+
+// Every kernel scratch buffer comes from the workspace the caller passes:
+// once that workspace is warm, the same calls on a thread that has never
+// run a kernel allocate nothing (no per-thread kernel arenas to fill).
+// The direct entries are called because the registry path allocates the
+// truncation note it reports by design.
+TEST(Workspace, WarmWorkspaceNeedsNoThreadScratch) {
+  const Scenario sp_sc = Scenario::calibrated(
+      expmk::gen::random_series_parallel(40, 5), 0.05, RetryModel::TwoState);
+  const Scenario lu =
+      Scenario::calibrated(expmk::gen::lu_dag(6), 0.01, RetryModel::TwoState);
+  Workspace ws;
+  struct Outcome {
+    double sum;  // sp + dodin + bounds.upper
+    std::uint64_t hier_hits, hier_misses;
+  };
+  const auto run = [&] {
+    const auto hier = expmk::exp::hier::evaluate_sp_hier(lu, 256, ws);
+    return Outcome{
+        expmk::sp::evaluate_sp_flat(sp_sc, 256, ws).mean +
+            expmk::sp::dodin_two_state_flat(lu, {.max_atoms = 256}, ws).mean +
+            expmk::core::makespan_bounds(lu, ws).level_upper,
+        hier.stats.memo_hits, hier.stats.memo_misses};
+  };
+  (void)run();  // fills the hier memo
+  const Outcome warm = run();
+  std::uint64_t allocs = 0;
+  Outcome fresh{};
+  std::thread t([&] {
+    const std::uint64_t before = g_alloc_count.load();
+    fresh = run();
+    allocs = g_alloc_count.load() - before;
+  });
+  t.join();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_FALSE(std::isnan(warm.sum));
+  EXPECT_EQ(fresh.sum, warm.sum);
+  EXPECT_EQ(fresh.hier_misses, 0u);
+  EXPECT_EQ(fresh.hier_hits, warm.hier_hits);
+  EXPECT_GT(warm.hier_hits, 0u);
 }
 
 // The pins above run small untruncated networks, which never outgrow the

@@ -5,8 +5,9 @@
 # adapter taking a core::FailureModel may come back, the retired
 # level-parallel layer stays retired, Monte-Carlo trials have one path
 # (mc::run_trial_lanes in the engine, mc::sample_durations for the
-# consumers of sampled durations), and the graph has one walk (the CSR
-# view). Fails (non-zero exit) when
+# consumers of sampled durations), the graph has one walk (the CSR
+# view), and kernel scratch has one owner (exp::Workspace). Fails
+# (non-zero exit) when
 #   * a header under src/ other than core/failure_model.hpp (the model
 #     itself) and scenario/scenario.hpp (FailureSpec's conversion) names
 #     `FailureModel&`,
@@ -21,7 +22,13 @@
 #     graph/longest_path.hpp, a `topo()` member, `expected_durations()`,
 #     or a zero-argument `p_success()` / `rates()` call (Scenario keeps
 #     every per-task constant once, in CSR position order, behind the
-#     `*_csr()` accessors; every DAG sweep runs on graph::CsrDag).
+#     `*_csr()` accessors; every DAG sweep runs on graph::CsrDag), or
+#   * `thread_local` appears in any file under src/ but exp/workspace.cpp
+#     (Workspace::local() is the one per-thread pool; kernels take their
+#     scratch from the caller's Workspace, which accounts for and frees
+#     it), or
+#   * `EXPMK_MERGE_LANES` appears in any file under src/ (the run-merge
+#     lane count is the constant kMergeLanes, not a build knob).
 #
 #   cmake -DSRC=<repo>/src -P tools/one_entry_per_method.cmake
 
@@ -53,6 +60,9 @@ set(chunk_definition "kEngineChunks[ \t]*(=[^=]|=$|\{)")
 # The Dag-order graph walk and Scenario's id-order caches.
 set(retired_graph_walk_include "#[ \t]*include[ \t]*\"graph/(levels|longest_path)\\.hpp\"")
 set(retired_graph_walk_api "(^|[^A-Za-z0-9_])(topo|expected_durations|p_success|rates)[ \t]*\\([ \t]*\\)")
+# Per-thread state outside the Workspace pool, and the retired lane knob.
+set(thread_local_use "(^|[^A-Za-z0-9_])thread_local([^A-Za-z0-9_]|$)")
+set(merge_lanes_macro "EXPMK_MERGE_LANES")
 
 file(GLOB_RECURSE files "${SRC}/*")
 foreach(path IN LISTS files)
@@ -76,6 +86,18 @@ foreach(path IN LISTS files)
       string(STRIP "${hit}" hit)
       list(APPEND violations "${rel}: retired Dag-order graph walk: ${hit}")
     endforeach()
+  endforeach()
+  if(NOT rel STREQUAL "exp/workspace.cpp")
+    file(STRINGS "${path}" hits REGEX "${thread_local_use}")
+    foreach(hit IN LISTS hits)
+      string(STRIP "${hit}" hit)
+      list(APPEND violations "${rel}: thread_local outside exp/workspace.cpp: ${hit}")
+    endforeach()
+  endif()
+  file(STRINGS "${path}" hits REGEX "${merge_lanes_macro}")
+  foreach(hit IN LISTS hits)
+    string(STRIP "${hit}" hit)
+    list(APPEND violations "${rel}: EXPMK_MERGE_LANES is retired: ${hit}")
   endforeach()
   if(NOT rel STREQUAL "mc/engine.hpp")
     file(STRINGS "${path}" hits REGEX "${chunk_definition}")

@@ -77,13 +77,10 @@ Row bench_kernel_op(const char* op, std::size_t nx, std::size_t ny,
   for (std::uint64_t r = 0; r < reps; ++r) {
     const exp::Workspace::Frame frame(ws);
     const auto out = ws.atoms(is_convolve ? nx * ny : nx + ny);
-    std::size_t m;
-    if (is_convolve) {
-      m = dk::convolve(x.atoms(), y.atoms(), out, ws.atoms(nx * ny));
-    } else {
-      const auto support = ws.doubles(5 * (nx + ny));
-      m = dk::max_of(x.atoms(), y.atoms(), out, support);
-    }
+    const std::size_t m =
+        is_convolve
+            ? dk::convolve(x.atoms(), y.atoms(), out, ws.atoms(nx * ny))
+            : dk::max_of(x.atoms(), y.atoms(), out);
     checksum_guard += dk::mean(out.subspan(0, m));
   }
   row.flat_us = t.seconds() * 1e6 / static_cast<double>(reps);

@@ -235,10 +235,9 @@ void BM_MaxOf(benchmark::State& state) {
   const auto atoms = static_cast<std::size_t>(state.range(0));
   const std::vector<prob::Atom> d = capped_chain(atoms);
   std::vector<prob::Atom> out(2 * d.size());
-  std::vector<double> support(5 * 2 * d.size());
   std::vector<double> gaps(2 * out.size());
   for (auto _ : state) {
-    std::size_t m = dk::max_of(d, d, out, support);
+    std::size_t m = dk::max_of(d, d, out);
     if (m > atoms) {
       dk::TruncationCert cert;
       m = dk::truncate(std::span(out).first(m), atoms, cert, gaps);

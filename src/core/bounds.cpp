@@ -78,16 +78,14 @@ EXPMK_NOALLOC LevelPartition build_level_partition(const graph::CsrDag& csr,
 /// leased Atom arenas (pinned bitwise against the value-level fold in
 /// tests/reference_estimators by tests/test_workspace.cpp). The result
 /// does not depend on the arenas' capacity, only that it suffices
-/// (2 * level.size() + 2 atoms each, and five times that many support
-/// doubles for max_of's support and CDF planes), so per-level and
-/// whole-graph arenas give the same bits — which is what lets the fan-out
-/// variant lease per level.
+/// (2 * level.size() + 2 atoms each), so per-level and widest-level
+/// arenas give the same bits — which is what lets the fan-out variant
+/// lease per level.
 EXPMK_NOALLOC double level_fold_mean(std::span<const double> weights,
                                      std::span<const double> p,
                                      std::span<const std::uint32_t> level,
                                      std::span<prob::Atom> cur,
-                                     std::span<prob::Atom> next,
-                                     std::span<double> support) {
+                                     std::span<prob::Atom> next) {
   namespace dk = prob::dist_kernels;
   // point(0.0), the fold's identity.
   std::size_t cur_n = dk::point(0.0, cur);
@@ -96,7 +94,7 @@ EXPMK_NOALLOC double level_fold_mean(std::span<const double> weights,
     if (a <= 0.0) continue;
     prob::Atom y[2];
     const std::size_t yn = dk::two_state(a, p[v], y);
-    cur_n = dk::max_of(cur.subspan(0, cur_n), {y, yn}, next, support);
+    cur_n = dk::max_of(cur.subspan(0, cur_n), {y, yn}, next);
     std::swap(cur, next);
   }
   return dk::mean(cur.subspan(0, cur_n));
@@ -107,7 +105,6 @@ EXPMK_NOALLOC double level_fold_mean(std::span<const double> weights,
 EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                exp::Workspace& ws) {
   const exp::Workspace::Frame frame(ws);
-  const std::size_t n = sc.task_count();
   const std::span<const double> w = sc.weights_csr();
   const std::span<const double> p = sc.p_success_csr();
 
@@ -120,17 +117,20 @@ EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
 
   // E[ sum_l max_{i in L_l} X_i ]. Atom capacity: the support of a max of
   // k two-state laws is a subset of {a_i, 2 a_i} union {0}, i.e. at most
-  // 2k + 1 values.
-  const std::size_t cap = 2 * n + 2;
+  // 2k + 1 values, so the widest level sizes both arenas.
+  std::size_t width = 0;
+  for (std::size_t l = 0; l < lp.depth; ++l) {
+    width = std::max<std::size_t>(width, lp.offsets[l + 1] - lp.offsets[l]);
+  }
+  const std::size_t cap = 2 * width + 2;
   const std::span<prob::Atom> cur = ws.atoms(cap);
   const std::span<prob::Atom> next = ws.atoms(cap);
-  const std::span<double> support = ws.doubles(5 * cap);
   double upper = 0.0;
   for (std::size_t l = 0; l < lp.depth; ++l) {
     upper += level_fold_mean(
         w, p,
         lp.by_level.subspan(lp.offsets[l], lp.offsets[l + 1] - lp.offsets[l]),
-        cur, next, support);
+        cur, next);
   }
   out.level_upper = upper;
   return out;
@@ -166,7 +166,7 @@ MakespanBounds makespan_bounds(const scenario::Scenario& sc,
       const std::size_t cap = 2 * len + 2;
       level_mean[l] = level_fold_mean(
           w, p, lp.by_level.subspan(lp.offsets[l], len), tws.atoms(cap),
-          tws.atoms(cap), tws.doubles(5 * cap));
+          tws.atoms(cap));
     }
   });
   double upper = 0.0;

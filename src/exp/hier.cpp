@@ -291,7 +291,7 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
         const Workspace::Frame frame(ws);
         const std::span<prob::Atom> res = ws.atoms(cap);
         std::size_t n = series ? dk::convolve(x, y, res, ws.atoms(cap))
-                               : dk::max_of(x, y, res, ws.doubles(5 * cap));
+                               : dk::max_of(x, y, res);
         if (max_atoms != 0 && n > max_atoms) {
           // Truncate into a per-op certificate, then fold it into the
           // step total: the grouping every pinned envelope was built on.

@@ -8,12 +8,9 @@
 #include <tuple>
 #include <utility>
 
-#include "util/simd.hpp"
-
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-#define EXPMK_X86_SIMD 1
-#include <immintrin.h>
+#define EXPMK_X86_ASM 1
 #endif
 
 namespace expmk::prob::dist_kernels {
@@ -23,16 +20,11 @@ namespace expmk::prob::dist_kernels {
 // (tests/dist_ops.cpp) wraps the same kernels, so any change below moves
 // the library and its references together.
 //
-// Every stage has one implementation except convolve's outer-product
-// fill, which has an AVX2 twin selected per call by util::simd::active()
-// (the only stage where a second path measured an end-to-end gain). The
-// twin performs the scalar fill's per-element operations, so the two are
-// bit-identical by IEEE754. Kernel scratch comes from the caller (no
-// hidden per-thread arenas), so exp::Workspace accounts for and frees it.
+// Every stage has one implementation on every platform (no runtime
+// dispatch). Kernel scratch comes from the caller (no hidden per-thread
+// arenas), so exp::Workspace accounts for and frees it.
 
 namespace {
-
-namespace simd = ::expmk::util::simd;
 
 // ---------------------------------------------------------------------------
 // Outer product: one run per SMALL-side atom, each run streaming the
@@ -42,8 +34,8 @@ namespace simd = ::expmk::util::simd;
 // construction (the big side is canonical, adding a constant is
 // monotone).
 
-EXPMK_NOALLOC void outer_product_scalar(std::span<const Atom> small,
-                          std::span<const Atom> big, Atom* out) {
+EXPMK_NOALLOC void outer_product(std::span<const Atom> small,
+                                 std::span<const Atom> big, Atom* out) {
   std::size_t k = 0;
   for (const Atom& as : small) {
     const double sv = as.value;
@@ -116,7 +108,7 @@ EXPMK_NOALLOC inline void step_one(const Atom*& a, const Atom*& b, Atom*& d) {
   const std::uintptr_t ub = reinterpret_cast<std::uintptr_t>(b);
   std::uintptr_t take_b;  // all-ones iff b->value < a->value (stable: A
                           // wins value ties)
-#if EXPMK_X86_SIMD
+#if EXPMK_X86_ASM
   asm("ucomisd %[va], %[vb]\n\t"  // CF := b->value < a->value (or NaN)
       "sbbq %[m], %[m]"
       : [m] "=r"(take_b)
@@ -405,39 +397,6 @@ EXPMK_NOALLOC std::size_t finish_atoms(Atom* a, std::size_t n) {
   return n;
 }
 
-#if EXPMK_X86_SIMD
-
-// convolve's outer-product fill on AVX2 (no FMA: -ffp-contract=off is a
-// library-wide contract and explicit intrinsics never contract). A run of
-// (v, p) pairs is (pair + [sv, 0]) * [1, sp] lane-wise — value
-// (v + sv) * 1.0 and prob (p + 0.0) * sp are bit-identical to the scalar
-// v + sv and p * sp (multiplying by 1.0 is an exact identity, and adding
-// 0.0 is exact for the strictly positive probs of a canonical list).
-EXPMK_NOALLOC __attribute__((target("avx2"))) void outer_product_avx2(
-    std::span<const Atom> small, std::span<const Atom> big, Atom* out) {
-  static_assert(sizeof(Atom) == 2 * sizeof(double));
-  const double* src = reinterpret_cast<const double*>(big.data());
-  double* dst = reinterpret_cast<double*>(out);
-  const std::size_t m = 2 * big.size();
-  for (const Atom& as : small) {
-    const __m256d add = _mm256_setr_pd(as.value, 0.0, as.value, 0.0);
-    const __m256d mul = _mm256_setr_pd(1.0, as.prob, 1.0, as.prob);
-    std::size_t j = 0;
-    for (; j + 4 <= m; j += 4) {
-      _mm256_storeu_pd(
-          dst + j,
-          _mm256_mul_pd(_mm256_add_pd(_mm256_loadu_pd(src + j), add), mul));
-    }
-    for (; j < m; j += 2) {
-      dst[j] = src[j] + as.value;
-      dst[j + 1] = src[j + 1] * as.prob;
-    }
-    dst += m;
-  }
-}
-
-#endif  // EXPMK_X86_SIMD
-
 }  // namespace
 
 EXPMK_NOALLOC std::size_t consolidate(std::span<Atom> atoms) {
@@ -549,15 +508,7 @@ EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom
   // The fill goes to `out` and the merge passes ping-pong between it and
   // the scratch span.
   Atom* buf = out.data();
-#if EXPMK_X86_SIMD
-  if (simd::active() == simd::Backend::Avx2) {
-    outer_product_avx2(small, big, buf);
-  } else {
-    outer_product_scalar(small, big, buf);
-  }
-#else
-  outer_product_scalar(small, big, buf);
-#endif
+  outer_product(small, big, buf);
 
   // The runs are pre-sorted, so canonicalize's std::sort collapses into a
   // stable bottom-up merge; then consolidate's drop + eps-merge (from
@@ -569,59 +520,33 @@ EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom
 }
 
 EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> y,
-                                 std::span<Atom> out,
-                                 std::span<double> support_scratch) {
-  // Support union. Both inputs are canonical (strictly ascending), so a
-  // two-way merge with an exact-equality skip equals sort(concat) +
-  // unique.
-  double* support = support_scratch.data();
-  std::size_t ns = 0;
-  {
-    std::size_t i = 0, j = 0;
-    while (i < x.size() || j < y.size()) {
-      double v;
-      if (j >= y.size() || (i < x.size() && x[i].value <= y[j].value)) {
-        v = x[i++].value;
-      } else {
-        v = y[j++].value;
-      }
-      if (ns == 0 || support[ns - 1] != v) support[ns++] = v;
-    }
-  }
-
-  // The four CDF planes follow the support in the same scratch span.
-  // Prefix CDFs in sequential accumulation order, then the product-CDF
-  // differencing: F_max(v) = F_x(v) * F_y(v), an atom wherever F_max
-  // steps up.
-  double* fx = support + ns;
-  double* fy = fx + ns;
-  double* f = fy + ns;
-  double* d = f + ns;
-  {
-    std::size_t ix = 0, iy = 0;
-    double fxa = 0.0, fya = 0.0;
-    for (std::size_t s = 0; s < ns; ++s) {
-      const double v = support[s];
-      while (ix < x.size() && x[ix].value <= v) fxa += x[ix++].prob;
-      while (iy < y.size() && y[iy].value <= v) fya += y[iy++].prob;
-      fx[s] = fxa;
-      fy[s] = fya;
-    }
-  }
-  for (std::size_t s = 0; s < ns; ++s) f[s] = fx[s] * fy[s];
-  if (ns > 0) d[0] = f[0];
-  for (std::size_t s = 1; s < ns; ++s) d[s] = f[s] - f[s - 1];
-
-  // Compact the positive steps straight into `out` (f is monotone:
-  // rounding a monotone real product is monotone, so d >= 0 and "d > 0"
-  // is spec's f > prev_cdf). The support is strictly ascending, so
-  // canonicalize's sort is the identity permutation here: eps-merge +
-  // renormalize complete it.
-  std::size_t m = 0;
-  for (std::size_t s = 0; s < ns; ++s) {
-    if (d[s] > 0.0) {
-      out[m].value = support[s];
-      out[m].prob = d[s];
+                                 std::span<Atom> out) {
+  // One pass over the support union, ascending. Both inputs are canonical
+  // (strictly ascending), so taking the smaller head (x on a value tie)
+  // and then consuming every atom at or below it on both sides visits
+  // each distinct value once, in sort(concat) + unique order. The prefix
+  // CDFs accumulate in sequential order; F_max(v) = F_x(v) * F_y(v), and
+  // an atom is emitted wherever F_max steps up (rounding a monotone real
+  // product is monotone, so the step is >= 0 and "step > 0" is spec's
+  // f > prev_cdf). At most x.size() + y.size() atoms are written, and
+  // the support is strictly ascending, so canonicalize's sort is the
+  // identity permutation here: eps-merge + renormalize complete it.
+  std::size_t ix = 0, iy = 0, m = 0;
+  double fxa = 0.0, fya = 0.0, prev = 0.0;
+  bool first = true;
+  while (ix < x.size() || iy < y.size()) {
+    const bool take_x =
+        iy >= y.size() || (ix < x.size() && x[ix].value <= y[iy].value);
+    const double v = take_x ? x[ix].value : y[iy].value;
+    while (ix < x.size() && x[ix].value <= v) fxa += x[ix++].prob;
+    while (iy < y.size() && y[iy].value <= v) fya += y[iy++].prob;
+    const double f = fxa * fya;
+    const double d = first ? f : f - prev;
+    first = false;
+    prev = f;
+    if (d > 0.0) {
+      out[m].value = v;
+      out[m].prob = d;
       ++m;
     }
   }

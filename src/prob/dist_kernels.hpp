@@ -22,15 +22,12 @@
 //    returns the atom count; inputs and outputs must not overlap unless a
 //    kernel is documented as in-place.
 //
-// One implementation per kernel. convolve's outer-product fill is the
-// only runtime-dispatched stage (util::simd — AVX2 when the CPU has it,
-// scalar otherwise, EXPMK_FORCE_SCALAR=1 pins scalar); its AVX2 arm does
-// the scalar fill's per-element operations, so both backends give the
-// same bits. convolve orders its cross product with a STABLE bottom-up
-// merge of pre-sorted runs, so it combines exact value ties in the
-// stable run order (earlier run first, not consolidate's std::sort
-// order), and its final renormalize multiplies by one reciprocal
-// (r = 1/total).
+// One implementation per kernel, with no runtime dispatch: util::simd's
+// backend does not touch these kernels. convolve orders its cross product
+// with a STABLE bottom-up merge of pre-sorted runs, so it combines exact
+// value ties in the stable run order (earlier run first, not
+// consolidate's std::sort order), and its final renormalize multiplies
+// by one reciprocal (r = 1/total).
 //
 // Scratch. Kernels take every scratch buffer from the caller (the
 // evaluators lease them from exp::Workspace), so a kernel holds no state
@@ -144,13 +141,11 @@ EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom
                                    std::span<Atom> atom_scratch);
 
 /// max(X, Y) for independent canonical X, Y via support union and
-/// product-CDF differencing, then canonicalize. No atom cap: callers
-/// truncate() the result. `out` must hold x.size() + y.size() atoms;
-/// `support_scratch` must hold 5 * (x.size() + y.size()) doubles (the
-/// support union and four CDF planes); neither may overlap the inputs.
+/// product-CDF differencing in one pass, then canonicalize. No atom cap:
+/// callers truncate() the result. `out` must hold x.size() + y.size()
+/// atoms and must not overlap the inputs; no scratch is needed.
 EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> y,
-                                 std::span<Atom> out,
-                                 std::span<double> support_scratch);
+                                 std::span<Atom> out);
 
 /// Mixture: with probability w take X, else Y (throws
 /// std::invalid_argument on w outside [0,1]). `out` must hold

@@ -55,9 +55,9 @@
 //    slices are copied tightly into the spare buffer and the buffers swap
 //    (growing the spare in place, which allocates only while cold).
 //  * Sub-frames are opened ONLY around purely transient scratch (kernel
-//    convolve / max / truncation scratch, the Kahn order, the Debug
-//    recount); never across an arena or grow-vector mutation, whose
-//    leases must live at the evaluation frame level.
+//    convolve / truncation scratch, the Kahn order, the Debug recount);
+//    never across an arena or grow-vector mutation, whose leases must
+//    live at the evaluation frame level.
 
 #include <algorithm>
 #include <cassert>
@@ -531,12 +531,7 @@ class FlatNetwork {
     const std::span<const Atom> ys =
         std::span<const Atom>(arena_).subspan(doff_[y], ny);
     const std::span<Atom> out = arena_.subspan(used_, nx + ny);
-    size_t m;
-    {
-      const exp::Workspace::Frame frame(ws_);
-      const std::span<double> support = ws_.doubles(5 * (nx + ny));
-      m = dk::max_of(xs, ys, out, support);
-    }
+    size_t m = dk::max_of(xs, ys, out);
     m = apply_cap(used_, m, max_atoms);
     doff_[acc] = static_cast<u32>(used_);
     dlen_[acc] = static_cast<u32>(m);

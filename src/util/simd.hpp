@@ -1,11 +1,10 @@
 // util/simd.hpp
 //
-// Runtime SIMD backend selection. Three stages dispatch on it: the
-// outer-product fill of prob::dist_kernels::convolve and the Philox bulk
-// generator's two fills (the buffered stream and the trial-lane fill).
-// Every other kernel has one implementation; a second, vectorized path
-// is kept only where an end-to-end A/B shows it pays (DESIGN.md, "SIMD
-// kernel layer"). One process-wide answer, resolved once:
+// Runtime SIMD backend selection. Two stages dispatch on it: the Philox
+// bulk generator's two fills (the buffered stream and the trial-lane
+// fill). Every other kernel has one implementation; a second, vectorized
+// path is kept only where an end-to-end A/B shows it pays (DESIGN.md,
+// "SIMD kernel layer"). One process-wide answer, resolved once:
 //
 //   * compile-time gate: non-x86 builds compile the scalar path only and
 //     active() is constant Scalar;

@@ -34,8 +34,7 @@ DiscreteDistribution max_of(const DiscreteDistribution& x,
                             const DiscreteDistribution& y,
                             std::size_t max_atoms, TruncationCert* cert) {
   std::vector<Atom> out(x.size() + y.size());
-  std::vector<double> support(5 * (x.size() + y.size()));
-  const std::size_t n = dk::max_of(x.atoms(), y.atoms(), out, support);
+  const std::size_t n = dk::max_of(x.atoms(), y.atoms(), out);
   return truncated(take(out, n), max_atoms, cert);
 }
 

@@ -108,8 +108,7 @@ TEST(DistKernels, ConvolveAndMaxOfMatchObjectOpsBitwise) {
                          where + " convolve");
 
     std::vector<Atom> mx(x.size() + y.size());
-    std::vector<double> support(5 * (x.size() + y.size()));
-    mx.resize(dk::max_of(x.atoms(), y.atoms(), mx, support));
+    mx.resize(dk::max_of(x.atoms(), y.atoms(), mx));
     expect_bit_identical(mx, ops::max_of(x, y).atoms(),
                          where + " max_of");
 

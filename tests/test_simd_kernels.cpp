@@ -1,14 +1,13 @@
 // Cross-backend property suite for the SIMD kernel layer.
 //
-// Three stages dispatch on util::simd (util/simd.hpp): convolve's
-// outer-product fill and Philox's two bulk fills. Their AVX2 arms must
-// reproduce the scalar twins BIT FOR BIT — the fill does one independent
-// add and multiply per atom, and the Philox fill is exact integer
-// arithmetic. This suite forces each backend in turn over randomized atom
-// soups (including the single-atom, eps-close and near-underflow corners
-// from test_dist_kernels) and compares outputs bitwise; max_of and
-// canonicalize have one implementation, so their cross-backend checks
-// hold trivially and stay as a guard against a second path coming back.
+// Two stages dispatch on util::simd (util/simd.hpp): Philox's two bulk
+// fills. Their AVX2 arms must reproduce the scalar twins BIT FOR BIT —
+// the Philox fill is exact integer arithmetic. The distribution kernels
+// have one implementation each, so the atom-kernel tests below (convolve,
+// max_of and canonicalize under each forced backend, over randomized atom
+// soups with the single-atom, eps-close and near-underflow corners from
+// test_dist_kernels) hold trivially and stay as a guard against a
+// dispatched second path coming back.
 // It also pins the Philox generator to the published Random123
 // known-answer vectors and to fixed stream vectors, and re-pins the MC
 // engine's threads-1/2/7 bit-identity contract on top of the
@@ -111,8 +110,7 @@ KernelOutputs run_kernels(const DiscreteDistribution& x,
   out.convolve.resize(
       dk::convolve(x.atoms(), y.atoms(), out.convolve, scratch));
   out.max_of.resize(x.size() + y.size());
-  std::vector<double> support(5 * (x.size() + y.size()));
-  out.max_of.resize(dk::max_of(x.atoms(), y.atoms(), out.max_of, support));
+  out.max_of.resize(dk::max_of(x.atoms(), y.atoms(), out.max_of));
   out.canonicalize = soup;
   out.canonicalize.resize(dk::canonicalize(out.canonicalize));
   return out;

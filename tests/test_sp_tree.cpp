@@ -12,13 +12,18 @@
 //    exact mean with its certified [lo, hi].
 //  * Memoization: structurally identical modules are built once; a
 //    repeat evaluation is served entirely from the process-wide cache.
+//  * Balanced trees: composites are binary, the module tree is
+//    logarithmically deep, and a one-task patch rebuilds only its cone.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/failure_model.hpp"
 #include "exp/evaluator.hpp"
 #include "exp/hier.hpp"
 #include "gen/cholesky.hpp"
@@ -239,22 +244,49 @@ TEST(SpTree, IdenticalModulesAreBuiltOnce) {
   exp::hier::memo_clear();
   const auto sc = compile(fork_join(8, 4), 0.05);
 
+  // The memo's promise: a cold build misses once per DISTINCT composite
+  // in the decomposition — keyed here independently of exp::hier, by
+  // (weight, success probability) for leaves and (kind, child keys) for
+  // composites — and every repeat of one is a hit or lies under a hit.
+  const graph::SpDecomposition& d = sc.sp_decomposition();
+  std::vector<std::size_t> key(d.modules.size());
+  std::map<std::pair<double, double>, std::size_t> leaf_keys;
+  std::map<std::vector<std::size_t>, std::size_t> composite_keys;
+  for (std::size_t m = 0; m < d.modules.size(); ++m) {
+    const auto& mod = d.modules[m];
+    if (mod.kind == graph::SpDecomposition::Kind::Leaf) {
+      const std::uint32_t pos = sc.csr().position()[mod.task];
+      key[m] = leaf_keys
+                   .emplace(std::pair{sc.weights_csr()[pos],
+                                      sc.p_success_csr()[pos]},
+                            leaf_keys.size())
+                   .first->second;
+      continue;
+    }
+    std::vector<std::size_t> sig{static_cast<std::size_t>(mod.kind)};
+    for (std::uint32_t c = 0; c < mod.child_count; ++c) {
+      sig.push_back(key[d.children[mod.first_child + c]]);
+    }
+    key[m] = composite_keys.emplace(sig, composite_keys.size()).first->second;
+  }
+  // 8 identical 4-task chains, each a 2-level balanced Series tree, under
+  // a 3-level balanced Parallel tree, in the src -> * -> sink spine.
+  EXPECT_EQ(composite_keys.size(), 7u);
+
   // Both tables stay checked out of `ws` until it dies.
   exp::Workspace ws;
   const auto first = exp::hier::build_module_distributions(sc, 0, ws);
-  // 8 structurally identical chains: one is built, seven are served from
-  // the cache (plus whatever outer composites repeat).
-  EXPECT_GE(first.stats.memo_hits, 7u);
-  EXPECT_GE(first.stats.memo_misses, 1u);
+  EXPECT_EQ(first.stats.memo_misses, composite_keys.size());
 
+  // A repeat build is all hits: each quotient root is served whole.
   const auto again = exp::hier::build_module_distributions(sc, 0, ws);
   EXPECT_EQ(again.stats.memo_misses, 0u);
-  EXPECT_GE(again.stats.memo_hits, 1u);
+  EXPECT_EQ(again.stats.memo_hits, d.quotient_module.size());
 
   const auto ms = exp::hier::memo_stats();
   EXPECT_EQ(ms.misses, first.stats.memo_misses);
   EXPECT_EQ(ms.hits, first.stats.memo_hits + again.stats.memo_hits);
-  EXPECT_GT(ms.entries, 0u);
+  EXPECT_EQ(ms.entries, composite_keys.size());
 
   // Served-from-cache must be byte-for-byte the same law.
   ASSERT_EQ(first.laws.size(), again.laws.size());
@@ -269,6 +301,65 @@ TEST(SpTree, IdenticalModulesAreBuiltOnce) {
   }
   exp::hier::memo_clear();
   EXPECT_EQ(exp::hier::memo_stats().entries, 0u);
+}
+
+// ---- balanced module trees -------------------------------------------
+
+/// Composite levels above the deepest leaf of `m` (explicit stack: a
+/// left-deep tree is as deep as the chain it came from).
+std::size_t module_depth(const graph::SpDecomposition& d, std::uint32_t m) {
+  std::size_t deepest = 0;
+  std::vector<std::pair<std::uint32_t, std::size_t>> stack{{m, 0}};
+  while (!stack.empty()) {
+    const auto [id, level] = stack.back();
+    stack.pop_back();
+    deepest = std::max(deepest, level);
+    const auto& mod = d.modules[id];
+    for (std::uint32_t c = 0; c < mod.child_count; ++c) {
+      stack.emplace_back(d.children[mod.first_child + c], level + 1);
+    }
+  }
+  return deepest;
+}
+
+TEST(SpTree, CompositesAreBinary) {
+  const auto d = graph::sp_collapse(gen::tiled_fork_join(3, 5, 3, 1));
+  for (const auto& mod : d.modules) {
+    EXPECT_EQ(mod.child_count,
+              mod.kind == graph::SpDecomposition::Kind::Leaf ? 0u : 2u);
+  }
+}
+
+TEST(SpTree, BalancedTreeDepthIsLogarithmic) {
+  // 50 stages of (src, 40 parallel 10-task chains, sink): a 150-child
+  // series spine, 40-child parallel groups and 10-child chains, so
+  // ceil(log2) per level gives 8 + 6 + 4 = 18. A left-deep spine is 110.
+  const auto d = graph::sp_collapse(gen::tiled_fork_join(50, 40, 10, 7));
+  ASSERT_EQ(d.quotient_module.size(), 1u);
+  EXPECT_LE(module_depth(d, d.quotient_module[0]), 20u);
+}
+
+TEST(SpTree, OneTaskPatchRebuildsLogCone) {
+  // A one-task rate patch on a warm memo rebuilds only the modules above
+  // the patched leaf: 4 chain + 2 parallel + 8 spine levels here, at
+  // every stage. A left-deep spine re-folds every enclosing stage.
+  constexpr int kStages = 50, kWidth = 4, kChain = 10;
+  const graph::Dag g = gen::tiled_fork_join(kStages, kWidth, kChain, 7);
+  const double lambda = core::calibrate(g, 0.01).lambda;
+  const auto base =
+      scenario::Scenario::compile(g, scenario::FailureSpec::uniform(lambda));
+  exp::hier::memo_clear();
+  exp::Workspace ws;
+  ASSERT_TRUE(exp::hier::evaluate_sp_hier(base, 256, ws).is_series_parallel);
+  for (const int stage : {0, 25, 49}) {
+    const std::vector<graph::TaskId> task{
+        static_cast<graph::TaskId>(stage * (kWidth * kChain + 2) + 1)};
+    const std::vector<double> rate{2.0 * lambda};
+    const auto r = exp::hier::evaluate_sp_hier(base.patch(task, rate), 256, ws);
+    ASSERT_TRUE(r.is_series_parallel);
+    EXPECT_LE(r.stats.memo_misses, 24u) << "stage " << stage;
+  }
+  exp::hier::memo_clear();
 }
 
 TEST(SpTree, MemoKeySeparatesRatesWeightsAndBudget) {

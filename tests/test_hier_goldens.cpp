@@ -169,24 +169,24 @@ const Row kGoldens[] = {
     {0, 2, 0, true, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.59abad7a000b5p-10, 4, 1, 0, 0, 0, 0, 0x0000000000000000ULL},
     {0, 2, 32, true, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.59abad7a000b5p-10, 4, 1, 0, 0, 0, 0, 0x0000000000000000ULL},
     {0, 2, 256, true, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.59abad7a000b5p-10, 4, 1, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {1, 0, 0, true, 0x1.f31ebf66cf282p+4, 0x1.f31ebf66cf282p+4, 0x1.f31ebf66cf282p+4, 0x0p+0, 1, 34, 1, 0, 0, 8400, 0x35d66d047121fa79ULL},
-    {1, 0, 32, true, 0x1.f31ebf66cf272p+4, 0x1.f104c78773a93p+4, 0x1.f538b7462aa51p+4, 0x0p+0, 1, 34, 1, 0, 0, 32, 0x090cdd25a9583ac0ULL},
-    {1, 0, 256, true, 0x1.f31ebf66cf26bp+4, 0x1.f30117cf857d8p+4, 0x1.f33c66fe18cfep+4, 0x0p+0, 1, 34, 1, 0, 0, 256, 0xb9bd6f2540ce9f59ULL},
-    {1, 1, 0, true, 0x1.f31ebf66cf282p+4, 0x1.f31ebf66cf282p+4, 0x1.f31ebf66cf282p+4, 0x0p+0, 1, 34, 1, 0, 0, 8400, 0x35d66d047121fa79ULL},
-    {1, 1, 32, true, 0x1.f31ebf66cf272p+4, 0x1.f104c78773a93p+4, 0x1.f538b7462aa51p+4, 0x0p+0, 1, 34, 1, 0, 0, 32, 0x090cdd25a9583ac0ULL},
-    {1, 1, 256, true, 0x1.f31ebf66cf26bp+4, 0x1.f30117cf857d8p+4, 0x1.f33c66fe18cfep+4, 0x0p+0, 1, 34, 1, 0, 0, 256, 0xb9bd6f2540ce9f59ULL},
-    {1, 2, 0, true, 0x1.f2b6c166de749p+4, 0x1.f2b6c166de749p+4, 0x1.f2b6c166de749p+4, 0x1.edbea8cc60662p-5, 1, 34, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {1, 2, 32, true, 0x1.f2a4d4d8bd216p+4, 0x1.f08adcf963af1p+4, 0x1.f4beccb81693bp+4, 0x1.eb6472ceb6348p-5, 1, 34, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {1, 2, 256, true, 0x1.f2b6775537adbp+4, 0x1.f298cfbdefc46p+4, 0x1.f2d41eec7f97p+4, 0x1.edc98dc8980aap-5, 1, 34, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {2, 0, 0, true, 0x1.e4dd0c1e3eef7p+4, 0x1.e4dd0c1e3eef7p+4, 0x1.e4dd0c1e3eef7p+4, 0x0p+0, 1, 37, 1, 0, 0, 57792, 0x590972449dd81e86ULL},
-    {2, 0, 32, true, 0x1.e4dd0c1e3ef14p+4, 0x1.e1eea8c21ced9p+4, 0x1.e7cb6f7a60f4fp+4, 0x0p+0, 1, 37, 1, 0, 0, 32, 0xcb3238192e44ae22ULL},
-    {2, 0, 256, true, 0x1.e4dd0c1e3ef13p+4, 0x1.e4b6246bdd006p+4, 0x1.e503f3d0a0e2p+4, 0x0p+0, 1, 37, 1, 0, 0, 256, 0xd0dc83c2ff3f1cbeULL},
-    {2, 1, 0, true, 0x1.e4dd0c1e3eef7p+4, 0x1.e4dd0c1e3eef7p+4, 0x1.e4dd0c1e3eef7p+4, 0x0p+0, 1, 37, 1, 0, 0, 57792, 0x590972449dd81e86ULL},
-    {2, 1, 32, true, 0x1.e4dd0c1e3ef14p+4, 0x1.e1eea8c21ced9p+4, 0x1.e7cb6f7a60f4fp+4, 0x0p+0, 1, 37, 1, 0, 0, 32, 0xcb3238192e44ae22ULL},
-    {2, 1, 256, true, 0x1.e4dd0c1e3ef13p+4, 0x1.e4b6246bdd006p+4, 0x1.e503f3d0a0e2p+4, 0x0p+0, 1, 37, 1, 0, 0, 256, 0xd0dc83c2ff3f1cbeULL},
-    {2, 2, 0, true, 0x1.e4bd15ad00202p+4, 0x1.e4bd15ad00202p+4, 0x1.e4bd15ad00202p+4, 0x1.8dc8d990428ddp-5, 1, 37, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {2, 2, 32, true, 0x1.e4db16b8bf41bp+4, 0x1.e1ecb35c9d466p+4, 0x1.e7c97a14e13dp+4, 0x1.8aba4ebd5d777p-5, 1, 37, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {2, 2, 256, true, 0x1.e4bc22365deedp+4, 0x1.e4953a83fc8b6p+4, 0x1.e4e309e8bf524p+4, 0x1.8db3c41cbfcbap-5, 1, 37, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {1, 0, 0, true, 0x1.f31ebf66cf284p+4, 0x1.f31ebf66cf284p+4, 0x1.f31ebf66cf284p+4, 0x0p+0, 0, 41, 1, 0, 0, 8400, 0xe12dcff71799b647ULL},
+    {1, 0, 32, true, 0x1.f31ebf66cf274p+4, 0x1.f0f673b7511bbp+4, 0x1.f5470b164d32dp+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x835201183de9323aULL},
+    {1, 0, 256, true, 0x1.f31ebf66cf275p+4, 0x1.f3058c831508ap+4, 0x1.f337f24a8946p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xce0206b39f043ff4ULL},
+    {1, 1, 0, true, 0x1.f31ebf66cf284p+4, 0x1.f31ebf66cf284p+4, 0x1.f31ebf66cf284p+4, 0x0p+0, 0, 41, 1, 0, 0, 8400, 0xe12dcff71799b647ULL},
+    {1, 1, 32, true, 0x1.f31ebf66cf274p+4, 0x1.f0f673b7511bbp+4, 0x1.f5470b164d32dp+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x835201183de9323aULL},
+    {1, 1, 256, true, 0x1.f31ebf66cf275p+4, 0x1.f3058c831508ap+4, 0x1.f337f24a8946p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xce0206b39f043ff4ULL},
+    {1, 2, 0, true, 0x1.f2b6c166de749p+4, 0x1.f2b6c166de749p+4, 0x1.f2b6c166de749p+4, 0x1.edbea8cc60662p-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {1, 2, 32, true, 0x1.f2b82d7937a18p+4, 0x1.f08fe1c9bb4e8p+4, 0x1.f4e07928b3f48p+4, 0x1.ebc723f69da93p-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {1, 2, 256, true, 0x1.f2b516a33f417p+4, 0x1.f29be3bf86e89p+4, 0x1.f2ce4986f79a5p+4, 0x1.edac599e86c6ap-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {2, 0, 0, true, 0x1.e4dd0c1e3eeecp+4, 0x1.e4dd0c1e3eeecp+4, 0x1.e4dd0c1e3eeecp+4, 0x0p+0, 0, 41, 1, 0, 0, 57792, 0x19f2b1a4429b2662ULL},
+    {2, 0, 32, true, 0x1.e4dd0c1e3ef11p+4, 0x1.e21b3dbd3c04dp+4, 0x1.e79eda7f41dd6p+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x88b645cdde86b061ULL},
+    {2, 0, 256, true, 0x1.e4dd0c1e3ef18p+4, 0x1.e4b459e22db38p+4, 0x1.e505be5a502f8p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xc2a12096a5e10b52ULL},
+    {2, 1, 0, true, 0x1.e4dd0c1e3eeecp+4, 0x1.e4dd0c1e3eeecp+4, 0x1.e4dd0c1e3eeecp+4, 0x0p+0, 0, 41, 1, 0, 0, 57792, 0x19f2b1a4429b2662ULL},
+    {2, 1, 32, true, 0x1.e4dd0c1e3ef11p+4, 0x1.e21b3dbd3c04dp+4, 0x1.e79eda7f41dd6p+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x88b645cdde86b061ULL},
+    {2, 1, 256, true, 0x1.e4dd0c1e3ef18p+4, 0x1.e4b459e22db38p+4, 0x1.e505be5a502f8p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xc2a12096a5e10b52ULL},
+    {2, 2, 0, true, 0x1.e4bd15ad00201p+4, 0x1.e4bd15ad00201p+4, 0x1.e4bd15ad00201p+4, 0x1.8dc8d9904298ap-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {2, 2, 32, true, 0x1.e4fb62094cce9p+4, 0x1.e23993a8496p+4, 0x1.e7bd306a503d3p+4, 0x1.8c8166a8a41cp-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {2, 2, 256, true, 0x1.e4bcc6ae703ffp+4, 0x1.e49414725f8c8p+4, 0x1.e4e578ea80f36p+4, 0x1.8dceb8725b236p-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
 };
 
 TEST(HierGoldens, BitIdenticalToRecordedAnswers) {

@@ -197,6 +197,8 @@ SpDecomposition sp_collapse(const Dag& g) {
   }
   const std::size_t roots = d.quotient.task_count();
   d.collapsed_tasks = n - roots;
+  succ = {};  // the working graph's last use: free it before emitting
+  pred = {};
 
   // Modules: leaves 0..n-1, then each list as a balanced binary tree,
   // lists below it first (explicit-stack post-order: alternating

@@ -19,8 +19,18 @@
 //     overall makespan max.
 //
 // Both identities are exact for independent task durations — which is the
-// model: per-task failure/retry processes are independent. The result is
-// a forest of composite modules (the SP tree) plus the QUOTIENT DAG whose
+// model: per-task failure/retry processes are independent. Same-kind
+// nesting is flattened: a maximal series chain is one ordered child list
+// (chain order), a parallel group one list (twin order), however many
+// passes it took to form. Each list is emitted as a balanced binary tree,
+// so every composite module has exactly two children and a k-child list
+// adds only ceil(log2 k) levels: a change to one task re-folds the
+// modules on its path to the root, not a whole chain. Sum and max are
+// associative, so only the rounding and truncation grouping depends on
+// the tree's shape.
+//
+// The result is a forest of composite modules (the SP tree) plus the
+// QUOTIENT DAG whose
 // nodes are the surviving modules. On a series-parallel graph the
 // quotient is a single node; on library kernels (LU/QR/Cholesky) large
 // repetitive regions collapse so the quotient is far smaller than the
@@ -47,15 +57,17 @@ namespace expmk::graph {
 struct SpDecomposition {
   enum class Kind : std::uint8_t { Leaf, Series, Parallel };
 
-  /// One node of the module forest. Children of composite modules are
-  /// stored as spans into `children`; the modules vector is ordered
-  /// children-before-parents (leaves first, then composites as built),
-  /// so a single ascending pass evaluates bottom-up.
+  /// One node of the module forest. A composite is binary: its two
+  /// children are a span into `children`, and a Series (Parallel) list of
+  /// k children becomes a balanced tree of k - 1 such modules. The
+  /// modules vector is ordered children-before-parents (leaves first,
+  /// then each list's tree after the lists below it), so a single
+  /// ascending pass evaluates bottom-up.
   struct Module {
     Kind kind = Kind::Leaf;
     TaskId task = kNoTask;          ///< Leaf: the original task id
     std::uint32_t first_child = 0;  ///< composite: offset into children
-    std::uint32_t child_count = 0;  ///< composite: number of children
+    std::uint32_t child_count = 0;  ///< composite: 2 (0 for a leaf)
   };
 
   std::vector<Module> modules;         ///< leaves 0..n-1, then composites
@@ -77,7 +89,8 @@ struct SpDecomposition {
   std::size_t collapsed_tasks = 0;
 };
 
-/// Runs the collapse to fixpoint; O(passes * (V + E)), deterministic.
+/// Runs the collapse to fixpoint, then emits the balanced module trees;
+/// O(passes * (V + E)), deterministic.
 [[nodiscard]] SpDecomposition sp_collapse(const Dag& g);
 
 /// All original task ids inside `module`, ascending. Test/debug helper.

@@ -8,11 +8,22 @@ std::size_t scenario_footprint_bytes(
     const scenario::Scenario& sc) noexcept {
   const std::size_t tasks = sc.task_count();
   const std::size_t edges = sc.dag().edge_count();
-  // Per task: 7 cached double planes + exits/topo/orders (~4 u32 planes)
-  // + the Dag copy's name, weight and adjacency bookkeeping (~96 bytes
-  // amortized). Per edge: forward + reverse adjacency slots in the Dag
-  // and the CSR index plane. Plus a fixed overhead for the object
-  // shells. An estimate, not an audit — see the file comment.
+  // What a compiled Scenario holds, per task:
+  //  * 7 double planes: six in position order (the CSR's weights and the
+  //    Scenario's rate, p, q, 1/log1p and failure-free finish planes)
+  //    plus the Dag copy's weights;
+  //  * the CSR's 4 u32 planes: order, position, pred and succ offsets;
+  //  * the Dag copy's name and its two adjacency vectors (~96 bytes
+  //    amortized).
+  // Per edge: the Dag's forward + reverse slots and the CSR's pred and
+  // succ index planes (four u32s, charged as three). Plus a fixed
+  // overhead for the object shells. Not charged: a per-task rate vector
+  // (one more double plane), and the SP decomposition, which is about as
+  // large as the rest but is built lazily after insertion (plan features,
+  // hier) and shared with every patch clone. glibc counts ~20% more than
+  // this on LU cells even without it; the budgets in use were sized on
+  // these constants, so they stay. An estimate, not an audit — see the
+  // file comment.
   return tasks * (7 * sizeof(double) + 4 * sizeof(std::uint32_t) + 96) +
          edges * 3 * sizeof(std::uint32_t) + 1024;
 }

@@ -2,7 +2,8 @@
 //
 //  * hit/miss/compile counters and the compile-once behavior on repeated
 //    keys (pinned with Scenario::compiled_count());
-//  * byte-budget LRU eviction from the tail, never the newest entry;
+//  * byte-budget LRU eviction from the tail, never the newest entry, and
+//    a footprint estimate that grows with tasks and with edges;
 //  * singleflight: concurrent misses on ONE key compile exactly once,
 //    everyone shares the pointer;
 //  * a failing compile poisons nobody — every waiter gets the exception,
@@ -78,6 +79,31 @@ TEST(ServeCache, ByteBudgetEvictsFromLruTail) {
   EXPECT_NE(cache.lookup(1), nullptr);     // the touched entry stayed
   EXPECT_NE(cache.lookup(3), nullptr);     // the newest is never evicted
   EXPECT_LE(cache.stats().bytes, 2 * one + one / 2);
+}
+
+TEST(ServeCache, FootprintGrowsWithTasksAndEdges) {
+  const auto footprint = [](const expmk::graph::Dag& g) {
+    return expmk::serve::scenario_footprint_bytes(
+        Scenario::compile(g, FailureSpec::uniform(0.01)));
+  };
+  constexpr expmk::graph::TaskId kTasks = 8;
+  expmk::graph::Dag chain = expmk::graph::Dag::with_tasks(kTasks, 1.0);
+  for (expmk::graph::TaskId i = 0; i + 1 < kTasks; ++i) {
+    chain.add_edge(i, i + 1);
+  }
+  // Same tasks, more edges: the chain plus every forward shortcut.
+  expmk::graph::Dag dense = chain;
+  for (expmk::graph::TaskId i = 0; i < kTasks; ++i) {
+    for (expmk::graph::TaskId j = i + 2; j < kTasks; ++j) dense.add_edge(i, j);
+  }
+  EXPECT_GT(footprint(dense), footprint(chain));
+  // Same edges, more tasks: the chain plus isolated tasks.
+  expmk::graph::Dag wide = chain;
+  for (int i = 0; i < 4; ++i) (void)wide.add_task(1.0);
+  ASSERT_EQ(wide.edge_count(), chain.edge_count());
+  EXPECT_GT(footprint(wide), footprint(chain));
+  // Both at once, on the library's LU generator.
+  EXPECT_GT(footprint(expmk::gen::lu_dag(4)), footprint(expmk::gen::lu_dag(3)));
 }
 
 TEST(ServeCache, SingleflightCoalescesConcurrentMisses) {

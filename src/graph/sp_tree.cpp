@@ -134,52 +134,50 @@ SpDecomposition sp_collapse(const Dag& g) {
   // fuse each group into its lowest-index member. Grouping goes through a
   // hash only to find candidates; the sorted adjacency itself is compared
   // before fusing (hash collisions must not merge distinct signatures).
-  {
-    std::vector<std::vector<std::uint32_t>> sorted_pred(n), sorted_succ(n);
-    const auto parallel_pass = [&]() -> bool {
-      bool changed = false;
-      std::map<std::uint64_t, std::vector<std::uint32_t>> groups;
-      for (std::uint32_t u = 0; u < n; ++u) {
-        if (!alive[u]) continue;
-        sorted_pred[u] = pred[u];
-        sorted_succ[u] = succ[u];
-        std::sort(sorted_pred[u].begin(), sorted_pred[u].end());
-        std::sort(sorted_succ[u].begin(), sorted_succ[u].end());
-        groups[hash_adjacency(sorted_pred[u], sorted_succ[u])].push_back(u);
-      }
-      for (auto& [h, nodes] : groups) {
-        if (nodes.size() < 2) continue;
-        std::vector<char> taken(nodes.size(), 0);
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          if (taken[i]) continue;
-          const std::uint32_t u = nodes[i];
-          for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-            if (taken[j]) continue;
-            const std::uint32_t v = nodes[j];
-            if (sorted_pred[v] != sorted_pred[u] ||
-                sorted_succ[v] != sorted_succ[u]) {
-              continue;
-            }
-            taken[j] = 1;
-            list[u] = lists.join(Kind::Parallel, list[u], list[v]);
-            weight[u] += weight[v];
-            for (const std::uint32_t p : pred[v]) erase_value(succ[p], v);
-            for (const std::uint32_t s : succ[v]) erase_value(pred[s], v);
-            alive[v] = 0;
-            succ[v].clear();
-            pred[v].clear();
-            changed = true;
+  std::vector<std::vector<std::uint32_t>> sorted_pred(n), sorted_succ(n);
+  const auto parallel_pass = [&]() -> bool {
+    bool changed = false;
+    std::map<std::uint64_t, std::vector<std::uint32_t>> groups;
+    for (std::uint32_t u = 0; u < n; ++u) {
+      if (!alive[u]) continue;
+      sorted_pred[u] = pred[u];
+      sorted_succ[u] = succ[u];
+      std::sort(sorted_pred[u].begin(), sorted_pred[u].end());
+      std::sort(sorted_succ[u].begin(), sorted_succ[u].end());
+      groups[hash_adjacency(sorted_pred[u], sorted_succ[u])].push_back(u);
+    }
+    for (auto& [h, nodes] : groups) {
+      if (nodes.size() < 2) continue;
+      std::vector<char> taken(nodes.size(), 0);
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (taken[i]) continue;
+        const std::uint32_t u = nodes[i];
+        for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+          if (taken[j]) continue;
+          const std::uint32_t v = nodes[j];
+          if (sorted_pred[v] != sorted_pred[u] ||
+              sorted_succ[v] != sorted_succ[u]) {
+            continue;
           }
+          taken[j] = 1;
+          list[u] = lists.join(Kind::Parallel, list[u], list[v]);
+          weight[u] += weight[v];
+          for (const std::uint32_t p : pred[v]) erase_value(succ[p], v);
+          for (const std::uint32_t s : succ[v]) erase_value(pred[s], v);
+          alive[v] = 0;
+          succ[v].clear();
+          pred[v].clear();
+          changed = true;
         }
       }
-      return changed;
-    };
-
-    bool changed = n > 0;
-    while (changed) {
-      changed = series_pass();
-      changed = parallel_pass() || changed;
     }
+    return changed;
+  };
+
+  bool changed = n > 0;
+  while (changed) {
+    changed = series_pass();
+    changed = parallel_pass() || changed;
   }
 
   // Quotient: surviving nodes in ascending index order.
@@ -197,8 +195,11 @@ SpDecomposition sp_collapse(const Dag& g) {
   }
   const std::size_t roots = d.quotient.task_count();
   d.collapsed_tasks = n - roots;
-  succ = {};  // the working graph's last use: free it before emitting
+  // The working graph's last use: free it before emitting.
+  succ = {};
   pred = {};
+  sorted_pred = {};
+  sorted_succ = {};
 
   // Modules: leaves 0..n-1, then each list as a balanced binary tree,
   // lists below it first (explicit-stack post-order: alternating

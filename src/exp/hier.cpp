@@ -199,8 +199,8 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
   out.stats.collapsed_tasks = d.collapsed_tasks;
 
   // Pass 2: evaluate each quotient root by explicit-stack post-order —
-  // series chains nest modules as deep as the chain is long, so
-  // recursion would overflow at the million-task scale this exists for.
+  // alternating series/parallel nesting can be as deep as the graph is
+  // large, so recursion could overflow at the million-task scale.
   // A cache hit on a composite skips its whole subtree. The modules form
   // a forest, so when a composite's children are all built their laws
   // are the top segment of the atom stack; the fold writes the parent's

@@ -20,10 +20,12 @@ std::size_t scenario_footprint_bytes(
   // overhead for the object shells. Not charged: a per-task rate vector
   // (one more double plane), and the SP decomposition, which is about as
   // large as the rest but is built lazily after insertion (plan features,
-  // hier) and shared with every patch clone. glibc counts ~20% more than
-  // this on LU cells even without it; the budgets in use were sized on
-  // these constants, so they stay. An estimate, not an audit — see the
-  // file comment.
+  // hier). A patch clone shares the Dag, the CSR and the decomposition
+  // with its sibling and owns only its five Scenario planes, yet is
+  // charged in full. On LU cells glibc counts ~20% more than this for a
+  // fresh compile and ~5x less for a clone; the budgets in use were
+  // sized on these constants, so they stay. An estimate, not an audit —
+  // see the file comment.
   return tasks * (7 * sizeof(double) + 4 * sizeof(std::uint32_t) + 96) +
          edges * 3 * sizeof(std::uint32_t) + 1024;
 }

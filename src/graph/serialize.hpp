@@ -1,7 +1,8 @@
 // graph/serialize.hpp
 //
 // A minimal text format for task graphs so DAGs can be saved, diffed and
-// fed to the CLI tool. Format (line oriented, '#' comments):
+// fed to the CLI tool and the serving daemon. Format (line oriented, '#'
+// comments):
 //
 //   expmk-taskgraph 1
 //   task <name> <weight>
@@ -14,17 +15,48 @@
 //   task <name> <weight> <rate>
 //   edge <from-name> <to-name>
 //
-// Names must be unique and whitespace-free; tasks must be declared before
-// edges referencing them. The writer emits tasks in id order, so
-// write->read round-trips preserve TaskIds (and rates, bit-exactly: both
-// columns are printed with max_digits10). Graphs without rates are always
-// written as version 1, keeping existing artifacts byte-stable.
+// Accepted grammar (what the reader takes; the writer emits a strict
+// subset of it):
+//
+//   * Lines end at '\n'. Everything from the first '#' on a line is a
+//     comment. A line with no token left is skipped.
+//   * Tokens are split on the whitespace set ' ', '\t', '\v', '\f', '\r'
+//     (so CRLF files read like LF files). A name is any run of other
+//     bytes.
+//   * The first non-blank line is the header: the token
+//     "expmk-taskgraph", then a version read as [+-]digits (1 or 2).
+//   * Tasks and edges may interleave in any order, but an edge must
+//     follow the declarations of both of its endpoints.
+//   * A number is the longest prefix of [+-] digits[.digits] [(e|E)
+//     [+-] digits] (the leading or trailing digit group may be empty,
+//     not both). Only decimal: no inf, nan or hex floats. An 'e' with
+//     no exponent digits, or a value that overflows a double, is an
+//     error. A value that underflows reads as a subnormal or a signed
+//     zero. "-0" is accepted as a weight (-0.0 is not negative).
+//   * A number ends where that grammar stops, not at whitespace: the
+//     rest of the token is what the next field reads. So in version 1
+//     "task a 1.5x" reads weight 1.5, while in version 2 the rate read
+//     then fails on "x". Tokens after the last field of a line, and
+//     after the header's version, are ignored.
+//
+// This is exactly what the original istream reader (`std::getline` plus
+// `>>` in the classic locale) accepted, error text and line numbers
+// included; tests/taskgraph_reference.* keeps that reader as the oracle.
+//
+// Names must be unique; tasks must be declared before edges referencing
+// them. The writer emits tasks in id order, so write->read round-trips
+// preserve TaskIds (and rates, bit-exactly: both columns are printed as
+// "%.17g", i.e. max_digits10). Graphs without rates are always written
+// as version 1, keeping existing artifacts byte-stable. Those bytes are
+// also the input of the serving cache keys (scenario/content_hash.hpp),
+// so the writer's output is frozen.
 
 #pragma once
 
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/dag.hpp"
@@ -68,11 +100,11 @@ void write_taskgraph(std::ostream& os, const Dag& g,
 [[nodiscard]] Dag read_taskgraph(std::istream& is);
 
 /// Parses from a string.
-[[nodiscard]] Dag taskgraph_from_string(const std::string& text);
+[[nodiscard]] Dag taskgraph_from_string(std::string_view text);
 
-/// Parses from a string, keeping rates.
-[[nodiscard]] TaskGraphFile taskgraph_file_from_string(
-    const std::string& text);
+/// Parses from a string, keeping rates. The one parser: the stream and
+/// file entry points read their whole input and call this.
+[[nodiscard]] TaskGraphFile taskgraph_file_from_string(std::string_view text);
 
 /// Convenience file helpers; throw std::runtime_error on I/O failure.
 void save_taskgraph(const std::string& path, const Dag& g);

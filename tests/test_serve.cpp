@@ -268,6 +268,41 @@ TEST(ServeEngineTest, ByHashRoundTripAndNotFound) {
   EXPECT_EQ(field_string(error, "code"), "not_found");
 }
 
+TEST(ServeEngineTest, InlineGraphKeyIgnoresFormatting) {
+  // The cache key hashes the canonical re-serialization of the parsed
+  // graph, so the same LU graph sent with CRLF line ends, comments and
+  // extra whitespace must land on the canonical request's entry.
+  const std::string canonical =
+      expmk::graph::to_taskgraph(expmk::gen::lu_dag(4));
+  std::string reformatted = "# the same LU graph, hand-formatted\r\n";
+  for (std::size_t pos = 0; pos < canonical.size();) {
+    const std::size_t end = canonical.find('\n', pos);
+    std::string line = canonical.substr(pos, end - pos);
+    pos = end + 1;
+    for (std::size_t i = line.find(' '); i != std::string::npos;
+         i = line.find(' ', i + 3)) {
+      line.replace(i, 1, " \t ");
+    }
+    reformatted += "  " + line + "   # note\r\n\r\n";
+  }
+  ASSERT_NE(reformatted, canonical);
+
+  ServeEngine engine;
+  ServeEngine::Connection conn;
+  const json::Value first = json::parse(
+      engine.handle_sync(eval_payload(canonical, "fo", 1, 100, 0), conn));
+  const json::Value second = json::parse(
+      engine.handle_sync(eval_payload(reformatted, "fo", 1, 100, 1), conn));
+  ASSERT_EQ(field_string(first, "type"), "result");
+  ASSERT_EQ(field_string(second, "type"), "result");
+  EXPECT_EQ(field_string(first, "cache"), "miss");
+  EXPECT_EQ(field_string(second, "cache"), "hit");
+  EXPECT_EQ(field_string(second, "hash"), field_string(first, "hash"));
+  EXPECT_EQ(field_double(second, "mean"), field_double(first, "mean"));
+  EXPECT_EQ(engine.cache_stats().compiles, 1u);
+  EXPECT_EQ(engine.cache_stats().hits, 1u);
+}
+
 TEST(ServeEngineTest, ShedDegradesByPredictedCostAndReports) {
   // Level 1 always on: queue depth >= 0 trips queue_l1 == 0.
   //

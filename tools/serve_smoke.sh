@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end smoke of the serving daemon: launch expmk_serve on an
-# ephemeral port, run one inline eval + a STATS frame through
-# expmk_client, then shut the daemon down over the protocol and assert a
-# clean exit. Run from the build directory (the ctest working dir):
+# ephemeral port, run one inline eval twice, then a reformatted copy of
+# the same graph (which must hit the same cache entry), and a STATS frame
+# through expmk_client, then shut the daemon down over the protocol and
+# assert a clean exit. Run from the build directory (the ctest working dir):
 #
 #   sh ../tools/serve_smoke.sh
 #
@@ -49,6 +50,18 @@ OUT=$("$BIN_DIR/expmk_client" --port "$PORT" --graph serve_smoke.tg \
 echo "$OUT"
 echo "$OUT" | grep -q '"type": "result"' || fail "no result frame"
 echo "$OUT" | grep -q '"cache": "hit"' || fail "second request did not hit"
+
+# The same graph reformatted (CRLF line ends, comments, extra blanks and
+# tabs) is the same cache key: it must hit without a second compile.
+awk 'BEGIN { printf "# serve_smoke.tg, reformatted\r\n" }
+     { gsub(/ /, " \t "); printf "  %s   # note\r\n\r\n", $0 }' \
+  serve_smoke.tg >serve_smoke_reformatted.tg
+OUT=$("$BIN_DIR/expmk_client" --port "$PORT" \
+      --graph serve_smoke_reformatted.tg --pfail 0.01 --method fo) \
+  || fail "reformatted eval request failed"
+echo "$OUT"
+echo "$OUT" | grep -q '"cache": "hit"' \
+  || fail "reformatted graph did not hit the canonical entry"
 
 OUT=$("$BIN_DIR/expmk_client" --port "$PORT" --stats) \
   || fail "stats request failed"

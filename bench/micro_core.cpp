@@ -180,14 +180,6 @@ void BM_Reachability(benchmark::State& state) {
 }
 BENCHMARK(BM_Reachability)->Arg(8)->Arg(12);
 
-/// `d` truncated in place to at most `atoms` atoms.
-void cap(std::vector<prob::Atom>& d, std::size_t atoms) {
-  if (d.size() <= atoms) return;
-  std::vector<double> gaps(2 * (d.size() - 1));
-  prob::dist_kernels::TruncationCert cert;
-  d.resize(prob::dist_kernels::truncate(d, atoms, cert, gaps));
-}
-
 /// The law of a 13-task series chain, capped at `atoms` after every
 /// convolution.
 std::vector<prob::Atom> capped_chain(std::size_t atoms) {
@@ -197,11 +189,13 @@ std::vector<prob::Atom> capped_chain(std::size_t atoms) {
   for (int i = 0; i < 12; ++i) {
     prob::Atom t[2];
     const std::size_t nt = dk::two_state(1.0 + 0.01 * i, 0.99, t);
-    std::vector<prob::Atom> out(d.size() * nt);
-    std::vector<prob::Atom> scratch(out.size());
-    out.resize(
-        dk::convolve(d, std::span<const prob::Atom>(t, nt), out, scratch));
-    cap(out, atoms);
+    const dk::ConvolveScratch need = dk::convolve_scratch(d.size(), nt, atoms);
+    std::vector<prob::Atom> out(need.out);
+    std::vector<prob::Atom> scratch(need.atoms);
+    std::vector<double> gaps(need.gaps);
+    dk::TruncationCert cert;
+    out.resize(dk::convolve(d, std::span<const prob::Atom>(t, nt), atoms, cert,
+                            out, scratch, gaps));
     d = std::move(out);
   }
   return d;
@@ -213,16 +207,15 @@ void BM_Convolve(benchmark::State& state) {
   const std::vector<prob::Atom> d = capped_chain(atoms);
   prob::Atom other[2];
   const std::size_t no = dk::two_state(0.5, 0.99, other);
-  std::vector<prob::Atom> out(d.size() * no);
-  std::vector<prob::Atom> scratch(out.size());
-  std::vector<double> gaps(2 * out.size());
+  const dk::ConvolveScratch need = dk::convolve_scratch(d.size(), no, atoms);
+  std::vector<prob::Atom> out(need.out);
+  std::vector<prob::Atom> scratch(need.atoms);
+  std::vector<double> gaps(need.gaps);
   for (auto _ : state) {
-    std::size_t m = dk::convolve(d, std::span<const prob::Atom>(other, no),
-                                 out, scratch);
-    if (m > atoms) {
-      dk::TruncationCert cert;
-      m = dk::truncate(std::span(out).first(m), atoms, cert, gaps);
-    }
+    dk::TruncationCert cert;
+    const std::size_t m = dk::convolve(
+        d, std::span<const prob::Atom>(other, no), atoms, cert, out, scratch,
+        gaps);
     benchmark::DoNotOptimize(out.data());
     benchmark::DoNotOptimize(m);
     benchmark::ClobberMemory();
@@ -235,7 +228,7 @@ void BM_MaxOf(benchmark::State& state) {
   const auto atoms = static_cast<std::size_t>(state.range(0));
   const std::vector<prob::Atom> d = capped_chain(atoms);
   std::vector<prob::Atom> out(2 * d.size());
-  std::vector<double> gaps(2 * out.size());
+  std::vector<double> gaps(out.size());
   for (auto _ : state) {
     std::size_t m = dk::max_of(d, d, out);
     if (m > atoms) {

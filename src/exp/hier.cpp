@@ -289,16 +289,23 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
         const std::span<const prob::Atom> x = stack.at(acc_off, acc_len);
         const std::span<const prob::Atom> y = stack.at(built.off(c), c_len);
         const Workspace::Frame frame(ws);
-        const std::span<prob::Atom> res = ws.atoms(cap);
-        std::size_t n = series ? dk::convolve(x, y, res, ws.atoms(cap))
-                               : dk::max_of(x, y, res);
-        if (max_atoms != 0 && n > max_atoms) {
-          // Truncate into a per-op certificate, then fold it into the
-          // step total: the grouping every pinned envelope was built on.
-          dk::TruncationCert local;
-          n = dk::truncate(res.first(n), max_atoms, local,
-                           ws.doubles(2 * (n - 1)));
-          ops.accumulate(local);
+        // Each capped kernel sums its certificate locally and folds it
+        // into the step total `ops`: the grouping every pinned envelope
+        // was built on. A binned convolve leases only its bins.
+        std::span<prob::Atom> res;
+        std::size_t n;
+        if (series) {
+          const dk::ConvolveScratch need =
+              dk::convolve_scratch(acc_len, c_len, max_atoms);
+          res = ws.atoms(need.out);
+          n = dk::convolve(x, y, max_atoms, ops, res, ws.atoms(need.atoms),
+                           ws.doubles(need.gaps));
+        } else {
+          res = ws.atoms(cap);
+          n = dk::max_of(x, y, res);
+          if (max_atoms != 0 && n > max_atoms) {
+            n = dk::truncate(res.first(n), max_atoms, ops, ws.doubles(n - 1));
+          }
         }
         std::copy_n(res.begin(), n, stack.at(base, n).begin());
         acc_off = base;

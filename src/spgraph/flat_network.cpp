@@ -463,22 +463,15 @@ class FlatNetwork {
     return at;
   }
 
-  /// Applies the atom cap to a freshly written result at the tail,
-  /// accumulating the truncation certificate. Transient kernel scratch
-  /// only inside the sub-frame.
+  /// Applies the atom cap to a freshly written max_of result at the
+  /// tail; truncate() folds the op's certificate into the pass
+  /// certificate, the grouping the reference uses. Transient kernel
+  /// scratch only inside the sub-frame.
   size_t apply_cap(size_t off, size_t m, size_t max_atoms) {
     if (max_atoms == 0 || m <= max_atoms) return m;
     const exp::Workspace::Frame frame(ws_);
-    const std::span<double> gaps = ws_.doubles(2 * (m - 1));
-    // Per-op local certificate folded into the pass certificate — the
-    // exact accumulation grouping of the reference (truncated() sums
-    // its merges locally, each worklist pass sums its ops), so the
-    // envelope totals match it bit for bit.
-    dk::TruncationCert local;
-    const size_t out =
-        dk::truncate(arena_.subspan(off, m), max_atoms, local, gaps);
-    pass_cert_.accumulate(local);
-    return out;
+    return dk::truncate(arena_.subspan(off, m), max_atoms, pass_cert_,
+                        ws_.doubles(m - 1));
   }
 
   // -------------------------------------------------------- rewriting
@@ -549,18 +542,19 @@ class FlatNetwork {
     const u32 w = to_[out_id];
     const size_t nx = dlen_[in_id];
     const size_t ny = dlen_[out_id];
-    ensure_arena(nx * ny);
+    const dk::ConvolveScratch need = dk::convolve_scratch(nx, ny, max_atoms);
+    ensure_arena(need.out);
     const std::span<const Atom> xs =
         std::span<const Atom>(arena_).subspan(doff_[in_id], nx);
     const std::span<const Atom> ys =
         std::span<const Atom>(arena_).subspan(doff_[out_id], ny);
-    const std::span<Atom> out = arena_.subspan(used_, nx * ny);
+    const std::span<Atom> out = arena_.subspan(used_, need.out);
     size_t m;
     {
       const exp::Workspace::Frame frame(ws_);
-      m = dk::convolve(xs, ys, out, ws_.atoms(nx * ny));
+      m = dk::convolve(xs, ys, max_atoms, pass_cert_, out,
+                       ws_.atoms(need.atoms), ws_.doubles(need.gaps));
     }
-    m = apply_cap(used_, m, max_atoms);
     const size_t off = used_;
     used_ += m;
     remove_arc(in_id);

@@ -24,10 +24,16 @@ DiscreteDistribution take(const std::vector<Atom>& out, std::size_t n) {
 DiscreteDistribution convolve(const DiscreteDistribution& x,
                               const DiscreteDistribution& y,
                               std::size_t max_atoms, TruncationCert* cert) {
-  std::vector<Atom> out(x.size() * y.size());
-  std::vector<Atom> scratch(out.size());
-  const std::size_t n = dk::convolve(x.atoms(), y.atoms(), out, scratch);
-  return truncated(take(out, n), max_atoms, cert);
+  const dk::ConvolveScratch need =
+      dk::convolve_scratch(x.size(), y.size(), max_atoms);
+  std::vector<Atom> out(need.out);
+  std::vector<Atom> scratch(need.atoms);
+  std::vector<double> gaps(need.gaps);
+  TruncationCert unused;
+  const std::size_t n =
+      dk::convolve(x.atoms(), y.atoms(), max_atoms,
+                   cert != nullptr ? *cert : unused, out, scratch, gaps);
+  return take(out, n);
 }
 
 DiscreteDistribution max_of(const DiscreteDistribution& x,
@@ -49,10 +55,10 @@ DiscreteDistribution truncated(const DiscreteDistribution& d,
                                std::size_t max_atoms, TruncationCert* cert) {
   if (max_atoms == 0 || d.size() <= max_atoms) return d;
   std::vector<Atom> atoms = d.atoms();
-  std::vector<double> gaps(2 * (atoms.size() - 1));
-  TruncationCert local;
-  const std::size_t n = dk::truncate(atoms, max_atoms, local, gaps);
-  if (cert != nullptr) cert->accumulate(local);
+  std::vector<double> gaps(atoms.size() - 1);
+  TruncationCert unused;
+  const std::size_t n =
+      dk::truncate(atoms, max_atoms, cert != nullptr ? *cert : unused, gaps);
   return take(atoms, n);
 }
 

@@ -103,7 +103,9 @@ TEST(DistKernels, ConvolveAndMaxOfMatchObjectOpsBitwise) {
 
     std::vector<Atom> conv(x.size() * y.size());
     std::vector<Atom> conv_scratch(conv.size());
-    conv.resize(dk::convolve(x.atoms(), y.atoms(), conv, conv_scratch));
+    dk::TruncationCert uncapped;
+    conv.resize(dk::convolve(x.atoms(), y.atoms(), 0, uncapped, conv,
+                             conv_scratch, {}));
     expect_bit_identical(conv, ops::convolve(x, y).atoms(),
                          where + " convolve");
 
@@ -130,7 +132,7 @@ TEST(DistKernels, TruncateMatchesObjectTruncatedBitwise) {
       const auto object = ops::truncated(x, budget, &object_cert);
 
       std::vector<Atom> flat(x.atoms());
-      std::vector<double> gaps(2 * (flat.size() - 1));
+      std::vector<double> gaps(flat.size() - 1);
       dk::TruncationCert flat_cert;
       flat.resize(dk::truncate(flat, budget, flat_cert, gaps));
 

@@ -107,8 +107,9 @@ KernelOutputs run_kernels(const DiscreteDistribution& x,
   KernelOutputs out;
   out.convolve.resize(x.size() * y.size());
   std::vector<Atom> scratch(out.convolve.size());
-  out.convolve.resize(
-      dk::convolve(x.atoms(), y.atoms(), out.convolve, scratch));
+  dk::TruncationCert uncapped;
+  out.convolve.resize(dk::convolve(x.atoms(), y.atoms(), 0, uncapped,
+                                   out.convolve, scratch, {}));
   out.max_of.resize(x.size() + y.size());
   out.max_of.resize(dk::max_of(x.atoms(), y.atoms(), out.max_of));
   out.canonicalize = soup;

@@ -164,29 +164,29 @@ const Row kGoldens[] = {
     {0, 0, 32, false, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 4, 1, 5, 0, 0, 0, 0x0000000000000000ULL},
     {0, 0, 256, false, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 4, 1, 5, 0, 0, 0, 0x0000000000000000ULL},
     {0, 1, 0, true, 0x1.1e14e440226f5p+1, 0x1.1e14e440226f5p+1, 0x1.1e14e440226f5p+1, 0x0p+0, 4, 1, 5, 0, 306, 2757, 0x960e97546e251741ULL},
-    {0, 1, 32, true, 0x1.1dfe4aedbc03ap+1, 0x1.1adf3df00580ep+1, 0x1.211d57eb72866p+1, 0x0p+0, 4, 1, 5, 0, 306, 32, 0xf86d3a2b2594d811ULL},
-    {0, 1, 256, true, 0x1.1e13c3c919ceep+1, 0x1.1db8c15f243c2p+1, 0x1.1e6ec6330f61ap+1, 0x0p+0, 4, 1, 5, 0, 306, 256, 0xeca4baa825867c8aULL},
+    {0, 1, 32, true, 0x1.1e12d637d482ep+1, 0x1.1d90e029186bep+1, 0x1.1e94cc469099ep+1, 0x0p+0, 4, 1, 5, 0, 306, 32, 0x54738ca33028376aULL},
+    {0, 1, 256, true, 0x1.1e14e4378d30cp+1, 0x1.1e14590080359p+1, 0x1.1e156f6e9a2bfp+1, 0x0p+0, 4, 1, 5, 0, 306, 256, 0xef3622c77cc573f6ULL},
     {0, 2, 0, true, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.59abad7a000b5p-10, 4, 1, 0, 0, 0, 0, 0x0000000000000000ULL},
     {0, 2, 32, true, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.59abad7a000b5p-10, 4, 1, 0, 0, 0, 0, 0x0000000000000000ULL},
     {0, 2, 256, true, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.10fcc5b8dc54ep+1, 0x1.59abad7a000b5p-10, 4, 1, 0, 0, 0, 0, 0x0000000000000000ULL},
     {1, 0, 0, true, 0x1.f31ebf66cf284p+4, 0x1.f31ebf66cf284p+4, 0x1.f31ebf66cf284p+4, 0x0p+0, 0, 41, 1, 0, 0, 8400, 0xe12dcff71799b647ULL},
-    {1, 0, 32, true, 0x1.f31ebf66cf274p+4, 0x1.f0f673b7511bbp+4, 0x1.f5470b164d32dp+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x835201183de9323aULL},
-    {1, 0, 256, true, 0x1.f31ebf66cf275p+4, 0x1.f3058c831508ap+4, 0x1.f337f24a8946p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xce0206b39f043ff4ULL},
+    {1, 0, 32, true, 0x1.f31ebf66cf274p+4, 0x1.f2469fbd59ce9p+4, 0x1.f3f6df10447ffp+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x966cc0d1c8f92d2bULL},
+    {1, 0, 256, true, 0x1.f31ebf66cf273p+4, 0x1.f312ae8dd0b17p+4, 0x1.f32ad03fcd9cfp+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xae80412308cac6ffULL},
     {1, 1, 0, true, 0x1.f31ebf66cf284p+4, 0x1.f31ebf66cf284p+4, 0x1.f31ebf66cf284p+4, 0x0p+0, 0, 41, 1, 0, 0, 8400, 0xe12dcff71799b647ULL},
-    {1, 1, 32, true, 0x1.f31ebf66cf274p+4, 0x1.f0f673b7511bbp+4, 0x1.f5470b164d32dp+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x835201183de9323aULL},
-    {1, 1, 256, true, 0x1.f31ebf66cf275p+4, 0x1.f3058c831508ap+4, 0x1.f337f24a8946p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xce0206b39f043ff4ULL},
+    {1, 1, 32, true, 0x1.f31ebf66cf274p+4, 0x1.f2469fbd59ce9p+4, 0x1.f3f6df10447ffp+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x966cc0d1c8f92d2bULL},
+    {1, 1, 256, true, 0x1.f31ebf66cf273p+4, 0x1.f312ae8dd0b17p+4, 0x1.f32ad03fcd9cfp+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xae80412308cac6ffULL},
     {1, 2, 0, true, 0x1.f2b6c166de749p+4, 0x1.f2b6c166de749p+4, 0x1.f2b6c166de749p+4, 0x1.edbea8cc60662p-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {1, 2, 32, true, 0x1.f2b82d7937a18p+4, 0x1.f08fe1c9bb4e8p+4, 0x1.f4e07928b3f48p+4, 0x1.ebc723f69da93p-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {1, 2, 256, true, 0x1.f2b516a33f417p+4, 0x1.f29be3bf86e89p+4, 0x1.f2ce4986f79a5p+4, 0x1.edac599e86c6ap-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {1, 2, 32, true, 0x1.f2cb483901b3cp+4, 0x1.f1f3288f8dc19p+4, 0x1.f3a367e275a5fp+4, 0x1.ea7c545a2296fp-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {1, 2, 256, true, 0x1.f2b308f7c5444p+4, 0x1.f2a6f81ec89d2p+4, 0x1.f2bf19d0c1eb6p+4, 0x1.eccd162f8c6e2p-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
     {2, 0, 0, true, 0x1.e4dd0c1e3eeecp+4, 0x1.e4dd0c1e3eeecp+4, 0x1.e4dd0c1e3eeecp+4, 0x0p+0, 0, 41, 1, 0, 0, 57792, 0x19f2b1a4429b2662ULL},
-    {2, 0, 32, true, 0x1.e4dd0c1e3ef11p+4, 0x1.e21b3dbd3c04dp+4, 0x1.e79eda7f41dd6p+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x88b645cdde86b061ULL},
-    {2, 0, 256, true, 0x1.e4dd0c1e3ef18p+4, 0x1.e4b459e22db38p+4, 0x1.e505be5a502f8p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xc2a12096a5e10b52ULL},
+    {2, 0, 32, true, 0x1.e4dd0c1e3ef14p+4, 0x1.e41a0fb862d0ep+4, 0x1.e5a008841b11ap+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0xb56e8ed54f83e893ULL},
+    {2, 0, 256, true, 0x1.e4dd0c1e3ef13p+4, 0x1.e4c8340677cdcp+4, 0x1.e4f1e43606149p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0x30902e5da40ef5cfULL},
     {2, 1, 0, true, 0x1.e4dd0c1e3eeecp+4, 0x1.e4dd0c1e3eeecp+4, 0x1.e4dd0c1e3eeecp+4, 0x0p+0, 0, 41, 1, 0, 0, 57792, 0x19f2b1a4429b2662ULL},
-    {2, 1, 32, true, 0x1.e4dd0c1e3ef11p+4, 0x1.e21b3dbd3c04dp+4, 0x1.e79eda7f41dd6p+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0x88b645cdde86b061ULL},
-    {2, 1, 256, true, 0x1.e4dd0c1e3ef18p+4, 0x1.e4b459e22db38p+4, 0x1.e505be5a502f8p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0xc2a12096a5e10b52ULL},
+    {2, 1, 32, true, 0x1.e4dd0c1e3ef14p+4, 0x1.e41a0fb862d0ep+4, 0x1.e5a008841b11ap+4, 0x0p+0, 0, 41, 1, 0, 0, 32, 0xb56e8ed54f83e893ULL},
+    {2, 1, 256, true, 0x1.e4dd0c1e3ef13p+4, 0x1.e4c8340677cdcp+4, 0x1.e4f1e43606149p+4, 0x0p+0, 0, 41, 1, 0, 0, 256, 0x30902e5da40ef5cfULL},
     {2, 2, 0, true, 0x1.e4bd15ad00201p+4, 0x1.e4bd15ad00201p+4, 0x1.e4bd15ad00201p+4, 0x1.8dc8d9904298ap-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {2, 2, 32, true, 0x1.e4fb62094cce9p+4, 0x1.e23993a8496p+4, 0x1.e7bd306a503d3p+4, 0x1.8c8166a8a41cp-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
-    {2, 2, 256, true, 0x1.e4bcc6ae703ffp+4, 0x1.e49414725f8c8p+4, 0x1.e4e578ea80f36p+4, 0x1.8dceb8725b236p-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {2, 2, 32, true, 0x1.e4bd7d233a0ep+4, 0x1.e3fa80bd5e752p+4, 0x1.e580798915a6ep+4, 0x1.8aea9f2d692bdp-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
+    {2, 2, 256, true, 0x1.e4bad1de2e2b5p+4, 0x1.e4a5f9c6679aep+4, 0x1.e4cfa9f5f4bbbp+4, 0x1.8d19e97b44a6dp-5, 0, 41, 0, 0, 0, 0, 0x0000000000000000ULL},
 };
 
 TEST(HierGoldens, BitIdenticalToRecordedAnswers) {

@@ -177,8 +177,9 @@ int cmd_estimate(int argc, const char* const* argv) {
   cli.add_int("max-atoms", 0,
               "atom budget for every distribution method (0 = exact for "
               "sp; a positive value also overrides --dodin-atoms). When "
-              "the cap fires, the certified [mean_lo, mean_hi] envelope "
-              "is printed");
+              "the cap fires, the atom-cap envelope [mean_lo, mean_hi] "
+              "is printed (it bounds the truncation error only, not "
+              "E[makespan])");
   cli.add_double("target-rel-err", 0.0,
                  "PLANNED MODE: let the query planner pick and size the "
                  "cheapest method delivering this relative error "
@@ -359,7 +360,7 @@ int cmd_estimate(int argc, const char* const* argv) {
                   std::string(rep.method_name).c_str(), pr.result.mean);
     }
     if (pr.result.mean_lo < pr.result.mean_hi) {
-      std::printf("  certified [%.6f, %.6f]\n", pr.result.mean_lo,
+      std::printf("  atom-cap envelope [%.6f, %.6f]\n", pr.result.mean_lo,
                   pr.result.mean_hi);
     }
     return 0;
@@ -418,9 +419,10 @@ int cmd_estimate(int argc, const char* const* argv) {
         std::printf("%-12s: %.6f", name.c_str(), r.mean);
       }
       if (r.mean_lo < r.mean_hi) {
-        // The atom cap fired: report the certified envelope the
-        // untruncated computation is guaranteed to lie in.
-        std::printf("  certified [%.6f, %.6f]", r.mean_lo, r.mean_hi);
+        // The atom cap fired: report the envelope the untruncated
+        // computation is guaranteed to lie in. It certifies the cap only,
+        // not E[makespan]: a method's own bias lies outside it.
+        std::printf("  atom-cap envelope [%.6f, %.6f]", r.mean_lo, r.mean_hi);
       }
       if (r.distribution.has_value()) {
         std::printf("  p50=%.6f p95=%.6f p99=%.6f",

@@ -116,7 +116,7 @@ void summarize(const std::string& payload) {
                   note != nullptr ? note->as_string().c_str() : "");
       return;
     }
-    std::printf("mean %.6f  certified [%.6f, %.6f]  method %s  cache %s"
+    std::printf("mean %.6f  atom-cap envelope [%.6f, %.6f]  method %s  cache %s"
                 "%s  %.0f us\n",
                 mean->as_double(),
                 lo != nullptr && lo->is_number() ? lo->as_double() : 0.0,

@@ -81,16 +81,20 @@ std::uint64_t content_hash(const graph::Dag& dag, const FailureSpec& failure,
   return content_hash(bytes, failure, retry);
 }
 
+std::uint64_t structure_hash(std::string_view dag_bytes,
+                             core::RetryModel retry) {
+  std::uint64_t h = kFnvOffset;
+  h = fnv_bytes(h, kStructureTag.data(), kStructureTag.size());
+  h = fnv_bytes(h, dag_bytes.data(), dag_bytes.size());
+  h = fnv_byte(h, retry == core::RetryModel::Geometric ? 'G' : 'T');
+  return mix64(h);
+}
+
 std::uint64_t structure_hash(const graph::Dag& dag, core::RetryModel retry) {
   // Rates deliberately excluded: two cells that differ ONLY in their
   // FailureSpec share a structure key, which is exactly the sibling
   // relation Scenario::with_failure can bridge without a full compile.
-  const std::string bytes = graph::to_taskgraph(dag);
-  std::uint64_t h = kFnvOffset;
-  h = fnv_bytes(h, kStructureTag.data(), kStructureTag.size());
-  h = fnv_bytes(h, bytes.data(), bytes.size());
-  h = fnv_byte(h, retry == core::RetryModel::Geometric ? 'G' : 'T');
-  return mix64(h);
+  return structure_hash(graph::to_taskgraph(dag), retry);
 }
 
 std::string content_hash_hex(std::uint64_t hash) {

@@ -63,6 +63,13 @@ namespace expmk::scenario {
 [[nodiscard]] std::uint64_t structure_hash(const graph::Dag& dag,
                                            core::RetryModel retry);
 
+/// structure_hash over an already-serialized canonical graph: `dag_bytes`
+/// must be graph::to_taskgraph(dag) WITHOUT rates — the same bytes
+/// content_hash takes for a uniform spec, so a caller holding them hashes
+/// both keys from one serialization.
+[[nodiscard]] std::uint64_t structure_hash(std::string_view dag_bytes,
+                                           core::RetryModel retry);
+
 /// Canonical 16-lowercase-hex-digit rendering (zero padded) — the wire
 /// form of a cache key in the expmk-serve-v1 protocol.
 [[nodiscard]] std::string content_hash_hex(std::uint64_t hash);

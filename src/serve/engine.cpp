@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "exp/evaluate_many.hpp"
@@ -165,8 +166,14 @@ void ServeEngine::handle(std::string_view payload, Connection& conn,
           throw ProtocolError("bad_graph", e.what());
         }
       }
-      hash = scenario::content_hash(file.dag, spec, req.retry);
-      const std::uint64_t skey = scenario::structure_hash(file.dag, req.retry);
+      // One serialization feeds both keys: the rate-free canonical bytes
+      // are the structure key's input and, for a uniform spec, the
+      // content key's too. A per-task spec hashes its rate-bearing bytes.
+      const std::string dag_bytes = graph::to_taskgraph(file.dag);
+      hash = spec.heterogeneous()
+                 ? scenario::content_hash(file.dag, spec, req.retry)
+                 : scenario::content_hash(dag_bytes, spec, req.retry);
+      const std::uint64_t skey = scenario::structure_hash(dag_bytes, req.retry);
       try {
         sc = cache_.get_or_compile(
             hash, skey,

@@ -99,6 +99,14 @@ TEST(ContentHash, DagOverloadHashesCanonicalBytes) {
   EXPECT_EQ(content_hash(g, het, RetryModel::TwoState),
             content_hash(expmk::graph::to_taskgraph(g, rates), het,
                          RetryModel::TwoState));
+
+  // The structure key over the same rate-free bytes the uniform content
+  // key hashes, so one serialization can feed both.
+  const std::string bytes = expmk::graph::to_taskgraph(g);
+  for (const RetryModel retry : {RetryModel::TwoState, RetryModel::Geometric}) {
+    EXPECT_EQ(expmk::scenario::structure_hash(g, retry),
+              expmk::scenario::structure_hash(bytes, retry));
+  }
 }
 
 TEST(ContentHash, HexRoundTripAndStrictParse) {

@@ -418,10 +418,11 @@ EXPMK_NOALLOC constexpr bool binned(std::size_t n, std::size_t max_atoms) noexce
 // ascending) by its weighted mean; a two-atom group computes the same
 // mean and displacements as a pair merge. Why this key: ranked by the
 // bare gap, a run of small gaps chains heavy atoms into one group (2.3x
-// the halving passes' envelope on Cholesky k=10 at pfail 1e-3); ranked
+// the envelope of the halving-pass merge kept in
+// tests/dist_kernels_reference, on Cholesky k=10 at pfail 1e-3); ranked
 // by gap times mass, runs of light atoms grow long and wide in a law's
 // tails (up to 15% wider at pfail 0.3-0.5). Squaring the gap penalizes
-// both, and no measured cell comes out wider than the halving passes.
+// both; DESIGN.md lists the cells measured.
 // Requires a[0..n) ascending and n > max_atoms >= 1; `keys` holds n - 1
 // doubles. Adds the displacements to up/down and returns max_atoms.
 EXPMK_NOALLOC std::size_t merge_groups(Atom* a, std::size_t n,

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -8,15 +8,7 @@
 
 #include <iostream>
 
-#include "core/failure_model.hpp"
-#include "gen/cholesky.hpp"
-#include "gen/lu.hpp"
-#include "gen/qr.hpp"
-#include "mc/engine.hpp"
-#include "normal/clark_full.hpp"
-#include "normal/corlca.hpp"
-#include "normal/sculli.hpp"
-#include "scenario/scenario.hpp"
+#include "bench_common.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -32,53 +24,31 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV");
   cli.parse(argc, argv);
 
-  const int k = static_cast<int>(cli.get_int("k"));
-  struct Class {
-    const char* name;
-    graph::Dag dag;
-  };
-  std::vector<Class> classes;
-  classes.push_back({"cholesky", gen::cholesky_dag(k)});
-  classes.push_back({"lu", gen::lu_dag(k)});
-  classes.push_back({"qr", gen::qr_dag(k)});
+  exp::SweepGrid grid;
+  grid.generators = {"cholesky", "lu", "qr"};
+  grid.sizes = {static_cast<int>(cli.get_int("k"))};
+  grid.pfails = {cli.get_double("pfail")};
+  grid.methods = {"sculli", "corlca", "clark"};
+  grid.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  grid.options.mc_trials = static_cast<std::uint64_t>(cli.get_int("trials"));
+  const bench::PaperSweep sweep = bench::run_paper_sweep(cli, grid, {});
 
   util::Table table({"class", "mc_mean", "Sculli_diff", "CorLCA_diff",
                      "ClarkFull_diff", "t_Sculli", "t_CorLCA",
                      "t_ClarkFull"});
-  for (const auto& c : classes) {
-    const double pfail = cli.get_double("pfail");
-    mc::McConfig cfg;
-    cfg.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-    cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto mc = mc::run_monte_carlo(
-        scenario::Scenario::calibrated(c.dag, pfail,
-                                       core::RetryModel::Geometric),
-        cfg);
-
-    const auto sc = scenario::Scenario::calibrated(c.dag, pfail);
-    exp::Workspace ws;
-    const util::Timer ts;
-    const double s = normal::sculli(sc, ws).expected_makespan();
-    const double t_s = ts.seconds();
-    const util::Timer tc;
-    const double co = normal::corlca(sc, ws).expected_makespan();
-    const double t_c = tc.seconds();
-    const util::Timer tf;
-    const double f = normal::clark_full(sc, ws).expected_makespan();
-    const double t_f = tf.seconds();
-
+  for (std::size_t si = 0; si < grid.generators.size(); ++si) {
     table.begin_row();
-    table.add(c.name);
-    table.add_double(mc.mean);
-    table.add_signed_sci((s - mc.mean) / mc.mean);
-    table.add_signed_sci((co - mc.mean) / mc.mean);
-    table.add_signed_sci((f - mc.mean) / mc.mean);
-    table.add(util::format_duration(t_s));
-    table.add(util::format_duration(t_c));
-    table.add(util::format_duration(t_f));
+    table.add(grid.generators[si]);
+    table.add_double(sweep.at(si, "mc").result.mean);
+    for (const std::string& m : grid.methods) {
+      table.add_signed_sci(sweep.at(si, m).relative_error);
+    }
+    for (const std::string& m : grid.methods) {
+      table.add(util::format_duration(sweep.at(si, m).result.seconds));
+    }
   }
 
-  std::cout << "# Normal-variant ablation, k=" << k
+  std::cout << "# Normal-variant ablation, k=" << cli.get_int("k")
             << ", pfail=" << cli.get_double("pfail") << "\n";
   if (cli.get_flag("csv")) {
     table.print_csv(std::cout);

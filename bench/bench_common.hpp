@@ -1,10 +1,9 @@
 // bench/bench_common.hpp
 //
-// Shared plumbing for the figure/table reproduction binaries: run the
-// three estimators of the paper (First Order, Dodin, Normal/Sculli) plus
-// our extensions against the Monte-Carlo ground truth on one DAG, timing
-// each, and emit rows in the format the paper reports (signed normalized
-// difference with Monte Carlo).
+// Shared plumbing for the bench binaries: strict positional arguments,
+// the JSON emitter, and the paper's estimators-vs-Monte-Carlo protocol
+// for the figure/table reproductions (signed normalized difference with
+// Monte Carlo, the format the paper reports).
 
 #pragma once
 
@@ -13,31 +12,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
-#include <type_traits>
+#include <string_view>
 #include <vector>
 
 #include "core/failure_model.hpp"
-#include "core/first_order.hpp"
-#include "core/second_order.hpp"
-#include "exp/workspace.hpp"
-#include "graph/dag.hpp"
-#include "mc/engine.hpp"
-#include "normal/clark_full.hpp"
-#include "normal/corlca.hpp"
-#include "normal/sculli.hpp"
-#include "scenario/scenario.hpp"
-#include "spgraph/dodin.hpp"
+#include "exp/sweep.hpp"
+#include "prob/statistics.hpp"
+#include "util/cli.hpp"
 #include "util/json_writer.hpp"
-#include "util/timer.hpp"
 
 namespace expmk::bench {
 
-/// The JSON emitter moved into the library (util/json_writer.hpp) when the
-/// sweep subsystem started emitting artifacts; the bench binaries keep
-/// using it under the historical name.
 using JsonWriter = util::JsonWriter;
 
 /// Strict positional arguments for the plain-main benches: the whole
@@ -72,118 +59,73 @@ inline double pfail_arg(int argc, char** argv, int i, double fallback,
   return v;
 }
 
-/// One estimator's outcome on one (DAG, pfail) cell.
-struct MethodOutcome {
-  double estimate = 0.0;
-  double seconds = 0.0;
-  /// (estimate - mc_mean) / mc_mean; the paper's "normalized difference
-  /// with Monte-Carlo". Negative = underestimation.
-  double normalized_difference = 0.0;
+/// The paper's two-retry-model protocol on exp::SweepRunner (DESIGN.md,
+/// "Evaluator registry and the sweep subsystem"): the estimators run on
+/// the two-state model, the Monte-Carlo ground truth on the geometric one.
+/// Both passes derive the same per-scenario seeds, so scenario `si` of one
+/// pass is scenario `si` of the other.
+struct PaperSweep {
+  /// Scenario-major, in SweepRunner's (generator, size, pfail) order;
+  /// within a scenario, the geometric pass ("mc" first), then the
+  /// two-state pass. Every cell's reference is the geometric "mc".
+  std::vector<exp::SweepCell> cells;
+  std::size_t per_scenario = 0;
+
+  /// `method`'s cell on scenario `si`.
+  [[nodiscard]] const exp::SweepCell& at(std::size_t si,
+                                         std::string_view method) const {
+    for (std::size_t i = 0; i < per_scenario; ++i) {
+      const exp::SweepCell& cell = cells[si * per_scenario + i];
+      if (cell.method == method) return cell;
+    }
+    throw std::out_of_range("PaperSweep: no method '" + std::string(method) +
+                            "'");
+  }
 };
 
-/// All estimators on one cell.
-struct CellResult {
-  double pfail = 0.0;
-  double lambda = 0.0;
-  double mc_mean = 0.0;
-  double mc_ci95 = 0.0;
-  double mc_seconds = 0.0;
-  double critical_path = 0.0;
-  MethodOutcome first_order;
-  MethodOutcome dodin;
-  MethodOutcome sculli;   ///< the paper's "Normal"
-  MethodOutcome second_order;
-  MethodOutcome corlca;
-  MethodOutcome clark_full;
-};
-
-/// Which optional estimators to run (the paper's three always run).
-struct CellOptions {
-  std::uint64_t mc_trials = 300'000;  ///< the paper's trial count
-  std::uint64_t mc_seed = 2016;
-  std::size_t dodin_atoms = 256;
-  bool run_second_order = false;
-  bool run_corlca = false;
-  bool run_clark_full = false;
-  /// Monte-Carlo retry model; Geometric reproduces the paper's simulator
-  /// (time-to-failure resampled per attempt).
-  core::RetryModel mc_retry = core::RetryModel::Geometric;
-  /// Use the control-variate estimator for a tighter ground truth at the
-  /// same trial count (off by default: the paper uses the plain mean).
-  bool mc_control_variate = false;
-};
-
-inline CellResult evaluate_cell(const graph::Dag& g, double pfail,
-                                const CellOptions& opt) {
-  CellResult cell;
-  cell.pfail = pfail;
-  const core::FailureModel model = core::calibrate(g, pfail);
-  cell.lambda = model.lambda;
-
-  mc::McConfig mc_cfg;
-  mc_cfg.trials = opt.mc_trials;
-  mc_cfg.seed = opt.mc_seed;
-  mc_cfg.control_variate = opt.mc_control_variate;
-  const auto mc = mc::run_monte_carlo(
-      scenario::Scenario::compile(g, model, opt.mc_retry), mc_cfg);
-  cell.mc_mean = mc.mean;
-  cell.mc_ci95 = mc.ci95_half_width;
-  cell.mc_seconds = mc.seconds;
-
-  const auto diff = [&](double est) { return (est - mc.mean) / mc.mean; };
-  // Each method's time includes compiling its scenario from the Dag, so
-  // the rows compare end-to-end costs the way Table I does.
-  exp::Workspace ws;
-  {
-    const util::Timer t;
-    const auto r = core::first_order(scenario::Scenario::compile(g, model), ws);
-    cell.first_order.seconds = t.seconds();
-    cell.first_order.estimate = r.expected_makespan();
-    cell.critical_path = r.critical_path;
-  }
-  {
-    const util::Timer t;
-    const auto sc = scenario::Scenario::compile(g, model);
-    const auto r =
-        sp::dodin_two_state_flat(sc, {.max_atoms = opt.dodin_atoms}, ws);
-    cell.dodin.seconds = t.seconds();
-    cell.dodin.estimate = r.mean;
-  }
-  {
-    const util::Timer t;
-    const auto r = normal::sculli(scenario::Scenario::compile(g, model), ws);
-    cell.sculli.seconds = t.seconds();
-    cell.sculli.estimate = r.expected_makespan();
-  }
-  if (opt.run_second_order) {
-    const util::Timer t;
-    const auto r = core::second_order(
-        scenario::Scenario::compile(g, model, core::RetryModel::Geometric), ws);
-    cell.second_order.seconds = t.seconds();
-    cell.second_order.estimate = r.expected_makespan;
-  }
-  if (opt.run_corlca) {
-    const util::Timer t;
-    const auto r = normal::corlca(scenario::Scenario::compile(g, model), ws);
-    cell.corlca.seconds = t.seconds();
-    cell.corlca.estimate = r.expected_makespan();
-  }
-  if (opt.run_clark_full) {
-    const util::Timer t;
-    const auto r =
-        normal::clark_full(scenario::Scenario::compile(g, model), ws);
-    cell.clark_full.seconds = t.seconds();
-    cell.clark_full.estimate = r.expected_makespan();
+/// Runs `grid.methods` on the two-state model and `geometric` after the
+/// "mc" reference on the geometric model (grid.retry and grid.reference
+/// are ignored). A grid SweepRunner rejects fails through `cli`, before
+/// any cell runs.
+inline PaperSweep run_paper_sweep(const util::Cli& cli, exp::SweepGrid grid,
+                                  std::vector<std::string> geometric) {
+  exp::SweepGrid geo = grid;
+  geo.retry = core::RetryModel::Geometric;
+  geo.reference = "mc";
+  geo.methods = std::move(geometric);
+  grid.retry = core::RetryModel::TwoState;
+  grid.reference.clear();
+  exp::SweepResult g, t;
+  try {
+    g = exp::SweepRunner().run(geo);
+    t = exp::SweepRunner().run(grid);
+  } catch (const std::invalid_argument& e) {
+    cli.fail(e.what());
   }
 
-  for (MethodOutcome* m :
-       {&cell.first_order, &cell.dodin, &cell.sculli, &cell.second_order,
-        &cell.corlca, &cell.clark_full}) {
-    if (m->seconds > 0.0 || m->estimate != 0.0) {
-      m->normalized_difference = diff(m->estimate);
+  PaperSweep out;
+  const std::size_t ng = geo.methods.size() + 1;
+  const std::size_t nt = grid.methods.size();
+  out.per_scenario = ng + nt;
+  for (std::size_t si = 0; si * ng < g.cells.size(); ++si) {
+    out.cells.insert(out.cells.end(), g.cells.begin() + si * ng,
+                     g.cells.begin() + (si + 1) * ng);
+    const double ref = g.cells[si * ng].reference_mean;
+    for (std::size_t i = si * nt; i < (si + 1) * nt; ++i) {
+      exp::SweepCell& cell = out.cells.emplace_back(t.cells[i]);
+      cell.reference_mean = ref;
+      if (cell.result.supported && std::isfinite(ref) && ref != 0.0) {
+        cell.relative_error = (cell.result.mean - ref) / ref;
+      }
     }
   }
-  return cell;
+  return out;
+}
+
+/// Half-width of the 95% confidence interval of a Monte-Carlo cell, with
+/// the engine's own z (mc::McResult::ci95_half_width).
+inline double ci95(const exp::SweepCell& mc) {
+  return prob::inverse_normal_cdf(0.975) * mc.result.std_error;
 }
 
 }  // namespace expmk::bench

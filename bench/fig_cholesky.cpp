@@ -5,10 +5,8 @@
 // Cholesky DAGs, k in {4,6,8,10,12}, pfail in {1e-2, 1e-3, 1e-4}.
 
 #include "fig_sweep.hpp"
-#include "gen/cholesky.hpp"
 
 int main(int argc, char** argv) {
-  return expmk::bench::run_fig_sweep(
-      argc, argv, "cholesky", /*first_figure=*/4,
-      [](int k) { return expmk::gen::cholesky_dag(k); });
+  return expmk::bench::run_fig_sweep(argc, argv, "cholesky",
+                                     /*first_figure=*/4);
 }

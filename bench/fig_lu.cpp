@@ -5,9 +5,7 @@
 // {1e-2, 1e-3, 1e-4}.
 
 #include "fig_sweep.hpp"
-#include "gen/lu.hpp"
 
 int main(int argc, char** argv) {
-  return expmk::bench::run_fig_sweep(argc, argv, "lu", /*first_figure=*/7,
-                                     [](int k) { return expmk::gen::lu_dag(k); });
+  return expmk::bench::run_fig_sweep(argc, argv, "lu", /*first_figure=*/7);
 }

@@ -5,9 +5,7 @@
 // {1e-2, 1e-3, 1e-4}.
 
 #include "fig_sweep.hpp"
-#include "gen/qr.hpp"
 
 int main(int argc, char** argv) {
-  return expmk::bench::run_fig_sweep(argc, argv, "qr", /*first_figure=*/10,
-                                     [](int k) { return expmk::gen::qr_dag(k); });
+  return expmk::bench::run_fig_sweep(argc, argv, "qr", /*first_figure=*/10);
 }

@@ -7,15 +7,16 @@
 //     First Order: 7e-6, < 1 s.
 // (Our implementations are native C++, so the absolute times are smaller
 // across the board; the ordering — First Order orders of magnitude faster
-// and more accurate — is the reproducible claim. See EXPERIMENTS.md for
-// the discussion of Dodin's sign.)
+// and more accurate — is the reproducible claim. DESIGN.md, "Evaluator
+// registry and the sweep subsystem", explains why our Dodin's sign is the
+// opposite of the paper's.)
 
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "gen/lu.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace expmk;
@@ -29,43 +30,45 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV");
   cli.parse(argc, argv);
 
-  const int k = static_cast<int>(cli.get_int("k"));
-  const auto g = gen::lu_dag(k);
+  exp::SweepGrid grid;
+  grid.generators = {"lu"};
+  grid.sizes = {static_cast<int>(cli.get_int("k"))};
+  grid.pfails = {cli.get_double("pfail")};
+  grid.methods = {"dodin", "sculli", "fo", "corlca", "clark"};
+  grid.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  grid.options.mc_trials = static_cast<std::uint64_t>(cli.get_int("trials"));
+  grid.options.dodin_atoms =
+      static_cast<std::size_t>(cli.get_int("dodin-atoms"));
+  const bench::PaperSweep sweep = bench::run_paper_sweep(cli, grid, {"so"});
 
-  bench::CellOptions opt;
-  opt.mc_trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  opt.mc_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  opt.dodin_atoms = static_cast<std::size_t>(cli.get_int("dodin-atoms"));
-  opt.run_second_order = true;
-  opt.run_corlca = true;
-  opt.run_clark_full = g.task_count() <= normal::kClarkFullMaxTasks;
-
-  const auto cell = bench::evaluate_cell(g, cli.get_double("pfail"), opt);
-
-  std::cout << "# Table I reproduction: LU k=" << k << " ("
-            << g.task_count() << " tasks), pfail=" << cli.get_double("pfail")
-            << "\n# MC ground truth: mean=" << cell.mc_mean << " +/- "
-            << cell.mc_ci95 << " (95% CI), "
-            << util::format_duration(cell.mc_seconds) << ", "
+  const exp::SweepCell& mc = sweep.at(0, "mc");
+  std::cout << "# Table I reproduction: LU k=" << mc.size << " (" << mc.tasks
+            << " tasks), pfail=" << cli.get_double("pfail")
+            << "\n# MC ground truth: mean=" << mc.result.mean << " +/- "
+            << bench::ci95(mc) << " (95% CI), "
+            << util::format_duration(mc.result.seconds) << ", "
             << cli.get_int("trials") << " trials\n";
 
   util::Table table({"method", "estimate", "normalized_difference",
                      "execution_time", "paper_reported"});
-  const auto row = [&](const char* name, const bench::MethodOutcome& m,
+  const auto row = [&](const char* name, const char* method,
                        const char* paper) {
+    const exp::SweepCell& cell = sweep.at(0, method);
+    // clark reports unsupported above kClarkFullMaxTasks: no row.
+    if (!cell.result.supported && cell.method == "clark") return;
     table.begin_row();
     table.add(name);
-    table.add_double(m.estimate);
-    table.add_signed_sci(m.normalized_difference);
-    table.add(util::format_duration(m.seconds));
+    table.add_double(cell.result.mean);
+    table.add_signed_sci(cell.relative_error);
+    table.add(util::format_duration(cell.result.seconds));
     table.add(paper);
   };
-  row("Dodin", cell.dodin, "-0.97, ~2 min");
-  row("Normal (Sculli)", cell.sculli, "954e-6, ~20 min");
-  row("First Order", cell.first_order, "7e-6, <1 s");
-  row("SecondOrder (ext)", cell.second_order, "n/a");
-  row("CorLCA (ext)", cell.corlca, "n/a");
-  if (opt.run_clark_full) row("ClarkFull (ext)", cell.clark_full, "n/a");
+  row("Dodin", "dodin", "-0.97, ~2 min");
+  row("Normal (Sculli)", "sculli", "954e-6, ~20 min");
+  row("First Order", "fo", "7e-6, <1 s");
+  row("SecondOrder (ext)", "so", "n/a");
+  row("CorLCA (ext)", "corlca", "n/a");
+  row("ClarkFull (ext)", "clark", "n/a");
 
   if (cli.get_flag("csv")) {
     table.print_csv(std::cout);

@@ -19,6 +19,7 @@
 // registry — the same compile-once path the sweep harness uses.
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -69,6 +70,15 @@ int usage() {
                "  critical  --graph FILE (--pfail P | --use-rates) "
                "[--trials N]\n");
   return 2;
+}
+
+/// Parses all of `s` as a T; false on an empty, partial or out-of-range
+/// token (from_chars takes no sign on unsigned types and no whitespace).
+template <typename T>
+bool parse_whole(const std::string& s, T& out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 /// Builds the scenario every estimating command shares: uniform pfail
@@ -251,20 +261,24 @@ int cmd_estimate(int argc, const char* const* argv) {
           comma == std::string::npos
               ? patch_spec.substr(pos)
               : patch_spec.substr(pos, comma - pos);
+      // Both tokens must parse whole: "0x=0.5" or "0=0.5abc" is a typo,
+      // not task 0 at rate 0.5.
       const std::size_t eq = item.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
+      std::size_t id = 0;
+      double rate = 0.0;
+      if (eq == std::string::npos || !parse_whole(item.substr(0, eq), id) ||
+          !parse_whole(item.substr(eq + 1), rate)) {
         std::fprintf(stderr, "--patch: expected TASK=RATE, got '%s'\n",
                      item.c_str());
-        return 2;
+        return usage();
       }
-      const auto id = std::stoul(item.substr(0, eq));
       if (id >= sc.task_count()) {
-        std::fprintf(stderr, "--patch: task %lu out of range (%zu tasks)\n",
+        std::fprintf(stderr, "--patch: task %zu out of range (%zu tasks)\n",
                      id, sc.task_count());
-        return 2;
+        return usage();
       }
       patch_ids.push_back(static_cast<graph::TaskId>(id));
-      patch_rates.push_back(std::stod(item.substr(eq + 1)));
+      patch_rates.push_back(rate);
       if (comma == std::string::npos) break;
       pos = comma + 1;
     }
@@ -509,13 +523,13 @@ int cmd_schedule(int argc, const char* const* argv) {
                           sched::PriorityKind::FailureAwareBottomLevel}) {
     const auto prio = sched::priorities(sc, kind);
     const auto r = sched::simulate_with_faults(sc, prio, machine, cfg, ws);
-    std::printf("%-24s failure-free %.5f, under faults mean %.5f (max "
-                "%.5f)\n",
+    std::printf("%-24s failure-free %.5f, under faults mean %.5f +/- "
+                "%.5f (95%% CI, max %.5f)\n",
                 kind == sched::PriorityKind::BottomLevel
                     ? "bottom-level"
                     : "failure-aware",
                 r.failure_free_makespan, r.makespan.mean(),
-                r.makespan.max());
+                r.makespan.ci_half_width(0.95), r.makespan.max());
   }
   return 0;
 }

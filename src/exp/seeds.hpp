@@ -4,9 +4,6 @@
 // runner and the evaluate_many batch front door — the same splitmix
 // construction the MC engine uses for per-trial streams: nearby indices
 // yield unrelated seeds, and nothing depends on thread scheduling.
-// Historically a file-local helper in sweep.cpp; hoisted here unchanged
-// so batch evaluation derives per-request seeds with the identical
-// function (the sweep JSON artifact stays byte-identical).
 
 #pragma once
 

@@ -23,9 +23,6 @@ namespace expmk::exp {
 
 namespace {
 
-// derive_seed moved to exp/seeds.hpp (shared with evaluate_many),
-// unchanged — the JSON artifact stays byte-identical.
-
 std::string retry_name(core::RetryModel retry) {
   return retry == core::RetryModel::TwoState ? "two_state" : "geometric";
 }

@@ -7,6 +7,26 @@
 
 namespace expmk::util {
 
+namespace {
+
+/// stoll / stod that must consume the whole token: "4x6" or "0.5abc"
+/// throws std::invalid_argument instead of reading a prefix.
+std::int64_t whole_int(const std::string& s) {
+  std::size_t pos = 0;
+  const long long v = std::stoll(s, &pos);
+  if (pos != s.size()) throw std::invalid_argument("trailing characters");
+  return v;
+}
+
+double whole_double(const std::string& s) {
+  std::size_t pos = 0;
+  const double v = std::stod(s, &pos);
+  if (pos != s.size()) throw std::invalid_argument("trailing characters");
+  return v;
+}
+
+}  // namespace
+
 Cli::Cli(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 
@@ -90,8 +110,8 @@ void Cli::parse(int argc, const char* const* argv) {
     }
     // Validate eagerly so errors surface at parse time.
     try {
-      if (opt.kind == Kind::Int) (void)std::stoll(value);
-      if (opt.kind == Kind::Double) (void)std::stod(value);
+      if (opt.kind == Kind::Int) (void)whole_int(value);
+      if (opt.kind == Kind::Double) (void)whole_double(value);
     } catch (const std::exception&) {
       fail("invalid value '" + value + "' for option '--" + name + "'");
     }
@@ -122,6 +142,41 @@ const std::string& Cli::get_string(const std::string& name) const {
 
 bool Cli::get_flag(const std::string& name) const {
   return find(name, Kind::Flag).value == "1";
+}
+
+std::vector<std::string> Cli::get_list(const std::string& name) const {
+  std::vector<std::string> out;
+  std::istringstream is(get_string(name));
+  for (std::string item; std::getline(is, item, ',');) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
+std::vector<int> Cli::get_ints(const std::string& name) const {
+  std::vector<int> out;
+  for (const std::string& s : get_list(name)) {
+    try {
+      const std::int64_t v = whole_int(s);
+      if (v != static_cast<int>(v)) throw std::out_of_range(s);
+      out.push_back(static_cast<int>(v));
+    } catch (const std::exception&) {
+      fail("invalid integer '" + s + "' in '--" + name + "'");
+    }
+  }
+  return out;
+}
+
+std::vector<double> Cli::get_doubles(const std::string& name) const {
+  std::vector<double> out;
+  for (const std::string& s : get_list(name)) {
+    try {
+      out.push_back(whole_double(s));
+    } catch (const std::exception&) {
+      fail("invalid number '" + s + "' in '--" + name + "'");
+    }
+  }
+  return out;
 }
 
 }  // namespace expmk::util

@@ -2,8 +2,9 @@
 //
 // Minimal command-line option parser for the bench/example executables.
 // Supports `--name value`, `--name=value` and boolean `--flag` forms; any
-// unknown option aborts with a usage message so experiment scripts fail
-// loudly instead of silently ignoring a typo'd parameter.
+// unknown option or malformed number aborts with a usage message so
+// experiment scripts fail loudly instead of silently ignoring a typo'd
+// parameter.
 
 #pragma once
 
@@ -46,8 +47,19 @@ class Cli {
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
+  /// A string option read as a comma-separated list; empty items are
+  /// skipped. The numeric forms parse every item whole: "4x6" is an
+  /// error, not 4. A malformed item fails like a malformed option.
+  [[nodiscard]] std::vector<std::string> get_list(
+      const std::string& name) const;
+  [[nodiscard]] std::vector<int> get_ints(const std::string& name) const;
+  [[nodiscard]] std::vector<double> get_doubles(const std::string& name) const;
+
   /// Renders the usage text (also used by tests).
   [[nodiscard]] std::string usage() const;
+
+  /// Prints `message` and the usage text to stderr and exits(2).
+  [[noreturn]] void fail(const std::string& message) const;
 
  private:
   enum class Kind { Int, Double, String, Flag };
@@ -57,7 +69,6 @@ class Cli {
     std::string help;
   };
 
-  [[noreturn]] void fail(const std::string& message) const;
   const Option& find(const std::string& name, Kind kind) const;
 
   std::string program_;

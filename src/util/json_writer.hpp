@@ -7,10 +7,6 @@
 // Doubles are printed with 17 significant digits so bit-level comparisons
 // survive the round trip; non-finite doubles map to null (JSON has no
 // inf/nan literals).
-//
-// Historically this lived in bench/bench_common.hpp as bench::JsonWriter;
-// it moved into the library when the sweep subsystem (src/exp/) started
-// emitting JSON artifacts. bench::JsonWriter remains as an alias.
 
 #pragma once
 

@@ -62,8 +62,8 @@ TEST(Dodin, NGraphNeedsDuplicationAndOverestimates) {
   // functions of independent task durations, hence *associated* random
   // variables (Esary-Proschan-Walkup); replacing a shared task by
   // independent copies therefore yields a stochastically larger maximum,
-  // so Dodin's mean is an over-estimate. (See EXPERIMENTS.md for the
-  // discussion of the paper's sign on Table I.)
+  // so Dodin's mean is an over-estimate. (DESIGN.md, "Evaluator registry
+  // and the sweep subsystem", discusses the paper's sign on Table I.)
   const auto g = expmk::test::n_graph(0.4, 0.5, 0.45, 0.55);
   const FailureModel m{0.4};  // large rate to make the bias visible
   const auto r = dodin_two_state(g, m, {.max_atoms = 0});

@@ -198,6 +198,40 @@ TEST(Cli, WrongTypeAccessThrows) {
   EXPECT_THROW((void)cli.get_int("missing"), std::logic_error);
 }
 
+TEST(Cli, ListGettersSplitOnCommasAndSkipEmptyItems) {
+  Cli cli("prog", "test");
+  cli.add_string("sizes", "4,,6,", "k values");
+  cli.add_string("pfails", "1e-4,0.5", "rates");
+  cli.add_string("names", "lu,qr", "classes");
+  const char* argv[] = {"prog"};
+  cli.parse(1, argv);
+  EXPECT_EQ(cli.get_ints("sizes"), (std::vector<int>{4, 6}));
+  EXPECT_EQ(cli.get_doubles("pfails"), (std::vector<double>{1e-4, 0.5}));
+  EXPECT_EQ(cli.get_list("names"), (std::vector<std::string>{"lu", "qr"}));
+}
+
+TEST(CliDeathTest, ListItemsMustParseWhole) {
+  Cli cli("prog", "test");
+  cli.add_string("sizes", "4x6", "k values");
+  cli.add_string("pfails", "0.01,abc", "rates");
+  EXPECT_EXIT((void)cli.get_ints("sizes"), ::testing::ExitedWithCode(2),
+              "invalid integer '4x6' in '--sizes'");
+  EXPECT_EXIT((void)cli.get_doubles("pfails"), ::testing::ExitedWithCode(2),
+              "invalid number 'abc' in '--pfails'");
+}
+
+TEST(CliDeathTest, ScalarOptionsMustParseWhole) {
+  Cli cli("prog", "test");
+  cli.add_int("n", 5, "count");
+  cli.add_double("x", 0.5, "rate");
+  const char* bad_int[] = {"prog", "--n", "12x"};
+  EXPECT_EXIT(cli.parse(3, bad_int), ::testing::ExitedWithCode(2),
+              "invalid value '12x' for option '--n'");
+  const char* bad_double[] = {"prog", "--x=0.5abc"};
+  EXPECT_EXIT(cli.parse(2, bad_double), ::testing::ExitedWithCode(2),
+              "invalid value '0.5abc' for option '--x'");
+}
+
 TEST(Table, AlignedOutputContainsCellsAndRule) {
   Table t({"name", "value"});
   t.begin_row();

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   grid.pfails = {cli.get_double("pfail")};
   grid.methods = {"sculli", "corlca", "clark"};
   grid.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  grid.options.mc_trials = static_cast<std::uint64_t>(cli.get_int("trials"));
+  grid.options.mc_trials = cli.get_count("trials");
   const bench::PaperSweep sweep = bench::run_paper_sweep(cli, grid, {});
 
   util::Table table({"class", "mc_mean", "Sculli_diff", "CorLCA_diff",

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     for (const std::size_t p : {2u, 4u, 8u, 16u}) {
       const sched::Machine machine(p);
       sched::FaultSimConfig cfg;
-      cfg.runs = static_cast<std::uint64_t>(cli.get_int("runs"));
+      cfg.runs = cli.get_count("runs");
       cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
       const auto r_classic =
           sched::simulate_with_faults(sc, classic, machine, cfg, ws);

@@ -42,9 +42,8 @@ inline int run_fig_sweep(int argc, const char* const* argv,
   grid.methods = {"fo", "dodin", "sculli"};
   if (extended) grid.methods.insert(grid.methods.end(), {"corlca", "clark"});
   grid.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  grid.options.mc_trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  grid.options.dodin_atoms =
-      static_cast<std::size_t>(cli.get_int("dodin-atoms"));
+  grid.options.mc_trials = cli.get_count("trials");
+  grid.options.dodin_atoms = cli.get_count("dodin-atoms");
 
   std::vector<std::string> header = {
       "figure", "class",      "k",       "tasks",   "pfail",

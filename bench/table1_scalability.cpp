@@ -36,9 +36,8 @@ int main(int argc, char** argv) {
   grid.pfails = {cli.get_double("pfail")};
   grid.methods = {"dodin", "sculli", "fo", "corlca", "clark"};
   grid.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  grid.options.mc_trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  grid.options.dodin_atoms =
-      static_cast<std::size_t>(cli.get_int("dodin-atoms"));
+  grid.options.mc_trials = cli.get_count("trials");
+  grid.options.dodin_atoms = cli.get_count("dodin-atoms");
   const bench::PaperSweep sweep = bench::run_paper_sweep(cli, grid, {"so"});
 
   const exp::SweepCell& mc = sweep.at(0, "mc");

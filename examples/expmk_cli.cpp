@@ -325,8 +325,8 @@ int cmd_estimate(int argc, const char* const* argv) {
   }
 
   exp::EvalOptions opt;
-  opt.mc_trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  opt.dodin_atoms = static_cast<std::size_t>(cli.get_int("dodin-atoms"));
+  opt.mc_trials = cli.get_count("trials");
+  opt.dodin_atoms = cli.get_count("dodin-atoms");
   const auto max_atoms =
       static_cast<std::size_t>(std::max<std::int64_t>(0, cli.get_int("max-atoms")));
   opt.sp_max_atoms = max_atoms;
@@ -514,9 +514,9 @@ int cmd_schedule(int argc, const char* const* argv) {
       core::RetryModel::Geometric);
   // Both the failure-aware priorities and the simulation read each
   // task's own rate.
-  const sched::Machine machine(static_cast<std::size_t>(cli.get_int("p")));
+  const sched::Machine machine(cli.get_count("p"));
   sched::FaultSimConfig cfg;
-  cfg.runs = static_cast<std::uint64_t>(cli.get_int("runs"));
+  cfg.runs = cli.get_count("runs");
   exp::Workspace ws;
 
   for (const auto kind : {sched::PriorityKind::BottomLevel,
@@ -564,7 +564,7 @@ int cmd_critical(int argc, const char* const* argv) {
       core::RetryModel::Geometric);
   const graph::Dag& g = sc.dag();
   core::CriticalityConfig cfg;
-  cfg.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
+  cfg.trials = cli.get_count("trials");
   exp::Workspace ws;
   const auto prob = core::criticality_probabilities(sc, cfg, ws);
   const auto slack = core::slacks(g);
@@ -574,8 +574,7 @@ int cmd_critical(int argc, const char* const* argv) {
   std::sort(order.begin(), order.end(), [&](graph::TaskId a, graph::TaskId b) {
     return prob[a] > prob[b];
   });
-  const auto limit = std::min<std::size_t>(
-      order.size(), static_cast<std::size_t>(cli.get_int("top")));
+  const auto limit = std::min<std::size_t>(order.size(), cli.get_count("top"));
   std::printf("%-20s %-12s %-10s\n", "task", "P(critical)", "slack");
   for (std::size_t i = 0; i < limit; ++i) {
     const auto t = order[i];

@@ -30,15 +30,6 @@ namespace {
 
 using namespace expmk;
 
-/// Fetches a non-negative integer option; a negative value would wrap to
-/// ~1.8e19 in the uint64 casts below and defeat every downstream
-/// validity check.
-std::int64_t get_non_negative(const util::Cli& cli, const std::string& name) {
-  const std::int64_t v = cli.get_int(name);
-  if (v < 0) cli.fail("--" + name + " must be >= 0");
-  return v;
-}
-
 void print_catalogue() {
   const auto& reg = exp::EvaluatorRegistry::builtin();
   std::printf("%-14s %-9s %-10s %s\n", "method", "2-state", "geometric",
@@ -93,7 +84,7 @@ int main(int argc, char** argv) {
   grid.pfails = cli.get_doubles("pfails");
   grid.methods = cli.get_list("methods");
   grid.reference = cli.get_string("reference");
-  grid.base_seed = static_cast<std::uint64_t>(get_non_negative(cli, "seed"));
+  grid.base_seed = cli.get_count("seed");
   const std::string retry = cli.get_string("retry");
   if (retry == "twostate") {
     grid.retry = core::RetryModel::TwoState;
@@ -102,19 +93,14 @@ int main(int argc, char** argv) {
   } else {
     cli.fail("unknown retry model '" + retry + "'");
   }
-  grid.options.mc_trials =
-      static_cast<std::uint64_t>(get_non_negative(cli, "trials"));
-  grid.options.threads =
-      static_cast<std::size_t>(get_non_negative(cli, "eval-threads"));
-  grid.options.dodin_atoms =
-      static_cast<std::size_t>(get_non_negative(cli, "dodin-atoms"));
+  grid.options.mc_trials = cli.get_count("trials");
+  grid.options.threads = cli.get_count("eval-threads");
+  grid.options.dodin_atoms = cli.get_count("dodin-atoms");
 
   const exp::SweepRunner runner;
   exp::SweepResult result;
   try {
-    result = runner.run(
-        grid,
-        static_cast<std::size_t>(get_non_negative(cli, "sweep-threads")));
+    result = runner.run(grid, cli.get_count("sweep-threads"));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sweep failed: %s\n", e.what());
     return 1;

@@ -132,6 +132,12 @@ std::int64_t Cli::get_int(const std::string& name) const {
   return std::stoll(find(name, Kind::Int).value);
 }
 
+std::uint64_t Cli::get_count(const std::string& name) const {
+  const std::int64_t v = get_int(name);
+  if (v < 0) fail("--" + name + " must be >= 0");
+  return static_cast<std::uint64_t>(v);
+}
+
 double Cli::get_double(const std::string& name) const {
   return std::stod(find(name, Kind::Double).value);
 }

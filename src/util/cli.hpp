@@ -43,6 +43,10 @@ class Cli {
   void parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// An integer option that counts something (trials, runs, atoms,
+  /// threads): a negative value fails like a malformed option instead of
+  /// wrapping to ~1.8e19 in an unsigned cast.
+  [[nodiscard]] std::uint64_t get_count(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;

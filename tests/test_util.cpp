@@ -232,6 +232,17 @@ TEST(CliDeathTest, ScalarOptionsMustParseWhole) {
               "invalid value '0.5abc' for option '--x'");
 }
 
+TEST(CliDeathTest, CountsMustBeNonNegative) {
+  Cli cli("prog", "test");
+  cli.add_int("trials", 7, "count");
+  cli.add_int("runs", 0, "count");
+  const char* args[] = {"prog", "--trials=-1"};
+  cli.parse(2, args);
+  EXPECT_EQ(cli.get_count("runs"), 0u);
+  EXPECT_EXIT((void)cli.get_count("trials"), ::testing::ExitedWithCode(2),
+              "--trials must be >= 0");
+}
+
 TEST(Table, AlignedOutputContainsCellsAndRule) {
   Table t({"name", "value"});
   t.begin_row();

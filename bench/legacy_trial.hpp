@@ -1,7 +1,7 @@
 // bench/legacy_trial.hpp
 //
 // Faithful replica of the PRE-CSR Monte-Carlo trial kernel, kept solely as
-// the baseline for BENCH_mc.json and the BM_McTrial_Legacy micro bench.
+// the baseline for bench_mc's legacy row in BENCH_mc.json.
 // Costs it pays that the production path (mc::run_monte_carlo over the
 // trial-lane kernel mc::run_trial_lanes) no longer does: a heap-allocated
 // finish[] per makespan evaluation, vector-of-vector adjacency chasing

@@ -8,14 +8,17 @@
 //
 //   $ ./mc_convergence --k 6 --pfail 0.01
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <iostream>
+#include <string>
+#include <vector>
 
 #include "core/failure_model.hpp"
 #include "core/first_order.hpp"
 #include "gen/cholesky.hpp"
 #include "mc/engine.hpp"
-#include "mc/histogram.hpp"
+#include "prob/discrete_distribution.hpp"
 #include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 
@@ -64,11 +67,31 @@ int main(int argc, char** argv) {
   const auto r = mc::run_monte_carlo(sc, cfg);
   std::printf("\nmakespan distribution (100k samples): min=%.4f max=%.4f\n",
               r.min, r.max);
-  std::printf("quantiles: p50=%.4f p90=%.4f p99=%.4f\n",
-              mc::empirical_quantile(r.samples, 0.50),
-              mc::empirical_quantile(r.samples, 0.90),
-              mc::empirical_quantile(r.samples, 0.99));
-  const auto h = mc::Histogram::from_samples(r.samples, 24);
-  h.print_ascii(std::cout, 48);
+  // The samples as an empirical law, mass 1/n each: quantiles are the
+  // smallest sampled makespan whose CDF reaches p, and each bar is the
+  // CDF difference across one of 24 equal bins over [min, max].
+  const double n = static_cast<double>(r.samples.size());
+  std::vector<prob::Atom> atoms;
+  atoms.reserve(r.samples.size());
+  for (const double x : r.samples) atoms.push_back({x, 1.0 / n});
+  const auto law = prob::DiscreteDistribution::from_atoms(std::move(atoms));
+  std::printf("quantiles: p50=%.4f p90=%.4f p99=%.4f\n", law.quantile(0.50),
+              law.quantile(0.90), law.quantile(0.99));
+  constexpr int kBins = 24;
+  const double width = (law.max() - law.min()) / kBins;
+  std::vector<double> mass(kBins);
+  double below = 0.0;  // CDF at the bin's lower edge
+  for (int b = 0; b < kBins; ++b) {
+    const double upto =
+        b + 1 == kBins ? 1.0 : law.cdf(law.min() + (b + 1) * width);
+    mass[b] = upto - below;
+    below = upto;
+  }
+  const double peak = *std::max_element(mass.begin(), mass.end());
+  for (int b = 0; b < kBins; ++b) {
+    const auto bar = static_cast<std::size_t>(mass[b] / peak * 48.0);
+    std::printf("%g\t|%s  %lld\n", law.min() + (b + 0.5) * width,
+                std::string(bar, '#').c_str(), std::llround(mass[b] * n));
+  }
   return 0;
 }

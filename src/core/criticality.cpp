@@ -23,16 +23,6 @@ std::vector<double> slacks(const graph::Dag& g) {
   return out;
 }
 
-std::vector<graph::TaskId> critical_tasks(const graph::Dag& g,
-                                          double tolerance) {
-  const auto s = slacks(g);
-  std::vector<graph::TaskId> out;
-  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-    if (s[i] <= tolerance) out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<double> criticality_probabilities(
     const scenario::Scenario& sc, const CriticalityConfig& config,
     exp::Workspace& ws) {

@@ -27,10 +27,6 @@ namespace expmk::core {
 /// zero slack = on a critical path.
 [[nodiscard]] std::vector<double> slacks(const graph::Dag& g);
 
-/// Tasks with zero slack (the paper's CP-scheduling priority set).
-[[nodiscard]] std::vector<graph::TaskId> critical_tasks(const graph::Dag& g,
-                                                        double tolerance = 1e-12);
-
 /// Monte-Carlo criticality estimation config.
 struct CriticalityConfig {
   std::uint64_t trials = 10'000;

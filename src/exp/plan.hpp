@@ -167,7 +167,6 @@ class CostModel {
   static constexpr double kEwmaAlpha = 0.2;
 
   void set_ewma(bool enabled) noexcept { ewma_enabled_ = enabled; }
-  [[nodiscard]] bool ewma_enabled() const noexcept { return ewma_enabled_; }
 
  private:
   /// log-space EWMA of observed/predicted per method; exp() of it is the

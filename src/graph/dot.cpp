@@ -4,8 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "graph/reachability.hpp"
-
 namespace expmk::graph {
 
 namespace {
@@ -40,44 +38,25 @@ std::string escape(std::string_view s) {
 }  // namespace
 
 void write_dot(std::ostream& os, const Dag& g, const DotOptions& options) {
-  const Dag* graph = &g;
-  Dag reduced;
-  if (options.reduce_edges) {
-    reduced = transitive_reduction(g);
-    graph = &reduced;
-  }
-
   os << "digraph " << options.graph_name << " {\n";
   os << "  rankdir=TB;\n  node [shape=box, style=filled];\n";
-  for (TaskId v = 0; v < graph->task_count(); ++v) {
-    std::string label(graph->name(v));
+  for (TaskId v = 0; v < g.task_count(); ++v) {
+    std::string label(g.name(v));
     if (label.empty()) label = "t" + std::to_string(v);
     std::ostringstream full_label;
     full_label << escape(label);
     if (options.show_weights) {
-      full_label << "\\n" << graph->weight(v) << "s";
+      full_label << "\\n" << g.weight(v) << "s";
     }
-    os << "  n" << v << " [label=\"" << full_label.str() << '"';
-    if (options.color_by_kernel && !std::string(graph->name(v)).empty()) {
-      os << ", fillcolor=\"" << color_for(kernel_prefix(graph->name(v)))
-         << '"';
-    } else {
-      os << ", fillcolor=\"#ffffff\"";
-    }
-    os << "];\n";
+    os << "  n" << v << " [label=\"" << full_label.str() << "\", fillcolor=\""
+       << color_for(kernel_prefix(g.name(v))) << "\"];\n";
   }
-  for (TaskId u = 0; u < graph->task_count(); ++u) {
-    for (const TaskId v : graph->successors(u)) {
+  for (TaskId u = 0; u < g.task_count(); ++u) {
+    for (const TaskId v : g.successors(u)) {
       os << "  n" << u << " -> n" << v << ";\n";
     }
   }
   os << "}\n";
-}
-
-std::string to_dot(const Dag& g, const DotOptions& options) {
-  std::ostringstream os;
-  write_dot(os, g, options);
-  return os.str();
 }
 
 }  // namespace expmk::graph

@@ -17,20 +17,13 @@ namespace expmk::graph {
 struct DotOptions {
   /// Graph name in the DOT header.
   std::string graph_name = "taskgraph";
-  /// Color nodes by the prefix of their name before the first '_' (BLAS
-  /// kernel family). Unknown prefixes get white.
-  bool color_by_kernel = true;
   /// Append the task weight to the label, e.g. "GEMM_3_2_1\n0.187s".
   bool show_weights = false;
-  /// Emit the transitive reduction instead of the raw edge set (matches
-  /// how the paper's figures are drawn).
-  bool reduce_edges = false;
 };
 
-/// Writes the DOT representation of `g` to `os`.
+/// Writes the DOT representation of `g` to `os`. Nodes are colored by the
+/// prefix of their name before the first '_' (BLAS kernel family);
+/// unknown prefixes, and unnamed tasks, get white.
 void write_dot(std::ostream& os, const Dag& g, const DotOptions& options = {});
-
-/// Renders to a string (test helper).
-[[nodiscard]] std::string to_dot(const Dag& g, const DotOptions& options = {});
 
 }  // namespace expmk::graph

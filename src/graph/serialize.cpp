@@ -362,14 +362,6 @@ Dag taskgraph_from_string(std::string_view text) {
   return taskgraph_file_from_string(text).dag;
 }
 
-TaskGraphFile read_taskgraph_file(std::istream& is) {
-  std::string text;
-  if (is) text.assign(std::istreambuf_iterator<char>(is), {});
-  return taskgraph_file_from_string(text);
-}
-
-Dag read_taskgraph(std::istream& is) { return read_taskgraph_file(is).dag; }
-
 void save_taskgraph(const std::string& path, const Dag& g) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("cannot open for writing: " + path);
@@ -392,7 +384,8 @@ Dag load_taskgraph(const std::string& path) {
 TaskGraphFile load_taskgraph_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open for reading: " + path);
-  return read_taskgraph_file(is);
+  const std::string text(std::istreambuf_iterator<char>(is), {});
+  return taskgraph_file_from_string(text);
 }
 
 }  // namespace expmk::graph

@@ -90,21 +90,15 @@ void write_taskgraph(std::ostream& os, const Dag& g,
 [[nodiscard]] std::string to_taskgraph(const Dag& g,
                                        std::span<const double> rates);
 
-/// Parses either format version; throws std::invalid_argument with a line
-/// number on malformed input (bad header, unknown directive, duplicate
-/// name, unknown endpoint, non-numeric weight, missing/negative rate).
-[[nodiscard]] TaskGraphFile read_taskgraph_file(std::istream& is);
-
-/// Parses the format, discarding any rates; throws like
-/// read_taskgraph_file.
-[[nodiscard]] Dag read_taskgraph(std::istream& is);
-
-/// Parses from a string.
-[[nodiscard]] Dag taskgraph_from_string(std::string_view text);
-
-/// Parses from a string, keeping rates. The one parser: the stream and
-/// file entry points read their whole input and call this.
+/// Parses either format version from a string, keeping rates; throws
+/// std::invalid_argument with a line number on malformed input (bad
+/// header, unknown directive, duplicate name, unknown endpoint,
+/// non-numeric weight, missing/negative rate). The one parser: the file
+/// entry points read their whole input and call this.
 [[nodiscard]] TaskGraphFile taskgraph_file_from_string(std::string_view text);
+
+/// Parses from a string, discarding any rates.
+[[nodiscard]] Dag taskgraph_from_string(std::string_view text);
 
 /// Convenience file helpers; throw std::runtime_error on I/O failure.
 void save_taskgraph(const std::string& path, const Dag& g);

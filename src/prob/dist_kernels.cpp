@@ -720,17 +720,6 @@ EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> 
   return finish_atoms(out.data(), w);
 }
 
-EXPMK_NOALLOC std::size_t mixture(std::span<const Atom> x, double w,
-                    std::span<const Atom> y, std::span<Atom> out) {
-  if (w < 0.0 || w > 1.0) {
-    throw std::invalid_argument("mixture: weight must be in [0,1]");
-  }
-  std::size_t k = 0;
-  for (const Atom& at : x) out[k++] = {at.value, w * at.prob};
-  for (const Atom& at : y) out[k++] = {at.value, (1.0 - w) * at.prob};
-  return canonicalize(out.subspan(0, k));
-}
-
 EXPMK_NOALLOC std::size_t truncate(std::span<Atom> atoms, std::size_t max_atoms,
                      TruncationCert& cert, std::span<double> gap_scratch) {
   const std::size_t n = atoms.size();

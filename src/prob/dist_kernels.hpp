@@ -2,7 +2,7 @@
 //
 // The distribution arithmetic of the library: every discrete-distribution
 // operation the analytic pipeline is built on (consolidate / shift /
-// convolve / max-of / mixture / truncate), expressed as kernels over
+// convolve / max-of / truncate), expressed as kernels over
 // caller-provided spans of prob::Atom. These kernels ARE the definition:
 // there is no second implementation. The workspace-backed evaluators (the
 // series-parallel reduction, Dodin's transformation, the hierarchical
@@ -191,12 +191,6 @@ EXPMK_NOALLOC std::size_t convolve(std::span<const Atom> x, std::span<const Atom
 /// atoms and must not overlap the inputs; no scratch is needed.
 EXPMK_NOALLOC std::size_t max_of(std::span<const Atom> x, std::span<const Atom> y,
                                  std::span<Atom> out);
-
-/// Mixture: with probability w take X, else Y (throws
-/// std::invalid_argument on w outside [0,1]). `out` must hold
-/// x.size() + y.size() atoms.
-EXPMK_NOALLOC std::size_t mixture(std::span<const Atom> x, double w,
-                    std::span<const Atom> y, std::span<Atom> out);
 
 /// Reduces a canonical list of n = atoms.size() atoms to at most
 /// `max_atoms` in one pass. Each adjacent pair is ranked by its squared

@@ -1,13 +1,8 @@
 #include "sched/list_scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
-#include <stdexcept>
-#include <string>
-
-#include "graph/topological.hpp"
 
 namespace expmk::sched {
 
@@ -61,7 +56,7 @@ Schedule list_schedule(const graph::Dag& g, std::span<const double> durations,
     double best_start = 0.0;
     for (std::size_t p = 0; p < machine.processors(); ++p) {
       const double start = std::max(proc_free[p], ready_time[v]);
-      const double finish = start + machine.execution_time(durations[v], p);
+      const double finish = start + durations[v];
       if (finish < best_finish) {
         best_finish = finish;
         best_start = start;
@@ -83,54 +78,6 @@ Schedule list_schedule(const graph::Dag& g, std::span<const double> durations,
     throw std::invalid_argument("list_schedule: graph has a cycle");
   }
   return schedule;
-}
-
-Schedule list_schedule(const graph::Dag& g, std::span<const double> priority,
-                       const Machine& machine) {
-  return list_schedule(g, g.weights(), priority, machine);
-}
-
-std::string validate_schedule(const graph::Dag& g,
-                              std::span<const double> durations,
-                              const Machine& machine, const Schedule& s) {
-  const std::size_t n = g.task_count();
-  if (s.placements.size() != n) return "placement count mismatch";
-
-  for (graph::TaskId v = 0; v < n; ++v) {
-    const Placement& pl = s.placements[v];
-    if (pl.processor >= machine.processors()) {
-      return "task " + std::to_string(v) + " on invalid processor";
-    }
-    const double expect =
-        machine.execution_time(durations[v], pl.processor);
-    if (std::abs((pl.finish - pl.start) - expect) > 1e-9) {
-      return "task " + std::to_string(v) + " has wrong duration";
-    }
-    for (const graph::TaskId u : g.predecessors(v)) {
-      if (s.placements[u].finish > pl.start + 1e-9) {
-        return "task " + std::to_string(v) + " starts before predecessor " +
-               std::to_string(u) + " finishes";
-      }
-    }
-  }
-  // Processor exclusivity: sort intervals per processor.
-  std::vector<std::vector<graph::TaskId>> per_proc(machine.processors());
-  for (graph::TaskId v = 0; v < n; ++v) {
-    per_proc[s.placements[v].processor].push_back(v);
-  }
-  for (auto& tasks : per_proc) {
-    std::sort(tasks.begin(), tasks.end(), [&](graph::TaskId a, graph::TaskId b) {
-      return s.placements[a].start < s.placements[b].start;
-    });
-    for (std::size_t i = 1; i < tasks.size(); ++i) {
-      if (s.placements[tasks[i - 1]].finish >
-          s.placements[tasks[i]].start + 1e-9) {
-        return "overlap on processor " +
-               std::to_string(s.placements[tasks[i]].processor);
-      }
-    }
-  }
-  return {};
 }
 
 }  // namespace expmk::sched

@@ -1,10 +1,9 @@
 // sched/list_scheduler.hpp
 //
-// Event-driven list scheduling on a bounded set of processors. Ready tasks
-// are kept in a priority queue (priority vector supplied by the caller);
-// when a processor frees up, the highest-priority ready task starts on the
-// earliest-available processor (EFT placement, which on heterogeneous
-// speeds reproduces HEFT's processor-selection rule without insertion).
+// Event-driven list scheduling on P identical processors. Ready tasks are
+// kept in a priority queue (priority vector supplied by the caller); when
+// a processor frees up, the highest-priority ready task starts on the
+// earliest-available processor (EFT placement).
 //
 // The scheduler takes the *actual durations* as an explicit vector so the
 // same machinery serves both deterministic scheduling (durations = task
@@ -13,13 +12,27 @@
 
 #pragma once
 
+#include <cstddef>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/dag.hpp"
-#include "sched/machine.hpp"
 
 namespace expmk::sched {
+
+/// The platform: P identical processors.
+class Machine {
+ public:
+  explicit Machine(std::size_t p) : processors_(p) {
+    if (p == 0) throw std::invalid_argument("Machine: need >= 1 processor");
+  }
+
+  [[nodiscard]] std::size_t processors() const noexcept { return processors_; }
+
+ private:
+  std::size_t processors_;
+};
 
 /// One scheduled task instance.
 struct Placement {
@@ -34,25 +47,12 @@ struct Schedule {
   double makespan = 0.0;
 };
 
-/// Builds the list schedule. `durations[i]` is the wall-clock work of task
-/// i at unit speed; on processor p it runs for durations[i] / speed(p).
-/// `priority[i]` ranks ready tasks (higher first; ties by smaller id).
+/// Builds the list schedule. `durations[i]` is task i's run time on any
+/// processor. `priority[i]` ranks ready tasks (higher first; ties by
+/// smaller id).
 [[nodiscard]] Schedule list_schedule(const graph::Dag& g,
                                      std::span<const double> durations,
                                      std::span<const double> priority,
                                      const Machine& machine);
-
-/// Convenience: durations = task weights (failure-free schedule).
-[[nodiscard]] Schedule list_schedule(const graph::Dag& g,
-                                     std::span<const double> priority,
-                                     const Machine& machine);
-
-/// Checks that `s` respects precedence constraints, processor exclusivity
-/// and per-task durations; returns an empty string when valid, else a
-/// description of the first violation (test helper).
-[[nodiscard]] std::string validate_schedule(const graph::Dag& g,
-                                            std::span<const double> durations,
-                                            const Machine& machine,
-                                            const Schedule& s);
 
 }  // namespace expmk::sched

@@ -35,16 +35,6 @@ const std::string& Value::as_string() const {
   return str_;
 }
 
-const std::vector<Value>& Value::as_array() const {
-  if (kind_ != Kind::Array) kind_error("array");
-  return arr_;
-}
-
-const std::vector<std::pair<std::string, Value>>& Value::as_object() const {
-  if (kind_ != Kind::Object) kind_error("object");
-  return obj_;
-}
-
 const Value* Value::find(std::string_view key) const noexcept {
   if (kind_ != Kind::Object) return nullptr;
   for (const auto& [k, v] : obj_) {

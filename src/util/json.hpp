@@ -42,7 +42,6 @@ class Value {
   [[nodiscard]] bool is_string() const noexcept {
     return kind_ == Kind::String;
   }
-  [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::Array; }
   [[nodiscard]] bool is_object() const noexcept {
     return kind_ == Kind::Object;
   }
@@ -59,9 +58,6 @@ class Value {
     return kind_ == Kind::Number && has_u64_;
   }
   [[nodiscard]] const std::string& as_string() const;
-  [[nodiscard]] const std::vector<Value>& as_array() const;
-  [[nodiscard]] const std::vector<std::pair<std::string, Value>>& as_object()
-      const;
 
   /// Object member lookup (linear scan — protocol objects are small);
   /// nullptr when absent or when this value is not an object.

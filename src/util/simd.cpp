@@ -8,10 +8,11 @@ namespace expmk::util::simd {
 
 namespace {
 
+/// True iff this build AND this CPU can run the AVX2 paths.
 #if defined(__x86_64__) || defined(__i386__)
-bool detect_avx2() { return __builtin_cpu_supports("avx2") != 0; }
+bool cpu_supports_avx2() { return __builtin_cpu_supports("avx2") != 0; }
 #else
-bool detect_avx2() { return false; }
+bool cpu_supports_avx2() { return false; }
 #endif
 
 Backend resolve() {
@@ -19,7 +20,7 @@ Backend resolve() {
   if (env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0') {
     return Backend::Scalar;
   }
-  return detect_avx2() ? Backend::Avx2 : Backend::Scalar;
+  return cpu_supports_avx2() ? Backend::Avx2 : Backend::Scalar;
 }
 
 std::atomic<Backend>& state() {
@@ -36,8 +37,6 @@ bool force(Backend b) noexcept {
   state().store(b, std::memory_order_relaxed);
   return true;
 }
-
-bool cpu_supports_avx2() noexcept { return detect_avx2(); }
 
 const char* name(Backend b) noexcept {
   switch (b) {

@@ -39,9 +39,6 @@ enum class Backend {
 /// returning false (the caller skips the cross-backend assertion).
 bool force(Backend b) noexcept;
 
-/// True iff this build AND this CPU can run the AVX2 paths.
-[[nodiscard]] bool cpu_supports_avx2() noexcept;
-
 /// Lower-case display name ("scalar", "avx2") for logs and BENCH files.
 [[nodiscard]] const char* name(Backend b) noexcept;
 

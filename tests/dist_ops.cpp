@@ -46,9 +46,14 @@ DiscreteDistribution max_of(const DiscreteDistribution& x,
 
 DiscreteDistribution mixture(const DiscreteDistribution& x, double w,
                              const DiscreteDistribution& y) {
-  std::vector<Atom> out(x.size() + y.size());
-  const std::size_t n = dk::mixture(x.atoms(), w, y.atoms(), out);
-  return take(out, n);
+  if (w < 0.0 || w > 1.0) {
+    throw std::invalid_argument("mixture: weight must be in [0,1]");
+  }
+  std::vector<Atom> out;
+  out.reserve(x.size() + y.size());
+  for (const Atom& at : x.atoms()) out.push_back({at.value, w * at.prob});
+  for (const Atom& at : y.atoms()) out.push_back({at.value, (1.0 - w) * at.prob});
+  return take(out, dk::canonicalize(out));
 }
 
 DiscreteDistribution truncated(const DiscreteDistribution& d,

@@ -39,7 +39,9 @@ using prob::dist_kernels::TruncationCert;
                                           std::size_t max_atoms = 0,
                                           TruncationCert* cert = nullptr);
 
-/// With probability w take X, else Y.
+/// With probability w take X, else Y (w outside [0,1] throws
+/// std::invalid_argument). The library has no mixture kernel; this is the
+/// test oracle's own loop.
 [[nodiscard]] DiscreteDistribution mixture(const DiscreteDistribution& x,
                                            double w,
                                            const DiscreteDistribution& y);

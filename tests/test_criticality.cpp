@@ -10,7 +10,6 @@
 
 namespace {
 
-using expmk::core::critical_tasks;
 using expmk::core::criticality_probabilities;
 using expmk::core::CriticalityConfig;
 using expmk::core::FailureModel;
@@ -30,12 +29,13 @@ TEST(Slack, DiamondValues) {
 
 TEST(Slack, CriticalTasksAreZeroSlack) {
   const auto g = expmk::gen::cholesky_dag(5);
-  const auto crit = critical_tasks(g);
-  const auto s = slacks(g);
-  EXPECT_FALSE(crit.empty());
-  for (const auto t : crit) EXPECT_LE(s[t], 1e-12);
+  std::size_t critical = 0;
+  for (const double s : slacks(g)) {
+    EXPECT_GE(s, -1e-12);
+    if (s <= 1e-12) ++critical;
+  }
   // A critical path has at least depth-many tasks.
-  EXPECT_GE(crit.size(), 5u);
+  EXPECT_GE(critical, 5u);
 }
 
 TEST(Criticality, ZeroLambdaMatchesDeterministicSlack) {

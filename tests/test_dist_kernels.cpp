@@ -113,12 +113,6 @@ TEST(DistKernels, ConvolveAndMaxOfMatchObjectOpsBitwise) {
     mx.resize(dk::max_of(x.atoms(), y.atoms(), mx));
     expect_bit_identical(mx, ops::max_of(x, y).atoms(),
                          where + " max_of");
-
-    std::vector<Atom> mixed(x.size() + y.size());
-    mixed.resize(dk::mixture(x.atoms(), 0.25, y.atoms(), mixed));
-    expect_bit_identical(mixed,
-                         ops::mixture(x, 0.25, y).atoms(),
-                         where + " mixture");
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "gen/cholesky.hpp"
 #include "graph/dot.hpp"
 #include "graph/validate.hpp"
@@ -10,8 +12,13 @@
 namespace {
 
 using expmk::graph::DotOptions;
-using expmk::graph::to_dot;
 using expmk::graph::validate;
+
+std::string to_dot(const expmk::graph::Dag& g, const DotOptions& opts = {}) {
+  std::ostringstream os;
+  expmk::graph::write_dot(os, g, opts);
+  return os.str();
+}
 
 TEST(Dot, EmitsNodesAndEdges) {
   const auto g = expmk::test::diamond();
@@ -42,25 +49,6 @@ TEST(Dot, WeightsShownOnRequest) {
   const auto g = expmk::test::diamond(1.5, 2.0, 3.0, 4.0);
   const std::string dot = to_dot(g, opts);
   EXPECT_NE(dot.find("1.5s"), std::string::npos);
-}
-
-TEST(Dot, ReducedEdgesOptionDropsShortcuts) {
-  expmk::graph::Dag g;
-  const auto a = g.add_task("a", 1.0);
-  const auto b = g.add_task("b", 1.0);
-  const auto c = g.add_task("c", 1.0);
-  g.add_edge(a, b);
-  g.add_edge(b, c);
-  g.add_edge(a, c);
-  DotOptions opts;
-  opts.reduce_edges = true;
-  const std::string dot = to_dot(g, opts);
-  std::size_t arrows = 0;
-  for (std::size_t pos = dot.find("->"); pos != std::string::npos;
-       pos = dot.find("->", pos + 1)) {
-    ++arrows;
-  }
-  EXPECT_EQ(arrows, 2u);
 }
 
 TEST(Validate, AcceptsHealthyGraphs) {

@@ -9,7 +9,6 @@
 #include "gen/lu.hpp"
 #include "gen/qr.hpp"
 #include "graph/csr.hpp"
-#include "graph/reachability.hpp"
 #include "graph/validate.hpp"
 
 namespace {

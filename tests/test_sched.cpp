@@ -1,8 +1,11 @@
 // Tests for the scheduling substrate: list scheduling validity, CP
-// identities, heterogeneous EFT placement, priorities and fault-injected
-// simulation.
+// identities, priorities and fault-injected simulation.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "core/failure_model.hpp"
 #include "gen/cholesky.hpp"
@@ -21,7 +24,7 @@ using expmk::sched::list_schedule;
 using expmk::sched::Machine;
 using expmk::sched::priorities;
 using expmk::sched::PriorityKind;
-using expmk::sched::validate_schedule;
+using expmk::sched::Schedule;
 using expmk::test::uniform_scenario;
 
 /// Classic (failure-free) bottom-level priorities of `g`.
@@ -30,16 +33,60 @@ std::vector<double> bottom_level(const expmk::graph::Dag& g) {
                     PriorityKind::BottomLevel);
 }
 
+/// Checks that `s` respects precedence constraints, processor exclusivity
+/// and per-task durations; returns an empty string when valid, else a
+/// description of the first violation.
+std::string validate_schedule(const expmk::graph::Dag& g,
+                              std::span<const double> durations,
+                              const Machine& machine, const Schedule& s) {
+  using expmk::graph::TaskId;
+  const std::size_t n = g.task_count();
+  if (s.placements.size() != n) return "placement count mismatch";
+
+  for (TaskId v = 0; v < n; ++v) {
+    const auto& pl = s.placements[v];
+    if (pl.processor >= machine.processors()) {
+      return "task " + std::to_string(v) + " on invalid processor";
+    }
+    if (std::abs((pl.finish - pl.start) - durations[v]) > 1e-9) {
+      return "task " + std::to_string(v) + " has wrong duration";
+    }
+    for (const TaskId u : g.predecessors(v)) {
+      if (s.placements[u].finish > pl.start + 1e-9) {
+        return "task " + std::to_string(v) + " starts before predecessor " +
+               std::to_string(u) + " finishes";
+      }
+    }
+  }
+  // Processor exclusivity: sort intervals per processor.
+  std::vector<std::vector<TaskId>> per_proc(machine.processors());
+  for (TaskId v = 0; v < n; ++v) {
+    per_proc[s.placements[v].processor].push_back(v);
+  }
+  for (auto& tasks : per_proc) {
+    std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
+      return s.placements[a].start < s.placements[b].start;
+    });
+    for (std::size_t i = 1; i < tasks.size(); ++i) {
+      if (s.placements[tasks[i - 1]].finish >
+          s.placements[tasks[i]].start + 1e-9) {
+        return "overlap on processor " +
+               std::to_string(s.placements[tasks[i]].processor);
+      }
+    }
+  }
+  return {};
+}
+
 TEST(Machine, ConstructionAndSpeeds) {
+  // P identical unit-speed processors: a task runs for its duration.
   const Machine m(3);
   EXPECT_EQ(m.processors(), 3u);
-  EXPECT_TRUE(m.homogeneous());
-  EXPECT_DOUBLE_EQ(m.execution_time(2.0, 1), 2.0);
-  const Machine h({1.0, 2.0});
-  EXPECT_FALSE(h.homogeneous());
-  EXPECT_DOUBLE_EQ(h.execution_time(2.0, 1), 1.0);
+  expmk::graph::Dag g;
+  g.add_task(2.0);
+  const std::vector<double> prio = {1.0};
+  EXPECT_DOUBLE_EQ(list_schedule(g, g.weights(), prio, m).makespan, 2.0);
   EXPECT_THROW(Machine(0), std::invalid_argument);
-  EXPECT_THROW(Machine(std::vector<double>{1.0, 0.0}), std::invalid_argument);
 }
 
 TEST(ListScheduler, RespectsConstraintsOnRandomGraphs) {
@@ -47,7 +94,7 @@ TEST(ListScheduler, RespectsConstraintsOnRandomGraphs) {
     const auto g = expmk::gen::erdos_dag(40, 0.15, seed);
     const Machine m(3);
     const auto prio = bottom_level(g);
-    const auto s = list_schedule(g, prio, m);
+    const auto s = list_schedule(g, g.weights(), prio, m);
     EXPECT_EQ(validate_schedule(g, g.weights(), m, s), "");
     EXPECT_GT(s.makespan, 0.0);
   }
@@ -57,7 +104,7 @@ TEST(ListScheduler, UnlimitedProcessorsReachCriticalPath) {
   const auto g = expmk::gen::cholesky_dag(4);
   const Machine m(g.task_count());  // more processors than tasks
   const auto prio = bottom_level(g);
-  const auto s = list_schedule(g, prio, m);
+  const auto s = list_schedule(g, g.weights(), prio, m);
   EXPECT_NEAR(s.makespan, expmk::graph::critical_path_length(g), 1e-9);
 }
 
@@ -65,7 +112,7 @@ TEST(ListScheduler, SingleProcessorSerializesEverything) {
   const auto g = expmk::gen::cholesky_dag(3);
   const Machine m(1);
   const auto prio = bottom_level(g);
-  const auto s = list_schedule(g, prio, m);
+  const auto s = list_schedule(g, g.weights(), prio, m);
   EXPECT_NEAR(s.makespan, g.total_weight(), 1e-9);
   EXPECT_EQ(validate_schedule(g, g.weights(), m, s), "");
 }
@@ -76,7 +123,7 @@ TEST(ListScheduler, MakespanBetweenBounds) {
   const auto g = expmk::gen::lu_dag(4);
   const Machine m(2);
   const auto prio = bottom_level(g);
-  const auto s = list_schedule(g, prio, m);
+  const auto s = list_schedule(g, g.weights(), prio, m);
   EXPECT_GE(s.makespan, expmk::graph::critical_path_length(g) - 1e-9);
   EXPECT_LE(s.makespan, g.total_weight() + 1e-9);
 }
@@ -93,22 +140,12 @@ TEST(ListScheduler, PriorityOrderMattersOnTightExample) {
   const Machine m(2);
   const auto bl = bottom_level(g);
   EXPECT_GT(bl[h], bl[s1]);
-  const auto s = list_schedule(g, bl, m);
+  const auto s = list_schedule(g, g.weights(), bl, m);
   EXPECT_NEAR(s.makespan, 3.0, 1e-9);  // H then T2 on one proc, S1+S2 on other
   // Inverted priorities (schedule shorts first on both procs) is worse.
   const std::vector<double> inverted = {0.0, 0.0, 1.0, 1.0};
-  const auto bad = list_schedule(g, inverted, m);
+  const auto bad = list_schedule(g, g.weights(), inverted, m);
   EXPECT_GT(bad.makespan, s.makespan - 1e-12);
-}
-
-TEST(ListScheduler, HeterogeneousPrefersFastProcessor) {
-  expmk::graph::Dag g;
-  g.add_task(1.0);
-  const Machine m({1.0, 4.0});
-  const std::vector<double> prio = {1.0};
-  const auto s = list_schedule(g, prio, m);
-  EXPECT_EQ(s.placements[0].processor, 1u);
-  EXPECT_NEAR(s.makespan, 0.25, 1e-12);
 }
 
 TEST(ListScheduler, CustomDurationsOverrideWeights) {

@@ -28,7 +28,13 @@
 #     scratch from the caller's Workspace, which accounts for and frees
 #     it), or
 #   * `EXPMK_MERGE_LANES` appears in any file under src/ (the run-merge
-#     lane count is the constant kMergeLanes, not a build knob).
+#     lane count is the constant kMergeLanes, not a build knob), or
+#   * a retired library module comes back: an include of mc/histogram.hpp,
+#     graph/reachability.hpp or core/dvfs.hpp, or the identifiers
+#     `empirical_quantile`, `transitive_reduction` or `dvfs_sweep`
+#     (DiscreteDistribution's quantile/cdf read captured samples, the DOT
+#     export draws the raw edge set, and the DVFS sweep lives in
+#     bench/ablation_dvfs.cpp).
 #
 #   cmake -DSRC=<repo>/src -P tools/one_entry_per_method.cmake
 
@@ -63,6 +69,9 @@ set(retired_graph_walk_api "(^|[^A-Za-z0-9_])(topo|expected_durations|p_success|
 # Per-thread state outside the Workspace pool, and the retired lane knob.
 set(thread_local_use "(^|[^A-Za-z0-9_])thread_local([^A-Za-z0-9_]|$)")
 set(merge_lanes_macro "EXPMK_MERGE_LANES")
+# Library modules with no caller outside their own tests.
+set(retired_module_include "#[ \t]*include[ \t]*\"(mc/histogram|graph/reachability|core/dvfs)\\.hpp\"")
+set(retired_module_api "(^|[^A-Za-z0-9_])(empirical_quantile|transitive_reduction|dvfs_sweep)([^A-Za-z0-9_]|$)")
 
 file(GLOB_RECURSE files "${SRC}/*")
 foreach(path IN LISTS files)
@@ -98,6 +107,13 @@ foreach(path IN LISTS files)
   foreach(hit IN LISTS hits)
     string(STRIP "${hit}" hit)
     list(APPEND violations "${rel}: EXPMK_MERGE_LANES is retired: ${hit}")
+  endforeach()
+  foreach(pattern IN ITEMS retired_module_include retired_module_api)
+    file(STRINGS "${path}" hits REGEX "${${pattern}}")
+    foreach(hit IN LISTS hits)
+      string(STRIP "${hit}" hit)
+      list(APPEND violations "${rel}: retired library module: ${hit}")
+    endforeach()
   endforeach()
   if(NOT rel STREQUAL "mc/engine.hpp")
     file(STRINGS "${path}" hits REGEX "${chunk_definition}")

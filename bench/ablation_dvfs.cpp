@@ -47,13 +47,17 @@ int main(int argc, char** argv) {
   constexpr double kSmax = 1.0;
   constexpr int kSteps = 10;
 
-  // Expected busy time at full speed: the energy normalizer.
-  const core::FailureModel full{lambda0};
-  double full_busy = 0.0;
-  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-    full_busy += full.expected_duration(g.weight(i) / kSmax,
-                                        core::RetryModel::TwoState);
-  }
+  // Expected busy time at speed s and rate lambda: re-executed work pays
+  // again. Full speed gives the energy normalizer.
+  const auto busy_time = [&g](double lambda, double s) {
+    const core::FailureModel fm{lambda};
+    double busy = 0.0;
+    for (graph::TaskId i = 0; i < g.task_count(); ++i) {
+      busy += fm.expected_duration(g.weight(i) / s, core::RetryModel::TwoState);
+    }
+    return busy;
+  };
+  const double full_busy = busy_time(lambda0, kSmax);
 
   util::Table table({"speed", "lambda", "d(G)/s", "E[makespan]",
                      "error_overhead", "relative_energy"});
@@ -74,13 +78,8 @@ int main(int argc, char** argv) {
                                     scenario::FailureSpec::uniform(lambda)),
         ws);
 
-    const core::FailureModel fm{lambda};
-    double busy = 0.0;
-    for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-      busy += fm.expected_duration(g.weight(i) / s, core::RetryModel::TwoState);
-    }
     const double ratio = s / kSmax;
-    const double energy = ratio * ratio * ratio * busy;
+    const double energy = ratio * ratio * ratio * busy_time(lambda, s);
 
     table.begin_row();
     table.add_double(s);

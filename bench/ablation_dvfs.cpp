@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   cli.add_double("sensitivity", 3.0, "equation (1) exponent d");
   cli.add_flag("csv", "emit CSV");
   cli.parse(argc, argv);
+  if (cli.get_int("k") < 1) cli.fail("--k must be >= 1");
 
   const auto g = gen::cholesky_dag(static_cast<int>(cli.get_int("k")));
   const double lambda0 = cli.get_double("lambda0");

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   cli.add_int("seed", 555, "fault-injection master seed");
   cli.add_flag("csv", "emit CSV");
   cli.parse(argc, argv);
+  if (cli.get_int("k") < 1) cli.fail("--k must be >= 1");
 
   const int k = static_cast<int>(cli.get_int("k"));
   struct Class {

@@ -1,8 +1,8 @@
 // bench/bench_serve.cpp
 //
 // Serving-layer benchmark: what does the expmk_serve stack (JSON protocol
-// parse -> content-hash cache -> shed admission -> batcher ->
-// evaluate_many) cost on top of calling exp::evaluate_many directly?
+// parse -> content-hash cache -> shed admission -> request executor ->
+// evaluator) cost on top of calling exp::evaluate_many directly?
 //
 // Arms (one LU cell, a {fo, so, corlca} method mix):
 //   raw_evaluate_many  one evaluate_many call over the whole request

@@ -2,9 +2,9 @@
 //
 // The persistent serving daemon: a loopback TCP server speaking the
 // expmk-serve-v1 protocol (length-prefixed JSON frames; see DESIGN.md
-// "Serving layer") over the library's compile-once + batch-evaluate
-// machinery. One process holds the content-hash scenario cache, the
-// batching executor and the load-shedding policy; clients — see
+// "Serving layer") over the library's compile-once machinery. One
+// process holds the content-hash scenario cache, the request executor
+// and the load-shedding policy; clients — see
 // expmk_client.cpp for a reference implementation — send task graphs
 // (inline or by content hash) and get back the full certified estimate
 // surface plus cache/shed/timing metadata.
@@ -38,9 +38,6 @@ int main(int argc, char** argv) {
   cli.add_int("port", 0, "TCP port on 127.0.0.1 (0 = ephemeral)");
   cli.add_int("cache-mb", 256, "scenario cache byte budget in MiB");
   cli.add_int("shards", 8, "scenario cache shard count");
-  cli.add_int("batch", 64, "flush a batch at this many queued requests");
-  cli.add_double("batch-deadline-us", 250.0,
-                 "... or when the oldest request waited this long");
   cli.add_int("workers", 0, "evaluation threads (0 = hardware)");
   cli.add_int("queue-l1", 512, "queue depth for shed level 1");
   cli.add_int("queue-l2", 2048, "queue depth for shed level 2");
@@ -53,11 +50,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("cache-mb")) << 20;
   config.engine.cache_shards =
       static_cast<std::size_t>(cli.get_int("shards"));
-  config.engine.batch.max_batch =
-      static_cast<std::size_t>(cli.get_int("batch"));
-  config.engine.batch.deadline_us = cli.get_double("batch-deadline-us");
   config.engine.batch.eval_threads =
-      static_cast<std::size_t>(cli.get_int("workers"));
+      static_cast<std::size_t>(cli.get_count("workers"));
   config.engine.shed.queue_l1 =
       static_cast<std::size_t>(cli.get_int("queue-l1"));
   config.engine.shed.queue_l2 =

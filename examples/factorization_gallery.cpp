@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
   cli.add_int("k", 5, "tile count (the paper's figures use 5)");
   cli.add_string("outdir", ".", "directory for the .dot files");
   cli.parse(argc, argv);
+  if (cli.get_int("k") < 1) cli.fail("--k must be >= 1");
   const int k = static_cast<int>(cli.get_int("k"));
   const std::string outdir = cli.get_string("outdir");
 

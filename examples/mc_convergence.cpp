@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   cli.add_double("pfail", 0.01, "per-average-task failure probability");
   cli.add_int("seed", 17, "master seed");
   cli.parse(argc, argv);
+  if (cli.get_int("k") < 1) cli.fail("--k must be >= 1");
 
   const auto g = gen::cholesky_dag(static_cast<int>(cli.get_int("k")));
   // Monte-Carlo samples the paper's geometric retry model; the

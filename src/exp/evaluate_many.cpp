@@ -74,13 +74,9 @@ std::vector<EvalResult> evaluate_many(const scenario::Scenario& sc,
     for (std::size_t i = begin; i < end; ++i) {
       // Deterministic per-request seed: a pure function of (request seed
       // base, batch index) — duplicate requests decorrelate, and nothing
-      // depends on which worker the request landed on. A seed_final
-      // request (the serving batcher) already derived its seed upstream,
-      // so its result is additionally independent of the batch index.
+      // depends on which worker the request landed on.
       EvalOptions options = requests[i].options;
-      if (!requests[i].seed_final) {
-        options.seed = derive_seed(requests[i].options.seed, i);
-      }
+      options.seed = derive_seed(requests[i].options.seed, i);
       // Batch parallelism comes from the fan-out; nested engine threads
       // would oversubscribe the pool (and options.threads == 1 keeps
       // each MC evaluation's chunk merge on the one worker).

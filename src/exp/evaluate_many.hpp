@@ -1,9 +1,11 @@
 // exp/evaluate_many.hpp
 //
-// The batch front door for high-throughput serving: evaluate ONE compiled
-// scenario against a whole batch of estimate requests at once, fanned
-// out through util::for_each_chunk (the process-wide pool, the calling
-// thread included) with one pooled Workspace per participating thread.
+// The batch front door for throughput: evaluate ONE compiled scenario
+// against a whole batch of estimate requests at once, fanned out through
+// util::for_each_chunk (the process-wide pool, the calling thread
+// included) with one pooled Workspace per participating thread. The
+// serving daemon does not batch: its executor (serve/executor.hpp)
+// answers each request as soon as that request is evaluated.
 //
 // This is the first API in the library where "heavy traffic" is a
 // first-class input shape rather than a sweep grid: a serving deployment
@@ -54,13 +56,6 @@ struct EvalRequest {
   /// MC streams. `options.threads` is forced to 1 — batch parallelism
   /// comes from the request fan-out, not from nested engine threads.
   EvalOptions options{};
-  /// When true, `options.seed` reaches the evaluator VERBATIM instead of
-  /// the default derive_seed(options.seed, index). This is the serving
-  /// layer's hookup (src/serve/batcher.hpp): the batching executor
-  /// derives per-connection seeds UPSTREAM of batch formation, so a
-  /// request's result must not depend on which flush — or which position
-  /// within a flush — it happened to land in.
-  bool seed_final = false;
 };
 
 /// Evaluates every request against `sc` on `threads` workers (0 =

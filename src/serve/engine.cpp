@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "exp/evaluate_many.hpp"
 #include "exp/seeds.hpp"
 #include "graph/serialize.hpp"
 #include "scenario/content_hash.hpp"
@@ -42,7 +41,7 @@ ServeEngine::ServeEngine(const EngineConfig& config,
       cache_(config.cache_bytes, config.cache_shards),
       shed_(config.shed),
       planner_(exp::Planner::Config{}, registry),
-      batcher_(config.batch, registry) {}
+      executor_(config.batch) {}
 
 void ServeEngine::wait_shutdown() {
   std::unique_lock<std::mutex> lock(shutdown_m_);
@@ -63,7 +62,7 @@ EngineStats ServeEngine::stats() const {
 std::string ServeEngine::stats_payload() const {
   const EngineStats es = stats();
   const CacheStats cs = cache_.stats();
-  const BatchStats bs = batcher_.stats();
+  const ExecutorStats xs = executor_.stats();
 
   util::JsonWriter cache;
   cache.field("hits", cs.hits);
@@ -76,10 +75,9 @@ std::string ServeEngine::stats_payload() const {
   cache.field("bytes", cs.bytes);
 
   util::JsonWriter batch;
-  batch.field("submitted", bs.submitted);
-  batch.field("completed", bs.completed);
-  batch.field("flushes", bs.flushes);
-  batch.field("max_batch_seen", bs.max_batch_seen);
+  batch.field("submitted", xs.submitted);
+  batch.field("completed", xs.completed);
+  batch.field("flushes", xs.flushes);
 
   util::JsonWriter w;
   w.field("v", 1);
@@ -88,7 +86,7 @@ std::string ServeEngine::stats_payload() const {
   w.field("shed_degraded", es.shed_degraded);
   w.field("rejected", es.rejected);
   w.field("errors", es.errors);
-  w.field("queue_depth", batcher_.queue_depth());
+  w.field("queue_depth", executor_.queue_depth());
   w.field("p50_us", latency_.quantile(0.50));
   w.field("p99_us", latency_.quantile(0.99));
   w.object("cache", cache);
@@ -200,7 +198,8 @@ void ServeEngine::handle(std::string_view payload, Connection& conn,
     return;
   }
 
-  if (registry_.find(req.method) == nullptr) {
+  const exp::Evaluator* evaluator = registry_.find(req.method);
+  if (evaluator == nullptr) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     respond(error_response("unknown_method",
                            "no evaluator named \"" + req.method + "\"",
@@ -209,7 +208,7 @@ void ServeEngine::handle(std::string_view payload, Connection& conn,
   }
 
   // ---- admission: hard-limit reject, else the degrade ladder ----------
-  const std::size_t depth = batcher_.queue_depth();
+  const std::size_t depth = executor_.queue_depth();
   if (shed_.reject(depth)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     respond(error_response(
@@ -235,18 +234,20 @@ void ServeEngine::handle(std::string_view payload, Connection& conn,
   if (decision.degraded) {
     shed_degraded_.fetch_add(1, std::memory_order_relaxed);
   }
+  // The planner substitutes only methods it found in `registry_`.
+  if (decision.method != req.method) {
+    evaluator = registry_.find(decision.method);
+  }
 
   // ---- per-connection deterministic seed chain ------------------------
   const std::uint64_t request_index = conn.next_index++;
   const std::uint64_t derived_seed = exp::derive_seed(req.seed, request_index);
 
-  exp::EvalRequest eval;
-  eval.method = std::string(decision.method);
-  eval.options.mc_trials = decision.mc_trials;
-  eval.options.seed = derived_seed;
-  eval.options.dodin_atoms = static_cast<std::size_t>(req.dodin_atoms);
-  eval.options.sp_max_atoms = static_cast<std::size_t>(req.max_atoms);
-  eval.seed_final = true;  // the chain above IS the derivation
+  exp::EvalOptions options;
+  options.mc_trials = decision.mc_trials;
+  options.seed = derived_seed;  // the chain above IS the derivation
+  options.dodin_atoms = static_cast<std::size_t>(req.dodin_atoms);
+  options.sp_max_atoms = static_cast<std::size_t>(req.max_atoms);
 
   // Callback state (copied into the std::function): everything the
   // response needs, with owned strings — `req` dies when handle returns.
@@ -276,7 +277,7 @@ void ServeEngine::handle(std::string_view payload, Connection& conn,
   ctx->hash = hash;
   ctx->cache = std::string(outcome_name(outcome));
   ctx->method_requested = req.method;
-  ctx->method_used = eval.method;
+  ctx->method_used = std::string(decision.method);
   ctx->shed_level = decision.level;
   ctx->degraded = decision.degraded;
   ctx->trials_requested = req.trials;
@@ -289,8 +290,8 @@ void ServeEngine::handle(std::string_view payload, Connection& conn,
       ctx->plan_method, features, atoms_hint, decision.mc_trials);
   ctx->total = total;
 
-  batcher_.submit(
-      std::move(sc), std::move(eval),
+  executor_.submit(
+      std::move(sc), *evaluator, options,
       [this, ctx, respond = std::move(respond)](
           exp::EvalResult&& result) mutable {
         ResponseMeta meta;
@@ -322,7 +323,7 @@ void ServeEngine::handle(std::string_view payload, Connection& conn,
 
 std::string ServeEngine::handle_sync(std::string_view payload,
                                      Connection& conn) {
-  // The callback may run on the batch flusher thread, which can still be
+  // The callback may run on an executor worker, which can still be
   // inside notify_one() when the waiter observes done and returns — so
   // the synchronization state must outlive BOTH sides. Each side holds a
   // shared_ptr; whoever finishes last destroys the condvar.

@@ -1,27 +1,28 @@
 // serve/engine.hpp
 //
 // The transport-free core of the expmk serving daemon: one ServeEngine
-// owns the scenario cache, the batching executor, the shed policy and the
+// owns the scenario cache, the request executor, the shed policy and the
 // latency window, and maps request payloads (the JSON inside a frame) to
 // response payloads. The TCP server (serve/server.hpp) is a thin shell
 // that frames bytes in and out of handle(); every protocol behavior —
-// caching, batching determinism, the shed ladder, typed errors — is
-// testable against the engine alone (tests/test_serve.cpp).
+// caching, determinism, the shed ladder, typed errors — is testable
+// against the engine alone (tests/test_serve.cpp).
 //
 // Eval flow for one request:
 //   parse -> resolve scenario (content hash -> cache; inline graphs
 //   compile-on-miss under singleflight, by-hash requests must hit) ->
 //   admission (hard-limit reject, else the shed ladder possibly
 //   substitutes a cheaper method — ALWAYS reported in the response) ->
-//   derive the per-connection seed -> submit to the batcher. The response
-//   callback fires on the flusher thread once the batch containing the
-//   request completes.
+//   derive the per-connection seed -> submit to the executor. The
+//   response callback fires on an executor worker as soon as that one
+//   request has been evaluated, so responses may complete out of
+//   submission order.
 //
 // Determinism: request i on a connection evaluates under seed
-// derive_seed(request seed, i) marked seed_final, so its result is a pure
-// function of (cell, method, options, seed base, connection index) —
-// bitwise independent of batch formation and worker-thread count. The
-// derived seed is echoed in the response for standalone replay.
+// derive_seed(request seed, i), so its result is a pure function of
+// (cell, method, options, seed base, connection index) — bitwise
+// independent of completion order and worker-thread count. The derived
+// seed is echoed in the response for standalone replay.
 //
 // Connection state is one counter; the caller (server, test, bench) owns
 // a Connection per client stream and passes it to every handle() call.
@@ -39,8 +40,8 @@
 
 #include "exp/evaluator.hpp"
 #include "exp/plan.hpp"
-#include "serve/batcher.hpp"
 #include "serve/cache.hpp"
+#include "serve/executor.hpp"
 #include "serve/shed.hpp"
 
 namespace expmk::serve {
@@ -48,11 +49,13 @@ namespace expmk::serve {
 struct EngineConfig {
   std::size_t cache_bytes = 256u << 20;  ///< scenario cache byte budget
   std::size_t cache_shards = 8;
-  BatchConfig batch;
+  /// The executor's settings; the member keeps its historical name
+  /// (callers set `batch.eval_threads`).
+  ExecutorConfig batch;
   ShedConfig shed;
 };
 
-/// Counters surfaced in the STATS frame (beyond cache/batch stats).
+/// Counters surfaced in the STATS frame (beyond cache/executor stats).
 struct EngineStats {
   std::uint64_t requests = 0;       ///< eval requests admitted
   std::uint64_t shed_degraded = 0;  ///< evals with a substituted method/cap
@@ -68,7 +71,7 @@ class ServeEngine {
   };
 
   /// Receives exactly one response payload per handle() call. For eval
-  /// requests the callback fires LATER, on the batcher's flusher thread;
+  /// requests the callback fires LATER, on an executor worker thread;
   /// for everything else it fires before handle() returns.
   using ResponseFn = std::function<void(std::string&&)>;
 
@@ -100,10 +103,9 @@ class ServeEngine {
 
   // -------------------------------------------------------- observability
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
-  [[nodiscard]] BatchStats batch_stats() const { return batcher_.stats(); }
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return batcher_.queue_depth();
+    return executor_.queue_depth();
   }
   [[nodiscard]] const EngineConfig& config() const noexcept {
     return config_;
@@ -132,8 +134,8 @@ class ServeEngine {
   std::mutex shutdown_m_;
   std::condition_variable shutdown_cv_;
 
-  BatchExecutor batcher_;  // last: its destructor drains callbacks that
-                           // touch latency_ and the counters above
+  RequestExecutor executor_;  // last: its destructor drains callbacks
+                              // that touch latency_ and the counters above
 };
 
 }  // namespace expmk::serve

@@ -26,8 +26,8 @@
 // supported / note) plus serving metadata — the content hash, how the
 // cache served the scenario, the method REQUESTED vs the method RUN (the
 // load-shedding substitution is always reported, never silent), the
-// derived per-connection seed (replaying that seed standalone with
-// seed_final reproduces the response bit-for-bit), and timings.
+// derived per-connection seed (evaluating standalone under that seed
+// reproduces the response bit-for-bit), and timings.
 // {"type": "error", "code": ..., "message": ...} is the typed failure
 // surface; codes: bad_frame, bad_json, bad_request, bad_graph,
 // unknown_method, not_found, overloaded, internal.

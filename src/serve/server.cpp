@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -67,6 +68,11 @@ void TcpServer::accept_loop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return;  // listener closed or broken: stop accepting
     }
+    // Responses are small frames written as each request completes. With
+    // Nagle on, a frame written while an earlier one is unacknowledged
+    // waits for the peer's (possibly delayed, >= 40 ms) ACK.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto conn = std::make_shared<Conn>(fd);
     const std::lock_guard<std::mutex> lock(conns_m_);
     if (stopping_.load(std::memory_order_acquire)) {
@@ -123,8 +129,8 @@ void TcpServer::reader_loop(const std::shared_ptr<Conn>& conn) {
         ::shutdown(conn->fd, SHUT_RDWR);
         return;
       }
-      // The callback may fire on the batcher's flusher thread after this
-      // loop has moved on — it shares ownership of the Conn and checks
+      // The callback may fire on an executor worker after this loop has
+      // moved on — it shares ownership of the Conn and checks
       // `open` before touching the fd.
       engine_->handle(payload, state,
                       [this, conn](std::string&& response) {
@@ -156,7 +162,7 @@ void TcpServer::stop() {
     ::shutdown(conn->fd, SHUT_RDWR);
   }
   for (auto& [conn, thread] : conns) thread.join();
-  // In-flight batches drain when engine_ (and its BatchExecutor) is
+  // In-flight requests drain when engine_ (and its RequestExecutor) is
   // destroyed; their callbacks see open == false and drop the response.
 }
 

@@ -4,11 +4,13 @@
 // loopback socket, frame bytes in and out (util/framing.hpp), and let the
 // engine do everything else. Deliberately thin — one accept thread, one
 // reader thread per connection, blocking I/O — because the concurrency
-// that matters (evaluation fan-out, batching, singleflight compiles)
-// lives behind the engine, not in the socket layer.
+// that matters (evaluation workers, singleflight compiles) lives behind
+// the engine, not in the socket layer. Every accepted socket sets
+// TCP_NODELAY: each response is written the moment its request is
+// evaluated, and Nagle would hold it behind the peer's delayed ACK.
 //
-// Write path: eval responses fire on the batcher's flusher thread while
-// the reader is still parsing the next request, so every connection
+// Write path: eval responses fire on executor worker threads while the
+// reader is still parsing the next request, so every connection
 // carries a write mutex and an `open` flag. A failed or closed transport
 // flips `open`; late callbacks then drop their response instead of
 // writing to a dead (or worse, recycled) descriptor — the Conn object
@@ -19,7 +21,7 @@
 // engine's shutdown latch; the owner (expmk_serve's main) observes
 // wait_shutdown() and calls stop(). stop() closes the listener, wakes
 // every reader with shutdown(2), joins the threads, and leaves in-flight
-// batches to drain in the engine's destructor.
+// requests to drain in the engine's destructor.
 
 #pragma once
 

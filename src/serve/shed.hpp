@@ -1,6 +1,6 @@
 // serve/shed.hpp
 //
-// Degrade-don't-queue admission for the serving daemon. When the batch
+// Degrade-don't-queue admission for the serving daemon. When the request
 // queue deepens or the measured response p99 crosses a threshold, the
 // engine does NOT let latency grow unboundedly — it substitutes a
 // cheaper method and SAYS SO in the response (method_requested /
@@ -165,8 +165,9 @@ class LatencyWindow {
     return count_;
   }
 
-  /// The q-quantile (q in [0, 1]) of the held samples; 0 when empty.
-  /// Sorts a stack copy of the ring — bounded work, no allocation.
+  /// The q-quantile (q in [0, 1]) of the held samples at nearest rank;
+  /// 0 when empty. Selects on a stack copy of the ring — O(n) expected
+  /// work, no allocation.
   [[nodiscard]] double quantile(double q) const noexcept;
 
  private:

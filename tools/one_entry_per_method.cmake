@@ -34,7 +34,11 @@
 #     `empirical_quantile`, `transitive_reduction` or `dvfs_sweep`
 #     (DiscreteDistribution's quantile/cdf read captured samples, the DOT
 #     export draws the raw edge set, and the DVFS sweep lives in
-#     bench/ablation_dvfs.cpp).
+#     bench/ablation_dvfs.cpp), or
+#   * the serving batcher comes back: the identifiers `max_batch` or
+#     `flusher_loop` anywhere under src/, or an include of
+#     exp/evaluate_many.hpp under src/serve/ (the daemon evaluates each
+#     request on its own, serve/executor.hpp).
 #
 #   cmake -DSRC=<repo>/src -P tools/one_entry_per_method.cmake
 
@@ -72,6 +76,9 @@ set(merge_lanes_macro "EXPMK_MERGE_LANES")
 # Library modules with no caller outside their own tests.
 set(retired_module_include "#[ \t]*include[ \t]*\"(mc/histogram|graph/reachability|core/dvfs)\\.hpp\"")
 set(retired_module_api "(^|[^A-Za-z0-9_])(empirical_quantile|transitive_reduction|dvfs_sweep)([^A-Za-z0-9_]|$)")
+# The size-or-deadline batcher the serving executor replaced.
+set(retired_batcher_api "(^|[^A-Za-z0-9_])(max_batch|flusher_loop)([^A-Za-z0-9_]|$)")
+set(serve_batch_include "#[ \t]*include[ \t]*\"exp/evaluate_many\\.hpp\"")
 
 file(GLOB_RECURSE files "${SRC}/*")
 foreach(path IN LISTS files)
@@ -115,6 +122,18 @@ foreach(path IN LISTS files)
       list(APPEND violations "${rel}: retired library module: ${hit}")
     endforeach()
   endforeach()
+  file(STRINGS "${path}" hits REGEX "${retired_batcher_api}")
+  foreach(hit IN LISTS hits)
+    string(STRIP "${hit}" hit)
+    list(APPEND violations "${rel}: retired serving batcher: ${hit}")
+  endforeach()
+  if(rel MATCHES "^serve/")
+    file(STRINGS "${path}" hits REGEX "${serve_batch_include}")
+    foreach(hit IN LISTS hits)
+      string(STRIP "${hit}" hit)
+      list(APPEND violations "${rel}: serve/ batches through evaluate_many: ${hit}")
+    endforeach()
+  endif()
   if(NOT rel STREQUAL "mc/engine.hpp")
     file(STRINGS "${path}" hits REGEX "${chunk_definition}")
     foreach(hit IN LISTS hits)

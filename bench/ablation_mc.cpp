@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV");
   cli.parse(argc, argv);
 
+  if (cli.get_int("k") < 1) cli.fail("--k must be >= 1");
   const auto g = gen::cholesky_dag(static_cast<int>(cli.get_int("k")));
   const double pfail = cli.get_double("pfail");
   // Plain and control-variate MC sample the paper's geometric simulator;

@@ -6,7 +6,7 @@
 // meets it — the overkill picks people actually make (200k-trial MC for
 // two-digit accuracy, exact enumeration on a 20-task graph, a
 // 2048-atom Dodin sweep, a maxed-out sp atom budget) — and times it
-// against exp::plan() with the same target, which substitutes the
+// against an exp::Planner with the same target, which substitutes the
 // cheapest method/knob sizing predicted AND verified to deliver it.
 //
 // On oracle-sized cells (<= 24 tasks) both answers are checked against

@@ -17,7 +17,9 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <thread>
 
 #include "serve/server.hpp"
@@ -44,20 +46,28 @@ int main(int argc, char** argv) {
   cli.add_int("queue-hard", 8192, "queue depth to reject outright");
   cli.parse(argc, argv);
 
+  const std::int64_t port = cli.get_int("port");
+  if (port < 0 || port > 65535) cli.fail("--port must be in [0, 65535]");
+  const std::uint64_t cache_mb = cli.get_count("cache-mb");
+  if (cache_mb > (std::numeric_limits<std::size_t>::max() >> 20)) {
+    cli.fail("--cache-mb is too large");
+  }
+  // The cache picks a shard from the key's top 16 bits.
+  const std::uint64_t shards = cli.get_count("shards");
+  if (shards > 65536) cli.fail("--shards must be <= 65536");
+
   serve::ServerConfig config;
-  config.port = static_cast<int>(cli.get_int("port"));
-  config.engine.cache_bytes =
-      static_cast<std::size_t>(cli.get_int("cache-mb")) << 20;
-  config.engine.cache_shards =
-      static_cast<std::size_t>(cli.get_int("shards"));
+  config.port = static_cast<int>(port);
+  config.engine.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
+  config.engine.cache_shards = static_cast<std::size_t>(shards);
   config.engine.batch.eval_threads =
       static_cast<std::size_t>(cli.get_count("workers"));
   config.engine.shed.queue_l1 =
-      static_cast<std::size_t>(cli.get_int("queue-l1"));
+      static_cast<std::size_t>(cli.get_count("queue-l1"));
   config.engine.shed.queue_l2 =
-      static_cast<std::size_t>(cli.get_int("queue-l2"));
+      static_cast<std::size_t>(cli.get_count("queue-l2"));
   config.engine.shed.queue_hard =
-      static_cast<std::size_t>(cli.get_int("queue-hard"));
+      static_cast<std::size_t>(cli.get_count("queue-hard"));
 
   serve::TcpServer server(config);
   try {

@@ -590,10 +590,4 @@ PlannedResult Planner::run(const scenario::Scenario& sc,
   return run(sc, budget, base, Workspace::local());
 }
 
-PlannedResult plan(const scenario::Scenario& sc, const PlanBudget& budget,
-                   const EvalOptions& base) {
-  static Planner planner;  // process-wide shared EWMA state
-  return planner.run(sc, budget, base, Workspace::local());
-}
-
 }  // namespace expmk::exp

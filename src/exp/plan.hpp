@@ -39,9 +39,8 @@
 //     MC via mc::plan_with_pilot). Every attempt lands in the PlanReport.
 //
 // Determinism: select() is a pure function of (features, budget, model
-// state); with the EWMA disabled (Config::enable_ewma = false, the
-// evaluate_many planned mode) the whole plan is a pure function of the
-// request, so planned batches stay bitwise independent of thread count.
+// state); with the EWMA disabled (Config::enable_ewma = false) the whole
+// plan is a pure function of the request and the committed coefficients.
 
 #pragma once
 
@@ -236,9 +235,8 @@ struct PlannedResult {
 class Planner {
  public:
   struct Config {
-    /// Disable for bitwise-reproducible planning (evaluate_many's planned
-    /// mode): decisions become a pure function of features + committed
-    /// coefficients.
+    /// Disable for bitwise-reproducible planning: decisions become a pure
+    /// function of features + committed coefficients.
     bool enable_ewma = true;
   };
 
@@ -284,11 +282,5 @@ class Planner {
   const Evaluator* bounds_upper_ = nullptr;
   mutable CostModel model_;
 };
-
-/// One-shot convenience over a process-wide self-tuning Planner (shared
-/// EWMA state, default config).
-[[nodiscard]] PlannedResult plan(const scenario::Scenario& sc,
-                                 const PlanBudget& budget,
-                                 const EvalOptions& base = {});
 
 }  // namespace expmk::exp

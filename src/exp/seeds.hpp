@@ -1,7 +1,7 @@
 // exp/seeds.hpp
 //
 // Deterministic (parent, index) -> seed derivation shared by the sweep
-// runner and the evaluate_many batch front door — the same splitmix
+// runner and the serving engine — the same splitmix
 // construction the MC engine uses for per-trial streams: nearby indices
 // yield unrelated seeds, and nothing depends on thread scheduling.
 

@@ -35,7 +35,7 @@
 //  * Thread affinity: a Workspace is NOT thread-safe — one thread at a
 //    time. The canonical deployment is one workspace per worker thread
 //    (Workspace::local() is the thread-local pool that exp::SweepRunner
-//    and exp::evaluate_many lease from).
+//    and the serving executor lease from).
 //
 // Frames nest: a kernel that calls another workspace kernel simply sees
 // its callee open and close an inner frame above its own leases.
@@ -125,9 +125,9 @@ class Workspace {
   [[nodiscard]] std::size_t bytes_reserved() const noexcept;
 
   /// The calling thread's pooled workspace. This is what the workspace-
-  /// less Evaluator::evaluate overload, exp::SweepRunner workers and
-  /// exp::evaluate_many lease from: one pooled workspace per worker
-  /// thread, created on first use and alive until the thread exits.
+  /// less Evaluator::evaluate overload, exp::SweepRunner workers and the
+  /// serving executor's workers lease from: one pooled workspace per
+  /// worker thread, created on first use and alive until the thread exits.
   [[nodiscard]] static Workspace& local();
 
   /// Process-wide count of Workspace constructions — the metrics hook the

@@ -7,8 +7,6 @@
 //    the choice is predicted under the deadline and marked feasible;
 //  * delivered accuracy vs the exact oracle on a DAG x pfail x target
 //    grid (all cells <= 24 tasks, so `exact` is available as truth);
-//  * planned evaluate_many batches stay bitwise independent of thread
-//    count (the EWMA-disabled shared-planner contract);
 //  * CostModel EWMA: correction moves toward the observed ratio, the
 //    per-update ratio is clamped to [1/4, 4], disabled EWMA is a no-op;
 //  * PlanBudget validation and the method-name round trip.
@@ -21,7 +19,6 @@
 #include <vector>
 
 #include "core/failure_model.hpp"
-#include "exp/evaluate_many.hpp"
 #include "exp/evaluator.hpp"
 #include "exp/plan.hpp"
 #include "gen/random_dags.hpp"
@@ -34,8 +31,6 @@ using expmk::core::calibrate;
 using expmk::core::RetryModel;
 using expmk::exp::CostFeatures;
 using expmk::exp::CostModel;
-using expmk::exp::EvalRequest;
-using expmk::exp::evaluate_many;
 using expmk::exp::EvaluatorRegistry;
 using expmk::exp::kPlanMethodCount;
 using expmk::exp::plan_features;
@@ -225,56 +220,6 @@ TEST(PlanRun, ReportRecordsEveryAttempt) {
   EXPECT_EQ(pr.report.escalations,
             static_cast<int>(pr.report.steps.size()) - 1);
   EXPECT_EQ(pr.report.method_name, plan_method_name(pr.report.method));
-}
-
-TEST(PlanEvaluateMany, PlannedBatchBitIdenticalAcrossThreadCounts) {
-  // Planned requests route through a shared EWMA-disabled planner, so a
-  // planned batch must stay a pure function of the request — bitwise
-  // identical for any worker thread count, exactly like explicit ones.
-  const Scenario sc = compile(expmk::gen::erdos_dag(14, 0.25, 21), 0.01);
-  std::vector<EvalRequest> requests;
-  {
-    EvalRequest req;  // target-only
-    req.budget.target_rel_err = 1e-2;
-    requests.push_back(req);
-  }
-  {
-    EvalRequest req;  // deadline-only
-    req.budget.deadline_us = 1e5;
-    requests.push_back(req);
-  }
-  {
-    EvalRequest req;  // tighter target: a different method than cell 0
-    req.budget.target_rel_err = 1e-3;
-    req.options.seed = 77;
-    requests.push_back(req);
-  }
-  {
-    EvalRequest req;  // explicit method rides in the same batch
-    req.method = "fo";
-    requests.push_back(req);
-  }
-
-  const auto one = evaluate_many(sc, requests, 1);
-  ASSERT_EQ(one.size(), requests.size());
-  for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
-    EXPECT_NE(one[i].note.find("planned: "), std::string::npos) << i;
-  }
-  EXPECT_EQ(one.back().note.find("planned: "), std::string::npos);
-
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-    const auto many = evaluate_many(sc, requests, threads);
-    ASSERT_EQ(many.size(), one.size());
-    for (std::size_t i = 0; i < one.size(); ++i) {
-      const std::string where =
-          "threads " + std::to_string(threads) + " / index " +
-          std::to_string(i);
-      EXPECT_EQ(many[i].supported, one[i].supported) << where;
-      EXPECT_EQ(many[i].note, one[i].note) << where;
-      EXPECT_EQ(many[i].mean, one[i].mean) << where;
-      EXPECT_EQ(many[i].std_error, one[i].std_error) << where;
-    }
-  }
 }
 
 TEST(PlanCostModel, EwmaMovesTowardObservationAndClamps) {

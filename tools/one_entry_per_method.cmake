@@ -36,9 +36,12 @@
 #     export draws the raw edge set, and the DVFS sweep lives in
 #     bench/ablation_dvfs.cpp), or
 #   * the serving batcher comes back: the identifiers `max_batch` or
-#     `flusher_loop` anywhere under src/, or an include of
-#     exp/evaluate_many.hpp under src/serve/ (the daemon evaluates each
-#     request on its own, serve/executor.hpp).
+#     `flusher_loop` anywhere under src/ (the daemon evaluates each
+#     request on its own, serve/executor.hpp), or
+#   * the batch front door comes back: `evaluate_many` or `EvalRequest`
+#     in any file under src/, examples/ or bench/ (one cell goes through
+#     Evaluator::evaluate, a grid through exp::SweepRunner, a request
+#     stream through the serving executor).
 #
 #   cmake -DSRC=<repo>/src -P tools/one_entry_per_method.cmake
 
@@ -78,7 +81,8 @@ set(retired_module_include "#[ \t]*include[ \t]*\"(mc/histogram|graph/reachabili
 set(retired_module_api "(^|[^A-Za-z0-9_])(empirical_quantile|transitive_reduction|dvfs_sweep)([^A-Za-z0-9_]|$)")
 # The size-or-deadline batcher the serving executor replaced.
 set(retired_batcher_api "(^|[^A-Za-z0-9_])(max_batch|flusher_loop)([^A-Za-z0-9_]|$)")
-set(serve_batch_include "#[ \t]*include[ \t]*\"exp/evaluate_many\\.hpp\"")
+# The batch front door, retired with its one bench.
+set(retired_batch_api "evaluate_many|EvalRequest")
 
 file(GLOB_RECURSE files "${SRC}/*")
 foreach(path IN LISTS files)
@@ -127,13 +131,6 @@ foreach(path IN LISTS files)
     string(STRIP "${hit}" hit)
     list(APPEND violations "${rel}: retired serving batcher: ${hit}")
   endforeach()
-  if(rel MATCHES "^serve/")
-    file(STRINGS "${path}" hits REGEX "${serve_batch_include}")
-    foreach(hit IN LISTS hits)
-      string(STRIP "${hit}" hit)
-      list(APPEND violations "${rel}: serve/ batches through evaluate_many: ${hit}")
-    endforeach()
-  endif()
   if(NOT rel STREQUAL "mc/engine.hpp")
     file(STRINGS "${path}" hits REGEX "${chunk_definition}")
     foreach(hit IN LISTS hits)
@@ -141,6 +138,17 @@ foreach(path IN LISTS files)
       list(APPEND violations "${rel}: kEngineChunks defined outside mc/engine.hpp: ${hit}")
     endforeach()
   endif()
+endforeach()
+
+get_filename_component(root "${SRC}" DIRECTORY)
+file(GLOB_RECURSE clients "${root}/src/*" "${root}/examples/*" "${root}/bench/*")
+foreach(path IN LISTS clients)
+  file(RELATIVE_PATH rel "${root}" "${path}")
+  file(STRINGS "${path}" hits REGEX "${retired_batch_api}")
+  foreach(hit IN LISTS hits)
+    string(STRIP "${hit}" hit)
+    list(APPEND violations "${rel}: retired batch front door: ${hit}")
+  endforeach()
 endforeach()
 
 list(LENGTH headers header_count)

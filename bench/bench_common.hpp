@@ -28,9 +28,9 @@ namespace expmk::bench {
 using JsonWriter = util::JsonWriter;
 
 /// Strict positional arguments for the plain-main benches: the whole
-/// token must parse (no trailing junk), a count must be >= 1 and a pfail
-/// must lie in (0, 1). Anything else prints `usage` and exits 2 instead
-/// of running zero reps (or a nonsense rate) and writing a bogus JSON.
+/// token must parse (no trailing junk) and a count must be >= 1. Anything
+/// else prints `usage` and exits 2 instead of running zero reps and
+/// writing a bogus JSON.
 [[noreturn]] inline void usage_exit(const char* usage, const char* bad) {
   std::fprintf(stderr, "invalid argument '%s'\nusage: %s\n", bad, usage);
   std::exit(2);
@@ -46,16 +46,6 @@ inline std::uint64_t count_arg(int argc, char** argv, int i,
   if (s[0] == '-' || end == s || *end != '\0' || errno == ERANGE || v == 0) {
     usage_exit(usage, s);
   }
-  return v;
-}
-
-inline double pfail_arg(int argc, char** argv, int i, double fallback,
-                        const char* usage) {
-  if (i >= argc) return fallback;
-  const char* s = argv[i];
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || !(v > 0.0 && v < 1.0)) usage_exit(usage, s);
   return v;
 }
 

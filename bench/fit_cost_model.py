@@ -11,10 +11,9 @@ cost_work() in src/exp/plan.cpp — change one, change both) and `coeff` is
 the us-per-unit-work constant this script fits from the committed
 benchmark corpus:
 
-    BENCH_workspace.json   fo/so/corlca/clark pooled steady-state rows
-    BENCH_scenario.json    fo/so/sculli/corlca/bounds/mc compiled rows
-    BENCH_mc.json          the CSR MC engine ns_per_trial row
-    BENCH_dist.json        sp/dodin end-to-end flat rows (tasks/edges/atoms)
+    BENCH_corpus.json    bench_corpus's rows: fo/so/sculli/corlca/clark/
+                         bounds/mc/sp/dodin per-call us with their
+                         tasks/edges/atoms/trials features
     bench/baselines/scale_v1/BENCH_scale.json   fo + sp.hier at 1e4..1e6 tasks
 
 The fit is the geometric mean of us/work over a method's rows — the
@@ -95,30 +94,9 @@ def load(path: str):
 
 def collect_rows(repo: str):
     """Yields (method, us, tasks, edges, atoms, trials) observations."""
-    rows = []
-
-    ws = load(os.path.join(repo, "BENCH_workspace.json"))
-    for r in ws.get("rows", []):
-        rows.append((r["method"], r["pooled_us"], r["tasks"], r["edges"],
-                     0.0, 0.0))
-
-    sc = load(os.path.join(repo, "BENCH_scenario.json"))
-    for m in sc.get("methods", []):
-        name = m["method"]
-        if name.startswith("bounds"):
-            name = "bounds"
-        rows.append((name, m["compiled_us"], sc["tasks"], sc["edges"], 0.0,
-                     float(sc.get("mc_trials", 0))))
-
-    mc = load(os.path.join(repo, "BENCH_mc.json"))
-    rows.append(("mc", mc["csr"]["seconds"] * 1e6, mc["tasks"], mc["edges"],
-                 0.0, float(mc["trials"])))
-
-    dist = load(os.path.join(repo, "BENCH_dist.json"))
-    for r in dist.get("rows", []):
-        if r.get("op") in ("sp", "dodin") and "tasks" in r:
-            rows.append((r["op"], r["flat_us"], r["tasks"], r["edges"],
-                         float(r["atoms"]), 0.0))
+    corpus = load(os.path.join(repo, "BENCH_corpus.json"))
+    rows = [(r["method"], r["us"], r["tasks"], r["edges"], float(r["atoms"]),
+             float(r["trials"])) for r in corpus["rows"]]
 
     scale = load(
         os.path.join(repo, "bench", "baselines", "scale_v1",

@@ -20,10 +20,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <thread>
 
 #include "serve/server.hpp"
 #include "util/cli.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -56,12 +58,20 @@ int main(int argc, char** argv) {
   const std::uint64_t shards = cli.get_count("shards");
   if (shards > 65536) cli.fail("--shards must be <= 65536");
 
+  // Each worker is an OS thread started with the server; more than the
+  // hardware runs at once only queue behind each other.
+  const std::uint64_t workers = cli.get_count("workers");
+  const std::size_t hardware = util::resolve_threads(0);
+  if (workers > hardware) {
+    cli.fail("--workers must be <= " + std::to_string(hardware) +
+             " (the hardware thread count)");
+  }
+
   serve::ServerConfig config;
   config.port = static_cast<int>(port);
   config.engine.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
   config.engine.cache_shards = static_cast<std::size_t>(shards);
-  config.engine.batch.eval_threads =
-      static_cast<std::size_t>(cli.get_count("workers"));
+  config.engine.batch.eval_threads = static_cast<std::size_t>(workers);
   config.engine.shed.queue_l1 =
       static_cast<std::size_t>(cli.get_count("queue-l1"));
   config.engine.shed.queue_l2 =

@@ -132,8 +132,7 @@ class Scenario {
 
   /// Total Scenario::compile calls in this process — the metrics hook the
   /// compile-once contract is pinned with (tests/test_scenario.cpp asserts
-  /// a sweep row compiles one scenario per cell; bench_scenario reports
-  /// the per-call vs compiled delta).
+  /// a sweep row compiles one scenario per cell).
   [[nodiscard]] static std::uint64_t compiled_count() noexcept;
 
   /// Total patch()/with_failure() clones in this process — the serving

@@ -35,7 +35,8 @@ ScenarioCache::ScenarioCache(std::size_t byte_budget, std::size_t shards)
       shards_(std::max<std::size_t>(1, shards)) {}
 
 void ScenarioCache::insert_locked(Shard& s, std::uint64_t key,
-                                  ScenarioPtr sc) {
+                                  std::uint64_t structure_key,
+                                  ScenarioPtr sc, Evicted& evicted) {
   const auto found = s.entries.find(key);
   if (found != s.entries.end()) {
     // A racing caller landed the same key first (possible when an entry
@@ -46,6 +47,7 @@ void ScenarioCache::insert_locked(Shard& s, std::uint64_t key,
   Entry e;
   e.bytes = scenario_footprint_bytes(*sc);
   e.scenario = std::move(sc);
+  e.structure_key = structure_key;
   e.lru_pos = s.lru.begin();
   s.bytes += e.bytes;
   s.entries.emplace(key, std::move(e));
@@ -56,6 +58,7 @@ void ScenarioCache::insert_locked(Shard& s, std::uint64_t key,
     const std::uint64_t victim = s.lru.back();
     const auto it = s.entries.find(victim);
     s.bytes -= it->second.bytes;
+    evicted.emplace_back(it->second.structure_key, victim);
     s.entries.erase(it);
     s.lru.pop_back();
     ++s.evictions;
@@ -153,10 +156,17 @@ ScenarioCache::ScenarioPtr ScenarioCache::get_or_compile(
     }
   }
 
+  // Index before inserting: an eviction that follows the insert then
+  // always finds this slot to erase.
+  if (error == nullptr && patch != nullptr) {
+    const std::lock_guard<std::mutex> lock(structure_m_);
+    structure_index_[structure_key] = key;
+  }
+  Evicted evicted;
   {
     const std::lock_guard<std::mutex> lock(s.m);
     if (error == nullptr) {
-      insert_locked(s, key, sc);
+      insert_locked(s, key, structure_key, sc, evicted);
       if (was_patch) {
         ++s.patched;
       } else {
@@ -167,9 +177,14 @@ ScenarioCache::ScenarioPtr ScenarioCache::get_or_compile(
     // request retries (the failure may have been transient input).
     s.inflight.erase(key);
   }
-  if (error == nullptr && patch != nullptr) {
+  if (!evicted.empty()) {
     const std::lock_guard<std::mutex> lock(structure_m_);
-    structure_index_[structure_key] = key;
+    for (const auto& [skey, victim] : evicted) {
+      const auto it = structure_index_.find(skey);
+      if (it != structure_index_.end() && it->second == victim) {
+        structure_index_.erase(it);
+      }
+    }
   }
   {
     const std::lock_guard<std::mutex> lock(ticket->m);
@@ -214,6 +229,8 @@ CacheStats ScenarioCache::stats() const {
     out.entries += s.entries.size();
     out.bytes += s.bytes;
   }
+  const std::lock_guard<std::mutex> lock(structure_m_);
+  out.structures = structure_index_.size();
   return out;
 }
 

@@ -27,7 +27,7 @@
 // finish safely (Scenario is immutable and thread-shareable).
 //
 // Counters (hits / misses / coalesced / compiles / evictions / bytes /
-// entries) are exposed in every response and the STATS frame.
+// entries / structures) are exposed in the STATS frame.
 
 #pragma once
 
@@ -39,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "scenario/scenario.hpp"
@@ -55,6 +56,7 @@ struct CacheStats {
   std::uint64_t evictions = 0;  ///< entries dropped by the byte budget
   std::uint64_t entries = 0;    ///< live entries right now
   std::uint64_t bytes = 0;      ///< estimated bytes cached right now
+  std::uint64_t structures = 0; ///< structure keys indexed for patching
 };
 
 /// Rough footprint of one compiled Scenario in bytes — the eviction
@@ -136,8 +138,12 @@ class ScenarioCache {
   struct Entry {
     ScenarioPtr scenario;
     std::size_t bytes = 0;
+    std::uint64_t structure_key = 0;
     std::list<std::uint64_t>::iterator lru_pos;
   };
+
+  /// An evicted entry's (structure key, content key), for unindexing.
+  using Evicted = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
   struct Shard {
     mutable std::mutex m;
@@ -157,8 +163,10 @@ class ScenarioCache {
   }
 
   /// Inserts under the shard lock (caller holds it) and evicts past the
-  /// budget. Returns the number of evictions performed.
-  void insert_locked(Shard& s, std::uint64_t key, ScenarioPtr sc);
+  /// budget, appending each evicted entry to `evicted`.
+  void insert_locked(Shard& s, std::uint64_t key,
+                     std::uint64_t structure_key, ScenarioPtr sc,
+                     Evicted& evicted);
 
   /// A live cached entry for `key` without counter or LRU side effects
   /// (sibling resolution must not distort the hit/miss telemetry).
@@ -169,8 +177,10 @@ class ScenarioCache {
 
   // structure key -> most recent content key inserted under it. Own lock,
   // never held together with a shard lock (all accesses copy and
-  // release). Entries may point at evicted keys; peek() just misses then.
-  std::mutex structure_m_;
+  // release). A key is indexed before its entry is inserted, and an
+  // eviction erases the slot if it still names the evicted key, so the
+  // index never outgrows the live entries.
+  mutable std::mutex structure_m_;
   std::map<std::uint64_t, std::uint64_t> structure_index_;
 };
 

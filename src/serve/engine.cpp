@@ -73,6 +73,7 @@ std::string ServeEngine::stats_payload() const {
   cache.field("evictions", cs.evictions);
   cache.field("entries", cs.entries);
   cache.field("bytes", cs.bytes);
+  cache.field("structures", cs.structures);
 
   util::JsonWriter batch;
   batch.field("submitted", xs.submitted);
@@ -249,72 +250,37 @@ void ServeEngine::handle(std::string_view payload, Connection& conn,
   options.dodin_atoms = static_cast<std::size_t>(req.dodin_atoms);
   options.sp_max_atoms = static_cast<std::size_t>(req.max_atoms);
 
-  // Callback state (copied into the std::function): everything the
-  // response needs, with owned strings — `req` dies when handle returns.
-  struct Ctx {
-    bool has_id;
-    std::uint64_t id;
-    std::uint64_t hash;
-    std::string cache;
-    std::string method_requested;
-    std::string method_used;
-    int shed_level;
-    bool degraded;
-    std::uint64_t trials_requested;
-    std::uint64_t trials_used;
-    std::uint64_t seed;
-    std::uint64_t request_index;
-    std::uint64_t derived_seed;
-    /// EWMA feedback: the cost model's prediction for the method that
-    /// actually ran, folded back in when its measured time arrives.
-    exp::PlanMethod plan_method;
-    double predicted_us;
-    util::Timer total;
-  };
-  auto ctx = std::make_shared<Ctx>();
-  ctx->has_id = req.has_id;
-  ctx->id = req.id;
-  ctx->hash = hash;
-  ctx->cache = std::string(outcome_name(outcome));
-  ctx->method_requested = req.method;
-  ctx->method_used = std::string(decision.method);
-  ctx->shed_level = decision.level;
-  ctx->degraded = decision.degraded;
-  ctx->trials_requested = req.trials;
-  ctx->trials_used = decision.mc_trials;
-  ctx->seed = req.seed;
-  ctx->request_index = request_index;
-  ctx->derived_seed = derived_seed;
-  ctx->plan_method = exp::plan_method_from_name(decision.method);
-  ctx->predicted_us = planner_.model().predict_us(
-      ctx->plan_method, features, atoms_hint, decision.mc_trials);
-  ctx->total = total;
+  ResponseMeta meta;
+  meta.has_id = req.has_id;
+  meta.id = req.id;
+  meta.hash = hash;
+  meta.cache = outcome_name(outcome);
+  meta.method_requested = req.method;
+  meta.method_used = decision.method;
+  meta.shed_level = decision.level;
+  meta.degraded = decision.degraded;
+  meta.trials_requested = req.trials;
+  meta.trials_used = decision.mc_trials;
+  meta.seed = req.seed;
+  meta.request_index = request_index;
+  meta.derived_seed = derived_seed;
+  // EWMA feedback: the cost model's prediction for the method that
+  // actually ran, folded back in when its measured time arrives.
+  const exp::PlanMethod plan_method =
+      exp::plan_method_from_name(decision.method);
+  const double predicted_us = planner_.model().predict_us(
+      plan_method, features, atoms_hint, decision.mc_trials);
 
   executor_.submit(
       std::move(sc), *evaluator, options,
-      [this, ctx, respond = std::move(respond)](
-          exp::EvalResult&& result) mutable {
-        ResponseMeta meta;
-        meta.has_id = ctx->has_id;
-        meta.id = ctx->id;
-        meta.hash = ctx->hash;
-        meta.cache = ctx->cache;
-        meta.method_requested = ctx->method_requested;
-        meta.method_used = ctx->method_used;
-        meta.shed_level = ctx->shed_level;
-        meta.degraded = ctx->degraded;
-        meta.trials_requested = ctx->trials_requested;
-        meta.trials_used = ctx->trials_used;
-        meta.seed = ctx->seed;
-        meta.request_index = ctx->request_index;
-        meta.derived_seed = ctx->derived_seed;
-        meta.total_us = ctx->total.seconds() * 1e6;
+      [this, meta = std::move(meta), plan_method, predicted_us, total,
+       respond = std::move(respond)](exp::EvalResult&& result) mutable {
+        meta.total_us = total.seconds() * 1e6;
         latency_.record(meta.total_us);
         // Close the loop: predicted vs measured evaluation cost tunes
         // the planner's per-method EWMA correction for this host.
-        if (ctx->plan_method != exp::PlanMethod::kCount &&
-            result.supported) {
-          planner_.model().observe(ctx->plan_method, ctx->predicted_us,
+        if (plan_method != exp::PlanMethod::kCount && result.supported) {
+          planner_.model().observe(plan_method, predicted_us,
                                    result.seconds * 1e6);
         }
         respond(result_response(result, meta));

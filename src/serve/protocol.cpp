@@ -153,8 +153,8 @@ std::string result_response(const exp::EvalResult& result,
   if (meta.has_id) w.field("id", meta.id);
   w.field("hash", scenario::content_hash_hex(meta.hash));
   w.field("cache", std::string(meta.cache));
-  w.field("method_requested", std::string(meta.method_requested));
-  w.field("method", std::string(meta.method_used));
+  w.field("method_requested", meta.method_requested);
+  w.field("method", meta.method_used);
   w.field("shed_level", meta.shed_level);
   w.field("degraded", meta.degraded);
   w.field("trials_requested", meta.trials_requested);

@@ -99,8 +99,8 @@ struct ResponseMeta {
   std::uint64_t id = 0;
   std::uint64_t hash = 0;           ///< content hash of the cell
   std::string_view cache;           ///< "hit" | "miss" | "coalesced"
-  std::string_view method_requested;
-  std::string_view method_used;     ///< after the shed ladder
+  std::string method_requested;
+  std::string method_used;          ///< after the shed ladder
   int shed_level = 0;
   bool degraded = false;
   std::uint64_t trials_requested = 0;

@@ -1,7 +1,7 @@
 // util/json_writer.hpp
 //
 // Minimal machine-readable JSON emitter for experiment/bench artifacts
-// (BENCH_mc.json, the sweep subsystem's sweep.json): objects of numbers,
+// (BENCH_corpus.json, the sweep subsystem's sweep.json): objects of numbers,
 // strings and booleans, nestable objects and arrays of objects — enough
 // for artifact tracking across PRs without dragging in a JSON dependency.
 // Doubles are printed with 17 significant digits so bit-level comparisons

@@ -8,7 +8,9 @@
 //    everyone shares the pointer;
 //  * a failing compile poisons nobody — every waiter gets the exception,
 //    the key is NOT cached, and a later request retries;
-//  * lookup() (the by-hash protocol path) never compiles.
+//  * lookup() (the by-hash protocol path) never compiles;
+//  * the structure index behind patch-on-miss drops evicted keys, so a
+//    stream of distinct graphs cannot grow it past the live entries.
 
 #include <gtest/gtest.h>
 
@@ -176,6 +178,40 @@ TEST(ServeCache, LookupNeverCompiles) {
   (void)cache.get_or_compile(99, [] { return compile_cell(0.01); });
   EXPECT_NE(cache.lookup(99, &outcome), nullptr);
   EXPECT_EQ(outcome, ScenarioCache::Outcome::Hit);
+}
+
+TEST(ServeCache, StructureIndexShrinksWithEviction) {
+  // 1,000 distinct chain structures through a budget of a few entries:
+  // every eviction must take its structure slot along.
+  const auto chain = [](int i) {
+    expmk::graph::Dag g = expmk::graph::Dag::with_tasks(4, 1.0);
+    for (expmk::graph::TaskId t = 0; t + 1 < 4; ++t) g.add_edge(t, t + 1);
+    g.set_weight(0, 1.0 + i);
+    return std::make_shared<const Scenario>(
+        Scenario::compile(g, FailureSpec::uniform(0.01)));
+  };
+  const std::size_t one = expmk::serve::scenario_footprint_bytes(*chain(0));
+  ScenarioCache cache(4 * one, /*shards=*/1);
+  const auto patch = [](const Scenario& sibling) {
+    return std::make_shared<const Scenario>(
+        sibling.with_failure(FailureSpec::uniform(0.02)));
+  };
+  for (int i = 0; i < 1000; ++i) {
+    const auto key = static_cast<std::uint64_t>(i + 1);
+    (void)cache.get_or_compile(key, /*structure_key=*/key << 20, patch,
+                               [&] { return chain(i); });
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_GE(stats.evictions, 990u);
+  EXPECT_GT(stats.structures, 0u);
+  EXPECT_LE(stats.structures, stats.entries);
+
+  // The index still serves patch-on-miss: a sibling of a live entry is
+  // patched, not compiled.
+  ScenarioCache::Outcome outcome{};
+  (void)cache.get_or_compile(5000, /*structure_key=*/1000ull << 20, patch,
+                             [&] { return chain(999); }, &outcome);
+  EXPECT_EQ(outcome, ScenarioCache::Outcome::Patched);
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 // registry evaluator on the cells bench/fit_cost_model.py fits the
 // planner's per-method coefficients from. Every cell is timed through
 // Evaluator::evaluate(sc, opt, ws), the call the planner predicts, at
-// threads = 1 on a warm workspace: one warm-up call, then the mean over
-// the timed calls. Emits BENCH_corpus.json, whose rows are exactly the
-// fit's tuple (method, us, tasks, edges, atoms, trials).
+// threads = 1 on a warm workspace: one warm-up call, then each timed call
+// on its own. A row's `us` is the median per-call time, so one preempted
+// call cannot move it, and `us_q1`/`us_q3` are the quartiles that show
+// the spread. Emits BENCH_corpus.json, whose rows carry the fit's tuple
+// (method, us, tasks, edges, atoms, trials) plus the two quartiles.
 //
 // The cells: fo/so/corlca/clark on Erdos DAGs of 20..100 tasks (the
 // serving regime), the closed forms and a 2,000-trial mc on LU k=10, the
@@ -41,6 +43,15 @@ using namespace expmk;
 
 double checksum_guard = 0.0;  // keeps the timed calls from eliding
 
+/// The q-quantile of ascending `xs`, interpolated between the two
+/// nearest ranks.
+double quantile(const std::vector<double>& xs, double q) {
+  const double rank = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (rank - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+}
+
 /// Times `calls` calls of `evaluator` on `sc` after one warm-up call and
 /// returns the corpus row. `atoms` is the sp/dodin budget, `trials` the
 /// mc trial count (0 where the method reads neither).
@@ -63,24 +74,31 @@ bench::JsonWriter time_cell(const scenario::Scenario& sc,
                  evaluator, sc.task_count(), warm.note.c_str());
     std::exit(1);
   }
-  const util::Timer timer;
-  for (std::uint64_t i = 0; i < calls; ++i) {
+  std::vector<double> samples(calls);
+  for (double& sample : samples) {
+    const util::Timer timer;
     checksum_guard += e.evaluate(sc, opt, ws).mean;
+    sample = timer.seconds() * 1e6;
   }
-  const double us = timer.seconds() * 1e6 / static_cast<double>(calls);
+  std::sort(samples.begin(), samples.end());
+  const double us = quantile(samples, 0.5);
+  const double q1 = quantile(samples, 0.25);
+  const double q3 = quantile(samples, 0.75);
 
   // The fit keys rows by planner method ("bounds" for bounds.lower).
   const std::string method(
       exp::plan_method_name(exp::plan_method_from_name(evaluator)));
   std::printf("  %-7s %5zu tasks %5zu edges %4zu atoms %7llu trials "
-              "%12.2f us  (%llu calls)\n",
+              "%12.2f us  [%.2f, %.2f]  (%llu calls)\n",
               method.c_str(), sc.task_count(),
               sc.dag().edge_count(), atoms,
-              static_cast<unsigned long long>(trials), us,
+              static_cast<unsigned long long>(trials), us, q1, q3,
               static_cast<unsigned long long>(calls));
   bench::JsonWriter row;
   row.field("method", method)
       .field("us", us)
+      .field("us_q1", q1)
+      .field("us_q3", q3)
       .field("tasks", sc.task_count())
       .field("edges", sc.dag().edge_count())
       .field("atoms", atoms)

@@ -1,10 +1,9 @@
 #include "exp/hier.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -13,10 +12,11 @@
 #include "graph/csr.hpp"
 #include "graph/sp_tree.hpp"
 #include "mc/engine.hpp"
-#include "util/contracts.hpp"
 #include "prob/rng.hpp"
+#include "scenario/law_store.hpp"
 #include "spgraph/dodin.hpp"
 #include "spgraph/sp_reduce.hpp"
+#include "util/contracts.hpp"
 #include "util/thread_pool.hpp"
 
 namespace expmk::exp::hier {
@@ -52,43 +52,14 @@ EXPMK_NOALLOC std::uint64_t double_bits(double x) noexcept {
   return u;
 }
 
-struct MemoKey {
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-  // Ordered, not hashed: the deterministic core bans unordered
-  // containers (expmk-determinism), and a sorted map keeps every code
-  // path — including any future iteration — order-stable for free.
-  auto operator<=>(const MemoKey&) const = default;
-};
+/// Laws wider than this are not stored: an exact deep-series law can be
+/// astronomically wide, and storing it would trade unbounded memory for
+/// one convolution chain.
+constexpr std::size_t kMaxStoredAtoms = std::size_t{1} << 16;
 
-/// A cached module: its makespan law as an exact-size atom vector, plus
-/// the cumulative certified truncation of building its WHOLE subtree, so
-/// a cache hit charges the caller the same envelope the from-scratch
-/// build would have.
-struct MemoEntry {
-  std::vector<prob::Atom> atoms;
-  dk::TruncationCert cert;
-};
-
-/// Bounds on the process-wide cache: entry count (insertions stop, the
-/// cache never evicts — the workloads that benefit are repetitive, so
-/// the distinct-module population is small) and atoms per stored law
-/// (an exact deep-series law can be astronomically wide; caching it
-/// would trade unbounded memory for one convolution chain).
-constexpr std::size_t kMemoMaxEntries = std::size_t{1} << 16;
-constexpr std::size_t kMemoMaxAtomsPerEntry = std::size_t{1} << 16;
-
-struct Memo {
-  std::mutex mu;
-  std::map<MemoKey, MemoEntry> map;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
-Memo& memo() {
-  static Memo m;
-  return m;
-}
+/// Lookup counters across every scenario's store, since memo_clear().
+std::atomic<std::uint64_t> g_hits{0};
+std::atomic<std::uint64_t> g_misses{0};
 
 /// The stack every law of one build lives on, in one workspace lease that
 /// grows in place (Workspace::grow keeps the live prefix [0, top)). A
@@ -190,7 +161,7 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
   const auto key_of = [&](std::size_t m) {
     H128 h{mh[2 * m], mh[2 * m + 1]};
     h.mix(static_cast<std::uint64_t>(max_atoms));
-    return MemoKey{h.a, h.b};
+    return scenario::LawKey{h.a, h.b};
   };
 
   ModuleDists out;
@@ -201,12 +172,12 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
   // Pass 2: evaluate each quotient root by explicit-stack post-order —
   // alternating series/parallel nesting can be as deep as the graph is
   // large, so recursion could overflow at the million-task scale.
-  // A cache hit on a composite skips its whole subtree. The modules form
+  // A store hit on a composite skips its whole subtree. The modules form
   // a forest, so when a composite's children are all built their laws
   // are the top segment of the atom stack; the fold writes the parent's
   // law over that segment. What stays on the stack is one law per
   // quotient root, in quotient order: the law table.
-  Memo& mm = memo();
+  scenario::LawStore& store = sc.law_store();
   BuiltSlots built(ws, nm);
   const std::span<std::uint64_t> walk = ws.u64(nm);  // (module << 1) | expanded
   const std::span<std::uint64_t> offsets = ws.u64(qn + 1);
@@ -236,26 +207,22 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
         continue;
       }
       if (!expanded) {
-        {
-          const MemoKey key = key_of(m);
-          const std::lock_guard<std::mutex> lock(mm.mu);
-          const auto it = mm.map.find(key);
-          if (it != mm.map.end()) {
-            // Copied into the arena under the lock.
-            const std::vector<prob::Atom>& law = it->second.atoms;
-            stack.reserve(top + law.size());
-            std::copy(law.begin(), law.end(),
-                      stack.at(top, law.size()).begin());
-            built.set(m, top, law.size(), it->second.cert);
-            stack.set_top(top + law.size());
-            ++out.stats.memo_hits;
-            ++mm.hits;
-            --depth;
-            continue;
-          }
-          ++out.stats.memo_misses;
-          ++mm.misses;
+        // A stored law never changes while the scenario lives, so it is
+        // copied into the arena without a lock.
+        if (const scenario::StoredLaw* hit = store.find(key_of(m))) {
+          const std::vector<prob::Atom>& law = hit->atoms;
+          stack.reserve(top + law.size());
+          std::copy(law.begin(), law.end(),
+                    stack.at(top, law.size()).begin());
+          built.set(m, top, law.size(), hit->cert);
+          stack.set_top(top + law.size());
+          ++out.stats.memo_hits;
+          g_hits.fetch_add(1, std::memory_order_relaxed);
+          --depth;
+          continue;
         }
+        ++out.stats.memo_misses;
+        g_misses.fetch_add(1, std::memory_order_relaxed);
         walk[depth - 1] |= 1;
         for (std::uint32_t i = 0; i < mod.child_count; ++i) {
           walk[depth++] = std::uint64_t{d.children[mod.first_child + i]} << 1;
@@ -317,14 +284,8 @@ ModuleDists build_module_distributions(const scenario::Scenario& sc,
         const std::span<const prob::Atom> acc = stack.at(acc_off, acc_len);
         std::copy(acc.begin(), acc.end(), stack.at(seg, acc_len).begin());
       }
-      const std::span<const prob::Atom> law = stack.at(seg, acc_len);
-      {
-        const std::lock_guard<std::mutex> lock(mm.mu);
-        if (mm.map.size() < kMemoMaxEntries &&
-            acc_len <= kMemoMaxAtomsPerEntry) {
-          mm.map.emplace(key_of(m),
-                         MemoEntry{{law.begin(), law.end()}, acc_cert});
-        }
+      if (acc_len <= kMaxStoredAtoms) {
+        store.insert(key_of(m), stack.at(seg, acc_len), acc_cert);
       }
       built.set(m, seg, acc_len, acc_cert);
       stack.set_top(seg + acc_len);
@@ -439,17 +400,16 @@ HierMcResult evaluate_mc_hier(const scenario::Scenario& sc,
 }
 
 MemoStats memo_stats() {
-  Memo& mm = memo();
-  const std::lock_guard<std::mutex> lock(mm.mu);
-  return MemoStats{mm.hits, mm.misses, mm.map.size()};
+  const scenario::LawStore::Live live = scenario::LawStore::live();
+  return MemoStats{g_hits.load(std::memory_order_relaxed),
+                   g_misses.load(std::memory_order_relaxed), live.laws,
+                   live.bytes};
 }
 
 void memo_clear() {
-  Memo& mm = memo();
-  const std::lock_guard<std::mutex> lock(mm.mu);
-  mm.map.clear();
-  mm.hits = 0;
-  mm.misses = 0;
+  scenario::LawStore::clear_index();
+  g_hits.store(0, std::memory_order_relaxed);
+  g_misses.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace expmk::exp::hier

@@ -17,14 +17,16 @@
 // build_module_distributions() materializes those laws bottom-up with an
 // atom budget (0 = exact) and certified truncation accounting, on the
 // prob::dist_kernels span kernels in the caller's exp::Workspace, and
-// MEMOIZES every composite module in a process-wide cache keyed by a
-// 128-bit content hash of (module structure, task weights, success
-// probabilities, atom budget). Repetitive kernels — LU/QR/Cholesky tiles,
+// MEMOIZES every composite module by a 128-bit content hash of (module
+// structure, task weights, success probabilities, atom budget) in the
+// scenario's own law store (scenario/law_store.hpp). A lookup tries that
+// store, then the process's weak index of every law some live scenario
+// holds, and only then builds. Repetitive kernels — LU/QR/Cholesky tiles,
 // replicated fork-join stages — contain thousands of structurally
-// identical modules, so each distinct module is evaluated ONCE per
-// process no matter how many times it appears or how many scenarios
-// share it (Scenario::patch clones reuse the same decomposition and hit
-// the same cache for every module outside the patched cone).
+// identical modules, so each distinct module is built once for as long
+// as a scenario holding it lives, however often it appears: a
+// Scenario::patch clone finds every module outside the patched cone in
+// its parent's laws, and the laws it builds itself die with it.
 //
 // Three evaluators consume the quotient. The first two hand it to the
 // flat SP/Dodin engine (spgraph/) as an AoA network whose task arcs carry
@@ -70,7 +72,7 @@ struct HierStats {
   std::size_t module_count = 0;    ///< modules in the SP decomposition
   std::size_t quotient_tasks = 0;  ///< nodes of the quotient DAG
   std::size_t collapsed_tasks = 0; ///< original tasks absorbed into modules
-  std::uint64_t memo_hits = 0;     ///< composite modules served from cache
+  std::uint64_t memo_hits = 0;     ///< composite modules served from a store
   std::uint64_t memo_misses = 0;   ///< composite modules built this call
 };
 
@@ -93,9 +95,9 @@ struct ModuleDists {
 /// included — stays checked out in the caller's current Workspace frame,
 /// so the table is valid until that frame closes; open a
 /// Workspace::Frame around the call and the table's use. On a warm
-/// workspace with every composite already memoized the build performs
-/// no heap allocation. Throws std::invalid_argument unless the retry
-/// model is TwoState.
+/// workspace, with every composite it reaches already in the scenario's
+/// own law store, the build performs no heap allocation. Throws
+/// std::invalid_argument unless the retry model is TwoState.
 [[nodiscard]] ModuleDists build_module_distributions(
     const scenario::Scenario& sc, std::size_t max_atoms, Workspace& ws);
 
@@ -153,16 +155,19 @@ struct HierMcResult {
                                             std::uint64_t seed,
                                             std::size_t threads = 0);
 
-/// Lifetime counters of the process-wide module-distribution cache.
+/// Module-law accounting across every scenario's law store.
 struct MemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t entries = 0;
+  std::uint64_t hits = 0;    ///< composite lookups served (since memo_clear)
+  std::uint64_t misses = 0;  ///< composite lookups built (since memo_clear)
+  std::size_t entries = 0;   ///< laws alive now, held by live scenarios
+  std::size_t bytes = 0;     ///< atom bytes of those laws
 };
 
 [[nodiscard]] MemoStats memo_stats();
 
-/// Empties the cache and zeroes the counters (tests and benchmarks).
+/// Drops the process index of live laws and zeroes hits and misses
+/// (tests and benchmarks). Every live scenario keeps the laws its own
+/// store holds, so `entries` and `bytes` fall only as scenarios die.
 void memo_clear();
 
 }  // namespace expmk::exp::hier

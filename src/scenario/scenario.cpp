@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "graph/sp_tree.hpp"
+#include "scenario/law_store.hpp"
 
 namespace expmk::scenario {
 
@@ -57,6 +58,10 @@ Scenario Scenario::calibrated(const graph::Dag& dag, double pfail,
   return compile(dag, FailureSpec(core::calibrate(dag, pfail)), retry);
 }
 
+Scenario::Scenario(Scenario&&) noexcept = default;
+Scenario& Scenario::operator=(Scenario&&) noexcept = default;
+Scenario::~Scenario() = default;
+
 std::uint64_t Scenario::compiled_count() noexcept {
   return g_compiled.load(std::memory_order_relaxed);
 }
@@ -71,7 +76,8 @@ Scenario::Scenario(graph::Dag dag, FailureSpec failure,
       csr_(std::make_shared<const graph::CsrDag>(*dag_)),
       failure_(std::move(failure)),
       retry_(retry),
-      derived_(std::make_shared<DerivedCaches>()) {
+      derived_(std::make_shared<DerivedCaches>()),
+      laws_(std::make_unique<LawStore>()) {
   const std::size_t n = dag_->task_count();
 
   // Validate the task weights before deriving anything from them: the Dag
@@ -160,6 +166,7 @@ Scenario Scenario::clone_for_patch() const {
   out.mean_weight_ = mean_weight_;
   out.total_weight_ = total_weight_;
   out.derived_ = derived_;  // structure-only: valid for every patch clone
+  out.laws_ = std::make_unique<LawStore>();  // never shared
   return out;
 }
 

@@ -31,7 +31,9 @@
 //  * Immutability. A compiled Scenario never changes; every accessor is
 //    const and returns views into storage owned by the Scenario. It is
 //    safe to share one instance across any number of threads without
-//    synchronization (the MC engines do exactly that).
+//    synchronization (the MC engines do exactly that). The two lazy
+//    caches — the SP decomposition and the module-law store — synchronize
+//    internally and never change an answer.
 //  * Lifetime. Views (the spans and references the accessors return)
 //    must not outlive the Scenario. The Scenario owns a private COPY of
 //    the Dag, so the caller's graph may die after compile().
@@ -55,6 +57,8 @@ struct SpDecomposition;
 }  // namespace expmk::graph
 
 namespace expmk::scenario {
+
+class LawStore;
 
 /// The failure-rate input of a scenario: either one uniform exponential
 /// rate for every task (the paper's model) or an explicit per-task rate
@@ -125,10 +129,11 @@ class Scenario {
       const graph::Dag& dag, double pfail,
       core::RetryModel retry = core::RetryModel::TwoState);
 
-  Scenario(Scenario&&) noexcept = default;
-  Scenario& operator=(Scenario&&) noexcept = default;
+  Scenario(Scenario&&) noexcept;
+  Scenario& operator=(Scenario&&) noexcept;
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;
+  ~Scenario();
 
   /// Total Scenario::compile calls in this process — the metrics hook the
   /// compile-once contract is pinned with (tests/test_scenario.cpp asserts
@@ -144,7 +149,8 @@ class Scenario {
   /// weight `new_weights[j]` (either span may be empty to leave that
   /// dimension untouched; a non-empty span must match tasks.size()).
   /// The clone SHARES the immutable graph structure (Dag, CSR adjacency,
-  /// SP-decomposition cache) with this scenario and re-derives only
+  /// SP-decomposition cache) with this scenario, starts an empty law
+  /// store of its own (see law_store()), and re-derives only
   /// what the patch invalidates: the per-task exp/log constants of the
   /// patched tasks, and — for weight patches — the failure-free finish
   /// times of the patched tasks' descendant cone (value-based dirty
@@ -189,6 +195,13 @@ class Scenario {
   /// (thread-safe), and is SHARED by every patch()/with_failure() clone —
   /// a patched scenario never re-derives it.
   [[nodiscard]] const graph::SpDecomposition& sp_decomposition() const;
+
+  /// This scenario's store of hierarchical module laws
+  /// (scenario/law_store.hpp): a thread-safe cache that exp::hier fills
+  /// and reads, owned by this scenario alone — a patch()/with_failure()
+  /// clone starts an empty one and finds the laws it shares with this
+  /// scenario by content. Its laws are released with the scenario.
+  [[nodiscard]] LawStore& law_store() const noexcept { return *laws_; }
 
   /// CSR positions of the tasks with no successor, listed in ascending
   /// Dag id order (the order the Normal-family exit folds are pinned
@@ -281,6 +294,9 @@ class Scenario {
   // Lazy structure-derived cache, shared across patch clones. The holder
   // is heap-allocated so Scenario stays movable (std::once_flag is not).
   std::shared_ptr<DerivedCaches> derived_;
+  // Module-law cache, private to this scenario (never copied to a clone);
+  // heap-held for the same reason (std::mutex is not movable).
+  std::unique_ptr<LawStore> laws_;
 };
 
 }  // namespace expmk::scenario

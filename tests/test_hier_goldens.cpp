@@ -2,11 +2,12 @@
 //
 // Bitwise goldens for the hierarchical evaluators sp.hier, dodin.hier and
 // mc.hier. Each row runs one method on one scenario at one atom budget
-// (0 = exact, 32, 256), starting from an empty module memo, and pins:
+// (0 = exact, 32, 256) on a freshly compiled scenario with the process's
+// law index emptied, and pins:
 //
 //  * the registry answer: supported, mean, mean_lo, mean_hi, std_error;
 //  * the memo traffic of that cold call (process-wide hit/miss deltas);
-//  * for sp.hier / dodin.hier, a second direct call on the now-warm memo:
+//  * for sp.hier / dodin.hier, a second direct call on the now-warm store:
 //    its HierStats hits/misses, Dodin's duplication count, and a mean
 //    that must equal the cold one bit for bit;
 //  * the captured makespan law: atom count and an FNV-1a hash over the
@@ -89,10 +90,12 @@ std::uint64_t law_hash(const prob::DiscreteDistribution& d) {
   return h;
 }
 
-Row measure(const scenario::Scenario& sc, int scenario, int method,
-            std::size_t atoms) {
+Row measure(int which, int method, std::size_t atoms) {
+  // Every row compiles its own scenario: a scenario keeps the laws it
+  // built in its own store, so a reused one would start the next row warm.
+  const scenario::Scenario sc = make_case(which);
   Row row{};
-  row.scenario = scenario;
+  row.scenario = which;
   row.method = method;
   row.atoms = atoms;
 
@@ -192,10 +195,9 @@ const Row kGoldens[] = {
 TEST(HierGoldens, BitIdenticalToRecordedAnswers) {
   std::size_t checked = 0;
   for (int s = 0; s < 3; ++s) {
-    const scenario::Scenario sc = make_case(s);
     for (int m = 0; m < 3; ++m) {
       for (const std::size_t atoms : kBudgets) {
-        const Row got = measure(sc, s, m, atoms);
+        const Row got = measure(s, m, atoms);
         const Row* want = nullptr;
         for (const Row& g : kGoldens) {
           if (g.scenario == s && g.method == m && g.atoms == atoms) want = &g;

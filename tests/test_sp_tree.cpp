@@ -11,15 +11,22 @@
 //  * Truncation envelope: a capped hierarchical build still brackets the
 //    exact mean with its certified [lo, hi].
 //  * Memoization: structurally identical modules are built once; a
-//    repeat evaluation is served entirely from the process-wide cache.
+//    repeat evaluation is served entirely from the scenario's own law
+//    store; a patch clone finds its parent's laws by content, and every
+//    law dies with the last scenario holding it.
 //  * Balanced trees: composites are binary, the module tree is
 //    logarithmically deep, and a one-task patch rebuilds only its cone.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -242,7 +249,9 @@ TEST(SpTree, CappedBuildBracketsTheExactMean) {
 
 TEST(SpTree, IdenticalModulesAreBuiltOnce) {
   exp::hier::memo_clear();
-  const auto sc = compile(fork_join(8, 4), 0.05);
+  auto owner = std::make_unique<scenario::Scenario>(
+      compile(fork_join(8, 4), 0.05));
+  const scenario::Scenario& sc = *owner;
 
   // The memo's promise: a cold build misses once per DISTINCT composite
   // in the decomposition — keyed here independently of exp::hier, by
@@ -299,8 +308,39 @@ TEST(SpTree, IdenticalModulesAreBuiltOnce) {
       EXPECT_EQ(a[k].prob, b[k].prob) << i << ":" << k;
     }
   }
+  // Clearing drops the index and the counters, not the scenario's laws:
+  // they live exactly as long as the scenario.
   exp::hier::memo_clear();
+  EXPECT_EQ(exp::hier::memo_stats().entries, composite_keys.size());
+  EXPECT_EQ(exp::hier::memo_stats().hits, 0u);
+  owner.reset();
   EXPECT_EQ(exp::hier::memo_stats().entries, 0u);
+  EXPECT_EQ(exp::hier::memo_stats().bytes, 0u);
+}
+
+TEST(SpTree, MemoStatsCountLiveLawBytes) {
+  // A 3-task chain of weights 1, 3, 9 folds as t0 + (t1 + t2): two
+  // composites, the inner one with the 4 distinct sums of {3|6} + {9|18}
+  // and the root with all 8 of {1|2} + {3|6} + {9|18}.
+  graph::Dag g;
+  graph::TaskId prev = g.add_task(1.0);
+  for (const double w : {3.0, 9.0}) {
+    const graph::TaskId t = g.add_task(w);
+    g.add_edge(prev, t);
+    prev = t;
+  }
+  {
+    const auto sc = compile(g, 0.1);
+    exp::Workspace ws;
+    const auto r = exp::hier::evaluate_sp_hier(sc, 0, ws);
+    ASSERT_TRUE(r.is_series_parallel);
+    EXPECT_EQ(r.stats.memo_misses, 2u);
+    const exp::hier::MemoStats ms = exp::hier::memo_stats();
+    EXPECT_EQ(ms.entries, 2u);
+    EXPECT_EQ(ms.bytes, (4 + 8) * sizeof(prob::Atom));
+  }
+  EXPECT_EQ(exp::hier::memo_stats().entries, 0u);
+  EXPECT_EQ(exp::hier::memo_stats().bytes, 0u);
 }
 
 // ---- balanced module trees -------------------------------------------
@@ -378,6 +418,156 @@ TEST(SpTree, MemoKeySeparatesRatesWeightsAndBudget) {
   const auto c = exp::hier::evaluate_sp_hier(compile(g2, 0.05), 0, ws);
   EXPECT_NE(a.mean, c.mean);
   exp::hier::memo_clear();
+}
+
+// ---- law lifetime ----------------------------------------------------
+
+std::uint64_t bits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+/// The hier answers of one scenario, as bit patterns.
+struct HierBits {
+  std::uint64_t sp_mean, sp_up, sp_down;
+  std::uint64_t dodin_mean, dodin_up, dodin_down;
+  std::uint64_t mc_mean, mc_se;
+
+  bool operator==(const HierBits&) const = default;
+};
+
+HierBits hier_bits(const exp::hier::HierSpResult& sp,
+                   const exp::hier::HierDodinBound& dodin,
+                   const exp::hier::HierMcResult* mc = nullptr) {
+  return {bits(sp.mean),
+          bits(sp.truncation.up),
+          bits(sp.truncation.down),
+          bits(dodin.mean),
+          bits(dodin.truncation.up),
+          bits(dodin.truncation.down),
+          mc != nullptr ? bits(mc->mean) : 0,
+          mc != nullptr ? bits(mc->std_error) : 0};
+}
+
+constexpr std::size_t kLifetimeAtoms = 64;
+
+/// 12 stages of 4 parallel 6-task chains with distinct weights.
+graph::Dag lifetime_dag() { return gen::tiled_fork_join(12, 4, 6, 7); }
+
+TEST(SpTree, PatchedClonesDoNotGrowTheStore) {
+  // What-if traffic: every clone finds its parent's laws by content and
+  // builds only its patched cone, and those laws die with the clone, so
+  // the live law count returns to the base's after every query.
+  const graph::Dag g = lifetime_dag();
+  const double lambda = core::calibrate(g, 0.01).lambda;
+  exp::hier::memo_clear();
+  ASSERT_EQ(exp::hier::memo_stats().entries, 0u);
+  auto base = std::make_unique<scenario::Scenario>(
+      scenario::Scenario::compile(g, scenario::FailureSpec::uniform(lambda)));
+  exp::Workspace ws;
+  ASSERT_TRUE(exp::hier::evaluate_sp_hier(*base, kLifetimeAtoms, ws)
+                  .is_series_parallel);
+  (void)exp::hier::evaluate_dodin_hier(*base, kLifetimeAtoms, ws);
+  const exp::hier::MemoStats after_base = exp::hier::memo_stats();
+  ASSERT_GT(after_base.entries, 0u);
+
+  for (int i = 0; i < 50; ++i) {
+    const std::vector<graph::TaskId> task{
+        static_cast<graph::TaskId>((37 * i + 5) % g.task_count())};
+    const bool rate = i % 2 == 0;
+    const double w = g.weight(task[0]);
+    const std::vector<double> value{rate ? lambda * (1.5 + 0.05 * i)
+                                         : w * (1.25 + 0.01 * i)};
+    const scenario::Scenario clone =
+        rate ? base->patch(task, value) : base->patch(task, {}, value);
+    const auto sp = exp::hier::evaluate_sp_hier(clone, kLifetimeAtoms, ws);
+    const auto dodin =
+        exp::hier::evaluate_dodin_hier(clone, kLifetimeAtoms, ws);
+    ASSERT_TRUE(sp.is_series_parallel);
+    EXPECT_EQ(dodin.stats.memo_misses, 0u) << "clone " << i;
+
+    graph::Dag g2 = g;
+    scenario::FailureSpec spec = scenario::FailureSpec::uniform(lambda);
+    if (rate) {
+      std::vector<double> rates(g.task_count(), lambda);
+      rates[task[0]] = value[0];
+      spec = scenario::FailureSpec::per_task(std::move(rates));
+    } else {
+      g2.set_weight(task[0], value[0]);
+    }
+    const scenario::Scenario fresh =
+        scenario::Scenario::compile(g2, std::move(spec));
+    exp::Workspace fresh_ws;
+    EXPECT_EQ(hier_bits(sp, dodin),
+              hier_bits(exp::hier::evaluate_sp_hier(fresh, kLifetimeAtoms,
+                                                    fresh_ws),
+                        exp::hier::evaluate_dodin_hier(fresh, kLifetimeAtoms,
+                                                       fresh_ws)))
+        << "clone " << i;
+  }
+  EXPECT_EQ(exp::hier::memo_stats().entries, after_base.entries);
+  EXPECT_EQ(exp::hier::memo_stats().bytes, after_base.bytes);
+  base.reset();
+  EXPECT_EQ(exp::hier::memo_stats().entries, 0u);
+  EXPECT_EQ(exp::hier::memo_stats().bytes, 0u);
+}
+
+TEST(SpTree, CloneOutlivesItsParentUnderConcurrentEvaluation) {
+  // Four threads evaluate one clone while a fifth destroys the clone's
+  // parent: a law found in the parent's store either stays alive through
+  // the clone's own store or is rebuilt, bit for bit, so every thread
+  // reads the serial answer.
+  const graph::Dag g = lifetime_dag();
+  const double lambda = core::calibrate(g, 0.01).lambda;
+  const std::vector<graph::TaskId> task{40};
+  const std::vector<double> rate{3.0 * lambda};
+  constexpr int kWorkers = 4;
+  for (int round = 0; round < 4; ++round) {
+    exp::hier::memo_clear();
+    auto base = std::make_unique<scenario::Scenario>(
+        scenario::Scenario::compile(g, scenario::FailureSpec::uniform(lambda)));
+    exp::Workspace ws;
+    ASSERT_TRUE(exp::hier::evaluate_sp_hier(*base, kLifetimeAtoms, ws)
+                    .is_series_parallel);
+    HierBits serial{};
+    {
+      const scenario::Scenario sibling = base->patch(task, rate);
+      const auto mc =
+          exp::hier::evaluate_mc_hier(sibling, kLifetimeAtoms, ws, 500, 11, 1);
+      serial = hier_bits(
+          exp::hier::evaluate_sp_hier(sibling, kLifetimeAtoms, ws),
+          exp::hier::evaluate_dodin_hier(sibling, kLifetimeAtoms, ws), &mc);
+    }
+    const scenario::Scenario clone = base->patch(task, rate);
+    std::atomic<int> ready{0};
+    std::vector<HierBits> got(kWorkers);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kWorkers; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() <= kWorkers) {
+        }
+        exp::Workspace tws;
+        const auto sp = exp::hier::evaluate_sp_hier(clone, kLifetimeAtoms, tws);
+        const auto dodin =
+            exp::hier::evaluate_dodin_hier(clone, kLifetimeAtoms, tws);
+        const auto mc =
+            exp::hier::evaluate_mc_hier(clone, kLifetimeAtoms, tws, 500, 11, 1);
+        got[t] = hier_bits(sp, dodin, &mc);
+      });
+    }
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() <= kWorkers) {
+      }
+      base.reset();
+    });
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kWorkers; ++t) {
+      EXPECT_EQ(got[t], serial) << "round " << round << " thread " << t;
+    }
+  }
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 // registry evaluator on the cells bench/fit_cost_model.py fits the
 // planner's per-method coefficients from. Every cell is timed through
 // Evaluator::evaluate(sc, opt, ws), the call the planner predicts, at
-// threads = 1 on a warm workspace: one warm-up call, then each timed call
-// on its own. A row's `us` is the median per-call time, so one preempted
-// call cannot move it, and `us_q1`/`us_q3` are the quartiles that show
-// the spread. Emits BENCH_corpus.json, whose rows carry the fit's tuple
+// threads = 1 on a warm workspace. One sample times a batch of calls,
+// doubled from one call until the batch takes at least kSampleUs (so the
+// two clock reads stay under 1% of a sub-microsecond cell's sample), and
+// reads the batch's mean per call; these doubling calls also warm the
+// workspace. A row's `us` is the median sample, so one preempted batch
+// cannot move it, and `us_q1`/`us_q3` are the quartiles that show the
+// spread. Emits BENCH_corpus.json, whose rows carry the fit's tuple
 // (method, us, tasks, edges, atoms, trials) plus the two quartiles.
 //
 // The cells: fo/so/corlca/clark on Erdos DAGs of 20..100 tasks (the
@@ -15,9 +18,9 @@
 // paper's 300k-trial geometric mc on LU k=14, and sp/dodin at their
 // atom budgets on series-parallel and general DAGs.
 //
-//   ./bench_corpus [reps]   (default 200; the mc, sp and dodin cells
-//                            time reps/10 calls, the 300k-trial mc cell
-//                            one call)
+//   ./bench_corpus [reps]   (samples per cell, default 200; the mc, sp
+//                            and dodin cells take reps/10 samples, the
+//                            300k-trial mc cell one)
 
 #include <algorithm>
 #include <cstdint>
@@ -43,6 +46,9 @@ using namespace expmk;
 
 double checksum_guard = 0.0;  // keeps the timed calls from eliding
 
+/// The shortest timed batch: a steady_clock read costs ~25 ns.
+constexpr double kSampleUs = 10.0;
+
 /// The q-quantile of ascending `xs`, interpolated between the two
 /// nearest ranks.
 double quantile(const std::vector<double>& xs, double q) {
@@ -52,12 +58,12 @@ double quantile(const std::vector<double>& xs, double q) {
   return xs[lo] + (rank - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
 }
 
-/// Times `calls` calls of `evaluator` on `sc` after one warm-up call and
-/// returns the corpus row. `atoms` is the sp/dodin budget, `trials` the
-/// mc trial count (0 where the method reads neither).
+/// Takes `samples` timed batches of `evaluator` on `sc` and returns the
+/// corpus row. `atoms` is the sp/dodin budget, `trials` the mc trial
+/// count (0 where the method reads neither).
 bench::JsonWriter time_cell(const scenario::Scenario& sc,
                             const char* evaluator, std::size_t atoms,
-                            std::uint64_t trials, std::uint64_t calls) {
+                            std::uint64_t trials, std::uint64_t samples) {
   const exp::Evaluator& e = *exp::EvaluatorRegistry::builtin().find(evaluator);
   exp::EvalOptions opt;
   opt.threads = 1;
@@ -74,26 +80,35 @@ bench::JsonWriter time_cell(const scenario::Scenario& sc,
                  evaluator, sc.task_count(), warm.note.c_str());
     std::exit(1);
   }
-  std::vector<double> samples(calls);
-  for (double& sample : samples) {
+  // Mean microseconds per call over one batch of `batch` calls.
+  const auto time_batch = [&](std::uint64_t batch) {
     const util::Timer timer;
-    checksum_guard += e.evaluate(sc, opt, ws).mean;
-    sample = timer.seconds() * 1e6;
+    for (std::uint64_t i = 0; i < batch; ++i) {
+      checksum_guard += e.evaluate(sc, opt, ws).mean;
+    }
+    return timer.seconds() * 1e6 / static_cast<double>(batch);
+  };
+  std::uint64_t batch = 1;
+  while (time_batch(batch) * static_cast<double>(batch) < kSampleUs) {
+    batch *= 2;
   }
-  std::sort(samples.begin(), samples.end());
-  const double us = quantile(samples, 0.5);
-  const double q1 = quantile(samples, 0.25);
-  const double q3 = quantile(samples, 0.75);
+  std::vector<double> us_per_call(samples);
+  for (double& sample : us_per_call) sample = time_batch(batch);
+  std::sort(us_per_call.begin(), us_per_call.end());
+  const double us = quantile(us_per_call, 0.5);
+  const double q1 = quantile(us_per_call, 0.25);
+  const double q3 = quantile(us_per_call, 0.75);
 
   // The fit keys rows by planner method ("bounds" for bounds.lower).
   const std::string method(
       exp::plan_method_name(exp::plan_method_from_name(evaluator)));
   std::printf("  %-7s %5zu tasks %5zu edges %4zu atoms %7llu trials "
-              "%12.2f us  [%.2f, %.2f]  (%llu calls)\n",
+              "%12.2f us  [%.2f, %.2f]  (%llu x %llu calls)\n",
               method.c_str(), sc.task_count(),
               sc.dag().edge_count(), atoms,
               static_cast<unsigned long long>(trials), us, q1, q3,
-              static_cast<unsigned long long>(calls));
+              static_cast<unsigned long long>(samples),
+              static_cast<unsigned long long>(batch));
   bench::JsonWriter row;
   row.field("method", method)
       .field("us", us)

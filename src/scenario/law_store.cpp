@@ -82,7 +82,12 @@ void LawStore::insert(const LawKey& key, std::span<const prob::Atom> law,
 const std::shared_ptr<const StoredLaw>& LawStore::record(
     const LawKey& key, std::shared_ptr<const StoredLaw>& law) {
   if (laws_.full()) laws_.compact([](const auto&) { return true; });
-  return *laws_.try_emplace(key, std::move(law)).first;
+  const auto [slot, fresh] = laws_.try_emplace(key, std::move(law));
+  if (fresh) {
+    bytes_.fetch_add((*slot)->atoms.size() * sizeof(prob::Atom),
+                     std::memory_order_relaxed);
+  }
+  return *slot;
 }
 
 LawStore::Live LawStore::live() noexcept {

@@ -23,6 +23,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
@@ -157,6 +158,12 @@ class LawStore {
   void insert(const LawKey& key, std::span<const prob::Atom> law,
               const prob::dist_kernels::TruncationCert& cert);
 
+  /// Atom bytes of the laws this store holds. A law shared with other
+  /// stores is counted in each of them.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return bytes_.load(std::memory_order_relaxed);
+  }
+
   [[nodiscard]] static Live live() noexcept;
 
   /// Drops the process index. Laws held by live stores stay alive and
@@ -171,6 +178,7 @@ class LawStore {
 
   std::mutex mu_;
   detail::KeyTable<std::shared_ptr<const StoredLaw>> laws_;
+  std::atomic<std::size_t> bytes_{0};
 };
 
 }  // namespace expmk::scenario

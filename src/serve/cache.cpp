@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "scenario/law_store.hpp"
+
 namespace expmk::serve {
 
 std::size_t scenario_footprint_bytes(
@@ -25,9 +27,11 @@ std::size_t scenario_footprint_bytes(
   // charged in full. On LU cells glibc counts ~20% more than this for a
   // fresh compile and ~5x less for a clone; the budgets in use were
   // sized on these constants, so they stay. An estimate, not an audit —
-  // see the file comment.
+  // see the file comment. The module laws are charged at their atom bytes,
+  // a law shared with another scenario in full to each; they are what
+  // grows after insertion (see ScenarioCache::recharge).
   return tasks * (7 * sizeof(double) + 4 * sizeof(std::uint32_t) + 96) +
-         edges * 3 * sizeof(std::uint32_t) + 1024;
+         edges * 3 * sizeof(std::uint32_t) + 1024 + sc.law_store().bytes();
 }
 
 ScenarioCache::ScenarioCache(std::size_t byte_budget, std::size_t shards)
@@ -51,18 +55,50 @@ void ScenarioCache::insert_locked(Shard& s, std::uint64_t key,
   e.lru_pos = s.lru.begin();
   s.bytes += e.bytes;
   s.entries.emplace(key, std::move(e));
-  // Evict from the LRU tail past the shard budget — but never the entry
-  // just inserted: a scenario bigger than the whole budget must still
-  // serve the request that compiled it.
-  while (s.bytes > per_shard_budget_ && s.entries.size() > 1) {
+  // Never the entry just inserted: a scenario bigger than the whole
+  // budget must still serve the request that compiled it.
+  evict_locked(s, 1, evicted);
+}
+
+void ScenarioCache::evict_locked(Shard& s, std::size_t keep,
+                                 Evicted& evicted) {
+  while (s.bytes > per_shard_budget_ && s.entries.size() > keep) {
     const std::uint64_t victim = s.lru.back();
     const auto it = s.entries.find(victim);
     s.bytes -= it->second.bytes;
-    evicted.emplace_back(it->second.structure_key, victim);
+    evicted.push_back({it->second.structure_key, victim,
+                       std::move(it->second.scenario)});
     s.entries.erase(it);
     s.lru.pop_back();
     ++s.evictions;
   }
+}
+
+void ScenarioCache::unindex(const Evicted& evicted) {
+  if (evicted.empty()) return;
+  const std::lock_guard<std::mutex> lock(structure_m_);
+  for (const Victim& v : evicted) {
+    const auto it = structure_index_.find(v.structure_key);
+    if (it != structure_index_.end() && it->second == v.key) {
+      structure_index_.erase(it);
+    }
+  }
+}
+
+void ScenarioCache::recharge(std::uint64_t key) {
+  Shard& s = shard_for(key);
+  Evicted evicted;
+  {
+    const std::lock_guard<std::mutex> lock(s.m);
+    const auto found = s.entries.find(key);
+    if (found == s.entries.end()) return;
+    Entry& e = found->second;
+    const std::size_t bytes = scenario_footprint_bytes(*e.scenario);
+    s.bytes = s.bytes - e.bytes + bytes;
+    e.bytes = bytes;
+    evict_locked(s, 0, evicted);
+  }
+  unindex(evicted);
 }
 
 ScenarioCache::ScenarioPtr ScenarioCache::peek(std::uint64_t key) {
@@ -177,15 +213,7 @@ ScenarioCache::ScenarioPtr ScenarioCache::get_or_compile(
     // request retries (the failure may have been transient input).
     s.inflight.erase(key);
   }
-  if (!evicted.empty()) {
-    const std::lock_guard<std::mutex> lock(structure_m_);
-    for (const auto& [skey, victim] : evicted) {
-      const auto it = structure_index_.find(skey);
-      if (it != structure_index_.end() && it->second == victim) {
-        structure_index_.erase(it);
-      }
-    }
-  }
+  unindex(evicted);
   {
     const std::lock_guard<std::mutex> lock(ticket->m);
     ticket->result = sc;

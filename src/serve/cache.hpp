@@ -16,7 +16,11 @@
 //  * Byte-budget LRU: every entry carries a footprint estimate
 //    (scenario_footprint_bytes); inserting past the shard budget evicts
 //    from the LRU tail. The newest entry is never evicted — a scenario
-//    larger than the whole budget still serves its own request.
+//    larger than the whole budget still serves its own request. The
+//    footprint includes the module laws a scenario's hierarchical
+//    evaluations store in it, which grow after insertion; recharge()
+//    re-charges an entry after each evaluation and evicts past the
+//    budget, that entry included.
 //  * Singleflight: concurrent misses on ONE key compile once. The first
 //    miss inserts an in-flight ticket and compiles outside the shard
 //    lock; later misses wait on the ticket and share the result (or the
@@ -62,8 +66,9 @@ struct CacheStats {
 /// Rough footprint of one compiled Scenario in bytes — the eviction
 /// currency. An ESTIMATE (documented in DESIGN.md): the per-task and
 /// per-edge vector payloads plus a fixed overhead per task for the Dag
-/// copy's names/adjacency; exact malloc accounting is not worth chasing
-/// for a budget knob.
+/// copy's names/adjacency, plus the atom bytes of the module laws in its
+/// law store; exact malloc accounting is not worth chasing for a budget
+/// knob.
 [[nodiscard]] std::size_t scenario_footprint_bytes(
     const scenario::Scenario& sc) noexcept;
 
@@ -120,6 +125,14 @@ class ScenarioCache {
   [[nodiscard]] ScenarioPtr lookup(std::uint64_t key,
                                    Outcome* outcome = nullptr);
 
+  /// Re-charges the entry for `key` at its current footprint (an
+  /// evaluation may have stored module laws in it) and evicts from the
+  /// LRU tail past the shard budget. Unlike an insert this may evict the
+  /// entry itself: its request has been served, and a scenario whose
+  /// laws alone outgrow the budget must not keep growing in the cache.
+  /// No-op when `key` is not cached. No counter moves but `evictions`.
+  void recharge(std::uint64_t key);
+
   [[nodiscard]] CacheStats stats() const;
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
@@ -142,8 +155,14 @@ class ScenarioCache {
     std::list<std::uint64_t>::iterator lru_pos;
   };
 
-  /// An evicted entry's (structure key, content key), for unindexing.
-  using Evicted = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  /// An evicted entry: its keys, for unindexing, and the cache's
+  /// reference, released after the shard lock.
+  struct Victim {
+    std::uint64_t structure_key = 0;
+    std::uint64_t key = 0;
+    ScenarioPtr scenario;
+  };
+  using Evicted = std::vector<Victim>;
 
   struct Shard {
     mutable std::mutex m;
@@ -167,6 +186,14 @@ class ScenarioCache {
   void insert_locked(Shard& s, std::uint64_t key,
                      std::uint64_t structure_key, ScenarioPtr sc,
                      Evicted& evicted);
+
+  /// Evicts from the LRU tail while the shard is past its budget and
+  /// holds more than `keep` entries (caller holds the shard lock).
+  void evict_locked(Shard& s, std::size_t keep, Evicted& evicted);
+
+  /// Erases the evicted entries' structure-index slots that still name
+  /// them. Takes structure_m_; call without a shard lock.
+  void unindex(const Evicted& evicted);
 
   /// A live cached entry for `key` without counter or LRU side effects
   /// (sibling resolution must not distort the hit/miss telemetry).

@@ -277,6 +277,9 @@ void ServeEngine::handle(std::string_view payload, Connection& conn,
        respond = std::move(respond)](exp::EvalResult&& result) mutable {
         meta.total_us = total.seconds() * 1e6;
         latency_.record(meta.total_us);
+        // A hierarchical method may have stored module laws in the
+        // scenario: charge them to its cache entry.
+        cache_.recharge(meta.hash);
         // Close the loop: predicted vs measured evaluation cost tunes
         // the planner's per-method EWMA correction for this host.
         if (plan_method != exp::PlanMethod::kCount && result.supported) {

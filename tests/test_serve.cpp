@@ -11,6 +11,8 @@
 //    full sort;
 //  * the warm-cache acceptance pin: repeated inline requests compile one
 //    Scenario per distinct cell (Scenario::compiled_count());
+//  * the module laws hierarchical requests store in a cached scenario
+//    count against the cache's byte budget;
 //  * planner-driven shedding: a method the cost model predicts UNDER the
 //    level's deadline passes through (a cheap exact stays exact under
 //    pressure), one predicted over it is substituted by the planner's
@@ -44,9 +46,12 @@
 #include <vector>
 
 #include "exp/evaluator.hpp"
+#include "exp/hier.hpp"
 #include "exp/seeds.hpp"
 #include "gen/lu.hpp"
+#include "gen/random_dags.hpp"
 #include "graph/serialize.hpp"
+#include "scenario/law_store.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/engine.hpp"
 #include "serve/server.hpp"
@@ -281,6 +286,50 @@ TEST(ServeEngineTest, WarmCacheNeverRecompiles) {
   const json::Value fresh_b = json::parse(fresh.handle_sync(cell_b, conn2));
   EXPECT_EQ(field_string(fresh_b, "cache"), "miss");
   EXPECT_EQ(field_double(fresh_b, "mean"), mean_b);
+}
+
+TEST(ServeEngineTest, ModuleLawsStayWithinTheCacheBudget) {
+  // Every distinct atom budget stores one more law set in the cached
+  // scenario. Those laws are charged to its cache entry, so a stream of
+  // budgets on one cell cannot grow the daemon past its byte budget.
+  const expmk::graph::Dag dag = expmk::gen::tiled_fork_join(6, 3, 4, 7);
+  constexpr std::uint64_t kFirstAtoms = 16, kBudgets = 40;
+  std::size_t one_set = 0;  // the largest law set a request stores
+  {
+    const auto sc = expmk::scenario::Scenario::calibrated(dag, 0.01);
+    expmk::exp::Workspace ws;
+    (void)expmk::exp::hier::evaluate_sp_hier(
+        sc, kFirstAtoms + kBudgets, ws);
+    one_set = sc.law_store().bytes();
+  }
+  ASSERT_GT(one_set, 0u);
+  const std::size_t budget = 4 * one_set + (64u << 10);
+  EngineConfig config;
+  config.cache_bytes = budget;
+  config.cache_shards = 1;
+  ServeEngine engine(config);
+  const std::string graph = expmk::graph::to_taskgraph(dag);
+  const std::size_t laws_before = expmk::exp::hier::memo_stats().bytes;
+  ServeEngine::Connection conn;
+  for (std::uint64_t i = 0; i < kBudgets; ++i) {
+    expmk::util::JsonWriter w;
+    w.field("v", 1);
+    w.field("type", "eval");
+    w.field("graph", graph);
+    w.field("pfail", 0.01);
+    w.field("method", "sp.hier");
+    w.field("max_atoms", kFirstAtoms + i);
+    const json::Value r = json::parse(engine.handle_sync(w.str(), conn));
+    ASSERT_EQ(field_string(r, "type"), "result") << i;
+    ASSERT_EQ(field_string(r, "method"), "sp.hier") << i;
+    EXPECT_LE(engine.cache_stats().bytes, budget) << i;
+    // The cached entry's laws plus, at most, those of an evicted
+    // scenario the worker has not released yet.
+    EXPECT_LE(expmk::exp::hier::memo_stats().bytes,
+              laws_before + 2 * budget + one_set)
+        << i;
+  }
+  EXPECT_GT(engine.cache_stats().evictions, 0u);
 }
 
 TEST(ServeEngineTest, ByHashRoundTripAndNotFound) {

@@ -10,7 +10,9 @@
 //    the key is NOT cached, and a later request retries;
 //  * lookup() (the by-hash protocol path) never compiles;
 //  * the structure index behind patch-on-miss drops evicted keys, so a
-//    stream of distinct graphs cannot grow it past the live entries.
+//    stream of distinct graphs cannot grow it past the live entries;
+//  * recharge() charges the module laws an evaluation stored in a cached
+//    scenario and evicts past the budget, that entry included.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +22,10 @@
 #include <thread>
 #include <vector>
 
+#include "exp/hier.hpp"
 #include "gen/lu.hpp"
+#include "gen/random_dags.hpp"
+#include "scenario/law_store.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/cache.hpp"
 
@@ -212,6 +217,38 @@ TEST(ServeCache, StructureIndexShrinksWithEviction) {
   (void)cache.get_or_compile(5000, /*structure_key=*/1000ull << 20, patch,
                              [&] { return chain(999); }, &outcome);
   EXPECT_EQ(outcome, ScenarioCache::Outcome::Patched);
+}
+
+TEST(ServeCache, RechargeChargesModuleLaws) {
+  const auto sc = std::make_shared<const Scenario>(Scenario::calibrated(
+      expmk::gen::tiled_fork_join(6, 3, 4, 7), 0.01));
+  const std::size_t bare = expmk::serve::scenario_footprint_bytes(*sc);
+  ScenarioCache roomy(64u << 20, /*shards=*/1);
+  ScenarioCache tight(bare + 1024, /*shards=*/1);
+  (void)roomy.get_or_compile(1, [&] { return sc; });
+  (void)tight.get_or_compile(1, [&] { return sc; });
+  EXPECT_EQ(tight.stats().bytes, bare);
+
+  expmk::exp::Workspace ws;
+  (void)expmk::exp::hier::evaluate_sp_hier(*sc, 64, ws);
+  const std::size_t laws = sc->law_store().bytes();
+  ASSERT_GT(laws, 1024u);
+  EXPECT_EQ(expmk::serve::scenario_footprint_bytes(*sc), bare + laws);
+  EXPECT_EQ(tight.stats().bytes, bare);  // charged only on recharge
+
+  roomy.recharge(1);
+  EXPECT_EQ(roomy.stats().bytes, bare + laws);
+  EXPECT_EQ(roomy.stats().entries, 1u);
+  // The laws push the only entry past the budget: it goes, although it is
+  // the newest.
+  tight.recharge(1);
+  const CacheStats stats = tight.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(tight.lookup(1), nullptr);
+  tight.recharge(1);  // absent: a no-op
+  EXPECT_EQ(tight.stats().evictions, 1u);
 }
 
 }  // namespace

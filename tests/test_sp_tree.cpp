@@ -402,31 +402,52 @@ TEST(SpTree, OneTaskPatchRebuildsLogCone) {
   exp::hier::memo_clear();
 }
 
-TEST(SpTree, MemoKeySeparatesRatesWeightsAndBudget) {
-  exp::hier::memo_clear();
-  const auto g = fork_join(2, 3);
-  exp::Workspace ws;
-  const auto a = exp::hier::evaluate_sp_hier(compile(g, 0.05), 0, ws);
-  const auto b = exp::hier::evaluate_sp_hier(compile(g, 0.20), 0, ws);
-  ASSERT_TRUE(a.is_series_parallel);
-  ASSERT_TRUE(b.is_series_parallel);
-  // Different rates -> different modules -> different answers; a collision
-  // would silently reuse the pfail=0.05 laws.
-  EXPECT_NE(a.mean, b.mean);
-  graph::Dag g2 = fork_join(2, 3);
-  g2.set_weight(2, 9.0);
-  const auto c = exp::hier::evaluate_sp_hier(compile(g2, 0.05), 0, ws);
-  EXPECT_NE(a.mean, c.mean);
-  exp::hier::memo_clear();
-}
-
-// ---- law lifetime ----------------------------------------------------
-
 std::uint64_t bits(double x) {
   std::uint64_t u;
   std::memcpy(&u, &x, sizeof u);
   return u;
 }
+
+TEST(SpTree, MemoKeySeparatesRatesWeightsAndBudget) {
+  exp::hier::memo_clear();
+  const auto g = fork_join(2, 3);
+  exp::Workspace ws;
+  // `sa` stays alive throughout, so its laws stay findable by content: a
+  // key that left out the rate, a weight or the budget would serve them
+  // to the scenarios below.
+  const auto sa = compile(g, 0.05);
+  const auto a = exp::hier::evaluate_sp_hier(sa, 0, ws);
+  ASSERT_TRUE(a.is_series_parallel);
+  ASSERT_GT(exp::hier::memo_stats().entries, 0u);
+  const auto b = exp::hier::evaluate_sp_hier(compile(g, 0.20), 0, ws);
+  ASSERT_TRUE(b.is_series_parallel);
+  EXPECT_NE(a.mean, b.mean);
+  // Weight: a quarter of the rate on a task four times heavier keeps its
+  // success probability bit-for-bit, so only the weight tells the laws
+  // apart.
+  const double lambda = core::calibrate(g, 0.05).lambda;
+  graph::Dag g2 = fork_join(2, 3);
+  g2.set_weight(2, 8.0);
+  std::vector<double> rates(g2.task_count(), lambda);
+  rates[2] = lambda / 4;
+  const auto c = exp::hier::evaluate_sp_hier(
+      scenario::Scenario::compile(g2, scenario::FailureSpec::per_task(rates)),
+      0, ws);
+  ASSERT_TRUE(c.is_series_parallel);
+  EXPECT_NE(a.mean, c.mean);
+  // Budget: `sa` also holds its laws at 2 atoms, so an exact build of a
+  // fresh compile must not be served those truncated laws.
+  const auto a2 = exp::hier::evaluate_sp_hier(sa, 2, ws);
+  ASSERT_TRUE(a2.is_series_parallel);
+  ASSERT_GT(a2.truncation.up + a2.truncation.down, 0.0);
+  const auto exact = exp::hier::evaluate_sp_hier(compile(g, 0.05), 0, ws);
+  EXPECT_EQ(exact.stats.memo_misses, 0u);  // the exact laws, from `sa`
+  EXPECT_EQ(bits(exact.mean), bits(a.mean));
+  EXPECT_NE(exact.mean, a2.mean);
+  exp::hier::memo_clear();
+}
+
+// ---- law lifetime ----------------------------------------------------
 
 /// The hier answers of one scenario, as bit patterns.
 struct HierBits {
